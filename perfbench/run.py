@@ -9,8 +9,10 @@ Builds the worker (`perfbench/src/main.rs`, a package of its own) in
 release mode, then starts it once per run until `--seconds` are used up.
 Each worker process generates the seeded request stream, builds the
 cluster, calls `Cluster::serve` once, checks the simulated outputs and
-reports host time, CPU time and peak memory. This script takes medians
-over the runs and prints, as its last stdout line, one JSON object:
+reports host time, CPU time, peak memory and the times of two fixed
+host-speed probes. This script scales host times by the probes, takes
+medians over the runs and prints, as its last stdout line, one JSON
+object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -18,11 +20,11 @@ With `--trace 0` the metrics are the end-to-end metrics of untraced runs.
 With `--trace 1` traced and untraced runs alternate; the metrics are the
 per-layer breakdown of the traced runs plus the tracing overhead.
 `attempted` counts offered requests over all runs; `failed` counts the
-offered requests of runs that failed a check or crashed.
+offered requests of runs that failed a check or crashed. If no run
+passes its checks, it exits 1 and prints no result.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -35,6 +37,12 @@ ROOT = os.path.dirname(HERE)
 WORKLOADS = ("day_pooled", "day_p2c", "fresh_inputs", "chaos")
 # Longest a single worker process may take before it counts as failed.
 WORKER_TIMEOUT_S = 150
+# The probes' median times in seconds on the reference host (2-vCPU
+# Intel Xeon at 2.1 GHz). Host times are scaled by each run's probe times
+# against them, so a run on a host slowed by other tenants is not read as
+# a slower simulator (see README.md).
+CHASE_REF_S = 0.022
+DRAWS_REF_S = 0.003
 
 
 def units(section):
@@ -93,43 +101,40 @@ def run_json(cmd, pinned):
         return None
 
 
-def source_id():
-    """The commit if this is a git checkout, else a digest of the sources."""
-    if os.path.exists(os.path.join(ROOT, ".git")):
-        try:
-            head = subprocess.run(
-                ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
-            )
-            if head.returncode == 0:
-                return head.stdout.strip()
-        except OSError:
-            pass
-    h = hashlib.sha256()
-    for top in ("crates", "shims", "perfbench/src"):
-        for dirpath, dirnames, filenames in sorted(os.walk(os.path.join(ROOT, top))):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.endswith((".rs", ".toml")):
-                    path = os.path.join(dirpath, name)
-                    h.update(os.path.relpath(path, ROOT).encode())
-                    with open(path, "rb") as f:
-                        h.update(f.read())
-    return "src-" + h.hexdigest()[:16]
+def commit():
+    """The checked-out commit, or None outside a git checkout."""
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return None
+    return head.stdout.strip() if head.returncode == 0 else None
 
 
 def passed(rep):
     return rep is not None and not rep["errors"]
 
 
-def end_to_end(reps):
+def speed(r):
+    """Cache-bound host speed of one run relative to the reference host."""
+    return CHASE_REF_S / r["chase_s"]
+
+
+def setup_speed(r):
+    """Compute-bound host speed of one run relative to the reference host."""
+    return DRAWS_REF_S / r["draws_s"]
+
+
+def end_to_end(reps, attempted):
+    """End-to-end metrics of the runs that passed; None if none did."""
     ok = [r for r in reps if passed(r)]
-    med = lambda key: statistics.median(r[key] for r in ok) if ok else 0.0
-    served_frac = [r["served"] / r["offered"] if passed(r) else 0.0 for r in reps]
+    if not ok:
+        return None
+    med = lambda f: statistics.median(f(r) for r in ok)
     return {
-        "sim_ips": med("sim_ips"),
-        "peak_rss_mb": med("peak_rss_mb"),
-        "setup_s": med("setup_s"),
-        "served_frac": statistics.median(served_frac),
+        "sim_ips": med(lambda r: r["sim_ips"] / speed(r)),
+        "peak_rss_mb": med(lambda r: r["peak_rss_mb"]),
+        "setup_s": med(lambda r: r["setup_s"] * setup_speed(r)),
+        "served_frac": sum(r["served"] for r in ok) / attempted,
     }
 
 
@@ -138,7 +143,7 @@ def per_layer(traced, untraced):
     traced = [r for r in traced if passed(r)]
     untraced = [r for r in untraced if passed(r)]
     if not traced or not untraced:
-        return dict.fromkeys(units("per_layer"), 0.0)
+        return None
     r = sorted(traced, key=lambda x: x["sim_ips"])[(len(traced) - 1) // 2]
     advance, execute = r["advance_s"], r["batch_execute_s"]
     attributed = r["setup_total_s"] + advance + r["assemble_s"] + r["check_s"]
@@ -186,6 +191,8 @@ def per_layer(traced, untraced):
         "host.nproc": r["nproc"],
         "host.cpu_s": r["cpu_s"],
         "host.cpu_util": r["cpu_s"] / (r["wall_s"] * r["workers"]),
+        "host.speed": speed(r),
+        "host.setup_speed": setup_speed(r),
         "host.attributed_cpu_share": attributed / max(r["cpu_s"], 1e-9),
         "host.parallel_sim_ips": untraced_ips,
         "trace.overhead_frac": 1.0 - traced_ips / untraced_ips,
@@ -238,7 +245,7 @@ def main():
     if args.trace:
         values, unit = per_layer(traced, untraced), units("per_layer")
     else:
-        values, unit = end_to_end(reps), units("end_to_end")
+        values, unit = end_to_end(reps, attempted), units("end_to_end")
     context = {
         "workload": args.workload,
         "seed": args.seed,
@@ -247,11 +254,16 @@ def main():
         "workers": first.get("workers"),
         "pinned_to_one_cpu": pinned,
         "nproc": os.cpu_count(),
-        "commit": source_id(),
+        "commit": commit(),
         "digest": sorted(digests),
-        "sim_ips": [r["sim_ips"] for r in reps if r is not None],
+        "raw_sim_ips": [r["sim_ips"] for r in reps if r is not None],
+        "host_speed": [speed(r) for r in reps if r is not None],
+        "host_setup_speed": [setup_speed(r) for r in reps if r is not None],
     }
     print(json.dumps({"context": context}))
+    if values is None:
+        print("perfbench: no run passed its checks; no result", file=sys.stderr)
+        return 1
     result = {
         "correct": correct,
         "attempted": attempted,

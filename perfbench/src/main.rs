@@ -50,7 +50,7 @@ impl Workload {
     /// one core (the canonical day is 1M requests; see `README.md`).
     fn default_requests(self) -> usize {
         match self {
-            Self::DayPooled => 80_000,
+            Self::DayPooled => 40_000,
             Self::DayP2c => 40_000,
             Self::FreshInputs => 4_000,
             Self::Chaos => 10_000,
@@ -75,12 +75,21 @@ impl Workload {
             Self::DayPooled | Self::FreshInputs => cluster_scenario::cluster(RoutingPolicy::Random),
             Self::DayP2c => cluster_scenario::cluster(RoutingPolicy::PowerOfTwo),
             Self::Chaos => {
-                // The fault schedule scales to the stream's span (the
-                // canonical bench scales it to the fault-free makespan,
-                // which needs a second serve).
+                // The fault schedule spans the stream's arrivals (the
+                // canonical bench uses the fault-free makespan, which
+                // needs a second serve). Crashes and slowdowns keep the
+                // canonical day's rate per request and crash length; the
+                // 16 outages keep their count and their dark time (10% of
+                // the span, summed over shards), so every run fails over.
                 let horizon = requests.last().map_or(1, |r| r.arrival);
+                let scale = |n: usize| (n * requests.len()).div_ceil(cluster_scenario::REQUESTS);
                 let mut faults = chaos_scenario::protected(horizon);
-                faults.spec.seed ^= s2ta_bench::SEED ^ seed;
+                let spec = &mut faults.spec;
+                spec.seed ^= s2ta_bench::SEED ^ seed;
+                spec.mean_down_cycles = spec.mean_down_cycles * spec.lane_crashes as u64
+                    / scale(spec.lane_crashes) as u64;
+                spec.lane_crashes = scale(spec.lane_crashes);
+                spec.lane_slowdowns = scale(spec.lane_slowdowns);
                 chaos_scenario::cluster().with_faults(faults)
             }
         }
@@ -135,6 +144,76 @@ fn process_cpu_s() -> f64 {
     let ticks: u64 =
         fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
     ticks as f64 / 100.0
+}
+
+/// Fixed host-speed probes, timed several times at each of three points
+/// of a run. On a shared host, other tenants slow the simulator for
+/// minutes at a time; `run.py` scales host times by how much these slow
+/// down. They are the benchmark's own code, so a change to the simulator
+/// cannot move them.
+struct Probes {
+    /// `i -> next[i]` is one random cycle through 256 KiB.
+    next: Vec<u32>,
+    /// Timings of a dependent pointer chase through `next`: it slows with
+    /// cache contention as `serve` does.
+    chase_s: Vec<f64>,
+    /// Timings of a loop of exponential draws like stream generation: it
+    /// slows with contention for the core (a busy sibling thread) as
+    /// set-up does.
+    draws_s: Vec<f64>,
+    /// Where the draws go: 256 KiB, reused, so that the probes leave the
+    /// workload's peak memory alone.
+    arrivals: Vec<u64>,
+}
+
+impl Probes {
+    const SLOTS: u32 = 1 << 16;
+    const STEPS: usize = 4_000_000;
+    const DRAWS: usize = 1 << 15;
+    const DRAW_ROUNDS: usize = 8;
+    const SAMPLES: usize = 5;
+
+    fn new() -> Self {
+        // Sattolo's shuffle, which leaves a single cycle.
+        let mut next: Vec<u32> = (0..Self::SLOTS).collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..next.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            next.swap(i, (x % i as u64) as usize);
+        }
+        let arrivals = Vec::with_capacity(Self::DRAWS);
+        Self { next, chase_s: Vec::new(), draws_s: Vec::new(), arrivals }
+    }
+
+    fn sample(&mut self) {
+        for _ in 0..Self::SAMPLES {
+            let t = Instant::now();
+            let mut at = 0u32;
+            for _ in 0..Self::STEPS {
+                at = self.next[at as usize];
+            }
+            std::hint::black_box(at);
+            self.chase_s.push(t.elapsed().as_secs_f64());
+
+            let t = Instant::now();
+            let (mut x, mut cycle) = (0x2545_f491_4f6c_dd1d_u64, 0.0f64);
+            for _ in 0..Self::DRAW_ROUNDS {
+                self.arrivals.clear();
+                for _ in 0..Self::DRAWS {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let u = ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+                    cycle -= u.ln() * 700.0;
+                    self.arrivals.push(cycle as u64);
+                }
+                std::hint::black_box(&self.arrivals);
+            }
+            self.draws_s.push(t.elapsed().as_secs_f64());
+        }
+    }
 }
 
 /// Peak resident set size (VmHWM) of this process in MiB.
@@ -267,9 +346,11 @@ impl Line {
     }
 }
 
-/// Set-ups per run: the stream and cluster are built this many times and
-/// the median is reported, since one set-up takes only milliseconds.
-const SETUPS: usize = 21;
+/// Set-up is repeated for at least this many host seconds (and at least
+/// `MIN_SETUPS` times) and the median is reported, since one set-up
+/// takes only milliseconds.
+const SETUP_BUDGET_S: f64 = 0.3;
+const MIN_SETUPS: usize = 5;
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
@@ -280,11 +361,14 @@ fn run(args: &Args) -> String {
     let wall = Instant::now();
     let tech = TechParams::tsmc16();
     let models = cluster_scenario::models();
+    let mut probes = Probes::new();
+    probes.sample();
 
     // Set-up: generate the stream, then build the cluster.
     let (mut generate, mut build) = (Vec::new(), Vec::new());
     let mut built = None;
-    for _ in 0..SETUPS {
+    let setups = Instant::now();
+    while generate.len() < MIN_SETUPS || setups.elapsed().as_secs_f64() < SETUP_BUDGET_S {
         drop(built.take());
         let t = Instant::now();
         let requests = args.workload.stream_spec(args.seed, args.requests).generate();
@@ -298,9 +382,10 @@ fn run(args: &Args) -> String {
         built = Some((requests, cluster));
     }
     let setup: Vec<f64> = generate.iter().zip(&build).map(|(g, b)| g + b).collect();
-    let setup_total_s: f64 = setup.iter().sum();
+    let (setups, setup_total_s) = (setup.len(), setup.iter().sum::<f64>());
     let (generate_s, build_s, setup_s) = (median(generate), median(build), median(setup));
     let (requests, cluster) = built.expect("at least one set-up ran");
+    probes.sample();
 
     let workers = Executor::global().workers();
     let caches = cluster.shards()[0].lanes()[0].accelerator();
@@ -323,6 +408,7 @@ fn run(args: &Args) -> String {
     let batches: usize = report.shards.iter().map(|s| s.batches).sum();
     let assemble_s = t.elapsed().as_secs_f64();
     let serve_cpu_s = process_cpu_s() - cpu0;
+    probes.sample();
     let weights = caches.plans().stats().since(weights0);
     let acts = caches.act_profiles().stats().since(acts0);
 
@@ -350,6 +436,9 @@ fn run(args: &Args) -> String {
     line.num("serve_s", serve_s);
     line.num("assemble_s", assemble_s);
     line.num("sim_ips", served as f64 / (serve_s + assemble_s));
+    line.num("setups", setups as f64);
+    line.num("chase_s", median(probes.chase_s));
+    line.num("draws_s", median(probes.draws_s));
     line.num("check_s", check_s);
     line.num("serve_cpu_s", serve_cpu_s);
     line.num("stream_mb", (requests.len() * std::mem::size_of::<Request>()) as f64 / 1048576.0);

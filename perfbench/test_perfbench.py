@@ -59,11 +59,11 @@ class Spec(unittest.TestCase):
         bench = load("BENCHMARK.json")
         rows = load("perfbench/interactions.json")["per_layer"]
         workloads = {w["name"] for w in bench["workloads"]}
-        end_to_end = {m["name"] for m in bench["end_to_end"]}
+        targets = {m["name"] for m in bench["end_to_end"]} | {"host.parallel_sim_ips"}
         self.assertEqual([r["metric"] for r in rows], [m["name"] for m in bench["per_layer"]])
         for row in rows:
             for metric, on in row["moves"].items():
-                self.assertIn(metric, end_to_end)
+                self.assertIn(metric, targets)
                 self.assertTrue(set(on) <= workloads, row)
 
 
@@ -91,6 +91,26 @@ class Smoke(unittest.TestCase):
 
     def test_traced_runs_print_the_per_layer_metrics(self):
         self.check(1, "per_layer")
+
+
+class Aggregation(unittest.TestCase):
+    def test_runs_that_all_fail_print_no_result(self):
+        sys.path.insert(0, HERE)
+        import run as bench_run
+
+        failing = [{"errors": ["check"], "offered": 10, "served": 10}, None]
+        self.assertIsNone(bench_run.end_to_end(failing, 20))
+        self.assertIsNone(bench_run.per_layer(failing, failing))
+
+    def test_served_frac_pools_requests_over_runs(self):
+        sys.path.insert(0, HERE)
+        import run as bench_run
+
+        ok = {"errors": [], "offered": 10, "served": 9, "sim_ips": 1.0, "peak_rss_mb": 1.0,
+              "setup_s": 1.0, "chase_s": 1.0, "draws_s": 1.0}
+        bad = dict(ok, errors=["check"])
+        # One check-failed run of three loses its 10 requests: (9 + 9) / 30.
+        self.assertAlmostEqual(bench_run.end_to_end([ok, bad, ok], 30)["served_frac"], 0.6)
 
 
 if __name__ == "__main__":
