@@ -236,10 +236,12 @@ fn main() {
     let (random, random_report) =
         run("random", RoutingPolicy::Random, false, &models, &requests, &tech);
 
-    // Shard-parallel vs serial reference: the default driver runs the
-    // shards on the persistent executor, and must reproduce the serial
-    // driver **byte-identically** (full report equality) while beating
-    // it on host wall-time at 4 shards.
+    // Shard-parallel vs serial reference: under random routing the
+    // default driver pre-routes the stream and runs the shards on the
+    // persistent executor. It must reproduce the serial reference —
+    // the arrival-barrier driver on one executor worker —
+    // **byte-identically** (full report equality) while beating it on
+    // host wall-time at 4 shards.
     let t = Instant::now();
     let serial_report = scenario::cluster(RoutingPolicy::Random).serve_serial(&models, &requests);
     let serial_secs = t.elapsed().as_secs_f64();
@@ -257,8 +259,9 @@ fn main() {
     };
     let parallel_speedup = serial_secs / random.host_seconds;
     println!(
-        "{:<14} serial reference {serial_secs:.1} host-s -> parallel {:.1} host-s \
-         ({parallel_speedup:.2}x, byte-identical, {workers} executor worker(s))",
+        "{:<14} serial reference (barrier driver, 1 worker) {serial_secs:.1} host-s -> \
+         parallel {:.1} host-s ({parallel_speedup:.2}x, byte-identical, {workers} executor \
+         worker(s))",
         "parallel", random.host_seconds,
     );
 

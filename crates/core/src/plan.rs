@@ -709,7 +709,7 @@ impl ActProfile {
 /// strip profiles additionally of the array's column-strip width and
 /// the `(bz, adbb)` DAP scope — all host-knowable, so the profile is
 /// compiled **once** and every re-simulation of the same request
-/// (speculative execution on each distinct lane scope, pipeline
+/// (hedged duplicates on a second lane, pipeline
 /// calibration probes, warm/cold residency variants that differ only
 /// in DMA accounting) replays it without regenerating, pruning or
 /// profiling the dense matrix. Shared fleet-wide like the weight-plan

@@ -20,9 +20,9 @@
 //! ```
 //!
 //! A [`ScratchPool`] shares arenas across whatever executes batches —
-//! lane threads, calibration probes, speculative bursts — so the warm
-//! capacity survives between bursts regardless of which worker runs
-//! the next one.
+//! cluster shard threads, calibration probes — so the warm capacity
+//! survives between batches regardless of which worker runs the next
+//! one.
 
 use std::sync::{Arc, Mutex};
 

@@ -40,8 +40,7 @@
 //! the synchronization barrier**: between two router decisions no
 //! shard can affect another, so [`Cluster::serve`] runs a
 //! **shard-parallel driver** on the persistent
-//! [`s2ta_core::pool::Executor`] that is byte-identical to the serial
-//! loop ([`Cluster::serve_serial`]) in two tiers:
+//! [`s2ta_core::pool::Executor`] in two tiers:
 //!
 //! 1. **Pre-routed** ([`RoutingPolicy::Random`] — probe-free): the
 //!    router consumes exactly one LCG draw per request and never looks
@@ -59,7 +58,13 @@
 //!    — typically only one or two shards have work per inter-arrival
 //!    gap.
 //!
-//! "Byte-identical" covers the full [`ClusterReport`] equality —
+//! [`Cluster::serve_serial`] is the barrier driver on a one-worker
+//! executor. Under [`RoutingPolicy::Random`] it is an independent
+//! reference for the pre-routed tier (a different driver reaching the
+//! same result); under the probing policies it is the serial baseline
+//! of the parallel barrier advance. Every driver produces the
+//! byte-identical report. "Byte-identical" covers the full
+//! [`ClusterReport`] equality —
 //! outcomes, percentiles, routing tallies, scale events. Host-side
 //! cache counters are excluded from report equality by design (see
 //! [`crate::PlanCacheActivity`]): shards racing on the shared plan
@@ -413,7 +418,7 @@ impl Cluster {
     /// Runs the **shard-parallel driver** on the process-wide
     /// [`Executor`] (see the module docs for the two tiers); the
     /// result is byte-identical to [`Cluster::serve_serial`] for every
-    /// routing policy.
+    /// routing policy and executor size.
     ///
     /// # Panics
     ///
@@ -512,54 +517,18 @@ impl Cluster {
         }
     }
 
-    /// The serial reference driver: one loop advancing every shard to
-    /// every arrival. This is what [`Cluster::serve`] is differentially
-    /// tested against (and what the bench times the parallel driver's
-    /// speedup over); prefer [`Cluster::serve`] everywhere else.
+    /// The serial reference driver: the arrival-barrier driver on a
+    /// one-worker executor, whatever the routing policy. Under
+    /// [`RoutingPolicy::Random`] it is the independent check on the
+    /// pre-routed driver [`Cluster::serve`] takes; under the probing
+    /// policies it is the serial baseline the bench times the parallel
+    /// advance against. Prefer [`Cluster::serve`] everywhere else.
     ///
     /// # Panics
     ///
     /// As [`Cluster::serve`].
     pub fn serve_serial(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
-        let n = self.shards.len();
-        let mut states: Vec<ShardState> =
-            self.shards.iter().map(|f| ShardState::new(f, models)).collect();
-        let mut rng = Lcg::new(self.router_seed);
-        let mut routed = vec![0usize; n];
-        let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
-
-        for r in requests {
-            let t = r.arrival;
-            // Autoscaler evaluations due before this arrival fire
-            // first, in simulated-time order.
-            if let Some(auto) = self.autoscale {
-                while next_eval.expect("set when autoscaling") <= t {
-                    let eval = next_eval.expect("checked");
-                    for (s, state) in states.iter_mut().enumerate() {
-                        state.advance(eval);
-                        self.autoscale_shard(&mut state.engine, s, eval, auto, &mut scale_events);
-                    }
-                    next_eval = Some(eval + auto.eval_interval_cycles);
-                }
-            }
-            // Advance every shard to the arrival so the probed depths
-            // are exactly what a request arriving at `t` observes.
-            for state in states.iter_mut() {
-                state.advance(t);
-            }
-            let (shard, failed_over) =
-                self.route_healthy(n, &mut rng, t, |s| states[s].engine.queued_depth());
-            routed[shard] += 1;
-            if failed_over {
-                states[shard].engine.note_failover(r);
-            }
-            states[shard].inject(*r);
-        }
-        for state in states.iter_mut() {
-            state.drain();
-        }
-        self.assemble(states, routed, scale_events)
+        self.serve_barrier(&Executor::new(1), models, requests)
     }
 
     /// Tier-1 parallel driver for probe-free routing: pre-draw the
@@ -579,7 +548,7 @@ impl Cluster {
         let mut rng = Lcg::new(self.router_seed);
         // Pre-draw the full routing sequence, carrying each request's
         // failover flag alongside it so the shard replay can record the
-        // diversion at the exact point the serial driver would.
+        // diversion at the exact point the barrier driver would.
         let mut per_shard: Vec<Vec<(Request, bool)>> = vec![Vec::new(); n];
         for r in requests {
             let (shard, failed_over) =
@@ -602,7 +571,7 @@ impl Cluster {
         }
         // Each shard's events are in time order and at most one event
         // exists per (eval time, shard); sorting by (time, shard)
-        // reproduces the serial driver's emission order exactly.
+        // reproduces the barrier driver's emission order exactly.
         scale_events.sort_by_key(|e| (e.time, e.shard));
         self.assemble(states, routed, scale_events)
     }
@@ -611,7 +580,7 @@ impl Cluster {
     ///
     /// Replaying only the shard's own arrivals is exact because the
     /// engine is event-driven: advancing a shard to *another* shard's
-    /// arrival time (as the serial driver does) processes the same
+    /// arrival time (as the barrier driver does) processes the same
     /// internal events in the same `(time, kind)` order as advancing
     /// it later, so the host call boundaries are behavior-neutral.
     /// Autoscaler evaluations are the one cross-stream coupling — they

@@ -17,22 +17,21 @@
 //!   previous one completes, so offered load adapts to capacity.
 //! * [`RequestQueue`] — per-model FIFO lanes, optionally bounded for
 //!   admission control (tail drop).
-//! * [`Scheduler`] — groups compatible requests into batches (size- or
-//!   timeout-closed) and places them on simulated worker lanes. Batch
-//!   formation under a fixed policy is fleet-size independent, so
-//!   aggregate simulation results are identical for every worker count
-//!   on a homogeneous fleet.
 //! * [`BatchPolicy`] — the closure-rule trait: [`FixedPolicy`] (static
 //!   bounds) or [`SloAwarePolicy`] (shrinks/grows `max_wait`/
 //!   `max_batch` against an observed-p99 target — one global class, or
 //!   one independent [`SloClass`] per model).
 //! * [`FleetSpec`] / [`Lane`] / [`Fleet`] — a fleet built from an
 //!   ordered list of lanes of any [`s2ta_core::ArchKind`] (e.g.
-//!   `FleetSpec::mixed(&[(S2taAw, 2), (SaZvcg, 2)])`), served by a
-//!   host thread pool ([`s2ta_core::pool`]); batches run layer-major
-//!   so memory-bound layers pay their weight DMA once per batch.
-//!   Open-loop ([`Fleet::serve`]), adaptive ([`Fleet::serve_adaptive`])
-//!   and closed-loop ([`Fleet::serve_closed_loop`]) client modes.
+//!   `FleetSpec::mixed(&[(S2taAw, 2), (SaZvcg, 2)])`), served by one
+//!   event-driven engine that groups compatible requests into batches
+//!   (size- or timeout-closed) and places them on the lanes. Batch
+//!   formation under a fixed policy is fleet-size independent, so
+//!   aggregate results are identical for every lane count on a
+//!   homogeneous fleet. Batches run layer-major so memory-bound layers
+//!   pay their weight DMA once per batch. Open-loop ([`Fleet::serve`]),
+//!   adaptive ([`Fleet::serve_adaptive`]) and closed-loop
+//!   ([`Fleet::serve_closed_loop`]) client modes.
 //! * [`PlacementStrategy`] / [`ServiceEstimator`] — how batches route
 //!   to lanes: arch-blind earliest-free (default), or affinity-aware
 //!   placement that minimizes predicted completion time from
@@ -107,7 +106,7 @@ pub use report::{
     DroppedRequest, FailedRequest, FaultStats, LatencyHistogram, ModelServeStats,
     PipelineStageStats, PlanCacheActivity, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
 };
-pub use scheduler::{Batch, Formation, Placement, PlacementStrategy, Scheduler, ServiceEstimator};
+pub use scheduler::{PlacementStrategy, ServiceEstimator};
 pub use timewheel::TimerWheel;
 pub use trace::{
     CacheSample, FlightRecorder, HostSpan, HostSpans, MetricPoint, MetricsSample, ModelSeries,

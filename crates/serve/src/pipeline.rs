@@ -86,7 +86,6 @@ impl PipelinePlan {
         stages: usize,
         weight_seed: u64,
         estimator: &mut ServiceEstimator,
-        host_parallelism: Option<usize>,
     ) -> Self {
         assert!(stages > 0, "a pipeline needs at least one stage");
         assert!(!lanes.is_empty(), "a pipeline needs at least one lane");
@@ -99,9 +98,7 @@ impl PipelinePlan {
         // the fleet's scratch pool), so the probes also warm the
         // fleet's shared activation-profile cache for the calibration
         // seed, and the `(scope, layer)` grid fans out over the
-        // persistent host executor — capped at the fleet's host
-        // parallelism, so a serial fleet probes serially and its cache
-        // counters stay exactly reproducible. Layers are probed at
+        // persistent host executor. Layers are probed at
         // **resident** weight residency — the pipeline's steady state:
         // a pinned stage lane streams its weights once and then keeps
         // them in SRAM across the whole run, so pricing memory-bound
@@ -120,7 +117,7 @@ impl PipelinePlan {
             .collect();
         let n_layers = model.layers.len();
         let jobs: Vec<usize> = (0..scope_reps.len() * n_layers).collect();
-        let cycles = pool::Executor::global().map_capped(&jobs, host_parallelism, |&j| {
+        let cycles = pool::Executor::global().map(&jobs, |&j| {
             let (s, i) = (j / n_layers, j % n_layers);
             let lane = &lanes[scope_reps[s]];
             let mut scratch = lane.scratch().checkout();
@@ -320,8 +317,7 @@ mod tests {
         stages: usize,
     ) -> (PipelinePlan, ServiceEstimator) {
         let mut estimator = ServiceEstimator::new();
-        let plan =
-            PipelinePlan::partition(fleet.lanes(), 0, model, stages, 42, &mut estimator, None);
+        let plan = PipelinePlan::partition(fleet.lanes(), 0, model, stages, 42, &mut estimator);
         (plan, estimator)
     }
 

@@ -411,13 +411,13 @@ impl WorkerStats {
 /// path — every lookup is memoized, so its bypasses are always zero).
 ///
 /// **Excluded from report equality.** Two runs with byte-identical
-/// *simulated* results may take different cache paths on the host — the
-/// vectorized open-loop path warms every plan once up front, while the
-/// event-driven engine re-warms per dispatch burst — so cache traffic
-/// is a host-side diagnostic, not a simulated outcome. `PartialEq`
-/// therefore always answers `true`, keeping the engine-vs-vectorized
-/// equivalence guarantees about what was *computed*, not how it was
-/// memoized.
+/// *simulated* results may take different cache paths on the host —
+/// cluster shards racing on shared caches interleave their lookups
+/// differently per driver, and a cache budget evicts and recompiles —
+/// so cache traffic is a host-side diagnostic, not a simulated outcome.
+/// `PartialEq` therefore always answers `true`, keeping the
+/// serial-vs-parallel and bounded-vs-unbounded equivalence guarantees
+/// about what was *computed*, not how it was memoized.
 #[derive(Debug, Clone, Copy, Default, Eq)]
 pub struct PlanCacheActivity {
     /// The run's weight-plan-cache counter delta (hits / misses /
@@ -524,8 +524,7 @@ pub struct ModelServeStats {
 /// decisions all run on the simulated clock, so the struct sits
 /// **inside report equality** — serial and shard-parallel cluster
 /// drivers must agree on it byte-for-byte. A fault-free run carries
-/// the all-zero default (with empty per-lane vectors), which keeps the
-/// engine-vs-vectorized equivalence untouched.
+/// the all-zero default (with empty per-lane vectors).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Lane-crash windows that began during the run.
@@ -639,8 +638,8 @@ pub struct ServeReport {
     /// the monolithic placement modes).
     pub pipeline_stages: Vec<PipelineStageStats>,
     /// Per-model admission/deadline accounting, in `models`-list
-    /// order. Part of report equality: every serving path (vectorized,
-    /// engine, cluster shard) must agree on it byte-for-byte.
+    /// order. Part of report equality: every cluster driver must agree
+    /// on it byte-for-byte.
     pub per_model: Vec<ModelServeStats>,
     /// Fault-injection and recovery accounting (all-zero for
     /// fault-free runs; **inside** report equality — see

@@ -1,28 +1,17 @@
-//! The batching scheduler: groups compatible requests into batches and
-//! places batches onto simulated-time worker lanes.
+//! Batch-scheduling building blocks of the serving engine: deadline
+//! tracking for open batches, the lane placement rules, and the
+//! service-time estimator behind affinity placement.
 //!
-//! Scheduling is split into two deterministic stages so that *what* is
-//! computed never depends on *where* it runs:
-//!
-//! 1. **Batch formation** ([`Scheduler::form_batches`]) folds the
-//!    arrival stream through a [`RequestQueue`], closing a batch when it
-//!    reaches [`BatchLimits::max_batch`] requests or when its oldest
-//!    member has waited [`BatchLimits::max_wait_cycles`]. Formation
-//!    depends only on the arrival stream — never on worker availability
-//!    — so the batch set (and therefore every simulated event count) is
-//!    identical for every fleet size.
-//! 2. **Placement** ([`Scheduler::place`] /
-//!    [`Scheduler::place_on_lanes`]) assigns the formed batches, in
-//!    ready order, to the earliest-free worker lane (lowest index on
-//!    ties); `place_on_lanes` additionally lets the service time depend
-//!    on the lane, which is what a heterogeneous (mixed-architecture)
-//!    fleet needs. Given the per-batch service times this reproduces
-//!    the latency/throughput behaviour of an N-lane fleet exactly,
-//!    while the actual cycle simulation runs on a host thread pool in
-//!    any order. The *affinity* dispatch rule
-//!    ([`PlacementStrategy::Affinity`], backed by a per-`(arch, model)`
-//!    [`ServiceEstimator`]) lives in the event-driven engine, which
-//!    learns service estimates as the run progresses.
+//! Batches form inside the event-driven engine ([`crate::Fleet::serve`]):
+//! a model's open batch closes when it reaches
+//! [`crate::BatchLimits::max_batch`] requests or when its oldest member
+//! has waited [`crate::BatchLimits::max_wait_cycles`]. Under a fixed
+//! policy, formation depends only on the arrival stream — never on lane
+//! availability — so the batch set (and on a homogeneous fleet every
+//! simulated event count) is identical for every fleet size. A sealed
+//! batch then goes to the earliest-free lane (lowest index on ties), or
+//! under [`PlacementStrategy::Affinity`] to the lane minimizing its
+//! predicted completion from a per-`(arch, model)` [`ServiceEstimator`].
 //!
 //! Timeout closure is tracked with a deadline-ordered min-heap
 //! ([`DeadlineHeap`]) instead of scanning every model lane per arrival:
@@ -35,45 +24,13 @@
 //! A request arriving exactly at the deadline of its lane's open batch
 //! still joins that batch; the batch closes (at `ready == deadline`)
 //! the moment any strictly later event is processed.
-//!
-//! The adaptive serving engine ([`crate::Fleet::serve_closed_loop`])
-//! re-queries a [`crate::BatchPolicy`] for fresh limits as it runs;
-//! this module's stream-fold path deliberately takes a fixed
-//! [`BatchLimits`] so the independence property above is structural.
 
-use crate::policy::{BatchLimits, FixedPolicy};
 use crate::queue::RequestQueue;
 use crate::timewheel::TimerWheel;
 use crate::workload::Request;
 use s2ta_core::ArchKind;
 use std::collections::HashMap;
 use std::ops::Range;
-
-/// A group of same-model requests dispatched together.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Batch {
-    /// Dense id in dispatch order.
-    pub id: usize,
-    /// Model index every member shares.
-    pub model: usize,
-    /// Members in arrival order.
-    pub requests: Vec<Request>,
-    /// Cycle at which the batch became ready to dispatch.
-    pub ready: u64,
-}
-
-/// A batch placed on a worker lane in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// The batch this placement is for (index into the batch list).
-    pub batch: usize,
-    /// Worker lane the batch ran on.
-    pub worker: usize,
-    /// Cycle the batch started executing.
-    pub start: u64,
-    /// Cycle the batch finished.
-    pub completion: u64,
-}
 
 /// Deadline-ordered min-heap over lane fronts.
 ///
@@ -349,246 +306,79 @@ pub(crate) fn affinity_lane(free_at: &[u64], ready: u64, predicted_service: &[u6
         .0
 }
 
-/// The deterministic batching scheduler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Scheduler {
-    policy: FixedPolicy,
-}
-
-/// Everything open-loop batch formation produced: the sealed batches
-/// plus the requests refused at admission (empty for unbounded queues).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Formation {
-    /// Sealed batches in dispatch order.
-    pub batches: Vec<Batch>,
-    /// Requests tail-dropped because their lane was at capacity, in
-    /// arrival order.
-    pub dropped: Vec<Request>,
-    /// `timeout_sealed[i]` is whether `batches[i]` was sealed by its
-    /// wait deadline expiring (a deadline miss for every member)
-    /// rather than by reaching `max_batch`. Parallel to `batches`.
-    pub timeout_sealed: Vec<bool>,
-}
-
-impl Scheduler {
-    /// A scheduler with the given fixed policy.
-    pub fn new(policy: FixedPolicy) -> Self {
-        Self { policy }
-    }
-
-    /// The batching policy.
-    pub fn policy(&self) -> FixedPolicy {
-        self.policy
-    }
-
-    /// The policy's closure bounds.
-    fn limits(&self) -> BatchLimits {
-        self.policy.into()
-    }
-
-    /// Folds a sorted arrival stream into batches (unbounded lanes —
-    /// every request is admitted).
-    ///
-    /// Every request appears in exactly one batch; batches hold one
-    /// model's requests in arrival order; no batch exceeds
-    /// `max_batch` members; and a batch's `ready` time never exceeds
-    /// its first member's arrival plus `max_wait_cycles`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero, a request names a model `>=
-    /// models`, or arrivals are not sorted.
-    pub fn form_batches(&self, requests: &[Request], models: usize) -> Vec<Batch> {
-        let formation = self.form_batches_bounded(requests, models, None);
-        debug_assert!(formation.dropped.is_empty(), "unbounded lanes cannot drop");
-        formation.batches
-    }
-
-    /// Folds a sorted arrival stream into batches with optional
-    /// per-lane admission bounds: a request arriving while its model's
-    /// lane already holds `capacity` pending requests is tail-dropped
-    /// instead of queued.
-    ///
-    /// Drop decisions depend only on the arrival stream and the closure
-    /// history — never on worker availability — so bounded formation is
-    /// exactly as fleet-size independent as the unbounded path.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Scheduler::form_batches`].
-    pub fn form_batches_bounded(
-        &self,
-        requests: &[Request],
-        models: usize,
-        capacity: Option<usize>,
-    ) -> Formation {
-        let limits = self.limits();
-        assert!(limits.max_batch > 0, "max_batch must be non-zero");
-        let mut queue = match capacity {
-            Some(cap) => RequestQueue::bounded(models, cap),
-            None => RequestQueue::new(models),
-        };
-        let mut deadlines = DeadlineHeap::new();
-        let mut batches: Vec<Batch> = Vec::new();
-        let mut timeout_sealed: Vec<bool> = Vec::new();
-        let mut dropped: Vec<Request> = Vec::new();
-        let mut last_arrival = 0u64;
-        for r in requests {
-            assert!(r.arrival >= last_arrival, "arrival stream must be sorted");
-            last_arrival = r.arrival;
-            // Lazily close any open batch whose oldest member timed out
-            // before this arrival. Only r's own lane can be affected by
-            // the push below, but timeouts on other lanes must also
-            // fire in time order to keep batch ids chronological.
-            self.close_timed_out(
-                &mut queue,
-                r.arrival,
-                &mut batches,
-                &mut timeout_sealed,
-                &mut deadlines,
-            );
-            let lane = r.model;
-            let was_empty = queue.pending(lane) == 0;
-            if !queue.try_push(*r) {
-                dropped.push(*r);
-                continue;
-            }
-            if was_empty {
-                deadlines.arm(lane, r, limits.max_wait_cycles, &queue);
-            }
-            if queue.pending(lane) == limits.max_batch {
-                let members = queue.pop_batch(lane, limits.max_batch);
-                batches.push(Self::sealed(batches.len(), lane, members, r.arrival));
-                timeout_sealed.push(false);
-            }
-        }
-        // End of stream: remaining open batches dispatch at their
-        // timeout (no later arrival can extend them).
-        self.close_timed_out(
-            &mut queue,
-            u64::MAX,
-            &mut batches,
-            &mut timeout_sealed,
-            &mut deadlines,
-        );
-        Formation { batches, dropped, timeout_sealed }
-    }
-
-    /// Closes every open batch whose oldest member would exceed its
-    /// wait bound at time `now` (strictly: `deadline < now`; an arrival
-    /// exactly at the deadline still joins), in deadline order with
-    /// ties broken by model index. Every batch sealed here is a
-    /// timeout seal (its members all missed the wait deadline).
-    fn close_timed_out(
-        &self,
-        queue: &mut RequestQueue,
-        now: u64,
-        batches: &mut Vec<Batch>,
-        timeout_sealed: &mut Vec<bool>,
-        deadlines: &mut DeadlineHeap,
-    ) {
-        let limits = self.limits();
-        while let Some((deadline, model)) = deadlines.peek_live(queue) {
-            if deadline < now || now == u64::MAX {
-                deadlines.pop();
-                let members = queue.pop_batch(model, limits.max_batch);
-                batches.push(Self::sealed(batches.len(), model, members, deadline));
-                timeout_sealed.push(true);
-                if let Some(front) = queue.front(model) {
-                    let front = *front;
-                    deadlines.arm(model, &front, limits.max_wait_cycles, queue);
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn sealed(id: usize, model: usize, requests: Vec<Request>, ready: u64) -> Batch {
-        debug_assert!(!requests.is_empty());
-        Batch { id, model, requests, ready }
-    }
-
-    /// Places batches onto `workers` **identical** simulated lanes:
-    /// batches dispatch in ready order (ties by id) to the
-    /// earliest-free lane (ties to the lowest index).
-    /// `service_cycles[i]` is batch `i`'s execution time, the same on
-    /// every lane. The heterogeneous generalization is
-    /// [`Scheduler::place_on_lanes`], of which this is the
-    /// lane-independent special case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or `service_cycles` is shorter than
-    /// the batch list.
-    pub fn place(
-        &self,
-        batches: &[Batch],
-        service_cycles: &[u64],
-        workers: usize,
-    ) -> Vec<Placement> {
-        assert!(service_cycles.len() >= batches.len(), "missing service times");
-        self.place_on_lanes(batches, |batch, _lane| service_cycles[batch], workers)
-    }
-
-    /// Places batches onto `lanes` simulated lanes whose service time
-    /// may differ per lane (a heterogeneous fleet): batches dispatch in
-    /// ready order (ties by id) to the earliest-free lane (ties to the
-    /// lowest index), and `service_cycles(batch, lane)` answers how
-    /// long `batch` runs on the chosen lane.
-    ///
-    /// The dispatch rule stays arch-blind (earliest-free); only the
-    /// *measured* service time depends on the lane. Affinity-aware
-    /// routing lives in the event-driven engine, which can grow its
-    /// estimates as the run progresses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn place_on_lanes(
-        &self,
-        batches: &[Batch],
-        service_cycles: impl Fn(usize, usize) -> u64,
-        lanes: usize,
-    ) -> Vec<Placement> {
-        assert!(lanes > 0, "a fleet needs at least one worker");
-        let mut order: Vec<usize> = (0..batches.len()).collect();
-        order.sort_by_key(|&i| (batches[i].ready, batches[i].id));
-        let mut free_at = vec![0u64; lanes];
-        let mut placements =
-            vec![Placement { batch: 0, worker: 0, start: 0, completion: 0 }; batches.len()];
-        for i in order {
-            let worker = earliest_free_lane(&free_at);
-            let start = free_at[worker].max(batches[i].ready);
-            let completion = start + service_cycles(i, worker);
-            free_at[worker] = completion;
-            placements[i] = Placement { batch: i, worker, start, completion };
-        }
-        placements
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::FixedPolicy;
     use crate::workload::WorkloadSpec;
+    use crate::Fleet;
+    use s2ta_models::{lenet5, ModelSpec};
 
     fn req(id: u64, model: usize, arrival: u64) -> Request {
         Request { id, model, arrival, act_seed: id }
     }
 
-    fn ids(b: &Batch) -> Vec<u64> {
-        b.requests.iter().map(|r| r.id).collect()
+    /// One batch as formed: its model, member ids in arrival order, and
+    /// the cycle it became ready.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Formed {
+        model: usize,
+        ids: Vec<u64>,
+        ready: u64,
     }
 
-    /// The pre-heap O(models)-scan implementation, kept verbatim as the
-    /// reference the heap path must match byte-for-byte.
-    fn form_batches_reference(s: &Scheduler, requests: &[Request], models: usize) -> Vec<Batch> {
-        let policy = s.policy();
-        assert!(policy.max_batch > 0, "max_batch must be non-zero");
+    /// Serves `requests` (dense ids, arrival order) through the engine
+    /// on a fleet with one lane per request, so no batch ever waits for
+    /// a lane and each batch starts exactly at its ready time. The
+    /// models are a one-layer LeNet head and every request carries the
+    /// same input, so batches simulate from warm caches. Returns the
+    /// batches in seal order and the dropped request ids.
+    fn formed(
+        policy: FixedPolicy,
+        requests: &[Request],
+        models: usize,
+        capacity: Option<usize>,
+    ) -> (Vec<Formed>, Vec<u64>) {
+        let head = ModelSpec { name: "LeNet-5-conv1", layers: lenet5().layers[..1].to_vec() };
+        let mut fleet = Fleet::new(ArchKind::S2taAw, requests.len().max(1)).with_policy(policy);
+        if let Some(cap) = capacity {
+            fleet = fleet.with_queue_capacity(cap);
+        }
+        let same_input: Vec<Request> =
+            requests.iter().map(|r| Request { act_seed: 0, ..*r }).collect();
+        let report = fleet.serve(&vec![head; models], &same_input);
+        let mut batches: Vec<Option<Formed>> = (0..report.batches).map(|_| None).collect();
+        let mut dropped = Vec::new();
+        for o in &report.outcomes {
+            let Some(s) = o.served() else {
+                dropped.push(o.id());
+                continue;
+            };
+            let batch = batches[s.batch].get_or_insert_with(|| Formed {
+                model: requests[s.id as usize].model,
+                ids: Vec::new(),
+                ready: s.start,
+            });
+            assert_eq!(batch.ready, s.start, "a batch's members start together");
+            batch.ids.push(s.id);
+        }
+        (batches.into_iter().map(|b| b.expect("batch ids are dense")).collect(), dropped)
+    }
+
+    /// The O(models)-scan batch former that predates [`DeadlineHeap`],
+    /// kept as the reference the engine's heap-driven formation must
+    /// match byte-for-byte.
+    fn form_batches_reference(
+        policy: FixedPolicy,
+        requests: &[Request],
+        models: usize,
+    ) -> Vec<Formed> {
         let mut queue = RequestQueue::new(models);
-        let mut batches: Vec<Batch> = Vec::new();
-        let close_timed_out = |queue: &mut RequestQueue, now: u64, batches: &mut Vec<Batch>| loop {
+        let mut batches: Vec<Formed> = Vec::new();
+        let seal = |batches: &mut Vec<Formed>, model: usize, members: Vec<Request>, ready: u64| {
+            batches.push(Formed { model, ids: members.iter().map(|r| r.id).collect(), ready });
+        };
+        let close_timed_out = |queue: &mut RequestQueue, now: u64, batches: &mut Vec<Formed>| loop {
             let next = (0..queue.models())
                 .filter_map(|m| {
                     queue.front(m).map(|r| (r.arrival.saturating_add(policy.max_wait_cycles), m))
@@ -597,21 +387,17 @@ mod tests {
             match next {
                 Some((deadline, model)) if deadline < now || now == u64::MAX => {
                     let members = queue.pop_batch(model, policy.max_batch);
-                    batches.push(Scheduler::sealed(batches.len(), model, members, deadline));
+                    seal(batches, model, members, deadline);
                 }
                 _ => return,
             }
         };
-        let mut last_arrival = 0u64;
         for r in requests {
-            assert!(r.arrival >= last_arrival, "arrival stream must be sorted");
-            last_arrival = r.arrival;
             close_timed_out(&mut queue, r.arrival, &mut batches);
             queue.push(*r);
-            let lane = r.model;
-            if queue.pending(lane) == policy.max_batch {
-                let members = queue.pop_batch(lane, policy.max_batch);
-                batches.push(Scheduler::sealed(batches.len(), lane, members, r.arrival));
+            if queue.pending(r.model) == policy.max_batch {
+                let members = queue.pop_batch(r.model, policy.max_batch);
+                seal(&mut batches, r.model, members, r.arrival);
             }
         }
         close_timed_out(&mut queue, u64::MAX, &mut batches);
@@ -623,11 +409,15 @@ mod tests {
         for seed in 0..20u64 {
             let models = 1 + (seed as usize % 4);
             let reqs = WorkloadSpec::uniform(seed, 400, 700.0, models).generate();
-            for (max_batch, max_wait) in [(1, 0), (3, 500), (8, 5_000), (4, u64::MAX)] {
-                let s = Scheduler::new(FixedPolicy { max_batch, max_wait_cycles: max_wait });
+            // The longest wait outlasts the stream, so every open batch
+            // closes in the end-of-stream drain.
+            for (max_batch, max_wait) in [(1, 0), (3, 500), (8, 5_000), (4, 1 << 40)] {
+                let policy = FixedPolicy { max_batch, max_wait_cycles: max_wait };
+                let (batches, dropped) = formed(policy, &reqs, models, None);
+                assert!(dropped.is_empty());
                 assert_eq!(
-                    s.form_batches(&reqs, models),
-                    form_batches_reference(&s, &reqs, models),
+                    batches,
+                    form_batches_reference(policy, &reqs, models),
                     "seed {seed}, max_batch {max_batch}, max_wait {max_wait}"
                 );
             }
@@ -672,27 +462,27 @@ mod tests {
 
     #[test]
     fn size_closure() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 2, max_wait_cycles: 1_000_000 });
+        let policy = FixedPolicy { max_batch: 2, max_wait_cycles: 1_000_000 };
         let reqs: Vec<Request> = (0..5).map(|i| req(i, 0, i * 10)).collect();
-        let batches = s.form_batches(&reqs, 1);
+        let (batches, _) = formed(policy, &reqs, 1, None);
         assert_eq!(batches.len(), 3);
-        assert_eq!(ids(&batches[0]), vec![0, 1]);
+        assert_eq!(batches[0].ids, vec![0, 1]);
         assert_eq!(batches[0].ready, 10, "ready at the arrival that filled the batch");
-        assert_eq!(ids(&batches[1]), vec![2, 3]);
+        assert_eq!(batches[1].ids, vec![2, 3]);
         // The trailing singleton dispatches at its timeout.
-        assert_eq!(ids(&batches[2]), vec![4]);
+        assert_eq!(batches[2].ids, vec![4]);
         assert_eq!(batches[2].ready, 40 + 1_000_000);
     }
 
     #[test]
     fn timeout_closure_bounds_waiting() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 8, max_wait_cycles: 100 });
+        let policy = FixedPolicy { max_batch: 8, max_wait_cycles: 100 };
         let reqs = vec![req(0, 0, 0), req(1, 0, 50), req(2, 0, 200), req(3, 0, 220)];
-        let batches = s.form_batches(&reqs, 1);
+        let (batches, _) = formed(policy, &reqs, 1, None);
         assert_eq!(batches.len(), 2);
-        assert_eq!(ids(&batches[0]), vec![0, 1]);
+        assert_eq!(batches[0].ids, vec![0, 1]);
         assert_eq!(batches[0].ready, 100, "oldest member waited exactly max_wait");
-        assert_eq!(ids(&batches[1]), vec![2, 3]);
+        assert_eq!(batches[1].ids, vec![2, 3]);
         assert_eq!(batches[1].ready, 300);
     }
 
@@ -700,50 +490,47 @@ mod tests {
     /// open batch's deadline joins it; one cycle later it does not.
     #[test]
     fn arrival_exactly_at_deadline_joins_the_batch() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 8, max_wait_cycles: 100 });
+        let policy = FixedPolicy { max_batch: 8, max_wait_cycles: 100 };
         // Second request lands exactly at 0 + 100.
-        let at = s.form_batches(&[req(0, 0, 0), req(1, 0, 100)], 1);
+        let (at, _) = formed(policy, &[req(0, 0, 0), req(1, 0, 100)], 1, None);
         assert_eq!(at.len(), 1, "deadline == now must not close the batch early");
-        assert_eq!(ids(&at[0]), vec![0, 1]);
+        assert_eq!(at[0].ids, vec![0, 1]);
         assert_eq!(at[0].ready, 100, "joined batch still seals at the deadline");
 
         // One cycle past the deadline: the batch has already closed.
-        let past = s.form_batches(&[req(0, 0, 0), req(1, 0, 101)], 1);
+        let (past, _) = formed(policy, &[req(0, 0, 0), req(1, 0, 101)], 1, None);
         assert_eq!(past.len(), 2, "deadline < now must close the batch");
-        assert_eq!(ids(&past[0]), vec![0]);
+        assert_eq!(past[0].ids, vec![0]);
         assert_eq!(past[0].ready, 100);
-        assert_eq!(ids(&past[1]), vec![1]);
+        assert_eq!(past[1].ids, vec![1]);
     }
 
     /// A cross-lane arrival strictly after another lane's deadline
     /// seals that lane's batch first, keeping batch ids chronological.
     #[test]
     fn cross_lane_timeouts_fire_in_deadline_order() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 8, max_wait_cycles: 10 });
+        let policy = FixedPolicy { max_batch: 8, max_wait_cycles: 10 };
         let reqs = vec![req(0, 0, 0), req(1, 1, 5), req(2, 2, 100)];
-        let batches = s.form_batches(&reqs, 3);
-        assert_eq!(batches.len(), 3);
-        assert_eq!((batches[0].model, batches[0].ready), (0, 10));
-        assert_eq!((batches[1].model, batches[1].ready), (1, 15));
-        assert_eq!((batches[2].model, batches[2].ready), (2, 110));
+        let (batches, _) = formed(policy, &reqs, 3, None);
+        let sealed: Vec<(usize, u64)> = batches.iter().map(|b| (b.model, b.ready)).collect();
+        assert_eq!(sealed, vec![(0, 10), (1, 15), (2, 110)]);
     }
 
     #[test]
     fn batches_never_mix_models_and_lose_nothing() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 3, max_wait_cycles: 500 });
+        let policy = FixedPolicy { max_batch: 3, max_wait_cycles: 500 };
         let reqs: Vec<Request> = (0..40).map(|i| req(i, (i % 3) as usize, i * 37)).collect();
-        let batches = s.form_batches(&reqs, 3);
+        let (batches, _) = formed(policy, &reqs, 3, None);
         let mut seen: Vec<u64> = Vec::new();
         for b in &batches {
-            assert!(!b.requests.is_empty());
-            assert!(b.requests.len() <= 3);
-            for r in &b.requests {
+            assert!(!b.ids.is_empty() && b.ids.len() <= 3);
+            for &id in &b.ids {
+                let r = reqs[id as usize];
                 assert_eq!(r.model, b.model, "mixed-model batch");
                 assert!(b.ready <= r.arrival + 500, "request waited past the bound");
-                seen.push(r.id);
+                assert!(b.ready >= r.arrival);
+                seen.push(id);
             }
-            let first = b.requests[0];
-            assert!(b.ready >= first.arrival);
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..40).collect::<Vec<_>>(), "dropped or duplicated requests");
@@ -751,12 +538,12 @@ mod tests {
 
     #[test]
     fn fifo_within_and_across_batches_per_model() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 4, max_wait_cycles: 100 });
+        let policy = FixedPolicy { max_batch: 4, max_wait_cycles: 100 };
         let reqs: Vec<Request> = (0..30).map(|i| req(i, (i % 2) as usize, i * 9)).collect();
-        let batches = s.form_batches(&reqs, 2);
+        let (batches, _) = formed(policy, &reqs, 2, None);
         for model in 0..2 {
             let order: Vec<u64> =
-                batches.iter().filter(|b| b.model == model).flat_map(ids).collect();
+                batches.iter().filter(|b| b.model == model).flat_map(|b| b.ids.clone()).collect();
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(order, sorted, "model {model} not FIFO");
@@ -765,71 +552,32 @@ mod tests {
 
     #[test]
     fn bounded_formation_tail_drops_and_reopens() {
-        let s = Scheduler::new(FixedPolicy { max_batch: 4, max_wait_cycles: 1_000 });
+        let policy = FixedPolicy { max_batch: 4, max_wait_cycles: 1_000 };
         // Five rapid arrivals against a lane capacity of 2: the first
-        // two queue, the next three drop, until the size/timeout
-        // closure drains the lane.
-        let reqs: Vec<Request> = (0..5).map(|i| req(i, 0, i)).collect();
-        let Formation { batches, dropped, .. } = s.form_batches_bounded(&reqs, 1, Some(2));
-        let dropped_ids: Vec<u64> = dropped.iter().map(|r| r.id).collect();
-        assert_eq!(dropped_ids, vec![2, 3, 4], "tail drop must refuse the newest arrivals");
-        assert_eq!(batches.len(), 1);
-        assert_eq!(ids(&batches[0]), vec![0, 1]);
-        // Admitted + dropped partition the stream.
-        let admitted: usize = batches.iter().map(|b| b.requests.len()).sum();
-        assert_eq!(admitted + dropped.len(), reqs.len());
+        // two queue and the next three drop. Once the timeout drains
+        // the lane, a late arrival is admitted again.
+        let mut reqs: Vec<Request> = (0..5).map(|i| req(i, 0, i)).collect();
+        reqs.push(req(5, 0, 5_000));
+        let (batches, dropped) = formed(policy, &reqs, 1, Some(2));
+        assert_eq!(dropped, vec![2, 3, 4], "tail drop must refuse the newest arrivals");
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0].ids, vec![0, 1]);
+        assert_eq!(batches[1].ids, vec![5], "the drained lane admits again");
     }
 
     #[test]
     fn unbounded_capacity_matches_plain_formation() {
         let reqs = WorkloadSpec::uniform(13, 200, 300.0, 2).generate();
-        let s = Scheduler::new(FixedPolicy { max_batch: 4, max_wait_cycles: 2_000 });
-        let bounded = s.form_batches_bounded(&reqs, 2, Some(usize::MAX));
-        assert!(bounded.dropped.is_empty());
-        assert_eq!(bounded.batches, s.form_batches(&reqs, 2));
+        let policy = FixedPolicy { max_batch: 4, max_wait_cycles: 2_000 };
+        let bounded = formed(policy, &reqs, 2, Some(usize::MAX));
+        assert!(bounded.1.is_empty());
+        assert_eq!(bounded, formed(policy, &reqs, 2, None));
     }
 
     #[test]
-    fn placement_is_earliest_free_worker() {
-        let s = Scheduler::new(FixedPolicy::default());
-        let batches: Vec<Batch> = (0..4)
-            .map(|i| Batch { id: i, model: 0, requests: vec![req(i as u64, 0, 0)], ready: 0 })
-            .collect();
-        let placements = s.place(&batches, &[100, 100, 10, 10], 2);
-        // Batches 0 and 1 occupy both workers; batch 2 waits for the
-        // first free worker (worker 0 at cycle 100 — ties go low).
-        assert_eq!(placements[0].worker, 0);
-        assert_eq!(placements[1].worker, 1);
-        assert_eq!(placements[2].start, 100);
-        assert_eq!(placements[3].start, 100);
-        assert_eq!(placements[2].completion, 110);
-        // Lanes never overlap.
-        for w in 0..2 {
-            let mut spans: Vec<(u64, u64)> = placements
-                .iter()
-                .filter(|p| p.worker == w)
-                .map(|p| (p.start, p.completion))
-                .collect();
-            spans.sort_unstable();
-            for pair in spans.windows(2) {
-                assert!(pair[0].1 <= pair[1].0, "worker {w} overlapped");
-            }
-        }
-    }
-
-    #[test]
-    fn place_on_lanes_uses_per_lane_service_times() {
-        let s = Scheduler::default();
-        let batches: Vec<Batch> = (0..2)
-            .map(|i| Batch { id: i, model: 0, requests: vec![req(i as u64, 0, 0)], ready: 0 })
-            .collect();
-        // Lane 0 is 10x slower: dispatch stays earliest-free (batch 0
-        // -> lane 0, batch 1 -> lane 1) but the completions reflect
-        // each lane's own speed.
-        let svc = |_batch: usize, lane: usize| if lane == 0 { 1_000 } else { 100 };
-        let p = s.place_on_lanes(&batches, svc, 2);
-        assert_eq!((p[0].worker, p[0].completion), (0, 1_000));
-        assert_eq!((p[1].worker, p[1].completion), (1, 100));
+    fn earliest_free_lane_breaks_ties_low() {
+        assert_eq!(earliest_free_lane(&[100, 100, 10, 10]), 2);
+        assert_eq!(earliest_free_lane(&[0, 0]), 0);
     }
 
     #[test]
@@ -890,22 +638,5 @@ mod tests {
         assert_eq!(affinity_lane(&[100, 0], 0, &[50, 500]), 0);
         // If the fast lane is backed up far enough, the slow lane wins.
         assert_eq!(affinity_lane(&[600, 0], 0, &[50, 500]), 1);
-    }
-
-    #[test]
-    fn placement_respects_ready_times() {
-        let s = Scheduler::new(FixedPolicy::default());
-        let batches: Vec<Batch> = (0..3)
-            .map(|i| Batch {
-                id: i,
-                model: 0,
-                requests: vec![req(i as u64, 0, 0)],
-                ready: 1000 * i as u64,
-            })
-            .collect();
-        let placements = s.place(&batches, &[10, 10, 10], 4);
-        for (p, b) in placements.iter().zip(&batches) {
-            assert!(p.start >= b.ready);
-        }
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! The finished [`Trace`] lives on [`crate::ServeReport`] inside an
 //! equality-neutral [`TraceCell`], so report `PartialEq` semantics —
-//! every engine-vs-vectorized and serial-vs-parallel byte-identity
+//! every traced-vs-untraced and serial-vs-parallel byte-identity
 //! guarantee in the test suite — are unchanged by attaching a
 //! recorder. Export to the Chrome `trace_events` JSON consumed by
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev) with

@@ -15,8 +15,7 @@
 //! The run is fully deterministic, and the asserts at the bottom are
 //! the CI smoke gate for pipelined serving: the pipeline must beat
 //! monolithic earliest-free placement on p99 latency by >= 1.1x at no
-//! worse throughput, span both architectures, and stay byte-identical
-//! across host-pool sizes.
+//! worse throughput and span both architectures.
 
 use s2ta::core::ArchKind;
 use s2ta::energy::TechParams;
@@ -71,13 +70,6 @@ fn main() {
         pipelined.throughput_ips(&tech) / monolithic.throughput_ips(&tech),
         pipelined.makespan_cycles as f64 / monolithic.makespan_cycles as f64,
     );
-
-    // Determinism across host-pool sizes: simulated results never
-    // depend on host threading.
-    let serial =
-        pipeline_scenario::pipelined_fleet().with_host_parallelism(1).serve(&models, &requests);
-    assert_eq!(pipelined, serial, "host parallelism must never change simulated results");
-    println!("re-served with a serial host pool: reports identical");
 
     // The CI smoke gate: the pipeline must actually pay off here.
     assert!(

@@ -9,10 +9,11 @@ use s2ta::core::{Accelerator, ArchKind, ModelReport, WeightResidency};
 use s2ta::energy::TechParams;
 use s2ta::models::{cifar10_convnet, lenet5, LayerSpec, ModelSpec};
 use s2ta::serve::{
-    Batch, BatchLimits, ClosedLoopSpec, FixedPolicy, Fleet, FleetSpec, PlacementStrategy, Request,
-    Scheduler, SloAwarePolicy, SloClass, WorkloadSpec,
+    BatchLimits, ClosedLoopSpec, FixedPolicy, Fleet, FleetSpec, PlacementStrategy, Request,
+    ServeReport, SloAwarePolicy, SloClass, WorkloadSpec,
 };
 use s2ta::tensor::{GemmShape, LayerKind};
+use std::collections::BTreeMap;
 
 fn workload(seed: u64, n: usize, models: usize) -> Vec<Request> {
     WorkloadSpec::uniform(seed, n, 15_000.0, models).generate()
@@ -35,18 +36,50 @@ fn two_models() -> Vec<ModelSpec> {
     vec![lenet5(), tiny_net()]
 }
 
+/// One served batch, rebuilt from its members' outcomes.
+struct ServedBatch {
+    model: String,
+    lane: usize,
+    start: u64,
+    completion: u64,
+    members: Vec<u64>,
+}
+
+/// Served outcomes grouped by batch id.
+fn batches_of(report: &ServeReport) -> BTreeMap<usize, ServedBatch> {
+    let mut batches = BTreeMap::new();
+    for o in report.served_outcomes() {
+        let b = batches.entry(o.batch).or_insert_with(|| ServedBatch {
+            model: o.model.clone(),
+            lane: o.worker,
+            start: o.start,
+            completion: o.completion,
+            members: Vec::new(),
+        });
+        assert_eq!(
+            (&b.model, b.lane, b.start, b.completion),
+            (&o.model, o.worker, o.start, o.completion)
+        );
+        b.members.push(o.id);
+    }
+    batches
+}
+
 #[test]
 fn no_request_is_dropped_or_duplicated() {
     let models = two_models();
     let requests = workload(3, 120, models.len());
-    let scheduler = Scheduler::new(FixedPolicy { max_batch: 6, max_wait_cycles: 40_000 });
-    let batches = scheduler.form_batches(&requests, models.len());
-    let mut ids: Vec<u64> = batches.iter().flat_map(|b| b.requests.iter().map(|r| r.id)).collect();
+    let report = Fleet::new(ArchKind::S2taAw, 2)
+        .with_policy(FixedPolicy { max_batch: 6, max_wait_cycles: 40_000 })
+        .serve(&models, &requests);
+    let batches = batches_of(&report);
+    let mut ids: Vec<u64> = batches.values().flat_map(|b| b.members.iter().copied()).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..120).collect::<Vec<_>>());
-    for b in &batches {
-        assert!(b.requests.len() <= 6);
-        assert!(b.requests.iter().all(|r| r.model == b.model));
+    assert_eq!(batches.len(), report.batches);
+    for b in batches.values() {
+        assert!(b.members.len() <= 6);
+        assert!(b.members.iter().all(|&id| models[requests[id as usize].model].name == b.model));
     }
 }
 
@@ -444,94 +477,38 @@ proptest! {
         prop_assert_eq!(composed, acc.run_model(&model, seed));
     }
 
-    /// Placement invariants over random batch sets: no worker lane ever
-    /// overlaps two batches, and no batch starts before its ready time.
+    /// Placement invariants over random streams, policies and fleet
+    /// sizes: no lane ever overlaps two batches, no batch starts before
+    /// any member arrived, and no batch exceeds `max_batch`.
     #[test]
     fn prop_placement_never_overlaps_and_respects_ready(
         seed in any::<u64>(),
         workers in 1usize..6,
+        max_batch in 1usize..6,
+        max_wait in 0u64..40_000,
     ) {
-        // Derive a random batch set from the seed with a cheap LCG so
-        // the case space is wide without a vec-strategy.
-        let mut state = seed;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            state ^ (state >> 32)
-        };
-        let n = (next() % 24) as usize;
-        let mut id = 0u64;
-        let batches: Vec<Batch> = (0..n)
-            .map(|i| {
-                let members = 1 + (next() % 5) as usize;
-                let ready = next() % 50_000;
-                let requests: Vec<Request> = (0..members)
-                    .map(|_| {
-                        let r = Request {
-                            id,
-                            model: 0,
-                            arrival: ready.saturating_sub(next() % 1_000),
-                            act_seed: next(),
-                        };
-                        id += 1;
-                        r
-                    })
-                    .collect();
-                Batch { id: i, model: 0, requests, ready }
-            })
-            .collect();
-        let service: Vec<u64> = (0..n).map(|_| 1 + next() % 30_000).collect();
-        let placements = Scheduler::default().place(&batches, &service, workers);
-
-        for (p, b) in placements.iter().zip(&batches) {
-            prop_assert!(p.start >= b.ready, "batch {} started before ready", b.id);
-            prop_assert!(p.worker < workers);
-            prop_assert_eq!(p.completion, p.start + service[p.batch]);
-        }
-        for w in 0..workers {
-            let mut spans: Vec<(u64, u64)> = placements
-                .iter()
-                .filter(|p| p.worker == w)
-                .map(|p| (p.start, p.completion))
-                .collect();
-            spans.sort_unstable();
-            for pair in spans.windows(2) {
-                prop_assert!(pair[0].1 <= pair[1].0, "worker {} overlapped", w);
+        let models = two_models();
+        let requests = WorkloadSpec::uniform(seed, 24, 4_000.0, models.len()).generate();
+        let report = Fleet::new(ArchKind::S2taAw, workers)
+            .with_policy(FixedPolicy { max_batch, max_wait_cycles: max_wait })
+            .serve(&models, &requests);
+        prop_assert_eq!(report.served_count(), requests.len());
+        let batches = batches_of(&report);
+        for (id, b) in &batches {
+            prop_assert!(b.lane < workers);
+            prop_assert!(b.start < b.completion, "batch {} has no service time", id);
+            prop_assert!(b.members.len() <= max_batch, "batch {} exceeds max_batch", id);
+            for &r in &b.members {
+                prop_assert!(b.start >= requests[r as usize].arrival, "batch {} started early", id);
             }
         }
-    }
-
-    /// Open-loop fixed-policy formation and the event-driven engine
-    /// (satisfying the same fixed policy) agree for any seed.
-    #[test]
-    fn prop_engine_matches_vectorized_for_fixed_policies(seed in any::<u64>()) {
-        let models = vec![lenet5()];
-        let requests = WorkloadSpec::uniform(seed, 24, 25_000.0, 1).generate();
-        let policy = FixedPolicy { max_batch: 3, max_wait_cycles: 40_000 };
-        let fleet = Fleet::new(ArchKind::S2taAw, 2).with_policy(policy);
-        let vectorized = fleet.serve(&models, &requests);
-        let mut fixed = policy;
-        let event_driven = fleet.serve_adaptive(&models, &requests, &mut fixed);
-        prop_assert_eq!(vectorized, event_driven);
-    }
-
-    /// The same equivalence on a **mixed-architecture** fleet: the
-    /// vectorized path's all-scopes speculative execution plus
-    /// earliest-free placement replays the engine exactly, and the
-    /// speculative fan-out is byte-identical at any host parallelism.
-    #[test]
-    fn prop_mixed_fleet_engine_matches_vectorized(seed in any::<u64>()) {
-        let models = vec![lenet5()];
-        let requests = WorkloadSpec::uniform(seed, 16, 20_000.0, 1).generate();
-        let policy = FixedPolicy { max_batch: 3, max_wait_cycles: 40_000 };
-        let spec = FleetSpec::mixed(&[(ArchKind::S2taAw, 1), (ArchKind::SaZvcg, 1)]);
-        let fleet = Fleet::from_spec(spec).with_policy(policy);
-        let vectorized = fleet.serve(&models, &requests);
-        let mut fixed = policy;
-        let event_driven = fleet.serve_adaptive(&models, &requests, &mut fixed);
-        prop_assert_eq!(&vectorized, &event_driven);
-        let serial = fleet.clone().with_host_parallelism(1).serve(&models, &requests);
-        prop_assert_eq!(&vectorized, &serial);
+        for w in 0..workers {
+            let mut spans: Vec<(u64, u64)> =
+                batches.values().filter(|b| b.lane == w).map(|b| (b.start, b.completion)).collect();
+            spans.sort_unstable();
+            for pair in spans.windows(2) {
+                prop_assert!(pair[0].1 <= pair[1].0, "lane {} overlapped", w);
+            }
+        }
     }
 }

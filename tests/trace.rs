@@ -55,9 +55,8 @@ fn same_scenario_twice_reproduces_the_trace() {
 }
 
 /// Attaching a recorder must change **no byte** of the simulated
-/// result: full report equality against the untraced run (which takes
-/// the vectorized fast path) on the heterogeneous and pipelined golden
-/// scenarios, including the per-model drop/miss table and the rendered
+/// result: full report equality against the untraced run on the
+/// heterogeneous and pipelined golden scenarios, including the per-model drop/miss table and the rendered
 /// breakdowns.
 #[test]
 fn recorder_is_equality_neutral_on_golden_scenarios() {
@@ -135,8 +134,8 @@ fn trace_ring_overflow_drops_oldest() {
 /// bounded queue under a hot stream must tail-drop, the per-model
 /// drop tallies must sum to the report's dropped count, deadline
 /// misses must be attributed, and — because `per_model` participates
-/// in report equality — the engine (traced) and vectorized (untraced)
-/// paths must agree on every tally.
+/// in report equality — the traced and untraced runs must agree on
+/// every tally.
 #[test]
 fn per_model_drops_and_deadline_misses_on_a_capacity_one_queue() {
     let models = models();
@@ -149,7 +148,7 @@ fn per_model_drops_and_deadline_misses_on_a_capacity_one_queue() {
         .with_queue_capacity(1);
     let untraced = fleet.serve(&models, &requests);
     let traced = fleet.clone().with_trace(big_trace()).serve(&models, &requests);
-    assert_eq!(untraced, traced, "per-model stats must agree across engine/vectorized paths");
+    assert_eq!(untraced, traced, "per-model stats must agree traced and untraced");
 
     assert!(untraced.dropped_count() > 0, "capacity-1 queue must drop");
     assert!(untraced.deadline_miss_count() > 0, "timeout-sealed batches must count as misses");
