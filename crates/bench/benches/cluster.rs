@@ -252,16 +252,13 @@ fn main() {
     drop(serial_report);
     drop(random_report);
     let workers = Executor::global().workers();
-    let parallel_gate = if workers >= 2 {
-        scenario::GATE_PARALLEL_SPEEDUP
-    } else {
-        scenario::GATE_PARALLEL_FLOOR_SINGLE_CORE
-    };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let parallel_gate = scenario::parallel_gate(workers);
     let parallel_speedup = serial_secs / random.host_seconds;
     println!(
         "{:<14} serial reference (barrier driver, 1 worker) {serial_secs:.1} host-s -> \
          parallel {:.1} host-s ({parallel_speedup:.2}x, byte-identical, {workers} executor \
-         worker(s))",
+         worker(s) on {nproc} CPU(s), gate {parallel_gate:.2}x)",
         "parallel", random.host_seconds,
     );
 
@@ -385,7 +382,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"cluster\",\n  \"seed\": {SEED},\n  \"shards\": {},\n  \
          \"requests\": {},\n  \"runs\": [\n    {}\n  ],\n  \"parallel\": {{\"serial_host_seconds\": {}, \
-         \"parallel_host_seconds\": {}, \"speedup\": {}, \"workers\": {workers}, \"threshold\": {}}},\n  \
+         \"parallel_host_seconds\": {}, \"speedup\": {}, \"workers\": {workers}, \"nproc\": {nproc}, \
+         \"threshold\": {}}},\n  \
          \"gate\": {{\"p99_speedup_p2c_vs_random\": {}, \"threshold\": {}}},\n  \
          \"chaos\": {{\n    \"queue_capacity\": {},\n    \"runs\": [\n      {}\n    ],\n    \
          \"gate\": {{\"goodput_ratio_min\": {}, \"p99_ratio_max\": {}}}\n  }}\n}}\n",

@@ -8,7 +8,9 @@
 //! arena's recycled buffer, and events are summed without building
 //! per-layer report vectors. This test pins that claim with a global
 //! counting allocator — warm the caches with two batches, then assert
-//! the third performs **zero** heap allocations on every architecture.
+//! the third, including its warm [`Accelerator::plan_model`] lookup
+//! (a lane looks its plan up once per batch), performs **zero** heap
+//! allocations on every architecture.
 //!
 //! The counter is thread-local, so worker threads of other tests in
 //! this binary cannot perturb it, and it only exists in debug builds
@@ -93,6 +95,7 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
         );
 
         let before = allocs_here();
+        let plan = acc.plan_model(&model, SEED);
         let events = acc.run_stage_events(
             &plan,
             &model,

@@ -439,12 +439,7 @@ impl WeightPlanCache {
         model: &ModelSpec,
         weight_seed: u64,
     ) -> Arc<ModelPlan> {
-        let key = (
-            acc.config().kind,
-            plan_scope_fingerprint(acc.config()),
-            model_fingerprint(model),
-            weight_seed,
-        );
+        let key = (acc.config().kind, acc.plan_scope(), model_fingerprint(model), weight_seed);
         {
             let mut table = self.inner.lock().expect("plan cache poisoned");
             table.tick += 1;
@@ -680,7 +675,7 @@ impl ActProfile {
     }
 
     /// [`ActProfile::postdap_side`] through a [`Scratch`] arena: the
-    /// activation matrix and the DAP staging block both reuse the
+    /// activation matrix and the DAP block masks both reuse the
     /// arena's capacity on a cold compile.
     pub(crate) fn postdap_side_with(&self, scratch: &mut Scratch) -> &PostDapProfile {
         self.postdap.get_or_init(|| {
@@ -690,7 +685,7 @@ impl ActProfile {
                 self.bz,
                 self.adbb,
                 self.strip_cols,
-                &mut scratch.dap_block,
+                &mut scratch.dap_masks,
             );
             scratch.acts = acts.into_data();
             PostDapProfile {

@@ -1,7 +1,10 @@
 //! The accelerator runner: layers and models through the simulated
 //! datapaths, with the DBB toolchain applied where configured.
 
-use crate::plan::{ActProfileCache, LayerPlan, PlannedWeights, WeightPlanCache, WeightResidency};
+use crate::plan::{
+    plan_scope_fingerprint, ActProfileCache, LayerPlan, PlannedWeights, WeightPlanCache,
+    WeightResidency,
+};
 use crate::scratch::Scratch;
 use crate::{ArchConfig, ArchKind, LayerReport, ModelReport};
 use s2ta_dbb::dap::{dap_matrix, LayerNnz};
@@ -9,6 +12,7 @@ use s2ta_dbb::{prune, BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
 use s2ta_sim::{smt, systolic, tpe, EventCounts};
 use s2ta_tensor::Matrix;
+use std::sync::OnceLock;
 
 /// Which host-side execution path planned runs
 /// ([`Accelerator::run_stage`] and everything built on it) take.
@@ -42,6 +46,11 @@ pub enum ExecPath {
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     config: ArchConfig,
+    /// [`plan_scope_fingerprint`] of `config`, computed on the first
+    /// plan-cache lookup and reused by every later one (`config` never
+    /// changes after construction). Deferred rather than computed in
+    /// [`Accelerator::new`] so building a fleet stays free of it.
+    plan_scope: OnceLock<u64>,
     plans: WeightPlanCache,
     act_profiles: ActProfileCache,
     exec_path: ExecPath,
@@ -66,6 +75,7 @@ impl Accelerator {
     pub fn new(config: ArchConfig) -> Self {
         Self {
             config,
+            plan_scope: OnceLock::new(),
             plans: WeightPlanCache::new(),
             act_profiles: ActProfileCache::new(),
             exec_path: ExecPath::default(),
@@ -80,6 +90,11 @@ impl Accelerator {
     /// The configuration.
     pub fn config(&self) -> &ArchConfig {
         &self.config
+    }
+
+    /// The plan-cache scope of this configuration.
+    pub(crate) fn plan_scope(&self) -> u64 {
+        *self.plan_scope.get_or_init(|| plan_scope_fingerprint(&self.config))
     }
 
     /// The shared weight-plan cache.
@@ -380,7 +395,7 @@ impl Accelerator {
     /// but without building the per-layer report vector or cloning
     /// layer names, and with every transient buffer (the SMT path's
     /// regenerated activation matrix, cold profile compiles, the DAP
-    /// staging block) drawn from `scratch`. After the caches and the
+    /// block masks) drawn from `scratch`. After the caches and the
     /// arena are warm, a call allocates nothing.
     ///
     /// # Panics

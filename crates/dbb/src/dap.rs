@@ -17,6 +17,7 @@
 //! * [`LayerNnz`] / [`choose_layer_nnz`] — the per-layer variable density
 //!   selection (Sec. 5.2: per-layer tuned A-DBB from 8/8 down to 2/8).
 
+use crate::config::MAX_BZ;
 use crate::{BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_tensor::Matrix;
 
@@ -68,7 +69,7 @@ impl DapUnit {
     ///
     /// Panics if `bz` is 0 or exceeds 16.
     pub fn new(bz: usize) -> Self {
-        assert!(bz > 0 && bz <= crate::config::MAX_BZ, "unsupported block size {bz}");
+        assert!(bz > 0 && bz <= MAX_BZ, "unsupported block size {bz}");
         Self { bz }
     }
 
@@ -289,12 +290,24 @@ pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz, strip_cols: usize) 
     dap_col_profile_with(m, bz, nnz, strip_cols, &mut Vec::new())
 }
 
-/// [`dap_col_profile`] with a caller-owned block scratch buffer: the
-/// only transient the profile derivation needs. A lane that keeps the
-/// buffer in its arena re-derives profiles (on activation-cache misses)
-/// with zero scratch allocation; the returned profile's `counts` vector
-/// is the output, not scratch, and is always freshly allocated because
-/// it outlives the call inside the activation profile cache.
+/// [`dap_col_profile`] with a caller-owned scratch buffer of per-column
+/// block masks: the only transient the profile derivation needs. A lane
+/// that keeps the buffer in its arena re-derives profiles (on
+/// activation-cache misses) with zero scratch allocation; the returned
+/// profile's `counts` vector is the output, not scratch, and is always
+/// freshly allocated because it outlives the call inside the activation
+/// profile cache.
+///
+/// The cascade's only observable outputs are each block's survivor mask
+/// and its stage count, so the kernel computes those directly instead
+/// of running [`DapUnit::prune`] per block. It walks the matrix one
+/// row-block at a time across all columns, building every column's
+/// non-zero mask from contiguous rows. A block with `found <= n`
+/// non-zeros keeps exactly those after `min(found + 1, n)` stages (the
+/// productive ones plus the stage that finds only zeros); only a block
+/// with `found > n` runs the top-`n` selection (ties to the lowest
+/// index) for `n` stages. Every stage costs `bz - 1` comparisons.
+/// [`dap_matrix`] stays the oracle (asserted by tests).
 ///
 /// # Panics
 ///
@@ -304,60 +317,89 @@ pub fn dap_col_profile_with(
     bz: usize,
     nnz: LayerNnz,
     strip_cols: usize,
-    block: &mut Vec<i8>,
+    masks: &mut Vec<u16>,
 ) -> DapColProfile {
     assert!(strip_cols > 0, "strip width must be non-zero");
     let strips = m.cols().div_ceil(strip_cols);
     let k = m.rows();
     let mut counts = vec![0u32; strips * k];
-    let mut events = DapEvents::default();
-    let config = match nnz {
+    let n = match nnz {
+        LayerNnz::Prune(n) if n < bz => n,
         // Dense (or a bound at/above BZ): nothing is pruned, the
         // profile is the raw matrix's.
-        LayerNnz::Dense => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) if n >= bz => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) => {
-            let unit = (n <= MAX_DAP_STAGES).then(|| DapUnit::new(bz));
-            block.resize(bz, 0);
-            let block = &mut block[..bz];
-            for c in 0..m.cols() {
-                let base = (c / strip_cols) * k;
-                let strip = &mut counts[base..base + k];
-                let mut r = 0;
-                while r < k {
-                    let end = (r + bz).min(k);
-                    block.fill(0);
-                    for (bi, row) in (r..end).enumerate() {
-                        block[bi] = m.get(row, c);
-                    }
-                    if let Some(unit) = &unit {
-                        let (_, ev) = unit.prune(block, n);
-                        events.stages += ev.stages;
-                        events.comparisons += ev.comparisons;
-                    } else {
-                        dap_block(block, n);
-                    }
-                    for (bi, row) in (r..end).enumerate() {
-                        if block[bi] != 0 {
-                            strip[row] += 1;
-                        }
-                    }
-                    r = end;
+        _ => {
+            for p in 0..k {
+                for (s, cols) in m.row(p).chunks(strip_cols).enumerate() {
+                    counts[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u32;
                 }
             }
-            return DapColProfile { counts, strips, k, events, config: DbbConfig::new(n, bz) };
+            let events = DapEvents::default();
+            return DapColProfile { counts, strips, k, events, config: DbbConfig::dense(bz) };
         }
     };
-    for c in 0..m.cols() {
-        let base = (c / strip_cols) * k;
-        let strip = &mut counts[base..base + k];
-        for (r, slot) in strip.iter_mut().enumerate() {
-            if m.get(r, c) != 0 {
-                *slot += 1;
+    assert!(bz <= MAX_BZ, "unsupported block size {bz}");
+    masks.resize(m.cols(), 0);
+    let mut stages = 0u64;
+    let mut block_rows: [&[i8]; MAX_BZ] = [&[]; MAX_BZ];
+    for r in (0..k).step_by(bz) {
+        let end = (r + bz).min(k);
+        for (slot, p) in block_rows.iter_mut().zip(r..end) {
+            *slot = m.row(p);
+        }
+        let rows = &block_rows[..end - r];
+        masks.fill(0);
+        for (bit, row) in rows.iter().enumerate() {
+            for (mask, &v) in masks.iter_mut().zip(row.iter()) {
+                *mask |= u16::from(v != 0) << bit;
+            }
+        }
+        for (c, mask) in masks.iter_mut().enumerate() {
+            let found = mask.count_ones() as usize;
+            if found <= n {
+                stages += (found + 1).min(n) as u64;
+            } else {
+                stages += n as u64;
+                *mask = top_magnitudes(rows, c, *mask, n);
+            }
+        }
+        for (bit, p) in (r..end).enumerate() {
+            for (s, cols) in masks.chunks(strip_cols).enumerate() {
+                counts[s * k + p] = cols.iter().map(|&mask| u32::from(mask >> bit) & 1).sum();
             }
         }
     }
-    DapColProfile { counts, strips, k, events, config }
+    // Bounds above the stage cap are software-enforced: same survivors,
+    // no hardware events (see `dap_matrix`).
+    let events = if n <= MAX_DAP_STAGES {
+        DapEvents { stages, comparisons: stages * (bz - 1) as u64 }
+    } else {
+        DapEvents::default()
+    };
+    DapColProfile { counts, strips, k, events, config: DbbConfig::new(n, bz) }
+}
+
+/// The `n` largest-magnitude survivors among the non-zero positions in
+/// `candidates` of column `c` of the row-block `rows`, ties to the lower
+/// index — the cascade's selection, one maxpool per kept element.
+/// `candidates` must hold more than `n` positions, all non-zero.
+fn top_magnitudes(rows: &[&[i8]], c: usize, mut candidates: u16, n: usize) -> u16 {
+    let mut kept = 0u16;
+    for _ in 0..n {
+        let (mut best, mut best_mag) = (0, 0u8);
+        let mut rest = candidates;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            let mag = rows[i][c].unsigned_abs();
+            // Strict '>' over ascending indices keeps the earliest on ties.
+            if mag > best_mag {
+                (best, best_mag) = (i, mag);
+            }
+            rest &= rest - 1;
+        }
+        kept |= 1 << best;
+        candidates &= !(1 << best);
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -528,22 +570,75 @@ mod tests {
         }
     }
 
+    #[test]
+    fn col_profile_handles_ties_extremes_and_every_block_size() {
+        // -128 has magnitude 128 (above 127); equal magnitudes of both
+        // signs must resolve to the lowest index, as in the cascade.
+        let col = [5i8, -128, 0, 127, -127, 0, -5, 5, 127, -128, 1, -1, 0, 0, 0, 0, 9];
+        let m = Matrix::from_vec(col.len(), 1, col.to_vec());
+        for bz in 1..=16 {
+            for n in 1..=bz + 1 {
+                let direct = dap_col_profile(&m, bz, LayerNnz::Prune(n), 1);
+                let (counts, events) = materialized_profile(&m, bz, LayerNnz::Prune(n), 1);
+                assert_eq!(direct.counts, counts, "bz {bz}, nnz {n}");
+                assert_eq!(direct.events, events, "bz {bz}, nnz {n}");
+            }
+        }
+    }
+
+    /// Value styles for the widened profile proptest: arbitrary bytes,
+    /// a small tie-heavy alphabet with both extremes, and a mostly-zero
+    /// mix of the same alphabet.
+    fn styled_value(style: u8, code: u8) -> i8 {
+        const TIES: [i8; 8] = [0, -128, 127, -127, 1, -1, 5, -5];
+        match style {
+            0 => code as i8,
+            1 => TIES[code as usize % TIES.len()],
+            _ if !code.is_multiple_of(4) => 0,
+            _ => TIES[(code as usize / 4) % TIES.len()],
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_dap_col_profile_equals_materialized(
-            rows in 1usize..24,
+            rows in 1usize..40,
             cols in 1usize..12,
-            sp in 0.0f64..0.95,
-            nnz in 1usize..=8,
+            bz in 1usize..=16,
+            nnz_pick in 0usize..64,
             strip_cols in 1usize..8,
+            style in 0u8..4,
+            codes in prop::collection::vec(any::<u8>(), 40 * 12),
+            sp in 0.0f64..0.95,
             seed in any::<u64>(),
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let m = SparseSpec::random(sp).matrix(rows, cols, &mut rng);
-            let direct = dap_col_profile(&m, 8, LayerNnz::Prune(nnz), strip_cols);
-            let (counts, events) = materialized_profile(&m, 8, LayerNnz::Prune(nnz), strip_cols);
+            // 1..=bz+1 covers every hardware and software-enforced bound
+            // plus the dense fall-back at and above BZ.
+            let nnz = 1 + nnz_pick % (bz + 1);
+            let mut m = if style == 3 {
+                SparseSpec::random(sp).matrix(rows, cols, &mut StdRng::seed_from_u64(seed))
+            } else {
+                let data = codes[..rows * cols].iter().map(|&c| styled_value(style, c)).collect();
+                Matrix::from_vec(rows, cols, data)
+            };
+            // Pin the edge populations into the first row-block: an
+            // all-zero block in every third column, and a block with
+            // exactly `nnz` equal-magnitude non-zeros in the next one.
+            let head = bz.min(rows);
+            for c in 0..cols {
+                for r in 0..head {
+                    match c % 3 {
+                        0 => m.set(r, c, 0),
+                        1 => m.set(r, c, if r < nnz { [7, -7][r % 2] } else { 0 }),
+                        _ => {}
+                    }
+                }
+            }
+            let direct = dap_col_profile(&m, bz, LayerNnz::Prune(nnz), strip_cols);
+            let (counts, events) = materialized_profile(&m, bz, LayerNnz::Prune(nnz), strip_cols);
             prop_assert_eq!(&direct.counts, &counts);
             prop_assert_eq!(direct.events, events);
+            prop_assert_eq!(direct.config, dap_matrix(&m, bz, LayerNnz::Prune(nnz)).0.config());
         }
 
         #[test]

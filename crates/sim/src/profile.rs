@@ -148,9 +148,8 @@ impl ColStripProfile {
         let k = a.rows();
         let mut counts = vec![0u32; strips * k];
         for p in 0..k {
-            let row = a.row(p);
-            for (c, &v) in row.iter().enumerate() {
-                counts[(c / strip_cols) * k + p] += (v != 0) as u32;
+            for (s, cols) in a.row(p).chunks(strip_cols).enumerate() {
+                counts[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u32;
             }
         }
         Self { counts, strips, k }

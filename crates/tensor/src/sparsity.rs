@@ -8,7 +8,6 @@
 //! `s2ta-dbb`).
 
 use crate::{Matrix, Tensor4};
-use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 /// A specification for generating synthetic sparse INT8 data.
@@ -77,24 +76,48 @@ impl SparseSpec {
         out
     }
 
+    /// Draws `len` elements: per element one `gen_bool(sparsity)` draw,
+    /// then — for a non-zero — `Uniform::new_inclusive(-127, 127)` draws
+    /// until one is non-zero, so "non-zero" positions are truly non-zero
+    /// and the realized sparsity tracks the spec.
+    ///
+    /// Both draws are specialized to integer arithmetic on the raw
+    /// `next_u64` stream, consuming exactly the words the generic calls
+    /// would and mapping them to the same values (pinned against the
+    /// generic sequence by `specialized_draws_match_generic_sequence`).
     fn values_into<R: Rng>(&self, len: usize, rng: &mut R, out: &mut Vec<i8>) {
-        let dist = Uniform::new_inclusive(-127i8, 127i8);
+        let zero_below = zero_threshold(self.sparsity);
         out.extend((0..len).map(|_| {
-            if rng.gen_bool(self.sparsity) {
+            if rng.next_u64() >> 11 < zero_below {
                 0
             } else {
-                // Re-draw zeros so "non-zero" positions are truly
-                // non-zero and the realized sparsity tracks the spec.
                 loop {
-                    let v = dist.sample(rng);
-                    if v != 0 {
-                        break v;
+                    let v = rng.next_u64();
+                    if v < VALUE_ZONE {
+                        let x = (v % VALUE_SPAN) as i16 - 127;
+                        if x != 0 {
+                            break x as i8;
+                        }
                     }
                 }
             }
         }));
     }
 }
+
+/// `gen_bool(p)` is `(b >> 11) as f64 * 2^-53 < p` for a raw word `b`.
+/// Scaling both sides by `2^53` is exact, and an integer is below a real
+/// exactly when it is below that real's ceiling, so the draw is zero iff
+/// `b >> 11 < ceil(p * 2^53)`.
+fn zero_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Span of the uniform `[-127, 127]` value draw.
+const VALUE_SPAN: u64 = 255;
+/// The uniform draw's rejection zone: words at or above it are re-drawn
+/// so `v % VALUE_SPAN` carries no modulo bias.
+const VALUE_ZONE: u64 = (u64::MAX / VALUE_SPAN) * VALUE_SPAN;
 
 /// Density statistics of a channel-blocked tensor: for each block of `bz`
 /// consecutive reduction elements, how many are non-zero.
@@ -190,8 +213,9 @@ impl SparsityStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::distributions::{Distribution, Uniform};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn realized_sparsity_tracks_spec() {
@@ -249,5 +273,84 @@ mod tests {
         let a = SparseSpec::random(0.5).matrix(8, 8, &mut StdRng::seed_from_u64(9));
         let b = SparseSpec::random(0.5).matrix(8, 8, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    /// The generic draw sequence the specialized generator reproduces:
+    /// `gen_bool(sparsity)`, then `Uniform(-127..=127)` zero re-draws.
+    fn generic_values<R: Rng>(sparsity: f64, len: usize, rng: &mut R) -> Vec<i8> {
+        let dist = Uniform::new_inclusive(-127i8, 127i8);
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(sparsity) {
+                    0
+                } else {
+                    loop {
+                        let v = dist.sample(rng);
+                        if v != 0 {
+                            break v;
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn specialized_draws_match_generic_sequence() {
+        let mut meta = StdRng::seed_from_u64(0x5eed);
+        for seed in 0..200u64 {
+            let random: [f64; 3] = [meta.gen(), meta.gen(), meta.gen()];
+            for sparsity in [0.0, 1.0, 0.5, random[0], random[1], random[2]] {
+                for len in [0, 1, 2, 7, meta.gen_range(3usize..600)] {
+                    let mut fast = StdRng::seed_from_u64(seed);
+                    let mut generic = fast.clone();
+                    let got = SparseSpec::random(sparsity).values(len, &mut fast);
+                    let want = generic_values(sparsity, len, &mut generic);
+                    assert_eq!(got, want, "seed {seed}, sparsity {sparsity}, len {len}");
+                    assert_eq!(
+                        fast.next_u64(),
+                        generic.next_u64(),
+                        "stream position, seed {seed}, sparsity {sparsity}, len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A stream of words drawn at random from a curated list.
+    #[derive(Clone)]
+    struct Curated {
+        words: Vec<u64>,
+        pick: StdRng,
+    }
+
+    impl RngCore for Curated {
+        fn next_u64(&mut self) -> u64 {
+            self.words[self.pick.gen_range(0..self.words.len())]
+        }
+    }
+
+    #[test]
+    fn specialized_draws_handle_boundary_words() {
+        // Words exactly on the edges: either side of each zero
+        // threshold, the value draw's zero (`v % 255 == 127`), its
+        // rejected top word and the words around it.
+        for sparsity in [0.0, 1.0, 0.25, 1.0 / 3.0, 0.5, 0.1, 0.999_999, f64::MIN_POSITIVE] {
+            let t = zero_threshold(sparsity);
+            let mut words: Vec<u64> = [t.saturating_sub(1), t, t + 1]
+                .iter()
+                .flat_map(|&m| [m << 11, (m << 11) | 0x7ff])
+                .collect();
+            words.extend([0, 127, 254, 255 + 127, u64::MAX, u64::MAX - 1, VALUE_ZONE - 1]);
+            words.extend([VALUE_ZONE - 1 - 127, (u64::MAX / 255 - 1) * 255 + 127]);
+            for seed in 0..20 {
+                let mut fast = Curated { words: words.clone(), pick: StdRng::seed_from_u64(seed) };
+                let mut generic = fast.clone();
+                let got = SparseSpec::random(sparsity).values(300, &mut fast);
+                let want = generic_values(sparsity, 300, &mut generic);
+                assert_eq!(got, want, "sparsity {sparsity}, seed {seed}");
+                assert_eq!(fast.next_u64(), generic.next_u64());
+            }
+        }
     }
 }

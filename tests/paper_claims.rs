@@ -1,6 +1,9 @@
 //! The paper's headline quantitative claims, asserted as integration
 //! tests (tight enough to catch regressions, loose enough for a
-//! calibrated model — EXPERIMENTS.md records exact measured values).
+//! calibrated model). The exact measured values sit next to the
+//! paper's in the output of the matching figure and table benches
+//! (`cargo bench -p s2ta-bench --bench fig11_models`, `tbl04_comparison`,
+//! ...).
 
 use s2ta::core::buffers::BufferPerMac;
 use s2ta::core::microbench::run_point;
