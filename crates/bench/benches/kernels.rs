@@ -6,8 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s2ta_dbb::dap::{dap_matrix, DapUnit, LayerNnz};
+use s2ta_dbb::dap::{dap_col_profile, dap_matrix, DapUnit, LayerNnz};
 use s2ta_dbb::{prune, DbbConfig, DbbVector};
+use s2ta_models::{cifar10_convnet, LayerSpec};
 use s2ta_sim::smt::SmtConfig;
 use s2ta_sim::{smt, systolic, tpe, ArrayGeometry};
 use s2ta_tensor::sparsity::SparseSpec;
@@ -54,6 +55,33 @@ fn bench_dap_matrix(c: &mut Criterion) {
     });
 }
 
+/// The cold activation-profile compile's two kernels at the shape of
+/// CIFAR-10 conv2 (`K` 288 x `N` 256) at 50% activation sparsity.
+fn conv2_acts() -> LayerSpec {
+    let mut layer = cifar10_convnet().layers[1].clone();
+    layer.act_sparsity = 0.5;
+    layer
+}
+
+fn bench_gen_acts(c: &mut Criterion) {
+    let layer = conv2_acts();
+    let mut buf = Vec::new();
+    c.bench_function("gen_acts 288x256 50%", |b| {
+        b.iter(|| {
+            let acts = black_box(&layer).gen_acts_into(7, std::mem::take(&mut buf));
+            black_box(acts.get(0, 0));
+            buf = acts.into_data();
+        })
+    });
+}
+
+fn bench_dap_col_profile(c: &mut Criterion) {
+    let a = conv2_acts().gen_acts(7);
+    c.bench_function("dap_col_profile 288x256 top4 strip64", |b| {
+        b.iter(|| black_box(dap_col_profile(black_box(&a), 8, LayerNnz::Prune(4), 64)))
+    });
+}
+
 fn bench_systolic_perf(c: &mut Criterion) {
     let (w, a) = operands(256, 1152, 256, 0.5);
     let g = ArrayGeometry::sa_baseline();
@@ -87,6 +115,8 @@ criterion_group!(
         bench_dbb_compress,
         bench_dap_unit,
         bench_dap_matrix,
+        bench_gen_acts,
+        bench_dap_col_profile,
         bench_systolic_perf,
         bench_aw_perf,
         bench_smt_tile

@@ -21,8 +21,9 @@
 #![cfg(debug_assertions)]
 
 use s2ta_bench::SEED;
-use s2ta_core::{Accelerator, ArchKind, Scratch, WeightResidency};
-use s2ta_models::lenet5;
+use s2ta_core::{Accelerator, ActProfileCache, ArchKind, Scratch, WeightResidency};
+use s2ta_dbb::dap::LayerNnz;
+use s2ta_models::{cifar10_convnet, lenet5};
 use s2ta_serve::{FaultSpec, FlightRecorder, Request, RetryQueue, TraceEvent, TraceEventKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,6 +109,33 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
         assert_eq!(events, warm, "{kind:?}: steady-state events drifted from warmup");
         assert_eq!(grew, 0, "{kind:?}: steady-state batch performed {grew} heap allocations");
     }
+}
+
+/// One compile per activation profile: with a warm arena, the first
+/// side asked of a cold [`ActProfileCache`] entry generates the matrix
+/// into the arena and tallies both sides in one pass, so it allocates
+/// exactly the entry's two tally vectors (raw and post-DAP); the other
+/// side is then already compiled and allocates nothing — no second
+/// generation.
+#[test]
+fn cold_profile_compiles_both_sides_at_once() {
+    let model = cifar10_convnet();
+    let layer = &model.layers[1];
+    let (strip_cols, bz, adbb) = (64, 8, LayerNnz::Prune(4)); // SA / S2TA-AW tiles
+    let cache = ActProfileCache::new();
+    let mut scratch = Scratch::new();
+    // Warm the arena on another entry of the same shape.
+    cache.get_or_profile(layer, SEED, strip_cols, bz, adbb).dense_with(&mut scratch);
+    let cold = cache.get_or_profile(layer, SEED + 1, strip_cols, bz, adbb);
+
+    let before = allocs_here();
+    std::hint::black_box(cold.dense_with(&mut scratch));
+    let compile = allocs_here() - before;
+    let before = allocs_here();
+    std::hint::black_box(cold.postdap());
+    let second_side = allocs_here() - before;
+    assert_eq!(compile, 2, "a cold compile allocates only its two tally vectors");
+    assert_eq!(second_side, 0, "the second side must come from the same compile");
 }
 
 /// The flight recorder's half of the same claim: the event ring is

@@ -20,7 +20,7 @@
 
 use crate::scratch::Scratch;
 use crate::{Accelerator, ArchConfig, ArchKind, LayerReport};
-use s2ta_dbb::dap::{dap_col_profile, dap_col_profile_with, DapEvents, LayerNnz};
+use s2ta_dbb::dap::{dap_col_profile, DapEvents, LayerNnz};
 use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
 use s2ta_sim::{ColStripProfile, RowStripProfile};
@@ -569,43 +569,42 @@ pub(crate) struct PostDapProfile {
     pub(crate) events: DapEvents,
 }
 
+/// Both compiled sides of an [`ActProfile`].
+#[derive(Debug)]
+struct ActSides {
+    dense: ColStripProfile,
+    postdap: PostDapProfile,
+}
+
 /// The compiled activation-side operand state for one `(layer, act
 /// seed)` under one `(strip width, bz, adbb)` scope: everything the
 /// matrix-free event paths need, with the dense `K x N` matrix itself
 /// discarded after profiling.
 ///
-/// Each side compiles **lazily on first use** (a blocking
-/// `OnceLock::get_or_init`, so concurrent users compute it exactly
-/// once): the raw-activation profile serves the dense-activation
-/// datapaths (SA, SA-ZVCG, SA-SMT, S2TA-W), the post-DAP profile the
-/// A-DBB datapath (S2TA-AW). A fleet without one of the families never
-/// pays for the side it doesn't read; fleets whose lanes share a cache
-/// key (the SA baseline and S2TA-AW tile identically) fill in both
-/// sides of one entry between them.
+/// Both sides compile **together, once, on first use** (a blocking
+/// `OnceLock::get_or_init`, so concurrent users compute them exactly
+/// once): one activation generation feeds one pass of the fused
+/// `dap_col_profile` kernel, which tallies the raw-activation profile
+/// (read by the dense-activation datapaths: SA, SA-ZVCG, SA-SMT,
+/// S2TA-W) and the post-DAP profile (read by the A-DBB datapath,
+/// S2TA-AW) side by side. Whichever side a lane asks for first, the
+/// other is then free, so lanes that share a cache key (the SA baseline
+/// and S2TA-AW tile identically) never regenerate the matrix.
 #[derive(Debug)]
 pub struct ActProfile {
     /// The generating layer plus the scope parameters — the recipe the
-    /// lazy sides regenerate the activation matrix from.
+    /// compile regenerates the activation matrix from.
     layer: LayerSpec,
     act_seed: u64,
     strip_cols: usize,
     bz: usize,
     adbb: LayerNnz,
-    dense: std::sync::OnceLock<ColStripProfile>,
-    postdap: std::sync::OnceLock<PostDapProfile>,
+    sides: std::sync::OnceLock<ActSides>,
 }
 
 impl ActProfile {
     fn new(layer: LayerSpec, act_seed: u64, strip_cols: usize, bz: usize, adbb: LayerNnz) -> Self {
-        Self {
-            layer,
-            act_seed,
-            strip_cols,
-            bz,
-            adbb,
-            dense: std::sync::OnceLock::new(),
-            postdap: std::sync::OnceLock::new(),
-        }
+        Self { layer, act_seed, strip_cols, bz, adbb, sides: std::sync::OnceLock::new() }
     }
 
     /// The profiled activation's `(K, N)` shape.
@@ -613,87 +612,85 @@ impl ActProfile {
         (self.layer.gemm.k, self.layer.gemm.n)
     }
 
-    /// A deterministic estimate of the entry's resident bytes with
-    /// **both** lazy sides compiled: two column-strip profiles of
-    /// `ceil(N / strip_cols)` strips × `K` `u32` counts each. The unit
-    /// [`ActProfileCache`] byte budgets are accounted in — deliberately
-    /// independent of which sides happen to be compiled yet, so budget
-    /// accounting can never vary with host timing.
+    /// The entry's resident tally bytes once compiled: two column-strip
+    /// profiles of `ceil(N / strip_cols)` strips × `K` `u16` counts
+    /// each. The unit [`ActProfileCache`] byte budgets are accounted in —
+    /// known before the compile, so budget accounting can never vary
+    /// with host timing.
     pub fn approx_bytes(&self) -> u64 {
         let (k, n) = self.shape();
-        2 * n.div_ceil(self.strip_cols) as u64 * k as u64 * 4
+        2 * n.div_ceil(self.strip_cols) as u64 * k as u64 * std::mem::size_of::<u16>() as u64
     }
 
-    /// Column-strip profile of the raw activation (compiled on first
-    /// use: one matrix generation + one profiling pass, ever).
-    pub fn dense(&self) -> &ColStripProfile {
-        self.dense.get_or_init(|| {
-            ColStripProfile::new(&self.layer.gen_acts(self.act_seed), self.strip_cols)
+    /// Both sides of `acts`, this entry's activation matrix: one pass of
+    /// the fused raw + DAP tally kernel.
+    fn compile(&self, acts: &Matrix) -> ActSides {
+        let dap = dap_col_profile(acts, self.bz, self.adbb, self.strip_cols);
+        ActSides {
+            dense: ColStripProfile::from_flat(dap.raw, dap.strips, dap.k),
+            postdap: PostDapProfile {
+                profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
+                config: dap.config,
+                events: dap.events,
+            },
+        }
+    }
+
+    /// Both sides, compiled on first use from a freshly generated matrix.
+    fn sides(&self) -> &ActSides {
+        self.sides.get_or_init(|| self.compile(&self.layer.gen_acts(self.act_seed)))
+    }
+
+    /// Both sides, compiled on first use from a matrix generated into
+    /// `scratch`'s recycled buffer (handed back afterwards).
+    fn sides_with(&self, scratch: &mut Scratch) -> &ActSides {
+        self.sides.get_or_init(|| {
+            let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
+            let sides = self.compile(&acts);
+            scratch.acts = acts.into_data();
+            sides
         })
     }
 
-    /// Like [`ActProfile::dense`], but profiles `acts` — the caller's
-    /// already-materialized copy of this entry's activation matrix —
-    /// when the side is cold, skipping the regeneration. Used by the
-    /// SMT path, which needs the matrix for its sampled FIFO timing
-    /// anyway.
+    /// Column-strip profile of the raw activation (one generation and
+    /// one fused profiling pass for both sides, ever).
+    pub fn dense(&self) -> &ColStripProfile {
+        &self.sides().dense
+    }
+
+    /// Like [`ActProfile::dense`], but compiles from `acts` — the
+    /// caller's already-materialized copy of this entry's activation
+    /// matrix — when the entry is cold, skipping the regeneration. Used
+    /// by the SMT path, which needs the matrix for its sampled FIFO
+    /// timing anyway.
     pub(crate) fn dense_from(&self, acts: &Matrix) -> &ColStripProfile {
         debug_assert_eq!((acts.rows(), acts.cols()), self.shape());
-        self.dense.get_or_init(|| ColStripProfile::new(acts, self.strip_cols))
+        &self.sides.get_or_init(|| self.compile(acts)).dense
     }
 
     /// Column-strip profile of the DAP-pruned activation, derived
-    /// without materializing the pruned matrix (compiled on first use:
-    /// one matrix generation + one DAP pass, ever).
+    /// without materializing the pruned matrix (same single compile as
+    /// [`ActProfile::dense`]).
     pub fn postdap(&self) -> &ColStripProfile {
         &self.postdap_side().profile
     }
 
     pub(crate) fn postdap_side(&self) -> &PostDapProfile {
-        self.postdap.get_or_init(|| {
-            let acts = self.layer.gen_acts(self.act_seed);
-            let dap = dap_col_profile(&acts, self.bz, self.adbb, self.strip_cols);
-            PostDapProfile {
-                profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
-                config: dap.config,
-                events: dap.events,
-            }
-        })
+        &self.sides().postdap
     }
 
     /// Like [`ActProfile::dense`], but a cold compile stages the
     /// regenerated activation matrix in `scratch` (returning the
-    /// storage afterwards), so a warm arena makes even the cold side
-    /// allocation-light and the warm side allocation-free.
+    /// storage afterwards), so with a warm arena a cold compile
+    /// allocates only its two tally vectors and a warm lookup nothing.
     pub fn dense_with(&self, scratch: &mut Scratch) -> &ColStripProfile {
-        self.dense.get_or_init(|| {
-            let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
-            let profile = ColStripProfile::new(&acts, self.strip_cols);
-            scratch.acts = acts.into_data();
-            profile
-        })
+        &self.sides_with(scratch).dense
     }
 
-    /// [`ActProfile::postdap_side`] through a [`Scratch`] arena: the
-    /// activation matrix and the DAP block masks both reuse the
-    /// arena's capacity on a cold compile.
+    /// [`ActProfile::postdap_side`] through a [`Scratch`] arena, as
+    /// [`ActProfile::dense_with`].
     pub(crate) fn postdap_side_with(&self, scratch: &mut Scratch) -> &PostDapProfile {
-        self.postdap.get_or_init(|| {
-            let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
-            let dap = dap_col_profile_with(
-                &acts,
-                self.bz,
-                self.adbb,
-                self.strip_cols,
-                &mut scratch.dap_masks,
-            );
-            scratch.acts = acts.into_data();
-            PostDapProfile {
-                profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
-                config: dap.config,
-                events: dap.events,
-            }
-        })
+        &self.sides_with(scratch).postdap
     }
 }
 
@@ -702,20 +699,21 @@ impl ActProfile {
 ///
 /// Activations are a pure function of `(layer, act seed)`, and their
 /// strip profiles additionally of the array's column-strip width and
-/// the `(bz, adbb)` DAP scope — all host-knowable, so the profile is
-/// compiled **once** and every re-simulation of the same request
-/// (hedged duplicates on a second lane, pipeline
-/// calibration probes, warm/cold residency variants that differ only
-/// in DMA accounting) replays it without regenerating, pruning or
-/// profiling the dense matrix. Shared fleet-wide like the weight-plan
-/// cache: lanes whose geometries agree on `(tile_cols, bz)` — e.g. the
-/// paper's SA baseline and S2TA-AW design points — share entries even
-/// across architecture kinds.
+/// the `(bz, adbb)` DAP scope — all host-knowable, so each entry's two
+/// sides (raw and post-DAP) are compiled **once**, together, and every
+/// re-simulation of the same request (hedged duplicates on a second
+/// lane, pipeline calibration probes, warm/cold residency variants that
+/// differ only in DMA accounting) replays them without regenerating,
+/// pruning or profiling the dense matrix. Shared fleet-wide like the
+/// weight-plan cache: lanes whose geometries agree on `(tile_cols, bz)`
+/// — e.g. the paper's SA baseline and S2TA-AW design points — share
+/// entries even across architecture kinds, each reading its own side.
 ///
 /// [`ActProfileCache::with_byte_budget`] bounds the table with the same
-/// LRU story as the weight-plan cache: estimated resident bytes over
-/// budget evict the least-recently-used entries (never the one just
-/// inserted). Evicted profiles recompile byte-identically on next use.
+/// LRU story as the weight-plan cache: resident tally bytes
+/// ([`ActProfile::approx_bytes`]) over budget evict the
+/// least-recently-used entries (never the one just inserted). Evicted
+/// profiles recompile byte-identically on next use.
 #[derive(Debug, Clone, Default)]
 pub struct ActProfileCache {
     inner: Arc<Mutex<ActTable>>,
@@ -756,13 +754,13 @@ impl ActProfileCache {
 
     /// Returns the cached profile for `(layer, act_seed)` under the
     /// `(strip_cols, bz, adbb)` scope, creating the entry on first use
-    /// (entry creation is cheap — the profile sides compile lazily, see
-    /// [`ActProfile`]).
+    /// (entry creation is cheap — both profile sides compile together on
+    /// first use, see [`ActProfile`]).
     ///
     /// On an **unbounded** cache the hit/miss counters are
     /// deterministic for a deterministic lookup sequence regardless of
     /// host threading: the entry is created inside the lock (exactly
-    /// one miss per key, ever) and concurrent first users of a side
+    /// one miss per key, ever) and concurrent first users of an entry
     /// block on its `OnceLock` rather than double-compiling — so
     /// counter assertions in tests and examples can be exact. A byte
     /// budget gives that exactness up: which entry is least recent
@@ -772,7 +770,8 @@ impl ActProfileCache {
     ///
     /// # Panics
     ///
-    /// Panics if `strip_cols` or `bz` is zero (on first side use).
+    /// Panics if `strip_cols` or `bz` is zero, or `strip_cols` is above
+    /// `u16::MAX` (on first side use).
     pub fn get_or_profile(
         &self,
         layer: &LayerSpec,

@@ -3,19 +3,22 @@
 //!
 //! The profiled (matrix-free) execution path is almost allocation-free
 //! by construction — events are derived from cached strip profiles —
-//! but three host costs remained per request: regenerating activation
-//! matrices (the SMT sampled path and every cold profile side), the
-//! DAP block masks, and the per-layer report vector. A [`Scratch`]
-//! arena owns recycled backing storage for all of them; after the first
-//! batch warms its buffers (and the fleet's plan/profile caches), a
-//! steady-state request allocates nothing.
+//! but host costs remained per request: regenerating activation
+//! matrices (the SMT sampled path and every cold profile compile), the
+//! SMT FIFO-timing buffers, and the per-layer report vector. A
+//! [`Scratch`] arena owns recycled backing storage for the buffers; after
+//! the first batch warms them (and the fleet's plan/profile caches), a
+//! steady-state request allocates nothing, and a cold profile compile
+//! allocates only the two tally vectors it caches.
 //!
 //! Scratch lifetime (one serving lane):
 //!
 //! ```text
 //!   ScratchPool ── checkout ──> Scratch ──┐
 //!        ^                               batch: every layer reuses
-//!        │                               acts / dap_masks capacity
+//!        │                               acts / smt capacity; a cold
+//!        │                               ActProfile generates into acts,
+//!        │                               tallies both sides in one pass
 //!        └────────── restore <───────────┘
 //! ```
 //!
@@ -37,8 +40,6 @@ pub struct Scratch {
     /// Backing storage for regenerated activation matrices
     /// (`Matrix::into_data` / `LayerSpec::gen_acts_into` recycling).
     pub(crate) acts: Vec<i8>,
-    /// DAP per-column block masks (`dap_col_profile_with`).
-    pub(crate) dap_masks: Vec<u16>,
     /// SMT FIFO-timing buffers (`smt::run_sampled_profiled_into`).
     pub(crate) smt: s2ta_sim::smt::SmtScratch,
 }
@@ -51,9 +52,7 @@ impl Scratch {
 
     /// Total capacity currently retained, in bytes — diagnostic only.
     pub fn retained_bytes(&self) -> usize {
-        self.acts.capacity()
-            + self.dap_masks.capacity() * std::mem::size_of::<u16>()
-            + self.smt.retained_bytes()
+        self.acts.capacity() + self.smt.retained_bytes()
     }
 }
 
@@ -62,7 +61,7 @@ impl Scratch {
 /// `checkout` hands out a warm arena when one is idle (LIFO, so the
 /// hottest capacity is reused first) and a fresh one otherwise;
 /// `restore` returns it. The pool never shrinks — arenas are small
-/// (one activation matrix plus one row of DAP block masks) and bounded
+/// (one activation matrix plus the SMT FIFO buffers) and bounded
 /// by the number of concurrent batches ever in flight.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {

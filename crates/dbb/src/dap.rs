@@ -243,19 +243,24 @@ pub fn dap_matrix(m: &Matrix, bz: usize, nnz: LayerNnz) -> (DbbMatrix, DapEvents
     (compressed, events)
 }
 
-/// The column-strip non-zero profile of a DAP-pruned activation matrix,
-/// derived **without materializing** the pruned matrix or its
-/// compressed form — the operand the matrix-free `S2TA-AW` event path
-/// (`s2ta_sim::tpe::run_aw_perf_profiled`) consumes.
+/// The column-strip non-zero profiles of an activation matrix before
+/// and after DAP, derived in one pass **without materializing** the
+/// pruned matrix or its compressed form — the operands the matrix-free
+/// event paths consume: the raw side for the dense-activation datapaths,
+/// the post-DAP side for `S2TA-AW`
+/// (`s2ta_sim::tpe::run_aw_perf_profiled`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DapColProfile {
-    /// Flat strip-major SoA tallies: `counts[s*k + p]` = surviving
-    /// non-zeros among strip `s`'s columns at reduction position `p`,
-    /// for column strips of the requested width (`k` = `m.rows()`).
-    /// Identical to profiling `dap_matrix(m, bz, nnz).0.decompress()`
-    /// (asserted by tests); the layout matches
+    /// Flat strip-major SoA tallies of the raw matrix: `raw[s*k + p]` =
+    /// non-zeros among strip `s`'s columns at reduction position `p`.
+    /// Identical to `s2ta_sim::profile::ColStripProfile::new(m,
+    /// strip_cols)` (asserted by tests).
+    pub raw: Vec<u16>,
+    /// The same tallies for the surviving (post-DAP) elements: identical
+    /// to profiling `dap_matrix(m, bz, nnz).0.decompress()` (asserted by
+    /// tests). Both layouts match
     /// `s2ta_sim::profile::ColStripProfile::from_flat`.
-    pub counts: Vec<u32>,
+    pub counts: Vec<u16>,
     /// Number of column strips.
     pub strips: usize,
     /// Reduction length (`m.rows()`).
@@ -269,102 +274,109 @@ pub struct DapColProfile {
 }
 
 impl DapColProfile {
-    /// The per-position tallies of strip `s`.
-    pub fn strip(&self, s: usize) -> &[u32] {
+    /// The post-DAP per-position tallies of strip `s`.
+    pub fn strip(&self, s: usize) -> &[u16] {
         &self.counts[s * self.k..(s + 1) * self.k]
     }
 }
 
-/// Runs the DAP decision of [`dap_matrix`] over `m` but keeps only the
-/// per-column-strip non-zero counts of the surviving elements (plus the
-/// hardware events), skipping the pruned-matrix materialization and
-/// compression entirely. For each strip `s` of `strip_cols` columns,
-/// `counts[s*k + p]` equals the number of columns in the strip whose
-/// post-DAP element at reduction position `p` is non-zero — exactly the
-/// column-strip profile of `dap_matrix(m, bz, nnz).0.decompress()`.
-///
-/// # Panics
-///
-/// Panics if `strip_cols` is zero.
-pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz, strip_cols: usize) -> DapColProfile {
-    dap_col_profile_with(m, bz, nnz, strip_cols, &mut Vec::new())
-}
+/// Columns one pass of the rank kernel covers: one `u8` lane each, so a
+/// row of a chunk fills one 128-bit vector register.
+const RANK_LANES: usize = 16;
 
-/// [`dap_col_profile`] with a caller-owned scratch buffer of per-column
-/// block masks: the only transient the profile derivation needs. A lane
-/// that keeps the buffer in its arena re-derives profiles (on
-/// activation-cache misses) with zero scratch allocation; the returned
-/// profile's `counts` vector is the output, not scratch, and is always
-/// freshly allocated because it outlives the call inside the activation
-/// profile cache.
+/// Runs the DAP decision of [`dap_matrix`] over `m` but keeps only the
+/// per-column-strip non-zero counts — of the raw matrix and of the
+/// surviving elements — plus the hardware events, skipping the
+/// pruned-matrix materialization and compression entirely. For each
+/// strip `s` of `strip_cols` columns, `counts[s*k + p]` equals the
+/// number of columns in the strip whose post-DAP element at reduction
+/// position `p` is non-zero — exactly the column-strip profile of
+/// `dap_matrix(m, bz, nnz).0.decompress()` — and `raw[s*k + p]` the
+/// same count before pruning. Only the two returned tally vectors are
+/// allocated.
 ///
 /// The cascade's only observable outputs are each block's survivor mask
 /// and its stage count, so the kernel computes those directly instead
-/// of running [`DapUnit::prune`] per block. It walks the matrix one
-/// row-block at a time across all columns, building every column's
-/// non-zero mask from contiguous rows. A block with `found <= n`
-/// non-zeros keeps exactly those after `min(found + 1, n)` stages (the
-/// productive ones plus the stage that finds only zeros); only a block
-/// with `found > n` runs the top-`n` selection (ties to the lowest
-/// index) for `n` stages. Every stage costs `bz - 1` comparisons.
-/// [`dap_matrix`] stays the oracle (asserted by tests).
+/// of running [`DapUnit::prune`] per block. The cascade keeps the `n`
+/// largest magnitudes, ties to the lowest index: exactly the non-zeros
+/// whose rank under (magnitude descending, index ascending) is below
+/// `n`. The kernel walks one row-block at a time, in chunks of up to
+/// [`RANK_LANES`] columns of one strip, and ranks every row pair of the
+/// chunk branch-free in `u8` lanes. A block with `found` non-zeros runs
+/// `min(found + 1, n)` stages: the productive ones plus, when
+/// `found < n`, the stage that finds only zeros. Every stage costs
+/// `bz - 1` comparisons. [`dap_matrix`] stays the oracle (asserted by
+/// tests).
 ///
 /// # Panics
 ///
-/// Panics if `strip_cols` is zero.
-pub fn dap_col_profile_with(
-    m: &Matrix,
-    bz: usize,
-    nnz: LayerNnz,
-    strip_cols: usize,
-    masks: &mut Vec<u16>,
-) -> DapColProfile {
+/// Panics if `strip_cols` is zero or above `u16::MAX` (the tallies are
+/// `u16`), or if a pruning `bz` exceeds the largest supported block.
+pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz, strip_cols: usize) -> DapColProfile {
     assert!(strip_cols > 0, "strip width must be non-zero");
+    assert!(strip_cols <= usize::from(u16::MAX), "strip width {strip_cols} overflows u16 tallies");
     let strips = m.cols().div_ceil(strip_cols);
     let k = m.rows();
-    let mut counts = vec![0u32; strips * k];
+    let mut raw = vec![0u16; strips * k];
     let n = match nnz {
         LayerNnz::Prune(n) if n < bz => n,
-        // Dense (or a bound at/above BZ): nothing is pruned, the
-        // profile is the raw matrix's.
+        // Dense (or a bound at/above BZ): nothing is pruned, both
+        // profiles are the raw matrix's.
         _ => {
             for p in 0..k {
                 for (s, cols) in m.row(p).chunks(strip_cols).enumerate() {
-                    counts[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u32;
+                    raw[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u16;
                 }
             }
+            let counts = raw.clone();
             let events = DapEvents::default();
-            return DapColProfile { counts, strips, k, events, config: DbbConfig::dense(bz) };
+            return DapColProfile { raw, counts, strips, k, events, config: DbbConfig::dense(bz) };
         }
     };
     assert!(bz <= MAX_BZ, "unsupported block size {bz}");
-    masks.resize(m.cols(), 0);
+    let mut counts = vec![0u16; strips * k];
+    // `n < bz <= MAX_BZ`, so the bound and every rank fit a `u8` lane;
+    // comparing as `u8` keeps the survivor test vectorized.
+    let keep = n as u8;
     let mut stages = 0u64;
-    let mut block_rows: [&[i8]; MAX_BZ] = [&[]; MAX_BZ];
     for r in (0..k).step_by(bz) {
-        let end = (r + bz).min(k);
-        for (slot, p) in block_rows.iter_mut().zip(r..end) {
-            *slot = m.row(p);
-        }
-        let rows = &block_rows[..end - r];
-        masks.fill(0);
-        for (bit, row) in rows.iter().enumerate() {
-            for (mask, &v) in masks.iter_mut().zip(row.iter()) {
-                *mask |= u16::from(v != 0) << bit;
-            }
-        }
-        for (c, mask) in masks.iter_mut().enumerate() {
-            let found = mask.count_ones() as usize;
-            if found <= n {
-                stages += (found + 1).min(n) as u64;
-            } else {
-                stages += n as u64;
-                *mask = top_magnitudes(rows, c, *mask, n);
-            }
-        }
-        for (bit, p) in (r..end).enumerate() {
-            for (s, cols) in masks.chunks(strip_cols).enumerate() {
-                counts[s * k + p] = cols.iter().map(|&mask| u32::from(mask >> bit) & 1).sum();
+        let rows = (r + bz).min(k) - r;
+        for s in 0..strips {
+            let strip_end = ((s + 1) * strip_cols).min(m.cols());
+            for c in (s * strip_cols..strip_end).step_by(RANK_LANES) {
+                let width = RANK_LANES.min(strip_end - c);
+                // Lanes past `width` stay zero: never counted, never kept.
+                let mut mags = [[0u8; RANK_LANES]; MAX_BZ];
+                for (i, lanes) in mags[..rows].iter_mut().enumerate() {
+                    for (mag, &v) in lanes.iter_mut().zip(&m.row(r + i)[c..c + width]) {
+                        *mag = v.unsigned_abs();
+                    }
+                }
+                let mut rank = [[0u8; RANK_LANES]; MAX_BZ];
+                for i in 0..rows {
+                    for j in i + 1..rows {
+                        for l in 0..RANK_LANES {
+                            // Row `j` outranks row `i` only if strictly
+                            // larger: ties go to the lower index.
+                            let g = u8::from(mags[j][l] > mags[i][l]);
+                            rank[i][l] += g;
+                            rank[j][l] += 1 - g;
+                        }
+                    }
+                }
+                let mut found = [0u8; RANK_LANES];
+                for i in 0..rows {
+                    let (mut nonzero, mut kept) = (0u8, 0u8);
+                    for l in 0..RANK_LANES {
+                        let live = u8::from(mags[i][l] != 0);
+                        found[l] += live;
+                        nonzero += live;
+                        kept += live & u8::from(rank[i][l] < keep);
+                    }
+                    raw[s * k + r + i] += u16::from(nonzero);
+                    counts[s * k + r + i] += u16::from(kept);
+                }
+                stages += found[..width].iter().map(|&f| u64::from((f + 1).min(keep))).sum::<u64>();
             }
         }
     }
@@ -375,31 +387,7 @@ pub fn dap_col_profile_with(
     } else {
         DapEvents::default()
     };
-    DapColProfile { counts, strips, k, events, config: DbbConfig::new(n, bz) }
-}
-
-/// The `n` largest-magnitude survivors among the non-zero positions in
-/// `candidates` of column `c` of the row-block `rows`, ties to the lower
-/// index — the cascade's selection, one maxpool per kept element.
-/// `candidates` must hold more than `n` positions, all non-zero.
-fn top_magnitudes(rows: &[&[i8]], c: usize, mut candidates: u16, n: usize) -> u16 {
-    let mut kept = 0u16;
-    for _ in 0..n {
-        let (mut best, mut best_mag) = (0, 0u8);
-        let mut rest = candidates;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            let mag = rows[i][c].unsigned_abs();
-            // Strict '>' over ascending indices keeps the earliest on ties.
-            if mag > best_mag {
-                (best, best_mag) = (i, mag);
-            }
-            rest &= rest - 1;
-        }
-        kept |= 1 << best;
-        candidates &= !(1 << best);
-    }
-    kept
+    DapColProfile { raw, counts, strips, k, events, config: DbbConfig::new(n, bz) }
 }
 
 #[cfg(test)]
@@ -513,6 +501,23 @@ mod tests {
         assert_eq!(events, DapEvents::default());
     }
 
+    /// Reference strip tallies, walked column by column: `out[s*k + p]`
+    /// counts the non-zeros of `m` at row `p` among strip `s`'s columns.
+    fn strip_tallies(m: &Matrix, strip_cols: usize) -> Vec<u16> {
+        let k = m.rows();
+        let mut counts = vec![0u16; m.cols().div_ceil(strip_cols) * k];
+        for c in 0..m.cols() {
+            let base = (c / strip_cols) * k;
+            let strip = &mut counts[base..base + k];
+            for (r, slot) in strip.iter_mut().enumerate() {
+                if m.get(r, c) != 0 {
+                    *slot += 1;
+                }
+            }
+        }
+        counts
+    }
+
     /// Reference: profile of the materialized post-DAP matrix, as the
     /// dense path computes it (dap_matrix -> decompress -> count per
     /// column strip).
@@ -521,23 +526,13 @@ mod tests {
         bz: usize,
         nnz: LayerNnz,
         strip_cols: usize,
-    ) -> (Vec<u32>, DapEvents) {
+    ) -> (Vec<u16>, DapEvents) {
         let (dm, events) = dap_matrix(m, bz, nnz);
-        let dense = dm.decompress();
-        let strips = dense.cols().div_ceil(strip_cols);
-        let k = dense.rows();
-        let mut counts = vec![0u32; strips * k];
-        for c in 0..dense.cols() {
-            let base = (c / strip_cols) * k;
-            let strip = &mut counts[base..base + k];
-            for (r, slot) in strip.iter_mut().enumerate() {
-                if dense.get(r, c) != 0 {
-                    *slot += 1;
-                }
-            }
-        }
-        (counts, events)
+        (strip_tallies(&dm.decompress(), strip_cols), events)
     }
+
+    /// Strip widths straddling the kernel's 16-column chunk.
+    const STRADDLING_STRIPS: [usize; 8] = [1, 3, 15, 16, 17, 33, 64, 100];
 
     #[test]
     fn col_profile_matches_materialize_then_profile() {
@@ -556,6 +551,7 @@ mod tests {
             let direct = dap_col_profile(&m, 8, nnz, 4);
             let (counts, events) = materialized_profile(&m, 8, nnz, 4);
             assert_eq!(direct.counts, counts, "{nnz:?}");
+            assert_eq!(direct.raw, strip_tallies(&m, 4), "{nnz:?}");
             assert_eq!(direct.events, events, "{nnz:?}");
         }
     }
@@ -575,15 +571,51 @@ mod tests {
         // -128 has magnitude 128 (above 127); equal magnitudes of both
         // signs must resolve to the lowest index, as in the cascade.
         let col = [5i8, -128, 0, 127, -127, 0, -5, 5, 127, -128, 1, -1, 0, 0, 0, 0, 9];
-        let m = Matrix::from_vec(col.len(), 1, col.to_vec());
+        // 300 columns: the tie column rotated by `c % 4` rows, negated in
+        // every third column. Each rotation covers 75 columns, so strip
+        // tallies reach 300 and leave the `u8` range, and every
+        // straddling strip width ends in a partial chunk.
+        let (rows, cols) = (col.len(), 300);
+        let m = Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows)
+                .flat_map(|r| {
+                    (0..cols).map(move |c| {
+                        let v = col[(r + c % 4) % rows];
+                        if c % 3 == 0 {
+                            v.wrapping_neg()
+                        } else {
+                            v
+                        }
+                    })
+                })
+                .collect(),
+        );
+        let strips: Vec<usize> = STRADDLING_STRIPS.into_iter().chain([cols]).collect();
+        let wide = strip_tallies(&m, cols);
+        assert!(wide.iter().any(|&t| t > 255), "the widest strip must leave the u8 range");
         for bz in 1..=16 {
             for n in 1..=bz + 1 {
-                let direct = dap_col_profile(&m, bz, LayerNnz::Prune(n), 1);
-                let (counts, events) = materialized_profile(&m, bz, LayerNnz::Prune(n), 1);
-                assert_eq!(direct.counts, counts, "bz {bz}, nnz {n}");
-                assert_eq!(direct.events, events, "bz {bz}, nnz {n}");
+                let nnz = LayerNnz::Prune(n);
+                let (dm, events) = dap_matrix(&m, bz, nnz);
+                let pruned = dm.decompress();
+                for &strip_cols in &strips {
+                    let direct = dap_col_profile(&m, bz, nnz, strip_cols);
+                    let at = format!("bz {bz}, nnz {n}, strip {strip_cols}");
+                    assert_eq!(direct.counts, strip_tallies(&pruned, strip_cols), "{at}");
+                    assert_eq!(direct.raw, strip_tallies(&m, strip_cols), "{at}");
+                    assert_eq!(direct.events, events, "{at}");
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u16 tallies")]
+    fn col_profile_rejects_strips_wider_than_u16() {
+        let m = Matrix::from_vec(1, 1, vec![1]);
+        let _ = dap_col_profile(&m, 8, LayerNnz::Prune(2), usize::from(u16::MAX) + 1);
     }
 
     /// Value styles for the widened profile proptest: arbitrary bytes,
@@ -603,18 +635,19 @@ mod tests {
         #[test]
         fn prop_dap_col_profile_equals_materialized(
             rows in 1usize..40,
-            cols in 1usize..12,
+            cols in 1usize..130,
             bz in 1usize..=16,
             nnz_pick in 0usize..64,
-            strip_cols in 1usize..8,
+            strip_pick in 0usize..STRADDLING_STRIPS.len(),
             style in 0u8..4,
-            codes in prop::collection::vec(any::<u8>(), 40 * 12),
+            codes in prop::collection::vec(any::<u8>(), 40 * 130),
             sp in 0.0f64..0.95,
             seed in any::<u64>(),
         ) {
             // 1..=bz+1 covers every hardware and software-enforced bound
             // plus the dense fall-back at and above BZ.
             let nnz = 1 + nnz_pick % (bz + 1);
+            let strip_cols = STRADDLING_STRIPS[strip_pick];
             let mut m = if style == 3 {
                 SparseSpec::random(sp).matrix(rows, cols, &mut StdRng::seed_from_u64(seed))
             } else {
@@ -637,6 +670,7 @@ mod tests {
             let direct = dap_col_profile(&m, bz, LayerNnz::Prune(nnz), strip_cols);
             let (counts, events) = materialized_profile(&m, bz, LayerNnz::Prune(nnz), strip_cols);
             prop_assert_eq!(&direct.counts, &counts);
+            prop_assert_eq!(&direct.raw, &strip_tallies(&m, strip_cols));
             prop_assert_eq!(direct.events, events);
             prop_assert_eq!(direct.config, dap_matrix(&m, bz, LayerNnz::Prune(nnz)).0.config());
         }

@@ -10,11 +10,14 @@
 //! runs).
 //!
 //! Both profile types store their counts **structure-of-arrays**: all
-//! strips live in a single flat `Vec<u32>` of `strips * k` entries, strip
+//! strips live in a single flat vector of `strips * k` entries, strip
 //! `s` occupying `counts[s*k .. (s+1)*k]`. One contiguous buffer instead
-//! of a `Vec<Vec<u32>>` means one allocation per profile, cache-linear
+//! of a `Vec<Vec<_>>` means one allocation per profile, cache-linear
 //! strip walks, and inner loops over `strip(s)` that the compiler can
-//! vectorize (the slices are plain `&[u32]` with unit stride).
+//! vectorize (the slices are plain unit-stride slices). Weight tallies
+//! are `u32`; activation tallies are `u16`, since a tally never exceeds
+//! the strip width and the activation profiles are the ones cached per
+//! request input (constructors reject strips wider than `u16::MAX`).
 //!
 //! The profile types are **public operands**: because a profile is a
 //! pure function of its matrix and strip width, a caller can build it
@@ -131,7 +134,7 @@ impl RowStripProfile {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColStripProfile {
     /// Flat SoA tallies, same layout as [`RowStripProfile::flat`].
-    counts: Vec<u32>,
+    counts: Vec<u16>,
     strips: usize,
     k: usize,
 }
@@ -141,15 +144,15 @@ impl ColStripProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `strip_cols` is zero.
+    /// Panics if `strip_cols` is zero or above `u16::MAX`.
     pub fn new(a: &Matrix, strip_cols: usize) -> Self {
-        assert!(strip_cols > 0, "strip width must be non-zero");
+        check_strip_width(strip_cols);
         let strips = a.cols().div_ceil(strip_cols);
         let k = a.rows();
-        let mut counts = vec![0u32; strips * k];
+        let mut counts = vec![0u16; strips * k];
         for p in 0..k {
             for (s, cols) in a.row(p).chunks(strip_cols).enumerate() {
-                counts[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u32;
+                counts[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u16;
             }
         }
         Self { counts, strips, k }
@@ -162,7 +165,7 @@ impl ColStripProfile {
     /// # Panics
     ///
     /// Panics if `counts` is empty or its strips have unequal lengths.
-    pub fn from_counts(counts: Vec<Vec<u32>>) -> Self {
+    pub fn from_counts(counts: Vec<Vec<u16>>) -> Self {
         assert!(!counts.is_empty(), "a profile needs at least one strip");
         let k = counts[0].len();
         assert!(counts.iter().all(|s| s.len() == k), "strips must share the reduction length");
@@ -180,9 +183,10 @@ impl ColStripProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `a` is row-blocked or `strip_cols` is zero.
+    /// Panics if `a` is row-blocked or `strip_cols` is zero or above
+    /// `u16::MAX`.
     pub fn of_dbb(a: &DbbMatrix, strip_cols: usize) -> Self {
-        assert!(strip_cols > 0, "strip width must be non-zero");
+        check_strip_width(strip_cols);
         assert!(
             matches!(a.axis(), BlockAxis::Cols),
             "activation profiles need a column-blocked matrix"
@@ -190,7 +194,7 @@ impl ColStripProfile {
         let (k, cols) = a.shape();
         let strips = cols.div_ceil(strip_cols);
         let bz = a.config().bz();
-        let mut counts = vec![0u32; strips * k];
+        let mut counts = vec![0u16; strips * k];
         for (c, vector) in a.vectors().iter().enumerate() {
             let base = (c / strip_cols) * k;
             let strip = &mut counts[base..base + k];
@@ -215,14 +219,14 @@ impl ColStripProfile {
     /// # Panics
     ///
     /// Panics if `counts.len() != strips * k` or `strips` is zero.
-    pub fn from_flat(counts: Vec<u32>, strips: usize, k: usize) -> Self {
+    pub fn from_flat(counts: Vec<u16>, strips: usize, k: usize) -> Self {
         assert!(strips > 0, "a profile needs at least one strip");
         assert_eq!(counts.len(), strips * k, "flat profile shape mismatch");
         Self { counts, strips, k }
     }
 
     /// The per-position non-zero counts of strip `s`.
-    pub fn strip(&self, s: usize) -> &[u32] {
+    pub fn strip(&self, s: usize) -> &[u16] {
         &self.counts[s * self.k..(s + 1) * self.k]
     }
 
@@ -232,15 +236,21 @@ impl ColStripProfile {
     }
 
     /// The whole SoA buffer, strip-major: `flat()[s*k + p]`.
-    pub fn flat(&self) -> &[u32] {
+    pub fn flat(&self) -> &[u16] {
         &self.counts
     }
 }
 
+/// Rejects column-strip widths whose tallies could overflow `u16`.
+fn check_strip_width(strip_cols: usize) {
+    assert!(strip_cols > 0, "strip width must be non-zero");
+    assert!(strip_cols <= usize::from(u16::MAX), "strip width {strip_cols} overflows u16 tallies");
+}
+
 /// Active MACs for one tile: `sum_p nnzW[p] * nnzA[p]`.
-pub fn active_macs(w_strip: &[u32], a_strip: &[u32]) -> u64 {
+pub fn active_macs(w_strip: &[u32], a_strip: &[u16]) -> u64 {
     debug_assert_eq!(w_strip.len(), a_strip.len());
-    w_strip.iter().zip(a_strip).map(|(&nw, &na)| nw as u64 * na as u64).sum()
+    w_strip.iter().zip(a_strip).map(|(&nw, &na)| u64::from(nw) * u64::from(na)).sum()
 }
 
 #[cfg(test)]
@@ -279,6 +289,28 @@ mod tests {
     #[should_panic(expected = "share the reduction length")]
     fn from_counts_rejects_ragged_strips() {
         let _ = ColStripProfile::from_counts(vec![vec![1, 0], vec![1]]);
+    }
+
+    #[test]
+    fn col_tallies_pass_the_u8_range() {
+        let a = Matrix::from_vec(2, 300, (0..600).map(|i| i8::from(i != 7)).collect());
+        let p = ColStripProfile::new(&a, 300);
+        assert_eq!(p.strip(0), &[299, 300]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u16 tallies")]
+    fn col_profile_rejects_strips_wider_than_u16() {
+        let a = Matrix::from_vec(1, 1, vec![1]);
+        let _ = ColStripProfile::new(&a, usize::from(u16::MAX) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u16 tallies")]
+    fn col_of_dbb_rejects_strips_wider_than_u16() {
+        let a = Matrix::from_vec(8, 1, vec![1; 8]);
+        let dm = DbbMatrix::compress(&a, BlockAxis::Cols, DbbConfig::dense(8)).unwrap();
+        let _ = ColStripProfile::of_dbb(&dm, usize::from(u16::MAX) + 1);
     }
 
     #[test]

@@ -135,7 +135,8 @@ proptest! {
 
     /// The direct DAP profile derivation equals materialize-then-profile
     /// (`dap_matrix` -> decompress -> `ColStripProfile::new`), events
-    /// included, at the serving strip width.
+    /// included, at the serving strip width; its raw tallies equal
+    /// `ColStripProfile::new` of the unpruned matrix.
     #[test]
     fn prop_dap_profile_equals_materialize_then_profile(
         rows in 1usize..64,
@@ -150,6 +151,10 @@ proptest! {
         let direct = dap_col_profile(&m, 8, LayerNnz::Prune(nnz), strip_cols);
         let (dm, events) = dap_matrix(&m, 8, LayerNnz::Prune(nnz));
         let materialized = ColStripProfile::new(&dm.decompress(), strip_cols);
+        prop_assert_eq!(
+            ColStripProfile::from_flat(direct.raw, direct.strips, direct.k),
+            ColStripProfile::new(&m, strip_cols)
+        );
         prop_assert_eq!(
             ColStripProfile::from_flat(direct.counts, direct.strips, direct.k),
             materialized
