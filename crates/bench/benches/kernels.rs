@@ -56,27 +56,31 @@ fn bench_dap_matrix(c: &mut Criterion) {
 }
 
 /// The cold activation-profile compile's two kernels at the shape of
-/// CIFAR-10 conv2 (`K` 288 x `N` 256) at 50% activation sparsity.
-fn conv2_acts() -> LayerSpec {
+/// CIFAR-10 conv2 (`K` 288 x `N` 256) at the given activation sparsity.
+fn conv2_acts(act_sparsity: f64) -> LayerSpec {
     let mut layer = cifar10_convnet().layers[1].clone();
-    layer.act_sparsity = 0.5;
+    layer.act_sparsity = act_sparsity;
     layer
 }
 
+/// Generation at the typical 50% and at the ends of the profile's
+/// range: 5% (first layers, the per-element loop) and 80% (deepest).
 fn bench_gen_acts(c: &mut Criterion) {
-    let layer = conv2_acts();
-    let mut buf = Vec::new();
-    c.bench_function("gen_acts 288x256 50%", |b| {
-        b.iter(|| {
-            let acts = black_box(&layer).gen_acts_into(7, std::mem::take(&mut buf));
-            black_box(acts.get(0, 0));
-            buf = acts.into_data();
-        })
-    });
+    for (label, sparsity) in [("5%", 0.05), ("50%", 0.5), ("80%", 0.8)] {
+        let layer = conv2_acts(sparsity);
+        let mut buf = Vec::new();
+        c.bench_function(&format!("gen_acts 288x256 {label}"), |b| {
+            b.iter(|| {
+                let acts = black_box(&layer).gen_acts_into(7, std::mem::take(&mut buf));
+                black_box(acts.get(0, 0));
+                buf = acts.into_data();
+            })
+        });
+    }
 }
 
 fn bench_dap_col_profile(c: &mut Criterion) {
-    let a = conv2_acts().gen_acts(7);
+    let a = conv2_acts(0.5).gen_acts(7);
     c.bench_function("dap_col_profile 288x256 top4 strip64", |b| {
         b.iter(|| black_box(dap_col_profile(black_box(&a), 8, LayerNnz::Prune(4), 64)))
     });

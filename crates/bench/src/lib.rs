@@ -348,11 +348,24 @@ pub mod chaos_scenario {
 /// Writes a machine-readable bench artifact (e.g. `BENCH_serving.json`)
 /// to the workspace root, so the perf trajectory is trackable across
 /// PRs, and returns the path written. Benches run from varying working
-/// directories, so the path is anchored at this crate's manifest.
+/// directories, so the path is anchored at this crate's manifest
+/// directory as [`manifest_dir`] resolves it at run time.
 pub fn write_bench_artifact(file_name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file_name);
+    let crate_dir =
+        manifest_dir(std::env::var_os("CARGO_MANIFEST_DIR"), env!("CARGO_MANIFEST_DIR"));
+    let path = crate_dir.join("../..").join(file_name);
     std::fs::write(&path, contents).expect("bench artifact must be writable");
     path
+}
+
+/// The manifest directory of the running package: `run_time`, the
+/// `CARGO_MANIFEST_DIR` cargo exports to the bench, test and run
+/// processes it starts, or `compiled`, the build-time value, for a
+/// process started outside cargo. Preferring the run-time value makes
+/// a copied checkout that reuses another's `target/` write its
+/// artifacts into itself rather than into the original checkout.
+pub fn manifest_dir(run_time: Option<std::ffi::OsString>, compiled: &str) -> std::path::PathBuf {
+    run_time.map_or_else(|| compiled.into(), Into::into)
 }
 
 /// Formats an `f64` for the JSON artifacts: finite, fixed 4-decimal
@@ -424,6 +437,15 @@ pub fn layer_stats(w: &Matrix, a: &Matrix) -> LayerStats {
 mod tests {
     use super::*;
     use s2ta_tensor::Matrix;
+    use std::path::Path;
+
+    #[test]
+    fn manifest_dir_prefers_the_run_time_directory() {
+        let compiled = "/build/checkout/crates/bench";
+        let copy = std::ffi::OsString::from("/copy/crates/bench");
+        assert_eq!(manifest_dir(Some(copy), compiled), Path::new("/copy/crates/bench"));
+        assert_eq!(manifest_dir(None, compiled), Path::new(compiled));
+    }
 
     #[test]
     fn layer_stats_counts() {

@@ -138,6 +138,19 @@ fn cold_profile_compiles_both_sides_at_once() {
     assert_eq!(second_side, 0, "the second side must come from the same compile");
 }
 
+/// The activation generator sizes its buffer exactly: a cold compile
+/// into a fresh arena retains one `K x N` matrix and no slack, so
+/// recycled arenas never regrow past the largest layer.
+#[test]
+fn cold_compile_retains_exactly_one_activation_matrix() {
+    let model = cifar10_convnet();
+    let layer = &model.layers[1]; // conv2: K 288 x N 256
+    let mut scratch = Scratch::new();
+    let cold = ActProfileCache::new().get_or_profile(layer, SEED, 64, 8, LayerNnz::Prune(4));
+    std::hint::black_box(cold.dense_with(&mut scratch));
+    assert_eq!(scratch.retained_bytes(), layer.gemm.k * layer.gemm.n);
+}
+
 /// The flight recorder's half of the same claim: the event ring is
 /// fully preallocated at construction, so recording — including
 /// drop-oldest overwrites far past capacity — performs **zero** heap

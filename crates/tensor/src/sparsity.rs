@@ -12,9 +12,18 @@ use rand::Rng;
 
 /// A specification for generating synthetic sparse INT8 data.
 ///
-/// Values are drawn uniformly from `[-127, 127] \ {0}` and then zeroed
-/// independently with probability `sparsity` (unstructured/random sparsity,
-/// as produced by ReLU activations and unstructured pruning).
+/// Each element is zero independently with probability `sparsity`
+/// (unstructured/random sparsity, as produced by ReLU activations and
+/// unstructured pruning) and otherwise uniform over `[-127, 127] \ {0}`.
+///
+/// The generator's word contract on the RNG's `next_u64` stream:
+///
+/// - each element reads one header word `h`, and is zero iff
+///   `h >> 11 < ceil(sparsity * 2^53)` (the `gen_bool(sparsity)` test);
+/// - a non-zero element then reads value words until one is accepted:
+///   `w != u64::MAX` and `w % 255 != 127`; its value is `w % 255 - 127`;
+/// - the words never depend on how they are consumed, only their roles
+///   do, so a seed fixes the matrix and the stream position after it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseSpec {
     sparsity: f64,
@@ -83,26 +92,126 @@ impl SparseSpec {
     ///
     /// Both draws are specialized to integer arithmetic on the raw
     /// `next_u64` stream, consuming exactly the words the generic calls
-    /// would and mapping them to the same values (pinned against the
-    /// generic sequence by `specialized_draws_match_generic_sequence`).
+    /// would and mapping them to the same values (the word contract on
+    /// [`SparseSpec`], pinned against the generic sequence by
+    /// `specialized_draws_match_generic_sequence`). At
+    /// [`BLOCK_MIN_SPARSITY`] and above the words are consumed in
+    /// blocks by [`fill_blocks`]; below it nearly every header is
+    /// non-zero, the per-element branch predicts well, and the plain
+    /// loop is faster.
     fn values_into<R: Rng>(&self, len: usize, rng: &mut R, out: &mut Vec<i8>) {
         let zero_below = zero_threshold(self.sparsity);
-        out.extend((0..len).map(|_| {
-            if rng.next_u64() >> 11 < zero_below {
-                0
-            } else {
-                loop {
-                    let v = rng.next_u64();
-                    if v < VALUE_ZONE {
-                        let x = (v % VALUE_SPAN) as i16 - 127;
-                        if x != 0 {
-                            break x as i8;
+        if self.sparsity < BLOCK_MIN_SPARSITY {
+            out.extend((0..len).map(|_| {
+                if rng.next_u64() >> 11 < zero_below {
+                    0
+                } else {
+                    loop {
+                        if let Some(x) = accept(rng.next_u64()) {
+                            break x;
                         }
                     }
                 }
-            }
-        }));
+            }));
+        } else {
+            let start = out.len();
+            out.resize(start + len, 0);
+            fill_blocks(zero_below, rng, &mut out[start..]);
+        }
     }
+}
+
+/// The sparsity from which [`fill_blocks`] generates. On a 288x256
+/// matrix (2-vCPU Xeon) it takes 1.5x the per-element loop's time at
+/// 5% sparsity, about the same at 20-25%, and 0.57x at 50%. Past ~93%
+/// the loop's branch predicts well again (1.14x at 97%), a range no
+/// model's sparsity profile reaches.
+const BLOCK_MIN_SPARSITY: f64 = 0.25;
+
+/// Words per block of [`fill_blocks`]: one bit each in a `u64` mask.
+const BLOCK: usize = 64;
+
+/// Fills `dst` (zeroed) under the word contract without a
+/// data-dependent branch per element, so ~50% sparsity no longer
+/// mispredicts every other element.
+///
+/// Each block draws `c = min(64, elements left)` words. Every element
+/// takes at least one word, so a block never draws past the last
+/// element's final word and the stream ends exactly where the
+/// per-element loop's does. A mask of the header tests then assigns
+/// roles with carry arithmetic (the odd-run escape scan of simdjson):
+/// a non-zero header makes the next word a value word, which cannot
+/// itself be a header, so in a run of non-zero tests roles alternate
+/// from the run's first header. Only the value words are visited; the
+/// `m`-th of a segment (1-based) at position `j` fills element
+/// `done + pending + j - m`. A rejected value word (probability 1/255)
+/// leaves its element pending, so the scan restarts after it with the
+/// next word as a value word.
+fn fill_blocks<R: Rng>(zero_below: u64, rng: &mut R, dst: &mut [i8]) {
+    const ODD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+    let mut words = [0u64; BLOCK];
+    // Elements finished; with `pending == 1`, element `done` has read
+    // its non-zero header and waits for an accepted value word.
+    let mut done = 0;
+    let mut pending = 0;
+    while done < dst.len() {
+        let c = (dst.len() - done).min(BLOCK);
+        // Zero tests shift in from the bottom, so word 0 lands on the
+        // block's top bit and the reversal puts it on bit 0.
+        let mut zero = 0u64;
+        for w in &mut words[..c] {
+            *w = rng.next_u64();
+            zero = (zero << 1) | (*w >> 11 < zero_below) as u64;
+        }
+        let non_zero = (!zero << (BLOCK - c)).reverse_bits();
+        let mut s = 0;
+        while s < c {
+            let n = c - s;
+            // Word 0 of the segment is a value word iff `pending`; `t`
+            // marks, per run of non-zero tests, the headers and the
+            // value word that ends the run.
+            let nz = non_zero >> s;
+            let starts = nz & !pending;
+            let t = (((starts << 1) | ODD).wrapping_sub(starts)) ^ ODD;
+            let mut values = (t ^ (nz | pending)) & (u64::MAX >> (BLOCK - n));
+            let headers = t & nz;
+            let base = done + pending as usize;
+            let mut m = 0;
+            let mut rejected = None;
+            while values != 0 {
+                let j = values.trailing_zeros() as usize;
+                let Some(x) = accept(words[s + j]) else {
+                    rejected = Some(j);
+                    break;
+                };
+                m += 1;
+                dst[base + j - m] = x;
+                values &= values - 1;
+            }
+            match rejected {
+                None => {
+                    // A non-zero header on the last word carries out.
+                    let carry = (headers >> (n - 1)) & 1;
+                    done = base + n - m - carry as usize;
+                    pending = carry;
+                    break;
+                }
+                Some(j) => {
+                    done = base + j - m - 1;
+                    pending = 1;
+                    s += j + 1;
+                }
+            }
+        }
+    }
+}
+
+/// The value a value word yields, or `None` when the uniform draw
+/// re-draws it: the word falls in the rejection zone, or maps to zero.
+#[inline(always)]
+fn accept(w: u64) -> Option<i8> {
+    let x = (w % VALUE_SPAN) as i16 - 127;
+    (w < VALUE_ZONE && x != 0).then_some(x as i8)
 }
 
 /// `gen_bool(p)` is `(b >> 11) as f64 * 2^-53 < p` for a raw word `b`.
@@ -300,19 +409,42 @@ mod tests {
         let mut meta = StdRng::seed_from_u64(0x5eed);
         for seed in 0..200u64 {
             let random: [f64; 3] = [meta.gen(), meta.gen(), meta.gen()];
-            for sparsity in [0.0, 1.0, 0.5, random[0], random[1], random[2]] {
-                for len in [0, 1, 2, 7, meta.gen_range(3usize..600)] {
-                    let mut fast = StdRng::seed_from_u64(seed);
-                    let mut generic = fast.clone();
-                    let got = SparseSpec::random(sparsity).values(len, &mut fast);
-                    let want = generic_values(sparsity, len, &mut generic);
-                    assert_eq!(got, want, "seed {seed}, sparsity {sparsity}, len {len}");
-                    assert_eq!(
-                        fast.next_u64(),
-                        generic.next_u64(),
-                        "stream position, seed {seed}, sparsity {sparsity}, len {len}"
-                    );
+            for sparsity in edge_sparsities().into_iter().chain(random) {
+                // Lengths either side of the first two block edges.
+                let edges = [63, 64, 65, 127, 128, 129];
+                for len in [0, 1, 2, 7, meta.gen_range(3usize..600)].into_iter().chain(edges) {
+                    let case = format!("seed {seed}");
+                    assert_matches_generic(sparsity, len, StdRng::seed_from_u64(seed), &case);
                 }
+            }
+        }
+    }
+
+    /// Asserts the generator yields the generic sequence's values from
+    /// `rng` and leaves the stream at the same position.
+    fn assert_matches_generic<R: RngCore + Clone>(sparsity: f64, len: usize, rng: R, case: &str) {
+        let mut fast = rng.clone();
+        let mut generic = rng;
+        let got = SparseSpec::random(sparsity).values(len, &mut fast);
+        let want = generic_values(sparsity, len, &mut generic);
+        assert_eq!(got, want, "{case}, sparsity {sparsity}, len {len}");
+        assert_eq!(fast.next_u64(), generic.next_u64(), "stream position, {case}");
+    }
+
+    /// The extremes, either side of the block generator's cutoff, and
+    /// the profiles' typical range.
+    fn edge_sparsities() -> [f64; 6] {
+        [0.0, 1.0, BLOCK_MIN_SPARSITY - 1e-9, BLOCK_MIN_SPARSITY + 1e-9, 0.5, 0.8]
+    }
+
+    /// A CIFAR-10 conv2 matrix at 50% sparsity spans about 1,730 blocks
+    /// and 145 rejected value words.
+    #[test]
+    fn conv2_sized_draws_match_generic_sequence() {
+        for sparsity in edge_sparsities() {
+            for seed in 0..3 {
+                let case = format!("seed {seed}");
+                assert_matches_generic(sparsity, 288 * 256, StdRng::seed_from_u64(seed), &case);
             }
         }
     }
@@ -344,12 +476,64 @@ mod tests {
             words.extend([0, 127, 254, 255 + 127, u64::MAX, u64::MAX - 1, VALUE_ZONE - 1]);
             words.extend([VALUE_ZONE - 1 - 127, (u64::MAX / 255 - 1) * 255 + 127]);
             for seed in 0..20 {
-                let mut fast = Curated { words: words.clone(), pick: StdRng::seed_from_u64(seed) };
-                let mut generic = fast.clone();
-                let got = SparseSpec::random(sparsity).values(300, &mut fast);
-                let want = generic_values(sparsity, 300, &mut generic);
-                assert_eq!(got, want, "sparsity {sparsity}, seed {seed}");
-                assert_eq!(fast.next_u64(), generic.next_u64());
+                let rng = Curated { words: words.clone(), pick: StdRng::seed_from_u64(seed) };
+                assert_matches_generic(sparsity, 300, rng, &format!("seed {seed}"));
+            }
+        }
+    }
+
+    /// A fixed word sequence, then each word's own stream index (small
+    /// words: zero headers, and mostly accepted values).
+    #[derive(Clone)]
+    struct Scripted {
+        words: Vec<u64>,
+        at: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words.get(self.at).copied().unwrap_or(self.at as u64);
+            self.at += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn block_edges_handle_scripted_words() {
+        // Below any sparsity's threshold but 0's: a zero header, or the
+        // accepted value -127.
+        const ZERO: u64 = 0;
+        // Above any threshold but 1's: a non-zero header, or value 127.
+        const NON_ZERO: u64 = u64::MAX - 1;
+        // Rejected as value words: the rejection zone (a non-zero
+        // header), and words mapping to zero (a zero header and a
+        // non-zero one).
+        const ZONE: u64 = u64::MAX;
+        const ZERO_VALUE: u64 = 127;
+        const HIGH_ZERO_VALUE: u64 = (u64::MAX / 255 - 1) * 255 + 127;
+        let runs = |word: u64, n: usize| vec![word; n];
+        let tails: Vec<Vec<u64>> = vec![
+            vec![NON_ZERO],
+            vec![NON_ZERO, ZONE],
+            vec![NON_ZERO, ZERO_VALUE],
+            vec![NON_ZERO, ZONE, ZERO_VALUE, HIGH_ZERO_VALUE, NON_ZERO],
+            [runs(NON_ZERO, 1), runs(ZONE, 10), runs(ZERO_VALUE, 5), runs(NON_ZERO, 3)].concat(),
+            runs(NON_ZERO, 9),
+            runs(HIGH_ZERO_VALUE, 70),
+            [runs(ZONE, 3), runs(NON_ZERO, 4), runs(ZONE, 66)].concat(),
+        ];
+        // A run of zero headers puts each tail's first word on either
+        // side of the first and second block edges.
+        for lead in (0..4).chain(60..67).chain(124..131) {
+            for tail in &tails {
+                let words = [runs(ZERO, lead), tail.clone()].concat();
+                for sparsity in edge_sparsities().into_iter().chain([0.999]) {
+                    for len in [63, 64, 65, 127, 128, 129, 200] {
+                        let rng = Scripted { words: words.clone(), at: 0 };
+                        let case = format!("lead {lead}, tail {tail:?}");
+                        assert_matches_generic(sparsity, len, rng, &case);
+                    }
+                }
             }
         }
     }

@@ -23,12 +23,11 @@
 //! demo reuses the exact same scenario module at a prefix scale, so
 //! the informational policy comparison printed here is not gated.
 
-use std::fs;
-use std::path::Path;
+use std::{env, fs};
 
 use s2ta::energy::TechParams;
 use s2ta::serve::{AutoscalePolicy, ClusterReport, RoutingPolicy, TraceConfig};
-use s2ta_bench::{chaos_scenario, cluster_scenario as scenario};
+use s2ta_bench::{chaos_scenario, cluster_scenario as scenario, manifest_dir};
 
 fn main() {
     let tech = TechParams::tsmc16();
@@ -135,7 +134,7 @@ fn main() {
         trace.metrics().len(),
         misses,
     );
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest_dir(env::var_os("CARGO_MANIFEST_DIR"), env!("CARGO_MANIFEST_DIR"));
     fs::write(root.join("TRACE_cluster.json"), trace.chrome_trace_json())
         .expect("write TRACE_cluster.json");
     fs::write(root.join("METRICS_cluster.json"), trace.metrics_json())
