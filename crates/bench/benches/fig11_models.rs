@@ -23,9 +23,10 @@ fn main() {
     let mut w_energy = Vec::new();
     let mut smt_speed = Vec::new();
 
-    // Per-model report sets fan out over the persistent executor (each
-    // model in turn fans its architectures out too); order-preserving,
-    // so the printed tables are byte-identical to the serial loops.
+    // Per-model report sets fan out over the host executor (each model
+    // in turn fans its architectures out on its own scoped threads);
+    // order-preserving, so the printed tables are byte-identical to the
+    // serial loops.
     let all_reports = s2ta_core::pool::Executor::global().map(&models, |m| conv_reports(m, &archs));
 
     for (model, reports) in models.iter().zip(&all_reports) {

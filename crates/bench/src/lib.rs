@@ -7,6 +7,8 @@
 //! and crossovers. Each bench prints the paper's value next to the
 //! measured one.
 
+#![forbid(unsafe_code)]
+
 use s2ta_core::{pool, Accelerator, ArchKind, ModelReport};
 use s2ta_energy::comparators::LayerStats;
 use s2ta_models::ModelSpec;
@@ -391,10 +393,9 @@ pub fn header(id: &str, title: &str) {
 /// architecture, returning `(arch, report)` pairs. (The paper's Fig. 11
 /// and Fig. 12 are convolution-only.)
 ///
-/// The per-architecture simulations fan out over the persistent host
-/// executor (`s2ta_core::pool::Executor`); results come back in input
-/// order, so the output is byte-identical to the serial loop it
-/// replaces.
+/// The per-architecture simulations fan out over the host executor
+/// (`s2ta_core::pool::Executor`); results come back in input order,
+/// so the output is byte-identical to the serial loop it replaces.
 pub fn conv_reports(model: &ModelSpec, archs: &[ArchKind]) -> Vec<(ArchKind, ModelReport)> {
     let reports = pool::Executor::global()
         .map(archs, |&k| Accelerator::preset(k).run_model_conv_only(model, SEED));
@@ -402,7 +403,7 @@ pub fn conv_reports(model: &ModelSpec, archs: &[ArchKind]) -> Vec<(ArchKind, Mod
 }
 
 /// Runs a model's full layer list on every evaluated architecture, the
-/// per-arch simulations fanned out over the persistent host executor
+/// per-arch simulations fanned out over the host executor
 /// (order-preserving — byte-identical to the serial loop).
 pub fn full_reports(model: &ModelSpec, archs: &[ArchKind]) -> Vec<(ArchKind, ModelReport)> {
     let reports =

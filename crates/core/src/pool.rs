@@ -1,29 +1,21 @@
-//! Order-preserving parallel fan-out primitives.
+//! Order-preserving parallel fan-out.
 //!
-//! Both the design-space sweep ([`crate::sweep`]) and the serving fleet
-//! (`s2ta-serve`) need the same primitive: run an embarrassingly
-//! parallel batch of jobs on N OS threads and get the results back **in
-//! input order**, so parallel output is byte-identical to the serial
-//! path.
+//! The design-space sweep ([`crate::sweep`]), the pre-routed cluster
+//! driver and pipeline calibration (`s2ta-serve`), and the bench
+//! fan-outs all need the same primitive: run a handful of independent
+//! jobs on N OS threads and get the results back **in input order**,
+//! so parallel output is byte-identical to the serial path.
 //!
-//! Two implementations live here:
-//!
-//! - [`Executor`] — the hot-loop one. A **persistent** work-stealing
-//!   pool (std threads over the in-tree `crossbeam` injector/steal
-//!   deques) whose workers are spawned once and reused by every burst,
-//!   so steady-state fan-out performs no thread spawns and no channel
-//!   allocation. [`Executor::global`] is the process-wide instance
-//!   shared by `Fleet`, `Cluster`, and the bench fan-outs.
-//! - [`parallel_map`] — the original spawn-per-burst implementation,
-//!   kept as the reference the executor is differentially tested
-//!   against (and for one-shot callers that never repeat).
-//!
-//! Both pull job indices from a shared atomic cursor (self-balancing
-//! for uneven job costs) and write results into per-index slots, so the
-//! output order is fixed by construction at every worker count.
+//! [`Executor::map`] is that primitive. Each call runs on scoped
+//! threads (`std::thread::scope`) that pull job indices from a shared
+//! atomic cursor (self-balancing for uneven job costs) and return
+//! their results tagged by index, so the output order is fixed by
+//! construction at every worker count. Every caller maps once over a
+//! few coarse jobs, so a spawn per call is noise, and no thread
+//! outlives the call that needed it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
 /// The number of workers to use when the caller has no preference: the
@@ -32,79 +24,20 @@ pub fn default_workers() -> usize {
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// The worker count for a fan-out over `jobs` jobs: `cap` (or the
-/// machine's parallelism when `cap` is `None`), never more workers
-/// than jobs, and **at least one** — a tick that formed zero jobs must
-/// not request a zero-worker pool.
-pub fn worker_count_for(jobs: usize, cap: Option<usize>) -> usize {
-    cap.unwrap_or_else(default_workers).min(jobs).max(1)
-}
-
-/// Applies `f` to every item on a pool of `workers` OS threads and
-/// returns the results in input order.
-///
-/// `workers <= 1` (or a batch of one) runs serially on the calling
-/// thread with no pool at all, so the serial path stays allocation- and
-/// thread-free. The output is identical for every worker count.
-pub fn parallel_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
-    thread::scope(|scope| {
-        for _ in 0..workers.min(items.len()) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                if tx.send((i, f(&items[i]))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-        for (i, u) in rx {
-            out[i] = Some(u);
-        }
-        out.into_iter().map(|o| o.expect("worker produced every index")).collect()
-    })
-}
-
-/// A persistent work-stealing executor for order-preserving fan-outs.
-///
-/// Worker threads are spawned once (at construction, or lazily for
-/// [`Executor::global`]) and parked between bursts; each
-/// [`Executor::map`] call publishes one batch to the shared injector
-/// and the calling thread works alongside the stolen-in helpers. The
-/// result vector is assembled by index, so output is byte-identical to
-/// the serial path and to [`parallel_map`] at every worker count.
+/// An order-preserving fan-out over a fixed number of workers.
 pub struct Executor {
-    pool: crossbeam::pool::Pool,
+    workers: usize,
 }
 
 impl Executor {
     /// An executor with `workers` total parallelism: the calling thread
-    /// plus `workers - 1` persistent helper threads. `workers <= 1`
+    /// plus up to `workers - 1` scoped helpers per map. `workers <= 1`
     /// spawns no threads at all and every map runs serially.
     pub fn new(workers: usize) -> Self {
-        Self { pool: crossbeam::pool::Pool::new(workers.saturating_sub(1)) }
+        Self { workers: workers.max(1) }
     }
 
-    /// The process-wide executor, sized to [`default_workers`] and
-    /// spawned on first use. `Fleet`, `Cluster`, the sweep, and the
-    /// bench fan-outs all share it, so the whole process keeps one set
-    /// of persistent workers no matter how many fleets exist.
+    /// The process-wide executor, sized to [`default_workers`].
     pub fn global() -> &'static Executor {
         static GLOBAL: OnceLock<Executor> = OnceLock::new();
         GLOBAL.get_or_init(|| Executor::new(default_workers()))
@@ -112,96 +45,65 @@ impl Executor {
 
     /// Total parallelism (helper threads + the calling thread).
     pub fn workers(&self) -> usize {
-        self.pool.threads() + 1
+        self.workers
     }
 
-    /// Applies `f` to every item using all available workers; results
-    /// in input order. See [`Executor::map_capped`].
+    /// Applies `f` to every item and returns the results in input
+    /// order.
+    ///
+    /// An effective worker count of one — a batch of at most one item
+    /// or a one-worker executor — runs serially inline on the calling
+    /// thread and spawns nothing, so serial runs keep a deterministic
+    /// side-effect order (e.g. LRU counters). The output is identical
+    /// for every worker count.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        self.map_capped(items, None, f)
-    }
-
-    /// Applies `f` to every item on at most `cap` workers (`None` =
-    /// all) and returns the results in input order.
-    ///
-    /// An effective worker count of one — `cap == Some(1)`, a batch of
-    /// one, or a one-worker executor — runs serially inline on the
-    /// calling thread, touching no locks and waking no threads, so
-    /// serial fleets keep deterministic side-effect order (e.g. LRU
-    /// counters) and the serial path stays thread-free.
-    pub fn map_capped<T, U, F>(&self, items: &[T], cap: Option<usize>, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        let workers = worker_count_for(items.len(), cap).min(self.workers());
-        if workers <= 1 || items.len() <= 1 {
+        let workers = self.workers.min(items.len());
+        if workers <= 1 {
             return items.iter().map(&f).collect();
         }
-        let slots: Vec<Mutex<Option<U>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-        self.pool.run(items.len(), workers - 1, &|i| {
-            let u = f(&items[i]);
-            *slots[i].lock().expect("executor result slot poisoned") = Some(u);
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("executor result slot poisoned")
-                    .expect("executor produced every index")
-            })
-            .collect()
-    }
-
-    /// Runs `f` on every item **in place**, each item visited exactly
-    /// once on some worker — the mutating sibling of
-    /// [`Executor::map_capped`] for fan-outs over owned state (e.g.
-    /// cluster shards advancing between arrival barriers).
-    ///
-    /// Items are disjoint, so there is no cross-item synchronization
-    /// beyond the per-index handoff; an effective worker count of one
-    /// (or a batch of at most one) runs serially inline on the calling
-    /// thread, exactly like the map path.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], cap: Option<usize>, f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let workers = worker_count_for(items.len(), cap).min(self.workers());
-        if workers <= 1 || items.len() <= 1 {
-            for item in items.iter_mut() {
-                f(item);
+        // The cursor only hands out indices (`Relaxed` suffices);
+        // results come back through `join`, which orders them.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { return done };
+                done.push((i, f(item)));
             }
-            return;
-        }
-        // Each cell is locked exactly once, by whichever worker claims
-        // its index — the mutex is the safe per-index handoff of the
-        // `&mut T`, never contended.
-        let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        self.pool.run(cells.len(), workers - 1, &|i| {
-            let mut item = cells[i].lock().expect("executor item slot poisoned");
-            f(&mut item);
+        };
+        let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut place = |done: Vec<(usize, U)>| {
+                for (i, u) in done {
+                    out[i] = Some(u);
+                }
+            };
+            place(work());
+            for helper in helpers {
+                place(helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
         });
+        out.into_iter().map(|u| u.expect("executor produced every index")).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..500).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            assert_eq!(parallel_map(&items, workers, |&x| x * x), serial, "{workers} workers");
+        for workers in [1, 2, 3, 7, 8, 64, default_workers()] {
+            assert_eq!(Executor::new(workers).map(&items, |&x| x * x), serial, "{workers} workers");
         }
     }
 
@@ -209,7 +111,7 @@ mod tests {
     fn runs_every_item_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<usize> = (0..137).collect();
-        let out = parallel_map(&items, 7, |&i| {
+        let out = Executor::new(7).map(&items, |&i| {
             counter.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -219,38 +121,16 @@ mod tests {
 
     #[test]
     fn handles_empty_and_tiny_batches() {
+        let ex = Executor::new(4);
         let none: Vec<u32> = Vec::new();
-        assert!(parallel_map(&none, 4, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[9u32], 4, |&x| x + 1), vec![10]);
+        assert!(ex.map(&none, |&x| x).is_empty());
+        assert_eq!(ex.map(&[9u32], |&x| x + 1), vec![10]);
+        assert_eq!(ex.map(&[1u32, 2, 3], |&x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
-    }
-
-    #[test]
-    fn executor_matches_serial_and_parallel_map() {
-        let items: Vec<u64> = (0..300).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for workers in [1, 2, 7, default_workers()] {
-            let ex = Executor::new(workers);
-            assert_eq!(ex.map(&items, |&x| x * 3 + 1), serial, "{workers} workers");
-            assert_eq!(
-                parallel_map(&items, workers, |&x| x * 3 + 1),
-                serial,
-                "{workers} workers (reference)"
-            );
-        }
-    }
-
-    #[test]
-    fn executor_guards_zero_and_single_job() {
-        let ex = Executor::new(4);
-        let none: Vec<u32> = Vec::new();
-        assert!(ex.map(&none, |&x| x).is_empty());
-        assert_eq!(ex.map(&[7u32], |&x| x + 1), vec![8]);
-        assert_eq!(ex.map_capped(&[1u32, 2, 3], Some(1), |&x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]
@@ -263,45 +143,28 @@ mod tests {
         let a = Executor::global() as *const Executor;
         let b = Executor::global() as *const Executor;
         assert_eq!(a, b);
-        assert!(Executor::global().workers() >= 1);
+        assert_eq!(Executor::global().workers(), default_workers());
     }
 
+    /// A map inside a map (the `fig11` bench maps each model's
+    /// architectures inside its own per-model map) still returns every
+    /// result in input order.
     #[test]
-    fn for_each_mut_matches_serial_at_every_worker_count() {
-        let reference: Vec<u64> = (0..211u64).map(|x| x * x + 3).collect();
-        for workers in [1, 2, 7, default_workers()] {
-            let ex = Executor::new(workers);
-            let mut items: Vec<u64> = (0..211).collect();
-            ex.for_each_mut(&mut items, None, |x| *x = *x * *x + 3);
-            assert_eq!(items, reference, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_item_exactly_once() {
-        let ex = Executor::new(4);
-        let visits = AtomicUsize::new(0);
-        let mut items: Vec<usize> = (0..97).collect();
-        ex.for_each_mut(&mut items, None, |_| {
-            visits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(visits.load(Ordering::Relaxed), 97);
-        // Capped to one worker it runs inline, still once per item.
-        visits.store(0, Ordering::Relaxed);
-        ex.for_each_mut(&mut items, Some(1), |_| {
-            visits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(visits.load(Ordering::Relaxed), 97);
-        let mut empty: Vec<u32> = Vec::new();
-        ex.for_each_mut(&mut empty, None, |_| unreachable!("no items"));
+    fn nested_maps_preserve_order() {
+        let ex = Executor::new(3);
+        let outer: Vec<u64> = (0..5).collect();
+        let inner: Vec<u64> = (0..40).collect();
+        let nested = ex.map(&outer, |&o| ex.map(&inner, |&i| o * 100 + i));
+        let serial: Vec<Vec<u64>> =
+            outer.iter().map(|&o| inner.iter().map(|&i| o * 100 + i).collect()).collect();
+        assert_eq!(nested, serial);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
         /// [`Executor::map`] is byte-identical to a serial `iter().map`
-        /// and to the spawn-per-burst [`parallel_map`] it replaced, at
-        /// every interesting worker count — including the empty and
-        /// single-job batches the executor short-circuits serially.
+        /// at every interesting worker count — including the empty and
+        /// single-job batches it short-circuits serially.
         #[test]
         fn prop_executor_map_is_order_and_value_identical(
             items in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..200),
@@ -311,29 +174,18 @@ mod tests {
             for workers in [1, 2, 7, default_workers()] {
                 let ex = Executor::new(workers);
                 proptest::prop_assert_eq!(&ex.map(&items, f), &serial, "{} workers", workers);
-                proptest::prop_assert_eq!(
-                    &parallel_map(&items, workers, f),
-                    &serial,
-                    "{} workers (parallel_map)",
-                    workers
-                );
             }
         }
     }
 
-    /// Regression guard for the fleet's sizing expression: an empty
-    /// batch list used to compute `default_workers().min(0) == 0`
-    /// workers. The helper must never return zero, and `parallel_map`
-    /// must tolerate a zero worker request anyway (serial fall-back).
+    /// A zero-worker request is clamped to one worker and runs serially
+    /// rather than spawning nothing and producing nothing.
     #[test]
-    fn worker_count_never_zero_and_zero_workers_still_run() {
-        assert_eq!(worker_count_for(0, None), 1);
-        assert_eq!(worker_count_for(0, Some(8)), 1);
-        assert_eq!(worker_count_for(3, Some(8)), 3);
-        assert_eq!(worker_count_for(100, Some(4)), 4);
-        assert!(worker_count_for(100, None) >= 1);
+    fn zero_workers_still_run() {
+        let ex = Executor::new(0);
+        assert_eq!(ex.workers(), 1);
         let none: Vec<u32> = Vec::new();
-        assert!(parallel_map(&none, 0, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[1u32, 2], 0, |&x| x * 2), vec![2, 4]);
+        assert!(ex.map(&none, |&x| x).is_empty());
+        assert_eq!(ex.map(&[1u32, 2], |&x| x * 2), vec![2, 4]);
     }
 }

@@ -105,23 +105,22 @@ pub fn evaluate_aw(geometry: ArrayGeometry, seed: u64) -> DesignPoint {
 /// Sweeps the whole AW space and returns `(all_points, frontier)`,
 /// frontier sorted by area.
 ///
-/// Candidate evaluation is spread over the machine's cores (the same
-/// worker pool the serving fleet uses); results are identical to the
-/// serial path for any worker count (see [`sweep_aw_with_workers`]).
+/// Candidate evaluation is spread over the machine's cores; results are
+/// identical to the serial path for any worker count (see
+/// [`sweep_aw_with_workers`]).
 pub fn sweep_aw(seed: u64) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
     sweep_aw_with_workers(seed, crate::pool::default_workers())
 }
 
 /// [`sweep_aw`] with an explicit worker count (`1` = fully serial).
 ///
-/// Each geometry evaluates independently on the persistent
-/// [`crate::pool::Executor`], which preserves input order, so
-/// `all_points` and the derived Pareto frontier are byte-identical for
-/// every worker count.
+/// Each geometry evaluates independently on a
+/// [`crate::pool::Executor`] of `workers` threads, which preserves
+/// input order, so `all_points` and the derived Pareto frontier are
+/// byte-identical for every worker count.
 pub fn sweep_aw_with_workers(seed: u64, workers: usize) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
     let geometries = enumerate_aw_geometries();
-    let all = crate::pool::Executor::global()
-        .map_capped(&geometries, Some(workers), |&g| evaluate_aw(g, seed));
+    let all = crate::pool::Executor::new(workers).map(&geometries, |&g| evaluate_aw(g, seed));
     let mut frontier: Vec<DesignPoint> =
         all.iter().filter(|p| !all.iter().any(|q| p.dominated_by(q))).cloned().collect();
     frontier.sort_by(|x, y| x.area_mm2.partial_cmp(&y.area_mm2).expect("finite"));

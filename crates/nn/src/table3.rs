@@ -184,7 +184,7 @@ fn run_variant(
 /// 2/8 trend).
 ///
 /// Every variant fine-tunes independently from one shared baseline, so
-/// the five studies fan out over the persistent host executor
+/// the five studies fan out over the host executor
 /// (`s2ta_core::pool::Executor`, order-preserving) — byte-identical to
 /// the serial loops they replace, because each variant's training is a
 /// pure function of `(baseline, variant, seeds)`.

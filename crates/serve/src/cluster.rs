@@ -38,31 +38,32 @@
 //! That same independence makes the cluster a textbook conservative
 //! parallel discrete-event simulation, with the **arrival stream as
 //! the synchronization barrier**: between two router decisions no
-//! shard can affect another, so [`Cluster::serve`] runs a
-//! **shard-parallel driver** on the persistent
-//! [`s2ta_core::pool::Executor`] in two tiers:
+//! shard can affect another. [`Cluster::serve`] picks one of two
+//! drivers by routing policy:
 //!
 //! 1. **Pre-routed** ([`RoutingPolicy::Random`] — probe-free): the
 //!    router consumes exactly one LCG draw per request and never looks
 //!    at a backlog, so the whole routing sequence is pre-drawn, the
 //!    arrival stream is partitioned per shard up front, and every
 //!    shard simulates its complete substream (arrivals, autoscaler
-//!    evaluations, drain) independently in parallel with a single
-//!    join.
+//!    evaluations, drain) independently in parallel on an
+//!    [`Executor`] with a single join.
 //! 2. **Arrival-barrier** ([`RoutingPolicy::JoinShortestQueue`] /
-//!    [`RoutingPolicy::PowerOfTwo`] — backlog-probing): route+inject
-//!    stays serial (the probed depths feed the LCG-deterministic
-//!    decision), but the advance of all shards to each barrier runs in
-//!    parallel, with a fast path that skips shards whose next internal
-//!    event (a non-mutating timer-wheel peek) lies beyond the barrier
-//!    — typically only one or two shards have work per inter-arrival
-//!    gap.
+//!    [`RoutingPolicy::PowerOfTwo`] — backlog-probing): every arrival
+//!    advances the shards to its time, then routes and injects it, all
+//!    on the caller's thread. A non-mutating timer-wheel peek skips
+//!    shards whose next internal event lies beyond the barrier —
+//!    typically only one or two shards have work per inter-arrival
+//!    gap. That is too little work to fan out per arrival: on the
+//!    canonical 1M-request day on a 2-vCPU host, fanning the advance
+//!    out over 2 workers made jsq and p2c take 13.6-15.0 and
+//!    12.6-14.4 host-s; inline they take 7.4-7.5 and 7.2 s.
 //!
-//! [`Cluster::serve_serial`] is the barrier driver on a one-worker
-//! executor. Under [`RoutingPolicy::Random`] it is an independent
-//! reference for the pre-routed tier (a different driver reaching the
-//! same result); under the probing policies it is the serial baseline
-//! of the parallel barrier advance. Every driver produces the
+//! [`Cluster::serve_serial`] is the barrier driver whatever the
+//! routing policy. Under [`RoutingPolicy::Random`] it is an
+//! independent reference for the pre-routed tier (a different driver
+//! reaching the same result); under the probing policies it is the
+//! very driver [`Cluster::serve`] runs. Every driver produces the
 //! byte-identical report. "Byte-identical" covers the full
 //! [`ClusterReport`] equality —
 //! outcomes, percentiles, routing tallies, scale events. Host-side
@@ -170,9 +171,9 @@ impl RoutingPolicy {
 /// One shard's complete driver-side state: its engine, the dummy
 /// open-loop arrival source (the router injects arrivals itself; the
 /// source only answers closed-loop callbacks, as no-ops), and its
-/// batching policy. This is the unit the parallel driver moves across
-/// executor threads between barriers — `Send` by the compile-time
-/// assertion next to [`Engine`].
+/// batching policy. This is the unit the pre-routed driver returns
+/// from its executor threads — `Send` by the compile-time assertion
+/// next to [`Engine`].
 struct ShardState<'a> {
     engine: Engine<'a>,
     source: ArrivalSource<'a>,
@@ -382,7 +383,7 @@ impl Cluster {
     /// engine records its own flight-recorder events and metrics
     /// series, and [`ClusterReport::merged_trace`] merges them by
     /// `(cycle, shard)` — the same discipline as scale events, so the
-    /// merged trace is byte-identical for the serial and parallel
+    /// merged trace is byte-identical for the pre-routed and barrier
     /// drivers.
     ///
     /// # Panics
@@ -415,10 +416,11 @@ impl Cluster {
     /// stream ids, so the union of per-shard outcomes covers the input
     /// stream exactly once.
     ///
-    /// Runs the **shard-parallel driver** on the process-wide
-    /// [`Executor`] (see the module docs for the two tiers); the
-    /// result is byte-identical to [`Cluster::serve_serial`] for every
-    /// routing policy and executor size.
+    /// Runs the pre-routed driver on the process-wide [`Executor`] or
+    /// the arrival-barrier driver on the caller's thread (see the
+    /// module docs); the result is byte-identical to
+    /// [`Cluster::serve_serial`] for every routing policy and executor
+    /// size.
     ///
     /// # Panics
     ///
@@ -429,8 +431,9 @@ impl Cluster {
     }
 
     /// [`Cluster::serve`] on an explicit executor — the hook that lets
-    /// tests pin the parallel driver to specific worker counts (a
-    /// one-worker executor runs the same code path fully inline).
+    /// tests pin the pre-routed driver to specific worker counts (a
+    /// one-worker executor runs the same code path fully inline). The
+    /// barrier driver ignores the executor.
     pub fn serve_on(
         &self,
         executor: &Executor,
@@ -438,7 +441,7 @@ impl Cluster {
         requests: &[Request],
     ) -> ClusterReport {
         if self.routing.probes_backlog() {
-            self.serve_barrier(executor, models, requests)
+            self.serve_barrier(models, requests)
         } else {
             self.serve_prerouted(executor, models, requests)
         }
@@ -517,18 +520,18 @@ impl Cluster {
         }
     }
 
-    /// The serial reference driver: the arrival-barrier driver on a
-    /// one-worker executor, whatever the routing policy. Under
-    /// [`RoutingPolicy::Random`] it is the independent check on the
-    /// pre-routed driver [`Cluster::serve`] takes; under the probing
-    /// policies it is the serial baseline the bench times the parallel
-    /// advance against. Prefer [`Cluster::serve`] everywhere else.
+    /// The serial reference driver: the arrival-barrier driver,
+    /// whatever the routing policy. Under [`RoutingPolicy::Random`] it
+    /// is the independent check on the pre-routed driver
+    /// [`Cluster::serve`] takes; under the probing policies it is the
+    /// driver [`Cluster::serve`] runs too. Prefer [`Cluster::serve`]
+    /// everywhere else.
     ///
     /// # Panics
     ///
     /// As [`Cluster::serve`].
     pub fn serve_serial(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
-        self.serve_barrier(&Executor::new(1), models, requests)
+        self.serve_barrier(models, requests)
     }
 
     /// Tier-1 parallel driver for probe-free routing: pre-draw the
@@ -620,20 +623,13 @@ impl Cluster {
         (state, events)
     }
 
-    /// Tier-2 parallel driver for backlog-probing routing: the
-    /// route+inject step stays serial (probed depths feed each
-    /// LCG-deterministic decision), but between decisions all shards
-    /// advance to the arrival barrier in parallel. The fast path asks
-    /// each shard — via a non-mutating timer-wheel peek — whether any
-    /// internal event precedes the barrier at all; shards with none
-    /// (most of them, in a typical inter-arrival gap) skip executor
-    /// dispatch entirely, and a single busy shard advances inline.
-    fn serve_barrier(
-        &self,
-        executor: &Executor,
-        models: &[ModelSpec],
-        requests: &[Request],
-    ) -> ClusterReport {
+    /// Tier-2 driver for backlog-probing routing, on the caller's
+    /// thread: before each route+inject step (probed depths feed each
+    /// LCG-deterministic decision) every shard advances to the arrival
+    /// barrier. A non-mutating timer-wheel peek skips the shards with
+    /// no internal event before the barrier — most of them, in a
+    /// typical inter-arrival gap.
+    fn serve_barrier(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
         let n = self.shards.len();
         let mut states: Vec<ShardState> =
             self.shards.iter().map(|f| ShardState::new(f, models)).collect();
@@ -647,14 +643,14 @@ impl Cluster {
             if let Some(auto) = self.autoscale {
                 while next_eval.expect("set when autoscaling") <= t {
                     let eval = next_eval.expect("checked");
-                    Self::advance_all(executor, &mut states, eval);
+                    Self::advance_all(&mut states, eval);
                     for (s, state) in states.iter_mut().enumerate() {
                         self.autoscale_shard(&mut state.engine, s, eval, auto, &mut scale_events);
                     }
                     next_eval = Some(eval + auto.eval_interval_cycles);
                 }
             }
-            Self::advance_all(executor, &mut states, t);
+            Self::advance_all(&mut states, t);
             let (shard, failed_over) =
                 self.route_healthy(n, &mut rng, t, |s| states[s].engine.queued_depth());
             routed[shard] += 1;
@@ -663,19 +659,16 @@ impl Cluster {
             }
             states[shard].inject(*r);
         }
-        executor.for_each_mut(&mut states, None, |state| state.drain());
+        states.iter_mut().for_each(ShardState::drain);
         self.assemble(states, routed, scale_events)
     }
 
-    /// Advances every shard with pending work to the barrier at `t`,
-    /// in parallel when more than one shard is busy.
-    fn advance_all(executor: &Executor, states: &mut [ShardState], t: u64) {
-        let mut busy: Vec<&mut ShardState> =
-            states.iter_mut().filter_map(|s| s.engine.has_event_before(t).then_some(s)).collect();
-        match busy.len() {
-            0 => {}
-            1 => busy[0].advance(t),
-            _ => executor.for_each_mut(&mut busy, None, |s| s.advance(t)),
+    /// Advances every shard with pending work to the barrier at `t`.
+    fn advance_all(states: &mut [ShardState], t: u64) {
+        for state in states.iter_mut() {
+            if state.engine.has_event_before(t) {
+                state.advance(t);
+            }
         }
     }
 
@@ -923,8 +916,9 @@ impl ClusterReport {
     }
 
     /// The cluster-wide trace, merged from the per-shard traces by
-    /// `(cycle, shard)` — exactly how scale events merge, so serial
-    /// and parallel drivers produce byte-identical merged traces.
+    /// `(cycle, shard)` — exactly how scale events merge, so the
+    /// pre-routed and barrier drivers produce byte-identical merged
+    /// traces.
     /// `None` unless **every** shard ran with a recorder attached
     /// (see [`Cluster::with_trace`]).
     pub fn merged_trace(&self) -> Option<Trace> {

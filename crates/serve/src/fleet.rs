@@ -918,8 +918,8 @@ impl<'a> Engine<'a> {
     /// state each crossed boundary saw. Must run at the **top** of each
     /// simulated-event handler, before the event mutates engine state:
     /// that makes the sample at boundary `b` reflect exactly the events
-    /// with `time < b`, independent of which driver (prerouted, or
-    /// barrier on any executor size) delivers the events.
+    /// with `time < b`, independent of which driver (pre-routed on any
+    /// executor size, or barrier) delivers the events.
     fn trace_flush(&mut self, now: u64) {
         if !self.trace.as_ref().is_some_and(|tr| tr.flush_due(now)) {
             return;
@@ -2098,9 +2098,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The cluster's parallel driver moves whole engines (plus their
-/// arrival sources) across executor threads between barriers; keep
-/// that a compile-time guarantee rather than an inference accident.
+/// The cluster's pre-routed driver builds whole engines (plus their
+/// arrival sources) on executor threads and hands them back to the
+/// caller; keep that a compile-time guarantee rather than an inference
+/// accident.
 const _: () = {
     const fn assert_send<T: Send>() {}
     #[allow(dead_code)]

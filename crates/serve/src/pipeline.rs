@@ -97,8 +97,8 @@ impl PipelinePlan {
         // the allocation-free `run_stage_events` hot loop (arenas from
         // the fleet's scratch pool), so the probes also warm the
         // fleet's shared activation-profile cache for the calibration
-        // seed, and the `(scope, layer)` grid fans out over the
-        // persistent host executor. Layers are probed at
+        // seed, and the `(scope, layer)` grid fans out over the host
+        // executor. Layers are probed at
         // **resident** weight residency — the pipeline's steady state:
         // a pinned stage lane streams its weights once and then keeps
         // them in SRAM across the whole run, so pricing memory-bound

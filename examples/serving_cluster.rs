@@ -15,8 +15,8 @@
 //! gate for the cluster tier: the router must conserve the stream
 //! (every request on exactly one shard, zero drops on unbounded
 //! queues), global percentiles must come from merged per-request
-//! samples, the shard-parallel driver must reproduce the serial
-//! reference byte-identically on every policy, and the diurnal day
+//! samples, `serve` must reproduce the serial barrier driver
+//! byte-identically on every policy, and the diurnal day
 //! must exercise the autoscaler in both
 //! directions. The canonical ~1M-request run with the p99 routing
 //! gate lives in `cargo bench -p s2ta-bench --bench cluster`; this
@@ -55,12 +55,12 @@ fn main() {
         let report = cluster.serve(&models, &requests);
         check_conservation(&report, requests.len());
         assert_eq!(report.dropped_count(), 0, "unbounded shard queues must not drop");
-        // The shard-parallel driver is the default; it must be
-        // byte-identical to the serial reference on every policy.
+        // `serve` (the pre-routed driver under random routing) must be
+        // byte-identical to the serial barrier driver on every policy.
         assert_eq!(
             report,
             cluster.serve_serial(&models, &requests),
-            "{}: parallel driver must reproduce the serial driver exactly",
+            "{}: serve must reproduce the serial driver exactly",
             routing.label()
         );
         print!("{}", report.summary(&tech));
@@ -108,8 +108,8 @@ fn main() {
     // The same autoscaled run with the flight recorder attached. The
     // recorder must be observability only — the report is byte-equal
     // to the untraced run — and the merged per-shard trace must come
-    // out identical from the serial and shard-parallel drivers. The
-    // exported artifacts feed the CI trace-validation step.
+    // out identical from `serve` and `serve_serial`. The exported
+    // artifacts feed the CI trace-validation step.
     let trace_cfg = TraceConfig { event_capacity: 1 << 17, metrics_interval_cycles: 10_000 };
     let traced_cluster = scenario::cluster(RoutingPolicy::PowerOfTwo)
         .with_autoscale(autoscale)
@@ -120,7 +120,7 @@ fn main() {
     let trace = traced.merged_trace().expect("recorder attached");
     let serial =
         traced_cluster.serve_serial(&models, &requests).merged_trace().expect("recorder attached");
-    assert_eq!(trace, serial, "serial and parallel drivers must trace identically");
+    assert_eq!(trace, serial, "serve and serve_serial must trace identically");
     assert_eq!(trace.dropped_events(), 0, "ring capacity must hold the whole prefix run");
     assert_eq!(
         trace.completed_requests(),

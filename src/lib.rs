@@ -28,6 +28,8 @@
 //! assert!(speedup > 1.5, "S2TA-AW should beat SA-ZVCG, got {speedup:.2}x");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use s2ta_core as core;
 pub use s2ta_dbb as dbb;
 pub use s2ta_energy as energy;

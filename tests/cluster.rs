@@ -216,12 +216,13 @@ fn autoscaler_tracks_the_diurnal_load_curve() {
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(5))]
 
-    /// The shard-parallel drivers (pre-routed tier for `Random`, arrival-
-    /// barrier tier for the backlog-probing policies) must reproduce the
-    /// serial driver **byte-identically** — full `ClusterReport` equality,
-    /// covering outcomes, routed tallies, per-shard reports, and scale
-    /// events — across routing policies, shard counts, and executor worker
-    /// counts (including a serial 1-worker executor and the global pool).
+    /// `serve` must reproduce the serial barrier driver **byte-
+    /// identically** — full `ClusterReport` equality, covering outcomes,
+    /// routed tallies, per-shard reports, and scale events — across
+    /// routing policies and shard counts. For `Random`, `serve` is the
+    /// independent pre-routed driver, checked at every executor worker
+    /// count (including a serial 1-worker executor and the global one);
+    /// for the probing policies it is the barrier driver run again.
     #[test]
     fn prop_parallel_cluster_is_byte_identical_to_serial(
         seed in 1u64..1_000,
@@ -249,7 +250,13 @@ proptest::proptest! {
                 });
             }
             let serial = cluster.serve_serial(&models, &requests);
-            for workers in [Some(1usize), Some(2), Some(7), None] {
+            // Only the pre-routed driver (Random) runs on the executor;
+            // the probing policies' `serve` is the barrier driver.
+            let worker_counts: &[Option<usize>] = match routing {
+                RoutingPolicy::Random => &[Some(1), Some(2), Some(7), None],
+                _ => &[None],
+            };
+            for &workers in worker_counts {
                 let parallel = match workers {
                     Some(w) => cluster.serve_on(&Executor::new(w), &models, &requests),
                     None => cluster.serve(&models, &requests),
@@ -291,8 +298,9 @@ proptest::proptest! {
     /// routing policy and shard count must (a) conserve requests —
     /// served + dropped + failed covers the offered stream exactly
     /// once, (b) never execute a served batch inside its lane's crash
-    /// window, and (c) stay byte-identical between the serial and
-    /// shard-parallel drivers, **including the merged trace**.
+    /// window, and (c) stay byte-identical between the serial barrier
+    /// driver and `serve` (the pre-routed driver under `Random`),
+    /// **including the merged trace**.
     #[test]
     fn prop_chaos_conserves_and_stays_byte_identical(
         seed in 1u64..500,
@@ -361,8 +369,13 @@ proptest::proptest! {
             }
 
             // (c) Serial vs shard-parallel byte-identity, merged trace
-            // included.
-            for workers in [Some(1usize), Some(3), None] {
+            // included; the executor only matters for the pre-routed
+            // driver (Random).
+            let worker_counts: &[Option<usize>] = match routing {
+                RoutingPolicy::Random => &[Some(1), Some(3), None],
+                _ => &[None],
+            };
+            for &workers in worker_counts {
                 let parallel = match workers {
                     Some(w) => cluster.serve_on(&Executor::new(w), &models, &requests),
                     None => cluster.serve(&models, &requests),
@@ -383,10 +396,11 @@ proptest::proptest! {
 }
 
 /// Deterministic autoscale differential: on the diurnal scenario the
-/// serial and parallel drivers must emit the identical (non-empty)
-/// scale-event log, at every worker count, for a backlog-probing
-/// policy — the hardest case, since autoscale evals interleave with
-/// the arrival barrier.
+/// pre-routed driver (random routing, at every worker count) must emit
+/// the identical (non-empty) scale-event log as the barrier driver —
+/// the hardest case for the pre-routed replay, since each shard fires
+/// the stream-global autoscale evals without seeing the other shards'
+/// arrivals.
 #[test]
 fn parallel_driver_reproduces_serial_autoscale_run() {
     let models = models();
@@ -408,14 +422,12 @@ fn parallel_driver_reproduces_serial_autoscale_run() {
                     .with_policy(FixedPolicy { max_batch: 16, max_wait_cycles: 30_000 })
             })
             .collect();
-        Cluster::new(fleets).with_routing(RoutingPolicy::PowerOfTwo).with_autoscale(
-            AutoscalePolicy {
-                eval_interval_cycles: 15_000,
-                scale_up_depth: 3,
-                scale_down_depth: 0,
-                min_lanes: 1,
-            },
-        )
+        Cluster::new(fleets).with_routing(RoutingPolicy::Random).with_autoscale(AutoscalePolicy {
+            eval_interval_cycles: 15_000,
+            scale_up_depth: 3,
+            scale_down_depth: 0,
+            min_lanes: 1,
+        })
     };
     let serial = build().serve_serial(&models, &requests);
     assert!(!serial.scale_events.is_empty(), "scenario must actually scale");

@@ -2,7 +2,7 @@
 //! equality-neutrality of an attached recorder (no report byte
 //! changes), drop-oldest ring overflow at the trace level, per-model
 //! drop / deadline-miss accounting on a bounded queue, and
-//! serial-vs-parallel merged-trace identity for the cluster tier.
+//! serial-vs-pre-routed merged-trace identity for the cluster tier.
 
 use proptest::prop_assert_eq;
 use s2ta::core::pool::Executor;
@@ -174,11 +174,12 @@ proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(5))]
 
     /// The tentpole invariant at cluster scale: with a recorder
-    /// attached, the serial reference driver and the shard-parallel
-    /// drivers must produce **byte-identical merged traces** — events,
-    /// metrics samples, per-model series — across routing policies,
-    /// shard counts, worker counts, and autoscale on/off, exactly like
-    /// the report-equality property the cluster already pins.
+    /// attached, the serial barrier driver and `serve` (the pre-routed
+    /// driver under `Random`, on several worker counts) must produce
+    /// **byte-identical merged traces** — events, metrics samples,
+    /// per-model series — across routing policies, shard counts, and
+    /// autoscale on/off, exactly like the report-equality property the
+    /// cluster already pins.
     #[test]
     fn prop_cluster_trace_is_identical_serial_vs_parallel(
         seed in 1u64..1_000,
@@ -212,7 +213,12 @@ proptest::proptest! {
             }
             let serial = cluster.serve_serial(&models, &requests);
             let serial_trace = serial.merged_trace().expect("recorder attached");
-            for workers in [Some(2usize), None] {
+            // Only the pre-routed driver (Random) runs on the executor.
+            let worker_counts: &[Option<usize>] = match routing {
+                RoutingPolicy::Random => &[Some(2), None],
+                _ => &[None],
+            };
+            for &workers in worker_counts {
                 let parallel = match workers {
                     Some(w) => cluster.serve_on(&Executor::new(w), &models, &requests),
                     None => cluster.serve(&models, &requests),
