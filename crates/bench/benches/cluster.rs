@@ -113,8 +113,9 @@ fn record(s: &RunSummary, workers: usize, nproc: usize) -> String {
 
 /// Everything the artifact keeps from one chaos run: the coarse
 /// outcome split, the strict-class serving mass the goodput gate is
-/// computed over, and the fault counters proving the machinery under
-/// test actually fired.
+/// computed over, the fault counters proving the machinery under
+/// test actually fired, and the host cost: wall time and the weight
+/// plans the cluster-wide cache compiled (misses + dense bypasses).
 struct ChaosSummary {
     label: String,
     served: usize,
@@ -128,6 +129,8 @@ struct ChaosSummary {
     retries: u64,
     failovers: u64,
     shed: u64,
+    host_seconds: f64,
+    plan_compiles: u64,
 }
 
 /// Strict-class goodput of one chaos run relative to the bounded
@@ -148,7 +151,10 @@ fn run_chaos(
     if let Some(config) = config {
         cluster = cluster.with_faults(config);
     }
+    let t = Instant::now();
     let report = cluster.serve(models, requests);
+    let host_seconds = t.elapsed().as_secs_f64();
+    let plans = cluster.shards()[0].accelerator().plans().stats();
     assert_eq!(report.total_requests(), requests.len(), "{label}: outcomes must conserve");
     assert_eq!(
         report.served_count() + report.dropped_count() + report.failed_count(),
@@ -176,10 +182,13 @@ fn run_chaos(
         retries: stats.retries,
         failovers: stats.failovers,
         shed: stats.shed,
+        host_seconds,
+        plan_compiles: plans.misses + plans.bypasses,
     };
     println!(
         "{label:<14} served {:>9} dropped {:>6} failed {:>6} | p99 {:>8} cyc | strict {:>9} | \
-         {:>3} crashes {:>5} retries {:>6} failovers {:>6} shed | avail {:.4}",
+         {:>3} crashes {:>5} retries {:>6} failovers {:>6} shed | avail {:.4} | \
+         {} plan compiles | {host_seconds:.1} host-s",
         s.served,
         s.dropped,
         s.failed,
@@ -190,16 +199,18 @@ fn run_chaos(
         s.failovers,
         s.shed,
         s.availability,
+        s.plan_compiles,
     );
     (s, report)
 }
 
-fn record_chaos(s: &ChaosSummary, base: &ChaosSummary) -> String {
+fn record_chaos(s: &ChaosSummary, base: &ChaosSummary, workers: usize, nproc: usize) -> String {
     format!(
         "{{\"run\": \"{}\", \"served\": {}, \"dropped\": {}, \"failed\": {}, \
          \"p99_cycles\": {}, \"makespan_cycles\": {}, \"strict_served\": {}, \
          \"strict_goodput_ratio\": {}, \"p99_ratio\": {}, \"availability\": {}, \
-         \"crashes\": {}, \"retries\": {}, \"failovers\": {}, \"shed\": {}}}",
+         \"crashes\": {}, \"retries\": {}, \"failovers\": {}, \"shed\": {}, \
+         \"host_seconds\": {}, \"workers\": {workers}, \"nproc\": {nproc}, \"plan_compiles\": {}}}",
         s.label,
         s.served,
         s.dropped,
@@ -214,6 +225,8 @@ fn record_chaos(s: &ChaosSummary, base: &ChaosSummary) -> String {
         s.retries,
         s.failovers,
         s.shed,
+        json_num(s.host_seconds),
+        s.plan_compiles,
     )
 }
 
@@ -381,7 +394,7 @@ fn main() {
         [&random, &jsq, &p2c, &scaled].iter().map(|s| record(s, workers, nproc)).collect();
     let chaos_records: Vec<String> = [&chaos_base, &protected, &unprotected]
         .iter()
-        .map(|s| record_chaos(s, &chaos_base))
+        .map(|s| record_chaos(s, &chaos_base, workers, nproc))
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"cluster\",\n  \"seed\": {SEED},\n  \"shards\": {},\n  \

@@ -18,11 +18,14 @@
 //! full run's numbers). Quick mode gates only the reports' byte
 //! identity — a one-shot wall-clock ratio on a shared runner is not a
 //! reliable CI signal; the >= 10x speedup gate applies to full runs and
-//! to the committed artifact (re-checked by CI's python step).
+//! to the committed artifact (re-checked by CI's python step). Every run
+//! record carries the executor worker count and the host's CPU count
+//! next to its host time.
 
 use s2ta_bench::{
     header, hetero_scenario, json_num, pipeline_scenario, write_bench_artifact, SEED,
 };
+use s2ta_core::pool::Executor;
 use s2ta_core::ExecPath;
 use s2ta_models::ModelSpec;
 use s2ta_serve::{Fleet, Request, ServeReport};
@@ -60,6 +63,8 @@ fn run_scenario(
     requests: &[Request],
     reps: usize,
 ) -> ScenarioResult {
+    let workers = Executor::global().workers();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut records = Vec::new();
     let mut ips_of = [0.0f64; 2];
     let mut reports: Vec<ServeReport> = Vec::new();
@@ -74,7 +79,8 @@ fn run_scenario(
         );
         records.push(format!(
             "{{\"scenario\": \"{name}\", \"path\": \"{label}\", \"served\": {}, \
-             \"reps\": {reps}, \"host_seconds\": {}, \"inferences_per_host_second\": {}}}",
+             \"reps\": {reps}, \"host_seconds\": {}, \"inferences_per_host_second\": {}, \
+             \"workers\": {workers}, \"nproc\": {nproc}}}",
             report.served_count(),
             json_num(secs),
             json_num(ips),

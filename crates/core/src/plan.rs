@@ -28,7 +28,7 @@ use s2ta_tensor::Matrix;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Weights compiled for a specific architecture: dense architectures
 /// keep the raw matrix, DBB architectures store the pruned + compressed
@@ -366,9 +366,12 @@ impl CacheStats {
 /// One resident plan plus its LRU bookkeeping.
 #[derive(Debug)]
 struct PlanEntry {
-    plan: Arc<ModelPlan>,
+    /// Filled once by the lookup that compiles the plan; lookups that
+    /// arrive while it compiles wait for it instead of compiling again.
+    plan: Arc<OnceLock<Arc<ModelPlan>>>,
     /// Estimated resident bytes ([`ModelPlan::approx_bytes`]), frozen
-    /// at insert so insert/evict accounting always balances.
+    /// once the plan is compiled so insert/evict accounting always
+    /// balances (zero while it compiles).
     bytes: u64,
     last_used: u64,
 }
@@ -433,6 +436,10 @@ impl WeightPlanCache {
     /// still evict them under pressure) for an allocation-free hot
     /// loop. Dense compiles count as `bypasses`, DBB compiles as
     /// `misses`; hits are counted uniformly.
+    ///
+    /// On an **unbounded** cache each key compiles exactly once however
+    /// host threads interleave: the entry is created inside the lock and
+    /// concurrent first users block on it rather than double-compiling.
     pub fn get_or_plan(
         &self,
         acc: &Accelerator,
@@ -440,35 +447,47 @@ impl WeightPlanCache {
         weight_seed: u64,
     ) -> Arc<ModelPlan> {
         let key = (acc.config().kind, acc.plan_scope(), model_fingerprint(model), weight_seed);
-        {
+        let (slot, compiled_here) = {
             let mut table = self.inner.lock().expect("plan cache poisoned");
             table.tick += 1;
             let tick = table.tick;
             if let Some(entry) = table.map.get_mut(&key) {
                 entry.last_used = tick;
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.plan);
+                if let Some(plan) = entry.plan.get() {
+                    return Arc::clone(plan);
+                }
+                (Arc::clone(&entry.plan), false)
+            } else {
+                if acc.config().kind.uses_wdbb() {
+                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.counters.bypasses.fetch_add(1, Ordering::Relaxed);
+                }
+                let slot = Arc::new(OnceLock::new());
+                let entry = PlanEntry { plan: Arc::clone(&slot), bytes: 0, last_used: tick };
+                table.map.insert(key, entry);
+                (slot, true)
             }
-        }
-        if acc.config().kind.uses_wdbb() {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.bypasses.fetch_add(1, Ordering::Relaxed);
-        }
+        };
         // Compile outside the lock: plans can be large and compilation
-        // is the expensive part. A racing thread may compile the same
-        // plan; the first insert wins and the duplicate is dropped.
-        let plan = Arc::new(acc.plan_model_uncached(model, weight_seed));
-        let mut table = self.inner.lock().expect("plan cache poisoned");
-        table.tick += 1;
-        let tick = table.tick;
-        if let Some(entry) = table.map.get_mut(&key) {
-            entry.last_used = tick;
-            return Arc::clone(&entry.plan);
+        // is the expensive part, so lookups of other plans proceed while
+        // a racing lookup of this one blocks here instead of compiling
+        // it a second time.
+        let plan =
+            Arc::clone(slot.get_or_init(|| Arc::new(acc.plan_model_uncached(model, weight_seed))));
+        if !compiled_here {
+            return plan;
         }
+        let mut table = self.inner.lock().expect("plan cache poisoned");
+        // Account the bytes unless the entry was evicted or cleared
+        // while it compiled.
+        let Some(entry) = table.map.get_mut(&key).filter(|e| Arc::ptr_eq(&e.plan, &slot)) else {
+            return plan;
+        };
         let bytes = plan.approx_bytes();
+        entry.bytes = bytes;
         table.resident_bytes += bytes;
-        table.map.insert(key, PlanEntry { plan: Arc::clone(&plan), bytes, last_used: tick });
         if let Some(budget) = self.budget {
             self.evict_locked(&mut table, budget, &key);
         }
@@ -1179,6 +1198,31 @@ mod tests {
         assert_eq!(s2.lookups(), 4);
         assert!((s2.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    /// Threads that look a plan up at the same time share one compile:
+    /// the first creates the entry, the rest wait for it as hits.
+    #[test]
+    fn concurrent_first_lookups_compile_once() {
+        let cache = WeightPlanCache::new();
+        let aw = Accelerator::preset(ArchKind::S2taAw).sharing_plans(cache.clone());
+        let m = lenet5();
+        let start = std::sync::Barrier::new(4);
+        let plans: Vec<Arc<ModelPlan>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        aw.plan_model(&m, 5)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("lookup thread")).collect()
+        });
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])), "one shared plan");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (3, 1));
+        assert_eq!(cache.resident_bytes(), plans[0].approx_bytes());
     }
 
     /// `since` must saturate instead of underflowing: a snapshot kept

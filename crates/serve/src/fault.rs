@@ -37,8 +37,9 @@ use crate::workload::{Lcg, Request};
 pub enum FaultEvent {
     /// A lane dies for `down_for` cycles: its in-flight batches are
     /// cancelled (and retried under the [`RetryPolicy`]) and it
-    /// accepts no work until it recovers — **cold**, with its warm
-    /// weight/activation cache residency gone.
+    /// accepts no work until it recovers — **cold** on the simulated
+    /// clock: its weights are re-streamed over DMA, while the host's
+    /// plan and profile memo tables persist.
     LaneCrash {
         /// Cycles the lane stays down.
         down_for: u64,
@@ -234,7 +235,8 @@ fn inside(windows: &[(u64, u64)], t: u64) -> bool {
 pub enum WindowEdge {
     /// A crash window opens: the lane dies, in-flight work cancels.
     CrashStart,
-    /// A crash window closes: the lane returns, **cold**.
+    /// A crash window closes: the lane returns, **cold** on the
+    /// simulated clock (weights re-streamed; host memo tables persist).
     CrashEnd,
     /// A slowdown window opens.
     SlowStart,

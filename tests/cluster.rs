@@ -6,7 +6,7 @@ use proptest::{prop_assert, prop_assert_eq};
 use s2ta::core::pool::Executor;
 use s2ta::core::ArchKind;
 use s2ta::energy::TechParams;
-use s2ta::models::{lenet5, ModelSpec};
+use s2ta::models::{cifar10_convnet, lenet5, ModelSpec};
 use s2ta::serve::{
     AutoscalePolicy, Cluster, DiurnalSpec, FaultConfig, FaultSpec, FixedPolicy, Fleet, FleetSpec,
     RateSegment, Request, RoutingPolicy, TraceConfig, TraceEventKind, WorkloadSpec,
@@ -289,6 +289,39 @@ fn chaos_spec(seed: u64, horizon: u64) -> FaultSpec {
         mean_outage_cycles: 0,
         slowdown_factor: 3,
     }
+}
+
+/// Lane recoveries are cold on the simulated clock only: a
+/// shared-cache chaos cluster whose lanes crash and recover on several
+/// shards compiles each (arch, model) plan exactly once, as the
+/// fault-free cluster does, so one shard's restart never touches the
+/// plans the other shards share.
+#[test]
+fn shared_cache_chaos_compiles_each_plan_once() {
+    let models = vec![lenet5(), cifar10_convnet()];
+    let requests = WorkloadSpec::uniform(23, 240, 2_000.0, models.len()).generate();
+    let horizon = requests.last().map_or(1, |r| r.arrival.max(1));
+    let build = || {
+        let shards = (0..3)
+            .map(|_| {
+                Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 1), (ArchKind::SaZvcg, 1)]))
+            })
+            .collect();
+        Cluster::new(shards).with_shared_caches()
+    };
+    let compiles = |cluster: &Cluster| {
+        let stats = cluster.shards()[0].accelerator().plans().stats();
+        stats.misses + stats.bypasses
+    };
+    let clean = build();
+    clean.serve_serial(&models, &requests);
+    assert_eq!(compiles(&clean), 2 * models.len() as u64, "one compile per (arch, model)");
+
+    let chaos = build().with_faults(FaultConfig::protected(chaos_spec(9, horizon)));
+    let report = chaos.serve_serial(&models, &requests);
+    let recovered = report.shards.iter().filter(|s| s.fault.lane_recoveries > 0).count();
+    assert!(recovered >= 2, "recoveries must land on several shards, got {recovered}");
+    assert_eq!(compiles(&chaos), compiles(&clean), "recoveries must not recompile plans");
 }
 
 proptest::proptest! {
