@@ -27,6 +27,7 @@ mod runner;
 
 pub mod buffers;
 pub mod infer;
+pub mod memo;
 pub mod memory;
 pub mod microbench;
 pub mod plan;
@@ -37,9 +38,10 @@ pub mod summary;
 pub mod sweep;
 
 pub use arch::{ArchConfig, ArchKind};
+pub use memo::{CacheStats, MemoCache};
 pub use plan::{
-    stage_handoff_bytes, ActProfile, ActProfileCache, CacheStats, LayerPlan, ModelPlan,
-    PlannedWeights, WeightPlanCache, WeightResidency,
+    stage_handoff_bytes, ActProfile, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights,
+    WeightPlanCache, WeightResidency,
 };
 pub use report::{LayerReport, ModelReport};
 pub use ring::Ring;

@@ -301,7 +301,7 @@ const RANK_LANES: usize = 16;
 /// largest magnitudes, ties to the lowest index: exactly the non-zeros
 /// whose rank under (magnitude descending, index ascending) is below
 /// `n`. The kernel walks one row-block at a time, in chunks of up to
-/// [`RANK_LANES`] columns of one strip, and ranks every row pair of the
+/// `RANK_LANES` (16) columns of one strip, and ranks every row pair of the
 /// chunk branch-free in `u8` lanes. A block with `found` non-zeros runs
 /// `min(found + 1, n)` stages: the productive ones plus, when
 /// `found < n`, the stage that finds only zeros. Every stage costs

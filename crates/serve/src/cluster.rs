@@ -67,10 +67,11 @@
 //! byte-identical report. "Byte-identical" covers the full
 //! [`ClusterReport`] equality —
 //! outcomes, percentiles, routing tallies, scale events. Host-side
-//! cache counters are excluded from report equality by design (see
-//! [`crate::PlanCacheActivity`]): shards racing on the shared plan
-//! caches can interleave lookups differently, but cached values are
-//! pure, so simulated results never change.
+//! cache counters are not part of any report: shards racing on the
+//! shared plan caches can interleave lookups differently, but cached
+//! values are pure, so simulated results never change. A caller that
+//! wants a run's cache activity diffs
+//! [`s2ta_core::WeightPlanCache::stats`] around the call.
 //!
 //! An optional [`AutoscalePolicy`] adds per-shard **lane autoscaling**:
 //! at a fixed simulated cadence each shard's backlog is compared
@@ -95,7 +96,7 @@ use crate::fault::{FaultConfig, FaultPlan};
 use crate::fleet::{ArrivalSource, Engine, Fleet};
 use crate::policy::{BatchPolicy, FixedPolicy};
 use crate::report::{
-    render_table, Col, FaultStats, HistogramCell, LatencyHistogram, ModelServeStats, ServeReport,
+    render_table, Col, FaultStats, LatencyHistogram, ModelServeStats, ServeReport,
 };
 use crate::trace::{Trace, TraceConfig};
 use crate::workload::{Lcg, Request};
@@ -680,12 +681,16 @@ impl Cluster {
         scale_events: Vec<ScaleEvent>,
     ) -> ClusterReport {
         let shards: Vec<ServeReport> = states.into_iter().map(ShardState::finish).collect();
+        let mut latency_hist = LatencyHistogram::default();
+        for shard in &shards {
+            latency_hist.merge(shard.latency_histogram());
+        }
         ClusterReport {
             routing: self.routing.label().to_string(),
             shards,
             routed,
             scale_events,
-            latency_hist: HistogramCell::default(),
+            latency_hist,
         }
     }
 
@@ -766,9 +771,9 @@ pub struct ClusterReport {
     /// Autoscaler actions, in simulated-time order (empty without an
     /// [`AutoscalePolicy`]).
     pub scale_events: Vec<ScaleEvent>,
-    /// Memoized merged-latency histogram (host-side; excluded from
-    /// equality, empty on clones — see [`HistogramCell`]).
-    pub(crate) latency_hist: HistogramCell,
+    /// The merged served-latency histogram of every shard, built once
+    /// at assembly.
+    pub(crate) latency_hist: LatencyHistogram,
 }
 
 impl ClusterReport {
@@ -827,16 +832,10 @@ impl ClusterReport {
 
     /// The merged served-latency histogram over every shard — the
     /// merged population global percentiles are taken over. Built once
-    /// (a cheap sorted-bin merge of the per-shard histograms, never a
-    /// re-sort of the million-sample population) and memoized.
+    /// at assembly by a cheap sorted-bin merge of the per-shard
+    /// histograms, never a re-sort of the million-sample population.
     pub fn latency_histogram(&self) -> &LatencyHistogram {
-        self.latency_hist.get_or_build(|| {
-            let mut merged = LatencyHistogram::default();
-            for shard in &self.shards {
-                merged.merge(shard.latency_histogram());
-            }
-            merged
-        })
+        &self.latency_hist
     }
 
     /// Global `pct`-th percentile latency in cycles over the merged

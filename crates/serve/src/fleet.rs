@@ -50,8 +50,8 @@ use crate::pipeline::PipelinePlan;
 use crate::policy::{BatchObservation, BatchPolicy, FixedPolicy};
 use crate::queue::RequestQueue;
 use crate::report::{
-    DroppedRequest, FailedRequest, HistogramCell, ModelServeStats, PipelineStageStats,
-    PlanCacheActivity, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
+    DroppedRequest, FailedRequest, LatencyHistogram, ModelServeStats, PipelineStageStats,
+    RequestOutcome, ServeReport, ServedRequest, WorkerStats,
 };
 use crate::scheduler::{
     affinity_lane, earliest_free_lane, DeadlineHeap, PlacementStrategy, ServiceEstimator,
@@ -835,10 +835,11 @@ pub(crate) struct Engine<'a> {
     last_stage_on_lane: Vec<Option<(usize, usize)>>,
     /// Per-`(model, stage)` occupancy accumulators (pipelined mode).
     stage_stats: BTreeMap<(usize, usize), StageStatsAccum>,
-    /// Plan-cache counters at engine start, so the report carries this
+    /// Plan-cache counters at engine start, so a trace carries this
     /// run's delta.
     cache_before: CacheStats,
-    /// Activation-profile-cache counters at engine start.
+    /// Activation-profile-cache counters at engine start, for the same
+    /// trace delta.
     act_cache_before: CacheStats,
     /// Requests tail-dropped per model index.
     dropped_per_model: Vec<u64>,
@@ -2050,6 +2051,9 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let fault = fault_state.map(|f| f.finish(self.makespan)).unwrap_or_default();
+        let latency_hist = LatencyHistogram::collect(
+            self.outcomes.iter().filter_map(RequestOutcome::latency_cycles),
+        );
         let trace = TraceCell::default();
         if let Some(tr) = self.trace.take() {
             let weights = self.fleet.accelerator().plans().stats().since(self.cache_before);
@@ -2084,11 +2088,7 @@ impl<'a> Engine<'a> {
             pipeline_stages,
             per_model,
             fault,
-            plan_cache: PlanCacheActivity::new(
-                self.fleet.accelerator().plans().stats().since(self.cache_before),
-                self.fleet.accelerator().act_profiles().stats().since(self.act_cache_before),
-            ),
-            latency_hist: HistogramCell::default(),
+            latency_hist,
             trace,
         }
     }
@@ -2546,11 +2546,12 @@ mod tests {
         assert!(report.pipeline_stages.iter().any(|s| s.bubble_cycles > 0));
     }
 
-    /// The serving report surfaces the fleet plan cache's hit/miss
-    /// split: on a mixed fleet each DBB arch compiles each model once
-    /// (misses), every later execution hits, and dense lanes bypass.
+    /// A run's cache activity is the diff of the fleet caches' counters
+    /// around the call: on a mixed fleet each DBB arch compiles each
+    /// model once (misses), every later execution hits, and dense
+    /// lanes compile as bypasses.
     #[test]
-    fn report_carries_plan_cache_activity() {
+    fn serve_drives_both_fleet_caches() {
         let models = vec![lenet5()];
         let reqs = WorkloadSpec::uniform(9, 16, 5_000.0, 1).generate();
         // Batch-1 dispatch spreads the stream over every lane, dense
@@ -2558,26 +2559,32 @@ mod tests {
         let fleet =
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]))
                 .with_policy(FixedPolicy::unbatched());
-        let report = fleet.serve(&models, &reqs);
-        assert_eq!(report.plan_cache.misses, 1, "one DBB arch, one model, one compile");
-        assert!(report.plan_cache.hits > 0, "per-batch executions must hit the memo");
-        assert!(report.plan_cache.bypasses > 0, "dense lanes bypass memoization");
-        assert!(report.plan_cache.hit_rate() > 0.5);
+        let (plans, acts) = (fleet.accelerator().plans(), fleet.accelerator().act_profiles());
+        let serve = || {
+            let before = (plans.stats(), acts.stats());
+            fleet.serve(&models, &reqs);
+            (plans.stats().since(before.0), acts.stats().since(before.1))
+        };
+        let (w, a) = serve();
+        assert_eq!(w.misses, 1, "one DBB arch, one model, one compile");
+        assert!(w.hits > 0, "per-batch executions must hit the memo");
+        assert!(w.bypasses > 0, "dense lanes compile as bypasses");
+        assert!(w.hit_rate() > 0.5);
         // The activation-profile cache: every batch simulates once, on
         // its own lane, and every request carries a fresh act seed, so
         // a cold run profiles each (layer, act seed) exactly once — miss
         // only. The cache never bypasses.
-        assert!(report.plan_cache.acts.misses > 0, "cold run must compile profiles");
-        assert_eq!(report.plan_cache.acts.hits, 0, "a cold run never re-profiles an input");
-        assert_eq!(report.plan_cache.acts.bypasses, 0, "every act lookup is memoized");
-        // A second run on the same fleet reports its own delta: plans
-        // and profiles are already warm, so no new compiles on either
-        // cache and the act side goes hits-only (steady state).
-        let again = fleet.serve(&models, &reqs);
-        assert_eq!(again.plan_cache.misses, 0, "warm cache: the delta has no compiles");
-        assert!(again.plan_cache.hits > 0);
-        assert_eq!(again.plan_cache.acts.misses, 0, "warm act cache: no new profiles");
-        assert!(again.plan_cache.acts.hits > again.plan_cache.acts.misses);
+        assert!(a.misses > 0, "cold run must compile profiles");
+        assert_eq!(a.hits, 0, "a cold run never re-profiles an input");
+        assert_eq!(a.bypasses, 0, "every act lookup is memoized");
+        // A second run on the same fleet: plans and profiles are
+        // already warm, so no new compiles on either cache and the act
+        // side goes hits-only (steady state).
+        let (w, a) = serve();
+        assert_eq!((w.misses, w.bypasses), (0, 0), "warm cache: the delta has no compiles");
+        assert!(w.hits > 0);
+        assert_eq!(a.misses, 0, "warm act cache: no new profiles");
+        assert!(a.hits > a.misses);
     }
 
     /// Heterogeneous earliest-free: per-lane stats reflect each lane's
@@ -2744,7 +2751,8 @@ mod tests {
         use crate::fault::{TimelineEvent, WindowEdge};
         let models = vec![lenet5()];
         let reqs = WorkloadSpec::uniform(11, 60, 2_000.0, 1).generate();
-        let base = Fleet::new(ArchKind::S2taAw, 1).serve(&models, &reqs);
+        let base_fleet = Fleet::new(ArchKind::S2taAw, 1);
+        let base = base_fleet.serve(&models, &reqs);
         // Short windows confined to the first half of the run, so each
         // recovery edge is followed by more batches.
         let spec = crash_spec(7, 2, base.makespan_cycles / 2 + 1, base.makespan_cycles / 8 + 1);
@@ -2752,9 +2760,12 @@ mod tests {
         let fleet = Fleet::new(ArchKind::S2taAw, 1).with_faults(FaultConfig::protected(spec));
         let report = fleet.serve(&models, &reqs);
         assert!(report.fault.lane_recoveries > 0, "schedule must include a recovery");
-        let compiles = |r: &ServeReport| r.plan_cache.misses + r.plan_cache.bypasses;
-        assert!(compiles(&base) > 0);
-        assert_eq!(compiles(&report), compiles(&base), "recovery must not recompile plans");
+        let compiles = |f: &Fleet| {
+            let s = f.accelerator().plans().stats();
+            s.misses + s.bypasses
+        };
+        assert!(compiles(&base_fleet) > 0);
+        assert_eq!(compiles(&fleet), compiles(&base_fleet), "recovery must not recompile plans");
 
         for &(_, end) in &windows {
             let first = report

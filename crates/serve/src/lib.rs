@@ -104,7 +104,7 @@ pub use policy::{
 pub use queue::RequestQueue;
 pub use report::{
     DroppedRequest, FailedRequest, FaultStats, LatencyHistogram, ModelServeStats,
-    PipelineStageStats, PlanCacheActivity, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
+    PipelineStageStats, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
 };
 pub use scheduler::{PlacementStrategy, ServiceEstimator};
 pub use timewheel::TimerWheel;

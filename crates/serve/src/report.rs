@@ -1,11 +1,10 @@
 //! The serving report: per-request outcomes and fleet-level metrics.
 
 use crate::trace::{Trace, TraceCell};
-use s2ta_core::{ArchKind, CacheStats};
+use s2ta_core::ArchKind;
 use s2ta_energy::{EnergyBreakdown, TechParams};
 use s2ta_sim::EventCounts;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// One column of a [`render_table`] report table: header label, pad
 /// width, and alignment (mirroring `format!`'s `{:<w}` / `{:>w}`).
@@ -221,7 +220,7 @@ pub(crate) fn nearest_rank(sorted_latencies: &[u64], pct: f64) -> u64 {
 ///
 /// This is the report tier's percentile engine. It is *exact* — a
 /// percentile query walks the bins to the same nearest-rank position
-/// [`nearest_rank`] would find in the fully-sorted sample vector, so
+/// `nearest_rank` would find in the fully-sorted sample vector, so
 /// every answer is an actually-observed latency — and it is *mergeable*:
 /// shard histograms combine bin-by-bin, letting
 /// [`crate::ClusterReport`] compute global percentiles without
@@ -314,45 +313,6 @@ impl LatencyHistogram {
     }
 }
 
-/// A lazily-built [`LatencyHistogram`] memo attached to a report.
-///
-/// Like [`PlanCacheActivity`], the cell is **excluded from report
-/// equality** (memoization state is host-side, never part of a run's
-/// simulated identity) and clones start empty. The memo assumes the
-/// report's outcomes stop changing once the first percentile is
-/// queried — reports are immutable after construction everywhere in
-/// the engine.
-#[derive(Debug, Default)]
-pub struct HistogramCell(OnceLock<LatencyHistogram>);
-
-impl HistogramCell {
-    /// The memoized histogram, building it on first use.
-    pub(crate) fn get_or_build(
-        &self,
-        build: impl FnOnce() -> LatencyHistogram,
-    ) -> &LatencyHistogram {
-        self.0.get_or_init(build)
-    }
-}
-
-impl Clone for HistogramCell {
-    /// Clones start unmemoized (the clone may mutate outcomes before
-    /// its first query).
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for HistogramCell {
-    /// Always `true`: memoization state is a host-side detail (see the
-    /// type docs).
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for HistogramCell {}
-
 /// Per-lane occupancy statistics: which architecture the lane runs,
 /// how busy it was, and the simulated events (hence energy) its
 /// batches produced. In a heterogeneous fleet each lane may run a
@@ -400,58 +360,6 @@ impl WorkerStats {
     /// Energy this lane's batches consumed under `tech`.
     pub fn energy(&self, tech: &TechParams) -> EnergyBreakdown {
         EnergyBreakdown::of(&self.events, tech)
-    }
-}
-
-/// The fleet-wide compile-cache activity one serving run produced, for
-/// **both** host-side memo tables: the
-/// [`s2ta_core::WeightPlanCache`] (W-DBB plan compilation — hits,
-/// compiles, dense bypasses) and the [`s2ta_core::ActProfileCache`]
-/// (activation strip-profile compilation for the matrix-free event
-/// path — every lookup is memoized, so its bypasses are always zero).
-///
-/// **Excluded from report equality.** Two runs with byte-identical
-/// *simulated* results may take different cache paths on the host —
-/// cluster shards racing on shared caches interleave their lookups
-/// differently per driver, and a cache budget evicts and recompiles —
-/// so cache traffic is a host-side diagnostic, not a simulated outcome.
-/// `PartialEq` therefore always answers `true`, keeping the
-/// serial-vs-parallel and bounded-vs-unbounded equivalence guarantees
-/// about what was *computed*, not how it was memoized.
-#[derive(Debug, Clone, Copy, Default, Eq)]
-pub struct PlanCacheActivity {
-    /// The run's weight-plan-cache counter delta (hits / misses /
-    /// dense bypasses). Also reachable through `Deref`, so
-    /// `report.plan_cache.hits` keeps reading the weight-plan side.
-    pub weights: CacheStats,
-    /// The run's activation-profile-cache counter delta.
-    pub acts: CacheStats,
-}
-
-impl PlanCacheActivity {
-    /// Bundles the two cache deltas of one run.
-    pub fn new(weights: CacheStats, acts: CacheStats) -> Self {
-        Self { weights, acts }
-    }
-}
-
-impl std::ops::Deref for PlanCacheActivity {
-    type Target = CacheStats;
-
-    /// The weight-plan counters read straight through
-    /// ([`CacheStats::hits`], [`CacheStats::hit_rate`], ...), keeping
-    /// the pre-existing `report.plan_cache.hits` call sites; the
-    /// activation side is explicit at `plan_cache.acts`.
-    fn deref(&self) -> &CacheStats {
-        &self.weights
-    }
-}
-
-impl PartialEq for PlanCacheActivity {
-    /// Always `true`: cache traffic is a host-side diagnostic (see the
-    /// type docs), never part of a run's simulated identity.
-    fn eq(&self, _other: &Self) -> bool {
-        true
     }
 }
 
@@ -615,6 +523,11 @@ impl FaultStats {
 /// successfully served requests is [`ServeReport::goodput_ips`];
 /// [`ServeReport::throughput_ips`] is its alias kept for the open-loop
 /// no-drop setting where the two coincide.
+///
+/// Equality covers every field except the trace (see [`TraceCell`]).
+/// The report carries no host-side cache counters: a caller that wants
+/// a run's cache activity diffs the fleet caches'
+/// [`stats`](s2ta_core::MemoCache::stats) around the call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Architecture the fleet ran.
@@ -645,12 +558,8 @@ pub struct ServeReport {
     /// fault-free runs; **inside** report equality — see
     /// [`FaultStats`]).
     pub fault: FaultStats,
-    /// Weight-plan-cache activity during this run (host-side
-    /// diagnostic; excluded from equality — see [`PlanCacheActivity`]).
-    pub plan_cache: PlanCacheActivity,
-    /// Memoized served-latency histogram (host-side; excluded from
-    /// equality, empty on clones — see [`HistogramCell`]).
-    pub(crate) latency_hist: HistogramCell,
+    /// The served-latency histogram, built once at report assembly.
+    pub(crate) latency_hist: LatencyHistogram,
     /// The run's observability trace, when a recorder was attached
     /// (excluded from equality, empty on clones — see
     /// [`TraceCell`]).
@@ -723,14 +632,12 @@ impl ServeReport {
         self.latency_histogram().percentile(pct)
     }
 
-    /// The served-latency histogram, built once per report and shared
-    /// by every subsequent percentile query (p50/p95/p99 on a
-    /// million-request report used to re-sort the samples three
+    /// The served-latency histogram, built once when the report is
+    /// assembled and shared by every percentile query (p50/p95/p99 on
+    /// a million-request report used to re-sort the samples three
     /// times). Cluster shards merge through exactly this view.
     pub fn latency_histogram(&self) -> &LatencyHistogram {
-        self.latency_hist.get_or_build(|| {
-            LatencyHistogram::collect(self.served_outcomes().map(ServedRequest::latency_cycles))
-        })
+        &self.latency_hist
     }
 
     /// Latency of the `pct`-th percentile **served** request of the
@@ -748,7 +655,7 @@ impl ServeReport {
     /// Nearest-rank percentile over the served requests `keep` admits
     /// (0 when none match): a fresh filtered histogram per call —
     /// per-model views are queried rarely and over small subsets, so
-    /// only the all-request histogram is memoized.
+    /// only the all-request histogram is kept on the report.
     fn percentile_where(&self, pct: f64, keep: impl Fn(&ServedRequest) -> bool) -> u64 {
         LatencyHistogram::collect(
             self.served_outcomes().filter(|o| keep(o)).map(ServedRequest::latency_cycles),
@@ -1006,6 +913,7 @@ mod tests {
             arch: "TEST".into(),
             policy: "fixed".into(),
             outcomes: latencies.iter().enumerate().map(|(i, &l)| outcome(i as u64, 0, l)).collect(),
+            latency_hist: LatencyHistogram::collect(latencies.iter().copied()),
             batches: latencies.len(),
             workers: vec![WorkerStats {
                 busy_cycles: 50,
@@ -1019,8 +927,6 @@ mod tests {
             pipeline_stages: vec![],
             per_model: vec![],
             fault: FaultStats::default(),
-            plan_cache: PlanCacheActivity::default(),
-            latency_hist: HistogramCell::default(),
             trace: TraceCell::default(),
         }
     }
@@ -1067,8 +973,7 @@ mod tests {
             pipeline_stages: vec![],
             per_model: vec![],
             fault: FaultStats::default(),
-            plan_cache: PlanCacheActivity::default(),
-            latency_hist: HistogramCell::default(),
+            latency_hist: LatencyHistogram::default(),
             trace: TraceCell::default(),
         };
         assert_eq!(r.served_count(), 0);
@@ -1114,8 +1019,7 @@ mod tests {
             pipeline_stages: vec![],
             per_model: vec![],
             fault: FaultStats::default(),
-            plan_cache: PlanCacheActivity::default(),
-            latency_hist: HistogramCell::default(),
+            latency_hist: LatencyHistogram::default(),
             trace: TraceCell::default(),
         };
         assert_eq!(r.p50_cycles(), 0);
@@ -1232,17 +1136,6 @@ mod tests {
             proptest::prop_assert_eq!(hist.percentile(pct), nearest_rank(&sorted, pct));
             proptest::prop_assert_eq!(hist.total(), sorted.len() as u64);
         }
-    }
-
-    #[test]
-    fn histogram_cell_is_equality_neutral_and_clone_fresh() {
-        let r = report(&[10, 20, 30]);
-        let before = r.clone();
-        assert_eq!(r.latency_histogram().total(), 3);
-        // Building the memo changes nothing observable.
-        assert_eq!(r, before);
-        // Clones drop the memo and rebuild consistently.
-        assert_eq!(r.clone().latency_histogram(), r.latency_histogram());
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl<K: Ord + Copy> TimerWheel<K> {
     /// Exactness: every due entry is at or before the cursor and every
     /// wheel entry strictly after it, so a non-empty due heap already
     /// holds the global minimum. Otherwise the scan mirrors
-    /// [`TimerWheel::make_due`] — the lowest level with an occupied
+    /// `TimerWheel::make_due` — the lowest level with an occupied
     /// slot ahead of the cursor holds the nearest times, and within
     /// that first slot the minimum entry time is the answer (at level
     /// 0 all entries in a slot share one time).

@@ -11,10 +11,11 @@
 //!   functions of the simulated run — the serial and shard-parallel
 //!   cluster drivers produce byte-identical traces, and running the
 //!   same scenario twice reproduces the trace exactly.
-//! * **Host-side** (excluded from [`Trace`] equality, like
-//!   [`crate::PlanCacheActivity`]): shared-cache counter samples
-//!   ([`CacheSample`] — shards race on the cluster-wide plan caches,
-//!   so deltas depend on host interleaving) and wall-clock
+//! * **Host-side** (excluded from [`Trace`] equality): shared-cache
+//!   counter samples ([`CacheSample`] — shards race on the
+//!   cluster-wide plan caches, so deltas depend on host interleaving,
+//!   and under shared caches each shard's delta also counts the other
+//!   shards' lookups) and wall-clock
 //!   [`HostSpan`] accumulators around plan compilation / pipeline
 //!   calibration / engine advance.
 //!
@@ -346,8 +347,7 @@ impl HostSpans {
 /// `PartialEq` covers only the **deterministic** halves — config,
 /// events, overflow tally, metrics samples, per-model series and model
 /// names. Host-side cache samples and wall-clock spans are excluded,
-/// exactly like [`crate::PlanCacheActivity`] on the report itself, so
-/// trace equality is a statement about the simulated run.
+/// so trace equality is a statement about the simulated run.
 #[derive(Debug, Clone)]
 pub struct Trace {
     pub(crate) config: TraceConfig,
@@ -677,12 +677,12 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
-/// The finished [`Trace`] memo attached to a report.
+/// The finished [`Trace`] attached to a report.
 ///
-/// Like the report's latency-histogram memo cell, the cell is
-/// **excluded from report
-/// equality** (so attaching a recorder changes no byte of any report
-/// comparison) and clones start empty.
+/// The one report field **excluded from report equality**, so
+/// attaching a recorder changes no byte of any report comparison (the
+/// traced-vs-untraced guarantees in the test suite rest on it). Clones
+/// start empty: a trace describes one concrete run.
 #[derive(Debug, Default)]
 pub struct TraceCell(OnceLock<Trace>);
 

@@ -62,7 +62,7 @@ impl std::fmt::Display for SmtConfig {
     }
 }
 
-/// Reusable backing storage for [`TileTiming::simulate`], so the
+/// Reusable backing storage for `TileTiming::simulate`, so the
 /// sampled-timing loop allocates nothing in steady state: `arrivals`
 /// and `queues` keep their capacity across tiles, columns and calls.
 /// Contents are overwritten per use and never carry information

@@ -16,9 +16,25 @@
 //! earliest-free on both p99 latency and energy per inference on this
 //! workload, and cache budgets must never leak into simulated results.
 
+use s2ta::core::CacheStats;
 use s2ta::energy::TechParams;
-use s2ta::serve::{DiurnalSpec, Fleet, PlacementStrategy, RateSegment, ServeReport};
+use s2ta::models::ModelSpec;
+use s2ta::serve::{DiurnalSpec, Fleet, PlacementStrategy, RateSegment, Request, ServeReport};
 use s2ta_bench::hetero_scenario;
+
+/// Serves `requests` on `fleet`, diffing the fleet's shared caches
+/// around the call: the report plus the run's weight-plan and
+/// activation-profile counter deltas.
+fn serve(
+    fleet: &Fleet,
+    models: &[ModelSpec],
+    requests: &[Request],
+) -> (ServeReport, CacheStats, CacheStats) {
+    let (plans, acts) = (fleet.accelerator().plans(), fleet.accelerator().act_profiles());
+    let before = (plans.stats(), acts.stats());
+    let report = fleet.serve(models, requests);
+    (report, plans.stats().since(before.0), acts.stats().since(before.1))
+}
 
 fn main() {
     let tech = TechParams::tsmc16();
@@ -36,8 +52,9 @@ fn main() {
     println!();
 
     let mk = || Fleet::from_spec(fleet_spec.clone()).with_policy(policy);
-    let earliest_free = mk().serve(&models, &requests);
-    let affinity = mk().with_placement(PlacementStrategy::Affinity).serve(&models, &requests);
+    let (earliest_free, ef_plans, ef_acts) = serve(&mk(), &models, &requests);
+    let (affinity, af_plans, af_acts) =
+        serve(&mk().with_placement(PlacementStrategy::Affinity), &models, &requests);
 
     for (name, report) in [("earliest-free", &earliest_free), ("affinity", &affinity)] {
         println!("placement: {name}");
@@ -67,16 +84,16 @@ fn main() {
     let _ = ServeReport::cycles_to_ms(&tech, affinity.p99_cycles());
     println!("affinity placement beats earliest-free on p99 and energy: OK");
 
-    // Plan-cache effectiveness must be visible on the report: the one
-    // DBB architecture (S2TA-AW) compiles each of the two models
+    // Plan-cache effectiveness must be visible in the run's counters:
+    // the one DBB architecture (S2TA-AW) compiles each of the two models
     // exactly once (a miss each), every later execution hits the
     // shared memo, and the dense SA-ZVCG lanes are memoized too —
     // their compiles count as bypasses (no DBB pruning pipeline ran)
     // and their warm lookups as hits, so the bypass counter freezes
     // once the fleet is warm. The activation-profile cache (the
     // matrix-free event path's operand memo) rides alongside.
-    for (name, report) in [("earliest-free", &earliest_free), ("affinity", &affinity)] {
-        let cache = report.plan_cache;
+    let runs = [("earliest-free", ef_plans, ef_acts), ("affinity", af_plans, af_acts)];
+    for (name, cache, acts) in runs {
         println!(
             "{name}: plan cache {} hits / {} misses / {} bypasses ({:.0}% hit rate); \
              act profiles {} hits / {} misses",
@@ -84,22 +101,20 @@ fn main() {
             cache.misses,
             cache.bypasses,
             cache.hit_rate() * 100.0,
-            cache.acts.hits,
-            cache.acts.misses,
+            acts.hits,
+            acts.misses,
         );
         assert_eq!(cache.misses, 2, "{name}: one compile per (DBB arch, model)");
         assert!(cache.hits > cache.misses, "{name}: the memo must be doing real work");
         assert!(cache.bypasses > 0, "{name}: cold dense-lane plans compile as bypasses");
-        assert!(cache.acts.misses > 0, "{name}: cold run compiles act profiles");
-        assert_eq!(cache.acts.bypasses, 0, "{name}: every act lookup is memoized");
-    }
-    // Every batch simulates once, on the lane it was placed on, and
-    // every request carries a fresh input: a cold run profiles each
-    // (layer, act seed) once, so it is miss-only on activation
-    // profiles under either placement. Reuse shows up in the
-    // steady-state re-serve below.
-    for (name, report) in [("earliest-free", &earliest_free), ("affinity", &affinity)] {
-        assert_eq!(report.plan_cache.acts.hits, 0, "{name}: a cold run never re-profiles");
+        assert!(acts.misses > 0, "{name}: cold run compiles act profiles");
+        assert_eq!(acts.bypasses, 0, "{name}: every act lookup is memoized");
+        // Every batch simulates once, on the lane it was placed on,
+        // and every request carries a fresh input: a cold run profiles
+        // each (layer, act seed) once, so it is miss-only on activation
+        // profiles under either placement. Reuse shows up in the
+        // steady-state re-serve below.
+        assert_eq!(acts.hits, 0, "{name}: a cold run never re-profiles");
     }
     println!("fleet-wide weight-plan cache is effective: OK");
 
@@ -108,19 +123,18 @@ fn main() {
     // the bypass counter has stopped moving: the dense plans compiled
     // on the first batch are warm, so every dense lookup is now a hit.
     let warm_fleet = mk();
-    let cold = warm_fleet.serve(&models, &requests);
-    assert!(cold.plan_cache.bypasses > 0, "cold serve compiles the dense plans");
-    let steady = warm_fleet.serve(&models, &requests);
-    let cache = steady.plan_cache;
+    let (_, cold, _) = serve(&warm_fleet, &models, &requests);
+    assert!(cold.bypasses > 0, "cold serve compiles the dense plans");
+    let (_, cache, acts) = serve(&warm_fleet, &models, &requests);
     println!(
         "steady-state re-serve: plan cache {} hits / {} misses / {} bypasses; \
          act profiles {} hits / {} misses",
-        cache.hits, cache.misses, cache.bypasses, cache.acts.hits, cache.acts.misses,
+        cache.hits, cache.misses, cache.bypasses, acts.hits, acts.misses,
     );
     assert_eq!(cache.misses, 0, "steady: no new weight-plan compiles");
     assert_eq!(cache.bypasses, 0, "steady: dense lookups are cache hits, not recompiles");
-    assert_eq!(cache.acts.misses, 0, "steady: no new act-profile compiles");
-    assert!(cache.acts.hits > cache.acts.misses, "steady: act cache is all hits");
+    assert_eq!(acts.misses, 0, "steady: no new act-profile compiles");
+    assert!(acts.hits > acts.misses, "steady: act cache is all hits");
     assert!(cache.hits > cache.misses, "steady: plan cache is all hits");
     println!("fleet-wide plan + activation-profile caches are effective: OK");
 
@@ -135,8 +149,8 @@ fn main() {
     // recompiles and evictions.
     // Evicted entries recompile byte-identically on next use: a
     // budget changes host time and the cache counters, never
-    // simulated results (`ServeReport` equality excludes the cache
-    // diagnostics precisely so this assert is exact). Monolithic
+    // simulated results (the report carries no cache counters, so
+    // this assert is exact). Monolithic
     // serving simulates on the calling thread, so the LRU touch order,
     // and with it the counters themselves, are deterministic.
     let zoo_requests = DiurnalSpec {
@@ -153,27 +167,26 @@ fn main() {
         .with_policy(policy)
         .with_cache_budgets(160 << 10, 1 << 18);
     let _warm = bounded_fleet.serve(&models, &zoo_requests);
-    let bounded = bounded_fleet.serve(&models, &zoo_requests);
+    let (bounded, cache, acts) = serve(&bounded_fleet, &models, &zoo_requests);
     assert_eq!(bounded, unbounded, "a cache budget must never change simulated results");
-    let cache = bounded.plan_cache;
     println!(
         "steady-state under budget: plan cache {} hits / {} misses / {} evictions; \
          act profiles {} hits / {} misses / {} evictions ({} bytes evicted)",
         cache.hits,
         cache.misses,
         cache.evictions,
-        cache.acts.hits,
-        cache.acts.misses,
-        cache.acts.evictions,
-        cache.acts.bytes_evicted,
+        acts.hits,
+        acts.misses,
+        acts.evictions,
+        acts.bytes_evicted,
     );
     assert!(cache.evictions > 0, "a plan budget below the two-plan zoo must evict");
     assert!(cache.hits > 0, "runs of same-model batches still reuse the resident plan");
-    assert!(cache.acts.evictions > 0, "an act budget below the zoo must evict act profiles");
-    assert!(cache.acts.bytes_evicted > 0, "evictions must release bytes");
-    assert!(cache.acts.hits > cache.acts.misses, "hot-model act profiles must stay resident");
+    assert!(acts.evictions > 0, "an act budget below the zoo must evict act profiles");
+    assert!(acts.bytes_evicted > 0, "evictions must release bytes");
+    assert!(acts.hits > acts.misses, "hot-model act profiles must stay resident");
     assert!(
-        cache.hits + cache.acts.hits > cache.misses + cache.acts.misses,
+        cache.hits + acts.hits > cache.misses + acts.misses,
         "bounded steady state: hits must dominate misses across the caches"
     );
     println!("bounded caches evict under pressure and stay byte-identical: OK");

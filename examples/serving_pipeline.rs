@@ -19,7 +19,7 @@
 
 use s2ta::core::ArchKind;
 use s2ta::energy::TechParams;
-use s2ta::serve::ServeReport;
+use s2ta::serve::{Fleet, ServeReport};
 use s2ta_bench::pipeline_scenario;
 
 fn main() {
@@ -41,10 +41,18 @@ fn main() {
     );
     println!();
 
-    let monolithic = pipeline_scenario::monolithic_fleet().serve(&models, &requests);
-    let pipelined = pipeline_scenario::pipelined_fleet().serve(&models, &requests);
+    // Each fleet is fresh, so its plan-cache counters after the run are
+    // exactly the run's activity.
+    let monolithic_fleet = pipeline_scenario::monolithic_fleet();
+    let pipelined_fleet = pipeline_scenario::pipelined_fleet();
+    let monolithic = monolithic_fleet.serve(&models, &requests);
+    let pipelined = pipelined_fleet.serve(&models, &requests);
+    let plans = |fleet: &Fleet| fleet.accelerator().plans().stats();
 
-    for (name, report) in [("monolithic (earliest-free)", &monolithic), ("pipelined", &pipelined)] {
+    for (name, report, fleet) in [
+        ("monolithic (earliest-free)", &monolithic, &monolithic_fleet),
+        ("pipelined", &pipelined, &pipelined_fleet),
+    ] {
         println!("placement: {name}");
         print!("{}", report.summary(&tech));
         print!("{}", report.lane_breakdown(&tech));
@@ -53,12 +61,13 @@ fn main() {
             println!("  pipeline stages:");
             print!("{stages}");
         }
+        let cache = plans(fleet);
         println!(
             "  plan cache: {} hits / {} misses / {} dense bypasses ({:.0}% hit rate)",
-            report.plan_cache.hits,
-            report.plan_cache.misses,
-            report.plan_cache.bypasses,
-            report.plan_cache.hit_rate() * 100.0
+            cache.hits,
+            cache.misses,
+            cache.bypasses,
+            cache.hit_rate() * 100.0
         );
         println!();
     }
@@ -85,10 +94,8 @@ fn main() {
     let archs: std::collections::HashSet<ArchKind> =
         pipelined.pipeline_stages.iter().map(|s| s.arch).collect();
     assert!(archs.len() >= 2, "the stage map must span both architectures");
-    assert!(
-        pipelined.plan_cache.hits > 0 && pipelined.plan_cache.misses >= 1,
-        "the shared plan cache must be exercised"
-    );
+    let cache = plans(&pipelined_fleet);
+    assert!(cache.hits > 0 && cache.misses >= 1, "the shared plan cache must be exercised");
     let _ = ServeReport::cycles_to_ms(&tech, pipelined.p99_cycles());
     println!("layer pipeline beats monolithic placement on p99 at equal throughput: OK");
 }

@@ -9,7 +9,7 @@
 //! panic. Unlike the real crate there is **no shrinking** — the first
 //! failing case is reported as-is — and strategies are limited to the
 //! ones the workspace uses: numeric ranges, [`arbitrary::any`], [`Just`]
-//! and [`collection::vec`](crate::collection::vec).
+//! and [`collection::vec`].
 //!
 //! Case generation is deterministic per test (seeded from the test's
 //! module path and name), so failures reproduce across runs.
@@ -200,7 +200,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         element: S,
