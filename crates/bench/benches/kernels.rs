@@ -81,8 +81,8 @@ fn bench_gen_acts(c: &mut Criterion) {
 
 fn bench_dap_col_profile(c: &mut Criterion) {
     let a = conv2_acts(0.5).gen_acts(7);
-    c.bench_function("dap_col_profile 288x256 top4 strip64", |b| {
-        b.iter(|| black_box(dap_col_profile(black_box(&a), 8, LayerNnz::Prune(4), 64)))
+    c.bench_function("dap_col_profile 288x256 top4", |b| {
+        b.iter(|| black_box(dap_col_profile(black_box(&a), 8, LayerNnz::Prune(4))))
     });
 }
 

@@ -3,8 +3,8 @@
 //!
 //! [`Accelerator::run_stage_events`] is documented to allocate nothing
 //! once the plan cache, activation-profile cache, and the caller's
-//! [`Scratch`] arena are warm: strip profiles live in flat buffers
-//! behind `OnceLock`s, the SMT path regenerates activations into the
+//! [`Scratch`] arena are warm: per-position profiles are plain cached
+//! tally vectors, the SMT path regenerates activations into the
 //! arena's recycled buffer, and events are summed without building
 //! per-layer report vectors. This test pins that claim with a global
 //! counting allocator — warm the caches with two batches, then assert
@@ -111,31 +111,33 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
     }
 }
 
-/// One compile per activation profile: with a warm arena, the first
-/// side asked of a cold [`ActProfileCache`] entry generates the matrix
-/// into the arena and tallies both sides in one pass, so it allocates
-/// exactly the entry's two tally vectors (raw and post-DAP); the other
-/// side is then already compiled and allocates nothing — no second
-/// generation.
+/// One compile per activation profile: with a warm arena, a cold
+/// [`ActProfileCache`] lookup generates the matrix into the arena and
+/// tallies both sides in one pass, so it allocates exactly the memo
+/// entry's compile slot, the entry's two `K`-length tally vectors (raw
+/// and post-DAP) and the shared value; the next lookup of the key
+/// allocates nothing, both sides included — no second generation.
 #[test]
 fn cold_profile_compiles_both_sides_at_once() {
     let model = cifar10_convnet();
     let layer = &model.layers[1];
-    let (strip_cols, bz, adbb) = (64, 8, LayerNnz::Prune(4)); // SA / S2TA-AW tiles
+    let (bz, adbb) = (8, LayerNnz::Prune(4));
     let cache = ActProfileCache::new();
     let mut scratch = Scratch::new();
-    // Warm the arena on another entry of the same shape.
-    cache.get_or_profile(layer, SEED, strip_cols, bz, adbb).dense_with(&mut scratch);
-    let cold = cache.get_or_profile(layer, SEED + 1, strip_cols, bz, adbb);
+    // Warm the arena (and the table's first allocation) on another
+    // entry of the same shape.
+    cache.get_or_profile(layer, SEED, bz, adbb, &mut scratch);
 
     let before = allocs_here();
-    std::hint::black_box(cold.dense_with(&mut scratch));
+    let cold = cache.get_or_profile(layer, SEED + 1, bz, adbb, &mut scratch);
     let compile = allocs_here() - before;
     let before = allocs_here();
-    std::hint::black_box(cold.postdap());
-    let second_side = allocs_here() - before;
-    assert_eq!(compile, 2, "a cold compile allocates only its two tally vectors");
-    assert_eq!(second_side, 0, "the second side must come from the same compile");
+    let warm = cache.get_or_profile(layer, SEED + 1, bz, adbb, &mut scratch);
+    std::hint::black_box((warm.dense(), warm.postdap()));
+    let second_lookup = allocs_here() - before;
+    assert_eq!(cold.dense().counts().len(), layer.gemm.k, "one tally per reduction position");
+    assert_eq!(compile, 4, "slot, two tally vectors and the shared value");
+    assert_eq!(second_lookup, 0, "both sides come from the one compile");
 }
 
 /// The activation generator sizes its buffer exactly: a cold compile
@@ -146,8 +148,7 @@ fn cold_compile_retains_exactly_one_activation_matrix() {
     let model = cifar10_convnet();
     let layer = &model.layers[1]; // conv2: K 288 x N 256
     let mut scratch = Scratch::new();
-    let cold = ActProfileCache::new().get_or_profile(layer, SEED, 64, 8, LayerNnz::Prune(4));
-    std::hint::black_box(cold.dense_with(&mut scratch));
+    ActProfileCache::new().get_or_profile(layer, SEED, 8, LayerNnz::Prune(4), &mut scratch);
     assert_eq!(scratch.retained_bytes(), layer.gemm.k * layer.gemm.n);
 }
 

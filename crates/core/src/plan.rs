@@ -15,8 +15,8 @@
 //!   every clone of an [`Accelerator`] and by the serving fleet's
 //!   workers (`s2ta-serve`).
 //! * [`ActProfile`] / [`ActProfileCache`] — the activation-side
-//!   counterpart: compiled strip profiles of one request's activation
-//!   input, memoized the same way.
+//!   counterpart: the compiled per-position non-zero profiles of one
+//!   request's activation input, memoized the same way.
 //!
 //! Both caches are instances of the one generic [`MemoCache`]; this
 //! module supplies only their keys and compile recipes. Planned runs
@@ -29,10 +29,10 @@ use crate::{Accelerator, ArchConfig, ArchKind, LayerReport};
 use s2ta_dbb::dap::{dap_col_profile, DapEvents, LayerNnz};
 use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
-use s2ta_sim::{ColStripProfile, RowStripProfile};
+use s2ta_sim::{ActivationProfile, WeightProfile};
 use s2ta_tensor::Matrix;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Weights compiled for a specific architecture: dense architectures
 /// keep the raw matrix, DBB architectures store the pruned + compressed
@@ -73,11 +73,11 @@ pub struct LayerPlan {
     /// DRAM bytes one weight transfer costs (compressed estimate for
     /// DBB architectures, matching the runner's memory-bound clamp).
     pub(crate) dma_weight_bytes: u64,
-    /// Row-strip non-zero profile of the (effective, post-pruning)
-    /// weights at the architecture's tile height — a pure function of
-    /// the compiled weights, baked in here so the matrix-free event
-    /// path never re-derives (or re-decompresses) it per request.
-    pub(crate) wprofile: RowStripProfile,
+    /// Per-position non-zero profile of the (effective, post-pruning)
+    /// weights — a pure function of the compiled weights, baked in here
+    /// so the matrix-free event path never re-derives (or
+    /// re-decompresses) it per request.
+    pub(crate) wprofile: WeightProfile,
 }
 
 impl LayerPlan {
@@ -96,9 +96,8 @@ impl LayerPlan {
         self.dma_weight_bytes
     }
 
-    /// The compiled weights' row-strip non-zero profile (strip height =
-    /// the compiling architecture's output-tile rows).
-    pub fn weight_profile(&self) -> &RowStripProfile {
+    /// The compiled weights' per-position non-zero profile.
+    pub fn weight_profile(&self) -> &WeightProfile {
         &self.wprofile
     }
 }
@@ -137,7 +136,7 @@ impl ModelPlan {
 
     /// A deterministic estimate of the plan's resident bytes: per
     /// layer, the weight storage (raw bytes for dense plans, compressed
-    /// DBB storage otherwise) plus the baked-in row-strip profile's
+    /// DBB storage otherwise) plus the baked-in weight profile's `K`
     /// `u32` counts. This is the unit [`WeightPlanCache`] byte budgets
     /// are accounted in — a pure function of the compiled shapes, so
     /// budget accounting can never vary with host timing.
@@ -149,9 +148,7 @@ impl ModelPlan {
                     PlannedWeights::Dense(m) => m.len() as u64,
                     PlannedWeights::Dbb(d) => d.storage_bytes() as u64,
                 };
-                let profile: u64 =
-                    (0..l.wprofile.strips()).map(|s| l.wprofile.strip(s).len() as u64 * 4).sum();
-                weights + profile
+                weights + std::mem::size_of_val(l.wprofile.counts()) as u64
             })
             .sum()
     }
@@ -352,143 +349,76 @@ fn layer_act_fingerprint(layer: &LayerSpec) -> u64 {
     h
 }
 
-// (layer activation fingerprint, act seed, column-strip width, DBB
-// block size, A-DBB decision)
-type ActKey = (u64, u64, usize, usize, LayerNnz);
+// (layer activation fingerprint, act seed, DBB block size, A-DBB
+// decision)
+type ActKey = (u64, u64, usize, LayerNnz);
 
 /// The post-DAP side of an [`ActProfile`]: the pruned activation's
-/// column-strip profile plus the DAP decision and its hardware events.
-#[derive(Debug, Clone)]
+/// per-position profile plus the DAP decision and its hardware events.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PostDapProfile {
-    pub(crate) profile: ColStripProfile,
+    pub(crate) profile: ActivationProfile,
     /// The DBB configuration DAP compresses under at this `(bz, adbb)`.
     pub(crate) config: DbbConfig,
     /// DAP hardware events of the pruning pass.
     pub(crate) events: DapEvents,
 }
 
-/// Both compiled sides of an [`ActProfile`].
-#[derive(Debug)]
-struct ActSides {
-    dense: ColStripProfile,
+/// The compiled activation-side operand state for one `(layer, act
+/// seed)` under one `(bz, adbb)` scope: everything the matrix-free
+/// event paths need, with the dense `K x N` matrix itself discarded
+/// after profiling.
+///
+/// Both sides come from one pass of the fused `dap_col_profile` kernel
+/// over one generated activation matrix: the raw-activation profile
+/// (read by the dense-activation datapaths: SA, SA-ZVCG, SA-SMT,
+/// S2TA-W) and the post-DAP profile (read by the A-DBB datapath,
+/// S2TA-AW), one `u16` tally per reduction position each. Neither
+/// depends on the array's tiling, so lanes of every geometry that
+/// share a `(bz, adbb)` scope share the entry, each reading its side.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ActProfile {
+    dense: ActivationProfile,
     postdap: PostDapProfile,
 }
 
-/// The compiled activation-side operand state for one `(layer, act
-/// seed)` under one `(strip width, bz, adbb)` scope: everything the
-/// matrix-free event paths need, with the dense `K x N` matrix itself
-/// discarded after profiling.
-///
-/// Both sides compile **together, once, on first use** (a blocking
-/// `OnceLock::get_or_init`, so concurrent users compute them exactly
-/// once): one activation generation feeds one pass of the fused
-/// `dap_col_profile` kernel, which tallies the raw-activation profile
-/// (read by the dense-activation datapaths: SA, SA-ZVCG, SA-SMT,
-/// S2TA-W) and the post-DAP profile (read by the A-DBB datapath,
-/// S2TA-AW) side by side. Whichever side a lane asks for first, the
-/// other is then free, so lanes that share a cache key (the SA baseline
-/// and S2TA-AW tile identically) never regenerate the matrix.
-#[derive(Debug)]
-pub struct ActProfile {
-    /// The generating layer plus the scope parameters — the recipe the
-    /// compile regenerates the activation matrix from.
-    layer: LayerSpec,
-    act_seed: u64,
-    strip_cols: usize,
-    bz: usize,
-    adbb: LayerNnz,
-    sides: OnceLock<ActSides>,
-}
-
 impl ActProfile {
-    fn new(layer: LayerSpec, act_seed: u64, strip_cols: usize, bz: usize, adbb: LayerNnz) -> Self {
-        Self { layer, act_seed, strip_cols, bz, adbb, sides: OnceLock::new() }
-    }
-
-    /// The profiled activation's `(K, N)` shape.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.layer.gemm.k, self.layer.gemm.n)
-    }
-
-    /// The entry's resident tally bytes once compiled: two column-strip
-    /// profiles of `ceil(N / strip_cols)` strips × `K` `u16` counts
-    /// each. The unit [`ActProfileCache`] byte budgets are accounted in —
-    /// known before the compile, so budget accounting can never vary
-    /// with host timing.
-    pub fn approx_bytes(&self) -> u64 {
-        let (k, n) = self.shape();
-        2 * n.div_ceil(self.strip_cols) as u64 * k as u64 * std::mem::size_of::<u16>() as u64
-    }
-
-    /// Both sides of `acts`, this entry's activation matrix: one pass of
-    /// the fused raw + DAP tally kernel.
-    fn compile(&self, acts: &Matrix) -> ActSides {
-        let dap = dap_col_profile(acts, self.bz, self.adbb, self.strip_cols);
-        ActSides {
-            dense: ColStripProfile::from_flat(dap.raw, dap.strips, dap.k),
+    /// Profiles `acts` under the `(bz, adbb)` DAP scope: one pass of the
+    /// fused raw + DAP tally kernel.
+    fn new(acts: &Matrix, bz: usize, adbb: LayerNnz) -> Self {
+        let dap = dap_col_profile(acts, bz, adbb);
+        Self {
+            dense: ActivationProfile::from_counts(dap.raw),
             postdap: PostDapProfile {
-                profile: ColStripProfile::from_flat(dap.counts, dap.strips, dap.k),
+                profile: ActivationProfile::from_counts(dap.counts),
                 config: dap.config,
                 events: dap.events,
             },
         }
     }
 
-    /// Both sides, compiled on first use from a freshly generated matrix.
-    fn sides(&self) -> &ActSides {
-        self.sides.get_or_init(|| self.compile(&self.layer.gen_acts(self.act_seed)))
+    /// The entry's resident tally bytes: two profiles of `K` `u16`
+    /// counts. The unit [`ActProfileCache`] byte budgets are accounted
+    /// in — a pure function of the layer shape, so budget accounting
+    /// can never vary with host timing.
+    pub fn approx_bytes(&self) -> u64 {
+        (std::mem::size_of_val(self.dense.counts())
+            + std::mem::size_of_val(self.postdap.profile.counts())) as u64
     }
 
-    /// Both sides, compiled on first use from a matrix generated into
-    /// `scratch`'s recycled buffer (handed back afterwards).
-    fn sides_with(&self, scratch: &mut Scratch) -> &ActSides {
-        self.sides.get_or_init(|| {
-            let acts = self.layer.gen_acts_into(self.act_seed, std::mem::take(&mut scratch.acts));
-            let sides = self.compile(&acts);
-            scratch.acts = acts.into_data();
-            sides
-        })
+    /// Per-position profile of the raw activation.
+    pub fn dense(&self) -> &ActivationProfile {
+        &self.dense
     }
 
-    /// Column-strip profile of the raw activation (one generation and
-    /// one fused profiling pass for both sides, ever).
-    pub fn dense(&self) -> &ColStripProfile {
-        &self.sides().dense
-    }
-
-    /// Like [`ActProfile::dense`], but compiles from `acts` — the
-    /// caller's already-materialized copy of this entry's activation
-    /// matrix — when the entry is cold, skipping the regeneration. Used
-    /// by the SMT path, which needs the matrix for its sampled FIFO
-    /// timing anyway.
-    pub(crate) fn dense_from(&self, acts: &Matrix) -> &ColStripProfile {
-        debug_assert_eq!((acts.rows(), acts.cols()), self.shape());
-        &self.sides.get_or_init(|| self.compile(acts)).dense
-    }
-
-    /// Column-strip profile of the DAP-pruned activation, derived
-    /// without materializing the pruned matrix (same single compile as
-    /// [`ActProfile::dense`]).
-    pub fn postdap(&self) -> &ColStripProfile {
-        &self.postdap_side().profile
+    /// Per-position profile of the DAP-pruned activation, derived
+    /// without materializing the pruned matrix.
+    pub fn postdap(&self) -> &ActivationProfile {
+        &self.postdap.profile
     }
 
     pub(crate) fn postdap_side(&self) -> &PostDapProfile {
-        &self.sides().postdap
-    }
-
-    /// Like [`ActProfile::dense`], but a cold compile stages the
-    /// regenerated activation matrix in `scratch` (returning the
-    /// storage afterwards), so with a warm arena a cold compile
-    /// allocates only its two tally vectors and a warm lookup nothing.
-    pub fn dense_with(&self, scratch: &mut Scratch) -> &ColStripProfile {
-        &self.sides_with(scratch).dense
-    }
-
-    /// [`ActProfile::postdap_side`] through a [`Scratch`] arena, as
-    /// [`ActProfile::dense_with`].
-    pub(crate) fn postdap_side_with(&self, scratch: &mut Scratch) -> &PostDapProfile {
-        &self.sides_with(scratch).postdap
+        &self.postdap
     }
 }
 
@@ -496,45 +426,73 @@ impl ActProfile {
 /// analog of [`WeightPlanCache`].
 ///
 /// Activations are a pure function of `(layer, act seed)`, and their
-/// strip profiles additionally of the array's column-strip width and
-/// the `(bz, adbb)` DAP scope — all host-knowable, so each entry's two
-/// sides (raw and post-DAP) are compiled **once**, together, and every
-/// re-simulation of the same request (hedged duplicates on a second
-/// lane, pipeline calibration probes, warm/cold residency variants that
-/// differ only in DMA accounting) replays them without regenerating,
-/// pruning or profiling the dense matrix. Shared fleet-wide like the
-/// weight-plan cache: lanes whose geometries agree on `(tile_cols, bz)`
-/// — e.g. the paper's SA baseline and S2TA-AW design points — share
-/// entries even across architecture kinds, each reading its own side.
-/// Byte budgets are accounted in [`ActProfile::approx_bytes`].
+/// profiles additionally of the `(bz, adbb)` DAP scope — all
+/// host-knowable, so each entry's two sides (raw and post-DAP) are
+/// compiled **once**, together, and every re-simulation of the same
+/// request (hedged duplicates on a second lane, pipeline calibration
+/// probes, warm/cold residency variants that differ only in DMA
+/// accounting) replays them without regenerating, pruning or profiling
+/// the dense matrix. Shared fleet-wide like the weight-plan cache: the
+/// profiles do not depend on tile shapes, so lanes of every
+/// architecture kind with the same block size share entries, each
+/// reading its own side. Byte budgets are accounted in
+/// [`ActProfile::approx_bytes`].
 pub type ActProfileCache = MemoCache<ActKey, ActProfile>;
 
 impl ActProfileCache {
     /// Returns the cached profile for `(layer, act_seed)` under the
-    /// `(strip_cols, bz, adbb)` scope, creating the entry on first use
-    /// (entry creation is cheap — both profile sides compile together on
-    /// first side use, see [`ActProfile`]). Every lookup is memoized, so
-    /// `bypasses` stays zero.
+    /// `(bz, adbb)` scope. A miss generates the activation matrix into
+    /// `scratch`'s recycled buffer (handed back afterwards) and
+    /// profiles it, so with a warm arena a miss allocates only the
+    /// entry and its two tally vectors, and a hit nothing. Every lookup
+    /// is memoized, so `bypasses` stays zero.
     ///
     /// # Panics
     ///
-    /// Panics if `strip_cols` or `bz` is zero, or `strip_cols` is above
-    /// `u16::MAX` (on first side use).
+    /// Panics if `bz` is zero or the layer's activation has more than
+    /// `u16::MAX` columns.
     pub fn get_or_profile(
         &self,
         layer: &LayerSpec,
         act_seed: u64,
-        strip_cols: usize,
         bz: usize,
         adbb: LayerNnz,
+        scratch: &mut Scratch,
     ) -> Arc<ActProfile> {
-        let key = (layer_act_fingerprint(layer), act_seed, strip_cols, bz, adbb);
-        self.get_or_compile(
-            key,
-            false,
-            || ActProfile::new(layer.clone(), act_seed, strip_cols, bz, adbb),
-            ActProfile::approx_bytes,
-        )
+        self.lookup(layer, act_seed, bz, adbb, || {
+            let acts = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
+            let profile = ActProfile::new(&acts, bz, adbb);
+            scratch.acts = acts.into_data();
+            profile
+        })
+    }
+
+    /// Like [`ActProfileCache::get_or_profile`], but a miss profiles
+    /// `acts` — the caller's already-materialized copy of this entry's
+    /// activation matrix — instead of regenerating it. Used by the SMT
+    /// path, which needs the matrix for its sampled FIFO timing anyway.
+    pub(crate) fn get_or_profile_from(
+        &self,
+        layer: &LayerSpec,
+        act_seed: u64,
+        bz: usize,
+        adbb: LayerNnz,
+        acts: &Matrix,
+    ) -> Arc<ActProfile> {
+        debug_assert_eq!((acts.rows(), acts.cols()), (layer.gemm.k, layer.gemm.n));
+        self.lookup(layer, act_seed, bz, adbb, || ActProfile::new(acts, bz, adbb))
+    }
+
+    fn lookup(
+        &self,
+        layer: &LayerSpec,
+        act_seed: u64,
+        bz: usize,
+        adbb: LayerNnz,
+        compile: impl FnOnce() -> ActProfile,
+    ) -> Arc<ActProfile> {
+        let key = (layer_act_fingerprint(layer), act_seed, bz, adbb);
+        self.get_or_compile(key, false, compile, ActProfile::approx_bytes)
     }
 }
 
@@ -558,14 +516,13 @@ impl Accelerator {
         } else {
             PlannedWeights::Dense(w)
         };
-        // Bake the row-strip profile of the *effective* weights (after
-        // any W-DBB pruning) at compile time: it rides the plan cache,
-        // so the events-only path replays it for free.
-        let tile_rows = self.config().geometry.tile_rows();
+        // Bake the profile of the *effective* weights (after any W-DBB
+        // pruning) at compile time: it rides the plan cache, so the
+        // events-only path replays it for free.
         let wprofile = match &weights {
-            PlannedWeights::Dense(m) => RowStripProfile::new(m, tile_rows),
+            PlannedWeights::Dense(m) => WeightProfile::new(m),
             // Straight off the compressed masks — no decompressed copy.
-            PlannedWeights::Dbb(d) => RowStripProfile::of_dbb(d, tile_rows),
+            PlannedWeights::Dbb(d) => WeightProfile::of_dbb(d),
         };
         let adbb = if first_layer { LayerNnz::Dense } else { layer.suggested_adbb() };
         LayerPlan { weights, adbb, dma_weight_bytes, wprofile }
@@ -974,14 +931,15 @@ mod tests {
     fn act_cache_byte_budget_evicts_lru_and_recounts() {
         let m = lenet5();
         let layer = &m.layers[0];
+        let mut scratch = Scratch::new();
         let probe = ActProfileCache::new();
-        let b = probe.get_or_profile(layer, 1, 8, 8, LayerNnz::Dense).approx_bytes();
-        assert!(b > 0);
+        let b = probe.get_or_profile(layer, 1, 8, LayerNnz::Dense, &mut scratch).approx_bytes();
+        assert_eq!(b, 2 * 2 * layer.gemm.k as u64, "two u16 tallies per position");
         // Same layer and scope: every entry costs exactly `b`, so a
         // two-entry budget is exact.
         let cache = ActProfileCache::with_byte_budget(2 * b);
         for seed in [1u64, 2, 1, 3] {
-            cache.get_or_profile(layer, seed, 8, 8, LayerNnz::Dense);
+            cache.get_or_profile(layer, seed, 8, LayerNnz::Dense, &mut scratch);
         }
         let s = cache.stats();
         assert_eq!(cache.len(), 2);
@@ -990,12 +948,12 @@ mod tests {
         // Seed 2 was least recent and got evicted: 1 and 3 hit, 2
         // re-misses (and evicts the next LRU in turn).
         let before = cache.stats();
-        cache.get_or_profile(layer, 1, 8, 8, LayerNnz::Dense);
-        cache.get_or_profile(layer, 3, 8, 8, LayerNnz::Dense);
+        cache.get_or_profile(layer, 1, 8, LayerNnz::Dense, &mut scratch);
+        cache.get_or_profile(layer, 3, 8, LayerNnz::Dense, &mut scratch);
         let d = cache.stats().since(before);
         assert_eq!((d.hits, d.misses), (2, 0));
         let before = cache.stats();
-        cache.get_or_profile(layer, 2, 8, 8, LayerNnz::Dense);
+        cache.get_or_profile(layer, 2, 8, LayerNnz::Dense, &mut scratch);
         let d = cache.stats().since(before);
         assert_eq!((d.hits, d.misses, d.evictions), (0, 1, 1));
     }

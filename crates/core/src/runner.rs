@@ -25,11 +25,11 @@ pub enum ExecPath {
     /// their sparsity structure (the original path, kept as the golden
     /// reference and for one-off runs where caching cannot pay off).
     Reference,
-    /// Replay precompiled strip profiles — the weight profile baked
-    /// into the [`LayerPlan`], the activation profile memoized in the
-    /// shared [`ActProfileCache`] — so a repeated `(layer, act seed)`
-    /// simulation is an `O(K)`-per-tile profile dot product with no
-    /// matrix materialization (the serving hot loop).
+    /// Replay precompiled per-position profiles — the weight profile
+    /// baked into the [`LayerPlan`], the activation profile memoized in
+    /// the shared [`ActProfileCache`] — so a repeated `(layer, act
+    /// seed)` simulation is one `O(K)` profile dot product per layer
+    /// with no matrix materialization (the serving hot loop).
     #[default]
     Profiled,
 }
@@ -41,7 +41,7 @@ pub enum ExecPath {
 /// additionally carries a shared [`WeightPlanCache`] (so repeated model
 /// runs compile each model's weights — W-DBB pruning + compression —
 /// exactly once) and a shared [`ActProfileCache`] (so repeated
-/// simulations of one `(layer, act seed)` reuse its strip profiles);
+/// simulations of one `(layer, act seed)` reuse its profiles);
 /// clones share both caches. Equality compares the configuration only.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
@@ -119,10 +119,10 @@ impl Accelerator {
 
     /// Replaces this accelerator's activation-profile cache, so a set
     /// of accelerators (e.g. a fleet's lanes) share one memo table.
-    /// Entries are keyed by `(layer, act seed, strip width, bz, adbb)`,
-    /// so sharing across architecture kinds can never serve a
-    /// mismatched profile — kinds whose geometries agree simply reuse
-    /// each other's work.
+    /// Entries are keyed by `(layer, act seed, bz, adbb)` and hold no
+    /// tile-shaped state, so sharing across architecture kinds can
+    /// never serve a mismatched profile — kinds with the same block
+    /// size simply reuse each other's work.
     pub fn sharing_act_profiles(mut self, act_profiles: ActProfileCache) -> Self {
         self.act_profiles = act_profiles;
         self
@@ -206,16 +206,16 @@ impl Accelerator {
 
     /// Runs one layer from its compiled plan on activation inputs drawn
     /// from `act_seed`, **without materializing the activation matrix**
-    /// for the profile-factorizable datapaths: the weight strip profile
-    /// comes baked into the [`LayerPlan`], the activation strip profile
-    /// from the shared [`ActProfileCache`], and the per-tile event
-    /// counts from the `O(K)` profile dot product. Byte-identical to
+    /// for the profile-factorizable datapaths: the weight profile comes
+    /// baked into the [`LayerPlan`], the activation profile from the
+    /// shared [`ActProfileCache`], and the layer's active MACs from one
+    /// `O(K)` profile dot product. Byte-identical to
     /// [`Accelerator::run_layer_planned`] (golden- and property-tested
     /// per architecture).
     ///
     /// The SMT architectures are the one exception: their FIFO
     /// backpressure timing depends on the joint non-zero *positions* of
-    /// both operands, which no per-strip profile determines, so their
+    /// both operands, which no per-position count determines, so their
     /// sampled tiles still regenerate the activation matrix — the
     /// event counting is profile-driven regardless.
     ///
@@ -229,52 +229,8 @@ impl Accelerator {
         act_seed: u64,
         residency: WeightResidency,
     ) -> LayerReport {
-        let geom = &self.config.geometry;
-        let prof = self.act_profiles.get_or_profile(
-            layer,
-            act_seed,
-            geom.tile_cols(),
-            geom.bz,
-            plan.adbb(),
-        );
-        let (k, n) = prof.shape();
-        let wp = plan.weight_profile();
-        let mut events = match (self.config.kind, plan.weights()) {
-            (ArchKind::Sa, PlannedWeights::Dense(w)) => {
-                systolic::run_perf_profiled(geom, false, w.rows(), k, n, wp, prof.dense())
-            }
-            (ArchKind::SaZvcg, PlannedWeights::Dense(w)) => {
-                systolic::run_perf_profiled(geom, true, w.rows(), k, n, wp, prof.dense())
-            }
-            (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => {
-                let a = layer.gen_acts(act_seed);
-                smt::run_sampled_profiled(
-                    geom,
-                    self.config.smt,
-                    w,
-                    &a,
-                    self.config.smt_sample_tiles,
-                    wp,
-                    prof.dense_from(&a),
-                )
-            }
-            (ArchKind::S2taW, PlannedWeights::Dbb(wdbb)) => {
-                tpe::run_wdbb_perf_profiled(geom, wdbb, n, wp, prof.dense())
-            }
-            (ArchKind::S2taAw, PlannedWeights::Dbb(wdbb)) => {
-                let postdap = prof.postdap_side();
-                let mut events =
-                    tpe::run_aw_perf_profiled(geom, wdbb, n, postdap.config, wp, &postdap.profile);
-                events.dap_stages += postdap.events.stages;
-                events.dap_comparisons += postdap.events.comparisons;
-                events
-            }
-            (kind, _) => panic!("weight plan format does not match architecture {kind}"),
-        };
-        if layer.is_memory_bound() {
-            let clamp = self.dma_clamp_cycles(plan, (k * n) as u64, residency);
-            events.cycles = events.cycles.max(clamp);
-        }
+        let events =
+            self.layer_events_profiled(plan, layer, act_seed, residency, &mut Scratch::new());
         LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
     }
 
@@ -430,10 +386,11 @@ impl Accelerator {
         total
     }
 
-    /// One layer of [`Accelerator::run_stage_events`]: the profiled
-    /// event derivation of [`Accelerator::run_layer_profiled`], routed
-    /// through the `_into` datapath entry points and the caller's
-    /// [`Scratch`] arena instead of per-call allocations.
+    /// The profiled event derivation of one layer, shared by
+    /// [`Accelerator::run_stage_events`] and
+    /// [`Accelerator::run_layer_profiled`]: the `_into` datapath entry
+    /// points, with a cold profile compile and the SMT path's
+    /// regenerated activation matrix staged in `scratch`.
     fn layer_events_profiled(
         &self,
         plan: &LayerPlan,
@@ -443,39 +400,28 @@ impl Accelerator {
         scratch: &mut Scratch,
     ) -> EventCounts {
         let geom = &self.config.geometry;
-        let prof = self.act_profiles.get_or_profile(
-            layer,
-            act_seed,
-            geom.tile_cols(),
-            geom.bz,
-            plan.adbb(),
-        );
-        let (k, n) = prof.shape();
+        let (k, n) = (layer.gemm.k, layer.gemm.n);
+        let (bz, adbb) = (geom.bz, plan.adbb());
         let wp = plan.weight_profile();
         let mut events = EventCounts::default();
         match (self.config.kind, plan.weights()) {
-            (ArchKind::Sa, PlannedWeights::Dense(w)) => systolic::run_perf_profiled_into(
-                geom,
-                false,
-                w.rows(),
-                k,
-                n,
-                wp,
-                prof.dense_with(scratch),
-                &mut events,
-            ),
-            (ArchKind::SaZvcg, PlannedWeights::Dense(w)) => systolic::run_perf_profiled_into(
-                geom,
-                true,
-                w.rows(),
-                k,
-                n,
-                wp,
-                prof.dense_with(scratch),
-                &mut events,
-            ),
+            (ArchKind::Sa | ArchKind::SaZvcg, PlannedWeights::Dense(w)) => {
+                let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
+                let zvcg = self.config.kind == ArchKind::SaZvcg;
+                systolic::run_perf_profiled_into(
+                    geom,
+                    zvcg,
+                    w.rows(),
+                    k,
+                    n,
+                    wp,
+                    prof.dense(),
+                    &mut events,
+                );
+            }
             (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => {
                 let a = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
+                let prof = self.act_profiles.get_or_profile_from(layer, act_seed, bz, adbb, &a);
                 smt::run_sampled_profiled_into(
                     geom,
                     self.config.smt,
@@ -483,22 +429,19 @@ impl Accelerator {
                     &a,
                     self.config.smt_sample_tiles,
                     wp,
-                    prof.dense_from(&a),
+                    prof.dense(),
                     &mut events,
                     &mut scratch.smt,
                 );
                 scratch.acts = a.into_data();
             }
-            (ArchKind::S2taW, PlannedWeights::Dbb(wdbb)) => tpe::run_wdbb_perf_profiled_into(
-                geom,
-                wdbb,
-                n,
-                wp,
-                prof.dense_with(scratch),
-                &mut events,
-            ),
+            (ArchKind::S2taW, PlannedWeights::Dbb(wdbb)) => {
+                let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
+                tpe::run_wdbb_perf_profiled_into(geom, wdbb, n, wp, prof.dense(), &mut events);
+            }
             (ArchKind::S2taAw, PlannedWeights::Dbb(wdbb)) => {
-                let postdap = prof.postdap_side_with(scratch);
+                let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
+                let postdap = prof.postdap_side();
                 tpe::run_aw_perf_profiled_into(
                     geom,
                     wdbb,

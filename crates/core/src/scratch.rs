@@ -2,14 +2,15 @@
 //! execution hot loop.
 //!
 //! The profiled (matrix-free) execution path is almost allocation-free
-//! by construction — events are derived from cached strip profiles —
-//! but host costs remained per request: regenerating activation
-//! matrices (the SMT sampled path and every cold profile compile), the
-//! SMT FIFO-timing buffers, and the per-layer report vector. A
-//! [`Scratch`] arena owns recycled backing storage for the buffers; after
-//! the first batch warms them (and the fleet's plan/profile caches), a
-//! steady-state request allocates nothing, and a cold profile compile
-//! allocates only the two tally vectors it caches.
+//! by construction — events are derived from cached per-position
+//! profiles — but host costs remained per request: regenerating
+//! activation matrices (the SMT sampled path and every cold profile
+//! compile), the SMT FIFO-timing buffers, and the per-layer report
+//! vector. A [`Scratch`] arena owns recycled backing storage for the
+//! buffers; after the first batch warms them (and the fleet's
+//! plan/profile caches), a steady-state request allocates nothing, and
+//! a cold profile compile allocates only the cache entry and the two
+//! tally vectors it holds.
 //!
 //! Scratch lifetime (one serving lane):
 //!

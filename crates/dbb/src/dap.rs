@@ -243,7 +243,7 @@ pub fn dap_matrix(m: &Matrix, bz: usize, nnz: LayerNnz) -> (DbbMatrix, DapEvents
     (compressed, events)
 }
 
-/// The column-strip non-zero profiles of an activation matrix before
+/// The per-position non-zero profiles of an activation matrix before
 /// and after DAP, derived in one pass **without materializing** the
 /// pruned matrix or its compressed form — the operands the matrix-free
 /// event paths consume: the raw side for the dense-activation datapaths,
@@ -251,20 +251,14 @@ pub fn dap_matrix(m: &Matrix, bz: usize, nnz: LayerNnz) -> (DbbMatrix, DapEvents
 /// (`s2ta_sim::tpe::run_aw_perf_profiled`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DapColProfile {
-    /// Flat strip-major SoA tallies of the raw matrix: `raw[s*k + p]` =
-    /// non-zeros among strip `s`'s columns at reduction position `p`.
-    /// Identical to `s2ta_sim::profile::ColStripProfile::new(m,
-    /// strip_cols)` (asserted by tests).
+    /// Tallies of the raw matrix: `raw[p]` = non-zeros of row `p` over
+    /// all columns. Identical to
+    /// `s2ta_sim::profile::ActivationProfile::new(m)` (asserted by tests).
     pub raw: Vec<u16>,
     /// The same tallies for the surviving (post-DAP) elements: identical
     /// to profiling `dap_matrix(m, bz, nnz).0.decompress()` (asserted by
-    /// tests). Both layouts match
-    /// `s2ta_sim::profile::ColStripProfile::from_flat`.
+    /// tests).
     pub counts: Vec<u16>,
-    /// Number of column strips.
-    pub strips: usize,
-    /// Reduction length (`m.rows()`).
-    pub k: usize,
     /// Aggregate DAP hardware events, identical to [`dap_matrix`]'s.
     pub events: DapEvents,
     /// The compression configuration [`dap_matrix`] would choose for
@@ -273,11 +267,19 @@ pub struct DapColProfile {
     pub config: DbbConfig,
 }
 
-impl DapColProfile {
-    /// The post-DAP per-position tallies of strip `s`.
-    pub fn strip(&self, s: usize) -> &[u16] {
-        &self.counts[s * self.k..(s + 1) * self.k]
-    }
+/// Rejects an activation of `cols` columns if its per-position `u16`
+/// tallies could overflow: every activation profile is built through
+/// this check, so a tally is never wrapped.
+///
+/// # Panics
+///
+/// Panics if `cols` exceeds `u16::MAX`.
+pub fn check_tally_width(cols: usize) {
+    assert!(
+        cols <= usize::from(u16::MAX),
+        "activation has {cols} columns; its u16 per-position tallies hold at most {}",
+        u16::MAX
+    );
 }
 
 /// Columns one pass of the rank kernel covers: one `u8` lane each, so a
@@ -285,15 +287,14 @@ impl DapColProfile {
 const RANK_LANES: usize = 16;
 
 /// Runs the DAP decision of [`dap_matrix`] over `m` but keeps only the
-/// per-column-strip non-zero counts — of the raw matrix and of the
-/// surviving elements — plus the hardware events, skipping the
-/// pruned-matrix materialization and compression entirely. For each
-/// strip `s` of `strip_cols` columns, `counts[s*k + p]` equals the
-/// number of columns in the strip whose post-DAP element at reduction
-/// position `p` is non-zero — exactly the column-strip profile of
-/// `dap_matrix(m, bz, nnz).0.decompress()` — and `raw[s*k + p]` the
-/// same count before pruning. Only the two returned tally vectors are
-/// allocated.
+/// per-row non-zero counts — of the raw matrix and of the surviving
+/// elements — plus the hardware events, skipping the pruned-matrix
+/// materialization and compression entirely. `counts[p]` equals the
+/// number of columns whose post-DAP element at reduction position `p`
+/// is non-zero — exactly the per-position profile of
+/// `dap_matrix(m, bz, nnz).0.decompress()` — and `raw[p]` the same
+/// count before pruning. Only the two returned `K`-length tally
+/// vectors are allocated.
 ///
 /// The cascade's only observable outputs are each block's survivor mask
 /// and its stage count, so the kernel computes those directly instead
@@ -301,8 +302,8 @@ const RANK_LANES: usize = 16;
 /// largest magnitudes, ties to the lowest index: exactly the non-zeros
 /// whose rank under (magnitude descending, index ascending) is below
 /// `n`. The kernel walks one row-block at a time, in chunks of up to
-/// `RANK_LANES` (16) columns of one strip, and ranks every row pair of the
-/// chunk branch-free in `u8` lanes. A block with `found` non-zeros runs
+/// `RANK_LANES` (16) columns, and ranks every row pair of the chunk
+/// branch-free in `u8` lanes. A block with `found` non-zeros runs
 /// `min(found + 1, n)` stages: the productive ones plus, when
 /// `found < n`, the stage that finds only zeros. Every stage costs
 /// `bz - 1` comparisons. [`dap_matrix`] stays the oracle (asserted by
@@ -310,74 +311,65 @@ const RANK_LANES: usize = 16;
 ///
 /// # Panics
 ///
-/// Panics if `strip_cols` is zero or above `u16::MAX` (the tallies are
+/// Panics if `m` has more than `u16::MAX` columns (the tallies are
 /// `u16`), or if a pruning `bz` exceeds the largest supported block.
-pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz, strip_cols: usize) -> DapColProfile {
-    assert!(strip_cols > 0, "strip width must be non-zero");
-    assert!(strip_cols <= usize::from(u16::MAX), "strip width {strip_cols} overflows u16 tallies");
-    let strips = m.cols().div_ceil(strip_cols);
-    let k = m.rows();
-    let mut raw = vec![0u16; strips * k];
+pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz) -> DapColProfile {
+    let (k, cols) = (m.rows(), m.cols());
+    check_tally_width(cols);
     let n = match nnz {
         LayerNnz::Prune(n) if n < bz => n,
         // Dense (or a bound at/above BZ): nothing is pruned, both
         // profiles are the raw matrix's.
         _ => {
-            for p in 0..k {
-                for (s, cols) in m.row(p).chunks(strip_cols).enumerate() {
-                    raw[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u16;
-                }
-            }
+            let raw: Vec<u16> =
+                (0..k).map(|p| m.row(p).iter().filter(|&&v| v != 0).count() as u16).collect();
             let counts = raw.clone();
             let events = DapEvents::default();
-            return DapColProfile { raw, counts, strips, k, events, config: DbbConfig::dense(bz) };
+            return DapColProfile { raw, counts, events, config: DbbConfig::dense(bz) };
         }
     };
     assert!(bz <= MAX_BZ, "unsupported block size {bz}");
-    let mut counts = vec![0u16; strips * k];
+    let (mut raw, mut counts) = (vec![0u16; k], vec![0u16; k]);
     // `n < bz <= MAX_BZ`, so the bound and every rank fit a `u8` lane;
     // comparing as `u8` keeps the survivor test vectorized.
     let keep = n as u8;
     let mut stages = 0u64;
     for r in (0..k).step_by(bz) {
         let rows = (r + bz).min(k) - r;
-        for s in 0..strips {
-            let strip_end = ((s + 1) * strip_cols).min(m.cols());
-            for c in (s * strip_cols..strip_end).step_by(RANK_LANES) {
-                let width = RANK_LANES.min(strip_end - c);
-                // Lanes past `width` stay zero: never counted, never kept.
-                let mut mags = [[0u8; RANK_LANES]; MAX_BZ];
-                for (i, lanes) in mags[..rows].iter_mut().enumerate() {
-                    for (mag, &v) in lanes.iter_mut().zip(&m.row(r + i)[c..c + width]) {
-                        *mag = v.unsigned_abs();
-                    }
+        for c in (0..cols).step_by(RANK_LANES) {
+            let width = RANK_LANES.min(cols - c);
+            // Lanes past `width` stay zero: never counted, never kept.
+            let mut mags = [[0u8; RANK_LANES]; MAX_BZ];
+            for (i, lanes) in mags[..rows].iter_mut().enumerate() {
+                for (mag, &v) in lanes.iter_mut().zip(&m.row(r + i)[c..c + width]) {
+                    *mag = v.unsigned_abs();
                 }
-                let mut rank = [[0u8; RANK_LANES]; MAX_BZ];
-                for i in 0..rows {
-                    for j in i + 1..rows {
-                        for l in 0..RANK_LANES {
-                            // Row `j` outranks row `i` only if strictly
-                            // larger: ties go to the lower index.
-                            let g = u8::from(mags[j][l] > mags[i][l]);
-                            rank[i][l] += g;
-                            rank[j][l] += 1 - g;
-                        }
-                    }
-                }
-                let mut found = [0u8; RANK_LANES];
-                for i in 0..rows {
-                    let (mut nonzero, mut kept) = (0u8, 0u8);
-                    for l in 0..RANK_LANES {
-                        let live = u8::from(mags[i][l] != 0);
-                        found[l] += live;
-                        nonzero += live;
-                        kept += live & u8::from(rank[i][l] < keep);
-                    }
-                    raw[s * k + r + i] += u16::from(nonzero);
-                    counts[s * k + r + i] += u16::from(kept);
-                }
-                stages += found[..width].iter().map(|&f| u64::from((f + 1).min(keep))).sum::<u64>();
             }
+            let mut rank = [[0u8; RANK_LANES]; MAX_BZ];
+            for i in 0..rows {
+                for j in i + 1..rows {
+                    for l in 0..RANK_LANES {
+                        // Row `j` outranks row `i` only if strictly
+                        // larger: ties go to the lower index.
+                        let g = u8::from(mags[j][l] > mags[i][l]);
+                        rank[i][l] += g;
+                        rank[j][l] += 1 - g;
+                    }
+                }
+            }
+            let mut found = [0u8; RANK_LANES];
+            for i in 0..rows {
+                let (mut nonzero, mut kept) = (0u8, 0u8);
+                for l in 0..RANK_LANES {
+                    let live = u8::from(mags[i][l] != 0);
+                    found[l] += live;
+                    nonzero += live;
+                    kept += live & u8::from(rank[i][l] < keep);
+                }
+                raw[r + i] += u16::from(nonzero);
+                counts[r + i] += u16::from(kept);
+            }
+            stages += found[..width].iter().map(|&f| u64::from((f + 1).min(keep))).sum::<u64>();
         }
     }
     // Bounds above the stage cap are software-enforced: same survivors,
@@ -387,7 +379,7 @@ pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz, strip_cols: usize) 
     } else {
         DapEvents::default()
     };
-    DapColProfile { raw, counts, strips, k, events, config: DbbConfig::new(n, bz) }
+    DapColProfile { raw, counts, events, config: DbbConfig::new(n, bz) }
 }
 
 #[cfg(test)]
@@ -501,15 +493,12 @@ mod tests {
         assert_eq!(events, DapEvents::default());
     }
 
-    /// Reference strip tallies, walked column by column: `out[s*k + p]`
-    /// counts the non-zeros of `m` at row `p` among strip `s`'s columns.
-    fn strip_tallies(m: &Matrix, strip_cols: usize) -> Vec<u16> {
-        let k = m.rows();
-        let mut counts = vec![0u16; m.cols().div_ceil(strip_cols) * k];
+    /// Reference per-position tallies, walked column by column: `out[p]`
+    /// counts the non-zeros of `m` at row `p`.
+    fn row_tallies(m: &Matrix) -> Vec<u16> {
+        let mut counts = vec![0u16; m.rows()];
         for c in 0..m.cols() {
-            let base = (c / strip_cols) * k;
-            let strip = &mut counts[base..base + k];
-            for (r, slot) in strip.iter_mut().enumerate() {
+            for (r, slot) in counts.iter_mut().enumerate() {
                 if m.get(r, c) != 0 {
                     *slot += 1;
                 }
@@ -520,25 +509,26 @@ mod tests {
 
     /// Reference: profile of the materialized post-DAP matrix, as the
     /// dense path computes it (dap_matrix -> decompress -> count per
-    /// column strip).
-    fn materialized_profile(
-        m: &Matrix,
-        bz: usize,
-        nnz: LayerNnz,
-        strip_cols: usize,
-    ) -> (Vec<u16>, DapEvents) {
+    /// position).
+    fn materialized_profile(m: &Matrix, bz: usize, nnz: LayerNnz) -> (Vec<u16>, DapEvents) {
         let (dm, events) = dap_matrix(m, bz, nnz);
-        (strip_tallies(&dm.decompress(), strip_cols), events)
+        (row_tallies(&dm.decompress()), events)
     }
 
-    /// Strip widths straddling the kernel's 16-column chunk.
-    const STRADDLING_STRIPS: [usize; 8] = [1, 3, 15, 16, 17, 33, 64, 100];
+    /// The first `cols` columns of `m`.
+    fn first_cols(m: &Matrix, cols: usize) -> Matrix {
+        let data = (0..m.rows()).flat_map(|r| m.row(r)[..cols].to_vec()).collect();
+        Matrix::from_vec(m.rows(), cols, data)
+    }
+
+    /// Column counts straddling the kernel's 16-column chunk.
+    const STRADDLING_WIDTHS: [usize; 8] = [1, 3, 15, 16, 17, 33, 64, 100];
 
     #[test]
     fn col_profile_matches_materialize_then_profile() {
         let mut rng = StdRng::seed_from_u64(11);
         // Includes a tail row block (rows 19 not a multiple of 8) and a
-        // tail column strip (10 cols over strips of 4).
+        // partial column chunk (10 cols).
         let m = SparseSpec::random(0.4).matrix(19, 10, &mut rng);
         for nnz in [
             LayerNnz::Dense,
@@ -548,10 +538,10 @@ mod tests {
             LayerNnz::Prune(7), // software-enforced (above the 5-stage cap)
             LayerNnz::Prune(8), // at BZ: dense fall-back
         ] {
-            let direct = dap_col_profile(&m, 8, nnz, 4);
-            let (counts, events) = materialized_profile(&m, 8, nnz, 4);
+            let direct = dap_col_profile(&m, 8, nnz);
+            let (counts, events) = materialized_profile(&m, 8, nnz);
             assert_eq!(direct.counts, counts, "{nnz:?}");
-            assert_eq!(direct.raw, strip_tallies(&m, 4), "{nnz:?}");
+            assert_eq!(direct.raw, row_tallies(&m), "{nnz:?}");
             assert_eq!(direct.events, events, "{nnz:?}");
         }
     }
@@ -561,7 +551,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let m = SparseSpec::random(0.3).matrix(16, 6, &mut rng);
         for nnz in [LayerNnz::Dense, LayerNnz::Prune(2), LayerNnz::Prune(8)] {
-            let direct = dap_col_profile(&m, 8, nnz, 8);
+            let direct = dap_col_profile(&m, 8, nnz);
             assert_eq!(direct.config, dap_matrix(&m, 8, nnz).0.config(), "{nnz:?}");
         }
     }
@@ -572,9 +562,9 @@ mod tests {
         // signs must resolve to the lowest index, as in the cascade.
         let col = [5i8, -128, 0, 127, -127, 0, -5, 5, 127, -128, 1, -1, 0, 0, 0, 0, 9];
         // 300 columns: the tie column rotated by `c % 4` rows, negated in
-        // every third column. Each rotation covers 75 columns, so strip
-        // tallies reach 300 and leave the `u8` range, and every
-        // straddling strip width ends in a partial chunk.
+        // every third column. Each rotation covers 75 columns, so the
+        // full-width tallies reach 300 and leave the `u8` range, and
+        // every straddling prefix width ends in a partial chunk.
         let (rows, cols) = (col.len(), 300);
         let m = Matrix::from_vec(
             rows,
@@ -592,30 +582,42 @@ mod tests {
                 })
                 .collect(),
         );
-        let strips: Vec<usize> = STRADDLING_STRIPS.into_iter().chain([cols]).collect();
-        let wide = strip_tallies(&m, cols);
-        assert!(wide.iter().any(|&t| t > 255), "the widest strip must leave the u8 range");
-        for bz in 1..=16 {
-            for n in 1..=bz + 1 {
-                let nnz = LayerNnz::Prune(n);
-                let (dm, events) = dap_matrix(&m, bz, nnz);
-                let pruned = dm.decompress();
-                for &strip_cols in &strips {
-                    let direct = dap_col_profile(&m, bz, nnz, strip_cols);
-                    let at = format!("bz {bz}, nnz {n}, strip {strip_cols}");
-                    assert_eq!(direct.counts, strip_tallies(&pruned, strip_cols), "{at}");
-                    assert_eq!(direct.raw, strip_tallies(&m, strip_cols), "{at}");
+        assert!(row_tallies(&m).iter().any(|&t| t > 255), "tallies must leave the u8 range");
+        for width in STRADDLING_WIDTHS.into_iter().chain([cols]) {
+            let m = first_cols(&m, width);
+            for bz in 1..=16 {
+                for n in 1..=bz + 1 {
+                    let nnz = LayerNnz::Prune(n);
+                    let (dm, events) = dap_matrix(&m, bz, nnz);
+                    let direct = dap_col_profile(&m, bz, nnz);
+                    let at = format!("bz {bz}, nnz {n}, width {width}");
+                    assert_eq!(direct.counts, row_tallies(&dm.decompress()), "{at}");
+                    assert_eq!(direct.raw, row_tallies(&m), "{at}");
                     assert_eq!(direct.events, events, "{at}");
                 }
             }
         }
     }
 
+    /// The widest activation a `u16` tally holds profiles exactly; one
+    /// column more is rejected, never wrapped.
     #[test]
-    #[should_panic(expected = "overflows u16 tallies")]
-    fn col_profile_rejects_strips_wider_than_u16() {
-        let m = Matrix::from_vec(1, 1, vec![1]);
-        let _ = dap_col_profile(&m, 8, LayerNnz::Prune(2), usize::from(u16::MAX) + 1);
+    fn col_profile_holds_exactly_u16_max_columns() {
+        let n = usize::from(u16::MAX);
+        let m = Matrix::from_vec(1, n, vec![1; n]);
+        for nnz in [LayerNnz::Prune(2), LayerNnz::Dense] {
+            let p = dap_col_profile(&m, 8, nnz);
+            assert_eq!((p.raw[0], p.counts[0]), (u16::MAX, u16::MAX), "{nnz:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "activation has 65536 columns; its u16 per-position tallies hold at most 65535"
+    )]
+    fn col_profile_rejects_activations_wider_than_u16() {
+        let n = usize::from(u16::MAX) + 1;
+        let _ = dap_col_profile(&Matrix::from_vec(1, n, vec![1; n]), 8, LayerNnz::Prune(2));
     }
 
     /// Value styles for the widened profile proptest: arbitrary bytes,
@@ -638,7 +640,6 @@ mod tests {
             cols in 1usize..130,
             bz in 1usize..=16,
             nnz_pick in 0usize..64,
-            strip_pick in 0usize..STRADDLING_STRIPS.len(),
             style in 0u8..4,
             codes in prop::collection::vec(any::<u8>(), 40 * 130),
             sp in 0.0f64..0.95,
@@ -647,7 +648,6 @@ mod tests {
             // 1..=bz+1 covers every hardware and software-enforced bound
             // plus the dense fall-back at and above BZ.
             let nnz = 1 + nnz_pick % (bz + 1);
-            let strip_cols = STRADDLING_STRIPS[strip_pick];
             let mut m = if style == 3 {
                 SparseSpec::random(sp).matrix(rows, cols, &mut StdRng::seed_from_u64(seed))
             } else {
@@ -667,10 +667,10 @@ mod tests {
                     }
                 }
             }
-            let direct = dap_col_profile(&m, bz, LayerNnz::Prune(nnz), strip_cols);
-            let (counts, events) = materialized_profile(&m, bz, LayerNnz::Prune(nnz), strip_cols);
+            let direct = dap_col_profile(&m, bz, LayerNnz::Prune(nnz));
+            let (counts, events) = materialized_profile(&m, bz, LayerNnz::Prune(nnz));
             prop_assert_eq!(&direct.counts, &counts);
-            prop_assert_eq!(&direct.raw, &strip_tallies(&m, strip_cols));
+            prop_assert_eq!(&direct.raw, &row_tallies(&m));
             prop_assert_eq!(direct.events, events);
             prop_assert_eq!(direct.config, dap_matrix(&m, bz, LayerNnz::Prune(nnz)).0.config());
         }

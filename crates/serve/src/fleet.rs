@@ -156,7 +156,7 @@ impl Lane {
                 }
             }
             // The serving hot loop: summed events straight from the
-            // strip profiles, transient buffers from the shared arena
+            // operand profiles, transient buffers from the shared arena
             // pool — allocation-free once caches and arena are warm.
             ExecPath::Profiled => {
                 let mut scratch = self.scratch.checkout();
@@ -327,7 +327,7 @@ impl Fleet {
     /// by `(arch, model, seed)`, so mixed-architecture lanes coexist in
     /// one memo table and each arch compiles each model exactly once —
     /// and one fresh shared [`ActProfileCache`], so a request's
-    /// activation strip profiles compile once fleet-wide and every
+    /// activation profiles compile once fleet-wide and every
     /// re-simulation (hedged copies, pipeline stages, residency
     /// variants) replays them.
     ///

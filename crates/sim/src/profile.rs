@@ -1,70 +1,58 @@
-//! Per-strip non-zero profiles: the fast path for MAC activity counting.
+//! Per-reduction-position non-zero profiles: the fast path for MAC
+//! activity counting.
 //!
 //! For an output-stationary mapping, the MAC at `(i, p, j)` does useful
-//! work iff `W[i,p] != 0 && A[p,j] != 0`. Summing over an output tile,
-//! the active-MAC count at reduction position `p` factorizes into
-//! `nnzW(tile_rows, p) * nnzA(p, tile_cols)`. Precomputing those counts
-//! per row/column strip makes whole-layer event counting `O(K)` per tile
-//! instead of `O(rows * K * cols)` — exact, not an approximation (tests
-//! in `systolic`/`tpe` assert equality against the looped functional
-//! runs).
+//! work iff `W[i,p] != 0 && A[p,j] != 0`. Summed over a whole layer,
+//! under any tiling, the active-MAC count is therefore
+//! `sum_p nnzW[p] * nnzA[p]`, where `nnzW[p]` counts the non-zeros of
+//! weight column `p` over all `M` rows and `nnzA[p]` those of
+//! activation row `p` over all `N` columns. One `K`-length tally per
+//! operand prices a layer's active MACs with a single `O(K)` dot
+//! product instead of an `O(M * K * N)` walk — exact, not an
+//! approximation (tests in `systolic`/`tpe`/`smt` assert equality
+//! against the looped functional runs). Tile boundaries only shape the
+//! cycle, issue and traffic terms, which the datapaths derive from the
+//! GEMM dimensions alone.
 //!
-//! Both profile types store their counts **structure-of-arrays**: all
-//! strips live in a single flat vector of `strips * k` entries, strip
-//! `s` occupying `counts[s*k .. (s+1)*k]`. One contiguous buffer instead
-//! of a `Vec<Vec<_>>` means one allocation per profile, cache-linear
-//! strip walks, and inner loops over `strip(s)` that the compiler can
-//! vectorize (the slices are plain unit-stride slices). Weight tallies
-//! are `u32`; activation tallies are `u16`, since a tally never exceeds
-//! the strip width and the activation profiles are the ones cached per
-//! request input (constructors reject strips wider than `u16::MAX`).
+//! Weight tallies are `u32`; activation tallies are `u16`, since a tally
+//! never exceeds the activation width `N` and the activation profiles
+//! are the ones cached per request input. Constructors reject
+//! activations wider than `u16::MAX` columns rather than wrap.
 //!
 //! The profile types are **public operands**: because a profile is a
-//! pure function of its matrix and strip width, a caller can build it
-//! once (e.g. bake the weight profile into a compiled layer plan, or
-//! memoize the activation profile per `(layer, act seed)`) and replay
-//! the events-only datapaths ([`crate::systolic::run_perf_profiled`],
+//! pure function of its matrix, a caller can build it once (e.g. bake
+//! the weight profile into a compiled layer plan, or memoize the
+//! activation profile per `(layer, act seed)`) and replay the
+//! events-only datapaths ([`crate::systolic::run_perf_profiled`],
 //! [`crate::tpe::run_wdbb_perf_profiled`],
 //! [`crate::tpe::run_aw_perf_profiled`],
 //! [`crate::smt::run_sampled_profiled`]) without ever re-materializing
-//! the dense matrices. [`RowStripProfile::of_dbb`] goes one step
-//! further: it profiles a compressed weight matrix straight from its
-//! block masks, so even the *profiling* step materializes nothing.
+//! the dense matrices. [`WeightProfile::of_dbb`] and
+//! [`ActivationProfile::of_dbb`] profile compressed matrices straight
+//! from their block masks, so even the *profiling* step materializes
+//! nothing.
 
+use s2ta_dbb::dap::check_tally_width;
 use s2ta_dbb::{BlockAxis, DbbMatrix};
 use s2ta_tensor::Matrix;
 
-/// Per-reduction-position non-zero counts for each row strip of a weight
-/// matrix (`M x K`, rows are output channels).
+/// `nnzW[p]`: the non-zero weights in column `p` of an `M x K` weight
+/// matrix (rows are output channels), over all `M` rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowStripProfile {
-    /// Flat SoA tallies: `counts[s*k + p]` = non-zero weights among strip
-    /// `s`'s rows at reduction position `p`.
+pub struct WeightProfile {
     counts: Vec<u32>,
-    strips: usize,
-    k: usize,
 }
 
-impl RowStripProfile {
-    /// Profiles `w` with `strip_rows` rows per strip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strip_rows` is zero.
-    pub fn new(w: &Matrix, strip_rows: usize) -> Self {
-        assert!(strip_rows > 0, "strip height must be non-zero");
-        let strips = w.rows().div_ceil(strip_rows);
-        let k = w.cols();
-        let mut counts = vec![0u32; strips * k];
+impl WeightProfile {
+    /// Profiles `w`.
+    pub fn new(w: &Matrix) -> Self {
+        let mut counts = vec![0u32; w.cols()];
         for r in 0..w.rows() {
-            let base = (r / strip_rows) * k;
-            let row = w.row(r);
-            let strip = &mut counts[base..base + k];
-            for (slot, &v) in strip.iter_mut().zip(row) {
-                *slot += (v != 0) as u32;
+            for (slot, &v) in counts.iter_mut().zip(w.row(r)) {
+                *slot += u32::from(v != 0);
             }
         }
-        Self { counts, strips, k }
+        Self { counts }
     }
 
     /// Profiles a row-blocked compressed weight matrix directly from its
@@ -74,183 +62,103 @@ impl RowStripProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `w` is column-blocked or `strip_rows` is zero.
-    pub fn of_dbb(w: &DbbMatrix, strip_rows: usize) -> Self {
-        assert!(strip_rows > 0, "strip height must be non-zero");
+    /// Panics if `w` is column-blocked.
+    pub fn of_dbb(w: &DbbMatrix) -> Self {
         assert!(matches!(w.axis(), BlockAxis::Rows), "weight profiles need a row-blocked matrix");
-        let (rows, k) = w.shape();
-        let strips = rows.div_ceil(strip_rows);
-        let bz = w.config().bz();
-        let mut counts = vec![0u32; strips * k];
-        for (r, vector) in w.vectors().iter().enumerate() {
-            let base = (r / strip_rows) * k;
-            let strip = &mut counts[base..base + k];
-            for (bi, block) in vector.blocks().iter().enumerate() {
-                let mut mask = block.mask();
-                while mask != 0 {
-                    let p = bi * bz + mask.trailing_zeros() as usize;
-                    // Tail blocks are zero-padded past `k`; padding never
-                    // sets mask bits, but guard anyway.
-                    if p < k {
-                        strip[p] += 1;
-                    }
-                    mask &= mask - 1;
-                }
-            }
-        }
-        Self { counts, strips, k }
+        let mut counts = vec![0u32; w.shape().1];
+        tally_masks(w, |p| counts[p] += 1);
+        Self { counts }
     }
 
-    /// Rebuilds a profile from its flat SoA parts (the inverse of
-    /// [`RowStripProfile::flat`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != strips * k` or `strips` is zero.
-    pub fn from_flat(counts: Vec<u32>, strips: usize, k: usize) -> Self {
-        assert!(strips > 0, "a profile needs at least one strip");
-        assert_eq!(counts.len(), strips * k, "flat profile shape mismatch");
-        Self { counts, strips, k }
-    }
-
-    /// The per-position non-zero counts of strip `s`.
-    pub fn strip(&self, s: usize) -> &[u32] {
-        &self.counts[s * self.k..(s + 1) * self.k]
-    }
-
-    /// Number of row strips.
-    pub fn strips(&self) -> usize {
-        self.strips
-    }
-
-    /// The whole SoA buffer, strip-major: `flat()[s*k + p]`.
-    pub fn flat(&self) -> &[u32] {
+    /// The per-position tallies, `K` long.
+    pub fn counts(&self) -> &[u32] {
         &self.counts
     }
 }
 
-/// Per-reduction-position non-zero counts for each column strip of an
-/// activation matrix (`K x N`, columns are output pixels).
+/// `nnzA[p]`: the non-zero activations in row `p` of a `K x N`
+/// activation matrix (columns are output pixels), over all `N` columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColStripProfile {
-    /// Flat SoA tallies, same layout as [`RowStripProfile::flat`].
+pub struct ActivationProfile {
     counts: Vec<u16>,
-    strips: usize,
-    k: usize,
 }
 
-impl ColStripProfile {
-    /// Profiles `a` with `strip_cols` columns per strip.
+impl ActivationProfile {
+    /// Profiles `a`.
     ///
     /// # Panics
     ///
-    /// Panics if `strip_cols` is zero or above `u16::MAX`.
-    pub fn new(a: &Matrix, strip_cols: usize) -> Self {
-        check_strip_width(strip_cols);
-        let strips = a.cols().div_ceil(strip_cols);
-        let k = a.rows();
-        let mut counts = vec![0u16; strips * k];
-        for p in 0..k {
-            for (s, cols) in a.row(p).chunks(strip_cols).enumerate() {
-                counts[s * k + p] = cols.iter().filter(|&&v| v != 0).count() as u16;
-            }
-        }
-        Self { counts, strips, k }
-    }
-
-    /// Builds a profile from raw `counts[strip][p]` tallies — the escape
-    /// hatch for producers (e.g. `s2ta_dbb::dap::dap_col_profile`) that
-    /// derive the counts without materializing the profiled matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` is empty or its strips have unequal lengths.
-    pub fn from_counts(counts: Vec<Vec<u16>>) -> Self {
-        assert!(!counts.is_empty(), "a profile needs at least one strip");
-        let k = counts[0].len();
-        assert!(counts.iter().all(|s| s.len() == k), "strips must share the reduction length");
-        let strips = counts.len();
-        let mut flat = Vec::with_capacity(strips * k);
-        for strip in counts {
-            flat.extend_from_slice(&strip);
-        }
-        Self { counts: flat, strips, k }
+    /// Panics if `a` has more than `u16::MAX` columns.
+    pub fn new(a: &Matrix) -> Self {
+        check_tally_width(a.cols());
+        let counts = (0..a.rows()).map(|p| a.row(p).iter().filter(|&&v| v != 0).count() as u16);
+        Self { counts: counts.collect() }
     }
 
     /// Profiles a column-blocked compressed activation matrix directly
     /// from its block masks — the A-DBB analogue of
-    /// [`RowStripProfile::of_dbb`]: exact and decompression-free.
+    /// [`WeightProfile::of_dbb`]: exact and decompression-free.
     ///
     /// # Panics
     ///
-    /// Panics if `a` is row-blocked or `strip_cols` is zero or above
-    /// `u16::MAX`.
-    pub fn of_dbb(a: &DbbMatrix, strip_cols: usize) -> Self {
-        check_strip_width(strip_cols);
+    /// Panics if `a` is row-blocked or has more than `u16::MAX` columns.
+    pub fn of_dbb(a: &DbbMatrix) -> Self {
         assert!(
             matches!(a.axis(), BlockAxis::Cols),
             "activation profiles need a column-blocked matrix"
         );
         let (k, cols) = a.shape();
-        let strips = cols.div_ceil(strip_cols);
-        let bz = a.config().bz();
-        let mut counts = vec![0u16; strips * k];
-        for (c, vector) in a.vectors().iter().enumerate() {
-            let base = (c / strip_cols) * k;
-            let strip = &mut counts[base..base + k];
-            for (bi, block) in vector.blocks().iter().enumerate() {
-                let mut mask = block.mask();
-                while mask != 0 {
-                    let p = bi * bz + mask.trailing_zeros() as usize;
-                    if p < k {
-                        strip[p] += 1;
-                    }
-                    mask &= mask - 1;
-                }
-            }
-        }
-        Self { counts, strips, k }
+        check_tally_width(cols);
+        let mut counts = vec![0u16; k];
+        tally_masks(a, |p| counts[p] += 1);
+        Self { counts }
     }
 
-    /// Rebuilds a profile from its flat SoA parts (the inverse of
-    /// [`ColStripProfile::flat`]) — the allocation-free producer path:
-    /// tally straight into a `strips * k` buffer, then wrap it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != strips * k` or `strips` is zero.
-    pub fn from_flat(counts: Vec<u16>, strips: usize, k: usize) -> Self {
-        assert!(strips > 0, "a profile needs at least one strip");
-        assert_eq!(counts.len(), strips * k, "flat profile shape mismatch");
-        Self { counts, strips, k }
+    /// Wraps precomputed `nnzA[p]` tallies — the path for producers
+    /// (e.g. `s2ta_dbb::dap::dap_col_profile`) that derive the counts
+    /// without materializing the profiled matrix.
+    pub fn from_counts(counts: Vec<u16>) -> Self {
+        Self { counts }
     }
 
-    /// The per-position non-zero counts of strip `s`.
-    pub fn strip(&self, s: usize) -> &[u16] {
-        &self.counts[s * self.k..(s + 1) * self.k]
-    }
-
-    /// Number of column strips.
-    pub fn strips(&self) -> usize {
-        self.strips
-    }
-
-    /// The whole SoA buffer, strip-major: `flat()[s*k + p]`.
-    pub fn flat(&self) -> &[u16] {
+    /// The per-position tallies, `K` long.
+    pub fn counts(&self) -> &[u16] {
         &self.counts
     }
 }
 
-/// Rejects column-strip widths whose tallies could overflow `u16`.
-fn check_strip_width(strip_cols: usize) {
-    assert!(strip_cols > 0, "strip width must be non-zero");
-    assert!(strip_cols <= usize::from(u16::MAX), "strip width {strip_cols} overflows u16 tallies");
+/// Calls `hit(p)` once per non-zero of `m` at reduction position `p`,
+/// walking the block masks of every vector.
+fn tally_masks(m: &DbbMatrix, mut hit: impl FnMut(usize)) {
+    let k = match m.axis() {
+        BlockAxis::Rows => m.shape().1,
+        BlockAxis::Cols => m.shape().0,
+    };
+    let bz = m.config().bz();
+    for vector in m.vectors() {
+        for (bi, block) in vector.blocks().iter().enumerate() {
+            let mut mask = block.mask();
+            while mask != 0 {
+                let p = bi * bz + mask.trailing_zeros() as usize;
+                // Tail blocks are zero-padded past `k`; padding never
+                // sets mask bits, but guard anyway.
+                if p < k {
+                    hit(p);
+                }
+                mask &= mask - 1;
+            }
+        }
+    }
 }
 
-/// Active MACs for one tile: `sum_p nnzW[p] * nnzA[p]`.
-pub fn active_macs(w_strip: &[u32], a_strip: &[u16]) -> u64 {
-    debug_assert_eq!(w_strip.len(), a_strip.len());
-    w_strip.iter().zip(a_strip).map(|(&nw, &na)| u64::from(nw) * u64::from(na)).sum()
+/// A layer's active MACs: `sum_p nnzW[p] * nnzA[p]`.
+///
+/// # Panics
+///
+/// Panics if the profiles disagree on the reduction length.
+pub fn active_macs(w: &WeightProfile, a: &ActivationProfile) -> u64 {
+    assert_eq!(w.counts.len(), a.counts.len(), "profile reduction lengths differ");
+    w.counts.iter().zip(&a.counts).map(|(&nw, &na)| u64::from(nw) * u64::from(na)).sum()
 }
 
 #[cfg(test)]
@@ -259,99 +167,73 @@ mod tests {
     use s2ta_dbb::DbbConfig;
 
     #[test]
-    fn profiles_count_nonzeros_per_strip() {
-        // W: 3 rows, strips of 2 -> strips {0,1},{2}.
+    fn profiles_count_nonzeros_per_position() {
         let w = Matrix::from_vec(3, 2, vec![1, 0, 0, 2, 3, 4]);
-        let p = RowStripProfile::new(&w, 2);
-        assert_eq!(p.strips(), 2);
-        assert_eq!(p.strip(0), &[1, 1]);
-        assert_eq!(p.strip(1), &[1, 1]);
-        assert_eq!(p.flat(), &[1, 1, 1, 1]);
+        assert_eq!(WeightProfile::new(&w).counts(), &[2, 2]);
 
         let a = Matrix::from_vec(2, 3, vec![1, 0, 2, 0, 0, 3]);
-        let c = ColStripProfile::new(&a, 2);
-        assert_eq!(c.strips(), 2);
-        assert_eq!(c.strip(0), &[1, 0]);
-        assert_eq!(c.strip(1), &[1, 1]);
+        assert_eq!(ActivationProfile::new(&a).counts(), &[2, 1]);
+        assert_eq!(ActivationProfile::new(&a), ActivationProfile::from_counts(vec![2, 1]));
     }
 
     #[test]
-    fn from_counts_roundtrips_new() {
-        let a = Matrix::from_vec(2, 3, vec![1, 0, 2, 0, 0, 3]);
-        let direct = ColStripProfile::new(&a, 2);
-        let raw = ColStripProfile::from_counts(vec![vec![1, 0], vec![1, 1]]);
-        assert_eq!(direct, raw);
-        let flat = ColStripProfile::from_flat(vec![1, 0, 1, 1], 2, 2);
-        assert_eq!(direct, flat);
-    }
-
-    #[test]
-    #[should_panic(expected = "share the reduction length")]
-    fn from_counts_rejects_ragged_strips() {
-        let _ = ColStripProfile::from_counts(vec![vec![1, 0], vec![1]]);
-    }
-
-    #[test]
-    fn col_tallies_pass_the_u8_range() {
+    fn act_tallies_pass_the_u8_range() {
         let a = Matrix::from_vec(2, 300, (0..600).map(|i| i8::from(i != 7)).collect());
-        let p = ColStripProfile::new(&a, 300);
-        assert_eq!(p.strip(0), &[299, 300]);
+        assert_eq!(ActivationProfile::new(&a).counts(), &[299, 300]);
+    }
+
+    /// The widest activation a `u16` tally holds profiles exactly; one
+    /// column more is rejected at construction, never wrapped.
+    #[test]
+    fn act_profile_holds_exactly_u16_max_columns() {
+        let n = usize::from(u16::MAX);
+        let a = Matrix::from_vec(1, n, vec![1; n]);
+        assert_eq!(ActivationProfile::new(&a).counts(), &[u16::MAX]);
     }
 
     #[test]
-    #[should_panic(expected = "overflows u16 tallies")]
-    fn col_profile_rejects_strips_wider_than_u16() {
-        let a = Matrix::from_vec(1, 1, vec![1]);
-        let _ = ColStripProfile::new(&a, usize::from(u16::MAX) + 1);
+    #[should_panic(
+        expected = "activation has 65536 columns; its u16 per-position tallies hold at most 65535"
+    )]
+    fn act_profile_rejects_activations_wider_than_u16() {
+        let n = usize::from(u16::MAX) + 1;
+        let _ = ActivationProfile::new(&Matrix::from_vec(1, n, vec![1; n]));
     }
 
     #[test]
-    #[should_panic(expected = "overflows u16 tallies")]
-    fn col_of_dbb_rejects_strips_wider_than_u16() {
-        let a = Matrix::from_vec(8, 1, vec![1; 8]);
+    #[should_panic(expected = "activation has 65536 columns")]
+    fn act_of_dbb_rejects_activations_wider_than_u16() {
+        let n = usize::from(u16::MAX) + 1;
+        let a = Matrix::from_vec(8, n, vec![1; 8 * n]);
         let dm = DbbMatrix::compress(&a, BlockAxis::Cols, DbbConfig::dense(8)).unwrap();
-        let _ = ColStripProfile::of_dbb(&dm, usize::from(u16::MAX) + 1);
+        let _ = ActivationProfile::of_dbb(&dm);
     }
 
     #[test]
     fn of_dbb_matches_dense_profile() {
-        // 5x11: non-multiple of both strip height and block size, so the
-        // mask walk must handle short tail blocks and a short last strip.
+        // 5x11: K is not a multiple of the block size, so the mask walk
+        // must handle short tail blocks.
         let data: Vec<i8> =
             (0..55u8).map(|i| if i % 3 == 0 { 0 } else { (i % 120) as i8 }).collect();
         let m = Matrix::from_vec(5, 11, data);
         let dm = DbbMatrix::compress(&m, BlockAxis::Rows, DbbConfig::dense(4)).unwrap();
-        for strip_rows in [1, 2, 4, 5, 7] {
-            assert_eq!(
-                RowStripProfile::of_dbb(&dm, strip_rows),
-                RowStripProfile::new(&m, strip_rows),
-                "strip_rows={strip_rows}"
-            );
-        }
+        assert_eq!(WeightProfile::of_dbb(&dm), WeightProfile::new(&m));
     }
 
     #[test]
-    fn col_of_dbb_matches_dense_profile() {
+    fn act_of_dbb_matches_dense_profile() {
         let data: Vec<i8> =
             (0..77u8).map(|i| if i % 4 == 0 { 0 } else { (i % 120) as i8 }).collect();
-        let m = Matrix::from_vec(7, 11, data);
+        let m = Matrix::from_vec(11, 7, data);
         let dm = DbbMatrix::compress(&m, BlockAxis::Cols, DbbConfig::dense(4)).unwrap();
-        for strip_cols in [1, 3, 4, 11, 16] {
-            assert_eq!(
-                ColStripProfile::of_dbb(&dm, strip_cols),
-                ColStripProfile::new(&m, strip_cols),
-                "strip_cols={strip_cols}"
-            );
-        }
+        assert_eq!(ActivationProfile::of_dbb(&dm), ActivationProfile::new(&m));
     }
 
     #[test]
     fn active_macs_factorization_matches_bruteforce() {
         let w = Matrix::from_vec(2, 4, vec![1, 0, 5, 0, 0, 2, 5, 0]);
         let a = Matrix::from_vec(4, 3, vec![1, 1, 0, 0, 2, 0, 3, 0, 0, 4, 4, 4]);
-        let wp = RowStripProfile::new(&w, 2);
-        let ap = ColStripProfile::new(&a, 3);
-        let fast = active_macs(wp.strip(0), ap.strip(0));
+        let fast = active_macs(&WeightProfile::new(&w), &ActivationProfile::new(&a));
         let mut slow = 0u64;
         for i in 0..2 {
             for p in 0..4 {

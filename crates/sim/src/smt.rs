@@ -13,7 +13,7 @@
 //! (`fifo_bytes`) makes SMT *less* energy-efficient than `SA-ZVCG`
 //! (paper Fig. 3, Fig. 10).
 
-use crate::profile::{active_macs, ColStripProfile, RowStripProfile};
+use crate::profile::{active_macs, ActivationProfile, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -193,15 +193,15 @@ pub fn run_sampled(
 
 /// Events-only fast path for the SMT-SA: identical [`EventCounts`] to
 /// [`run_sampled`] (asserted by tests), with the non-timing counts
-/// taken from precompiled strip profiles instead of the functional
-/// accumulation loop. `wp` must profile `w` at `geom.tile_rows()`
-/// strips, `ap` must profile `a` at `geom.tile_cols()` strips.
+/// taken from precompiled per-position profiles instead of the
+/// functional accumulation loop. `wp` must profile `w`, `ap` must
+/// profile `a`.
 ///
 /// Unlike the DBB datapaths, the SMT FIFO *timing* is inherently
 /// position-dependent (backpressure follows the joint non-zero layout
-/// of both operands, not their per-strip counts), so the sampled tiles
-/// still simulate against the dense matrices; the profiles remove the
-/// `O(M*K*N)` functional pass that dominated [`run_sampled`] on the
+/// of both operands, not their per-position counts), so the sampled
+/// tiles still simulate against the dense matrices; the profiles remove
+/// the `O(M*K*N)` functional pass that dominated [`run_sampled`] on the
 /// events-only path.
 ///
 /// # Panics
@@ -214,8 +214,8 @@ pub fn run_sampled_profiled(
     w: &Matrix,
     a: &Matrix,
     sample_tiles: usize,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_sampled_profiled_into(
@@ -246,8 +246,8 @@ pub fn run_sampled_profiled_into(
     w: &Matrix,
     a: &Matrix,
     sample_tiles: usize,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
     events: &mut EventCounts,
     scratch: &mut SmtScratch,
 ) {
@@ -255,12 +255,9 @@ pub fn run_sampled_profiled_into(
     assert_eq!((geom.a, geom.b, geom.c), (1, 1, 1), "SMT runner is scalar only");
     assert_eq!(w.cols(), a.rows(), "GEMM inner dims mismatch");
     let k = w.cols();
+    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
+    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
     let walk = geom.tile_walk(w.rows(), a.cols());
-    let (total_tiles, col_strips) = (walk.tiles(), walk.col_strips());
-    assert_eq!(wp.strips(), walk.row_strips(), "weight profile strip count mismatch");
-    assert_eq!(ap.strips(), col_strips, "activation profile strip count mismatch");
-    assert_eq!(wp.strip(0).len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.strip(0).len(), k, "activation profile reduction length mismatch");
     let outputs = (w.rows() * a.cols()) as u64;
     *events += EventCounts {
         weight_sram_bytes: (w.len() * walk.col_strips()) as u64,
@@ -270,23 +267,44 @@ pub fn run_sampled_profiled_into(
         ..EventCounts::default()
     };
 
+    // Only the sampled tiles' timing needs the operands themselves;
+    // every queued pair is an active MAC, priced once for the layer.
+    let active = active_macs(wp, ap);
+    events.macs_active += active;
+    events.acc_updates += active;
+    events.fifo_bytes += 4 * active;
     let mut simulated_cycles: u64 = 0;
     let mut simulated = 0usize;
-    for (ti, (rows, cols)) in geom.tile_walk(w.rows(), a.cols()).enumerate() {
-        let active = active_macs(wp.strip(ti / col_strips), ap.strip(ti % col_strips));
-        events.macs_active += active;
-        events.acc_updates += active;
-        events.fifo_bytes += 4 * active;
+    for (ti, (rows, cols)) in walk.clone().enumerate() {
         events.operand_reg_bytes += 2 * (rows.len() * k * cols.len()) as u64;
         if ti < sample_tiles {
-            let timing = TileTiming { cfg, w, a, rows, cols };
+            let timing = TileTiming { cfg, w, a, rows: rows.clone(), cols: cols.clone() };
             let (cycles, pushes) = timing.simulate(scratch);
-            debug_assert_eq!(pushes, active);
+            debug_assert_eq!(pushes, tile_active(w, a, &rows, &cols));
             simulated_cycles += cycles + geom.skew_cycles();
             simulated += 1;
         }
     }
-    events.cycles += extrapolate_cycles(simulated_cycles, simulated, total_tiles);
+    events.cycles += extrapolate_cycles(simulated_cycles, simulated, walk.tiles());
+}
+
+/// Active MACs of one tile, counted off the operands: the pairs its
+/// FIFOs must queue.
+fn tile_active(
+    w: &Matrix,
+    a: &Matrix,
+    rows: &std::ops::Range<usize>,
+    cols: &std::ops::Range<usize>,
+) -> u64 {
+    let mut active = 0;
+    for i in rows.clone() {
+        for (p, &wv) in w.row(i).iter().enumerate() {
+            if wv != 0 {
+                active += a.row(p)[cols.clone()].iter().filter(|&&v| v != 0).count() as u64;
+            }
+        }
+    }
+    active
 }
 
 /// Total-cycle estimate from `simulated` tiles' summed latency: exact
@@ -447,8 +465,8 @@ mod tests {
     fn profiled_events_match_sampled() {
         let g = ArrayGeometry::scalar(4, 4);
         let (w, a) = pair(16, 96, 16, 0.5, 9);
-        let wp = RowStripProfile::new(&w, g.tile_rows());
-        let ap = ColStripProfile::new(&a, g.tile_cols());
+        let wp = WeightProfile::new(&w);
+        let ap = ActivationProfile::new(&a);
         for (cfg, sample) in
             [(SmtConfig::t2q2(), 1), (SmtConfig::t2q2(), 3), (SmtConfig::t2q4(), usize::MAX)]
         {

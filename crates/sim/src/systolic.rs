@@ -3,10 +3,10 @@
 //! Functionally identical to [`crate::cycle_exact`] (asserted by tests)
 //! but organized tile-by-tile with closed-form cycle counts, so whole CNN
 //! layers are tractable. [`run`] computes the product and events with the
-//! full loop; [`run_perf`] produces identical events in `O(K)` per tile
-//! using non-zero profiles, for full-model sweeps.
+//! full loop; [`run_perf`] produces identical events from one `O(K)`
+//! dot product of per-position non-zero profiles, for full-model sweeps.
 
-use crate::profile::{active_macs, ColStripProfile, RowStripProfile};
+use crate::profile::{active_macs, ActivationProfile, WeightProfile};
 use crate::{cycle_exact, ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -75,36 +75,35 @@ pub fn run(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> GemmRun 
 }
 
 /// Event-only fast path: identical [`EventCounts`] to [`run`] (asserted
-/// by tests), computed from per-strip non-zero profiles.
+/// by tests), computed from per-position non-zero profiles.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is not scalar or the dims mismatch.
 pub fn run_perf(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> EventCounts {
     check_inputs(geom, w, a);
-    let wp = RowStripProfile::new(w, geom.tile_rows());
-    let ap = ColStripProfile::new(a, geom.tile_cols());
+    let wp = WeightProfile::new(w);
+    let ap = ActivationProfile::new(a);
     run_perf_profiled(geom, zvcg, w.rows(), w.cols(), a.cols(), &wp, &ap)
 }
 
 /// Matrix-free event path: identical [`EventCounts`] to [`run`] and
-/// [`run_perf`], computed from **precompiled** per-strip profiles plus
-/// the GEMM dimensions alone. `wp` must profile the `m_rows x k` weight
-/// matrix at `geom.tile_rows()` strips, `ap` the `k x n_cols` activation
-/// matrix at `geom.tile_cols()` strips.
+/// [`run_perf`], computed from **precompiled** per-position profiles
+/// plus the GEMM dimensions alone. `wp` must profile the `m_rows x k`
+/// weight matrix, `ap` the `k x n_cols` activation matrix.
 ///
 /// # Panics
 ///
-/// Panics if the geometry is not scalar or the profiles do not cover
-/// the stated dimensions.
+/// Panics if the geometry is not scalar or a profile's length is not
+/// `k`.
 pub fn run_perf_profiled(
     geom: &ArrayGeometry,
     zvcg: bool,
     m_rows: usize,
     k: usize,
     n_cols: usize,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_perf_profiled_into(geom, zvcg, m_rows, k, n_cols, wp, ap, &mut events);
@@ -124,37 +123,32 @@ pub fn run_perf_profiled_into(
     m_rows: usize,
     k: usize,
     n_cols: usize,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
     events: &mut EventCounts,
 ) {
     assert_eq!((geom.a, geom.b, geom.c), (1, 1, 1), "systolic runner is scalar only");
-    let walk = geom.tile_walk(m_rows, n_cols);
-    let (row_strips, col_strips) = (walk.row_strips(), walk.col_strips());
-    assert_eq!(wp.strips(), row_strips, "weight profile strip count mismatch");
-    assert_eq!(ap.strips(), col_strips, "activation profile strip count mismatch");
-    assert_eq!(wp.strip(0).len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.strip(0).len(), k, "activation profile reduction length mismatch");
+    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
+    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
     *events += sram_events(geom, m_rows, k, n_cols);
 
-    for rs in 0..row_strips {
-        let rows = (m_rows - rs * geom.tile_rows()).min(geom.tile_rows()) as u64;
-        for cs in 0..col_strips {
-            let cols = (n_cols - cs * geom.tile_cols()).min(geom.tile_cols()) as u64;
-            events.cycles += cycle_exact::closed_form_cycles(k, geom.m, geom.n);
-            let active = active_macs(wp.strip(rs), ap.strip(cs));
-            let issued = rows * k as u64 * cols;
-            events.macs_active += active;
-            if zvcg {
-                events.macs_gated += issued - active;
-                events.acc_updates += active;
-            } else {
-                events.macs_idle += issued - active;
-                events.acc_updates += issued;
-            }
-            events.operand_reg_bytes += 2 * issued;
-        }
+    // Every tile issues one MAC per (row, position, column) it covers.
+    let (mut cycles, mut issued) = (0, 0);
+    for (rows, cols) in geom.tile_walk(m_rows, n_cols) {
+        cycles += cycle_exact::closed_form_cycles(k, geom.m, geom.n);
+        issued += (rows.len() * k * cols.len()) as u64;
     }
+    let active = active_macs(wp, ap);
+    events.cycles += cycles;
+    events.macs_active += active;
+    if zvcg {
+        events.macs_gated += issued - active;
+        events.acc_updates += active;
+    } else {
+        events.macs_idle += issued - active;
+        events.acc_updates += issued;
+    }
+    events.operand_reg_bytes += 2 * issued;
 }
 
 #[cfg(test)]

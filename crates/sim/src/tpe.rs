@@ -17,7 +17,7 @@
 //!   the layer's activation NNZ — variable density at constant
 //!   utilization (Sec. 5.2).
 
-use crate::profile::{active_macs, ColStripProfile, RowStripProfile};
+use crate::profile::{active_macs, ActivationProfile, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_dbb::{BlockAxis, DbbMatrix};
 use s2ta_tensor::{AccMatrix, Matrix};
@@ -86,6 +86,41 @@ pub(crate) fn operand_reg_bytes(
     w_tile_bytes * active_tpe_cols + a_tile_bytes * active_tpe_rows
 }
 
+/// The events of a time-unrolled datapath (`S2TA-AW` and the
+/// weight-unrolled [`crate::tpe_wa`] variant) beyond its SRAM traffic.
+/// Each tile issues `serial` slots per output per block, every slot a
+/// mux select; the shape terms are summed over the tiles first, then
+/// the layer's `active` MACs (the only slots that update an
+/// accumulator) are priced once.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn unrolled_events_into(
+    geom: &ArrayGeometry,
+    m_rows: usize,
+    n_cols: usize,
+    blocks_k: usize,
+    serial: u64,
+    w_block_bytes: usize,
+    a_block_bytes: usize,
+    active: u64,
+    events: &mut EventCounts,
+) {
+    let (mut cycles, mut issued, mut reg_bytes) = (0, 0, 0);
+    for (rows, cols) in geom.tile_walk(m_rows, n_cols) {
+        let (re, ce) = (rows.len(), cols.len());
+        cycles += blocks_k as u64 * serial + geom.skew_cycles();
+        issued += (re * ce * blocks_k) as u64 * serial;
+        let w_tile_bytes = (re * blocks_k * w_block_bytes) as u64;
+        let a_tile_bytes = (ce * blocks_k * a_block_bytes) as u64;
+        reg_bytes += operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
+    }
+    events.cycles += cycles;
+    events.macs_active += active;
+    events.macs_gated += issued - active;
+    events.acc_updates += active;
+    events.mux_selects += issued;
+    events.operand_reg_bytes += reg_bytes;
+}
+
 /// Runs `S2TA-W`: 4/8 W-DBB weights against **dense** activations on a
 /// dot-product TPE array, functionally (through the mask/mux logic).
 ///
@@ -146,27 +181,27 @@ pub fn run_wdbb(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> GemmRun {
 pub fn run_wdbb_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> EventCounts {
     // Profile the compressed weights straight from their block masks —
     // no `decompress()` scratch matrix in the perf path.
-    let wp = RowStripProfile::of_dbb(w, geom.tile_rows());
-    let ap = ColStripProfile::new(a, geom.tile_cols());
+    let wp = WeightProfile::of_dbb(w);
+    let ap = ActivationProfile::new(a);
     run_wdbb_perf_profiled(geom, w, a.cols(), &wp, &ap)
 }
 
 /// Matrix-free event path for `S2TA-W`: identical counts to
-/// [`run_wdbb`] / [`run_wdbb_perf`], computed from precompiled strip
-/// profiles without touching the dense activation matrix. `wp` must
-/// profile `w.decompress()` at `geom.tile_rows()` strips, `ap` the
-/// dense `k x n_cols` activation at `geom.tile_cols()` strips.
+/// [`run_wdbb`] / [`run_wdbb_perf`], computed from precompiled
+/// per-position profiles without touching the dense activation matrix.
+/// `wp` must profile `w.decompress()`, `ap` the dense `k x n_cols`
+/// activation.
 ///
 /// # Panics
 ///
-/// Panics if the weight blocking does not match the geometry or the
-/// profiles do not cover the stated dimensions.
+/// Panics if the weight blocking does not match the geometry or a
+/// profile's length is not the weights' reduction length.
 pub fn run_wdbb_perf_profiled(
     geom: &ArrayGeometry,
     w: &DbbMatrix,
     n_cols: usize,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_wdbb_perf_profiled_into(geom, w, n_cols, wp, ap, &mut events);
@@ -184,37 +219,37 @@ pub fn run_wdbb_perf_profiled_into(
     geom: &ArrayGeometry,
     w: &DbbMatrix,
     n_cols: usize,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
     events: &mut EventCounts,
 ) {
     check_wdbb(geom, w);
     let (m_rows, k) = w.shape();
     let blocks_k = k.div_ceil(geom.bz);
     let cpb = wdbb_cycles_per_block(geom, w);
-    let walk = geom.tile_walk(m_rows, n_cols);
-    assert_eq!(wp.strips(), walk.row_strips(), "weight profile strip count mismatch");
-    assert_eq!(ap.strips(), walk.col_strips(), "activation profile strip count mismatch");
-    assert_eq!(wp.strip(0).len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.strip(0).len(), k, "activation profile reduction length mismatch");
+    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
+    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
 
     *events += sram_events(geom, m_rows, n_cols, w.storage_bytes(), k * n_cols, 1.0);
-    for rs in 0..walk.row_strips() {
-        let re = (m_rows - rs * geom.tile_rows()).min(geom.tile_rows());
-        for cs in 0..walk.col_strips() {
-            let ce = (n_cols - cs * geom.tile_cols()).min(geom.tile_cols());
-            events.cycles += blocks_k as u64 * cpb + geom.skew_cycles();
-            let active = active_macs(wp.strip(rs), ap.strip(cs));
-            let issued = (re * ce * blocks_k * geom.b) as u64 * cpb;
-            events.macs_active += active;
-            events.macs_gated += issued - active;
-            events.acc_updates += (re * ce * blocks_k) as u64 * cpb;
-            events.mux_selects += issued;
-            let w_tile_bytes = (re * blocks_k * w.config().block_bytes()) as u64;
-            let a_tile_bytes = (ce * k) as u64;
-            events.operand_reg_bytes += operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
-        }
+    // Each output issues `b` MAC slots (one adder-tree update) per
+    // block-cycle; every slot is a mux select.
+    let (mut cycles, mut updates, mut reg_bytes) = (0, 0, 0);
+    for (rows, cols) in geom.tile_walk(m_rows, n_cols) {
+        let (re, ce) = (rows.len(), cols.len());
+        cycles += blocks_k as u64 * cpb + geom.skew_cycles();
+        updates += (re * ce * blocks_k) as u64 * cpb;
+        let w_tile_bytes = (re * blocks_k * w.config().block_bytes()) as u64;
+        let a_tile_bytes = (ce * k) as u64;
+        reg_bytes += operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
     }
+    let issued = updates * geom.b as u64;
+    let active = active_macs(wp, ap);
+    events.cycles += cycles;
+    events.macs_active += active;
+    events.macs_gated += issued - active;
+    events.acc_updates += updates;
+    events.mux_selects += issued;
+    events.operand_reg_bytes += reg_bytes;
 }
 
 fn check_aw(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) {
@@ -288,8 +323,8 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     check_aw(geom, w, a);
     // Both operands are profiled straight from their block masks — no
     // `decompress()` scratch matrices in the perf path.
-    let wp = RowStripProfile::of_dbb(w, geom.tile_rows());
-    let ap = ColStripProfile::of_dbb(a, geom.tile_cols());
+    let wp = WeightProfile::of_dbb(w);
+    let ap = ActivationProfile::of_dbb(a);
     run_aw_perf_profiled(geom, w, a.shape().1, a.config(), &wp, &ap)
 }
 
@@ -299,22 +334,22 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
 /// is described by its column count, its DBB configuration (which fixes
 /// the per-block serialization and the compressed storage footprint:
 /// every column carries `ceil(k / bz)` blocks of
-/// `config.block_bytes()`), and the post-DAP column-strip profile `ap`
-/// at `geom.tile_cols()` strips (derivable straight from the dense
-/// activation via `s2ta_dbb::dap::dap_col_profile`). `wp` must profile
-/// `w.decompress()` at `geom.tile_rows()` strips.
+/// `config.block_bytes()`), and the post-DAP per-position profile `ap`
+/// (derivable straight from the dense activation via
+/// `s2ta_dbb::dap::dap_col_profile`). `wp` must profile
+/// `w.decompress()`.
 ///
 /// # Panics
 ///
-/// Panics if the blockings do not match the geometry or the profiles
-/// do not cover the stated dimensions.
+/// Panics if the blockings do not match the geometry or a profile's
+/// length is not the weights' reduction length.
 pub fn run_aw_perf_profiled(
     geom: &ArrayGeometry,
     w: &DbbMatrix,
     n_cols: usize,
     a_config: s2ta_dbb::DbbConfig,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_aw_perf_profiled_into(geom, w, n_cols, a_config, wp, ap, &mut events);
@@ -332,8 +367,8 @@ pub fn run_aw_perf_profiled_into(
     w: &DbbMatrix,
     n_cols: usize,
     a_config: s2ta_dbb::DbbConfig,
-    wp: &RowStripProfile,
-    ap: &ColStripProfile,
+    wp: &WeightProfile,
+    ap: &ActivationProfile,
     events: &mut EventCounts,
 ) {
     check_wdbb(geom, w);
@@ -342,31 +377,23 @@ pub fn run_aw_perf_profiled_into(
     let blocks_k = k.div_ceil(geom.bz);
     let wpasses = if w.config().is_dense() { geom.bz.div_ceil(geom.b) as u64 } else { 1 };
     let serial = a_config.nnz() as u64 * wpasses;
-    let walk = geom.tile_walk(m_rows, n_cols);
-    assert_eq!(wp.strips(), walk.row_strips(), "weight profile strip count mismatch");
-    assert_eq!(ap.strips(), walk.col_strips(), "activation profile strip count mismatch");
-    assert_eq!(wp.strip(0).len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.strip(0).len(), k, "activation profile reduction length mismatch");
+    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
+    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
 
     let a_storage_bytes = n_cols * blocks_k * a_config.block_bytes();
     let write_ratio = a_config.block_bytes() as f64 / a_config.bz() as f64;
     *events += sram_events(geom, m_rows, n_cols, w.storage_bytes(), a_storage_bytes, write_ratio);
-    for rs in 0..walk.row_strips() {
-        let re = (m_rows - rs * geom.tile_rows()).min(geom.tile_rows());
-        for cs in 0..walk.col_strips() {
-            let ce = (n_cols - cs * geom.tile_cols()).min(geom.tile_cols());
-            events.cycles += blocks_k as u64 * serial + geom.skew_cycles();
-            let active = active_macs(wp.strip(rs), ap.strip(cs));
-            let issued = (re * ce * blocks_k) as u64 * serial;
-            events.macs_active += active;
-            events.macs_gated += issued - active;
-            events.acc_updates += active;
-            events.mux_selects += issued;
-            let w_tile_bytes = (re * blocks_k * w.config().block_bytes()) as u64;
-            let a_tile_bytes = (ce * blocks_k * a_config.block_bytes()) as u64;
-            events.operand_reg_bytes += operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
-        }
-    }
+    unrolled_events_into(
+        geom,
+        m_rows,
+        n_cols,
+        blocks_k,
+        serial,
+        w.config().block_bytes(),
+        a_config.block_bytes(),
+        active_macs(wp, ap),
+        events,
+    );
 }
 
 #[cfg(test)]

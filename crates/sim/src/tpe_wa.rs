@@ -12,7 +12,7 @@
 //! aggressive weight pruning but stubborn activations (e.g. transformer
 //! FC layers, whose GELU activations are denser than ReLU CNN maps).
 
-use crate::profile::{active_macs, ColStripProfile, RowStripProfile};
+use crate::profile::{active_macs, ActivationProfile, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_dbb::{BlockAxis, DbbMatrix};
 use s2ta_tensor::AccMatrix;
@@ -100,10 +100,7 @@ pub fn run_wa_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     let blocks_k = k.div_ceil(geom.bz);
     let apasses = if a.config().is_dense() { geom.bz.div_ceil(geom.b) as u64 } else { 1 };
     let serial = w.config().nnz() as u64 * apasses;
-    let dense_w = w.decompress();
-    let dense_a = a.decompress();
-    let wp = RowStripProfile::new(&dense_w, geom.tile_rows());
-    let ap = ColStripProfile::new(&dense_a, geom.tile_cols());
+    let active = active_macs(&WeightProfile::of_dbb(w), &ActivationProfile::of_dbb(a));
 
     let write_ratio = a.config().block_bytes() as f64 / a.config().bz() as f64;
     let mut events = crate::tpe::sram_events(
@@ -114,24 +111,17 @@ pub fn run_wa_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
         a.storage_bytes(),
         write_ratio,
     );
-    let walk = geom.tile_walk(m_rows, n_cols);
-    for rs in 0..walk.row_strips() {
-        let re = (m_rows - rs * geom.tile_rows()).min(geom.tile_rows());
-        for cs in 0..walk.col_strips() {
-            let ce = (n_cols - cs * geom.tile_cols()).min(geom.tile_cols());
-            events.cycles += blocks_k as u64 * serial + geom.skew_cycles();
-            let active = active_macs(wp.strip(rs), ap.strip(cs));
-            let issued = (re * ce * blocks_k) as u64 * serial;
-            events.macs_active += active;
-            events.macs_gated += issued - active;
-            events.acc_updates += active;
-            events.mux_selects += issued;
-            let w_tile_bytes = (re * blocks_k * w.config().block_bytes()) as u64;
-            let a_tile_bytes = (ce * blocks_k * a.config().block_bytes()) as u64;
-            events.operand_reg_bytes +=
-                crate::tpe::operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
-        }
-    }
+    crate::tpe::unrolled_events_into(
+        geom,
+        m_rows,
+        n_cols,
+        blocks_k,
+        serial,
+        w.config().block_bytes(),
+        a.config().block_bytes(),
+        active,
+        &mut events,
+    );
     events
 }
 

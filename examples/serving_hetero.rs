@@ -144,9 +144,9 @@ fn main() {
     // with an 8:1 model skew — so LeNet's act profiles stay hot and
     // resident while the rare CIFAR visits cycle through the leftover
     // budget. Since dense plans are memoized too, the plan budget is
-    // sized to the hot model's plans (both arch scopes, ~118 KB) plus
-    // change: LeNet's plans keep hitting while the CIFAR visits force
-    // recompiles and evictions.
+    // sized to the hot model's plans (both arch scopes, ~106 KB of the
+    // zoo's ~183 KB) plus change: LeNet's plans keep hitting while the
+    // CIFAR visits force recompiles and evictions.
     // Evicted entries recompile byte-identically on next use: a
     // budget changes host time and the cache counters, never
     // simulated results (the report carries no cache counters, so
@@ -161,17 +161,21 @@ fn main() {
         act_seed_pool: 24,
     }
     .generate();
-    let unbounded =
-        Fleet::from_spec(fleet_spec.clone()).with_policy(policy).serve(&models, &zoo_requests);
+    let unbounded_fleet = Fleet::from_spec(fleet_spec.clone()).with_policy(policy);
+    let unbounded = unbounded_fleet.serve(&models, &zoo_requests);
+    // The act budget is half the zoo's unbounded footprint, so it stays
+    // below the footprint whatever the profile layout costs per entry.
+    let act_footprint = unbounded_fleet.accelerator().act_profiles().resident_bytes();
     let bounded_fleet = Fleet::from_spec(fleet_spec.clone())
         .with_policy(policy)
-        .with_cache_budgets(160 << 10, 1 << 18);
+        .with_cache_budgets(160 << 10, act_footprint / 2);
     let _warm = bounded_fleet.serve(&models, &zoo_requests);
     let (bounded, cache, acts) = serve(&bounded_fleet, &models, &zoo_requests);
     assert_eq!(bounded, unbounded, "a cache budget must never change simulated results");
     println!(
         "steady-state under budget: plan cache {} hits / {} misses / {} evictions; \
-         act profiles {} hits / {} misses / {} evictions ({} bytes evicted)",
+         act profiles {} hits / {} misses / {} evictions ({} bytes evicted, \
+         budget {} of the zoo's {} bytes)",
         cache.hits,
         cache.misses,
         cache.evictions,
@@ -179,6 +183,8 @@ fn main() {
         acts.misses,
         acts.evictions,
         acts.bytes_evicted,
+        act_footprint / 2,
+        act_footprint,
     );
     assert!(cache.evictions > 0, "a plan budget below the two-plan zoo must evict");
     assert!(cache.hits > 0, "runs of same-model batches still reuse the resident plan");

@@ -2,17 +2,21 @@
 //! matrix-free event path ([`ExecPath::Profiled`]) must be
 //! **byte-identical** to the operand-materializing reference path
 //! ([`ExecPath::Reference`]) on every architecture — goldens on the
-//! zoo models, a property sweep over random shapes/sparsities, the
-//! DAP-profile-vs-materialize equivalence, and the DMA ceil-division
-//! boundary the profiled rollout fixed in both paths.
+//! zoo models, a property sweep over random multi-tile shapes and
+//! sparsities (also checked against the functional datapaths), the
+//! DAP-profile-vs-materialize equivalence, the `u16` tally bound, and
+//! the DMA ceil-division boundary the profiled rollout fixed in both
+//! paths.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s2ta::core::{Accelerator, ActProfileCache, ArchKind, ExecPath, WeightResidency};
+use s2ta::core::{
+    Accelerator, ActProfileCache, ArchKind, ExecPath, PlannedWeights, Scratch, WeightResidency,
+};
 use s2ta::dbb::dap::{dap_col_profile, dap_matrix, LayerNnz};
 use s2ta::models::{deep_convnet, lenet5, LayerSpec};
-use s2ta::sim::ColStripProfile;
+use s2ta::sim::{systolic, tpe, ActivationProfile, EventCounts};
 use s2ta::tensor::sparsity::SparseSpec;
 use s2ta::tensor::{GemmShape, LayerKind};
 
@@ -78,12 +82,14 @@ fn dma_clamp_rounds_partial_transfers_up() {
 }
 
 /// The fleet-shared activation-profile cache compiles each
-/// `(layer, act seed)` scope once and serves every re-simulation.
+/// `(layer, act seed)` scope once and serves every re-simulation, on
+/// every geometry: the profiles hold no tile-shaped state.
 #[test]
 fn act_profile_cache_compiles_once_and_is_shared() {
     let cache = ActProfileCache::new();
     let aw = Accelerator::preset(ArchKind::S2taAw).sharing_act_profiles(cache.clone());
     let zv = Accelerator::preset(ArchKind::SaZvcg).sharing_act_profiles(cache.clone());
+    let w = Accelerator::preset(ArchKind::S2taW).sharing_act_profiles(cache.clone());
     let model = lenet5();
     let (aw_plan, zv_plan) = (aw.plan_model(&model, 42), zv.plan_model(&model, 42));
     assert!(cache.is_empty());
@@ -91,14 +97,76 @@ fn act_profile_cache_compiles_once_and_is_shared() {
     let cold = cache.stats();
     assert_eq!(cold.misses as usize, model.layers.len(), "one profile per layer");
     assert_eq!((cold.hits, cold.bypasses), (0, 0));
-    // SA-ZVCG shares (tile_cols, bz) with S2TA-AW: same keys, all hits.
+    // SA-ZVCG shares bz with S2TA-AW: same keys, all hits.
     zv.run_model_planned(&zv_plan, &model, 5);
     let shared = cache.stats().since(cold);
     assert_eq!(shared.misses, 0, "cross-arch reuse: no recompiles");
     assert_eq!(shared.hits as usize, model.layers.len());
+    // S2TA-W tiles 32 columns, not 64, and still shares every entry.
+    assert_ne!(w.config().geometry.tile_cols(), aw.config().geometry.tile_cols());
+    let before = cache.stats();
+    w.run_model_planned(&w.plan_model(&model, 42), &model, 5);
+    let narrow = cache.stats().since(before);
+    assert_eq!(narrow.misses, 0, "tile width is not part of the key");
+    assert_eq!(narrow.hits as usize, model.layers.len());
     // A different activation seed is a different operand.
     aw.run_model_planned(&aw_plan, &model, 6);
     assert_eq!(cache.len(), 2 * model.layers.len());
+}
+
+/// The widest activation a `u16` tally holds profiles exactly through
+/// the cache; one column more is rejected at profile construction,
+/// never wrapped.
+#[test]
+fn act_profile_holds_exactly_u16_max_columns() {
+    let layer = random_layer(1, 1, usize::from(u16::MAX), 0.0, 0.3, 1);
+    let acts = layer.gen_acts(9);
+    let profile = ActProfileCache::new().get_or_profile(
+        &layer,
+        9,
+        8,
+        LayerNnz::Prune(2),
+        &mut Scratch::new(),
+    );
+    assert_eq!(*profile.dense(), ActivationProfile::new(&acts));
+    assert_eq!(*profile.postdap(), ActivationProfile::new(&acts), "one row never prunes");
+    assert!(profile.dense().counts()[0] > 255, "the tally leaves the u8 range");
+}
+
+#[test]
+#[should_panic(
+    expected = "activation has 65536 columns; its u16 per-position tallies hold at most 65535"
+)]
+fn act_profile_rejects_activations_wider_than_u16() {
+    let layer = random_layer(1, 1, usize::from(u16::MAX) + 1, 0.0, 0.3, 1);
+    ActProfileCache::new().get_or_profile(&layer, 9, 8, LayerNnz::Prune(2), &mut Scratch::new());
+}
+
+/// The events of the functional (MAC-by-MAC, tile-by-tile) datapath
+/// for `kind`, or `None` for the SMT kinds, whose reference path is
+/// already functional.
+fn functional_events(
+    acc: &Accelerator,
+    weights: &PlannedWeights,
+    adbb: LayerNnz,
+    a: &s2ta::tensor::Matrix,
+) -> Option<EventCounts> {
+    let geom = &acc.config().geometry;
+    match (acc.config().kind, weights) {
+        (ArchKind::Sa, PlannedWeights::Dense(w)) => Some(systolic::run(geom, false, w, a).events),
+        (ArchKind::SaZvcg, PlannedWeights::Dense(w)) => {
+            Some(systolic::run(geom, true, w, a).events)
+        }
+        (ArchKind::S2taW, PlannedWeights::Dbb(w)) => Some(tpe::run_wdbb(geom, w, a).events),
+        (ArchKind::S2taAw, PlannedWeights::Dbb(w)) => {
+            let (adbb_m, dap) = dap_matrix(a, geom.bz, adbb);
+            let mut events = tpe::run_aw(geom, w, &adbb_m).events;
+            events.dap_stages += dap.stages;
+            events.dap_comparisons += dap.comparisons;
+            Some(events)
+        }
+        _ => None,
+    }
 }
 
 /// Strategy inputs for one random layer execution.
@@ -111,18 +179,22 @@ proptest! {
 
     /// Profile-path events equal dense-path events for random operand
     /// shapes and sparsities on **every** architecture, for both the
-    /// unpruned first-layer fall-back and pruned interior layers.
+    /// unpruned first-layer fall-back and pruned interior layers, and
+    /// equal the functional datapaths' events. The shapes span at least
+    /// three 64-column and three 32-row tile strips, with ragged edge
+    /// tiles, so every layer-wide tally sums over many tiles.
     #[test]
     fn prop_profiled_equals_reference_events(
-        m in 1usize..48,
+        m in 65usize..96,
         k in 1usize..96,
-        n in 1usize..48,
+        n in 129usize..192,
         wsp in 0.0f64..0.9,
         asp in 0.0f64..0.9,
         layer_index in 0usize..2,
         seed in any::<u64>(),
     ) {
         let layer = random_layer(m, k, n, wsp, asp, seed ^ (layer_index as u64));
+        let a = layer.gen_acts(seed ^ 0xA5);
         for kind in ArchKind::ALL {
             let reference = Accelerator::preset(kind).with_exec_path(ExecPath::Reference);
             let profiled = Accelerator::preset(kind);
@@ -130,34 +202,32 @@ proptest! {
             let r = reference.run_layer_planned(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
             let p = profiled.run_layer_profiled(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
             prop_assert_eq!(r.events, p.events, "{} {}x{}x{}", kind, m, k, n);
+            if let Some(f) = functional_events(&reference, plan.weights(), plan.adbb(), &a) {
+                prop_assert_eq!(f, p.events, "functional {} {}x{}x{}", kind, m, k, n);
+            }
         }
     }
 
     /// The direct DAP profile derivation equals materialize-then-profile
-    /// (`dap_matrix` -> decompress -> `ColStripProfile::new`), events
-    /// included, at the serving strip width; its raw tallies equal
-    /// `ColStripProfile::new` of the unpruned matrix.
+    /// (`dap_matrix` -> decompress -> `ActivationProfile::new`), events
+    /// included; its raw tallies equal `ActivationProfile::new` of the
+    /// unpruned matrix.
     #[test]
     fn prop_dap_profile_equals_materialize_then_profile(
         rows in 1usize..64,
-        cols in 1usize..96,
+        cols in 1usize..200,
         sp in 0.0f64..0.95,
         nnz in 1usize..=8,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = SparseSpec::random(sp).matrix(rows, cols, &mut rng);
-        let strip_cols = 64; // the SA / S2TA-AW tile width
-        let direct = dap_col_profile(&m, 8, LayerNnz::Prune(nnz), strip_cols);
+        let direct = dap_col_profile(&m, 8, LayerNnz::Prune(nnz));
         let (dm, events) = dap_matrix(&m, 8, LayerNnz::Prune(nnz));
-        let materialized = ColStripProfile::new(&dm.decompress(), strip_cols);
+        prop_assert_eq!(ActivationProfile::from_counts(direct.raw), ActivationProfile::new(&m));
         prop_assert_eq!(
-            ColStripProfile::from_flat(direct.raw, direct.strips, direct.k),
-            ColStripProfile::new(&m, strip_cols)
-        );
-        prop_assert_eq!(
-            ColStripProfile::from_flat(direct.counts, direct.strips, direct.k),
-            materialized
+            ActivationProfile::from_counts(direct.counts),
+            ActivationProfile::new(&dm.decompress())
         );
         prop_assert_eq!(direct.events, events);
         prop_assert_eq!(direct.config, dm.config());
