@@ -161,8 +161,7 @@ fn run_chaos(
         requests.len(),
         "{label}: served + dropped + failed must cover the stream"
     );
-    let strict: Vec<String> =
-        chaos_scenario::STRICT_MODELS.iter().map(|&i| models[i].name.to_string()).collect();
+    let strict: Vec<&str> = chaos_scenario::STRICT_MODELS.iter().map(|&i| models[i].name).collect();
     let strict_served = report
         .shards
         .iter()

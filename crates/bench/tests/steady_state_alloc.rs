@@ -12,43 +12,71 @@
 //! (a lane looks its plan up once per batch), performs **zero** heap
 //! allocations on every architecture.
 //!
-//! The counter is thread-local, so worker threads of other tests in
-//! this binary cannot perturb it, and it only exists in debug builds
+//! The same allocator also tracks this thread's live heap and its
+//! peak, which pins the host memory a run holds: compiled weight plans
+//! at about their SRAM bytes, and a served stream at a fixed ceiling of
+//! bytes per request.
+//!
+//! The counters are thread-local, so worker threads of other tests in
+//! this binary cannot perturb them, and they only exist in debug builds
 //! (`cfg(debug_assertions)`): release benches keep the system
 //! allocator untouched. This is the one spot outside `shims/` that
 //! needs `unsafe` — the `GlobalAlloc` trait requires it — and the impl
 //! only forwards to [`System`] after bumping a `Cell`.
 #![cfg(debug_assertions)]
 
-use s2ta_bench::SEED;
-use s2ta_core::{Accelerator, ActProfileCache, ArchKind, Scratch, WeightResidency};
+use s2ta_bench::{cluster_scenario, SEED};
+use s2ta_core::{
+    pool::Executor, Accelerator, ActProfileCache, ArchKind, PlannedWeights, Scratch,
+    WeightResidency,
+};
 use s2ta_dbb::dap::LayerNnz;
 use s2ta_models::{cifar10_convnet, lenet5};
-use s2ta_serve::{FaultSpec, FlightRecorder, Request, RetryQueue, TraceEvent, TraceEventKind};
+use s2ta_serve::{
+    ClusterReport, FaultSpec, FlightRecorder, Request, RequestOutcome, RetryQueue, RoutingPolicy,
+    TraceEvent, TraceEventKind,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (a block freed
+    /// on another thread than its allocation skews both threads; every
+    /// measurement here runs on one thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`reset_peak`].
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Moves this thread's live-heap tally by `bytes`.
+fn track(bytes: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 struct CountingAlloc;
 
-// SAFETY: pure pass-through to `System`; the only addition is a
-// thread-local counter bump, and `try_with` keeps alloc calls during
+// SAFETY: pure pass-through to `System`; the only additions are
+// thread-local counter updates, and `try_with` keeps alloc calls during
 // TLS teardown from panicking.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        track(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -58,6 +86,21 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs_here() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+/// Restarts the peak at the current live heap and returns it.
+fn reset_peak() -> i64 {
+    let live = live_bytes();
+    PEAK.with(|p| p.set(live));
+    live
+}
+
+fn peak_bytes() -> i64 {
+    PEAK.with(Cell::get)
 }
 
 #[test]
@@ -238,4 +281,97 @@ fn fault_bookkeeping_steady_state_allocates_nothing() {
     }
     let grew = allocs_here() - before;
     assert_eq!(grew, 0, "steady-state fault bookkeeping performed {grew} heap allocations");
+}
+
+/// W-DBB plans hold about their SRAM bytes on the host. A compressed
+/// weight matrix keeps every block's `NNZ` values in one buffer and its
+/// mask in another, so compiling a model's S2TA-AW plan makes a fixed
+/// number of allocations per layer, however many blocks the layer has
+/// (pruning ranks each block on the stack), and the compiled plan's
+/// live heap stays within 1.5x [`s2ta_core::ModelPlan::approx_bytes`]
+/// (the `u16` masks against the one SRAM mask byte of a 4/8 block are
+/// most of the gap).
+#[test]
+fn s2ta_aw_plans_hold_about_their_storage_bytes() {
+    const ALLOCS_PER_LAYER: u64 = 16;
+    for model in cluster_scenario::models() {
+        let acc = Accelerator::preset(ArchKind::S2taAw);
+        let (allocs, live) = (allocs_here(), live_bytes());
+        let plan = acc.plan_model(&model, SEED);
+        let (allocs, held) = (allocs_here() - allocs, live_bytes() - live);
+        let blocks: usize = plan
+            .layers()
+            .iter()
+            .map(|l| match l.weights() {
+                PlannedWeights::Dbb(w) => w.vector_count() * w.blocks_per_vector(),
+                PlannedWeights::Dense(_) => unreachable!("S2TA-AW plans are W-DBB"),
+            })
+            .sum();
+        let layers = plan.layers().len() as u64;
+        let name = model.name;
+        assert!(blocks as u64 > 50 * ALLOCS_PER_LAYER * layers, "{name}: too few blocks to tell");
+        assert!(
+            allocs <= ALLOCS_PER_LAYER * (layers + 1),
+            "{name}: {allocs} allocations compiling {layers} layers of {blocks} blocks"
+        );
+        let bound = plan.approx_bytes() * 3 / 2;
+        assert!(
+            held as u64 <= bound,
+            "{name}: plan holds {held} B of heap, above 1.5x its {} approx bytes",
+            plan.approx_bytes()
+        );
+    }
+}
+
+/// The host memory a served stream costs per request: on warm caches,
+/// the live-heap peak of a cluster run above its pre-serve baseline
+/// grows by at most 100 B per request on both drivers, measured as the
+/// difference between a run of the whole stream and a run of its first
+/// half (so the per-run constants — lane arenas, engine tables — drop
+/// out). What grows is the outcome log (one 72 B record per request,
+/// reserved exactly on the pre-routed driver and grown by eighths on
+/// the barrier driver), the 8 B latency sample and the pre-routed
+/// driver's 4 B stream index; batch records live only while their
+/// batch is in flight.
+#[test]
+fn served_stream_costs_at_most_100_bytes_per_request() {
+    assert_eq!(std::mem::size_of::<RequestOutcome>(), 72, "one outcome record");
+    let models = cluster_scenario::models();
+    let mut spec = cluster_scenario::workload();
+    spec.requests = 2 * HALF;
+    spec.act_seed_pool = 32;
+    let stream = spec.generate();
+    let inline = Executor::new(1);
+    let prerouted = cluster_scenario::cluster(RoutingPolicy::Random);
+    assert_heap_per_request("pre-routed", &stream, |s| prerouted.serve_on(&inline, &models, s));
+    let barrier = cluster_scenario::cluster(RoutingPolicy::PowerOfTwo);
+    assert_heap_per_request("barrier", &stream, |s| barrier.serve(&models, s));
+}
+
+/// Requests in the first, shorter measured run.
+const HALF: usize = 3_000;
+
+fn assert_heap_per_request(
+    driver: &str,
+    stream: &[Request],
+    serve: impl Fn(&[Request]) -> ClusterReport,
+) {
+    const CEILING: f64 = 100.0;
+    // The first run compiles the plans and activation profiles the
+    // stream needs; the measured runs serve on warm caches.
+    let warm = serve(stream);
+    let peak_above_baseline = |requests: &[Request]| {
+        let base = reset_peak();
+        let report = serve(requests);
+        assert_eq!(report.total_requests(), requests.len());
+        (peak_bytes() - base, report)
+    };
+    let (half, _) = peak_above_baseline(&stream[..HALF]);
+    let (whole, report) = peak_above_baseline(stream);
+    assert_eq!(report, warm, "{driver}: the warm run must reproduce the cold one");
+    let per_request = (whole - half) as f64 / (stream.len() - HALF) as f64;
+    assert!(
+        per_request <= CEILING,
+        "{driver}: {per_request:.1} B of live heap per request, above {CEILING} B"
+    );
 }

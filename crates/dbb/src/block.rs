@@ -1,57 +1,59 @@
 //! A single compressed DBB block: values plus positional bitmask (Fig. 5).
 
-use crate::{DbbConfig, DbbError};
+use crate::DbbConfig;
 
-/// One compressed DBB block.
+/// One compressed DBB block, borrowed from the flat storage of a
+/// [`crate::DbbVector`] or [`crate::DbbMatrix`].
 ///
-/// Stores exactly `config.nnz()` value bytes — zero-padded at the tail if
-/// the source block had fewer non-zeros — and a `BZ`-bit positional mask
-/// whose set bits mark the expanded positions of the stored values, in
-/// ascending position order. This mirrors the hardware storage layout, so
-/// [`DbbBlock::storage_bytes`] is exactly the SRAM footprint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DbbBlock {
-    values: Vec<i8>,
+/// `values` holds exactly `config.nnz()` bytes — zero-padded at the tail
+/// if the source block had fewer non-zeros — and `mask` is the `BZ`-bit
+/// positional mask whose set bits mark the expanded positions of the
+/// stored values, in ascending position order. This mirrors the hardware
+/// storage layout, so [`DbbBlock::storage_bytes`] is exactly the SRAM
+/// footprint. A block is a `Copy` view: the containers keep every block's
+/// values in one buffer and its mask in another, and no block owns heap
+/// memory of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DbbBlock<'a> {
+    values: &'a [i8],
     mask: u16,
     config: DbbConfig,
 }
 
-impl DbbBlock {
-    /// Compresses one expanded block of exactly `config.bz()` elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbbError::BoundExceeded`] (with `block == 0`) if the data
-    /// has more non-zeros than `config.nnz()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != config.bz()`.
-    pub fn compress(data: &[i8], config: DbbConfig) -> Result<Self, DbbError> {
-        assert_eq!(data.len(), config.bz(), "block data must be exactly BZ elements");
-        let nnz_found = data.iter().filter(|&&v| v != 0).count();
-        if nnz_found > config.nnz() {
-            return Err(DbbError::BoundExceeded {
-                block: 0,
-                found: nnz_found,
-                bound: config.nnz(),
-            });
+/// Appends the compressed form of one expanded block (`data`, at most
+/// `config.bz()` elements; a short tail reads as zero-padded) to
+/// `values` — exactly `config.nnz()` bytes — and returns its mask, or
+/// the block's non-zero count if it exceeds the bound.
+pub(crate) fn pack_block(
+    data: &[i8],
+    config: DbbConfig,
+    values: &mut Vec<i8>,
+) -> Result<u16, usize> {
+    debug_assert!(data.len() <= config.bz(), "block data exceeds BZ elements");
+    let found = data.iter().filter(|&&v| v != 0).count();
+    if found > config.nnz() {
+        return Err(found);
+    }
+    let mut mask = 0u16;
+    for (i, &v) in data.iter().enumerate() {
+        if v != 0 {
+            values.push(v);
+            mask |= 1 << i;
         }
-        let mut values = Vec::with_capacity(config.nnz());
-        let mut mask = 0u16;
-        for (i, &v) in data.iter().enumerate() {
-            if v != 0 {
-                values.push(v);
-                mask |= 1 << i;
-            }
-        }
-        values.resize(config.nnz(), 0);
-        Ok(Self { values, mask, config })
+    }
+    values.resize(values.len() + config.nnz() - found, 0);
+    Ok(mask)
+}
+
+impl<'a> DbbBlock<'a> {
+    pub(crate) fn new(values: &'a [i8], mask: u16, config: DbbConfig) -> Self {
+        debug_assert_eq!(values.len(), config.nnz());
+        Self { values, mask, config }
     }
 
     /// The stored (compressed) values, length exactly `config.nnz()`.
-    pub fn values(&self) -> &[i8] {
-        &self.values
+    pub fn values(&self) -> &'a [i8] {
+        self.values
     }
 
     /// The positional bitmask `M`: bit `i` set iff expanded position `i`
@@ -73,12 +75,8 @@ impl DbbBlock {
     /// Expands back to the dense `BZ`-element block.
     pub fn decompress(&self) -> Vec<i8> {
         let mut out = vec![0i8; self.config.bz()];
-        let mut vi = 0;
-        for (i, slot) in out.iter_mut().enumerate() {
-            if self.mask & (1 << i) != 0 {
-                *slot = self.values[vi];
-                vi += 1;
-            }
+        for (pos, v) in self.nonzeros() {
+            out[pos] = v;
         }
         out
     }
@@ -104,14 +102,14 @@ impl DbbBlock {
     /// Iterator over `(expanded_position, value)` of the stored non-zeros,
     /// in ascending position order — the serialization order of the
     /// time-unrolled datapath (Fig. 6e).
-    pub fn nonzeros(&self) -> impl Iterator<Item = (usize, i8)> + '_ {
-        let bz = self.config.bz();
-        (0..bz).filter_map(move |i| {
-            if self.mask & (1 << i) != 0 {
-                Some((i, self.value_at(i)))
-            } else {
-                None
-            }
+    pub fn nonzeros(&self) -> impl Iterator<Item = (usize, i8)> + 'a {
+        let (mut mask, values) = (self.mask, self.values);
+        values.iter().map_while(move |&v| {
+            (mask != 0).then(|| {
+                let pos = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                (pos, v)
+            })
         })
     }
 
@@ -123,17 +121,24 @@ impl DbbBlock {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{DbbConfig, DbbError, DbbVector};
 
     fn cfg48() -> DbbConfig {
         DbbConfig::new(4, 8)
+    }
+
+    /// Compresses one whole block through a one-block vector.
+    fn one_block(data: &[i8], config: DbbConfig) -> DbbVector {
+        assert_eq!(data.len(), config.bz());
+        DbbVector::compress(data, config).unwrap()
     }
 
     #[test]
     fn paper_fig5_example() {
         // Fig. 5: a 4/8 block keeps the non-zeros and a bitmask.
         let data = [0, 9, 0, 4, 3, 0, 5, 0];
-        let b = DbbBlock::compress(&data, cfg48()).unwrap();
+        let v = one_block(&data, cfg48());
+        let b = v.block(0);
         assert_eq!(b.values(), &[9, 4, 3, 5]);
         assert_eq!(b.mask(), 0b0101_1010);
         assert_eq!(b.decompress(), data);
@@ -144,7 +149,8 @@ mod tests {
     #[test]
     fn underfull_block_zero_pads() {
         let data = [0, 0, -3, 0, 0, 0, 0, 0];
-        let b = DbbBlock::compress(&data, cfg48()).unwrap();
+        let v = one_block(&data, cfg48());
+        let b = v.block(0);
         assert_eq!(b.values(), &[-3, 0, 0, 0]);
         assert_eq!(b.nnz(), 1);
         assert_eq!(b.decompress(), data);
@@ -153,39 +159,40 @@ mod tests {
     #[test]
     fn bound_violation_detected() {
         let data = [1, 2, 3, 4, 5, 0, 0, 0];
-        let err = DbbBlock::compress(&data, cfg48()).unwrap_err();
+        let err = DbbVector::compress(&data, cfg48()).unwrap_err();
         assert_eq!(err, DbbError::BoundExceeded { block: 0, found: 5, bound: 4 });
     }
 
     #[test]
     fn value_at_mux_semantics() {
         let data = [0, 9, 0, 4, 3, 0, 5, 0];
-        let b = DbbBlock::compress(&data, cfg48()).unwrap();
+        let v = one_block(&data, cfg48());
         for (i, &expect) in data.iter().enumerate() {
-            assert_eq!(b.value_at(i), expect, "position {i}");
+            assert_eq!(v.block(0).value_at(i), expect, "position {i}");
         }
     }
 
     #[test]
     fn nonzeros_in_position_order() {
         let data = [0, 9, 0, 4, 3, 0, 5, 0];
-        let b = DbbBlock::compress(&data, cfg48()).unwrap();
-        let nz: Vec<_> = b.nonzeros().collect();
+        let v = one_block(&data, cfg48());
+        let nz: Vec<_> = v.block(0).nonzeros().collect();
         assert_eq!(nz, vec![(1, 9), (3, 4), (4, 3), (6, 5)]);
     }
 
     #[test]
     fn dense_config_roundtrip() {
         let data = [1, 2, 3, 4, 5, 6, 7, 8];
-        let b = DbbBlock::compress(&data, DbbConfig::dense(8)).unwrap();
-        assert_eq!(b.decompress(), data);
-        assert_eq!(b.storage_bytes(), 8);
+        let v = one_block(&data, DbbConfig::dense(8));
+        assert_eq!(v.block(0).decompress(), data);
+        assert_eq!(v.block(0).storage_bytes(), 8);
     }
 
     #[test]
     fn all_zero_block() {
         let data = [0i8; 8];
-        let b = DbbBlock::compress(&data, cfg48()).unwrap();
+        let v = one_block(&data, cfg48());
+        let b = v.block(0);
         assert_eq!(b.nnz(), 0);
         assert_eq!(b.mask(), 0);
         assert_eq!(b.decompress(), data);

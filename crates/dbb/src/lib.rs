@@ -11,9 +11,11 @@
 //! This crate implements:
 //!
 //! * [`DbbConfig`] — the `NNZ/BZ` ratio (e.g. 4/8).
-//! * [`DbbBlock`] / [`DbbVector`] / [`DbbMatrix`] — compressed containers
-//!   with bit-exact round-tripping and storage-byte accounting (used for
-//!   SRAM bandwidth in the energy model).
+//! * [`DbbVector`] / [`DbbMatrix`] — compressed containers with
+//!   bit-exact round-tripping and storage-byte accounting (used for SRAM
+//!   bandwidth in the energy model). Each stores its blocks flat — one
+//!   buffer of `NNZ` value bytes per block, one buffer of masks — and
+//!   hands them out as borrowed [`DbbBlock`] views.
 //! * [`prune`] — W-DBB magnitude pruning of weight matrices (offline,
 //!   paper Sec. 4 / 8.1).
 //! * [`dap`] — Dynamic Activation Pruning (paper Sec. 5.1 / 6.2): the
@@ -38,7 +40,6 @@
 mod block;
 mod config;
 mod matrix;
-mod tensor;
 
 pub mod dap;
 pub mod prune;
@@ -46,4 +47,3 @@ pub mod prune;
 pub use block::DbbBlock;
 pub use config::{DbbConfig, DbbError};
 pub use matrix::{BlockAxis, DbbMatrix, DbbVector};
-pub use tensor::{prune_and_compress_tensor, DbbTensor4};

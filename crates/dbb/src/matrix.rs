@@ -1,17 +1,93 @@
-//! Compressed DBB vectors and matrices.
+//! Compressed DBB vectors and matrices, stored flat.
 
+use crate::block::pack_block;
 use crate::{DbbBlock, DbbConfig, DbbError};
 use s2ta_tensor::Matrix;
+use std::ops::Range;
 
-/// A reduction vector compressed as a sequence of DBB blocks.
+/// The flat block storage behind [`DbbVector`] and [`DbbMatrix`]: every
+/// block's `nnz` value bytes back to back in one buffer, and its mask in
+/// a second. Each buffer is sized once, at compression, so the host
+/// holds about [`DbbConfig::block_bytes`] per block and one pair of
+/// allocations per container, whatever the block count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Blocks {
+    values: Vec<i8>,
+    masks: Vec<u16>,
+    config: DbbConfig,
+}
+
+impl Blocks {
+    fn with_capacity(blocks: usize, config: DbbConfig) -> Self {
+        Self {
+            values: Vec::with_capacity(blocks * config.nnz()),
+            masks: Vec::with_capacity(blocks),
+            config,
+        }
+    }
+
+    /// Appends one reduction vector, zero-padding its tail block. An
+    /// error names the offending block counted from the vector's start.
+    fn push_vector(&mut self, data: &[i8]) -> Result<(), DbbError> {
+        assert!(!data.is_empty(), "cannot compress an empty vector");
+        let config = self.config;
+        for (block, chunk) in data.chunks(config.bz()).enumerate() {
+            let mask = pack_block(chunk, config, &mut self.values)
+                .map_err(|found| DbbError::BoundExceeded { block, found, bound: config.nnz() })?;
+            self.masks.push(mask);
+        }
+        Ok(())
+    }
+
+    fn len(&self) -> usize {
+        self.masks.len()
+    }
+
+    fn get(&self, i: usize) -> DbbBlock<'_> {
+        let nnz = self.config.nnz();
+        DbbBlock::new(&self.values[i * nnz..(i + 1) * nnz], self.masks[i], self.config)
+    }
+
+    fn range(&self, blocks: Range<usize>) -> impl ExactSizeIterator<Item = DbbBlock<'_>> + '_ {
+        let nnz = self.config.nnz();
+        self.values[blocks.start * nnz..blocks.end * nnz]
+            .chunks_exact(nnz)
+            .zip(&self.masks[blocks])
+            .map(|(values, &mask)| DbbBlock::new(values, mask, self.config))
+    }
+
+    /// Expands `blocks` into `out` (zeroed by the caller), dropping the
+    /// padding past `out.len()`.
+    fn expand(&self, blocks: Range<usize>, out: &mut [i8]) {
+        let bz = self.config.bz();
+        for (bi, block) in self.range(blocks).enumerate() {
+            for (pos, v) in block.nonzeros() {
+                if let Some(slot) = out.get_mut(bi * bz + pos) {
+                    *slot = v;
+                }
+            }
+        }
+    }
+
+    fn nnz(&self) -> usize {
+        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+    }
+
+    fn storage_bytes(&self) -> usize {
+        self.len() * self.config.block_bytes()
+    }
+}
+
+/// A reduction vector compressed as a sequence of DBB blocks: one buffer
+/// of `nnz` value bytes per block and one buffer of block masks, read as
+/// [`DbbBlock`] views.
 ///
 /// The final block is zero-padded when the vector length is not a multiple
 /// of `BZ` (the hardware reads a whole block regardless).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbbVector {
-    blocks: Vec<DbbBlock>,
+    blocks: Blocks,
     len: usize,
-    config: DbbConfig,
 }
 
 impl DbbVector {
@@ -26,26 +102,23 @@ impl DbbVector {
     ///
     /// Panics if `data` is empty.
     pub fn compress(data: &[i8], config: DbbConfig) -> Result<Self, DbbError> {
-        assert!(!data.is_empty(), "cannot compress an empty vector");
-        let bz = config.bz();
-        let mut blocks = Vec::with_capacity(data.len().div_ceil(bz));
-        let mut buf = vec![0i8; bz];
-        for (bi, chunk) in data.chunks(bz).enumerate() {
-            buf.fill(0);
-            buf[..chunk.len()].copy_from_slice(chunk);
-            let block = DbbBlock::compress(&buf, config).map_err(|e| match e {
-                DbbError::BoundExceeded { found, bound, .. } => {
-                    DbbError::BoundExceeded { block: bi, found, bound }
-                }
-            })?;
-            blocks.push(block);
-        }
-        Ok(Self { blocks, len: data.len(), config })
+        let mut blocks = Blocks::with_capacity(data.len().div_ceil(config.bz()), config);
+        blocks.push_vector(data)?;
+        Ok(Self { blocks, len: data.len() })
     }
 
     /// The compressed blocks, in reduction order.
-    pub fn blocks(&self) -> &[DbbBlock] {
-        &self.blocks
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = DbbBlock<'_>> + '_ {
+        self.blocks.range(0..self.blocks.len())
+    }
+
+    /// Block `i`, in reduction order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn block(&self, i: usize) -> DbbBlock<'_> {
+        self.blocks.get(i)
     }
 
     /// Length of the original (expanded) vector.
@@ -60,27 +133,24 @@ impl DbbVector {
 
     /// The configuration all blocks share.
     pub fn config(&self) -> DbbConfig {
-        self.config
+        self.blocks.config
     }
 
     /// Expands back to the dense vector (original length, padding dropped).
     pub fn decompress(&self) -> Vec<i8> {
-        let mut out = Vec::with_capacity(self.blocks.len() * self.config.bz());
-        for b in &self.blocks {
-            out.extend_from_slice(&b.decompress());
-        }
-        out.truncate(self.len);
+        let mut out = vec![0i8; self.len];
+        self.blocks.expand(0..self.blocks.len(), &mut out);
         out
     }
 
     /// Total compressed storage in bytes (values + masks).
     pub fn storage_bytes(&self) -> usize {
-        self.blocks.len() * self.config.block_bytes()
+        self.blocks.storage_bytes()
     }
 
     /// Total non-zeros actually stored.
     pub fn nnz(&self) -> usize {
-        self.blocks.iter().map(|b| b.nnz()).sum()
+        self.blocks.nnz()
     }
 }
 
@@ -93,14 +163,15 @@ pub enum BlockAxis {
     Cols,
 }
 
-/// A matrix whose reduction vectors are DBB-compressed.
+/// A matrix whose reduction vectors are DBB-compressed, stored flat like
+/// a [`DbbVector`]: vector `v`'s blocks are blocks
+/// `v * blocks_per_vector ..` of one value buffer and one mask buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbbMatrix {
-    vectors: Vec<DbbVector>,
+    blocks: Blocks,
     axis: BlockAxis,
     rows: usize,
     cols: usize,
-    config: DbbConfig,
 }
 
 impl DbbMatrix {
@@ -108,25 +179,65 @@ impl DbbMatrix {
     ///
     /// # Errors
     ///
-    /// Returns the first DBB bound violation encountered.
+    /// Returns the first DBB bound violation encountered, its block
+    /// counted from the start of its reduction vector.
     pub fn compress(m: &Matrix, axis: BlockAxis, config: DbbConfig) -> Result<Self, DbbError> {
-        let vectors = match axis {
-            BlockAxis::Rows => (0..m.rows())
-                .map(|r| DbbVector::compress(m.row(r), config))
-                .collect::<Result<Vec<_>, _>>()?,
-            BlockAxis::Cols => (0..m.cols())
-                .map(|c| {
-                    let col: Vec<i8> = (0..m.rows()).map(|r| m.get(r, c)).collect();
-                    DbbVector::compress(&col, config)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+        let (vectors, k) = match axis {
+            BlockAxis::Rows => (m.rows(), m.cols()),
+            BlockAxis::Cols => (m.cols(), m.rows()),
         };
-        Ok(Self { vectors, axis, rows: m.rows(), cols: m.cols(), config })
+        let mut blocks = Blocks::with_capacity(vectors * k.div_ceil(config.bz()), config);
+        match axis {
+            BlockAxis::Rows => (0..m.rows()).try_for_each(|r| blocks.push_vector(m.row(r)))?,
+            BlockAxis::Cols => {
+                let mut col = Vec::with_capacity(m.rows());
+                for c in 0..m.cols() {
+                    col.clear();
+                    col.extend((0..m.rows()).map(|r| m.get(r, c)));
+                    blocks.push_vector(&col)?;
+                }
+            }
+        }
+        Ok(Self { blocks, axis, rows: m.rows(), cols: m.cols() })
     }
 
-    /// The compressed reduction vectors (rows or columns, per `axis`).
-    pub fn vectors(&self) -> &[DbbVector] {
-        &self.vectors
+    /// Number of compressed reduction vectors (rows or columns, per `axis`).
+    pub fn vector_count(&self) -> usize {
+        match self.axis {
+            BlockAxis::Rows => self.rows,
+            BlockAxis::Cols => self.cols,
+        }
+    }
+
+    /// Blocks per reduction vector: `ceil(K / BZ)`.
+    pub fn blocks_per_vector(&self) -> usize {
+        let k = match self.axis {
+            BlockAxis::Rows => self.cols,
+            BlockAxis::Cols => self.rows,
+        };
+        k.div_ceil(self.config().bz())
+    }
+
+    /// The blocks of reduction vector `v`, in reduction order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= self.vector_count()`.
+    pub fn vector_blocks(&self, v: usize) -> impl ExactSizeIterator<Item = DbbBlock<'_>> + '_ {
+        assert!(v < self.vector_count(), "vector {v} out of range");
+        let per = self.blocks_per_vector();
+        self.blocks.range(v * per..(v + 1) * per)
+    }
+
+    /// Block `bi` of reduction vector `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn block(&self, v: usize, bi: usize) -> DbbBlock<'_> {
+        let per = self.blocks_per_vector();
+        assert!(bi < per, "block {bi} out of range");
+        self.blocks.get(v * per + bi)
     }
 
     /// Blocking orientation.
@@ -136,7 +247,7 @@ impl DbbMatrix {
 
     /// The shared configuration.
     pub fn config(&self) -> DbbConfig {
-        self.config
+        self.blocks.config
     }
 
     /// Original matrix shape `(rows, cols)`.
@@ -147,18 +258,20 @@ impl DbbMatrix {
     /// Expands back to the dense matrix.
     pub fn decompress(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
+        let per = self.blocks_per_vector();
         match self.axis {
             BlockAxis::Rows => {
-                for (r, v) in self.vectors.iter().enumerate() {
-                    for (c, val) in v.decompress().into_iter().enumerate() {
-                        m.set(r, c, val);
-                    }
+                for (r, row) in m.data_mut().chunks_exact_mut(self.cols.max(1)).enumerate() {
+                    self.blocks.expand(r * per..(r + 1) * per, row);
                 }
             }
             BlockAxis::Cols => {
-                for (c, v) in self.vectors.iter().enumerate() {
-                    for (r, val) in v.decompress().into_iter().enumerate() {
-                        m.set(r, c, val);
+                let mut col = vec![0i8; self.rows];
+                for c in 0..self.cols {
+                    col.fill(0);
+                    self.blocks.expand(c * per..(c + 1) * per, &mut col);
+                    for (r, &v) in col.iter().enumerate() {
+                        m.set(r, c, v);
                     }
                 }
             }
@@ -168,7 +281,7 @@ impl DbbMatrix {
 
     /// Total compressed storage in bytes.
     pub fn storage_bytes(&self) -> usize {
-        self.vectors.iter().map(DbbVector::storage_bytes).sum()
+        self.blocks.storage_bytes()
     }
 
     /// Dense storage the compression replaces, in bytes.
@@ -213,6 +326,33 @@ mod tests {
             assert_eq!(dm.decompress(), m);
             assert_eq!(dm.shape(), (12, 20));
         }
+    }
+
+    #[test]
+    fn block_views_read_each_vector_of_the_flat_storage() {
+        let cfg = DbbConfig::new(4, 8);
+        // 3 x 11, non-zero at odd flat indices: at most 4 non-zeros in
+        // any 8 consecutive elements, and 3-long columns fit any bound.
+        let data: Vec<i8> = (0..33).map(|i| if i % 2 == 0 { 0 } else { i as i8 - 40 }).collect();
+        let m = Matrix::from_vec(3, 11, data);
+        let rows = DbbMatrix::compress(&m, BlockAxis::Rows, cfg).unwrap();
+        assert_eq!((rows.vector_count(), rows.blocks_per_vector()), (3, 2));
+        for r in 0..3 {
+            let mut expanded: Vec<i8> =
+                rows.vector_blocks(r).flat_map(|b| b.decompress()).collect();
+            assert_eq!(expanded.split_off(11), vec![0; 5], "tail padding is zero");
+            assert_eq!(expanded, m.row(r));
+            assert_eq!(rows.block(r, 1), rows.vector_blocks(r).nth(1).unwrap());
+            assert_eq!(DbbVector::compress(m.row(r), cfg).unwrap().block(1), rows.block(r, 1));
+        }
+        let cols = DbbMatrix::compress(&m, BlockAxis::Cols, cfg).unwrap();
+        assert_eq!((cols.vector_count(), cols.blocks_per_vector()), (11, 1));
+        for c in 0..11 {
+            let col: Vec<i8> = (0..3).map(|r| m.get(r, c)).collect();
+            assert_eq!(cols.block(c, 0).decompress()[..3], col[..]);
+        }
+        // Flat storage: `nnz` value bytes and one mask per block.
+        assert_eq!(rows.storage_bytes(), 6 * cfg.block_bytes());
     }
 
     #[test]

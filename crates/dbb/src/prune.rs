@@ -8,8 +8,10 @@
 //! per-block Top-NNZ primitive for both `i8` (deployment) and the
 //! magnitude-selection helper shared with the trainer.
 
+use crate::config::MAX_BZ;
 use crate::{BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_tensor::Matrix;
+use std::cmp::Reverse;
 
 /// Returns the indices of the `keep` largest-magnitude elements of
 /// `block`, ties broken toward the lower index (matching the deterministic
@@ -33,21 +35,28 @@ pub fn top_magnitude_indices(block: &[f64], keep: usize) -> Vec<usize> {
 
 /// Prunes a dense `i8` reduction vector to satisfy `config`, keeping the
 /// largest-magnitude `NNZ` elements of each `BZ` block and zeroing the
-/// rest. Blocks already satisfying the bound are untouched.
+/// rest (ties to the lower index, as [`top_magnitude_indices`]). Blocks
+/// already satisfying the bound are untouched. Ranks on the stack, so
+/// pruning a whole weight matrix allocates nothing per block.
 pub fn prune_vector(data: &mut [i8], config: DbbConfig) {
-    let bz = config.bz();
-    for chunk in data.chunks_mut(bz) {
+    for chunk in data.chunks_mut(config.bz()) {
         let nnz = chunk.iter().filter(|&&v| v != 0).count();
         if nnz <= config.nnz() {
             continue;
         }
-        let mags: Vec<f64> = chunk.iter().map(|&v| (v as f64).abs()).collect();
-        let keep = top_magnitude_indices(&mags, config.nnz());
-        let mut keep_iter = keep.iter().peekable();
+        let mut order = [0u8; MAX_BZ];
+        let order = &mut order[..chunk.len()];
+        for (i, slot) in order.iter_mut().enumerate() {
+            *slot = i as u8;
+        }
+        // Keys are unique (the index breaks ties), so unstable is exact.
+        order.sort_unstable_by_key(|&i| (Reverse(chunk[usize::from(i)].unsigned_abs()), i));
+        let mut keep = 0u16;
+        for &i in &order[..config.nnz()] {
+            keep |= 1 << i;
+        }
         for (i, v) in chunk.iter_mut().enumerate() {
-            if keep_iter.peek() == Some(&&i) {
-                keep_iter.next();
-            } else {
+            if keep & (1 << i) == 0 {
                 *v = 0;
             }
         }
@@ -166,6 +175,29 @@ mod tests {
             prune_vector(&mut v, cfg);
             for chunk in v.chunks(8) {
                 prop_assert!(chunk.iter().filter(|&&x| x != 0).count() <= nnz);
+            }
+        }
+
+        #[test]
+        fn prop_prune_keeps_the_reference_top_magnitudes(
+            data in prop::collection::vec(any::<i8>(), 1..96),
+            nnz in 1usize..=8,
+        ) {
+            let cfg = DbbConfig::new(nnz, 8);
+            let mut pruned = data.clone();
+            prune_vector(&mut pruned, cfg);
+            for (orig, got) in data.chunks(8).zip(pruned.chunks(8)) {
+                let mut want = orig.to_vec();
+                if orig.iter().filter(|&&v| v != 0).count() > nnz {
+                    let mags: Vec<f64> = orig.iter().map(|&v| f64::from(v).abs()).collect();
+                    let keep = top_magnitude_indices(&mags, nnz);
+                    for (i, v) in want.iter_mut().enumerate() {
+                        if !keep.contains(&i) {
+                            *v = 0;
+                        }
+                    }
+                }
+                prop_assert_eq!(got, &want[..]);
             }
         }
 

@@ -83,14 +83,13 @@
 //! cordoning a replica before teardown.
 //!
 //! [`ClusterReport`] rolls the per-shard [`ServeReport`]s up into
-//! cluster-global metrics. Global latency percentiles are computed by
-//! **merging the per-shard exact latency histograms** — byte-identical
-//! to pooling every per-request sample — and taking the nearest-rank
-//! percentile over the merged population, never by
-//! averaging per-shard percentiles, which is statistically meaningless
-//! for tail quantiles (a shard with 1% of traffic and a terrible p99
-//! would be diluted 4× in a 4-shard average, yet its requests are fully
-//! present in the true global tail).
+//! cluster-global metrics. Global latency percentiles are the
+//! nearest-rank percentiles of **the union of the per-shard exact
+//! latency histograms** — byte-identical to pooling every per-request
+//! sample — never averaging per-shard percentiles, which is
+//! statistically meaningless for tail quantiles (a shard with 1% of
+//! traffic and a terrible p99 would be diluted 4× in a 4-shard average,
+//! yet its requests are fully present in the true global tail).
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::fleet::{ArrivalSource, Engine, Fleet};
@@ -168,6 +167,10 @@ impl RoutingPolicy {
         }
     }
 }
+
+/// The bit of a pre-routed stream index that flags a failover
+/// diversion; the low 31 bits index the caller's stream.
+const FAILED_OVER: u32 = 1 << 31;
 
 /// One shard's complete driver-side state: its engine, the dummy
 /// open-loop arrival source (the router injects arrivals itself; the
@@ -425,8 +428,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if a request names a model index outside `models`, or if
-    /// arrivals are unsorted.
+    /// Panics if a request names a model index outside `models`, if
+    /// arrivals are unsorted, or if the pre-routed driver is given more
+    /// than 2^31 requests (it routes by 31-bit stream index).
     pub fn serve(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
         self.serve_on(Executor::global(), models, requests)
     }
@@ -549,15 +553,21 @@ impl Cluster {
         requests: &[Request],
     ) -> ClusterReport {
         let n = self.shards.len();
+        assert!(
+            requests.len() <= FAILED_OVER as usize,
+            "the pre-routed driver indexes streams of at most {FAILED_OVER} requests, got {}",
+            requests.len()
+        );
         let mut rng = Lcg::new(self.router_seed);
-        // Pre-draw the full routing sequence, carrying each request's
-        // failover flag alongside it so the shard replay can record the
-        // diversion at the exact point the barrier driver would.
-        let mut per_shard: Vec<Vec<(Request, bool)>> = vec![Vec::new(); n];
-        for r in requests {
+        // Pre-draw the full routing sequence as per-shard indices into
+        // the caller's stream, each carrying its request's failover flag
+        // so the shard replay can record the diversion at the exact point
+        // the barrier driver would.
+        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, r) in requests.iter().enumerate() {
             let (shard, failed_over) =
                 self.route_healthy(n, &mut rng, r.arrival, |_| unreachable!("probe-free routing"));
-            per_shard[shard].push((*r, failed_over));
+            per_shard[shard].push(i as u32 | if failed_over { FAILED_OVER } else { 0 });
         }
         let routed: Vec<usize> = per_shard.iter().map(Vec::len).collect();
         // Autoscaler evaluations fire serially up to the last arrival
@@ -565,8 +575,8 @@ impl Cluster {
         // every shard replays the same horizon.
         let horizon = requests.last().map(|r| r.arrival);
         let shard_ids: Vec<usize> = (0..n).collect();
-        let results =
-            executor.map(&shard_ids, |&s| self.run_shard(s, models, &per_shard[s], horizon));
+        let results = executor
+            .map(&shard_ids, |&s| self.run_shard(s, models, requests, &per_shard[s], horizon));
         let mut states = Vec::with_capacity(n);
         let mut scale_events: Vec<ScaleEvent> = Vec::new();
         for (state, events) in results {
@@ -580,7 +590,9 @@ impl Cluster {
         self.assemble(states, routed, scale_events)
     }
 
-    /// One shard's full tier-1 lifetime over its own substream.
+    /// One shard's full tier-1 lifetime over its own substream: the
+    /// requests of `stream` that `own` indexes (flagged by
+    /// [`FAILED_OVER`]).
     ///
     /// Replaying only the shard's own arrivals is exact because the
     /// engine is event-driven: advancing a shard to *another* shard's
@@ -594,10 +606,13 @@ impl Cluster {
         &'a self,
         shard: usize,
         models: &'a [ModelSpec],
-        own: &[(Request, bool)],
+        stream: &[Request],
+        own: &[u32],
         horizon: Option<u64>,
     ) -> (ShardState<'a>, Vec<ScaleEvent>) {
         let mut state = ShardState::new(&self.shards[shard], models);
+        // Every routed request resolves exactly once on this shard.
+        state.engine.reserve_outcomes(own.len());
         let mut events: Vec<ScaleEvent> = Vec::new();
         let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
         let mut fire_evals_through = |state: &mut ShardState<'_>, t: u64| {
@@ -609,10 +624,11 @@ impl Cluster {
                 next_eval = Some(eval + auto.eval_interval_cycles);
             }
         };
-        for (r, failed_over) in own {
+        for &routed in own {
+            let r = &stream[(routed & !FAILED_OVER) as usize];
             fire_evals_through(&mut state, r.arrival);
             state.advance(r.arrival);
-            if *failed_over {
+            if routed & FAILED_OVER != 0 {
                 state.engine.note_failover(r);
             }
             state.inject(*r);
@@ -680,17 +696,11 @@ impl Cluster {
         routed: Vec<usize>,
         scale_events: Vec<ScaleEvent>,
     ) -> ClusterReport {
-        let shards: Vec<ServeReport> = states.into_iter().map(ShardState::finish).collect();
-        let mut latency_hist = LatencyHistogram::default();
-        for shard in &shards {
-            latency_hist.merge(shard.latency_histogram());
-        }
         ClusterReport {
             routing: self.routing.label().to_string(),
-            shards,
+            shards: states.into_iter().map(ShardState::finish).collect(),
             routed,
             scale_events,
-            latency_hist,
         }
     }
 
@@ -771,9 +781,6 @@ pub struct ClusterReport {
     /// Autoscaler actions, in simulated-time order (empty without an
     /// [`AutoscalePolicy`]).
     pub scale_events: Vec<ScaleEvent>,
-    /// The merged served-latency histogram of every shard, built once
-    /// at assembly.
-    pub(crate) latency_hist: LatencyHistogram,
 }
 
 impl ClusterReport {
@@ -831,11 +838,16 @@ impl ClusterReport {
     }
 
     /// The merged served-latency histogram over every shard — the
-    /// merged population global percentiles are taken over. Built once
-    /// at assembly by a cheap sorted-bin merge of the per-shard
-    /// histograms, never a re-sort of the million-sample population.
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.latency_hist
+    /// population global percentiles are taken over. Built on each call
+    /// by linear merges of the per-shard histograms (never a re-sort);
+    /// the report keeps no merged copy, and the percentile queries
+    /// below never build one.
+    pub fn latency_histogram(&self) -> LatencyHistogram {
+        let mut merged = LatencyHistogram::default();
+        for shard in &self.shards {
+            merged.merge(shard.latency_histogram());
+        }
+        merged
     }
 
     /// Global `pct`-th percentile latency in cycles over the merged
@@ -845,7 +857,9 @@ impl ClusterReport {
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
     pub fn latency_percentile_cycles(&self, pct: f64) -> u64 {
-        self.latency_histogram().percentile(pct)
+        let hists: Vec<&LatencyHistogram> =
+            self.shards.iter().map(ServeReport::latency_histogram).collect();
+        LatencyHistogram::percentile_of_union(&hists, pct)
     }
 
     /// Global median latency in cycles.

@@ -724,6 +724,14 @@ impl<'a> ArrivalSource<'a> {
         Self::Closed { clients, staged, horizon, issued, budget }
     }
 
+    /// Requests the source has yet to deliver.
+    fn remaining(&self) -> usize {
+        match self {
+            Self::Open { stream, next } => stream.len() - next,
+            Self::Closed { issued, budget, horizon, .. } => budget - issued + horizon.len(),
+        }
+    }
+
     /// Arrival time of the next request, if any.
     fn peek_time(&self) -> Option<u64> {
         match self {
@@ -796,7 +804,14 @@ pub(crate) struct Engine<'a> {
     /// hierarchical timer wheel, so a million pending completions cost
     /// O(1) amortized per event instead of a heap rebalance.
     in_flight: TimerWheel<usize>,
-    batches: Vec<EngineBatch>,
+    /// The records of the batches in flight, by batch id: inserted at
+    /// dispatch, removed when the batch's completion pops (for a
+    /// crash-cancelled batch, when its stale wheel entry does). The
+    /// table follows the work in flight, never the run's history.
+    batches: HashMap<usize, EngineBatch>,
+    /// Batches dispatched so far: the next batch id (ids are dense in
+    /// dispatch order) and the report's batch count.
+    dispatched: usize,
     free_at: Vec<u64>,
     /// Lanes `0..active_lanes` accept new monolithic batches; the
     /// cluster autoscaler shrinks/grows this against queue depth
@@ -815,6 +830,8 @@ pub(crate) struct Engine<'a> {
     /// Requests riding not-yet-completed batches — the in-flight half
     /// of the backlog, maintained at dispatch and completion.
     in_flight_requests: usize,
+    /// One record per resolved request; see [`Engine::push_outcome`]
+    /// for how it grows.
     outcomes: Vec<RequestOutcome>,
     worker_stats: Vec<WorkerStats>,
     total_events: EventCounts,
@@ -886,7 +903,8 @@ impl<'a> Engine<'a> {
             queue: fleet.queue(models.len()),
             deadlines: DeadlineHeap::new(),
             in_flight: TimerWheel::new(),
-            batches: Vec::new(),
+            batches: HashMap::new(),
+            dispatched: 0,
             free_at: vec![0u64; fleet.lanes.len()],
             active_lanes: fleet.lanes.len(),
             lane_cum_idle: vec![0u64; fleet.lanes.len()],
@@ -967,6 +985,7 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self, arrivals: &mut ArrivalSource, policy: &mut dyn BatchPolicy) -> ServeReport {
+        self.reserve_outcomes(arrivals.remaining());
         loop {
             // The next event is the earliest of (completion, arrival,
             // deadline); kind breaks ties so same-cycle events fire in
@@ -1096,8 +1115,9 @@ impl<'a> Engine<'a> {
             self.in_flight_requests,
             self.in_flight
                 .iter()
-                .filter(|&(_, b)| !self.batches[b].cancelled)
-                .map(|(_, b)| self.batches[b].requests.len())
+                .map(|(_, b)| &self.batches[&b])
+                .filter(|b| !b.cancelled)
+                .map(|b| b.requests.len())
                 .sum::<usize>(),
             "in-flight counter diverged from the timer wheel"
         );
@@ -1168,14 +1188,16 @@ impl<'a> Engine<'a> {
         // Metrics boundaries close before this completion mutates any
         // counter (popping the wheel changes no sampled state).
         self.trace_flush(t);
+        let batch = self.batches.remove(&index).expect("a wheel entry has an in-flight record");
         // A crash-cancelled batch's wheel entry is stale: its members
         // were already retried or failed at the crash. Nothing fires.
-        if self.batches[index].cancelled {
+        if batch.cancelled {
             return;
         }
+        let n = batch.requests.len();
         if self.faults.is_some() {
             let backlog = self.queued + self.in_flight_requests;
-            let lane = self.batches[index].lane;
+            let lane = batch.lane;
             let f = self.faults.as_deref_mut().expect("checked");
             f.update_degraded(t, backlog);
             if let Some(pos) = f.lane_active[lane].iter().position(|&b| b == index) {
@@ -1186,28 +1208,21 @@ impl<'a> Engine<'a> {
             // its requests are served now — trace, makespan and
             // outcome records included.
             self.makespan = self.makespan.max(t);
-            let (ready, start, n) = (
-                self.batches[index].ready,
-                self.batches[index].start,
-                self.batches[index].requests.len(),
-            );
-            let model = self.batches[index].model;
             if let Some(tr) = self.trace.as_mut() {
                 tr.record_batch(
-                    (ready, start, t),
+                    (batch.ready, batch.start, t),
                     lane as u32,
-                    model as u32,
+                    batch.model as u32,
                     index as u64,
                     n as u64,
                 );
             }
-            for i in 0..n {
-                let r = self.batches[index].requests[i];
-                self.outcomes.push(RequestOutcome::Served(ServedRequest {
+            for r in &batch.requests {
+                self.push_outcome(RequestOutcome::Served(ServedRequest {
                     id: r.id,
-                    model: self.models[model].name.to_string(),
+                    model: self.models[batch.model].name,
                     arrival: r.arrival,
-                    start,
+                    start: batch.start,
                     completion: t,
                     batch: index,
                     worker: lane,
@@ -1215,17 +1230,15 @@ impl<'a> Engine<'a> {
             }
         }
         if let Some(tr) = self.trace.as_mut() {
-            let batch = &self.batches[index];
             for r in &batch.requests {
                 tr.observe_latency(batch.model, t - r.arrival);
             }
         }
-        self.in_flight_requests -= self.batches[index].requests.len();
-        let batch = &self.batches[index];
+        self.in_flight_requests -= n;
         let max_latency_cycles = batch.requests.iter().map(|r| t - r.arrival).max().unwrap_or(0);
         policy.observe(&BatchObservation {
             model: batch.model,
-            batch_size: batch.requests.len(),
+            batch_size: n,
             ready: batch.ready,
             start: batch.start,
             completion: t,
@@ -1239,7 +1252,7 @@ impl<'a> Engine<'a> {
             self.estimator.record(
                 self.fleet.lanes[batch.lane].arch(),
                 batch.model,
-                batch.requests.len(),
+                n,
                 batch.service_cycles,
             );
         } else {
@@ -1248,7 +1261,7 @@ impl<'a> Engine<'a> {
                     self.fleet.lanes[exec.lane].arch(),
                     batch.model,
                     &exec.layers,
-                    batch.requests.len(),
+                    n,
                     exec.service_cycles,
                 );
             }
@@ -1256,9 +1269,8 @@ impl<'a> Engine<'a> {
         // Closed-loop clients issue their next request now. The map is
         // only populated in closed-loop mode, where engine-assigned ids
         // are dense; open-loop lookups miss and no-op.
-        for i in 0..self.batches[index].requests.len() {
-            let id = self.batches[index].requests[i].id as usize;
-            let client = self.client_of.get(id).copied().flatten();
+        for r in &batch.requests {
+            let client = self.client_of.get(r.id as usize).copied().flatten();
             arrivals.request_finished(client, t);
         }
     }
@@ -1306,9 +1318,9 @@ impl<'a> Engine<'a> {
                         b: self.queued as u64,
                     });
                 }
-                self.outcomes.push(RequestOutcome::Dropped(DroppedRequest {
+                self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
                     id: request.id,
-                    model: self.models[lane].name.to_string(),
+                    model: self.models[lane].name,
                     arrival: request.arrival,
                 }));
                 arrivals.request_finished(client, request.arrival);
@@ -1332,9 +1344,9 @@ impl<'a> Engine<'a> {
                     b: self.queued as u64,
                 });
             }
-            self.outcomes.push(RequestOutcome::Dropped(DroppedRequest {
+            self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
                 id: request.id,
-                model: self.models[lane].name.to_string(),
+                model: self.models[lane].name,
                 arrival: request.arrival,
             }));
             // A drop completes the client's outstanding request
@@ -1484,9 +1496,9 @@ impl<'a> Engine<'a> {
             f.stats.failed += 1;
             f.failed_per_model[request.model] += 1;
         }
-        self.outcomes.push(RequestOutcome::Failed(FailedRequest {
+        self.push_outcome(RequestOutcome::Failed(FailedRequest {
             id: request.id,
-            model: self.models[request.model].name.to_string(),
+            model: self.models[request.model].name,
             arrival: request.arrival,
             attempts,
         }));
@@ -1578,12 +1590,14 @@ impl<'a> Engine<'a> {
         // was running is void, so it frees exactly at recovery.
         self.free_at[lane] = t + ev.duration;
         for index in cancelled {
-            self.batches[index].cancelled = true;
-            let service = self.batches[index].service_cycles;
-            let start = self.batches[index].start;
-            let executed = t.saturating_sub(start).min(service);
-            self.worker_stats[lane].busy_cycles -= service - executed;
-            let members = std::mem::take(&mut self.batches[index].requests);
+            // The record stays, flagged, until its stale wheel entry
+            // pops; its members leave it now.
+            let batch = self.batches.get_mut(&index).expect("a crashed batch is in flight");
+            batch.cancelled = true;
+            let executed = t.saturating_sub(batch.start).min(batch.service_cycles);
+            let refund = batch.service_cycles - executed;
+            let members = std::mem::take(&mut batch.requests);
+            self.worker_stats[lane].busy_cycles -= refund;
             self.in_flight_requests -= members.len();
             for r in members {
                 let (attempts, retry_at) = {
@@ -1732,7 +1746,7 @@ impl<'a> Engine<'a> {
             }
             let Placed { lane, exec, start, service } = placed;
             let completion = start + service;
-            let batch_id = self.batches.len();
+            let batch_id = self.dispatched;
             // Charge the losing copy's lane time as wasted capacity: its
             // lane is busy racing a batch whose result is discarded.
             if let Some(l) = loser {
@@ -1777,9 +1791,9 @@ impl<'a> Engine<'a> {
                     );
                 }
                 for r in &members {
-                    self.outcomes.push(RequestOutcome::Served(ServedRequest {
+                    self.push_outcome(RequestOutcome::Served(ServedRequest {
                         id: r.id,
-                        model: spec.name.to_string(),
+                        model: spec.name,
                         arrival: r.arrival,
                         start,
                         completion,
@@ -1788,17 +1802,19 @@ impl<'a> Engine<'a> {
                     }));
                 }
             }
-            self.in_flight.push(completion, batch_id);
-            self.batches.push(EngineBatch {
-                model,
-                requests: members,
-                ready,
-                start,
-                lane,
-                service_cycles: service,
-                stage_execs: Vec::new(),
-                cancelled: false,
-            });
+            self.launch(
+                completion,
+                EngineBatch {
+                    model,
+                    requests: members,
+                    ready,
+                    start,
+                    lane,
+                    service_cycles: service,
+                    stage_execs: Vec::new(),
+                    cancelled: false,
+                },
+            );
         }
         if let (Some(t0), Some(tr)) = (exec_started, self.trace.as_mut()) {
             tr.host.add("batch-execute", t0.elapsed());
@@ -1884,7 +1900,7 @@ impl<'a> Engine<'a> {
         let fleet = self.fleet;
         let spec = &self.models[model];
         let queue_capacity = fleet.pipeline_queue_capacity;
-        let batch_id = self.batches.len();
+        let batch_id = self.dispatched;
         let exec_started = self.trace.is_some().then(Instant::now);
         let mut stage_execs: Vec<StageExec> = Vec::with_capacity(plan.stages().len());
         let mut stage_starts: Vec<u64> = Vec::with_capacity(plan.stages().len());
@@ -2013,9 +2029,9 @@ impl<'a> Engine<'a> {
         }
         self.makespan = self.makespan.max(completion);
         for r in &members {
-            self.outcomes.push(RequestOutcome::Served(ServedRequest {
+            self.push_outcome(RequestOutcome::Served(ServedRequest {
                 id: r.id,
-                model: spec.name.to_string(),
+                model: spec.name,
                 arrival: r.arrival,
                 start: first_start,
                 completion,
@@ -2023,21 +2039,52 @@ impl<'a> Engine<'a> {
                 worker: final_lane,
             }));
         }
-        self.in_flight.push(completion, batch_id);
-        self.batches.push(EngineBatch {
-            model,
-            requests: members,
-            ready,
-            start: first_start,
-            lane: final_lane,
-            service_cycles: completion - first_start,
-            stage_execs,
-            cancelled: false,
-        });
+        self.launch(
+            completion,
+            EngineBatch {
+                model,
+                requests: members,
+                ready,
+                start: first_start,
+                lane: final_lane,
+                service_cycles: completion - first_start,
+                stage_execs,
+                cancelled: false,
+            },
+        );
+    }
+
+    /// Puts the next batch id in flight until `completion`.
+    fn launch(&mut self, completion: u64, batch: EngineBatch) {
+        let id = self.dispatched;
+        self.dispatched += 1;
+        self.in_flight.push(completion, id);
+        self.batches.insert(id, batch);
+    }
+
+    /// Reserves the outcome log for `requests` more resolved requests.
+    pub(crate) fn reserve_outcomes(&mut self, requests: usize) {
+        self.outcomes.reserve_exact(requests);
+    }
+
+    /// Appends one resolved request to the outcome log. Every injected
+    /// request resolves exactly once, so a log reserved to its known
+    /// length (a stream, a closed-loop budget, a pre-routed shard) never
+    /// grows. Only a log of unknown length (a shard of the barrier
+    /// driver) grows, by an eighth at a time: its spare capacity stays
+    /// under an eighth of its records, not up to the whole log that
+    /// doubling leaves.
+    fn push_outcome(&mut self, outcome: RequestOutcome) {
+        if self.outcomes.len() == self.outcomes.capacity() {
+            self.outcomes.reserve_exact(self.outcomes.len() / 8 + 64);
+        }
+        self.outcomes.push(outcome);
     }
 
     pub(crate) fn into_report(mut self, policy_name: &str) -> ServeReport {
-        self.outcomes.sort_by_key(RequestOutcome::id);
+        // Ids are unique, so the unstable sort gives the stable order
+        // without the stable sort's merge buffer.
+        self.outcomes.sort_unstable_by_key(RequestOutcome::id);
         let fault_state = self.faults.take();
         let per_model = self
             .models
@@ -2081,7 +2128,7 @@ impl<'a> Engine<'a> {
             arch: self.fleet.arch_label(),
             policy: policy_name.to_string(),
             outcomes: self.outcomes,
-            batches: self.batches.len(),
+            batches: self.dispatched,
             workers: self.worker_stats,
             total_events: self.total_events,
             makespan_cycles: self.makespan,
@@ -2826,6 +2873,43 @@ mod tests {
         let downtime: u64 = windows.iter().map(|&(start, end)| end - start).sum();
         assert_eq!(report.fault.lane_downtime_cycles[0], downtime);
         assert_eq!(report.fault.lane_mttr_cycles(0), Some(downtime / windows.len() as u64));
+    }
+
+    /// The batch table follows the work in flight: while serving it
+    /// holds exactly the completion wheel's entries (a crash-cancelled
+    /// record until its stale entry pops), a drained engine holds none,
+    /// and the batch ids in the report stay dense from 0.
+    #[test]
+    fn batch_records_retire_at_completion() {
+        let models = vec![lenet5()];
+        let reqs = WorkloadSpec::uniform(11, 60, 2_000.0, 1).generate();
+        let base = Fleet::new(ArchKind::S2taAw, 1).serve(&models, &reqs);
+        let spec = crash_spec(7, 6, base.makespan_cycles.max(1), base.makespan_cycles / 4 + 1);
+        let plain = Fleet::new(ArchKind::S2taAw, 2);
+        let crashing = Fleet::new(ArchKind::S2taAw, 1).with_faults(FaultConfig::protected(spec));
+        for fleet in [&plain, &crashing] {
+            let mut engine = Engine::new(fleet, &models);
+            let (mut source, mut policy) = (ArrivalSource::open(&[]), fleet.fixed_policy());
+            let mut most = 0;
+            for &r in &reqs {
+                engine.advance_to_arrival(r.arrival, &mut source, &mut policy);
+                engine.inject(r, None, &mut source, &mut policy);
+                assert_eq!(engine.batches.len(), engine.in_flight.iter().count());
+                most = most.max(engine.batches.len());
+            }
+            engine.drain(&mut source, &mut policy);
+            assert!(engine.batches.is_empty(), "a drained engine holds no batch record");
+            assert!(most < engine.dispatched, "the table held {most} of {}", engine.dispatched);
+            let report = engine.into_report("fixed");
+            let ids: std::collections::BTreeSet<usize> =
+                report.served_outcomes().map(|o| o.batch).collect();
+            if fleet.fault.is_none() {
+                assert_eq!(ids, (0..report.batches).collect(), "served batch ids are dense");
+            } else {
+                assert!(report.fault.retries > 0, "the schedule must cancel in-flight batches");
+                assert!(ids.iter().all(|&b| b < report.batches));
+            }
+        }
     }
 
     /// Hedged dispatch duplicates aged batches onto a second lane:

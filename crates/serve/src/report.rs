@@ -83,12 +83,17 @@ pub enum RequestOutcome {
 }
 
 /// A request that was admitted, batched, and executed.
+///
+/// The outcome log is most of what a run's host memory grows by per
+/// request, so a record owns no heap memory: the model name borrows
+/// the `'static` [`s2ta_models::ModelSpec::name`], and the whole
+/// [`RequestOutcome`] is 72 bytes on a 64-bit host.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServedRequest {
     /// Request id (dense, in arrival order).
     pub id: u64,
     /// Name of the model served.
-    pub model: String,
+    pub model: &'static str,
     /// Arrival cycle.
     pub arrival: u64,
     /// Cycle the request's batch started executing.
@@ -107,7 +112,7 @@ pub struct DroppedRequest {
     /// Request id (dense, in arrival order).
     pub id: u64,
     /// Name of the model requested.
-    pub model: String,
+    pub model: &'static str,
     /// Arrival cycle (which is also the drop cycle: tail drop refuses
     /// the request immediately).
     pub arrival: u64,
@@ -120,7 +125,7 @@ pub struct FailedRequest {
     /// Request id (dense, in arrival order).
     pub id: u64,
     /// Name of the model requested.
-    pub model: String,
+    pub model: &'static str,
     /// Arrival cycle.
     pub arrival: u64,
     /// Dispatch attempts the request consumed before giving up (its
@@ -153,9 +158,9 @@ impl RequestOutcome {
     /// The requested model's name.
     pub fn model(&self) -> &str {
         match self {
-            Self::Served(s) => &s.model,
-            Self::Dropped(d) => &d.model,
-            Self::Failed(f) => &f.model,
+            Self::Served(s) => s.model,
+            Self::Dropped(d) => d.model,
+            Self::Failed(f) => f.model,
         }
     }
 
@@ -215,80 +220,54 @@ pub(crate) fn nearest_rank(sorted_latencies: &[u64], pct: f64) -> u64 {
     sorted_latencies[nearest_rank_position(sorted_latencies.len() as u64, pct) as usize - 1]
 }
 
-/// An exact sparse cycle-count histogram over served latencies: sorted
-/// `(latency, count)` bins, one per **distinct** latency value.
+/// An exact histogram of served latencies, kept as the sorted sample
+/// vector: 8 bytes per served request. Latencies in cycles are nearly
+/// all distinct, so `(latency, count)` bins would cost 16 bytes per
+/// request instead.
 ///
 /// This is the report tier's percentile engine. It is *exact* — a
-/// percentile query walks the bins to the same nearest-rank position
-/// `nearest_rank` would find in the fully-sorted sample vector, so
-/// every answer is an actually-observed latency — and it is *mergeable*:
-/// shard histograms combine bin-by-bin, letting
-/// [`crate::ClusterReport`] compute global percentiles without
-/// re-collecting (or re-sorting) the merged million-sample population
-/// on every call.
+/// percentile query reads the same nearest-rank position
+/// `nearest_rank` would find, so every answer is an actually-observed
+/// latency — and it is *mergeable*: [`crate::ClusterReport`] takes
+/// global percentiles over its shards' histograms by binary search,
+/// without merging or re-sorting the million-sample population.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    /// `(latency_cycles, count)`, strictly ascending in latency.
-    bins: Vec<(u64, u64)>,
-    /// Total sample count across all bins.
-    total: u64,
+    /// Every sample, ascending.
+    sorted: Vec<u64>,
 }
 
 impl LatencyHistogram {
     /// Builds the histogram of `samples` (one sort of the sample set —
     /// the last sort percentile queries ever need).
     pub fn collect(samples: impl IntoIterator<Item = u64>) -> Self {
-        let mut lat: Vec<u64> = samples.into_iter().collect();
-        lat.sort_unstable();
-        let mut bins: Vec<(u64, u64)> = Vec::new();
-        for value in lat {
-            match bins.last_mut() {
-                Some((last, count)) if *last == value => *count += 1,
-                _ => bins.push((value, 1)),
-            }
-        }
-        let total = bins.iter().map(|&(_, count)| count).sum();
-        Self { bins, total }
+        let mut sorted: Vec<u64> = samples.into_iter().collect();
+        sorted.shrink_to_fit();
+        sorted.sort_unstable();
+        Self { sorted }
     }
 
     /// Total number of samples.
     pub fn total(&self) -> u64 {
-        self.total
+        self.sorted.len() as u64
     }
 
     /// Whether the histogram holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.sorted.is_empty()
     }
 
-    /// Folds `other` into `self` (sorted bin merge: linear in the
-    /// number of distinct latencies, independent of sample counts).
+    /// Folds `other` into `self` (one linear merge of the two sorted
+    /// sample sets).
     pub fn merge(&mut self, other: &Self) {
-        let mine = std::mem::take(&mut self.bins);
-        self.bins = Vec::with_capacity(mine.len().max(other.bins.len()));
-        let (mut a, mut b) = (mine.into_iter().peekable(), other.bins.iter().copied().peekable());
-        loop {
-            let next = match (a.peek(), b.peek()) {
-                (Some(&(va, ca)), Some(&(vb, cb))) => {
-                    if va == vb {
-                        a.next();
-                        b.next();
-                        (va, ca + cb)
-                    } else if va < vb {
-                        a.next();
-                        (va, ca)
-                    } else {
-                        b.next();
-                        (vb, cb)
-                    }
-                }
-                (Some(_), None) => a.next().expect("peeked"),
-                (None, Some(_)) => b.next().expect("peeked"),
-                (None, None) => break,
-            };
-            self.bins.push(next);
+        let mine = std::mem::take(&mut self.sorted);
+        let mut merged = Vec::with_capacity(mine.len() + other.sorted.len());
+        let (mut a, mut b) = (mine.iter().peekable(), other.sorted.iter().peekable());
+        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+            merged.push(if x <= y { a.next() } else { b.next() }.copied().expect("peeked"));
         }
-        self.total += other.total;
+        merged.extend(a.chain(b));
+        self.sorted = merged;
     }
 
     /// The `pct`-th percentile sample (nearest-rank, an observed
@@ -298,18 +277,32 @@ impl LatencyHistogram {
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
     pub fn percentile(&self, pct: f64) -> u64 {
-        let target = nearest_rank_position(self.total.max(1), pct);
-        if self.total == 0 {
-            return 0;
-        }
-        let mut seen = 0u64;
-        for &(value, count) in &self.bins {
-            seen += count;
-            if seen >= target {
-                return value;
-            }
-        }
-        unreachable!("nearest-rank position is clamped into the population")
+        let target = nearest_rank_position(self.total().max(1), pct);
+        self.sorted.get(target as usize - 1).copied().unwrap_or(0)
+    }
+
+    /// What [`LatencyHistogram::percentile`] returns on the merge of
+    /// `hists`, found without building the merge: the answer is the
+    /// smallest sample that at least the target rank of samples over
+    /// all `hists` do not exceed. Within one histogram that count grows
+    /// with the sample, so a binary search finds its smallest such
+    /// sample, and the least of those over the histograms is the answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 < pct <= 100.0`.
+    pub(crate) fn percentile_of_union(hists: &[&LatencyHistogram], pct: f64) -> u64 {
+        let total: u64 = hists.iter().map(|h| h.total()).sum();
+        let target = nearest_rank_position(total.max(1), pct);
+        let rank = |v: u64| -> u64 {
+            hists.iter().map(|h| h.sorted.partition_point(|&x| x <= v) as u64).sum()
+        };
+        hists
+            .iter()
+            .filter_map(|h| h.sorted.get(h.sorted.partition_point(|&v| rank(v) < target)))
+            .min()
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -895,7 +888,7 @@ mod tests {
     fn outcome(id: u64, arrival: u64, completion: u64) -> RequestOutcome {
         RequestOutcome::Served(ServedRequest {
             id,
-            model: "m".into(),
+            model: "m",
             arrival,
             start: arrival,
             completion,
@@ -905,7 +898,7 @@ mod tests {
     }
 
     fn dropped(id: u64, arrival: u64) -> RequestOutcome {
-        RequestOutcome::Dropped(DroppedRequest { id, model: "m".into(), arrival })
+        RequestOutcome::Dropped(DroppedRequest { id, model: "m", arrival })
     }
 
     fn report(latencies: &[u64]) -> ServeReport {
@@ -1038,7 +1031,7 @@ mod tests {
         for (i, o) in r.outcomes.iter_mut().enumerate() {
             if let RequestOutcome::Served(s) = o {
                 if i >= 2 {
-                    s.model = "heavy".into();
+                    s.model = "heavy";
                 }
             }
         }
@@ -1078,7 +1071,7 @@ mod tests {
         for pct in [0.001, 0.5, 50.0, 99.999, 100.0] {
             assert_eq!(single.percentile(pct), 42, "pct {pct}");
         }
-        // Heavy ties collapse into sparse bins but stay exact.
+        // Heavy ties stay exact.
         let ties = LatencyHistogram::collect([7, 7, 7, 7, 9]);
         assert_eq!(ties.total(), 5);
         assert_eq!(ties.percentile(80.0), 7);
@@ -1135,6 +1128,15 @@ mod tests {
             hist.merge(&LatencyHistogram::collect(samples[split..].iter().copied()));
             proptest::prop_assert_eq!(hist.percentile(pct), nearest_rank(&sorted, pct));
             proptest::prop_assert_eq!(hist.total(), sorted.len() as u64);
+            // Without the merge: the same answer over the parts.
+            let parts = [
+                LatencyHistogram::collect(samples[..split].iter().copied()),
+                LatencyHistogram::collect(samples[split..].iter().copied()),
+            ];
+            proptest::prop_assert_eq!(
+                LatencyHistogram::percentile_of_union(&[&parts[0], &parts[1]], pct),
+                nearest_rank(&sorted, pct)
+            );
         }
     }
 

@@ -135,8 +135,8 @@ fn tally_masks(m: &DbbMatrix, mut hit: impl FnMut(usize)) {
         BlockAxis::Cols => m.shape().0,
     };
     let bz = m.config().bz();
-    for vector in m.vectors() {
-        for (bi, block) in vector.blocks().iter().enumerate() {
+    for v in 0..m.vector_count() {
+        for (bi, block) in m.vector_blocks(v).enumerate() {
             let mut mask = block.mask();
             while mask != 0 {
                 let p = bi * bz + mask.trailing_zeros() as usize;

@@ -143,8 +143,7 @@ pub fn run_wdbb(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> GemmRun {
         events.cycles += blocks_k as u64 * cpb + geom.skew_cycles();
         let (re, ce) = (rows.len(), cols.len());
         for i in rows.clone() {
-            let wvec = &w.vectors()[i];
-            for (bi, block) in wvec.blocks().iter().enumerate() {
+            for (bi, block) in w.vector_blocks(i).enumerate() {
                 // Issue: B MAC slots per block-cycle per output.
                 let issued_per_output = geom.b as u64 * cpb;
                 for j in cols.clone() {
@@ -286,11 +285,9 @@ pub fn run_aw(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> GemmRun {
         events.cycles += blocks_k as u64 * serial + geom.skew_cycles();
         let (re, ce) = (rows.len(), cols.len());
         for i in rows.clone() {
-            let wvec = &w.vectors()[i];
             for j in cols.clone() {
-                let avec = &a.vectors()[j];
-                for (bi, ablock) in avec.blocks().iter().enumerate() {
-                    let wblock = &wvec.blocks()[bi];
+                for (bi, ablock) in a.vector_blocks(j).enumerate() {
+                    let wblock = w.block(i, bi);
                     // Serialize the stored activation slots: each is one
                     // issue cycle of the DP1M4 unit.
                     let mut active_here = 0u64;

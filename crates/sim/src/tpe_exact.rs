@@ -54,12 +54,12 @@ pub fn run_tpe(geom: &ArrayGeometry, w_lanes: &[DbbVector], a_lanes: &[DbbVector
     for bi in 0..blocks {
         // Stage the C weight blocks (operand registers load once per
         // block period).
-        let staged: Vec<_> = w_lanes.iter().map(|w| &w.blocks()[bi]).collect();
+        let staged: Vec<_> = w_lanes.iter().map(|w| w.block(bi)).collect();
         // Serialize the activation slots: one register-step per cycle.
         for slot in 0..serial {
             events.cycles += 1;
             for (ai, alane) in a_lanes.iter().enumerate() {
-                let ablock = &alane.blocks()[bi];
+                let ablock = alane.block(bi);
                 // Slot `slot` of the compressed storage: a (pos, value)
                 // pair when the mask has that many bits, or padding.
                 let entry = ablock.nonzeros().nth(slot);
@@ -185,13 +185,19 @@ mod tests {
         };
         let wdbb = DbbMatrix::compress(&wm, BlockAxis::Rows, DbbConfig::new(4, 8)).expect("ok");
         let adbb = DbbMatrix::compress(&am, BlockAxis::Cols, DbbConfig::new(3, 8)).expect("ok");
+        // The TPE's lanes: the same reduction vectors, compressed one by one.
+        let w_lanes: Vec<DbbVector> = (0..2)
+            .map(|r| DbbVector::compress(wm.row(r), DbbConfig::new(4, 8)).expect("ok"))
+            .collect();
+        let a_lanes: Vec<DbbVector> = (0..2)
+            .map(|c| {
+                let col: Vec<i8> = (0..k).map(|r| am.get(r, c)).collect();
+                DbbVector::compress(&col, DbbConfig::new(3, 8)).expect("ok")
+            })
+            .collect();
 
         let g = geom();
-        let exact = run_tpe(
-            &g,
-            &[wdbb.vectors()[0].clone(), wdbb.vectors()[1].clone()],
-            &[adbb.vectors()[0].clone(), adbb.vectors()[1].clone()],
-        );
+        let exact = run_tpe(&g, &w_lanes, &a_lanes);
         let tile = crate::tpe::run_aw(&g, &wdbb, &adbb);
         // Same MAC classification and accumulators (transposed layout:
         // exact is [a][c], tile result is [row=c][col=a]).

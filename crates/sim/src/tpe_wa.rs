@@ -62,11 +62,9 @@ pub fn run_wa(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> GemmRun {
         events.cycles += blocks_k as u64 * serial + geom.skew_cycles();
         let (re, ce) = (rows.len(), cols.len());
         for i in rows.clone() {
-            let wvec = &w.vectors()[i];
             for j in cols.clone() {
-                let avec = &a.vectors()[j];
-                for (bi, wblock) in wvec.blocks().iter().enumerate() {
-                    let ablock = &avec.blocks()[bi];
+                for (bi, wblock) in w.vector_blocks(i).enumerate() {
+                    let ablock = a.block(j, bi);
                     let mut active_here = 0u64;
                     for (pos, wv) in wblock.nonzeros() {
                         let av = ablock.value_at(pos);

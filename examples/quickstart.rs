@@ -21,8 +21,8 @@ fn main() {
     println!("dense block   : {data:?}");
     println!(
         "DBB compressed: values {:?}, mask {:#010b}",
-        block.blocks()[0].values(),
-        block.blocks()[0].mask()
+        block.block(0).values(),
+        block.block(0).mask()
     );
     println!("storage       : {} bytes (vs 8 dense)\n", block.storage_bytes());
 

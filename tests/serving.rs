@@ -38,7 +38,7 @@ fn two_models() -> Vec<ModelSpec> {
 
 /// One served batch, rebuilt from its members' outcomes.
 struct ServedBatch {
-    model: String,
+    model: &'static str,
     lane: usize,
     start: u64,
     completion: u64,
@@ -50,7 +50,7 @@ fn batches_of(report: &ServeReport) -> BTreeMap<usize, ServedBatch> {
     let mut batches = BTreeMap::new();
     for o in report.served_outcomes() {
         let b = batches.entry(o.batch).or_insert_with(|| ServedBatch {
-            model: o.model.clone(),
+            model: o.model,
             lane: o.worker,
             start: o.start,
             completion: o.completion,
