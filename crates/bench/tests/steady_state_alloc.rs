@@ -4,7 +4,7 @@
 //! [`Accelerator::run_stage_events`] is documented to allocate nothing
 //! once the plan cache, activation-profile cache, and the caller's
 //! [`Scratch`] arena are warm: per-position profiles are plain cached
-//! tally vectors, the SMT path regenerates activations into the
+//! tally buffers, the SMT path regenerates activations into the
 //! arena's recycled buffer, and events are summed without building
 //! per-layer report vectors. This test pins that claim with a global
 //! counting allocator — warm the caches with two batches, then assert
@@ -25,7 +25,7 @@
 //! only forwards to [`System`] after bumping a `Cell`.
 #![cfg(debug_assertions)]
 
-use s2ta_bench::{cluster_scenario, SEED};
+use s2ta_bench::{chaos_scenario, cluster_scenario, SEED};
 use s2ta_core::{
     pool::Executor, Accelerator, ActProfileCache, ArchKind, PlannedWeights, Scratch,
     WeightResidency,
@@ -155,10 +155,11 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
 }
 
 /// One compile per activation profile: with a warm arena, a cold
-/// [`ActProfileCache`] lookup generates the matrix into the arena and
-/// tallies both sides in one pass, so it allocates exactly the memo
-/// entry's compile slot, the entry's two `K`-length tally vectors (raw
-/// and post-DAP) and the shared value; the next lookup of the key
+/// [`ActProfileCache`] lookup generates the matrix into the arena,
+/// tallies both sides in one pass into the arena's `u16` buffers and
+/// narrows them together, so it allocates exactly the memo entry's
+/// compile slot, the entry's one narrow tally buffer (raw and post-DAP
+/// sides back to back) and the shared value; the next lookup of the key
 /// allocates nothing, both sides included — no second generation.
 #[test]
 fn cold_profile_compiles_both_sides_at_once() {
@@ -178,13 +179,46 @@ fn cold_profile_compiles_both_sides_at_once() {
     let warm = cache.get_or_profile(layer, SEED + 1, bz, adbb, &mut scratch);
     std::hint::black_box((warm.dense(), warm.postdap()));
     let second_lookup = allocs_here() - before;
-    assert_eq!(cold.dense().counts().len(), layer.gemm.k, "one tally per reduction position");
-    assert_eq!(compile, 4, "slot, two tally vectors and the shared value");
+    assert_eq!(cold.dense().len(), layer.gemm.k, "one tally per reduction position");
+    assert_eq!(cold.postdap().len(), layer.gemm.k, "one tally per reduction position");
+    assert_eq!(compile, 3, "slot, one tally buffer and the shared value");
     assert_eq!(second_lookup, 0, "both sides come from the one compile");
 }
 
-/// The activation generator sizes its buffer exactly: a cold compile
-/// into a fresh arena retains one `K x N` matrix and no slack, so
+/// The activation-profile cache holds each input's tallies at the
+/// width its largest count needs: one seed of each served model
+/// profiles every layer into at most the bytes below (576, 1,516 and
+/// 9,488 B today), where `u16` tallies took 3,116, 6,508 and 22,772 B.
+/// Batch-1 FC layers (`N = 1`) hold one bit per position and side.
+#[test]
+fn act_profiles_hold_their_narrow_bytes_per_seed() {
+    const BOUNDS: [(&str, u64); 3] =
+        [("LeNet-5", 700), ("CIFAR10-ConvNet", 1_700), ("Deep-ConvNet", 10_000)];
+    let models = cluster_scenario::models();
+    assert_eq!(models.len(), BOUNDS.len());
+    for (model, (name, bound)) in models.iter().zip(BOUNDS) {
+        assert_eq!(model.name, name);
+        let acc = Accelerator::preset(ArchKind::S2taAw);
+        let plan = acc.plan_model(model, SEED);
+        let layers = 0..model.layers.len();
+        acc.run_stage_events(
+            &plan,
+            model,
+            layers,
+            SEED,
+            WeightResidency::Resident,
+            &mut Scratch::new(),
+        );
+        let cache = acc.act_profiles();
+        assert_eq!(cache.len(), model.layers.len(), "{name}: one entry per layer");
+        let bytes = cache.resident_bytes();
+        assert!(bytes <= bound, "{name}: {bytes} B of activation profiles per seed, above {bound}");
+    }
+}
+
+/// The activation generator and the tally kernel size their buffers
+/// exactly: a cold compile into a fresh arena retains one `K x N`
+/// matrix and two `K`-long `u16` tally vectors and no slack, so
 /// recycled arenas never regrow past the largest layer.
 #[test]
 fn cold_compile_retains_exactly_one_activation_matrix() {
@@ -192,7 +226,8 @@ fn cold_compile_retains_exactly_one_activation_matrix() {
     let layer = &model.layers[1]; // conv2: K 288 x N 256
     let mut scratch = Scratch::new();
     ActProfileCache::new().get_or_profile(layer, SEED, 8, LayerNnz::Prune(4), &mut scratch);
-    assert_eq!(scratch.retained_bytes(), layer.gemm.k * layer.gemm.n);
+    let tallies = 2 * std::mem::size_of::<u16>() * layer.gemm.k;
+    assert_eq!(scratch.retained_bytes(), layer.gemm.k * layer.gemm.n + tallies);
 }
 
 /// The flight recorder's half of the same claim: the event ring is
@@ -325,14 +360,16 @@ fn s2ta_aw_plans_hold_about_their_storage_bytes() {
 
 /// The host memory a served stream costs per request: on warm caches,
 /// the live-heap peak of a cluster run above its pre-serve baseline
-/// grows by at most 100 B per request on both drivers, measured as the
-/// difference between a run of the whole stream and a run of its first
-/// half (so the per-run constants — lane arenas, engine tables — drop
-/// out). What grows is the outcome log (one 72 B record per request,
-/// reserved exactly on the pre-routed driver and grown by eighths on
-/// the barrier driver), the 8 B latency sample and the pre-routed
-/// driver's 4 B stream index; batch records live only while their
-/// batch is in flight.
+/// grows by at most 100 B per request on both drivers and on the
+/// protected chaos cluster, measured as the difference between a run
+/// of the whole stream and a run of its first half (so the per-run
+/// constants — lane arenas, engine tables — drop out). What grows is
+/// the outcome log (one 72 B record per request, reserved exactly on
+/// the pre-routed driver and grown by eighths on the barrier driver),
+/// the 8 B latency sample and the pre-routed driver's 4 B stream index;
+/// batch records live only while their batch is in flight, and a
+/// faulted shard keeps attempt counts only for the requests a crash
+/// has cancelled.
 #[test]
 fn served_stream_costs_at_most_100_bytes_per_request() {
     assert_eq!(std::mem::size_of::<RequestOutcome>(), 72, "one outcome record");
@@ -346,6 +383,9 @@ fn served_stream_costs_at_most_100_bytes_per_request() {
     assert_heap_per_request("pre-routed", &stream, |s| prerouted.serve_on(&inline, &models, s));
     let barrier = cluster_scenario::cluster(RoutingPolicy::PowerOfTwo);
     assert_heap_per_request("barrier", &stream, |s| barrier.serve(&models, s));
+    let horizon = stream.last().map_or(1, |r| r.arrival);
+    let chaos = chaos_scenario::cluster().with_faults(chaos_scenario::protected(horizon));
+    assert_heap_per_request("protected chaos", &stream, |s| chaos.serve_on(&inline, &models, s));
 }
 
 /// Requests in the first, shorter measured run.

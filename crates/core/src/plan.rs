@@ -24,12 +24,12 @@
 //! routed through the cache.
 
 use crate::memo::MemoCache;
-use crate::scratch::Scratch;
+use crate::scratch::{DapTallies, Scratch};
 use crate::{Accelerator, ArchConfig, ArchKind, LayerReport};
-use s2ta_dbb::dap::{dap_col_profile, DapEvents, LayerNnz};
+use s2ta_dbb::dap::{dap_col_profile_into, DapEvents, LayerNnz};
 use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
-use s2ta_sim::{ActivationProfile, WeightProfile};
+use s2ta_sim::{ActTallies, ActivationProfile, WeightProfile};
 use s2ta_tensor::Matrix;
 use std::ops::Range;
 use std::sync::Arc;
@@ -349,19 +349,24 @@ fn layer_act_fingerprint(layer: &LayerSpec) -> u64 {
     h
 }
 
-// (layer activation fingerprint, act seed, DBB block size, A-DBB
-// decision)
-type ActKey = (u64, u64, usize, LayerNnz);
+/// (layer activation fingerprint, act seed, [`dap_scope`] of the DBB
+/// block size and A-DBB decision): 24 bytes per hash bucket.
+type ActKey = (u64, u64, u64);
 
-/// The post-DAP side of an [`ActProfile`]: the pruned activation's
-/// per-position profile plus the DAP decision and its hardware events.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct PostDapProfile {
-    pub(crate) profile: ActivationProfile,
-    /// The DBB configuration DAP compresses under at this `(bz, adbb)`.
-    pub(crate) config: DbbConfig,
-    /// DAP hardware events of the pruning pass.
-    pub(crate) events: DapEvents,
+/// Packs a `(bz, adbb)` DAP scope into one key word: the block size in
+/// the high half, the A-DBB bound plus one in the low half (zero for
+/// dense), so distinct scopes never collide.
+///
+/// # Panics
+///
+/// Panics if `bz` or the bound does not fit 32 bits.
+fn dap_scope(bz: usize, adbb: LayerNnz) -> u64 {
+    let half = |v: usize| u64::from(u32::try_from(v).expect("DAP scope exceeds 32 bits"));
+    let bound = match adbb {
+        LayerNnz::Dense => 0,
+        LayerNnz::Prune(n) => half(n.saturating_add(1)),
+    };
+    half(bz) << 32 | bound
 }
 
 /// The compiled activation-side operand state for one `(layer, act
@@ -373,52 +378,61 @@ pub(crate) struct PostDapProfile {
 /// over one generated activation matrix: the raw-activation profile
 /// (read by the dense-activation datapaths: SA, SA-ZVCG, SA-SMT,
 /// S2TA-W) and the post-DAP profile (read by the A-DBB datapath,
-/// S2TA-AW), one `u16` tally per reduction position each. Neither
+/// S2TA-AW). The kernel counts in `u16`; the entry keeps both sides in
+/// one allocation at the narrowest width that holds its largest tally
+/// (bits, bytes or `u16`, see `s2ta_sim::profile`). Neither side
 /// depends on the array's tiling, so lanes of every geometry that
 /// share a `(bz, adbb)` scope share the entry, each reading its side.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ActProfile {
-    dense: ActivationProfile,
-    postdap: PostDapProfile,
+    /// Side 0: the raw activation; side 1: the DAP-pruned one.
+    tallies: ActivationProfile,
+    /// The DBB configuration DAP compresses under at this `(bz, adbb)`.
+    dap_config: DbbConfig,
+    /// DAP hardware events of the pruning pass.
+    dap_events: DapEvents,
 }
 
 impl ActProfile {
     /// Profiles `acts` under the `(bz, adbb)` DAP scope: one pass of the
-    /// fused raw + DAP tally kernel.
-    fn new(acts: &Matrix, bz: usize, adbb: LayerNnz) -> Self {
-        let dap = dap_col_profile(acts, bz, adbb);
-        Self {
-            dense: ActivationProfile::from_counts(dap.raw),
-            postdap: PostDapProfile {
-                profile: ActivationProfile::from_counts(dap.counts),
-                config: dap.config,
-                events: dap.events,
-            },
-        }
+    /// fused raw + DAP tally kernel into `tallies`, then one narrowing
+    /// pass over the `2K` counts into the entry's single allocation.
+    fn new(acts: &Matrix, bz: usize, adbb: LayerNnz, tallies: &mut DapTallies) -> Self {
+        let DapTallies { raw, postdap } = tallies;
+        let (dap_events, dap_config) = dap_col_profile_into(acts, bz, adbb, raw, postdap);
+        Self { tallies: ActivationProfile::from_sides(&[raw, postdap]), dap_config, dap_events }
     }
 
-    /// The entry's resident tally bytes: two profiles of `K` `u16`
-    /// counts. The unit [`ActProfileCache`] byte budgets are accounted
-    /// in — a pure function of the layer shape, so budget accounting
-    /// can never vary with host timing.
+    /// The entry's resident tally bytes: both sides at their stored
+    /// width — two bits per reduction position when every tally is 0
+    /// or 1, two bytes when the largest fits a `u8`, four otherwise
+    /// (bit sides round up to whole 64-bit words). The unit
+    /// [`ActProfileCache`] byte budgets are accounted in — a pure
+    /// function of the profiled counts, so budget accounting can never
+    /// vary with host timing.
     pub fn approx_bytes(&self) -> u64 {
-        (std::mem::size_of_val(self.dense.counts())
-            + std::mem::size_of_val(self.postdap.profile.counts())) as u64
+        self.tallies.tally_bytes() as u64
     }
 
     /// Per-position profile of the raw activation.
-    pub fn dense(&self) -> &ActivationProfile {
-        &self.dense
+    pub fn dense(&self) -> ActTallies<'_> {
+        self.tallies.side(0)
     }
 
     /// Per-position profile of the DAP-pruned activation, derived
     /// without materializing the pruned matrix.
-    pub fn postdap(&self) -> &ActivationProfile {
-        &self.postdap.profile
+    pub fn postdap(&self) -> ActTallies<'_> {
+        self.tallies.side(1)
     }
 
-    pub(crate) fn postdap_side(&self) -> &PostDapProfile {
-        &self.postdap
+    /// The DBB configuration DAP compresses the activation under.
+    pub(crate) fn dap_config(&self) -> DbbConfig {
+        self.dap_config
+    }
+
+    /// DAP hardware events of the pruning pass.
+    pub(crate) fn dap_events(&self) -> DapEvents {
+        self.dap_events
     }
 }
 
@@ -435,22 +449,25 @@ impl ActProfile {
 /// the dense matrix. Shared fleet-wide like the weight-plan cache: the
 /// profiles do not depend on tile shapes, so lanes of every
 /// architecture kind with the same block size share entries, each
-/// reading its own side. Byte budgets are accounted in
-/// [`ActProfile::approx_bytes`].
+/// reading its own side. Each entry stores its tallies narrow — a
+/// batch-1 FC layer's in one bit per position — and byte budgets are
+/// accounted in those narrow bytes ([`ActProfile::approx_bytes`]).
 pub type ActProfileCache = MemoCache<ActKey, ActProfile>;
 
 impl ActProfileCache {
     /// Returns the cached profile for `(layer, act_seed)` under the
     /// `(bz, adbb)` scope. A miss generates the activation matrix into
     /// `scratch`'s recycled buffer (handed back afterwards) and
-    /// profiles it, so with a warm arena a miss allocates only the
-    /// entry and its two tally vectors, and a hit nothing. Every lookup
-    /// is memoized, so `bypasses` stays zero.
+    /// profiles it into the arena's tally buffers, so with a warm arena
+    /// a miss allocates only the entry and its one narrow tally buffer,
+    /// and a hit nothing. Every lookup is memoized, so `bypasses` stays
+    /// zero.
     ///
     /// # Panics
     ///
-    /// Panics if `bz` is zero or the layer's activation has more than
-    /// `u16::MAX` columns.
+    /// Panics if `bz` is zero, `bz` or the A-DBB bound does not fit
+    /// 32 bits, or the layer's activation has more than `u16::MAX`
+    /// columns.
     pub fn get_or_profile(
         &self,
         layer: &LayerSpec,
@@ -461,7 +478,7 @@ impl ActProfileCache {
     ) -> Arc<ActProfile> {
         self.lookup(layer, act_seed, bz, adbb, || {
             let acts = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
-            let profile = ActProfile::new(&acts, bz, adbb);
+            let profile = ActProfile::new(&acts, bz, adbb, &mut scratch.tallies);
             scratch.acts = acts.into_data();
             profile
         })
@@ -478,9 +495,10 @@ impl ActProfileCache {
         bz: usize,
         adbb: LayerNnz,
         acts: &Matrix,
+        tallies: &mut DapTallies,
     ) -> Arc<ActProfile> {
         debug_assert_eq!((acts.rows(), acts.cols()), (layer.gemm.k, layer.gemm.n));
-        self.lookup(layer, act_seed, bz, adbb, || ActProfile::new(acts, bz, adbb))
+        self.lookup(layer, act_seed, bz, adbb, || ActProfile::new(acts, bz, adbb, tallies))
     }
 
     fn lookup(
@@ -491,7 +509,7 @@ impl ActProfileCache {
         adbb: LayerNnz,
         compile: impl FnOnce() -> ActProfile,
     ) -> Arc<ActProfile> {
-        let key = (layer_act_fingerprint(layer), act_seed, bz, adbb);
+        let key = (layer_act_fingerprint(layer), act_seed, dap_scope(bz, adbb));
         self.get_or_compile(key, false, compile, ActProfile::approx_bytes)
     }
 }
@@ -928,15 +946,30 @@ mod tests {
     }
 
     #[test]
+    fn dap_scopes_pack_without_collisions() {
+        let mut keys = std::collections::HashSet::new();
+        let mut scopes = 0;
+        for bz in 1..=16 {
+            for adbb in std::iter::once(LayerNnz::Dense).chain((0..=bz + 1).map(LayerNnz::Prune)) {
+                keys.insert(dap_scope(bz, adbb));
+                scopes += 1;
+            }
+        }
+        assert_eq!(keys.len(), scopes, "every (bz, adbb) scope keys apart");
+        assert_eq!(std::mem::size_of::<ActKey>(), 24);
+    }
+
+    #[test]
     fn act_cache_byte_budget_evicts_lru_and_recounts() {
         let m = lenet5();
         let layer = &m.layers[0];
         let mut scratch = Scratch::new();
         let probe = ActProfileCache::new();
         let b = probe.get_or_profile(layer, 1, 8, LayerNnz::Dense, &mut scratch).approx_bytes();
+        // conv1's 784 columns push its tallies past the `u8` range.
         assert_eq!(b, 2 * 2 * layer.gemm.k as u64, "two u16 tallies per position");
-        // Same layer and scope: every entry costs exactly `b`, so a
-        // two-entry budget is exact.
+        // Same layer and scope, tallies past 255 at every seed: every
+        // entry costs exactly `b`, so a two-entry budget is exact.
         let cache = ActProfileCache::with_byte_budget(2 * b);
         for seed in [1u64, 2, 1, 3] {
             cache.get_or_profile(layer, seed, 8, LayerNnz::Dense, &mut scratch);

@@ -421,7 +421,14 @@ impl Accelerator {
             }
             (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => {
                 let a = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
-                let prof = self.act_profiles.get_or_profile_from(layer, act_seed, bz, adbb, &a);
+                let prof = self.act_profiles.get_or_profile_from(
+                    layer,
+                    act_seed,
+                    bz,
+                    adbb,
+                    &a,
+                    &mut scratch.tallies,
+                );
                 smt::run_sampled_profiled_into(
                     geom,
                     self.config.smt,
@@ -441,18 +448,17 @@ impl Accelerator {
             }
             (ArchKind::S2taAw, PlannedWeights::Dbb(wdbb)) => {
                 let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
-                let postdap = prof.postdap_side();
                 tpe::run_aw_perf_profiled_into(
                     geom,
                     wdbb,
                     n,
-                    postdap.config,
+                    prof.dap_config(),
                     wp,
-                    &postdap.profile,
+                    prof.postdap(),
                     &mut events,
                 );
-                events.dap_stages += postdap.events.stages;
-                events.dap_comparisons += postdap.events.comparisons;
+                events.dap_stages += prof.dap_events().stages;
+                events.dap_comparisons += prof.dap_events().comparisons;
             }
             (kind, _) => panic!("weight plan format does not match architecture {kind}"),
         }

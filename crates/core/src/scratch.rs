@@ -9,8 +9,8 @@
 //! vector. A [`Scratch`] arena owns recycled backing storage for the
 //! buffers; after the first batch warms them (and the fleet's
 //! plan/profile caches), a steady-state request allocates nothing, and
-//! a cold profile compile allocates only the cache entry and the two
-//! tally vectors it holds.
+//! a cold profile compile allocates only the cache entry and the one
+//! narrow tally buffer it holds.
 //!
 //! Scratch lifetime (one serving lane):
 //!
@@ -20,6 +20,7 @@
 //!        │                               acts / smt capacity; a cold
 //!        │                               ActProfile generates into acts,
 //!        │                               tallies both sides in one pass
+//!        │                               into raw / postdap, narrows
 //!        └────────── restore <───────────┘
 //! ```
 //!
@@ -43,6 +44,17 @@ pub struct Scratch {
     pub(crate) acts: Vec<i8>,
     /// SMT FIFO-timing buffers (`smt::run_sampled_profiled_into`).
     pub(crate) smt: s2ta_sim::smt::SmtScratch,
+    /// The `u16` tallies a cold activation-profile compile counts into
+    /// before narrowing them into the cache entry.
+    pub(crate) tallies: DapTallies,
+}
+
+/// The raw and post-DAP `u16` tally buffers of
+/// `s2ta_dbb::dap::dap_col_profile_into`.
+#[derive(Debug, Default)]
+pub(crate) struct DapTallies {
+    pub(crate) raw: Vec<u16>,
+    pub(crate) postdap: Vec<u16>,
 }
 
 impl Scratch {
@@ -53,7 +65,10 @@ impl Scratch {
 
     /// Total capacity currently retained, in bytes — diagnostic only.
     pub fn retained_bytes(&self) -> usize {
-        self.acts.capacity() + self.smt.retained_bytes()
+        self.acts.capacity()
+            + std::mem::size_of::<u16>()
+                * (self.tallies.raw.capacity() + self.tallies.postdap.capacity())
+            + self.smt.retained_bytes()
     }
 }
 
@@ -62,8 +77,8 @@ impl Scratch {
 /// `checkout` hands out a warm arena when one is idle (LIFO, so the
 /// hottest capacity is reused first) and a fresh one otherwise;
 /// `restore` returns it. The pool never shrinks — arenas are small
-/// (one activation matrix plus the SMT FIFO buffers) and bounded
-/// by the number of concurrent batches ever in flight.
+/// (one activation matrix, two tally vectors and the SMT FIFO buffers)
+/// and bounded by the number of concurrent batches ever in flight.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
     idle: Arc<Mutex<Vec<Scratch>>>,

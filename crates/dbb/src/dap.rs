@@ -294,7 +294,8 @@ const RANK_LANES: usize = 16;
 /// is non-zero — exactly the per-position profile of
 /// `dap_matrix(m, bz, nnz).0.decompress()` — and `raw[p]` the same
 /// count before pruning. Only the two returned `K`-length tally
-/// vectors are allocated.
+/// vectors are allocated; [`dap_col_profile_into`] tallies into the
+/// caller's buffers instead.
 ///
 /// The cascade's only observable outputs are each block's survivor mask
 /// and its stage count, so the kernel computes those directly instead
@@ -314,6 +315,26 @@ const RANK_LANES: usize = 16;
 /// Panics if `m` has more than `u16::MAX` columns (the tallies are
 /// `u16`), or if a pruning `bz` exceeds the largest supported block.
 pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz) -> DapColProfile {
+    let (mut raw, mut counts) = (Vec::new(), Vec::new());
+    let (events, config) = dap_col_profile_into(m, bz, nnz, &mut raw, &mut counts);
+    DapColProfile { raw, counts, events, config }
+}
+
+/// [`dap_col_profile`] tallying into caller-owned buffers, which it
+/// clears and fills to `K` entries each: with warm buffers a call
+/// allocates nothing. Returns the DAP events and compression
+/// configuration.
+///
+/// # Panics
+///
+/// Same contract as [`dap_col_profile`].
+pub fn dap_col_profile_into(
+    m: &Matrix,
+    bz: usize,
+    nnz: LayerNnz,
+    raw: &mut Vec<u16>,
+    counts: &mut Vec<u16>,
+) -> (DapEvents, DbbConfig) {
     let (k, cols) = (m.rows(), m.cols());
     check_tally_width(cols);
     let n = match nnz {
@@ -321,15 +342,18 @@ pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz) -> DapColProfile {
         // Dense (or a bound at/above BZ): nothing is pruned, both
         // profiles are the raw matrix's.
         _ => {
-            let raw: Vec<u16> =
-                (0..k).map(|p| m.row(p).iter().filter(|&&v| v != 0).count() as u16).collect();
-            let counts = raw.clone();
-            let events = DapEvents::default();
-            return DapColProfile { raw, counts, events, config: DbbConfig::dense(bz) };
+            raw.clear();
+            raw.extend((0..k).map(|p| m.row(p).iter().filter(|&&v| v != 0).count() as u16));
+            counts.clear();
+            counts.extend_from_slice(raw);
+            return (DapEvents::default(), DbbConfig::dense(bz));
         }
     };
     assert!(bz <= MAX_BZ, "unsupported block size {bz}");
-    let (mut raw, mut counts) = (vec![0u16; k], vec![0u16; k]);
+    for tallies in [&mut *raw, &mut *counts] {
+        tallies.clear();
+        tallies.resize(k, 0);
+    }
     // `n < bz <= MAX_BZ`, so the bound and every rank fit a `u8` lane;
     // comparing as `u8` keeps the survivor test vectorized.
     let keep = n as u8;
@@ -379,7 +403,7 @@ pub fn dap_col_profile(m: &Matrix, bz: usize, nnz: LayerNnz) -> DapColProfile {
     } else {
         DapEvents::default()
     };
-    DapColProfile { raw, counts, events, config: DbbConfig::new(n, bz) }
+    (events, DbbConfig::new(n, bz))
 }
 
 #[cfg(test)]
@@ -553,6 +577,23 @@ mod tests {
         for nnz in [LayerNnz::Dense, LayerNnz::Prune(2), LayerNnz::Prune(8)] {
             let direct = dap_col_profile(&m, 8, nnz);
             assert_eq!(direct.config, dap_matrix(&m, 8, nnz).0.config(), "{nnz:?}");
+        }
+    }
+
+    /// The buffered form overwrites whatever the caller's buffers held,
+    /// longer or shorter than `K`, on the pruning and the dense path.
+    #[test]
+    fn col_profile_into_reuses_dirty_buffers() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let m = SparseSpec::random(0.4).matrix(19, 10, &mut rng);
+        for (nnz, stale) in
+            [(LayerNnz::Prune(3), 40), (LayerNnz::Dense, 40), (LayerNnz::Prune(2), 3)]
+        {
+            let (mut raw, mut counts) = (vec![7u16; stale], vec![9u16; stale]);
+            let (events, config) = dap_col_profile_into(&m, 8, nnz, &mut raw, &mut counts);
+            let direct = dap_col_profile(&m, 8, nnz);
+            assert_eq!((raw, counts), (direct.raw, direct.counts), "{nnz:?}");
+            assert_eq!((events, config), (direct.events, direct.config), "{nnz:?}");
         }
     }
 

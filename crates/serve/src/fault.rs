@@ -29,6 +29,7 @@
 use crate::report::FaultStats;
 use crate::timewheel::TimerWheel;
 use crate::workload::{Lcg, Request};
+use std::collections::HashMap;
 
 /// One typed fault, as named by the schedule. The expanded
 /// [`FaultPlan`] works in merged windows; this enum is the
@@ -578,8 +579,10 @@ pub(crate) struct FaultState {
     /// Next unconsumed index into `timeline.events()`.
     pub(crate) cursor: usize,
     pub(crate) retries: RetryQueue,
-    /// Dispatch attempts consumed, indexed by request id.
-    pub(crate) attempts: Vec<u32>,
+    /// Dispatch attempts consumed by each request a crash has cancelled
+    /// at least once, by request id, until it is served or fails: the
+    /// table holds the retries in flight, not the stream.
+    pub(crate) attempts: HashMap<u64, u32>,
     /// Batch ids dispatched and not yet completed/cancelled, per lane.
     pub(crate) lane_active: Vec<Vec<usize>>,
     /// Requests abandoned as `Failed`, per model.
@@ -606,7 +609,7 @@ impl FaultState {
             timeline,
             cursor: 0,
             retries: RetryQueue::new(),
-            attempts: Vec::new(),
+            attempts: HashMap::new(),
             lane_active: vec![Vec::new(); lanes],
             failed_per_model: vec![0; models],
             down: vec![false; lanes],

@@ -1203,6 +1203,11 @@ impl<'a> Engine<'a> {
             if let Some(pos) = f.lane_active[lane].iter().position(|&b| b == index) {
                 f.lane_active[lane].swap_remove(pos);
             }
+            if !f.attempts.is_empty() {
+                for r in &batch.requests {
+                    f.attempts.remove(&r.id);
+                }
+            }
             // Outcomes were deferred from dispatch (a crash could
             // still have cancelled the batch); the batch survived, so
             // its requests are served now — trace, makespan and
@@ -1292,14 +1297,6 @@ impl<'a> Engine<'a> {
             let backlog = self.queued + self.in_flight_requests;
             let f = self.faults.as_deref_mut().expect("checked");
             f.update_degraded(request.arrival, backlog);
-            // The attempt table is keyed by request id (dense within a
-            // fleet, the shard's slice of the global space in a
-            // cluster); size it before any dispatch can consume an
-            // attempt.
-            let id = request.id as usize;
-            if f.attempts.len() <= id {
-                f.attempts.resize(id + 1, 0);
-            }
             // Degraded mode: with a lane down and the backlog past the
             // threshold, best-effort models are shed at admission so
             // the strict classes keep their latency.
@@ -1493,6 +1490,7 @@ impl<'a> Engine<'a> {
     ) {
         {
             let f = self.faults.as_deref_mut().expect("fault mode");
+            f.attempts.remove(&request.id);
             f.stats.failed += 1;
             f.failed_per_model[request.model] += 1;
         }
@@ -1602,7 +1600,7 @@ impl<'a> Engine<'a> {
             for r in members {
                 let (attempts, retry_at) = {
                     let f = self.faults.as_deref_mut().expect("crash event");
-                    let attempts = &mut f.attempts[r.id as usize];
+                    let attempts = f.attempts.entry(r.id).or_insert(0);
                     *attempts += 1;
                     (*attempts, f.config.retry.next_retry(t, r.arrival, *attempts))
                 };

@@ -14,10 +14,16 @@
 //! cycle, issue and traffic terms, which the datapaths derive from the
 //! GEMM dimensions alone.
 //!
-//! Weight tallies are `u32`; activation tallies are `u16`, since a tally
-//! never exceeds the activation width `N` and the activation profiles
-//! are the ones cached per request input. Constructors reject
-//! activations wider than `u16::MAX` columns rather than wrap.
+//! Weight tallies are `u32`. Activation tallies are counted as `u16`,
+//! since a tally never exceeds the activation width `N`, and are
+//! *stored* at the narrowest width that holds the largest one: one bit
+//! per position when every tally is 0 or 1 (every batch-1 FC layer has
+//! `N = 1`), a byte when the largest fits a `u8`, and a `u16`
+//! otherwise. The activation profiles are the ones cached per request
+//! input, so their width is what a profile cache holds. Constructors
+//! reject activations wider than `u16::MAX` columns rather than wrap.
+//! The datapaths read activation tallies through the borrowed
+//! [`ActTallies`] view, which dispatches on the width once per layer.
 //!
 //! The profile types are **public operands**: because a profile is a
 //! pure function of its matrix, a caller can build it once (e.g. bake
@@ -78,9 +84,31 @@ impl WeightProfile {
 
 /// `nnzA[p]`: the non-zero activations in row `p` of a `K x N`
 /// activation matrix (columns are output pixels), over all `N` columns.
+///
+/// A profile holds one or more equal-length sides — the
+/// activation-profile cache keeps an input's raw and post-DAP tallies
+/// together — in one allocation, at the narrowest width that holds the
+/// largest tally of any side (see the module docs). Read a side through
+/// [`ActivationProfile::side`]; single-sided profiles (every
+/// constructor but [`ActivationProfile::from_sides`]) through
+/// [`ActivationProfile::tallies`]. The width is a pure function of the
+/// counts, so equal counts compare equal whichever constructor made
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivationProfile {
-    counts: Vec<u16>,
+    /// Positions per side (`K`).
+    len: usize,
+    store: Store,
+}
+
+/// The sides' tallies back to back at one width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Store {
+    /// Every tally is 0 or 1: bit `p % 64` of word `p / 64`, each side
+    /// starting on a fresh word.
+    Bits(Box<[u64]>),
+    U8(Box<[u8]>),
+    U16(Box<[u16]>),
 }
 
 impl ActivationProfile {
@@ -91,8 +119,9 @@ impl ActivationProfile {
     /// Panics if `a` has more than `u16::MAX` columns.
     pub fn new(a: &Matrix) -> Self {
         check_tally_width(a.cols());
-        let counts = (0..a.rows()).map(|p| a.row(p).iter().filter(|&&v| v != 0).count() as u16);
-        Self { counts: counts.collect() }
+        let counts: Vec<u16> =
+            (0..a.rows()).map(|p| a.row(p).iter().filter(|&&v| v != 0).count() as u16).collect();
+        Self::from_counts(&counts)
     }
 
     /// Profiles a column-blocked compressed activation matrix directly
@@ -111,21 +140,163 @@ impl ActivationProfile {
         check_tally_width(cols);
         let mut counts = vec![0u16; k];
         tally_masks(a, |p| counts[p] += 1);
-        Self { counts }
+        Self::from_counts(&counts)
     }
 
-    /// Wraps precomputed `nnzA[p]` tallies — the path for producers
+    /// Narrows precomputed `nnzA[p]` tallies — the path for producers
     /// (e.g. `s2ta_dbb::dap::dap_col_profile`) that derive the counts
     /// without materializing the profiled matrix.
-    pub fn from_counts(counts: Vec<u16>) -> Self {
-        Self { counts }
+    pub fn from_counts(counts: &[u16]) -> Self {
+        Self::from_sides(&[counts])
     }
 
-    /// The per-position tallies, `K` long.
-    pub fn counts(&self) -> &[u16] {
-        &self.counts
+    /// Narrows several equal-length tally vectors into one profile: one
+    /// allocation at the width the largest tally of any side needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sides differ in length.
+    pub fn from_sides(sides: &[&[u16]]) -> Self {
+        let len = sides.first().map_or(0, |s| s.len());
+        assert!(sides.iter().all(|s| s.len() == len), "profile sides differ in length");
+        let max = sides.iter().flat_map(|s| s.iter().copied()).max().unwrap_or(0);
+        let store = if max <= 1 {
+            let words = len.div_ceil(64);
+            let mut bits = vec![0u64; words * sides.len()];
+            for (s, side) in sides.iter().enumerate() {
+                for (p, &c) in side.iter().enumerate() {
+                    bits[s * words + p / 64] |= u64::from(c) << (p % 64);
+                }
+            }
+            Store::Bits(bits.into_boxed_slice())
+        } else if max <= u16::from(u8::MAX) {
+            Store::U8(concat(sides, |c| c as u8))
+        } else {
+            Store::U16(concat(sides, |c| c))
+        };
+        Self { len, store }
+    }
+
+    /// Positions per side: the reduction length `K`.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the profile covers no reduction position.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Side `i`'s tallies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile has no side `i` (a zero-length profile
+    /// has every side, all empty).
+    pub fn side(&self, i: usize) -> ActTallies<'_> {
+        let len = self.len;
+        let side = |unit: usize| i * unit..(i + 1) * unit;
+        ActTallies(match &self.store {
+            Store::Bits(words) => Tallies::Bits { words: &words[side(len.div_ceil(64))], len },
+            Store::U8(c) => Tallies::U8(&c[side(len)]),
+            Store::U16(c) => Tallies::U16(&c[side(len)]),
+        })
+    }
+
+    /// The first side's tallies: the whole profile of a single-sided
+    /// one.
+    pub fn tallies(&self) -> ActTallies<'_> {
+        self.side(0)
+    }
+
+    /// Heap bytes the stored tallies occupy, every side included.
+    pub fn tally_bytes(&self) -> usize {
+        match &self.store {
+            Store::Bits(w) => std::mem::size_of_val(&**w),
+            Store::U8(c) => c.len(),
+            Store::U16(c) => std::mem::size_of_val(&**c),
+        }
     }
 }
+
+/// The sides back to back, each tally converted by `narrow`, in one
+/// exactly sized allocation.
+fn concat<T>(sides: &[&[u16]], narrow: impl Fn(u16) -> T) -> Box<[T]> {
+    let mut out = Vec::with_capacity(sides.iter().map(|s| s.len()).sum());
+    for side in sides {
+        out.extend(side.iter().map(|&c| narrow(c)));
+    }
+    out.into_boxed_slice()
+}
+
+/// One side of an [`ActivationProfile`], borrowed at its storage width.
+///
+/// Equality compares the tallies, not the width: a side of a two-sided
+/// profile stored in bytes equals a single-sided profile of the same
+/// counts stored in bits.
+#[derive(Debug, Clone, Copy)]
+pub struct ActTallies<'a>(Tallies<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Tallies<'a> {
+    Bits { words: &'a [u64], len: usize },
+    U8(&'a [u8]),
+    U16(&'a [u16]),
+}
+
+impl<'a> ActTallies<'a> {
+    /// Positions covered: the reduction length `K`.
+    pub fn len(self) -> usize {
+        match self.0 {
+            Tallies::Bits { len, .. } => len,
+            Tallies::U8(c) => c.len(),
+            Tallies::U16(c) => c.len(),
+        }
+    }
+
+    /// `true` when no reduction position is covered.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Storage bits per tally: 1, 8 or 16.
+    pub fn width_bits(self) -> u32 {
+        match self.0 {
+            Tallies::Bits { .. } => 1,
+            Tallies::U8(_) => u8::BITS,
+            Tallies::U16(_) => u16::BITS,
+        }
+    }
+
+    /// The tally at position `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn get(self, p: usize) -> u16 {
+        match self.0 {
+            Tallies::Bits { words, len } => {
+                assert!(p < len, "position {p} out of range for {len} tallies");
+                ((words[p / 64] >> (p % 64)) & 1) as u16
+            }
+            Tallies::U8(c) => u16::from(c[p]),
+            Tallies::U16(c) => c[p],
+        }
+    }
+
+    /// The tallies in position order, widened to `u16`.
+    pub fn iter(self) -> impl Iterator<Item = u16> + 'a {
+        (0..self.len()).map(move |p| self.get(p))
+    }
+}
+
+impl PartialEq for ActTallies<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ActTallies<'_> {}
 
 /// Calls `hit(p)` once per non-zero of `m` at reduction position `p`,
 /// walking the block masks of every vector.
@@ -151,20 +322,44 @@ fn tally_masks(m: &DbbMatrix, mut hit: impl FnMut(usize)) {
     }
 }
 
-/// A layer's active MACs: `sum_p nnzW[p] * nnzA[p]`.
+/// A layer's active MACs: `sum_p nnzW[p] * nnzA[p]`, one dot product
+/// at the activation tallies' storage width (over the set positions
+/// when they are bits).
 ///
 /// # Panics
 ///
 /// Panics if the profiles disagree on the reduction length.
-pub fn active_macs(w: &WeightProfile, a: &ActivationProfile) -> u64 {
-    assert_eq!(w.counts.len(), a.counts.len(), "profile reduction lengths differ");
-    w.counts.iter().zip(&a.counts).map(|(&nw, &na)| u64::from(nw) * u64::from(na)).sum()
+pub fn active_macs(w: &WeightProfile, a: ActTallies<'_>) -> u64 {
+    assert_eq!(w.counts.len(), a.len(), "profile reduction lengths differ");
+    fn dot<T: Copy + Into<u64>>(w: &[u32], a: &[T]) -> u64 {
+        w.iter().zip(a).map(|(&nw, &na)| u64::from(nw) * na.into()).sum()
+    }
+    match a.0 {
+        Tallies::Bits { words, .. } => w
+            .counts
+            .chunks(64)
+            .zip(words)
+            .map(|(nw, &bits)| {
+                nw.iter().enumerate().map(|(i, &c)| u64::from(c) * ((bits >> i) & 1)).sum::<u64>()
+            })
+            .sum(),
+        Tallies::U8(c) => dot(&w.counts, c),
+        Tallies::U16(c) => dot(&w.counts, c),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use s2ta_dbb::DbbConfig;
+    use s2ta_tensor::sparsity::SparseSpec;
+
+    fn tallies(ap: &ActivationProfile) -> Vec<u16> {
+        ap.tallies().iter().collect()
+    }
 
     #[test]
     fn profiles_count_nonzeros_per_position() {
@@ -172,14 +367,14 @@ mod tests {
         assert_eq!(WeightProfile::new(&w).counts(), &[2, 2]);
 
         let a = Matrix::from_vec(2, 3, vec![1, 0, 2, 0, 0, 3]);
-        assert_eq!(ActivationProfile::new(&a).counts(), &[2, 1]);
-        assert_eq!(ActivationProfile::new(&a), ActivationProfile::from_counts(vec![2, 1]));
+        assert_eq!(tallies(&ActivationProfile::new(&a)), [2, 1]);
+        assert_eq!(ActivationProfile::new(&a), ActivationProfile::from_counts(&[2, 1]));
     }
 
     #[test]
     fn act_tallies_pass_the_u8_range() {
         let a = Matrix::from_vec(2, 300, (0..600).map(|i| i8::from(i != 7)).collect());
-        assert_eq!(ActivationProfile::new(&a).counts(), &[299, 300]);
+        assert_eq!(tallies(&ActivationProfile::new(&a)), [299, 300]);
     }
 
     /// The widest activation a `u16` tally holds profiles exactly; one
@@ -188,7 +383,7 @@ mod tests {
     fn act_profile_holds_exactly_u16_max_columns() {
         let n = usize::from(u16::MAX);
         let a = Matrix::from_vec(1, n, vec![1; n]);
-        assert_eq!(ActivationProfile::new(&a).counts(), &[u16::MAX]);
+        assert_eq!(tallies(&ActivationProfile::new(&a)), [u16::MAX]);
     }
 
     #[test]
@@ -233,7 +428,7 @@ mod tests {
     fn active_macs_factorization_matches_bruteforce() {
         let w = Matrix::from_vec(2, 4, vec![1, 0, 5, 0, 0, 2, 5, 0]);
         let a = Matrix::from_vec(4, 3, vec![1, 1, 0, 0, 2, 0, 3, 0, 0, 4, 4, 4]);
-        let fast = active_macs(&WeightProfile::new(&w), &ActivationProfile::new(&a));
+        let fast = active_macs(&WeightProfile::new(&w), ActivationProfile::new(&a).tallies());
         let mut slow = 0u64;
         for i in 0..2 {
             for p in 0..4 {
@@ -245,5 +440,108 @@ mod tests {
             }
         }
         assert_eq!(fast, slow);
+    }
+
+    /// The width each largest tally narrows to, and the tallies it
+    /// must still read back: the edges of every width.
+    const WIDTH_EDGES: [(u16, u32); 6] =
+        [(0, 1), (1, 1), (2, 8), (255, 8), (256, 16), (u16::MAX, 16)];
+
+    /// `k` tallies in `0..=top` drawn from `codes`, with `top` itself
+    /// at one position.
+    fn capped_counts(codes: &[u32], k: usize, top: u16) -> Vec<u16> {
+        let mut counts: Vec<u16> =
+            codes[..k].iter().map(|&c| (c % (u32::from(top) + 1)) as u16).collect();
+        counts[codes[k] as usize % k] = top;
+        counts
+    }
+
+    fn wide_dot(w: &[u32], a: &[u16]) -> u64 {
+        w.iter().zip(a).map(|(&nw, &na)| u64::from(nw) * u64::from(na)).sum()
+    }
+
+    #[test]
+    fn narrowing_picks_the_width_of_the_largest_tally() {
+        for (top, bits) in WIDTH_EDGES {
+            for k in [1, 63, 64, 65, 130] {
+                let codes: Vec<u32> =
+                    (0..=k as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+                let counts = capped_counts(&codes, k, top);
+                let ap = ActivationProfile::from_counts(&counts);
+                assert_eq!(ap.tallies().width_bits(), bits, "top {top}, k {k}");
+                assert_eq!((ap.len(), tallies(&ap)), (k, counts.clone()), "top {top}, k {k}");
+                let bytes = if bits == 1 { k.div_ceil(64) * 8 } else { k * bits as usize / 8 };
+                assert_eq!(ap.tally_bytes(), bytes, "top {top}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn sides_share_one_width_and_read_back_apart() {
+        // The raw side needs a byte; the post-DAP side alone would fit
+        // bits, but shares the entry's width.
+        let (raw, kept) = ([3u16, 0, 1, 2, 0], [1u16, 0, 1, 0, 0]);
+        let pair = ActivationProfile::from_sides(&[&raw, &kept]);
+        assert_eq!((pair.side(0).width_bits(), pair.side(1).width_bits()), (8, 8));
+        assert_eq!(pair.tally_bytes(), 10);
+        assert_eq!(pair.side(0), ActivationProfile::from_counts(&raw).tallies());
+        let alone = ActivationProfile::from_counts(&kept);
+        assert_eq!(alone.tallies().width_bits(), 1);
+        assert_eq!(pair.side(1), alone.tallies(), "equality compares tallies, not widths");
+        // Bit sides start on fresh words.
+        let bits = ActivationProfile::from_sides(&[&[1; 65], &[0; 65]]);
+        assert_eq!(bits.tally_bytes(), 32);
+        assert!(bits.side(1).iter().all(|c| c == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "profile sides differ in length")]
+    fn sides_must_agree_in_length() {
+        let _ = ActivationProfile::from_sides(&[&[1, 2], &[1]]);
+    }
+
+    proptest! {
+        /// `active_macs` over narrowed tallies equals the wide `u16`
+        /// dot product at every width, on either side of a two-sided
+        /// profile, for reduction lengths on and off the 64-bit word.
+        #[test]
+        fn prop_narrow_active_macs_equal_the_wide_dot_product(
+            k in 1usize..300,
+            edge in 0usize..6,
+            codes in prop::collection::vec(any::<u32>(), 301),
+            wcodes in prop::collection::vec(any::<u32>(), 300),
+        ) {
+            let (top, bits) = WIDTH_EDGES[edge];
+            let counts = capped_counts(&codes, k, top);
+            let w = WeightProfile { counts: wcodes[..k].iter().map(|&c| c % 4096).collect() };
+            let ap = ActivationProfile::from_counts(&counts);
+            prop_assert_eq!(ap.tallies().width_bits(), bits);
+            prop_assert_eq!(active_macs(&w, ap.tallies()), wide_dot(&w.counts, &counts));
+            let halved: Vec<u16> = counts.iter().map(|&c| c / 2).collect();
+            let pair = ActivationProfile::from_sides(&[&counts, &halved]);
+            prop_assert_eq!(active_macs(&w, pair.side(0)), wide_dot(&w.counts, &counts));
+            prop_assert_eq!(active_macs(&w, pair.side(1)), wide_dot(&w.counts, &halved));
+        }
+
+        /// Profiling a matrix, its compressed blocks or its counts gives
+        /// one profile, whatever width its tallies narrow to.
+        #[test]
+        fn prop_every_constructor_narrows_alike(
+            rows in 1usize..140,
+            cols_pick in 0usize..6,
+            sp in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let cols = [1, 2, 3, 255, 256, 300][cols_pick];
+            let m = SparseSpec::random(sp).matrix(rows, cols, &mut StdRng::seed_from_u64(seed));
+            let counts: Vec<u16> = (0..rows)
+                .map(|p| m.row(p).iter().filter(|&&v| v != 0).count() as u16)
+                .collect();
+            let dm = DbbMatrix::compress(&m, BlockAxis::Cols, DbbConfig::dense(8)).unwrap();
+            let ap = ActivationProfile::from_counts(&counts);
+            prop_assert_eq!(&ActivationProfile::new(&m), &ap);
+            prop_assert_eq!(&ActivationProfile::of_dbb(&dm), &ap);
+            prop_assert_eq!(tallies(&ap), counts);
+        }
     }
 }

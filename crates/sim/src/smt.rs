@@ -13,7 +13,7 @@
 //! (`fifo_bytes`) makes SMT *less* energy-efficient than `SA-ZVCG`
 //! (paper Fig. 3, Fig. 10).
 
-use crate::profile::{active_macs, ActivationProfile, WeightProfile};
+use crate::profile::{active_macs, ActTallies, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -215,7 +215,7 @@ pub fn run_sampled_profiled(
     a: &Matrix,
     sample_tiles: usize,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_sampled_profiled_into(
@@ -247,7 +247,7 @@ pub fn run_sampled_profiled_into(
     a: &Matrix,
     sample_tiles: usize,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
     events: &mut EventCounts,
     scratch: &mut SmtScratch,
 ) {
@@ -256,7 +256,7 @@ pub fn run_sampled_profiled_into(
     assert_eq!(w.cols(), a.rows(), "GEMM inner dims mismatch");
     let k = w.cols();
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
+    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
     let walk = geom.tile_walk(w.rows(), a.cols());
     let outputs = (w.rows() * a.cols()) as u64;
     *events += EventCounts {
@@ -383,6 +383,7 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ActivationProfile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use s2ta_tensor::gemm_ref;
@@ -471,7 +472,7 @@ mod tests {
             [(SmtConfig::t2q2(), 1), (SmtConfig::t2q2(), 3), (SmtConfig::t2q4(), usize::MAX)]
         {
             let full = run_inner(&g, cfg, &w, &a, sample).events;
-            let profiled = run_sampled_profiled(&g, cfg, &w, &a, sample, &wp, &ap);
+            let profiled = run_sampled_profiled(&g, cfg, &w, &a, sample, &wp, ap.tallies());
             assert_eq!(full, profiled, "{cfg} sample={sample}");
         }
     }

@@ -6,7 +6,7 @@
 //! full loop; [`run_perf`] produces identical events from one `O(K)`
 //! dot product of per-position non-zero profiles, for full-model sweeps.
 
-use crate::profile::{active_macs, ActivationProfile, WeightProfile};
+use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightProfile};
 use crate::{cycle_exact, ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -84,7 +84,7 @@ pub fn run_perf(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> Eve
     check_inputs(geom, w, a);
     let wp = WeightProfile::new(w);
     let ap = ActivationProfile::new(a);
-    run_perf_profiled(geom, zvcg, w.rows(), w.cols(), a.cols(), &wp, &ap)
+    run_perf_profiled(geom, zvcg, w.rows(), w.cols(), a.cols(), &wp, ap.tallies())
 }
 
 /// Matrix-free event path: identical [`EventCounts`] to [`run`] and
@@ -103,7 +103,7 @@ pub fn run_perf_profiled(
     k: usize,
     n_cols: usize,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_perf_profiled_into(geom, zvcg, m_rows, k, n_cols, wp, ap, &mut events);
@@ -124,12 +124,12 @@ pub fn run_perf_profiled_into(
     k: usize,
     n_cols: usize,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
     events: &mut EventCounts,
 ) {
     assert_eq!((geom.a, geom.b, geom.c), (1, 1, 1), "systolic runner is scalar only");
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
+    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
     *events += sram_events(geom, m_rows, k, n_cols);
 
     // Every tile issues one MAC per (row, position, column) it covers.

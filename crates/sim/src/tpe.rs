@@ -17,7 +17,7 @@
 //!   the layer's activation NNZ — variable density at constant
 //!   utilization (Sec. 5.2).
 
-use crate::profile::{active_macs, ActivationProfile, WeightProfile};
+use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_dbb::{BlockAxis, DbbMatrix};
 use s2ta_tensor::{AccMatrix, Matrix};
@@ -182,7 +182,7 @@ pub fn run_wdbb_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> EventCo
     // no `decompress()` scratch matrix in the perf path.
     let wp = WeightProfile::of_dbb(w);
     let ap = ActivationProfile::new(a);
-    run_wdbb_perf_profiled(geom, w, a.cols(), &wp, &ap)
+    run_wdbb_perf_profiled(geom, w, a.cols(), &wp, ap.tallies())
 }
 
 /// Matrix-free event path for `S2TA-W`: identical counts to
@@ -200,7 +200,7 @@ pub fn run_wdbb_perf_profiled(
     w: &DbbMatrix,
     n_cols: usize,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_wdbb_perf_profiled_into(geom, w, n_cols, wp, ap, &mut events);
@@ -219,7 +219,7 @@ pub fn run_wdbb_perf_profiled_into(
     w: &DbbMatrix,
     n_cols: usize,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
     events: &mut EventCounts,
 ) {
     check_wdbb(geom, w);
@@ -227,7 +227,7 @@ pub fn run_wdbb_perf_profiled_into(
     let blocks_k = k.div_ceil(geom.bz);
     let cpb = wdbb_cycles_per_block(geom, w);
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
+    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
 
     *events += sram_events(geom, m_rows, n_cols, w.storage_bytes(), k * n_cols, 1.0);
     // Each output issues `b` MAC slots (one adder-tree update) per
@@ -322,7 +322,7 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     // `decompress()` scratch matrices in the perf path.
     let wp = WeightProfile::of_dbb(w);
     let ap = ActivationProfile::of_dbb(a);
-    run_aw_perf_profiled(geom, w, a.shape().1, a.config(), &wp, &ap)
+    run_aw_perf_profiled(geom, w, a.shape().1, a.config(), &wp, ap.tallies())
 }
 
 /// Matrix-free event path for `S2TA-AW`: identical counts to [`run_aw`]
@@ -346,7 +346,7 @@ pub fn run_aw_perf_profiled(
     n_cols: usize,
     a_config: s2ta_dbb::DbbConfig,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
 ) -> EventCounts {
     let mut events = EventCounts::new();
     run_aw_perf_profiled_into(geom, w, n_cols, a_config, wp, ap, &mut events);
@@ -365,7 +365,7 @@ pub fn run_aw_perf_profiled_into(
     n_cols: usize,
     a_config: s2ta_dbb::DbbConfig,
     wp: &WeightProfile,
-    ap: &ActivationProfile,
+    ap: ActTallies<'_>,
     events: &mut EventCounts,
 ) {
     check_wdbb(geom, w);
@@ -375,7 +375,7 @@ pub fn run_aw_perf_profiled_into(
     let wpasses = if w.config().is_dense() { geom.bz.div_ceil(geom.b) as u64 } else { 1 };
     let serial = a_config.nnz() as u64 * wpasses;
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.counts().len(), k, "activation profile reduction length mismatch");
+    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
 
     let a_storage_bytes = n_cols * blocks_k * a_config.block_bytes();
     let write_ratio = a_config.block_bytes() as f64 / a_config.bz() as f64;

@@ -98,7 +98,7 @@ pub fn run_wa_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     let blocks_k = k.div_ceil(geom.bz);
     let apasses = if a.config().is_dense() { geom.bz.div_ceil(geom.b) as u64 } else { 1 };
     let serial = w.config().nnz() as u64 * apasses;
-    let active = active_macs(&WeightProfile::of_dbb(w), &ActivationProfile::of_dbb(a));
+    let active = active_macs(&WeightProfile::of_dbb(w), ActivationProfile::of_dbb(a).tallies());
 
     let write_ratio = a.config().block_bytes() as f64 / a.config().bz() as f64;
     let mut events = crate::tpe::sram_events(

@@ -128,9 +128,10 @@ fn act_profile_holds_exactly_u16_max_columns() {
         LayerNnz::Prune(2),
         &mut Scratch::new(),
     );
-    assert_eq!(*profile.dense(), ActivationProfile::new(&acts));
-    assert_eq!(*profile.postdap(), ActivationProfile::new(&acts), "one row never prunes");
-    assert!(profile.dense().counts()[0] > 255, "the tally leaves the u8 range");
+    assert_eq!(profile.dense(), ActivationProfile::new(&acts).tallies());
+    assert_eq!(profile.postdap(), ActivationProfile::new(&acts).tallies(), "one row never prunes");
+    assert!(profile.dense().get(0) > 255, "the tally leaves the u8 range");
+    assert_eq!(profile.dense().width_bits(), 16, "stored at the width it needs");
 }
 
 #[test]
@@ -224,9 +225,9 @@ proptest! {
         let m = SparseSpec::random(sp).matrix(rows, cols, &mut rng);
         let direct = dap_col_profile(&m, 8, LayerNnz::Prune(nnz));
         let (dm, events) = dap_matrix(&m, 8, LayerNnz::Prune(nnz));
-        prop_assert_eq!(ActivationProfile::from_counts(direct.raw), ActivationProfile::new(&m));
+        prop_assert_eq!(ActivationProfile::from_counts(&direct.raw), ActivationProfile::new(&m));
         prop_assert_eq!(
-            ActivationProfile::from_counts(direct.counts),
+            ActivationProfile::from_counts(&direct.counts),
             ActivationProfile::new(&dm.decompress())
         );
         prop_assert_eq!(direct.events, events);
