@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s2ta_dbb::dap::{dap_col_profile, dap_matrix, DapUnit, LayerNnz};
 use s2ta_dbb::{prune, DbbConfig, DbbVector};
-use s2ta_models::{cifar10_convnet, LayerSpec};
+use s2ta_models::{cifar10_convnet, lenet5, LayerSpec};
 use s2ta_sim::smt::SmtConfig;
 use s2ta_sim::{smt, systolic, tpe, ArrayGeometry};
 use s2ta_tensor::sparsity::SparseSpec;
@@ -86,6 +86,17 @@ fn bench_dap_col_profile(c: &mut Criterion) {
     });
 }
 
+/// A batch-1 FC activation (`N = 1`): LeNet-5's first FC layer, 400
+/// reduction positions in one column.
+fn bench_dap_col_profile_single_column(c: &mut Criterion) {
+    let model = lenet5();
+    let fc = model.layers.iter().find(|l| l.gemm.n == 1).expect("LeNet-5 has FC layers");
+    let a = fc.gen_acts(7);
+    c.bench_function("dap_col_profile LeNet-5 fc3 400x1 top2", |b| {
+        b.iter(|| black_box(dap_col_profile(black_box(&a), 8, LayerNnz::Prune(2))))
+    });
+}
+
 fn bench_systolic_perf(c: &mut Criterion) {
     let (w, a) = operands(256, 1152, 256, 0.5);
     let g = ArrayGeometry::sa_baseline();
@@ -121,6 +132,7 @@ criterion_group!(
         bench_dap_matrix,
         bench_gen_acts,
         bench_dap_col_profile,
+        bench_dap_col_profile_single_column,
         bench_systolic_perf,
         bench_aw_perf,
         bench_smt_tile

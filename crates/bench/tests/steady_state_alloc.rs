@@ -14,8 +14,8 @@
 //!
 //! The same allocator also tracks this thread's live heap and its
 //! peak, which pins the host memory a run holds: compiled weight plans
-//! at about their SRAM bytes, and a served stream at a fixed ceiling of
-//! bytes per request.
+//! at about their weight-profile bytes, and a served stream at a fixed
+//! ceiling of bytes per request.
 //!
 //! The counters are thread-local, so worker threads of other tests in
 //! this binary cannot perturb them, and they only exist in debug builds
@@ -26,10 +26,7 @@
 #![cfg(debug_assertions)]
 
 use s2ta_bench::{chaos_scenario, cluster_scenario, SEED};
-use s2ta_core::{
-    pool::Executor, Accelerator, ActProfileCache, ArchKind, PlannedWeights, Scratch,
-    WeightResidency,
-};
+use s2ta_core::{pool::Executor, Accelerator, ActProfileCache, ArchKind, Scratch, WeightResidency};
 use s2ta_dbb::dap::LayerNnz;
 use s2ta_models::{cifar10_convnet, lenet5};
 use s2ta_serve::{
@@ -187,13 +184,14 @@ fn cold_profile_compiles_both_sides_at_once() {
 
 /// The activation-profile cache holds each input's tallies at the
 /// width its largest count needs: one seed of each served model
-/// profiles every layer into at most the bytes below (576, 1,516 and
-/// 9,488 B today), where `u16` tallies took 3,116, 6,508 and 22,772 B.
-/// Batch-1 FC layers (`N = 1`) hold one bit per position and side.
+/// profiles every layer into at most the bytes below (526, 1,462 and
+/// 9,434 B today), where `u16` tallies took 3,116, 6,508 and 22,772 B.
+/// Batch-1 FC layers (`N = 1`) hold one bit per position and side, and
+/// the first layer, which bypasses DAP, holds one side for both.
 #[test]
 fn act_profiles_hold_their_narrow_bytes_per_seed() {
     const BOUNDS: [(&str, u64); 3] =
-        [("LeNet-5", 700), ("CIFAR10-ConvNet", 1_700), ("Deep-ConvNet", 10_000)];
+        [("LeNet-5", 550), ("CIFAR10-ConvNet", 1_500), ("Deep-ConvNet", 9_460)];
     let models = cluster_scenario::models();
     assert_eq!(models.len(), BOUNDS.len());
     for (model, (name, bound)) in models.iter().zip(BOUNDS) {
@@ -318,43 +316,50 @@ fn fault_bookkeeping_steady_state_allocates_nothing() {
     assert_eq!(grew, 0, "steady-state fault bookkeeping performed {grew} heap allocations");
 }
 
-/// W-DBB plans hold about their SRAM bytes on the host. A compressed
-/// weight matrix keeps every block's `NNZ` values in one buffer and its
-/// mask in another, so compiling a model's S2TA-AW plan makes a fixed
-/// number of allocations per layer, however many blocks the layer has
-/// (pruning ranks each block on the stack), and the compiled plan's
-/// live heap stays within 1.5x [`s2ta_core::ModelPlan::approx_bytes`]
-/// (the `u16` masks against the one SRAM mask byte of a 4/8 block are
-/// most of the gap).
+/// Weight plans hold their weights' profile, not their values: a
+/// plan keeps each layer's `K` weight-profile counts plus a fixed-size
+/// record, and the weight matrix it compiled from is freed. Compiling
+/// a model's S2TA-AW or SA-ZVCG plan makes a fixed number of
+/// allocations per layer, however many weights the layer has (pruning
+/// ranks each block on the stack), and the compiled plan's live heap
+/// stays within 1.5x its weight-profile bytes plus a small constant
+/// per layer (the layer record, and the cache entry, plan handle and
+/// model name spread over the layers). Retaining the weight matrix
+/// would add `M x K` bytes per layer.
 #[test]
-fn s2ta_aw_plans_hold_about_their_storage_bytes() {
+fn lean_plans_hold_about_their_weight_profile_bytes() {
     const ALLOCS_PER_LAYER: u64 = 16;
-    for model in cluster_scenario::models() {
-        let acc = Accelerator::preset(ArchKind::S2taAw);
-        let (allocs, live) = (allocs_here(), live_bytes());
-        let plan = acc.plan_model(&model, SEED);
-        let (allocs, held) = (allocs_here() - allocs, live_bytes() - live);
-        let blocks: usize = plan
-            .layers()
-            .iter()
-            .map(|l| match l.weights() {
-                PlannedWeights::Dbb(w) => w.vector_count() * w.blocks_per_vector(),
-                PlannedWeights::Dense(_) => unreachable!("S2TA-AW plans are W-DBB"),
-            })
-            .sum();
-        let layers = plan.layers().len() as u64;
-        let name = model.name;
-        assert!(blocks as u64 > 50 * ALLOCS_PER_LAYER * layers, "{name}: too few blocks to tell");
-        assert!(
-            allocs <= ALLOCS_PER_LAYER * (layers + 1),
-            "{name}: {allocs} allocations compiling {layers} layers of {blocks} blocks"
-        );
-        let bound = plan.approx_bytes() * 3 / 2;
-        assert!(
-            held as u64 <= bound,
-            "{name}: plan holds {held} B of heap, above 1.5x its {} approx bytes",
-            plan.approx_bytes()
-        );
+    const BYTES_PER_LAYER: u64 = 256;
+    for kind in [ArchKind::S2taAw, ArchKind::SaZvcg] {
+        for model in cluster_scenario::models() {
+            let acc = Accelerator::preset(kind);
+            let (allocs, live) = (allocs_here(), live_bytes());
+            let plan = acc.plan_model(&model, SEED);
+            let (allocs, held) = (allocs_here() - allocs, (live_bytes() - live) as u64);
+            let layers = plan.layers().len() as u64;
+            let weights: usize =
+                plan.layers().iter().map(|l| l.weight_desc().rows() * l.weight_desc().k()).sum();
+            let profile_bytes: usize = plan
+                .layers()
+                .iter()
+                .map(|l| std::mem::size_of_val(l.weight_profile().counts()))
+                .sum();
+            let name = format!("{kind} {}", model.name);
+            assert!(
+                weights as u64 > 400 * ALLOCS_PER_LAYER * layers,
+                "{name}: too few weights to tell"
+            );
+            assert!(
+                allocs <= ALLOCS_PER_LAYER * (layers + 1),
+                "{name}: {allocs} allocations compiling {layers} layers of {weights} weights"
+            );
+            let bound = profile_bytes as u64 * 3 / 2 + BYTES_PER_LAYER * layers;
+            assert!(
+                held <= bound,
+                "{name}: plan holds {held} B of heap, above 1.5x its {profile_bytes} weight-profile \
+                 bytes plus {BYTES_PER_LAYER} B per layer ({weights} weights)"
+            );
+        }
     }
 }
 

@@ -10,7 +10,10 @@
 //!
 //! * [`LayerPlan`] / [`ModelPlan`] — the compiled weight state for one
 //!   layer / every layer of a model, for a fixed architecture and
-//!   weight seed.
+//!   weight seed. W-DBB weights are static, so a plan keeps what prices
+//!   a layer — the weights' per-position profile, shape, W-DBB
+//!   configuration and compressed size — and not the weight values,
+//!   which only the SA-SMT plans and the reference path read.
 //! * [`WeightPlanCache`] — the memo table of [`ModelPlan`]s, shared by
 //!   every clone of an [`Accelerator`] and by the serving fleet's
 //!   workers (`s2ta-serve`).
@@ -29,14 +32,18 @@ use crate::{Accelerator, ArchConfig, ArchKind, LayerReport};
 use s2ta_dbb::dap::{dap_col_profile_into, DapEvents, LayerNnz};
 use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
-use s2ta_sim::{ActTallies, ActivationProfile, WeightProfile};
+use s2ta_sim::{ActTallies, ActivationProfile, WeightDesc, WeightProfile};
 use s2ta_tensor::Matrix;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Weights compiled for a specific architecture: dense architectures
 /// keep the raw matrix, DBB architectures store the pruned + compressed
-/// form.
+/// form. [`Accelerator::compile_weights`] builds them, and a
+/// [`LayerPlan`] keeps their [`WeightDesc`] and [`WeightProfile`]; only
+/// the paths that multiply weight values hold them — the reference
+/// path (`run_layer_planned`), which compiles them per call, and the
+/// SA-SMT plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlannedWeights {
     /// Raw weights for the scalar-datapath architectures (SA, SA-ZVCG,
@@ -45,6 +52,26 @@ pub enum PlannedWeights {
     /// DBB-compressed weights for the TPE architectures (S2TA-W,
     /// S2TA-AW); dense-compressed on the unpruned first layer.
     Dbb(DbbMatrix),
+}
+
+impl PlannedWeights {
+    /// The shape and storage format the profiled datapaths read.
+    pub fn desc(&self) -> WeightDesc {
+        match self {
+            PlannedWeights::Dense(m) => WeightDesc::dense(m),
+            PlannedWeights::Dbb(d) => WeightDesc::of_dbb(d),
+        }
+    }
+
+    /// The per-position non-zero profile of the effective (post-pruning)
+    /// weights.
+    pub fn profile(&self) -> WeightProfile {
+        match self {
+            PlannedWeights::Dense(m) => WeightProfile::new(m),
+            // Straight off the compressed masks — no decompressed copy.
+            PlannedWeights::Dbb(d) => WeightProfile::of_dbb(d),
+        }
+    }
 }
 
 /// Whether a layer's weights must stream from DRAM for this run or are
@@ -63,11 +90,21 @@ pub enum WeightResidency {
     Resident,
 }
 
-/// The compiled per-layer state: weights in their datapath format plus
-/// the run-time decisions that depend only on the layer, not the input.
+/// The compiled per-layer state: what the profiled datapaths read of
+/// the compiled weights — their [`WeightDesc`] and [`WeightProfile`] —
+/// plus the run-time decisions that depend only on the layer, not the
+/// input.
+///
+/// The weight values are dropped after compilation, except on SA-SMT,
+/// whose sampled-tile FIFO timing reads them on every call. The
+/// reference path recompiles them per call from the layer index and
+/// weight seed the plan records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
-    pub(crate) weights: PlannedWeights,
+    /// Shape, W-DBB configuration and storage size of the weights.
+    pub(crate) desc: WeightDesc,
+    /// SA-SMT plans only: the raw weight values.
+    pub(crate) smt_weights: Option<Matrix>,
     /// The A-DBB decision for this layer (dense on layer 0).
     pub(crate) adbb: LayerNnz,
     /// DRAM bytes one weight transfer costs (compressed estimate for
@@ -78,12 +115,16 @@ pub struct LayerPlan {
     /// so the matrix-free event path never re-derives (or
     /// re-decompresses) it per request.
     pub(crate) wprofile: WeightProfile,
+    /// The [`Accelerator::compile_weights`] inputs the plan was
+    /// compiled from.
+    pub(crate) layer_index: usize,
+    pub(crate) weight_seed: u64,
 }
 
 impl LayerPlan {
-    /// The compiled weights.
-    pub fn weights(&self) -> &PlannedWeights {
-        &self.weights
+    /// The compiled weights' shape and storage format.
+    pub fn weight_desc(&self) -> WeightDesc {
+        self.desc
     }
 
     /// The A-DBB decision this plan runs with.
@@ -135,20 +176,19 @@ impl ModelPlan {
     }
 
     /// A deterministic estimate of the plan's resident bytes: per
-    /// layer, the weight storage (raw bytes for dense plans, compressed
-    /// DBB storage otherwise) plus the baked-in weight profile's `K`
-    /// `u32` counts. This is the unit [`WeightPlanCache`] byte budgets
-    /// are accounted in — a pure function of the compiled shapes, so
-    /// budget accounting can never vary with host timing.
+    /// layer, the [`LayerPlan`] record, the baked-in weight profile's
+    /// `K` `u32` counts and, on SA-SMT only, the raw weight values. This
+    /// is the unit [`WeightPlanCache`] byte budgets are accounted in — a
+    /// pure function of the compiled shapes, so budget accounting can
+    /// never vary with host timing.
     pub fn approx_bytes(&self) -> u64 {
         self.layers
             .iter()
             .map(|l| {
-                let weights = match &l.weights {
-                    PlannedWeights::Dense(m) => m.len() as u64,
-                    PlannedWeights::Dbb(d) => d.storage_bytes() as u64,
-                };
-                weights + std::mem::size_of_val(l.wprofile.counts()) as u64
+                let values = l.smt_weights.as_ref().map_or(0, Matrix::len);
+                (std::mem::size_of::<LayerPlan>()
+                    + std::mem::size_of_val(l.wprofile.counts())
+                    + values) as u64
             })
             .sum()
     }
@@ -306,12 +346,13 @@ impl WeightPlanCache {
     /// Returns the cached plan for `(model, weight_seed)`, compiling it
     /// with `acc` on first use.
     ///
-    /// Every architecture is memoized, dense ones included. Dense
-    /// "plans" are just the regenerable raw weight matrices, but
-    /// regenerating them once per batch was the dominant steady-state
-    /// host cost of dense lanes — caching them trades resident bytes
-    /// (bounded by [`MemoCache::with_byte_budget`], which can still
-    /// evict them under pressure) for an allocation-free hot loop.
+    /// Every architecture is memoized, dense ones included. A dense
+    /// plan is just the raw weights' profile and shape (SA-SMT: the
+    /// raw matrix too), but regenerating it once per batch was the
+    /// dominant steady-state host cost of dense lanes — caching it
+    /// trades resident bytes (bounded by
+    /// [`MemoCache::with_byte_budget`], which can still evict it under
+    /// pressure) for an allocation-free hot loop.
     /// Dense compiles count as `bypasses`, DBB compiles as `misses`;
     /// hits are counted uniformly.
     pub fn get_or_plan(
@@ -380,12 +421,15 @@ fn dap_scope(bz: usize, adbb: LayerNnz) -> u64 {
 /// S2TA-W) and the post-DAP profile (read by the A-DBB datapath,
 /// S2TA-AW). The kernel counts in `u16`; the entry keeps both sides in
 /// one allocation at the narrowest width that holds its largest tally
-/// (bits, bytes or `u16`, see `s2ta_sim::profile`). Neither side
+/// (bits, bytes or `u16`, see `s2ta_sim::profile`). When DAP is
+/// bypassed (a dense A-DBB decision, or a bound at or above `bz`) the
+/// two sides are equal, and the entry stores one. Neither side
 /// depends on the array's tiling, so lanes of every geometry that
 /// share a `(bz, adbb)` scope share the entry, each reading its side.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ActProfile {
-    /// Side 0: the raw activation; side 1: the DAP-pruned one.
+    /// Side 0: the raw activation; side 1: the DAP-pruned one, unless
+    /// DAP was bypassed and side 0 serves as both.
     tallies: ActivationProfile,
     /// The DBB configuration DAP compresses under at this `(bz, adbb)`.
     dap_config: DbbConfig,
@@ -396,17 +440,18 @@ pub struct ActProfile {
 impl ActProfile {
     /// Profiles `acts` under the `(bz, adbb)` DAP scope: one pass of the
     /// fused raw + DAP tally kernel into `tallies`, then one narrowing
-    /// pass over the `2K` counts into the entry's single allocation.
+    /// pass over the stored counts into the entry's single allocation.
     fn new(acts: &Matrix, bz: usize, adbb: LayerNnz, tallies: &mut DapTallies) -> Self {
         let DapTallies { raw, postdap } = tallies;
         let (dap_events, dap_config) = dap_col_profile_into(acts, bz, adbb, raw, postdap);
-        Self { tallies: ActivationProfile::from_sides(&[raw, postdap]), dap_config, dap_events }
+        let sides: &[&[u16]] = if dap_config.is_dense() { &[raw] } else { &[raw, postdap] };
+        Self { tallies: ActivationProfile::from_sides(sides), dap_config, dap_events }
     }
 
-    /// The entry's resident tally bytes: both sides at their stored
-    /// width — two bits per reduction position when every tally is 0
-    /// or 1, two bytes when the largest fits a `u8`, four otherwise
-    /// (bit sides round up to whole 64-bit words). The unit
+    /// The entry's resident tally bytes: each stored side at the
+    /// stored width — one bit per reduction position and side when
+    /// every tally is 0 or 1, a byte when the largest fits a `u8`, two
+    /// otherwise (bit sides round up to whole 64-bit words). The unit
     /// [`ActProfileCache`] byte budgets are accounted in — a pure
     /// function of the profiled counts, so budget accounting can never
     /// vary with host timing.
@@ -420,9 +465,10 @@ impl ActProfile {
     }
 
     /// Per-position profile of the DAP-pruned activation, derived
-    /// without materializing the pruned matrix.
+    /// without materializing the pruned matrix: the raw profile when
+    /// DAP was bypassed.
     pub fn postdap(&self) -> ActTallies<'_> {
-        self.tallies.side(1)
+        self.tallies.side(usize::from(!self.dap_config.is_dense()))
     }
 
     /// The DBB configuration DAP compresses the activation under.
@@ -515,35 +561,66 @@ impl ActProfileCache {
 }
 
 impl Accelerator {
-    /// Compiles one layer's weights for this architecture.
+    /// Compiles one layer's weights for this architecture: the
+    /// layer's synthetic weights drawn from `weight_seed`, W-DBB pruned
+    /// and compressed on the TPE architectures. Every plan and every
+    /// reference-path run compiles its weights with this one recipe.
     ///
     /// `layer_index` 0 selects the dense-weight fall-back (the paper
-    /// leaves layer 1 unpruned, Table 3 note 2) and a dense A-DBB
-    /// decision.
-    pub fn plan_layer(&self, layer: &LayerSpec, layer_index: usize, weight_seed: u64) -> LayerPlan {
+    /// leaves layer 1 unpruned, Table 3 note 2).
+    pub fn compile_weights(
+        &self,
+        layer: &LayerSpec,
+        layer_index: usize,
+        weight_seed: u64,
+    ) -> PlannedWeights {
         let w = layer.gen_weights(weight_seed);
-        let first_layer = layer_index == 0;
-        let dma_weight_bytes = if self.config().kind.uses_wdbb() && !first_layer {
-            (w.len() as f64 * self.config().wdbb.block_bytes() as f64
-                / self.config().wdbb.bz() as f64) as u64
-        } else {
-            w.len() as u64
-        };
-        let weights = if self.config().kind.uses_wdbb() {
-            PlannedWeights::Dbb(self.compress_weights(&w, first_layer))
+        if self.config().kind.uses_wdbb() {
+            PlannedWeights::Dbb(self.compress_weights(&w, layer_index == 0))
         } else {
             PlannedWeights::Dense(w)
+        }
+    }
+
+    /// Compiles one layer's plan for this architecture.
+    ///
+    /// `layer_index` 0 selects the dense-weight fall-back (see
+    /// [`Accelerator::compile_weights`]) and a dense A-DBB decision.
+    pub fn plan_layer(&self, layer: &LayerSpec, layer_index: usize, weight_seed: u64) -> LayerPlan {
+        let weights = self.compile_weights(layer, layer_index, weight_seed);
+        self.plan_compiled(&weights, layer, layer_index, weight_seed)
+    }
+
+    /// The plan of `weights`, which [`Accelerator::compile_weights`]
+    /// compiled from `(layer, layer_index, weight_seed)`.
+    pub(crate) fn plan_compiled(
+        &self,
+        weights: &PlannedWeights,
+        layer: &LayerSpec,
+        layer_index: usize,
+        weight_seed: u64,
+    ) -> LayerPlan {
+        let first_layer = layer_index == 0;
+        let desc = weights.desc();
+        let elements = desc.rows() * desc.k();
+        let dma_weight_bytes = if self.config().kind.uses_wdbb() && !first_layer {
+            (elements as f64 * self.config().wdbb.block_bytes() as f64
+                / self.config().wdbb.bz() as f64) as u64
+        } else {
+            elements as u64
+        };
+        let smt_weights = match (self.config().kind, weights) {
+            (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => {
+                Some(w.clone())
+            }
+            _ => None,
         };
         // Bake the profile of the *effective* weights (after any W-DBB
         // pruning) at compile time: it rides the plan cache, so the
         // events-only path replays it for free.
-        let wprofile = match &weights {
-            PlannedWeights::Dense(m) => WeightProfile::new(m),
-            // Straight off the compressed masks — no decompressed copy.
-            PlannedWeights::Dbb(d) => WeightProfile::of_dbb(d),
-        };
+        let wprofile = weights.profile();
         let adbb = if first_layer { LayerNnz::Dense } else { layer.suggested_adbb() };
-        LayerPlan { weights, adbb, dma_weight_bytes, wprofile }
+        LayerPlan { desc, smt_weights, adbb, dma_weight_bytes, wprofile, layer_index, weight_seed }
     }
 
     /// Compiles every layer of `model` (no cache). Prefer
@@ -570,7 +647,10 @@ impl Accelerator {
     }
 
     /// Runs one layer from its compiled plan on a fresh activation
-    /// input drawn from `act_seed`.
+    /// input drawn from `act_seed` — the reference path: it compiles
+    /// the layer's weights again with [`Accelerator::compile_weights`],
+    /// just as it regenerates the activations, and runs the datapath
+    /// on both matrices.
     ///
     /// With [`WeightResidency::Streamed`] this is bit-exact with
     /// [`Accelerator::run_layer`] when `act_seed` equals the weight
@@ -582,8 +662,23 @@ impl Accelerator {
         act_seed: u64,
         residency: WeightResidency,
     ) -> LayerReport {
+        let weights = self.compile_weights(layer, plan.layer_index, plan.weight_seed);
+        self.run_layer_compiled(plan, &weights, layer, act_seed, residency)
+    }
+
+    /// [`Accelerator::run_layer_planned`] on weights already compiled
+    /// for `plan`.
+    pub(crate) fn run_layer_compiled(
+        &self,
+        plan: &LayerPlan,
+        weights: &PlannedWeights,
+        layer: &LayerSpec,
+        act_seed: u64,
+        residency: WeightResidency,
+    ) -> LayerReport {
+        debug_assert_eq!(weights.desc(), plan.desc, "weights compiled for another plan");
         let a = layer.gen_acts(act_seed);
-        let mut events = self.run_gemm_planned(&plan.weights, &a, plan.adbb);
+        let mut events = self.run_gemm_planned(weights, &a, plan.adbb);
         if layer.is_memory_bound() {
             events.cycles =
                 events.cycles.max(self.dma_clamp_cycles(plan, a.len() as u64, residency));
@@ -966,8 +1061,9 @@ mod tests {
         let mut scratch = Scratch::new();
         let probe = ActProfileCache::new();
         let b = probe.get_or_profile(layer, 1, 8, LayerNnz::Dense, &mut scratch).approx_bytes();
-        // conv1's 784 columns push its tallies past the `u8` range.
-        assert_eq!(b, 2 * 2 * layer.gemm.k as u64, "two u16 tallies per position");
+        // conv1's 784 columns push its tallies past the `u8` range, and
+        // a dense A-DBB decision bypasses DAP: one side serves as both.
+        assert_eq!(b, 2 * layer.gemm.k as u64, "one u16 tally per position");
         // Same layer and scope, tallies past 255 at every seed: every
         // entry costs exactly `b`, so a two-entry budget is exact.
         let cache = ActProfileCache::with_byte_budget(2 * b);

@@ -21,8 +21,10 @@ use std::sync::OnceLock;
 /// property-tested per architecture); they differ only in host work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
-    /// Materialize the dense activation operands per call and re-derive
-    /// their sparsity structure (the original path, kept as the golden
+    /// Materialize both operands per call — the layer's weights
+    /// compiled by [`Accelerator::compile_weights`], the dense
+    /// activations regenerated from their seed — and re-derive their
+    /// sparsity structure (the original path, kept as the golden
     /// reference and for one-off runs where caching cannot pay off).
     Reference,
     /// Replay precompiled per-position profiles — the weight profile
@@ -255,8 +257,10 @@ impl Accelerator {
     /// (possibly compressed) operands. DBB architectures still gain on
     /// these layers — from bandwidth compression, not compute.
     pub fn run_layer(&self, layer: &LayerSpec, layer_index: usize, seed: u64) -> LayerReport {
-        let plan = self.plan_layer(layer, layer_index, seed);
-        self.run_layer_planned(&plan, layer, seed, WeightResidency::Streamed)
+        // One compile serves both the plan and the reference run.
+        let weights = self.compile_weights(layer, layer_index, seed);
+        let plan = self.plan_compiled(&weights, layer, layer_index, seed);
+        self.run_layer_compiled(&plan, &weights, layer, seed, WeightResidency::Streamed)
     }
 
     /// Runs a whole model (all layers, including memory-bound FC and
@@ -400,26 +404,24 @@ impl Accelerator {
         scratch: &mut Scratch,
     ) -> EventCounts {
         let geom = &self.config.geometry;
+        let kind = self.config.kind;
         let (k, n) = (layer.gemm.k, layer.gemm.n);
         let (bz, adbb) = (geom.bz, plan.adbb());
-        let wp = plan.weight_profile();
+        let (w, wp) = (&plan.desc, plan.weight_profile());
+        assert_eq!(
+            w.config().is_some(),
+            kind.uses_wdbb(),
+            "weight plan format does not match architecture {kind}"
+        );
         let mut events = EventCounts::default();
-        match (self.config.kind, plan.weights()) {
-            (ArchKind::Sa | ArchKind::SaZvcg, PlannedWeights::Dense(w)) => {
+        match kind {
+            ArchKind::Sa | ArchKind::SaZvcg => {
                 let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
-                let zvcg = self.config.kind == ArchKind::SaZvcg;
-                systolic::run_perf_profiled_into(
-                    geom,
-                    zvcg,
-                    w.rows(),
-                    k,
-                    n,
-                    wp,
-                    prof.dense(),
-                    &mut events,
-                );
+                let zvcg = kind == ArchKind::SaZvcg;
+                systolic::run_perf_profiled_into(geom, zvcg, w, n, wp, prof.dense(), &mut events);
             }
-            (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => {
+            ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4 => {
+                let w = plan.smt_weights.as_ref().expect("SA-SMT plans keep their weight values");
                 let a = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
                 let prof = self.act_profiles.get_or_profile_from(
                     layer,
@@ -442,15 +444,15 @@ impl Accelerator {
                 );
                 scratch.acts = a.into_data();
             }
-            (ArchKind::S2taW, PlannedWeights::Dbb(wdbb)) => {
+            ArchKind::S2taW => {
                 let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
-                tpe::run_wdbb_perf_profiled_into(geom, wdbb, n, wp, prof.dense(), &mut events);
+                tpe::run_wdbb_perf_profiled_into(geom, w, n, wp, prof.dense(), &mut events);
             }
-            (ArchKind::S2taAw, PlannedWeights::Dbb(wdbb)) => {
+            ArchKind::S2taAw => {
                 let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
                 tpe::run_aw_perf_profiled_into(
                     geom,
-                    wdbb,
+                    w,
                     n,
                     prof.dap_config(),
                     wp,
@@ -460,7 +462,6 @@ impl Accelerator {
                 events.dap_stages += prof.dap_events().stages;
                 events.dap_comparisons += prof.dap_events().comparisons;
             }
-            (kind, _) => panic!("weight plan format does not match architecture {kind}"),
         }
         if layer.is_memory_bound() {
             let clamp = self.dma_clamp_cycles(plan, (k * n) as u64, residency);
@@ -473,17 +474,15 @@ impl Accelerator {
     ///
     /// Plans per layer without touching the model cache: a cached
     /// full-model plan would compile the (often enormous) FC weights
-    /// this path deliberately skips.
+    /// this path deliberately skips. Each layer's weights compile once
+    /// (see [`Accelerator::run_layer`]).
     pub fn run_model_conv_only(&self, model: &ModelSpec, seed: u64) -> ModelReport {
         let layers = model
             .layers
             .iter()
             .enumerate()
             .filter(|(_, l)| l.kind == s2ta_tensor::LayerKind::Conv)
-            .map(|(i, l)| {
-                let plan = self.plan_layer(l, i, seed);
-                self.run_layer_planned(&plan, l, seed, WeightResidency::Streamed)
-            })
+            .map(|(i, l)| self.run_layer(l, i, seed))
             .collect();
         ModelReport::from_layers(
             format!("{} (conv)", model.name),

@@ -282,9 +282,33 @@ pub fn check_tally_width(cols: usize) {
     );
 }
 
-/// Columns one pass of the rank kernel covers: one `u8` lane each, so a
-/// row of a chunk fills one 128-bit vector register.
+/// Blocks one pass of the rank kernel covers: one `u8` lane each, so a
+/// row of a pass fills one 128-bit vector register.
 const RANK_LANES: usize = 16;
+
+/// One pass's magnitudes, or ranks: row `i` of lane `l` at `[i][l]`.
+type Lanes = [[u8; RANK_LANES]; MAX_BZ];
+
+/// Ranks the first `rows` rows of every lane under (magnitude
+/// descending, index ascending), branch-free: `rank[i][l]` counts the
+/// rows of lane `l` that outrank row `i`. Zero-padded rows never
+/// outrank a row.
+#[inline(always)]
+fn rank_lanes(mags: &Lanes, rows: usize) -> Lanes {
+    let mut rank = [[0u8; RANK_LANES]; MAX_BZ];
+    for i in 0..rows {
+        for j in i + 1..rows {
+            for l in 0..RANK_LANES {
+                // Row `j` outranks row `i` only if strictly larger: ties
+                // go to the lower index.
+                let g = u8::from(mags[j][l] > mags[i][l]);
+                rank[i][l] += g;
+                rank[j][l] += 1 - g;
+            }
+        }
+    }
+    rank
+}
 
 /// Runs the DAP decision of [`dap_matrix`] over `m` but keeps only the
 /// per-row non-zero counts — of the raw matrix and of the surviving
@@ -302,9 +326,11 @@ const RANK_LANES: usize = 16;
 /// of running [`DapUnit::prune`] per block. The cascade keeps the `n`
 /// largest magnitudes, ties to the lowest index: exactly the non-zeros
 /// whose rank under (magnitude descending, index ascending) is below
-/// `n`. The kernel walks one row-block at a time, in chunks of up to
-/// `RANK_LANES` (16) columns, and ranks every row pair of the chunk
-/// branch-free in `u8` lanes. A block with `found` non-zeros runs
+/// `n`. The kernel ranks every row pair of `RANK_LANES` (16) blocks at
+/// once, branch-free in `u8` lanes: a lane is a column of one row-block
+/// (walked in chunks of up to 16 columns), or, when the matrix has a
+/// single column (every batch-1 FC layer), one of 16 consecutive
+/// blocks of that column. A block with `found` non-zeros runs
 /// `min(found + 1, n)` stages: the productive ones plus, when
 /// `found < n`, the stage that finds only zeros. Every stage costs
 /// `bz - 1` comparisons. [`dap_matrix`] stays the oracle (asserted by
@@ -358,42 +384,35 @@ pub fn dap_col_profile_into(
     // comparing as `u8` keeps the survivor test vectorized.
     let keep = n as u8;
     let mut stages = 0u64;
-    for r in (0..k).step_by(bz) {
-        let rows = (r + bz).min(k) - r;
-        for c in (0..cols).step_by(RANK_LANES) {
-            let width = RANK_LANES.min(cols - c);
-            // Lanes past `width` stay zero: never counted, never kept.
-            let mut mags = [[0u8; RANK_LANES]; MAX_BZ];
-            for (i, lanes) in mags[..rows].iter_mut().enumerate() {
-                for (mag, &v) in lanes.iter_mut().zip(&m.row(r + i)[c..c + width]) {
-                    *mag = v.unsigned_abs();
-                }
-            }
-            let mut rank = [[0u8; RANK_LANES]; MAX_BZ];
-            for i in 0..rows {
-                for j in i + 1..rows {
-                    for l in 0..RANK_LANES {
-                        // Row `j` outranks row `i` only if strictly
-                        // larger: ties go to the lower index.
-                        let g = u8::from(mags[j][l] > mags[i][l]);
-                        rank[i][l] += g;
-                        rank[j][l] += 1 - g;
+    if cols == 1 {
+        stages = single_column_tallies(m.data(), bz, keep, raw, counts);
+    } else {
+        for r in (0..k).step_by(bz) {
+            let rows = (r + bz).min(k) - r;
+            for c in (0..cols).step_by(RANK_LANES) {
+                let width = RANK_LANES.min(cols - c);
+                // Lanes past `width` stay zero: never counted, never kept.
+                let mut mags = [[0u8; RANK_LANES]; MAX_BZ];
+                for (i, lanes) in mags[..rows].iter_mut().enumerate() {
+                    for (mag, &v) in lanes.iter_mut().zip(&m.row(r + i)[c..c + width]) {
+                        *mag = v.unsigned_abs();
                     }
                 }
-            }
-            let mut found = [0u8; RANK_LANES];
-            for i in 0..rows {
-                let (mut nonzero, mut kept) = (0u8, 0u8);
-                for l in 0..RANK_LANES {
-                    let live = u8::from(mags[i][l] != 0);
-                    found[l] += live;
-                    nonzero += live;
-                    kept += live & u8::from(rank[i][l] < keep);
+                let rank = rank_lanes(&mags, rows);
+                let mut found = [0u8; RANK_LANES];
+                for i in 0..rows {
+                    let (mut nonzero, mut kept) = (0u8, 0u8);
+                    for l in 0..RANK_LANES {
+                        let live = u8::from(mags[i][l] != 0);
+                        found[l] += live;
+                        nonzero += live;
+                        kept += live & u8::from(rank[i][l] < keep);
+                    }
+                    raw[r + i] += u16::from(nonzero);
+                    counts[r + i] += u16::from(kept);
                 }
-                raw[r + i] += u16::from(nonzero);
-                counts[r + i] += u16::from(kept);
+                stages += found[..width].iter().map(|&f| u64::from((f + 1).min(keep))).sum::<u64>();
             }
-            stages += found[..width].iter().map(|&f| u64::from((f + 1).min(keep))).sum::<u64>();
         }
     }
     // Bounds above the stage cap are software-enforced: same survivors,
@@ -404,6 +423,43 @@ pub fn dap_col_profile_into(
         DapEvents::default()
     };
     (events, DbbConfig::new(n, bz))
+}
+
+/// The pruning tallies of [`dap_col_profile_into`] for a single
+/// column `col`, one lane per block: writes every position of the
+/// zeroed `raw` / `counts` and returns the cascade stages.
+fn single_column_tallies(
+    col: &[i8],
+    bz: usize,
+    keep: u8,
+    raw: &mut [u16],
+    counts: &mut [u16],
+) -> u64 {
+    let mut stages = 0u64;
+    let span = bz * RANK_LANES;
+    for (pass, chunk) in col.chunks(span).enumerate() {
+        // Lanes past the last block, and rows past a tail block, stay
+        // zero: never counted, never kept.
+        let mut mags = [[0u8; RANK_LANES]; MAX_BZ];
+        for (l, block) in chunk.chunks(bz).enumerate() {
+            for (i, &v) in block.iter().enumerate() {
+                mags[i][l] = v.unsigned_abs();
+            }
+        }
+        let rank = rank_lanes(&mags, bz);
+        let base = pass * span;
+        for (l, block) in chunk.chunks(bz).enumerate() {
+            let mut found = 0u8;
+            for i in 0..block.len() {
+                let live = u8::from(mags[i][l] != 0);
+                found += live;
+                raw[base + l * bz + i] = u16::from(live);
+                counts[base + l * bz + i] = u16::from(live & u8::from(rank[i][l] < keep));
+            }
+            stages += u64::from((found + 1).min(keep));
+        }
+    }
+    stages
 }
 
 #[cfg(test)]
@@ -714,6 +770,27 @@ mod tests {
             prop_assert_eq!(&direct.raw, &row_tallies(&m));
             prop_assert_eq!(direct.events, events);
             prop_assert_eq!(direct.config, dap_matrix(&m, bz, LayerNnz::Prune(nnz)).0.config());
+        }
+
+        /// Single-column activations (batch-1 FC layers) take the
+        /// block-per-lane kernel: `K` up to 25 passes of 16 blocks, most
+        /// ending in a partial pass and a ragged tail block.
+        #[test]
+        fn prop_single_column_profile_equals_materialized(
+            k in 1usize..400,
+            bz in 1usize..=16,
+            nnz_pick in 0usize..64,
+            style in 0u8..3,
+            codes in prop::collection::vec(any::<u8>(), 400),
+        ) {
+            let nnz = LayerNnz::Prune(1 + nnz_pick % (bz + 1));
+            let m = Matrix::from_vec(k, 1, codes[..k].iter().map(|&c| styled_value(style, c)).collect());
+            let direct = dap_col_profile(&m, bz, nnz);
+            let (counts, events) = materialized_profile(&m, bz, nnz);
+            prop_assert_eq!(&direct.counts, &counts);
+            prop_assert_eq!(&direct.raw, &row_tallies(&m));
+            prop_assert_eq!(direct.events, events);
+            prop_assert_eq!(direct.config, dap_matrix(&m, bz, nnz).0.config());
         }
 
         #[test]

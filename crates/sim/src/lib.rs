@@ -51,7 +51,7 @@ pub mod tpe_wa;
 
 pub use events::EventCounts;
 pub use geometry::{ArrayGeometry, TileWalk};
-pub use profile::{ActTallies, ActivationProfile, WeightProfile};
+pub use profile::{ActTallies, ActivationProfile, WeightDesc, WeightProfile};
 
 use s2ta_tensor::AccMatrix;
 

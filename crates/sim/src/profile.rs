@@ -33,13 +33,15 @@
 //! [`crate::tpe::run_wdbb_perf_profiled`],
 //! [`crate::tpe::run_aw_perf_profiled`],
 //! [`crate::smt::run_sampled_profiled`]) without ever re-materializing
-//! the dense matrices. [`WeightProfile::of_dbb`] and
+//! the dense matrices. Weight values never reach those datapaths: they
+//! read a [`WeightDesc`] (shape, W-DBB configuration, storage size)
+//! next to the profile. [`WeightProfile::of_dbb`] and
 //! [`ActivationProfile::of_dbb`] profile compressed matrices straight
 //! from their block masks, so even the *profiling* step materializes
 //! nothing.
 
 use s2ta_dbb::dap::check_tally_width;
-use s2ta_dbb::{BlockAxis, DbbMatrix};
+use s2ta_dbb::{BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_tensor::Matrix;
 
 /// `nnzW[p]`: the non-zero weights in column `p` of an `M x K` weight
@@ -79,6 +81,59 @@ impl WeightProfile {
     /// The per-position tallies, `K` long.
     pub fn counts(&self) -> &[u32] {
         &self.counts
+    }
+}
+
+/// What the profiled datapaths read of a compiled `M x K` weight
+/// matrix besides its [`WeightProfile`]: the shape and, for
+/// row-blocked DBB weights, the W-DBB configuration and compressed
+/// storage size. Weights are static, so a compiled layer plan keeps
+/// this descriptor and the profile and drops the values themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WeightDesc {
+    rows: usize,
+    k: usize,
+    /// `None` for raw (uncompressed) weights.
+    config: Option<DbbConfig>,
+    storage_bytes: usize,
+}
+
+impl WeightDesc {
+    /// Describes raw weights: one byte per element, no DBB blocking.
+    pub fn dense(w: &Matrix) -> Self {
+        Self { rows: w.rows(), k: w.cols(), config: None, storage_bytes: w.len() }
+    }
+
+    /// Describes row-blocked compressed weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is column-blocked.
+    pub fn of_dbb(w: &DbbMatrix) -> Self {
+        assert_eq!(w.axis(), BlockAxis::Rows, "weights must be row-blocked");
+        let (rows, k) = w.shape();
+        Self { rows, k, config: Some(w.config()), storage_bytes: w.storage_bytes() }
+    }
+
+    /// Output rows `M`.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Reduction length `K`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The W-DBB configuration, or `None` for raw weights.
+    pub fn config(&self) -> Option<DbbConfig> {
+        self.config
+    }
+
+    /// Bytes the weights occupy in SRAM: compressed storage for DBB
+    /// weights, `M * K` for raw ones.
+    pub fn storage_bytes(&self) -> usize {
+        self.storage_bytes
     }
 }
 

@@ -6,7 +6,7 @@
 //! full loop; [`run_perf`] produces identical events from one `O(K)`
 //! dot product of per-position non-zero profiles, for full-model sweeps.
 
-use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightProfile};
+use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightDesc, WeightProfile};
 use crate::{cycle_exact, ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -84,29 +84,29 @@ pub fn run_perf(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> Eve
     check_inputs(geom, w, a);
     let wp = WeightProfile::new(w);
     let ap = ActivationProfile::new(a);
-    run_perf_profiled(geom, zvcg, w.rows(), w.cols(), a.cols(), &wp, ap.tallies())
+    run_perf_profiled(geom, zvcg, &WeightDesc::dense(w), a.cols(), &wp, ap.tallies())
 }
 
 /// Matrix-free event path: identical [`EventCounts`] to [`run`] and
 /// [`run_perf`], computed from **precompiled** per-position profiles
-/// plus the GEMM dimensions alone. `wp` must profile the `m_rows x k`
-/// weight matrix, `ap` the `k x n_cols` activation matrix.
+/// plus the GEMM dimensions alone. `w` describes the `M x K` weight
+/// matrix and `wp` profiles it; `ap` profiles the `K x n_cols`
+/// activation matrix.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is not scalar or a profile's length is not
-/// `k`.
+/// `K`.
 pub fn run_perf_profiled(
     geom: &ArrayGeometry,
     zvcg: bool,
-    m_rows: usize,
-    k: usize,
+    w: &WeightDesc,
     n_cols: usize,
     wp: &WeightProfile,
     ap: ActTallies<'_>,
 ) -> EventCounts {
     let mut events = EventCounts::new();
-    run_perf_profiled_into(geom, zvcg, m_rows, k, n_cols, wp, ap, &mut events);
+    run_perf_profiled_into(geom, zvcg, w, n_cols, wp, ap, &mut events);
     events
 }
 
@@ -116,18 +116,17 @@ pub fn run_perf_profiled(
 /// # Panics
 ///
 /// Same contract as [`run_perf_profiled`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_perf_profiled_into(
     geom: &ArrayGeometry,
     zvcg: bool,
-    m_rows: usize,
-    k: usize,
+    w: &WeightDesc,
     n_cols: usize,
     wp: &WeightProfile,
     ap: ActTallies<'_>,
     events: &mut EventCounts,
 ) {
     assert_eq!((geom.a, geom.b, geom.c), (1, 1, 1), "systolic runner is scalar only");
+    let (m_rows, k) = (w.rows(), w.k());
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
     assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
     *events += sram_events(geom, m_rows, k, n_cols);

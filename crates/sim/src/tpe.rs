@@ -17,31 +17,35 @@
 //!   the layer's activation NNZ — variable density at constant
 //!   utilization (Sec. 5.2).
 
-use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightProfile};
+use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightDesc, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
-use s2ta_dbb::{BlockAxis, DbbMatrix};
+use s2ta_dbb::{BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_tensor::{AccMatrix, Matrix};
 
 /// Cycles the DP`B`M`BZ` dot-product datapath spends per weight block:
 /// one for genuinely bounded blocks, `ceil(BZ/B)` for the dense
-/// fall-back (paper Sec. 4).
-fn wdbb_cycles_per_block(geom: &ArrayGeometry, w: &DbbMatrix) -> u64 {
-    if w.config().is_dense() {
+/// fall-back (paper Sec. 4). The time-unrolled datapath makes the same
+/// number of passes over each dense weight block.
+fn wdbb_cycles_per_block(geom: &ArrayGeometry, config: DbbConfig) -> u64 {
+    if config.is_dense() {
         geom.bz.div_ceil(geom.b) as u64
     } else {
         1
     }
 }
 
-fn check_wdbb(geom: &ArrayGeometry, w: &DbbMatrix) {
-    assert_eq!(w.axis(), BlockAxis::Rows, "weights must be row-blocked");
-    assert_eq!(w.config().bz(), geom.bz, "weight block size must match array");
+/// Checks that `w` describes weights this TPE array can hold and
+/// returns their W-DBB configuration.
+fn check_wdbb(geom: &ArrayGeometry, w: &WeightDesc) -> DbbConfig {
+    let config = w.config().expect("TPE weights must be DBB-compressed");
+    assert_eq!(config.bz(), geom.bz, "weight block size must match array");
     assert!(
-        w.config().nnz() <= geom.b || w.config().is_dense(),
+        config.nnz() <= geom.b || config.is_dense(),
         "weight NNZ {} exceeds hardware slots {} (and is not the dense fall-back)",
-        w.config().nnz(),
+        config.nnz(),
         geom.b
     );
+    config
 }
 
 /// Shared SRAM/MCU accounting. `w_bytes`/`a_bytes` are the per-pass
@@ -129,12 +133,12 @@ pub(crate) fn unrolled_events_into(
 /// Panics if the weight blocking does not match the geometry or the
 /// dims disagree.
 pub fn run_wdbb(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> GemmRun {
-    check_wdbb(geom, w);
+    let config = check_wdbb(geom, &WeightDesc::of_dbb(w));
     let (m_rows, k) = w.shape();
     assert_eq!(k, a.rows(), "GEMM inner dims mismatch");
     let bz = geom.bz;
     let blocks_k = k.div_ceil(bz);
-    let cpb = wdbb_cycles_per_block(geom, w);
+    let cpb = wdbb_cycles_per_block(geom, config);
 
     let mut acc = AccMatrix::zeros(m_rows, a.cols());
     let mut events = sram_events(geom, m_rows, a.cols(), w.storage_bytes(), a.len(), 1.0);
@@ -182,14 +186,14 @@ pub fn run_wdbb_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> EventCo
     // no `decompress()` scratch matrix in the perf path.
     let wp = WeightProfile::of_dbb(w);
     let ap = ActivationProfile::new(a);
-    run_wdbb_perf_profiled(geom, w, a.cols(), &wp, ap.tallies())
+    run_wdbb_perf_profiled(geom, &WeightDesc::of_dbb(w), a.cols(), &wp, ap.tallies())
 }
 
 /// Matrix-free event path for `S2TA-W`: identical counts to
 /// [`run_wdbb`] / [`run_wdbb_perf`], computed from precompiled
-/// per-position profiles without touching the dense activation matrix.
-/// `wp` must profile `w.decompress()`, `ap` the dense `k x n_cols`
-/// activation.
+/// per-position profiles without touching either dense matrix. `w`
+/// describes the compressed weights and `wp` must profile their
+/// decompressed form, `ap` the dense `k x n_cols` activation.
 ///
 /// # Panics
 ///
@@ -197,7 +201,7 @@ pub fn run_wdbb_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> EventCo
 /// profile's length is not the weights' reduction length.
 pub fn run_wdbb_perf_profiled(
     geom: &ArrayGeometry,
-    w: &DbbMatrix,
+    w: &WeightDesc,
     n_cols: usize,
     wp: &WeightProfile,
     ap: ActTallies<'_>,
@@ -216,16 +220,16 @@ pub fn run_wdbb_perf_profiled(
 /// Same contract as [`run_wdbb_perf_profiled`].
 pub fn run_wdbb_perf_profiled_into(
     geom: &ArrayGeometry,
-    w: &DbbMatrix,
+    w: &WeightDesc,
     n_cols: usize,
     wp: &WeightProfile,
     ap: ActTallies<'_>,
     events: &mut EventCounts,
 ) {
-    check_wdbb(geom, w);
-    let (m_rows, k) = w.shape();
+    let config = check_wdbb(geom, w);
+    let (m_rows, k) = (w.rows(), w.k());
     let blocks_k = k.div_ceil(geom.bz);
-    let cpb = wdbb_cycles_per_block(geom, w);
+    let cpb = wdbb_cycles_per_block(geom, config);
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
     assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
 
@@ -237,7 +241,7 @@ pub fn run_wdbb_perf_profiled_into(
         let (re, ce) = (rows.len(), cols.len());
         cycles += blocks_k as u64 * cpb + geom.skew_cycles();
         updates += (re * ce * blocks_k) as u64 * cpb;
-        let w_tile_bytes = (re * blocks_k * w.config().block_bytes()) as u64;
+        let w_tile_bytes = (re * blocks_k * config.block_bytes()) as u64;
         let a_tile_bytes = (ce * k) as u64;
         reg_bytes += operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
     }
@@ -252,7 +256,7 @@ pub fn run_wdbb_perf_profiled_into(
 }
 
 fn check_aw(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) {
-    check_wdbb(geom, w);
+    check_wdbb(geom, &WeightDesc::of_dbb(w));
     assert_eq!(a.axis(), BlockAxis::Cols, "activations must be column-blocked");
     assert_eq!(a.config().bz(), geom.bz, "activation block size must match array");
     assert_eq!(w.shape().1, a.shape().0, "GEMM inner dims mismatch");
@@ -322,7 +326,7 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     // `decompress()` scratch matrices in the perf path.
     let wp = WeightProfile::of_dbb(w);
     let ap = ActivationProfile::of_dbb(a);
-    run_aw_perf_profiled(geom, w, a.shape().1, a.config(), &wp, ap.tallies())
+    run_aw_perf_profiled(geom, &WeightDesc::of_dbb(w), a.shape().1, a.config(), &wp, ap.tallies())
 }
 
 /// Matrix-free event path for `S2TA-AW`: identical counts to [`run_aw`]
@@ -333,8 +337,8 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
 /// every column carries `ceil(k / bz)` blocks of
 /// `config.block_bytes()`), and the post-DAP per-position profile `ap`
 /// (derivable straight from the dense activation via
-/// `s2ta_dbb::dap::dap_col_profile`). `wp` must profile
-/// `w.decompress()`.
+/// `s2ta_dbb::dap::dap_col_profile`). `w` describes the compressed
+/// weights and `wp` must profile their decompressed form.
 ///
 /// # Panics
 ///
@@ -342,9 +346,9 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
 /// length is not the weights' reduction length.
 pub fn run_aw_perf_profiled(
     geom: &ArrayGeometry,
-    w: &DbbMatrix,
+    w: &WeightDesc,
     n_cols: usize,
-    a_config: s2ta_dbb::DbbConfig,
+    a_config: DbbConfig,
     wp: &WeightProfile,
     ap: ActTallies<'_>,
 ) -> EventCounts {
@@ -361,19 +365,18 @@ pub fn run_aw_perf_profiled(
 /// Same contract as [`run_aw_perf_profiled`].
 pub fn run_aw_perf_profiled_into(
     geom: &ArrayGeometry,
-    w: &DbbMatrix,
+    w: &WeightDesc,
     n_cols: usize,
-    a_config: s2ta_dbb::DbbConfig,
+    a_config: DbbConfig,
     wp: &WeightProfile,
     ap: ActTallies<'_>,
     events: &mut EventCounts,
 ) {
-    check_wdbb(geom, w);
+    let config = check_wdbb(geom, w);
     assert_eq!(a_config.bz(), geom.bz, "activation block size must match array");
-    let (m_rows, k) = w.shape();
+    let (m_rows, k) = (w.rows(), w.k());
     let blocks_k = k.div_ceil(geom.bz);
-    let wpasses = if w.config().is_dense() { geom.bz.div_ceil(geom.b) as u64 } else { 1 };
-    let serial = a_config.nnz() as u64 * wpasses;
+    let serial = a_config.nnz() as u64 * wdbb_cycles_per_block(geom, config);
     assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
     assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
 
@@ -386,7 +389,7 @@ pub fn run_aw_perf_profiled_into(
         n_cols,
         blocks_k,
         serial,
-        w.config().block_bytes(),
+        config.block_bytes(),
         a_config.block_bytes(),
         active_macs(wp, ap),
         events,

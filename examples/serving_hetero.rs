@@ -144,9 +144,9 @@ fn main() {
     // with an 8:1 model skew — so LeNet's act profiles stay hot and
     // resident while the rare CIFAR visits cycle through the leftover
     // budget. Since dense plans are memoized too, the plan budget is
-    // sized to the hot model's plans (both arch scopes, ~106 KB of the
-    // zoo's ~183 KB) plus change: LeNet's plans keep hitting while the
-    // CIFAR visits force recompiles and evictions.
+    // half the zoo's four plans (both arch scopes): it holds the hot
+    // model's two plans, so LeNet's plans keep hitting while the CIFAR
+    // visits force recompiles and evictions.
     // Evicted entries recompile byte-identically on next use: a
     // budget changes host time and the cache counters, never
     // simulated results (the report carries no cache counters, so
@@ -163,22 +163,25 @@ fn main() {
     .generate();
     let unbounded_fleet = Fleet::from_spec(fleet_spec.clone()).with_policy(policy);
     let unbounded = unbounded_fleet.serve(&models, &zoo_requests);
-    // The act budget is half the zoo's unbounded footprint, so it stays
-    // below the footprint whatever the profile layout costs per entry.
+    // Both budgets are half the zoo's unbounded footprint, so they stay
+    // below it whatever a plan or a profile costs per entry.
+    let plan_footprint = unbounded_fleet.accelerator().plans().resident_bytes();
     let act_footprint = unbounded_fleet.accelerator().act_profiles().resident_bytes();
     let bounded_fleet = Fleet::from_spec(fleet_spec.clone())
         .with_policy(policy)
-        .with_cache_budgets(160 << 10, act_footprint / 2);
+        .with_cache_budgets(plan_footprint / 2, act_footprint / 2);
     let _warm = bounded_fleet.serve(&models, &zoo_requests);
     let (bounded, cache, acts) = serve(&bounded_fleet, &models, &zoo_requests);
     assert_eq!(bounded, unbounded, "a cache budget must never change simulated results");
     println!(
-        "steady-state under budget: plan cache {} hits / {} misses / {} evictions; \
-         act profiles {} hits / {} misses / {} evictions ({} bytes evicted, \
-         budget {} of the zoo's {} bytes)",
+        "steady-state under budget: plan cache {} hits / {} misses / {} evictions \
+         (budget {} of the zoo's {} bytes); act profiles {} hits / {} misses / {} evictions \
+         ({} bytes evicted, budget {} of the zoo's {} bytes)",
         cache.hits,
         cache.misses,
         cache.evictions,
+        plan_footprint / 2,
+        plan_footprint,
         acts.hits,
         acts.misses,
         acts.evictions,

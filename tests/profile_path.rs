@@ -203,7 +203,8 @@ proptest! {
             let r = reference.run_layer_planned(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
             let p = profiled.run_layer_profiled(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
             prop_assert_eq!(r.events, p.events, "{} {}x{}x{}", kind, m, k, n);
-            if let Some(f) = functional_events(&reference, plan.weights(), plan.adbb(), &a) {
+            let weights = reference.compile_weights(&layer, layer_index, seed);
+            if let Some(f) = functional_events(&reference, &weights, plan.adbb(), &a) {
                 prop_assert_eq!(f, p.events, "functional {} {}x{}x{}", kind, m, k, n);
             }
         }
