@@ -19,7 +19,11 @@
 //! Random probes come from the same deterministic LCG family the
 //! workload generators use, seeded by [`Cluster::with_router_seed`], so
 //! a cluster run is bit-reproducible: a fixed `(stream, routing, seed,
-//! shard specs)` always produces the identical [`ClusterReport`].
+//! shard specs)` always produces the identical [`ClusterReport`]. Each
+//! policy's routing step is written once: with health-aware failover
+//! ([`Cluster::with_faults`]) it steers clear of shards in an outage
+//! window, and health-unaware routing is the case where every shard is
+//! up.
 //!
 //! The router is exact, not approximate: before routing an arrival at
 //! time `t`, every shard engine is advanced through its internal events
@@ -59,6 +63,13 @@
 //!    out over 2 workers made jsq and p2c take 13.6-15.0 and
 //!    12.6-14.4 host-s; inline they take 7.4-7.5 and 7.2 s.
 //!
+//! Either way each shard runs one serving engine that owns its (empty)
+//! arrival source and a borrow of its own copy of the shard's
+//! [`FixedPolicy`]. The barrier driver keeps the shard engines beside
+//! their policies on the caller's thread; the pre-routed driver builds
+//! each shard's engine on its executor thread and hands back only the
+//! shard's [`ServeReport`], so no engine ever crosses a thread.
+//!
 //! [`Cluster::serve_serial`] is the barrier driver whatever the
 //! routing policy. Under [`RoutingPolicy::Random`] it is an
 //! independent reference for the pre-routed tier (a different driver
@@ -93,7 +104,7 @@
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::fleet::{ArrivalSource, Engine, Fleet};
-use crate::policy::{BatchPolicy, FixedPolicy};
+use crate::policy::FixedPolicy;
 use crate::report::{
     render_table, Col, FaultStats, LatencyHistogram, ModelServeStats, ServeReport,
 };
@@ -131,26 +142,60 @@ impl RoutingPolicy {
         }
     }
 
-    /// Picks the shard for one arrival given the current queue depths.
-    /// Deterministic for a fixed RNG state and depth vector.
+    /// Picks the shard for one arrival given the current queue depths,
+    /// joining only shards `up` reports healthy. Returns `(shard,
+    /// failed_over)`, the flag recording that health diverted the
+    /// choice from the shard it would join with every shard up.
+    /// Deterministic for a fixed RNG state, depth vector and health.
+    ///
+    /// Health never adds or removes LCG draws: a [`Self::Random`] draw
+    /// or a [`Self::PowerOfTwo`] probe draw that lands on a down shard
+    /// re-uses its value to index the healthy set, so the routing
+    /// sequence stays a pure function of `(seed, arrival times, fault
+    /// plan)` and the probe-free driver can pre-draw it. Health-unaware
+    /// routing is the case where every shard is up. When **every**
+    /// shard is down the router routes as if all were up: requests
+    /// queue on a down shard and execute after it recovers.
     pub(crate) fn route(
         &self,
         shards: usize,
         rng: &mut Lcg,
+        up: impl Fn(usize) -> bool,
         depth: impl Fn(usize) -> usize,
-    ) -> usize {
+    ) -> (usize, bool) {
         debug_assert!(shards > 0);
+        let healthy = (0..shards).filter(|&s| up(s)).count();
+        let all_down = healthy == 0;
+        let up = |s| all_down || up(s);
+        let healthy = if all_down { shards } else { healthy };
+        // A draw lands on shard `draw % shards` or, when that one is
+        // down, on the `draw % healthy`-th healthy shard.
+        let land = |draw: u64| {
+            let naive = (draw % shards as u64) as usize;
+            if up(naive) {
+                return (naive, false);
+            }
+            let k = (draw % healthy as u64) as usize;
+            ((0..shards).filter(|&s| up(s)).nth(k).expect("k indexes the healthy set"), true)
+        };
         match self {
-            Self::Random => (rng.next_u64() % shards as u64) as usize,
+            Self::Random => land(rng.next_u64()),
             Self::JoinShortestQueue => {
-                (0..shards).min_by_key(|&s| (depth(s), s)).expect("at least one shard")
+                let shortest = |up_only: bool| {
+                    (0..shards)
+                        .filter(|&s| !up_only || up(s))
+                        .min_by_key(|&s| (depth(s), s))
+                        .expect("at least one shard")
+                };
+                let pick = shortest(true);
+                (pick, healthy < shards && !up(shortest(false)))
             }
             Self::PowerOfTwo => {
-                let a = (rng.next_u64() % shards as u64) as usize;
-                let b = (rng.next_u64() % shards as u64) as usize;
+                let (a, diverted_a) = land(rng.next_u64());
+                let (b, diverted_b) = land(rng.next_u64());
                 // Join the shallower probed queue — never the deeper —
                 // with ties (and a == b) resolving to the lower index.
-                std::cmp::min((depth(a), a), (depth(b), b)).1
+                (std::cmp::min((depth(a), a), (depth(b), b)).1, diverted_a || diverted_b)
             }
         }
     }
@@ -171,50 +216,6 @@ impl RoutingPolicy {
 /// The bit of a pre-routed stream index that flags a failover
 /// diversion; the low 31 bits index the caller's stream.
 const FAILED_OVER: u32 = 1 << 31;
-
-/// One shard's complete driver-side state: its engine, the dummy
-/// open-loop arrival source (the router injects arrivals itself; the
-/// source only answers closed-loop callbacks, as no-ops), and its
-/// batching policy. This is the unit the pre-routed driver returns
-/// from its executor threads — `Send` by the compile-time assertion
-/// next to [`Engine`].
-struct ShardState<'a> {
-    engine: Engine<'a>,
-    source: ArrivalSource<'a>,
-    policy: FixedPolicy,
-}
-
-impl<'a> ShardState<'a> {
-    fn new(fleet: &'a Fleet, models: &'a [ModelSpec]) -> Self {
-        Self {
-            engine: Engine::new(fleet, models),
-            source: ArrivalSource::open(&[]),
-            policy: fleet.fixed_policy(),
-        }
-    }
-
-    /// Advances the engine through every internal event preceding an
-    /// arrival at `t`.
-    fn advance(&mut self, t: u64) {
-        self.engine.advance_to_arrival(t, &mut self.source, &mut self.policy);
-    }
-
-    /// Injects one routed arrival.
-    fn inject(&mut self, r: Request) {
-        self.engine.inject(r, None, &mut self.source, &mut self.policy);
-    }
-
-    /// Drains every remaining internal event.
-    fn drain(&mut self) {
-        self.engine.drain(&mut self.source, &mut self.policy);
-    }
-
-    /// Finishes the shard into its [`ServeReport`].
-    fn finish(self) -> ServeReport {
-        let Self { engine, policy, .. } = self;
-        engine.into_report(policy.name())
-    }
-}
 
 impl fmt::Display for RoutingPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -452,77 +453,14 @@ impl Cluster {
         }
     }
 
-    /// Routes one arrival at time `t`, avoiding shards inside an
-    /// outage window when health-aware failover is enabled. Returns
-    /// `(shard, failed_over)` where the flag records that the choice
-    /// was diverted away from a down shard.
-    ///
-    /// Health never adds or removes LCG draws: [`RoutingPolicy::
-    /// Random`] re-uses its single draw to index the healthy set, and
-    /// [`RoutingPolicy::PowerOfTwo`] re-uses each of its two probe
-    /// draws — so the routing sequence stays a pure function of
-    /// `(seed, arrival times, fault plan)` and the probe-free parallel
-    /// driver can still pre-draw it. When **every** shard is down the
-    /// router falls back to unrestricted routing: requests queue on a
-    /// down shard and execute after it recovers.
-    fn route_healthy(
-        &self,
-        n: usize,
-        rng: &mut Lcg,
-        t: u64,
-        depth: impl Fn(usize) -> usize,
-    ) -> (usize, bool) {
+    /// The router's health view at `t`: with failover enabled, the
+    /// shards outside their outage windows; otherwise every shard.
+    fn shard_up(&self, t: u64) -> impl Fn(usize) -> bool + '_ {
         let plan = match &self.fault {
-            Some((config, plan)) if config.failover => plan,
-            _ => return (self.routing.route(n, rng, depth), false),
+            Some((config, plan)) if config.failover && plan.any_shard_down(t) => Some(plan),
+            _ => None,
         };
-        if !plan.any_shard_down(t) {
-            return (self.routing.route(n, rng, depth), false);
-        }
-        let healthy: Vec<usize> = (0..n).filter(|&s| plan.is_shard_up(s, t)).collect();
-        if healthy.is_empty() {
-            return (self.routing.route(n, rng, depth), false);
-        }
-        let h = healthy.len() as u64;
-        match self.routing {
-            RoutingPolicy::Random => {
-                let draw = rng.next_u64();
-                let naive = (draw % n as u64) as usize;
-                if plan.is_shard_up(naive, t) {
-                    (naive, false)
-                } else {
-                    (healthy[(draw % h) as usize], true)
-                }
-            }
-            RoutingPolicy::JoinShortestQueue => {
-                let unrestricted =
-                    (0..n).min_by_key(|&s| (depth(s), s)).expect("at least one shard");
-                let pick = healthy
-                    .iter()
-                    .copied()
-                    .min_by_key(|&s| (depth(s), s))
-                    .expect("healthy set is non-empty");
-                (pick, !plan.is_shard_up(unrestricted, t))
-            }
-            RoutingPolicy::PowerOfTwo => {
-                let draw_a = rng.next_u64();
-                let draw_b = rng.next_u64();
-                let naive_a = (draw_a % n as u64) as usize;
-                let naive_b = (draw_b % n as u64) as usize;
-                let a = if plan.is_shard_up(naive_a, t) {
-                    naive_a
-                } else {
-                    healthy[(draw_a % h) as usize]
-                };
-                let b = if plan.is_shard_up(naive_b, t) {
-                    naive_b
-                } else {
-                    healthy[(draw_b % h) as usize]
-                };
-                let failed_over = a != naive_a || b != naive_b;
-                (std::cmp::min((depth(a), a), (depth(b), b)).1, failed_over)
-            }
-        }
+        move |s| plan.is_none_or(|plan| plan.is_shard_up(s, t))
     }
 
     /// The serial reference driver: the arrival-barrier driver,
@@ -566,7 +504,9 @@ impl Cluster {
         let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, r) in requests.iter().enumerate() {
             let (shard, failed_over) =
-                self.route_healthy(n, &mut rng, r.arrival, |_| unreachable!("probe-free routing"));
+                self.routing.route(n, &mut rng, self.shard_up(r.arrival), |_| {
+                    unreachable!("probe-free routing")
+                });
             per_shard[shard].push(i as u32 | if failed_over { FAILED_OVER } else { 0 });
         }
         let routed: Vec<usize> = per_shard.iter().map(Vec::len).collect();
@@ -577,17 +517,17 @@ impl Cluster {
         let shard_ids: Vec<usize> = (0..n).collect();
         let results = executor
             .map(&shard_ids, |&s| self.run_shard(s, models, requests, &per_shard[s], horizon));
-        let mut states = Vec::with_capacity(n);
+        let mut reports = Vec::with_capacity(n);
         let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        for (state, events) in results {
-            states.push(state);
+        for (report, events) in results {
+            reports.push(report);
             scale_events.extend(events);
         }
         // Each shard's events are in time order and at most one event
         // exists per (eval time, shard); sorting by (time, shard)
         // reproduces the barrier driver's emission order exactly.
         scale_events.sort_by_key(|e| (e.time, e.shard));
-        self.assemble(states, routed, scale_events)
+        self.assemble(reports, routed, scale_events)
     }
 
     /// One shard's full tier-1 lifetime over its own substream: the
@@ -602,42 +542,44 @@ impl Cluster {
     /// Autoscaler evaluations are the one cross-stream coupling — they
     /// fire at stream-global times — so they replay against the global
     /// `horizon`.
-    fn run_shard<'a>(
-        &'a self,
+    fn run_shard(
+        &self,
         shard: usize,
-        models: &'a [ModelSpec],
+        models: &[ModelSpec],
         stream: &[Request],
         own: &[u32],
         horizon: Option<u64>,
-    ) -> (ShardState<'a>, Vec<ScaleEvent>) {
-        let mut state = ShardState::new(&self.shards[shard], models);
+    ) -> (ServeReport, Vec<ScaleEvent>) {
+        let fleet = &self.shards[shard];
+        let mut policy = fleet.fixed_policy();
+        let mut engine = Engine::new(fleet, models, ArrivalSource::open(&[]), &mut policy);
         // Every routed request resolves exactly once on this shard.
-        state.engine.reserve_outcomes(own.len());
+        engine.reserve_outcomes(own.len());
         let mut events: Vec<ScaleEvent> = Vec::new();
         let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
-        let mut fire_evals_through = |state: &mut ShardState<'_>, t: u64| {
+        let mut fire_evals_through = |engine: &mut Engine<'_>, t: u64| {
             let Some(auto) = self.autoscale else { return };
             while next_eval.expect("set when autoscaling") <= t {
                 let eval = next_eval.expect("checked");
-                state.advance(eval);
-                self.autoscale_shard(&mut state.engine, shard, eval, auto, &mut events);
+                engine.advance_to_arrival(eval);
+                self.autoscale_shard(engine, shard, eval, auto, &mut events);
                 next_eval = Some(eval + auto.eval_interval_cycles);
             }
         };
         for &routed in own {
             let r = &stream[(routed & !FAILED_OVER) as usize];
-            fire_evals_through(&mut state, r.arrival);
-            state.advance(r.arrival);
+            fire_evals_through(&mut engine, r.arrival);
+            engine.advance_to_arrival(r.arrival);
             if routed & FAILED_OVER != 0 {
-                state.engine.note_failover(r);
+                engine.note_failover(r);
             }
-            state.inject(*r);
+            engine.inject(*r, None);
         }
         if let Some(horizon) = horizon {
-            fire_evals_through(&mut state, horizon);
+            fire_evals_through(&mut engine, horizon);
         }
-        state.drain();
-        (state, events)
+        engine.drain();
+        (engine.into_report(), events)
     }
 
     /// Tier-2 driver for backlog-probing routing, on the caller's
@@ -648,8 +590,19 @@ impl Cluster {
     /// typical inter-arrival gap.
     fn serve_barrier(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
         let n = self.shards.len();
-        let mut states: Vec<ShardState> =
-            self.shards.iter().map(|f| ShardState::new(f, models)).collect();
+        let mut policies: Vec<FixedPolicy> = self.shards.iter().map(Fleet::fixed_policy).collect();
+        let mut engines: Vec<Engine> = self
+            .shards
+            .iter()
+            .zip(&mut policies)
+            .map(|(fleet, policy)| {
+                let mut engine = Engine::new(fleet, models, ArrivalSource::open(&[]), policy);
+                // A shard's share of the stream is unknown until routed;
+                // its even share sizes the outcome log up front.
+                engine.reserve_outcomes(requests.len() / n);
+                engine
+            })
+            .collect();
         let mut rng = Lcg::new(self.router_seed);
         let mut routed = vec![0usize; n];
         let mut scale_events: Vec<ScaleEvent> = Vec::new();
@@ -660,48 +613,49 @@ impl Cluster {
             if let Some(auto) = self.autoscale {
                 while next_eval.expect("set when autoscaling") <= t {
                     let eval = next_eval.expect("checked");
-                    Self::advance_all(&mut states, eval);
-                    for (s, state) in states.iter_mut().enumerate() {
-                        self.autoscale_shard(&mut state.engine, s, eval, auto, &mut scale_events);
+                    Self::advance_all(&mut engines, eval);
+                    for (s, engine) in engines.iter_mut().enumerate() {
+                        self.autoscale_shard(engine, s, eval, auto, &mut scale_events);
                     }
                     next_eval = Some(eval + auto.eval_interval_cycles);
                 }
             }
-            Self::advance_all(&mut states, t);
+            Self::advance_all(&mut engines, t);
             let (shard, failed_over) =
-                self.route_healthy(n, &mut rng, t, |s| states[s].engine.queued_depth());
+                self.routing.route(n, &mut rng, self.shard_up(t), |s| engines[s].queued_depth());
             routed[shard] += 1;
             if failed_over {
-                states[shard].engine.note_failover(r);
+                engines[shard].note_failover(r);
             }
-            states[shard].inject(*r);
+            engines[shard].inject(*r, None);
         }
-        states.iter_mut().for_each(ShardState::drain);
-        self.assemble(states, routed, scale_events)
+        let reports = engines
+            .into_iter()
+            .map(|mut engine| {
+                engine.drain();
+                engine.into_report()
+            })
+            .collect();
+        self.assemble(reports, routed, scale_events)
     }
 
     /// Advances every shard with pending work to the barrier at `t`.
-    fn advance_all(states: &mut [ShardState], t: u64) {
-        for state in states.iter_mut() {
-            if state.engine.has_event_before(t) {
-                state.advance(t);
+    fn advance_all(engines: &mut [Engine], t: u64) {
+        for engine in engines.iter_mut() {
+            if engine.has_event_before(t) {
+                engine.advance_to_arrival(t);
             }
         }
     }
 
-    /// Rolls finished shard states up into the [`ClusterReport`].
+    /// Rolls the finished shards' reports up into the [`ClusterReport`].
     fn assemble(
         &self,
-        states: Vec<ShardState>,
+        shards: Vec<ServeReport>,
         routed: Vec<usize>,
         scale_events: Vec<ScaleEvent>,
     ) -> ClusterReport {
-        ClusterReport {
-            routing: self.routing.label().to_string(),
-            shards: states.into_iter().map(ShardState::finish).collect(),
-            routed,
-            scale_events,
-        }
+        ClusterReport { routing: self.routing.label().to_string(), shards, routed, scale_events }
     }
 
     /// One autoscaler evaluation of one shard.
@@ -1055,13 +1009,18 @@ mod tests {
         move |s| d[s]
     }
 
+    /// Health-unaware routing: every shard up.
+    fn all_up(_: usize) -> bool {
+        true
+    }
+
     #[test]
     fn jsq_joins_global_minimum_with_lowest_index_ties() {
         let mut rng = Lcg::new(1);
         let policy = RoutingPolicy::JoinShortestQueue;
-        assert_eq!(policy.route(4, &mut rng, depths(&[3, 1, 2, 1])), 1);
-        assert_eq!(policy.route(4, &mut rng, depths(&[0, 0, 0, 0])), 0);
-        assert_eq!(policy.route(4, &mut rng, depths(&[5, 4, 4, 9])), 1);
+        assert_eq!(policy.route(4, &mut rng, all_up, depths(&[3, 1, 2, 1])), (1, false));
+        assert_eq!(policy.route(4, &mut rng, all_up, depths(&[0, 0, 0, 0])), (0, false));
+        assert_eq!(policy.route(4, &mut rng, all_up, depths(&[5, 4, 4, 9])), (1, false));
         // JSQ consumes no randomness: the RNG state is untouched.
         let mut fresh = Lcg::new(1);
         assert_eq!(rng.next_u64(), fresh.next_u64());
@@ -1079,7 +1038,7 @@ mod tests {
         for _ in 0..2_000 {
             let a = (shadow.next_u64() % n as u64) as usize;
             let b = (shadow.next_u64() % n as u64) as usize;
-            let pick = RoutingPolicy::PowerOfTwo.route(n, &mut rng, depths(&d));
+            let (pick, _) = RoutingPolicy::PowerOfTwo.route(n, &mut rng, all_up, depths(&d));
             assert!(pick == a || pick == b, "p2c must pick a probed shard");
             assert!(
                 d[pick] <= d[a] && d[pick] <= d[b],
@@ -1093,13 +1052,52 @@ mod tests {
     fn random_routing_is_seed_deterministic_and_covers_shards() {
         let route_all = |seed: u64| -> Vec<usize> {
             let mut rng = Lcg::new(seed);
-            (0..256).map(|_| RoutingPolicy::Random.route(5, &mut rng, |_| 0)).collect()
+            (0..256).map(|_| RoutingPolicy::Random.route(5, &mut rng, all_up, |_| 0).0).collect()
         };
         assert_eq!(route_all(7), route_all(7), "same seed, same routes");
         assert_ne!(route_all(7), route_all(8), "different seed, different routes");
         let picks = route_all(7);
         for s in 0..5 {
             assert!(picks.contains(&s), "shard {s} never picked in 256 draws");
+        }
+    }
+
+    /// The pre-routed driver pre-draws the routing sequence, so health
+    /// must never change how many LCG draws a policy takes: with
+    /// failover on and one shard down, each policy stays draw-for-draw
+    /// in step with routing over every shard up, never joins the down
+    /// shard, and flags exactly the diverted choices.
+    #[test]
+    fn failover_routing_takes_the_draws_of_healthy_routing() {
+        // Shard 1 is down and is also the shortest queue, so JSQ must
+        // divert every time.
+        let d = [4usize, 0, 3, 1, 2];
+        let down = 1;
+        for policy in
+            [RoutingPolicy::Random, RoutingPolicy::JoinShortestQueue, RoutingPolicy::PowerOfTwo]
+        {
+            let (mut healthy, mut degraded) = (Lcg::new(5), Lcg::new(5));
+            let mut diverted = 0;
+            for _ in 0..500 {
+                let (naive, flagged) = policy.route(d.len(), &mut healthy, all_up, depths(&d));
+                assert!(!flagged, "{policy}: nothing to fail over from");
+                let (pick, failed_over) =
+                    policy.route(d.len(), &mut degraded, |s| s != down, depths(&d));
+                assert_ne!(pick, down, "{policy} joined a down shard");
+                if policy != RoutingPolicy::PowerOfTwo {
+                    assert_eq!(failed_over, naive == down, "{policy}: flag marks the diversion");
+                }
+                diverted += failed_over as usize;
+                assert_eq!(healthy.next_u64(), degraded.next_u64(), "{policy} drew differently");
+            }
+            assert!(diverted > 0, "{policy} never failed over");
+        }
+        // Every shard down: route as if all were up, flagging nothing.
+        let mut rng = Lcg::new(5);
+        let mut reference = Lcg::new(5);
+        for _ in 0..100 {
+            let want = RoutingPolicy::PowerOfTwo.route(5, &mut reference, all_up, depths(&d));
+            assert_eq!(RoutingPolicy::PowerOfTwo.route(5, &mut rng, |_| false, depths(&d)), want);
         }
     }
 

@@ -21,8 +21,14 @@
 //!   per-request in simulated time as a fixed point of the placement.
 //!
 //! The engine advances simulated time through batch completions,
-//! arrivals and batch wait deadlines in `(time, kind)` order. Each
-//! sealed batch picks its lane and simulates once, on that lane.
+//! arrivals and batch wait deadlines in `(time, kind)` order. Fresh
+//! arrivals and fault-mode retries join their model's queue through one
+//! admission routine. Each sealed batch picks its lane and simulates
+//! once, on that lane (monolithic), or once per stage on its pinned
+//! stage lanes (pipelined). Its requests resolve as served only at its
+//! completion event, the one place that records served outcomes, the
+//! batch's trace record and the makespan, so a lane crash can still
+//! cancel a batch in flight.
 //!
 //! **Placement** is governed by [`PlacementStrategy`]: the default
 //! earliest-free rule is arch-blind, while
@@ -42,8 +48,8 @@
 //! are a pure function of the batch and the executing lane's
 //! architecture, and the engine is deterministic. The `outcomes` list
 //! in the returned [`ServeReport`] is sorted by request id (it is
-//! assembled in dispatch order internally), so `outcomes[i].id() == i`
-//! always holds for a dense arrival stream.
+//! assembled in resolution order internally), so `outcomes[i].id() ==
+//! i` always holds for a dense arrival stream.
 
 use crate::fault::{FaultConfig, FaultState, FaultTimeline, TimelineEvent, WindowEdge};
 use crate::pipeline::PipelinePlan;
@@ -99,31 +105,17 @@ impl Lane {
         &self.scratch
     }
 
-    /// Simulates one batch on this lane: each layer's weights stream
-    /// once and stay resident for the rest of the batch, which is where
-    /// batching wins on the memory-bound FC/depthwise layers (paper
-    /// Sec. 8.3). The single-stage special case of
-    /// [`Lane::execute_stage`].
-    fn execute_batch(
-        &self,
-        model: &ModelSpec,
-        requests: &[Request],
-        weight_seed: u64,
-    ) -> BatchExecution {
-        self.execute_stage(model, 0..model.layers.len(), requests, weight_seed, false)
-    }
-
-    /// Simulates one batch through a contiguous layer range — one
-    /// pipeline stage — on this lane, via [`s2ta_core`]'s `run_stage`.
+    /// Simulates one batch through a contiguous layer range on this
+    /// lane, via [`s2ta_core`]'s `run_stage`: a monolithic batch runs
+    /// `0..layers`, a pipeline stage its own range.
     ///
-    /// The first request streams the stage's weights and every later
-    /// request finds them resident (the batching amortization), unless
-    /// `warm` is set: a warm stage lane just executed the **same**
-    /// stage of the same model, so its weights are still in the weight
-    /// SRAM and even the first request skips the weight DMA — the
-    /// pinned-stage reuse that layer pipelining exists to harvest.
-    /// Event totals at `warm == false` are byte-identical to the
-    /// monolithic [`Lane::execute_batch`] restricted to the range.
+    /// The first request streams the range's weights and every later
+    /// request finds them resident — the batching amortization that
+    /// wins on the memory-bound FC/depthwise layers (paper Sec. 8.3) —
+    /// unless `warm` is set: a warm stage lane just executed the
+    /// **same** stage of the same model, so its weights are still in
+    /// the weight SRAM and even the first request skips the weight DMA
+    /// — the pinned-stage reuse that layer pipelining exists to harvest.
     fn execute_stage(
         &self,
         model: &ModelSpec,
@@ -134,49 +126,35 @@ impl Lane {
     ) -> BatchExecution {
         let plan = self.accelerator.plan_model(model, weight_seed);
         let mut events = EventCounts::default();
-        match self.accelerator.exec_path() {
-            // The golden oracle / host-throughput baseline: per-layer
-            // reports, materialized operands, no arena.
-            ExecPath::Reference => {
-                for (i, request) in requests.iter().enumerate() {
-                    let residency = if i == 0 && !warm {
-                        WeightResidency::Streamed
-                    } else {
-                        WeightResidency::Resident
-                    };
-                    for report in self.accelerator.run_stage(
-                        &plan,
-                        model,
-                        layers.clone(),
-                        request.act_seed,
-                        residency,
-                    ) {
+        // The serving hot loop sums events straight from the operand
+        // profiles, its transient buffers from the shared arena pool —
+        // allocation-free once caches and arena are warm. The golden
+        // oracle / host-throughput baseline takes per-layer reports over
+        // materialized operands, with no arena.
+        let mut scratch = match self.accelerator.exec_path() {
+            ExecPath::Reference => None,
+            ExecPath::Profiled => Some(self.scratch.checkout()),
+        };
+        for (i, request) in requests.iter().enumerate() {
+            let residency =
+                if i == 0 && !warm { WeightResidency::Streamed } else { WeightResidency::Resident };
+            let (layers, seed) = (layers.clone(), request.act_seed);
+            match scratch.as_mut() {
+                Some(scratch) => {
+                    events += self
+                        .accelerator
+                        .run_stage_events(&plan, model, layers, seed, residency, scratch)
+                }
+                None => {
+                    for report in self.accelerator.run_stage(&plan, model, layers, seed, residency)
+                    {
                         events += report.events;
                     }
                 }
             }
-            // The serving hot loop: summed events straight from the
-            // operand profiles, transient buffers from the shared arena
-            // pool — allocation-free once caches and arena are warm.
-            ExecPath::Profiled => {
-                let mut scratch = self.scratch.checkout();
-                for (i, request) in requests.iter().enumerate() {
-                    let residency = if i == 0 && !warm {
-                        WeightResidency::Streamed
-                    } else {
-                        WeightResidency::Resident
-                    };
-                    events += self.accelerator.run_stage_events(
-                        &plan,
-                        model,
-                        layers.clone(),
-                        request.act_seed,
-                        residency,
-                        &mut scratch,
-                    );
-                }
-                self.scratch.restore(scratch);
-            }
+        }
+        if let Some(scratch) = scratch {
+            self.scratch.restore(scratch);
         }
         BatchExecution { service_cycles: events.cycles, events }
     }
@@ -604,8 +582,7 @@ impl Fleet {
         requests: &[Request],
         policy: &mut dyn BatchPolicy,
     ) -> ServeReport {
-        let mut arrivals = ArrivalSource::open(requests);
-        Engine::new(self, models).run(&mut arrivals, policy)
+        Engine::new(self, models, ArrivalSource::open(requests), policy).run()
     }
 
     /// Serves a closed-loop client population: each of the spec's C
@@ -626,8 +603,7 @@ impl Fleet {
         policy: &mut dyn BatchPolicy,
     ) -> ServeReport {
         assert_eq!(spec.mix.len(), models.len(), "closed-loop mix must name every fleet model");
-        let mut arrivals = ArrivalSource::closed(spec);
-        Engine::new(self, models).run(&mut arrivals, policy)
+        Engine::new(self, models, ArrivalSource::closed(spec), policy).run()
     }
 }
 
@@ -680,8 +656,8 @@ struct EngineBatch {
 
 /// Where the engine's next request comes from: a pre-generated sorted
 /// open-loop stream, or a closed-loop client population advanced on
-/// completions. (The cluster router drives shard engines with an empty
-/// open source and injects routed arrivals itself.)
+/// completions. (The cluster router gives shard engines an empty open
+/// source and injects routed arrivals itself.)
 pub(crate) enum ArrivalSource<'a> {
     Open {
         stream: &'a [Request],
@@ -795,9 +771,15 @@ const FAULT_KIND: u8 = 4;
 /// (completions, then arrivals, then deadlines at equal times: a batch
 /// closes only when its deadline is strictly before the current time,
 /// so an arrival exactly at a deadline still joins the batch).
+///
+/// The engine owns its arrival source and borrows its batching policy
+/// for the whole run, so every event handler reaches both through
+/// `self`.
 pub(crate) struct Engine<'a> {
     fleet: &'a Fleet,
     models: &'a [ModelSpec],
+    arrivals: ArrivalSource<'a>,
+    policy: &'a mut dyn BatchPolicy,
     queue: RequestQueue,
     deadlines: DeadlineHeap,
     /// In-flight batches ordered by `(completion, batch index)` — a
@@ -892,7 +874,12 @@ struct StageStatsAccum {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(fleet: &'a Fleet, models: &'a [ModelSpec]) -> Self {
+    pub(crate) fn new(
+        fleet: &'a Fleet,
+        models: &'a [ModelSpec],
+        arrivals: ArrivalSource<'a>,
+        policy: &'a mut dyn BatchPolicy,
+    ) -> Self {
         assert!(
             fleet.fault.is_none() || fleet.placement != PlacementStrategy::Pipelined,
             "fault injection models monolithic lane execution; pipelined placement is unsupported"
@@ -900,6 +887,8 @@ impl<'a> Engine<'a> {
         Self {
             fleet,
             models,
+            arrivals,
+            policy,
             queue: fleet.queue(models.len()),
             deadlines: DeadlineHeap::new(),
             in_flight: TimerWheel::new(),
@@ -984,25 +973,25 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self, arrivals: &mut ArrivalSource, policy: &mut dyn BatchPolicy) -> ServeReport {
-        self.reserve_outcomes(arrivals.remaining());
+    fn run(mut self) -> ServeReport {
+        self.reserve_outcomes(self.arrivals.remaining());
         loop {
             // The next event is the earliest of (completion, arrival,
             // deadline); kind breaks ties so same-cycle events fire in
             // a fixed order.
             let internal = self.next_internal_event();
-            let arrival = arrivals.peek_time().map(|t| (t, ARRIVAL_KIND));
+            let arrival = self.arrivals.peek_time().map(|t| (t, ARRIVAL_KIND));
             let Some((_, kind)) = [internal, arrival].into_iter().flatten().min() else {
                 break;
             };
             if kind == ARRIVAL_KIND {
-                let (r, client) = arrivals.pop(self.next_id);
-                self.inject(r, client, arrivals, policy);
+                let (r, client) = self.arrivals.pop(self.next_id);
+                self.inject(r, client);
             } else {
-                self.step_internal(kind, arrivals, policy);
+                self.step_internal(kind);
             }
         }
-        self.into_report(policy.name())
+        self.into_report()
     }
 
     /// The earliest pending internal event as `(time, kind)`:
@@ -1021,34 +1010,23 @@ impl<'a> Engine<'a> {
 
     /// Processes one internal event previously returned by
     /// [`Engine::next_internal_event`].
-    fn step_internal(
-        &mut self,
-        kind: u8,
-        arrivals: &mut ArrivalSource,
-        policy: &mut dyn BatchPolicy,
-    ) {
+    fn step_internal(&mut self, kind: u8) {
         match kind {
-            COMPLETION_KIND => self.on_completion(arrivals, policy),
-            DEADLINE_KIND => self.on_deadline(policy),
-            RETRY_KIND => self.on_retry(arrivals, policy),
-            _ => self.on_fault(arrivals),
+            COMPLETION_KIND => self.on_completion(),
+            DEADLINE_KIND => self.on_deadline(),
+            RETRY_KIND => self.on_retry(),
+            _ => self.on_fault(),
         }
     }
 
     /// Injects one externally-routed arrival (the cluster router's
     /// entry point), assigning it the next dense engine id and running
     /// the full admission/batching path.
-    pub(crate) fn inject(
-        &mut self,
-        request: Request,
-        client: Option<usize>,
-        arrivals: &mut ArrivalSource,
-        policy: &mut dyn BatchPolicy,
-    ) {
+    pub(crate) fn inject(&mut self, request: Request, client: Option<usize>) {
         self.next_id += 1;
         assert!(request.arrival >= self.last_arrival, "arrival stream must be sorted");
         self.last_arrival = request.arrival;
-        self.on_arrival(request, client, arrivals, policy);
+        self.on_arrival(request, client);
     }
 
     /// Advances simulated time through every internal event that
@@ -1056,12 +1034,7 @@ impl<'a> Engine<'a> {
     /// with time <= `t` and deadlines strictly before `t`. After this,
     /// the engine's queue depths are exactly what an arrival at `t`
     /// would observe — the router's probe point.
-    pub(crate) fn advance_to_arrival(
-        &mut self,
-        t: u64,
-        arrivals: &mut ArrivalSource,
-        policy: &mut dyn BatchPolicy,
-    ) {
+    pub(crate) fn advance_to_arrival(&mut self, t: u64) {
         // Host-side wall-clock span only — no metrics flush here: the
         // barrier driver advances shards to every arrival barrier
         // while the prerouted driver advances a shard only to its own,
@@ -1072,7 +1045,7 @@ impl<'a> Engine<'a> {
             if (et, kind) >= (t, ARRIVAL_KIND) {
                 break;
             }
-            self.step_internal(kind, arrivals, policy);
+            self.step_internal(kind);
         }
         if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
             tr.host.add("shard-advance", t0.elapsed());
@@ -1081,10 +1054,10 @@ impl<'a> Engine<'a> {
 
     /// Drains every remaining internal event (end of the arrival
     /// stream).
-    pub(crate) fn drain(&mut self, arrivals: &mut ArrivalSource, policy: &mut dyn BatchPolicy) {
+    pub(crate) fn drain(&mut self) {
         let t0 = self.trace.is_some().then(Instant::now);
         while let Some((_, kind)) = self.next_internal_event() {
-            self.step_internal(kind, arrivals, policy);
+            self.step_internal(kind);
         }
         if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
             tr.host.add("shard-advance", t0.elapsed());
@@ -1183,7 +1156,12 @@ impl<'a> Engine<'a> {
         self.active_lanes = lanes.clamp(1, self.fleet.lanes.len());
     }
 
-    fn on_completion(&mut self, arrivals: &mut ArrivalSource, policy: &mut dyn BatchPolicy) {
+    /// A batch's completion event: the one place a batch's requests
+    /// resolve as served — monolithic, pipelined and fault-mode batches
+    /// alike — with its trace record and the makespan. Resolving here
+    /// rather than at dispatch lets a lane crash cancel a batch before
+    /// anything about it is recorded.
+    fn on_completion(&mut self) {
         let (t, index) = self.in_flight.pop().expect("peeked");
         // Metrics boundaries close before this completion mutates any
         // counter (popping the wheel changes no sampled state).
@@ -1197,51 +1175,44 @@ impl<'a> Engine<'a> {
         let n = batch.requests.len();
         if self.faults.is_some() {
             let backlog = self.queued + self.in_flight_requests;
-            let lane = batch.lane;
             let f = self.faults.as_deref_mut().expect("checked");
             f.update_degraded(t, backlog);
-            if let Some(pos) = f.lane_active[lane].iter().position(|&b| b == index) {
-                f.lane_active[lane].swap_remove(pos);
+            if let Some(pos) = f.lane_active[batch.lane].iter().position(|&b| b == index) {
+                f.lane_active[batch.lane].swap_remove(pos);
             }
             if !f.attempts.is_empty() {
                 for r in &batch.requests {
                     f.attempts.remove(&r.id);
                 }
             }
-            // Outcomes were deferred from dispatch (a crash could
-            // still have cancelled the batch); the batch survived, so
-            // its requests are served now — trace, makespan and
-            // outcome records included.
-            self.makespan = self.makespan.max(t);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record_batch(
-                    (batch.ready, batch.start, t),
-                    lane as u32,
-                    batch.model as u32,
-                    index as u64,
-                    n as u64,
-                );
-            }
-            for r in &batch.requests {
-                self.push_outcome(RequestOutcome::Served(ServedRequest {
-                    id: r.id,
-                    model: self.models[batch.model].name,
-                    arrival: r.arrival,
-                    start: batch.start,
-                    completion: t,
-                    batch: index,
-                    worker: lane,
-                }));
-            }
         }
+        self.makespan = self.makespan.max(t);
         if let Some(tr) = self.trace.as_mut() {
+            tr.record_batch(
+                (batch.ready, batch.start, t),
+                batch.lane as u32,
+                batch.model as u32,
+                index as u64,
+                n as u64,
+            );
             for r in &batch.requests {
                 tr.observe_latency(batch.model, t - r.arrival);
             }
         }
+        for r in &batch.requests {
+            self.push_outcome(RequestOutcome::Served(ServedRequest {
+                id: r.id,
+                model: self.models[batch.model].name,
+                arrival: r.arrival,
+                start: batch.start,
+                completion: t,
+                batch: index,
+                worker: batch.lane,
+            }));
+        }
         self.in_flight_requests -= n;
         let max_latency_cycles = batch.requests.iter().map(|r| t - r.arrival).max().unwrap_or(0);
-        policy.observe(&BatchObservation {
+        self.policy.observe(&BatchObservation {
             model: batch.model,
             batch_size: n,
             ready: batch.ready,
@@ -1271,28 +1242,17 @@ impl<'a> Engine<'a> {
                 );
             }
         }
-        // Closed-loop clients issue their next request now. The map is
-        // only populated in closed-loop mode, where engine-assigned ids
-        // are dense; open-loop lookups miss and no-op.
         for r in &batch.requests {
-            let client = self.client_of.get(r.id as usize).copied().flatten();
-            arrivals.request_finished(client, t);
+            self.release_client(r.id, t);
         }
     }
 
-    fn on_arrival(
-        &mut self,
-        request: Request,
-        client: Option<usize>,
-        arrivals: &mut ArrivalSource,
-        policy: &mut dyn BatchPolicy,
-    ) {
+    fn on_arrival(&mut self, request: Request, client: Option<usize>) {
         self.trace_flush(request.arrival);
         if client.is_some() {
             debug_assert_eq!(self.client_of.len() as u64, request.id);
             self.client_of.push(client);
         }
-        let lane = request.model;
         if self.faults.is_some() {
             let backlog = self.queued + self.in_flight_requests;
             let f = self.faults.as_deref_mut().expect("checked");
@@ -1300,85 +1260,16 @@ impl<'a> Engine<'a> {
             // Degraded mode: with a lane down and the backlog past the
             // threshold, best-effort models are shed at admission so
             // the strict classes keep their latency.
-            if f.sheds(lane) {
+            if f.sheds(request.model) {
                 f.stats.shed += 1;
-                self.dropped_per_model[lane] += 1;
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent {
-                        cycle: request.arrival,
-                        kind: TraceEventKind::RequestDropped,
-                        shard: 0,
-                        lane: 0,
-                        model: lane as u32,
-                        stage: 0,
-                        a: request.id,
-                        b: self.queued as u64,
-                    });
-                }
-                self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
-                    id: request.id,
-                    model: self.models[lane].name,
-                    arrival: request.arrival,
-                }));
-                arrivals.request_finished(client, request.arrival);
+                self.drop_request(request);
                 return;
             }
         }
-        let limits = policy.limits_for(lane);
-        assert!(limits.max_batch > 0, "max_batch must be non-zero");
-        let was_empty = self.queue.pending(lane) == 0;
-        if !self.queue.try_push(request) {
-            self.dropped_per_model[lane] += 1;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent {
-                    cycle: request.arrival,
-                    kind: TraceEventKind::RequestDropped,
-                    shard: 0,
-                    lane: 0,
-                    model: lane as u32,
-                    stage: 0,
-                    a: request.id,
-                    b: self.queued as u64,
-                });
-            }
-            self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
-                id: request.id,
-                model: self.models[lane].name,
-                arrival: request.arrival,
-            }));
-            // A drop completes the client's outstanding request
-            // immediately; it thinks and retries from the drop time.
-            arrivals.request_finished(client, request.arrival);
-            return;
-        }
-        self.queued += 1;
-        if was_empty {
-            self.deadlines.arm(lane, &request, limits.max_wait_cycles, &self.queue);
-        }
-        // Several batches may seal back-to-back at this arrival when an
-        // adaptive policy shrank `max_batch` below the lane's backlog;
-        // they dispatch as one burst, in seal order.
-        let sealed = self.queue.pop_full_batches(lane, limits.max_batch);
-        if sealed.is_empty() {
-            return;
-        }
-        if let Some(front) = self.queue.front(lane) {
-            let front = *front;
-            self.deadlines.arm(lane, &front, limits.max_wait_cycles, &self.queue);
-        }
-        let now = request.arrival;
-        let sealed: Vec<(Vec<Request>, u64)> = sealed
-            .into_iter()
-            .map(|members| {
-                // A batch is never ready before its newest member.
-                let ready = now.max(members.last().map_or(0, |r| r.arrival));
-                (members, ready)
-            })
-            .collect();
-        self.dispatch_burst(lane, sealed);
+        self.admit(request, request.arrival, None);
     }
 
-    fn on_deadline(&mut self, policy: &mut dyn BatchPolicy) {
+    fn on_deadline(&mut self) {
         let (deadline, lane) =
             self.deadlines.peek_live(&self.queue).expect("peeked before dispatch");
         self.trace_flush(deadline);
@@ -1387,7 +1278,7 @@ impl<'a> Engine<'a> {
             self.faults.as_deref_mut().expect("checked").update_degraded(deadline, backlog);
         }
         self.deadlines.pop();
-        let limits = policy.limits_for(lane);
+        let limits = self.policy.limits_for(lane);
         let members = self.queue.pop_batch(lane, limits.max_batch.max(1));
         debug_assert!(!members.is_empty());
         // Every member of a timeout-sealed batch waited out the full
@@ -1413,13 +1304,12 @@ impl<'a> Engine<'a> {
             let front = *front;
             self.deadlines.arm(lane, &front, limits.max_wait_cycles, &self.queue);
         }
-        self.dispatch_burst(lane, vec![(members, ready)]);
+        self.dispatch_burst(lane, vec![members], ready);
     }
 
     /// A crash-cancelled request's backoff expired: re-admit it
-    /// through the normal batching path (or abandon it as `Failed` if
-    /// its model lane is full — retries reserve no capacity).
-    fn on_retry(&mut self, arrivals: &mut ArrivalSource, policy: &mut dyn BatchPolicy) {
+    /// through the normal batching path.
+    fn on_retry(&mut self) {
         let (t, request, attempts) =
             self.faults.as_deref_mut().expect("retry event").retries.pop().expect("peeked");
         self.trace_flush(t);
@@ -1429,65 +1319,97 @@ impl<'a> Engine<'a> {
             f.update_degraded(t, backlog);
             f.stats.retries += 1;
         }
-        let lane = request.model;
         if let Some(tr) = self.trace.as_mut() {
             tr.record(TraceEvent {
                 cycle: t,
                 kind: TraceEventKind::RequestRetried,
                 shard: 0,
                 lane: 0,
-                model: lane as u32,
+                model: request.model as u32,
                 stage: 0,
                 a: request.id,
                 b: attempts as u64,
             });
         }
-        let limits = policy.limits_for(lane);
+        self.admit(request, t, Some(attempts));
+    }
+
+    /// Queues `request` on its model lane at `now` and dispatches every
+    /// batch it fills, as one burst ready at `now` (every member
+    /// arrived, or was re-admitted, at or before it).
+    ///
+    /// A fresh arrival (`retry == None`) is tail-dropped when its lane
+    /// is full, and a new lane front's wait budget starts at that
+    /// front's own arrival. A retry (`Some(attempts)`) reserves no
+    /// capacity, so a full lane fails it instead, and the fronts it
+    /// arms wait from the retry instant (a retried request's original
+    /// arrival lies in the past).
+    fn admit(&mut self, request: Request, now: u64, retry: Option<u32>) {
+        let lane = request.model;
+        let limits = self.policy.limits_for(lane);
+        assert!(limits.max_batch > 0, "max_batch must be non-zero");
         let was_empty = self.queue.pending(lane) == 0;
         if !self.queue.try_push(request) {
-            self.fail_request(request, attempts, t, arrivals);
+            match retry {
+                None => self.drop_request(request),
+                Some(attempts) => self.fail_request(request, attempts, now),
+            }
             return;
         }
         self.queued += 1;
+        let max_wait = limits.max_wait_cycles;
+        let wait_from = |front: &Request| retry.map_or(front.arrival, |_| now);
         if was_empty {
-            // The retried front's original arrival is in the past; its
-            // wait budget restarts at the retry instant.
             self.deadlines.arm_at(
-                t.saturating_add(limits.max_wait_cycles),
+                wait_from(&request).saturating_add(max_wait),
                 lane,
                 request.id,
                 &self.queue,
             );
         }
+        // Several batches may seal back-to-back here when an adaptive
+        // policy shrank `max_batch` below the lane's backlog; they
+        // dispatch as one burst, in seal order.
         let sealed = self.queue.pop_full_batches(lane, limits.max_batch);
         if sealed.is_empty() {
             return;
         }
         if let Some(front) = self.queue.front(lane) {
-            let front_id = front.id;
-            self.deadlines.arm_at(
-                t.saturating_add(limits.max_wait_cycles),
-                lane,
-                front_id,
-                &self.queue,
-            );
+            let (deadline, front_id) = (wait_from(front).saturating_add(max_wait), front.id);
+            self.deadlines.arm_at(deadline, lane, front_id, &self.queue);
         }
-        // A retry burst is never ready before now (every member
-        // arrived — or was re-admitted — at or before `t`).
-        let sealed: Vec<(Vec<Request>, u64)> =
-            sealed.into_iter().map(|members| (members, t)).collect();
-        self.dispatch_burst(lane, sealed);
+        self.dispatch_burst(lane, sealed, now);
+    }
+
+    /// Tail-drops `request` at its arrival (a full model lane, or a
+    /// best-effort model shed in degraded mode).
+    fn drop_request(&mut self, request: Request) {
+        self.dropped_per_model[request.model] += 1;
+        if let Some(tr) = self.trace.as_mut() {
+            tr.record(TraceEvent {
+                cycle: request.arrival,
+                kind: TraceEventKind::RequestDropped,
+                shard: 0,
+                lane: 0,
+                model: request.model as u32,
+                stage: 0,
+                a: request.id,
+                b: self.queued as u64,
+            });
+        }
+        self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
+            id: request.id,
+            model: self.models[request.model].name,
+            arrival: request.arrival,
+        }));
+        // A drop completes the client's outstanding request
+        // immediately; it thinks and retries from the drop time.
+        self.release_client(request.id, request.arrival);
     }
 
     /// Abandons `request` as [`RequestOutcome::Failed`] at `now` after
     /// `attempts` consumed dispatch attempts.
-    fn fail_request(
-        &mut self,
-        request: Request,
-        attempts: u32,
-        now: u64,
-        arrivals: &mut ArrivalSource,
-    ) {
+    fn fail_request(&mut self, request: Request, attempts: u32, now: u64) {
         {
             let f = self.faults.as_deref_mut().expect("fault mode");
             f.attempts.remove(&request.id);
@@ -1500,13 +1422,21 @@ impl<'a> Engine<'a> {
             arrival: request.arrival,
             attempts,
         }));
-        let client = self.client_of.get(request.id as usize).copied().flatten();
-        arrivals.request_finished(client, now);
+        self.release_client(request.id, now);
+    }
+
+    /// Tells the closed-loop client that issued request `id` (if any)
+    /// that it resolved at `now`, so it issues its next request. The
+    /// client map is only populated in closed-loop mode, where
+    /// engine-assigned ids are dense; open-loop lookups miss and no-op.
+    fn release_client(&mut self, id: u64, now: u64) {
+        let client = self.client_of.get(id as usize).copied().flatten();
+        self.arrivals.request_finished(client, now);
     }
 
     /// Processes the next fault-timeline edge: a crash or slowdown
     /// window opening or closing on one lane.
-    fn on_fault(&mut self, arrivals: &mut ArrivalSource) {
+    fn on_fault(&mut self) {
         let ev = {
             let f = self.faults.as_deref_mut().expect("fault event");
             let ev = f.timeline.events()[f.cursor];
@@ -1518,7 +1448,7 @@ impl<'a> Engine<'a> {
         let backlog = self.queued + self.in_flight_requests;
         self.faults.as_deref_mut().expect("fault event").update_degraded(t, backlog);
         match ev.edge {
-            WindowEdge::CrashStart => self.on_lane_crash(t, ev, arrivals),
+            WindowEdge::CrashStart => self.on_lane_crash(t, ev),
             WindowEdge::CrashEnd => self.on_lane_recovery(t, ev),
             WindowEdge::SlowStart => {
                 self.faults.as_deref_mut().expect("fault event").stats.slowdowns += 1;
@@ -1563,7 +1493,7 @@ impl<'a> Engine<'a> {
     /// either schedules a retry or fails under the retry policy. The
     /// lane accepts no new work before the window closes (`free_at`
     /// jumps to the recovery time, so placement routes around it).
-    fn on_lane_crash(&mut self, t: u64, ev: TimelineEvent, arrivals: &mut ArrivalSource) {
+    fn on_lane_crash(&mut self, t: u64, ev: TimelineEvent) {
         let lane = ev.lane;
         let cancelled = {
             let f = self.faults.as_deref_mut().expect("crash event");
@@ -1611,7 +1541,7 @@ impl<'a> Engine<'a> {
                         .expect("crash event")
                         .retries
                         .schedule(rt, r, attempts),
-                    None => self.fail_request(r, attempts, t, arrivals),
+                    None => self.fail_request(r, attempts, t),
                 }
             }
         }
@@ -1705,25 +1635,25 @@ impl<'a> Engine<'a> {
     }
 
     /// Executes and places a burst of batches sealed off one model
-    /// lane at one event, in seal order: each batch picks its lane (the
-    /// choice sees the earlier batches' placements, never its own
-    /// execution) and simulates once, on that lane.
+    /// lane at one event, all ready at `ready`, in seal order: each
+    /// batch picks its lane (the choice sees the earlier batches'
+    /// placements, never its own execution) and simulates once, on that
+    /// lane. Nothing about a batch's requests is recorded here: they
+    /// resolve at its completion event ([`Engine::on_completion`]).
     ///
     /// With faults attached, the lane's slowdown factor inflates the
-    /// measured service time, an aged batch may be **hedged** onto a
-    /// second lane (see [`Engine::hedge`]), and served outcomes are
-    /// deferred to the completion event so a lane crash can still
-    /// cancel the batch.
-    fn dispatch_burst(&mut self, model: usize, sealed: Vec<(Vec<Request>, u64)>) {
+    /// measured service time and an aged batch may be **hedged** onto a
+    /// second lane (see [`Engine::hedge`]).
+    fn dispatch_burst(&mut self, model: usize, sealed: Vec<Vec<Request>>, ready: u64) {
         // Every sealed member moves from the queued half of the
         // backlog to the in-flight half (it stays outstanding until
         // its batch's completion event).
-        for (members, _) in &sealed {
+        for members in &sealed {
             self.queued -= members.len();
             self.in_flight_requests += members.len();
         }
         if self.fleet.placement == PlacementStrategy::Pipelined {
-            for (members, ready) in sealed {
+            for members in sealed {
                 self.dispatch_pipelined(model, members, ready);
             }
             return;
@@ -1731,9 +1661,15 @@ impl<'a> Engine<'a> {
         let fleet = self.fleet;
         let spec = &self.models[model];
         let exec_started = self.trace.is_some().then(Instant::now);
-        for (members, ready) in sealed {
+        for members in sealed {
             let lane = self.choose_lane(model, members.len(), ready);
-            let exec = fleet.lanes[lane].execute_batch(spec, &members, fleet.weight_seed);
+            let exec = fleet.lanes[lane].execute_stage(
+                spec,
+                0..spec.layers.len(),
+                &members,
+                fleet.weight_seed,
+                false,
+            );
             let start = self.free_at[lane].max(ready);
             let mut placed = Placed { lane, exec, start, service: exec.service_cycles };
             let mut loser = None;
@@ -1777,28 +1713,6 @@ impl<'a> Engine<'a> {
             stats.events += exec.events;
             if let Some(f) = self.faults.as_deref_mut() {
                 f.lane_active[lane].push(batch_id);
-            } else {
-                self.makespan = self.makespan.max(completion);
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record_batch(
-                        (ready, start, completion),
-                        lane as u32,
-                        model as u32,
-                        batch_id as u64,
-                        members.len() as u64,
-                    );
-                }
-                for r in &members {
-                    self.push_outcome(RequestOutcome::Served(ServedRequest {
-                        id: r.id,
-                        model: spec.name,
-                        arrival: r.arrival,
-                        start,
-                        completion,
-                        batch: batch_id,
-                        worker: lane,
-                    }));
-                }
             }
             self.launch(
                 completion,
@@ -1844,8 +1758,14 @@ impl<'a> Engine<'a> {
             .filter(|&l| l != primary.lane)
             .min_by_key(|&l| (self.free_at[l], l))
             .expect("two active lanes");
-        let fleet = self.fleet;
-        let exec = fleet.lanes[lane].execute_batch(&self.models[model], members, fleet.weight_seed);
+        let (fleet, spec) = (self.fleet, &self.models[model]);
+        let exec = fleet.lanes[lane].execute_stage(
+            spec,
+            0..spec.layers.len(),
+            members,
+            fleet.weight_seed,
+            false,
+        );
         let start = self.free_at[lane].max(ready);
         let service = exec.service_cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
         let alt = Placed { lane, exec, start, service };
@@ -2012,30 +1932,8 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let final_lane = plan.stages().last().expect("a pipeline has stages").lane;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record_batch(
-                (ready, first_start, completion),
-                final_lane as u32,
-                model as u32,
-                batch_id as u64,
-                members.len() as u64,
-            );
-            if let Some(t0) = exec_started {
-                tr.host.add("stage-execute", t0.elapsed());
-            }
-        }
-        self.makespan = self.makespan.max(completion);
-        for r in &members {
-            self.push_outcome(RequestOutcome::Served(ServedRequest {
-                id: r.id,
-                model: spec.name,
-                arrival: r.arrival,
-                start: first_start,
-                completion,
-                batch: batch_id,
-                worker: final_lane,
-            }));
+        if let (Some(t0), Some(tr)) = (exec_started, self.trace.as_mut()) {
+            tr.host.add("stage-execute", t0.elapsed());
         }
         self.launch(
             completion,
@@ -2044,7 +1942,7 @@ impl<'a> Engine<'a> {
                 requests: members,
                 ready,
                 start: first_start,
-                lane: final_lane,
+                lane: plan.stages().last().expect("a pipeline has stages").lane,
                 service_cycles: completion - first_start,
                 stage_execs,
                 cancelled: false,
@@ -2065,13 +1963,15 @@ impl<'a> Engine<'a> {
         self.outcomes.reserve_exact(requests);
     }
 
-    /// Appends one resolved request to the outcome log. Every injected
-    /// request resolves exactly once, so a log reserved to its known
-    /// length (a stream, a closed-loop budget, a pre-routed shard) never
-    /// grows. Only a log of unknown length (a shard of the barrier
-    /// driver) grows, by an eighth at a time: its spare capacity stays
-    /// under an eighth of its records, not up to the whole log that
-    /// doubling leaves.
+    /// Appends one resolved request to the outcome log: a drop or shed
+    /// at arrival, a failure at a crash or a full retry, or a service at
+    /// its batch's completion. Every injected request resolves exactly
+    /// once, so a log reserved to its known length (a stream, a
+    /// closed-loop budget, a pre-routed shard) never grows. A barrier
+    /// shard's log is reserved at its even share of the stream and,
+    /// past that, grows by an eighth at a time: its spare capacity
+    /// stays under an eighth of its records, not up to the whole log
+    /// that doubling leaves.
     fn push_outcome(&mut self, outcome: RequestOutcome) {
         if self.outcomes.len() == self.outcomes.capacity() {
             self.outcomes.reserve_exact(self.outcomes.len() / 8 + 64);
@@ -2079,7 +1979,7 @@ impl<'a> Engine<'a> {
         self.outcomes.push(outcome);
     }
 
-    pub(crate) fn into_report(mut self, policy_name: &str) -> ServeReport {
+    pub(crate) fn into_report(mut self) -> ServeReport {
         // Ids are unique, so the unstable sort gives the stable order
         // without the stable sort's merge buffer.
         self.outcomes.sort_unstable_by_key(RequestOutcome::id);
@@ -2124,7 +2024,7 @@ impl<'a> Engine<'a> {
             .collect();
         ServeReport {
             arch: self.fleet.arch_label(),
-            policy: policy_name.to_string(),
+            policy: self.policy.name().to_string(),
             outcomes: self.outcomes,
             batches: self.dispatched,
             workers: self.worker_stats,
@@ -2138,20 +2038,6 @@ impl<'a> Engine<'a> {
         }
     }
 }
-
-/// The cluster's pre-routed driver builds whole engines (plus their
-/// arrival sources) on executor threads and hands them back to the
-/// caller; keep that a compile-time guarantee rather than an inference
-/// accident.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    #[allow(dead_code)]
-    const fn engine_state_is_send() {
-        assert_send::<Engine<'_>>();
-        assert_send::<ArrivalSource<'_>>();
-        assert_send::<FixedPolicy>();
-    }
-};
 
 #[cfg(test)]
 mod tests {
@@ -2833,7 +2719,8 @@ mod tests {
             assert_eq!(first.completion - first.start, price(false), "recovered lane is cold");
         }
 
-        let mut engine = Engine::new(&fleet, &models);
+        let mut policy = fleet.fixed_policy();
+        let mut engine = Engine::new(&fleet, &models, ArrivalSource::open(&[]), &mut policy);
         engine.last_stage_on_lane[0] = Some((0, 0));
         let (start, end) = windows[0];
         let crash = TimelineEvent {
@@ -2843,7 +2730,7 @@ mod tests {
             duration: end - start,
             factor: 0,
         };
-        engine.on_lane_crash(start, crash, &mut ArrivalSource::open(&[]));
+        engine.on_lane_crash(start, crash);
         engine.on_lane_recovery(
             end,
             TimelineEvent { time: end, edge: WindowEdge::CrashEnd, ..crash },
@@ -2886,19 +2773,19 @@ mod tests {
         let plain = Fleet::new(ArchKind::S2taAw, 2);
         let crashing = Fleet::new(ArchKind::S2taAw, 1).with_faults(FaultConfig::protected(spec));
         for fleet in [&plain, &crashing] {
-            let mut engine = Engine::new(fleet, &models);
-            let (mut source, mut policy) = (ArrivalSource::open(&[]), fleet.fixed_policy());
+            let mut policy = fleet.fixed_policy();
+            let mut engine = Engine::new(fleet, &models, ArrivalSource::open(&[]), &mut policy);
             let mut most = 0;
             for &r in &reqs {
-                engine.advance_to_arrival(r.arrival, &mut source, &mut policy);
-                engine.inject(r, None, &mut source, &mut policy);
+                engine.advance_to_arrival(r.arrival);
+                engine.inject(r, None);
                 assert_eq!(engine.batches.len(), engine.in_flight.iter().count());
                 most = most.max(engine.batches.len());
             }
-            engine.drain(&mut source, &mut policy);
+            engine.drain();
             assert!(engine.batches.is_empty(), "a drained engine holds no batch record");
             assert!(most < engine.dispatched, "the table held {most} of {}", engine.dispatched);
-            let report = engine.into_report("fixed");
+            let report = engine.into_report();
             let ids: std::collections::BTreeSet<usize> =
                 report.served_outcomes().map(|o| o.batch).collect();
             if fleet.fault.is_none() {

@@ -759,11 +759,11 @@ impl TraceState {
         self.next_boundary <= now
     }
 
-    /// Records a dispatched batch's full lifecycle — sealed at
-    /// `ready`, started at `start`, completed at `completion` — as
-    /// three events, all emitted at dispatch time (every value is
-    /// already deterministically known there; the export's stable sort
-    /// puts each at its own cycle).
+    /// Records a completed batch's full lifecycle — sealed at `ready`,
+    /// started at `start`, completed at `completion` — as three events,
+    /// all emitted at its completion event, so a crash-cancelled batch
+    /// records none (the export's stable sort puts each event at its
+    /// own cycle).
     pub(crate) fn record_batch(
         &mut self,
         (ready, start, completion): (u64, u64, u64),

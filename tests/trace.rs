@@ -1,8 +1,10 @@
 //! Cross-crate observability tests: flight-recorder determinism,
 //! equality-neutrality of an attached recorder (no report byte
-//! changes), drop-oldest ring overflow at the trace level, per-model
-//! drop / deadline-miss accounting on a bounded queue, and
-//! serial-vs-pre-routed merged-trace identity for the cluster tier.
+//! changes), the completions-equal-served conservation law on the
+//! monolithic, pipelined and crash-retrying paths, drop-oldest ring
+//! overflow at the trace level, per-model drop / deadline-miss
+//! accounting on a bounded queue, and serial-vs-pre-routed
+//! merged-trace identity for the cluster tier.
 
 use proptest::prop_assert_eq;
 use s2ta::core::pool::Executor;
@@ -10,8 +12,8 @@ use s2ta::core::ArchKind;
 use s2ta::energy::TechParams;
 use s2ta::models::{lenet5, ModelSpec};
 use s2ta::serve::{
-    AutoscalePolicy, Cluster, FixedPolicy, Fleet, Request, RoutingPolicy, TraceConfig,
-    TraceEventKind, WorkloadSpec,
+    AutoscalePolicy, Cluster, FaultConfig, FaultSpec, FixedPolicy, Fleet, Request, RetryPolicy,
+    RoutingPolicy, TraceConfig, TraceEventKind, WorkloadSpec,
 };
 
 fn models() -> Vec<ModelSpec> {
@@ -87,15 +89,47 @@ fn recorder_is_equality_neutral_on_golden_scenarios() {
             .serve(&models, &requests);
         assert_eq!(untraced, traced, "pipelined: recorder must be observability only");
         assert_eq!(untraced.pipeline_breakdown(), traced.pipeline_breakdown());
-        let stage_events = traced
-            .trace()
-            .expect("recorder attached")
-            .events()
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::StageDispatch)
-            .count();
+        let trace = traced.trace().expect("recorder attached");
+        let stage_events =
+            trace.events().iter().filter(|e| e.kind == TraceEventKind::StageDispatch).count();
         assert!(stage_events > 0, "pipelined dispatch must record stage events");
+        assert_eq!(trace.dropped_events(), 0, "capacity must hold this scenario");
+        assert_eq!(trace.completed_requests(), traced.served_count() as u64, "conservation law");
     }
+}
+
+/// The conservation law under crashes: on a traced protected-crash
+/// fleet, whose crash windows cancel in-flight batches and retry their
+/// members, the recorded completions still equal the served count — a
+/// crash-cancelled batch records no completion — and the recorder
+/// changes no report byte.
+#[test]
+fn traced_protected_crashes_conserve_requests() {
+    let models = models();
+    // Dense single-lane traffic so crash windows reliably intersect
+    // in-flight batches.
+    let requests = stream(11, 60);
+    let base = Fleet::new(ArchKind::S2taAw, 1).serve(&models, &requests);
+    let spec = FaultSpec {
+        seed: 7,
+        lane_crashes: 6,
+        lane_slowdowns: 0,
+        shard_outages: 0,
+        horizon_cycles: base.makespan_cycles.max(1),
+        mean_down_cycles: base.makespan_cycles / 4 + 1,
+        mean_outage_cycles: 0,
+        slowdown_factor: 4,
+    };
+    let mut config = FaultConfig::protected(spec);
+    config.retry = RetryPolicy { max_attempts: 4, backoff_base_cycles: 500, deadline_cycles: 0 };
+    let fleet = Fleet::new(ArchKind::S2taAw, 1).with_faults(config);
+    let untraced = fleet.serve(&models, &requests);
+    let traced = fleet.with_trace(big_trace()).serve(&models, &requests);
+    assert_eq!(untraced, traced, "crashes: recorder must be observability only");
+    assert!(traced.fault.retries > 0, "the schedule must cancel in-flight batches");
+    let trace = traced.trace().expect("recorder attached");
+    assert_eq!(trace.dropped_events(), 0, "capacity must hold this scenario");
+    assert_eq!(trace.completed_requests(), traced.served_count() as u64, "conservation law");
 }
 
 /// Drop-oldest overflow at the trace level: a tiny ring retains
