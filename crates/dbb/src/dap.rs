@@ -248,7 +248,7 @@ pub fn dap_matrix(m: &Matrix, bz: usize, nnz: LayerNnz) -> (DbbMatrix, DapEvents
 /// pruned matrix or its compressed form — the operands the matrix-free
 /// event paths consume: the raw side for the dense-activation datapaths,
 /// the post-DAP side for `S2TA-AW`
-/// (`s2ta_sim::tpe::run_aw_perf_profiled`).
+/// (`s2ta_sim::tpe::run_aw_perf_profiled_into`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DapColProfile {
     /// Tallies of the raw matrix: `raw[p]` = non-zeros of row `p` over

@@ -42,33 +42,39 @@
 //! That same independence makes the cluster a textbook conservative
 //! parallel discrete-event simulation, with the **arrival stream as
 //! the synchronization barrier**: between two router decisions no
-//! shard can affect another. [`Cluster::serve`] picks one of two
-//! drivers by routing policy:
+//! shard can affect another. Both drivers run one loop
+//! (`Cluster::drive`): before each arrival, every engine with an
+//! internal event before it advances to its time (a non-mutating
+//! timer-wheel peek skips the rest); then the arrival is routed, a
+//! failover diversion noted, and the arrival injected; after the last
+//! arrival every engine drains. [`Cluster::serve`] picks the driver by
+//! routing policy, and the drivers differ only in where the routing
+//! decision comes from and which thread runs the loop:
 //!
 //! 1. **Pre-routed** ([`RoutingPolicy::Random`] — probe-free): the
 //!    router consumes exactly one LCG draw per request and never looks
-//!    at a backlog, so the whole routing sequence is pre-drawn, the
-//!    arrival stream is partitioned per shard up front, and every
-//!    shard simulates its complete substream (arrivals, autoscaler
-//!    evaluations, drain) independently in parallel on an
-//!    [`Executor`] with a single join.
+//!    at a backlog, so the whole routing sequence is pre-drawn and the
+//!    arrival stream partitioned per shard up front. Each shard runs
+//!    the loop over its own engine and substream, taking the pre-drawn
+//!    choice, independently in parallel on an [`Executor`] with a
+//!    single join.
 //! 2. **Arrival-barrier** ([`RoutingPolicy::JoinShortestQueue`] /
-//!    [`RoutingPolicy::PowerOfTwo`] — backlog-probing): every arrival
-//!    advances the shards to its time, then routes and injects it, all
-//!    on the caller's thread. A non-mutating timer-wheel peek skips
-//!    shards whose next internal event lies beyond the barrier —
-//!    typically only one or two shards have work per inter-arrival
-//!    gap. That is too little work to fan out per arrival: on the
-//!    canonical 1M-request day on a 2-vCPU host, fanning the advance
-//!    out over 2 workers made jsq and p2c take 13.6-15.0 and
-//!    12.6-14.4 host-s; inline they take 7.4-7.5 and 7.2 s.
+//!    [`RoutingPolicy::PowerOfTwo`] — backlog-probing): the loop runs
+//!    over every shard's engine on the caller's thread, and the router
+//!    probes their depths at each arrival. Typically only one or two
+//!    shards have work per inter-arrival gap. That is too little work to
+//!    fan out per arrival: on the canonical 1M-request day on a 2-vCPU
+//!    host, fanning the advance out over 2 workers made jsq and p2c
+//!    take 13.6-15.0 and 12.6-14.4 host-s; inline they take 7.4-7.5 and
+//!    7.2 s.
 //!
 //! Either way each shard runs one serving engine that owns its (empty)
 //! arrival source and a borrow of its own copy of the shard's
 //! [`FixedPolicy`]. The barrier driver keeps the shard engines beside
 //! their policies on the caller's thread; the pre-routed driver builds
 //! each shard's engine on its executor thread and hands back only the
-//! shard's [`ServeReport`], so no engine ever crosses a thread.
+//! shard's [`ServeReport`] and scale events, so no engine ever crosses
+//! a thread.
 //!
 //! [`Cluster::serve_serial`] is the barrier driver whatever the
 //! routing policy. Under [`RoutingPolicy::Random`] it is an
@@ -80,9 +86,11 @@
 //! outcomes, percentiles, routing tallies, scale events. Host-side
 //! cache counters are not part of any report: shards racing on the
 //! shared plan caches can interleave lookups differently, but cached
-//! values are pure, so simulated results never change. A caller that
-//! wants a run's cache activity diffs
-//! [`s2ta_core::WeightPlanCache::stats`] around the call.
+//! values are pure, so simulated results never change. (The cache
+//! samples a trace's metrics carry read those shared counters, so they
+//! follow the host order in which shards ran.) A caller that wants a
+//! run's cache activity diffs [`s2ta_core::WeightPlanCache::stats`]
+//! around the call.
 //!
 //! An optional [`AutoscalePolicy`] adds per-shard **lane autoscaling**:
 //! at a fixed simulated cadence each shard's backlog is compared
@@ -91,7 +99,12 @@
 //! every change recorded as a [`ScaleEvent`] in the report. Work
 //! already in flight on a deactivated lane drains normally; the lane
 //! just stops receiving new batches — the simulated analogue of
-//! cordoning a replica before teardown.
+//! cordoning a replica before teardown. Each evaluation is an event of
+//! the shard's own engine: it fires every interval up to the last
+//! arrival of the whole stream, wherever that arrival was routed, after
+//! same-cycle completions and before same-cycle arrivals. Neither
+//! driver schedules evaluations, and each merges the shards' scale
+//! events by `(time, shard)`.
 //!
 //! [`ClusterReport`] rolls the per-shard [`ServeReport`]s up into
 //! cluster-global metrics. Global latency percentiles are the
@@ -480,10 +493,16 @@ impl Cluster {
     /// Tier-1 parallel driver for probe-free routing: pre-draw the
     /// entire routing sequence (Random consumes exactly one LCG draw
     /// per request and never reads a backlog), partition the arrivals
-    /// per shard, and run every shard's complete lifetime — arrivals,
-    /// autoscaler evaluations, final drain — independently on the
+    /// per shard, and run every shard's complete lifetime through
+    /// [`Cluster::drive`] over its own substream, independently on the
     /// executor with a single join. Embarrassingly parallel: the only
     /// serial work is the pre-draw and the report merge.
+    ///
+    /// Replaying only a shard's own arrivals is exact because the
+    /// engine is event-driven: advancing a shard to *another* shard's
+    /// arrival time (as the barrier driver does) processes the same
+    /// internal events in the same `(time, kind)` order as advancing it
+    /// later, so the host call boundaries are behavior-neutral.
     fn serve_prerouted(
         &self,
         executor: &Executor,
@@ -510,93 +529,37 @@ impl Cluster {
             per_shard[shard].push(i as u32 | if failed_over { FAILED_OVER } else { 0 });
         }
         let routed: Vec<usize> = per_shard.iter().map(Vec::len).collect();
-        // Autoscaler evaluations fire serially up to the last arrival
-        // of the *global* stream, regardless of where it was routed;
-        // every shard replays the same horizon.
-        let horizon = requests.last().map(|r| r.arrival);
         let shard_ids: Vec<usize> = (0..n).collect();
-        let results = executor
-            .map(&shard_ids, |&s| self.run_shard(s, models, requests, &per_shard[s], horizon));
-        let mut reports = Vec::with_capacity(n);
-        let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        for (report, events) in results {
-            reports.push(report);
-            scale_events.extend(events);
-        }
-        // Each shard's events are in time order and at most one event
-        // exists per (eval time, shard); sorting by (time, shard)
-        // reproduces the barrier driver's emission order exactly.
-        scale_events.sort_by_key(|e| (e.time, e.shard));
-        self.assemble(reports, routed, scale_events)
-    }
-
-    /// One shard's full tier-1 lifetime over its own substream: the
-    /// requests of `stream` that `own` indexes (flagged by
-    /// [`FAILED_OVER`]).
-    ///
-    /// Replaying only the shard's own arrivals is exact because the
-    /// engine is event-driven: advancing a shard to *another* shard's
-    /// arrival time (as the barrier driver does) processes the same
-    /// internal events in the same `(time, kind)` order as advancing
-    /// it later, so the host call boundaries are behavior-neutral.
-    /// Autoscaler evaluations are the one cross-stream coupling — they
-    /// fire at stream-global times — so they replay against the global
-    /// `horizon`.
-    fn run_shard(
-        &self,
-        shard: usize,
-        models: &[ModelSpec],
-        stream: &[Request],
-        own: &[u32],
-        horizon: Option<u64>,
-    ) -> (ServeReport, Vec<ScaleEvent>) {
-        let fleet = &self.shards[shard];
-        let mut policy = fleet.fixed_policy();
-        let mut engine = Engine::new(fleet, models, ArrivalSource::open(&[]), &mut policy);
-        // Every routed request resolves exactly once on this shard.
-        engine.reserve_outcomes(own.len());
-        let mut events: Vec<ScaleEvent> = Vec::new();
-        let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
-        let mut fire_evals_through = |engine: &mut Engine<'_>, t: u64| {
-            let Some(auto) = self.autoscale else { return };
-            while next_eval.expect("set when autoscaling") <= t {
-                let eval = next_eval.expect("checked");
-                engine.advance_to_arrival(eval);
-                self.autoscale_shard(engine, shard, eval, auto, &mut events);
-                next_eval = Some(eval + auto.eval_interval_cycles);
-            }
-        };
-        for &routed in own {
-            let r = &stream[(routed & !FAILED_OVER) as usize];
-            fire_evals_through(&mut engine, r.arrival);
-            engine.advance_to_arrival(r.arrival);
-            if routed & FAILED_OVER != 0 {
-                engine.note_failover(r);
-            }
-            engine.inject(*r, None);
-        }
-        if let Some(horizon) = horizon {
-            fire_evals_through(&mut engine, horizon);
-        }
-        engine.drain();
-        (engine.into_report(), events)
+        let results = executor.map(&shard_ids, |&s| {
+            let own = &per_shard[s];
+            let mut policy = self.shards[s].fixed_policy();
+            let mut engine = self.engine(s, models, requests, &mut policy);
+            // Every routed request resolves exactly once on this shard.
+            engine.reserve_outcomes(own.len());
+            let arrivals =
+                own.iter().map(|&i| (&requests[(i & !FAILED_OVER) as usize], i & FAILED_OVER != 0));
+            Self::drive(std::slice::from_mut(&mut engine), arrivals, |_, _, failed_over| {
+                (0, failed_over)
+            });
+            let mut scale_events = Vec::new();
+            (Self::finish(s, engine, &mut scale_events), scale_events)
+        });
+        let (reports, scale_events): (Vec<ServeReport>, Vec<Vec<ScaleEvent>>) =
+            results.into_iter().unzip();
+        self.assemble(reports, routed, scale_events.concat())
     }
 
     /// Tier-2 driver for backlog-probing routing, on the caller's
-    /// thread: before each route+inject step (probed depths feed each
-    /// LCG-deterministic decision) every shard advances to the arrival
-    /// barrier. A non-mutating timer-wheel peek skips the shards with
-    /// no internal event before the barrier — most of them, in a
-    /// typical inter-arrival gap.
+    /// thread: [`Cluster::drive`] over every shard's engine at once, so
+    /// each probing decision reads depths exact at its arrival.
     fn serve_barrier(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
         let n = self.shards.len();
         let mut policies: Vec<FixedPolicy> = self.shards.iter().map(Fleet::fixed_policy).collect();
-        let mut engines: Vec<Engine> = self
-            .shards
-            .iter()
-            .zip(&mut policies)
-            .map(|(fleet, policy)| {
-                let mut engine = Engine::new(fleet, models, ArrivalSource::open(&[]), policy);
+        let mut engines: Vec<Engine> = policies
+            .iter_mut()
+            .enumerate()
+            .map(|(s, policy)| {
+                let mut engine = self.engine(s, models, requests, policy);
                 // A shard's share of the stream is unknown until routed;
                 // its even share sizes the outcome log up front.
                 engine.reserve_outcomes(requests.len() / n);
@@ -605,94 +568,85 @@ impl Cluster {
             .collect();
         let mut rng = Lcg::new(self.router_seed);
         let mut routed = vec![0usize; n];
+        let arrivals = requests.iter().map(|r| (r, ()));
+        Self::drive(&mut engines, arrivals, |engines, r, ()| {
+            let (shard, failed_over) =
+                self.routing
+                    .route(n, &mut rng, self.shard_up(r.arrival), |s| engines[s].queued_depth());
+            routed[shard] += 1;
+            (shard, failed_over)
+        });
         let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut next_eval = self.autoscale.map(|a| a.eval_interval_cycles);
+        let reports = engines
+            .into_iter()
+            .enumerate()
+            .map(|(s, engine)| Self::finish(s, engine, &mut scale_events))
+            .collect();
+        self.assemble(reports, routed, scale_events)
+    }
 
-        for r in requests {
-            let t = r.arrival;
-            if let Some(auto) = self.autoscale {
-                while next_eval.expect("set when autoscaling") <= t {
-                    let eval = next_eval.expect("checked");
-                    Self::advance_all(&mut engines, eval);
-                    for (s, engine) in engines.iter_mut().enumerate() {
-                        self.autoscale_shard(engine, s, eval, auto, &mut scale_events);
-                    }
-                    next_eval = Some(eval + auto.eval_interval_cycles);
+    /// Shard `shard`'s serving engine over an (empty) open source,
+    /// autoscaled under the cluster's policy, if any, through the last
+    /// arrival of the whole `stream`.
+    fn engine<'a>(
+        &'a self,
+        shard: usize,
+        models: &'a [ModelSpec],
+        stream: &[Request],
+        policy: &'a mut FixedPolicy,
+    ) -> Engine<'a> {
+        let horizon = stream.last().map_or(0, |r| r.arrival);
+        Engine::new(&self.shards[shard], models, ArrivalSource::open(&[]), policy)
+            .with_autoscale(self.autoscale, horizon)
+    }
+
+    /// The serving loop of both drivers. Before each arrival, every
+    /// engine with an internal event before it (autoscaler evaluations
+    /// included) advances to its time; then `route` picks the engine
+    /// from their state and the arrival's pre-drawn `choice`, flagging
+    /// a failover diversion, which is recorded before the arrival is
+    /// injected. Every engine drains after the last arrival.
+    fn drive<'r, C>(
+        engines: &mut [Engine],
+        arrivals: impl Iterator<Item = (&'r Request, C)>,
+        mut route: impl FnMut(&[Engine], &Request, C) -> (usize, bool),
+    ) {
+        for (r, choice) in arrivals {
+            for engine in engines.iter_mut() {
+                if engine.has_event_before(r.arrival) {
+                    engine.advance_to_arrival(r.arrival);
                 }
             }
-            Self::advance_all(&mut engines, t);
-            let (shard, failed_over) =
-                self.routing.route(n, &mut rng, self.shard_up(t), |s| engines[s].queued_depth());
-            routed[shard] += 1;
+            let (shard, failed_over) = route(engines, r, choice);
             if failed_over {
                 engines[shard].note_failover(r);
             }
             engines[shard].inject(*r, None);
         }
-        let reports = engines
-            .into_iter()
-            .map(|mut engine| {
-                engine.drain();
-                engine.into_report()
-            })
-            .collect();
-        self.assemble(reports, routed, scale_events)
-    }
-
-    /// Advances every shard with pending work to the barrier at `t`.
-    fn advance_all(engines: &mut [Engine], t: u64) {
         for engine in engines.iter_mut() {
-            if engine.has_event_before(t) {
-                engine.advance_to_arrival(t);
-            }
+            engine.drain();
         }
     }
 
-    /// Rolls the finished shards' reports up into the [`ClusterReport`].
+    /// Shard `shard`'s drained engine as its report, appending its
+    /// scale events stamped with the shard index.
+    fn finish(shard: usize, mut engine: Engine, scale_events: &mut Vec<ScaleEvent>) -> ServeReport {
+        scale_events
+            .extend(engine.take_scale_events().into_iter().map(|e| ScaleEvent { shard, ..e }));
+        engine.into_report()
+    }
+
+    /// Rolls the finished shards' reports up into the [`ClusterReport`],
+    /// merging the shards' time-ordered scale events by `(time, shard)`
+    /// (at most one exists per evaluation time and shard).
     fn assemble(
         &self,
         shards: Vec<ServeReport>,
         routed: Vec<usize>,
-        scale_events: Vec<ScaleEvent>,
+        mut scale_events: Vec<ScaleEvent>,
     ) -> ClusterReport {
+        scale_events.sort_by_key(|e| (e.time, e.shard));
         ClusterReport { routing: self.routing.label().to_string(), shards, routed, scale_events }
-    }
-
-    /// One autoscaler evaluation of one shard.
-    fn autoscale_shard(
-        &self,
-        engine: &mut Engine,
-        shard: usize,
-        time: u64,
-        auto: AutoscalePolicy,
-        events: &mut Vec<ScaleEvent>,
-    ) {
-        // Metrics boundaries `<= time` close before the decision can
-        // resize the active-lane set, so every driver's samples see
-        // the pre-decision lane count.
-        engine.trace_autoscale_eval(time);
-        let depth = engine.backlog();
-        let active = engine.active_lanes();
-        let max = self.shards[shard].workers();
-        let floor = auto.min_lanes.min(max);
-        let target = if depth >= auto.scale_up_depth {
-            (active + 1).min(max)
-        } else if depth <= auto.scale_down_depth {
-            active.saturating_sub(1).max(floor)
-        } else {
-            active
-        };
-        if target != active {
-            engine.set_active_lanes(target);
-            engine.trace_autoscale_decision(time, active, target, depth);
-            events.push(ScaleEvent {
-                time,
-                shard,
-                from_lanes: active,
-                to_lanes: target,
-                backlog: depth,
-            });
-        }
     }
 }
 

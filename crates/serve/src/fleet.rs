@@ -51,6 +51,7 @@
 //! assembled in resolution order internally), so `outcomes[i].id() ==
 //! i` always holds for a dense arrival stream.
 
+use crate::cluster::{AutoscalePolicy, ScaleEvent};
 use crate::fault::{FaultConfig, FaultState, FaultTimeline, TimelineEvent, WindowEdge};
 use crate::pipeline::PipelinePlan;
 use crate::policy::{BatchObservation, BatchPolicy, FixedPolicy};
@@ -123,7 +124,7 @@ impl Lane {
         requests: &[Request],
         weight_seed: u64,
         warm: bool,
-    ) -> BatchExecution {
+    ) -> EventCounts {
         let plan = self.accelerator.plan_model(model, weight_seed);
         let mut events = EventCounts::default();
         // The serving hot loop sums events straight from the operand
@@ -156,7 +157,7 @@ impl Lane {
         if let Some(scratch) = scratch {
             self.scratch.restore(scratch);
         }
-        BatchExecution { service_cycles: events.cycles, events }
+        events
     }
 }
 
@@ -607,20 +608,13 @@ impl Fleet {
     }
 }
 
-/// The measured outcome of simulating one batch on one lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchExecution {
-    service_cycles: u64,
-    events: EventCounts,
-}
-
 /// A monolithic batch bound to a lane: where it runs, what it
 /// measured, when it starts, and its effective service time (the
 /// measured cycles, inflated by any fault slowdown window).
 #[derive(Debug, Clone, Copy)]
 struct Placed {
     lane: usize,
-    exec: BatchExecution,
+    events: EventCounts,
     start: u64,
     service: u64,
 }
@@ -755,22 +749,46 @@ impl<'a> ArrivalSource<'a> {
 }
 
 /// Event-kind tie-breakers: at equal times, completions fire before
-/// arrivals, arrivals before deadlines, deadlines before retry
-/// re-admissions, and fault-window edges last — so a batch completing
-/// exactly when its lane crashes has completed, and an arrival at a
-/// crash instant can still dispatch (and be cancelled by the crash).
+/// autoscaler evaluations, evaluations before arrivals, arrivals
+/// before deadlines, deadlines before retry re-admissions, and
+/// fault-window edges last — so an evaluation sees a same-cycle
+/// completion already out of the backlog and a same-cycle arrival not
+/// yet in it, a batch completing exactly when its lane crashes has
+/// completed, and an arrival at a crash instant can still dispatch
+/// (and be cancelled by the crash).
 const COMPLETION_KIND: u8 = 0;
-const ARRIVAL_KIND: u8 = 1;
-const DEADLINE_KIND: u8 = 2;
-const RETRY_KIND: u8 = 3;
-const FAULT_KIND: u8 = 4;
+const AUTOSCALE_KIND: u8 = 1;
+const ARRIVAL_KIND: u8 = 2;
+const DEADLINE_KIND: u8 = 3;
+const RETRY_KIND: u8 = 4;
+const FAULT_KIND: u8 = 5;
+
+/// A cluster shard's lane autoscaler: one evaluation every
+/// `policy.eval_interval_cycles`, through `horizon` (the last arrival
+/// of the cluster's whole stream, wherever it was routed).
+struct Autoscaler {
+    policy: AutoscalePolicy,
+    horizon: u64,
+    next_eval: u64,
+    /// Applied decisions, in time order (shard index 0; the cluster
+    /// stamps its own).
+    events: Vec<ScaleEvent>,
+}
+
+impl Autoscaler {
+    /// The time of the next evaluation, if one remains.
+    fn next(&self) -> Option<u64> {
+        (self.next_eval <= self.horizon).then_some(self.next_eval)
+    }
+}
 
 /// The event-driven serving engine: advances simulated time through
-/// three event kinds — batch completions, request arrivals, and batch
-/// wait-deadline expiries — processed in `(time, kind)` order
-/// (completions, then arrivals, then deadlines at equal times: a batch
-/// closes only when its deadline is strictly before the current time,
-/// so an arrival exactly at a deadline still joins the batch).
+/// batch completions, request arrivals, batch wait-deadline expiries
+/// and, when attached, autoscaler evaluations, retry re-admissions and
+/// fault-window edges — processed in `(time, kind)` order (see the
+/// kind constants: a batch closes only when its deadline is strictly
+/// before the current time, so an arrival exactly at a deadline still
+/// joins the batch).
 ///
 /// The engine owns its arrival source and borrows its batching policy
 /// for the whole run, so every event handler reaches both through
@@ -795,8 +813,8 @@ pub(crate) struct Engine<'a> {
     /// dispatch order) and the report's batch count.
     dispatched: usize,
     free_at: Vec<u64>,
-    /// Lanes `0..active_lanes` accept new monolithic batches; the
-    /// cluster autoscaler shrinks/grows this against queue depth
+    /// Lanes `0..active_lanes` accept new monolithic batches;
+    /// [`Engine::on_autoscale`] shrinks/grows this against the backlog
     /// (in-flight work on a deactivated lane drains naturally).
     active_lanes: usize,
     /// Cumulative idle cycles per lane (gaps between consecutive
@@ -853,6 +871,10 @@ pub(crate) struct Engine<'a> {
     /// accumulating [`FaultStats`]. `None` keeps every fault hook a
     /// single branch on the fault-free path.
     faults: Option<Box<FaultState>>,
+    /// Lane autoscaling (cluster shards with an [`AutoscalePolicy`],
+    /// attached via [`Engine::with_autoscale`]); `None` keeps its event
+    /// a single branch.
+    autoscale: Option<Autoscaler>,
 }
 
 /// Accumulator behind one [`PipelineStageStats`] row.
@@ -919,7 +941,20 @@ impl<'a> Engine<'a> {
             faults: fleet.fault.as_ref().map(|(config, timeline)| {
                 Box::new(FaultState::new(config.clone(), timeline.clone(), models.len()))
             }),
+            autoscale: None,
         }
+    }
+
+    /// Attaches lane autoscaling under `policy`, evaluated every
+    /// interval through `horizon` (no evaluation fires past it).
+    pub(crate) fn with_autoscale(mut self, policy: Option<AutoscalePolicy>, horizon: u64) -> Self {
+        self.autoscale = policy.map(|policy| Autoscaler {
+            policy,
+            horizon,
+            next_eval: policy.eval_interval_cycles,
+            events: Vec::new(),
+        });
+        self
     }
 
     /// Closes every metrics boundary `<= now`, sampling the engine
@@ -941,44 +976,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Flushes metrics boundaries up to an autoscaler evaluation
-    /// instant — called by the cluster driver before it may resize the
-    /// active-lane set, so the samples at crossed boundaries see the
-    /// pre-decision lane count in every driver.
-    pub(crate) fn trace_autoscale_eval(&mut self, time: u64) {
-        self.trace_flush(time);
-    }
-
-    /// Records an applied autoscale decision (`from` -> `to` active
-    /// lanes at `time`, judged against `backlog` queued+in-flight
-    /// requests).
-    pub(crate) fn trace_autoscale_decision(
-        &mut self,
-        time: u64,
-        from: usize,
-        to: usize,
-        backlog: usize,
-    ) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: time,
-                kind: TraceEventKind::AutoscaleDecision,
-                shard: 0,
-                lane: from as u32,
-                model: 0,
-                stage: to as u32,
-                a: backlog as u64,
-                b: 0,
-            });
-        }
-    }
-
     fn run(mut self) -> ServeReport {
         self.reserve_outcomes(self.arrivals.remaining());
         loop {
-            // The next event is the earliest of (completion, arrival,
-            // deadline); kind breaks ties so same-cycle events fire in
-            // a fixed order.
+            // The next event is the earliest of the internal events
+            // and the next arrival; kind breaks ties so same-cycle
+            // events fire in a fixed order.
             let internal = self.next_internal_event();
             let arrival = self.arrivals.peek_time().map(|t| (t, ARRIVAL_KIND));
             let Some((_, kind)) = [internal, arrival].into_iter().flatten().min() else {
@@ -995,17 +998,20 @@ impl<'a> Engine<'a> {
     }
 
     /// The earliest pending internal event as `(time, kind)`:
-    /// completions (kind 0), live batch deadlines (kind 2), pending
-    /// retry re-admissions (kind 3) and fault-timeline edges (kind 4),
-    /// with arrivals (kind 1) slotting between them at equal times.
+    /// completions, autoscaler evaluations, live batch deadlines,
+    /// pending retry re-admissions and fault-timeline edges, with
+    /// arrivals slotting between evaluations and deadlines at equal
+    /// times.
     fn next_internal_event(&mut self) -> Option<(u64, u8)> {
         let completion = self.in_flight.peek().map(|(t, _)| (t, COMPLETION_KIND));
+        let autoscale =
+            self.autoscale.as_ref().and_then(Autoscaler::next).map(|t| (t, AUTOSCALE_KIND));
         let deadline = self.deadlines.peek_live(&self.queue).map(|(t, _)| (t, DEADLINE_KIND));
         let retry =
             self.faults.as_deref().and_then(|f| f.retries.peek_time()).map(|t| (t, RETRY_KIND));
         let fault =
             self.faults.as_deref().and_then(|f| f.next_fault_time()).map(|t| (t, FAULT_KIND));
-        [completion, deadline, retry, fault].into_iter().flatten().min()
+        [completion, autoscale, deadline, retry, fault].into_iter().flatten().min()
     }
 
     /// Processes one internal event previously returned by
@@ -1013,6 +1019,7 @@ impl<'a> Engine<'a> {
     fn step_internal(&mut self, kind: u8) {
         match kind {
             COMPLETION_KIND => self.on_completion(),
+            AUTOSCALE_KIND => self.on_autoscale(),
             DEADLINE_KIND => self.on_deadline(),
             RETRY_KIND => self.on_retry(),
             _ => self.on_fault(),
@@ -1118,17 +1125,21 @@ impl<'a> Engine<'a> {
         self.queued
     }
 
-    /// Whether any internal event (completion or live deadline) fires
-    /// strictly before an arrival at `t` in `(time, kind)` order — the
-    /// cluster barrier's fast path: a shard answering `false` needs no
+    /// Whether any internal event (see
+    /// [`Engine::next_internal_event`]) fires strictly before an
+    /// arrival at `t` in `(time, kind)` order — the cluster driver's
+    /// fast path: a shard answering `false` needs no
     /// [`Engine::advance_to_arrival`] dispatch at all. Non-mutating on
     /// the completion wheel; stale deadline entries may be discarded,
     /// which never changes simulated state.
     pub(crate) fn has_event_before(&mut self, t: u64) -> bool {
-        // (ct, COMPLETION) < (t, ARRIVAL) iff ct <= t;
-        // (dt, DEADLINE) < (t, ARRIVAL) iff dt < t — and likewise for
-        // retry and fault events (both kinds sort after arrivals).
+        // Completions and evaluations sort before arrivals, so each
+        // fires first iff its time is <= t; deadline, retry and fault
+        // events sort after, so each fires first iff its time is < t.
         if self.in_flight.peek_next_event_cycle().is_some_and(|ct| ct <= t) {
+            return true;
+        }
+        if self.autoscale.as_ref().and_then(Autoscaler::next).is_some_and(|et| et <= t) {
             return true;
         }
         if let Some(f) = self.faults.as_deref() {
@@ -1142,18 +1153,10 @@ impl<'a> Engine<'a> {
         self.deadlines.peek_live(&self.queue).is_some_and(|(dt, _)| dt < t)
     }
 
-    /// Lanes currently accepting new batches (an `active_lanes`-prefix
-    /// of the fleet's lanes).
-    pub(crate) fn active_lanes(&self) -> usize {
-        self.active_lanes
-    }
-
-    /// Resizes the active-lane prefix (the cluster autoscaler's
-    /// actuator). Clamped to `1..=lanes`; in-flight work on a
-    /// deactivated lane completes normally, the lane just stops
-    /// receiving new batches.
-    pub(crate) fn set_active_lanes(&mut self, lanes: usize) {
-        self.active_lanes = lanes.clamp(1, self.fleet.lanes.len());
+    /// The autoscaler decisions applied so far, each stamped with
+    /// shard index 0 (empty without autoscaling).
+    pub(crate) fn take_scale_events(&mut self) -> Vec<ScaleEvent> {
+        self.autoscale.as_mut().map(|a| std::mem::take(&mut a.events)).unwrap_or_default()
     }
 
     /// A batch's completion event: the one place a batch's requests
@@ -1247,6 +1250,50 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// An autoscaler evaluation: a backlog at or above the scale-up
+    /// threshold activates one more lane, one at or below the
+    /// scale-down threshold deactivates one (within `[min_lanes,
+    /// lanes]`). In-flight work on a deactivated lane completes
+    /// normally; the lane just stops receiving new batches. Unlike the
+    /// other handlers it never updates degraded mode: an extra update
+    /// can move degraded intervals.
+    fn on_autoscale(&mut self) {
+        let time = self.autoscale.as_ref().expect("autoscale event").next_eval;
+        // Metrics boundaries `<= time` close before the decision can
+        // resize the active-lane set, so their samples see the
+        // pre-decision lane count.
+        self.trace_flush(time);
+        let (backlog, from_lanes, lanes) =
+            (self.backlog(), self.active_lanes, self.fleet.lanes.len());
+        let auto = self.autoscale.as_mut().expect("autoscale event");
+        auto.next_eval += auto.policy.eval_interval_cycles;
+        let p = auto.policy;
+        let to_lanes = if backlog >= p.scale_up_depth {
+            (from_lanes + 1).min(lanes)
+        } else if backlog <= p.scale_down_depth {
+            from_lanes.saturating_sub(1).max(p.min_lanes.min(lanes))
+        } else {
+            from_lanes
+        };
+        if to_lanes == from_lanes {
+            return;
+        }
+        self.active_lanes = to_lanes;
+        auto.events.push(ScaleEvent { time, shard: 0, from_lanes, to_lanes, backlog });
+        if let Some(tr) = self.trace.as_mut() {
+            tr.record(TraceEvent {
+                cycle: time,
+                kind: TraceEventKind::AutoscaleDecision,
+                shard: 0,
+                lane: from_lanes as u32,
+                model: 0,
+                stage: to_lanes as u32,
+                a: backlog as u64,
+                b: 0,
+            });
+        }
+    }
+
     fn on_arrival(&mut self, request: Request, client: Option<usize>) {
         self.trace_flush(request.arrival);
         if client.is_some() {
@@ -1301,8 +1348,8 @@ impl<'a> Engine<'a> {
         // before its newest member arrived.
         let ready = deadline.max(members.last().map_or(0, |r| r.arrival));
         if let Some(front) = self.queue.front(lane) {
-            let front = *front;
-            self.deadlines.arm(lane, &front, limits.max_wait_cycles, &self.queue);
+            let (next, front_id) = (front.arrival.saturating_add(limits.max_wait_cycles), front.id);
+            self.deadlines.arm(next, lane, front_id, &self.queue);
         }
         self.dispatch_burst(lane, vec![members], ready);
     }
@@ -1360,7 +1407,7 @@ impl<'a> Engine<'a> {
         let max_wait = limits.max_wait_cycles;
         let wait_from = |front: &Request| retry.map_or(front.arrival, |_| now);
         if was_empty {
-            self.deadlines.arm_at(
+            self.deadlines.arm(
                 wait_from(&request).saturating_add(max_wait),
                 lane,
                 request.id,
@@ -1376,7 +1423,7 @@ impl<'a> Engine<'a> {
         }
         if let Some(front) = self.queue.front(lane) {
             let (deadline, front_id) = (wait_from(front).saturating_add(max_wait), front.id);
-            self.deadlines.arm_at(deadline, lane, front_id, &self.queue);
+            self.deadlines.arm(deadline, lane, front_id, &self.queue);
         }
         self.dispatch_burst(lane, sealed, now);
     }
@@ -1663,7 +1710,7 @@ impl<'a> Engine<'a> {
         let exec_started = self.trace.is_some().then(Instant::now);
         for members in sealed {
             let lane = self.choose_lane(model, members.len(), ready);
-            let exec = fleet.lanes[lane].execute_stage(
+            let events = fleet.lanes[lane].execute_stage(
                 spec,
                 0..spec.layers.len(),
                 &members,
@@ -1671,14 +1718,14 @@ impl<'a> Engine<'a> {
                 false,
             );
             let start = self.free_at[lane].max(ready);
-            let mut placed = Placed { lane, exec, start, service: exec.service_cycles };
+            let mut placed = Placed { lane, events, start, service: events.cycles };
             let mut loser = None;
             if let Some(f) = self.faults.as_deref() {
                 placed.service =
-                    exec.service_cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
+                    events.cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
                 loser = self.hedge(model, &members, ready, &mut placed);
             }
-            let Placed { lane, exec, start, service } = placed;
+            let Placed { lane, events, start, service } = placed;
             let completion = start + service;
             let batch_id = self.dispatched;
             // Charge the losing copy's lane time as wasted capacity: its
@@ -1686,9 +1733,9 @@ impl<'a> Engine<'a> {
             if let Some(l) = loser {
                 self.lane_cum_idle[l.lane] += l.start - self.free_at[l.lane];
                 self.free_at[l.lane] = l.start + l.service;
-                self.total_events += l.exec.events;
+                self.total_events += l.events;
                 self.worker_stats[l.lane].busy_cycles += l.service;
-                self.worker_stats[l.lane].events += l.exec.events;
+                self.worker_stats[l.lane].events += l.events;
                 self.faults.as_deref_mut().expect("hedges need faults").stats.hedges += 1;
                 if let Some(tr) = self.trace.as_mut() {
                     tr.record(TraceEvent {
@@ -1705,12 +1752,12 @@ impl<'a> Engine<'a> {
             }
             self.lane_cum_idle[lane] += start - self.free_at[lane];
             self.free_at[lane] = completion;
-            self.total_events += exec.events;
+            self.total_events += events;
             let stats = &mut self.worker_stats[lane];
             stats.busy_cycles += service;
             stats.batches += 1;
             stats.requests += members.len();
-            stats.events += exec.events;
+            stats.events += events;
             if let Some(f) = self.faults.as_deref_mut() {
                 f.lane_active[lane].push(batch_id);
             }
@@ -1759,7 +1806,7 @@ impl<'a> Engine<'a> {
             .min_by_key(|&l| (self.free_at[l], l))
             .expect("two active lanes");
         let (fleet, spec) = (self.fleet, &self.models[model]);
-        let exec = fleet.lanes[lane].execute_stage(
+        let events = fleet.lanes[lane].execute_stage(
             spec,
             0..spec.layers.len(),
             members,
@@ -1767,8 +1814,8 @@ impl<'a> Engine<'a> {
             false,
         );
         let start = self.free_at[lane].max(ready);
-        let service = exec.service_cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
-        let alt = Placed { lane, exec, start, service };
+        let service = events.cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
+        let alt = Placed { lane, events, start, service };
         if (alt.start + alt.service, alt.lane) < (primary.start + primary.service, primary.lane) {
             Some(std::mem::replace(primary, alt))
         } else {
@@ -1830,7 +1877,7 @@ impl<'a> Engine<'a> {
         for (s, stage) in plan.stages().iter().enumerate() {
             let lane = stage.lane;
             let warm = self.last_stage_on_lane[lane] == Some((model, s));
-            let exec = fleet.lanes[lane].execute_stage(
+            let events = fleet.lanes[lane].execute_stage(
                 spec,
                 stage.layers.clone(),
                 &members,
@@ -1850,7 +1897,7 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            completion = start + exec.service_cycles;
+            completion = start + events.cycles;
             if let Some(tr) = self.trace.as_mut() {
                 if start > unconstrained {
                     tr.record(TraceEvent {
@@ -1872,20 +1919,20 @@ impl<'a> Engine<'a> {
                     model: model as u32,
                     stage: s as u32,
                     a: batch_id as u64,
-                    b: exec.service_cycles,
+                    b: events.cycles,
                 });
             }
             self.lane_cum_idle[lane] += start - self.free_at[lane];
             self.free_at[lane] = completion;
             self.last_stage_on_lane[lane] = Some((model, s));
-            self.total_events += exec.events;
+            self.total_events += events;
             // Per-lane occupancy: every stage execution counts on its
             // own lane (a pipelined batch touches one lane per stage,
             // so per-lane batch/request tallies sum to more than the
             // fleet totals — see [`WorkerStats::batches`]).
             let lane_stats = &mut self.worker_stats[lane];
-            lane_stats.busy_cycles += exec.service_cycles;
-            lane_stats.events += exec.events;
+            lane_stats.busy_cycles += events.cycles;
+            lane_stats.events += events;
             lane_stats.batches += 1;
             lane_stats.requests += members.len();
             let handoff = if s == 0 { 0 } else { plan.handoff_cycles()[s - 1] };
@@ -1896,7 +1943,7 @@ impl<'a> Engine<'a> {
             });
             stats.batches += 1;
             stats.requests += members.len();
-            stats.busy_cycles += exec.service_cycles;
+            stats.busy_cycles += events.cycles;
             stats.handoff_cycles += handoff;
             // A stage's bubbles are the cycles its lane sat *idle*
             // between this stage's consecutive executions. On a lane
@@ -1916,7 +1963,7 @@ impl<'a> Engine<'a> {
             stage_execs.push(StageExec {
                 lane,
                 layers: stage.layers.clone(),
-                service_cycles: exec.service_cycles,
+                service_cycles: events.cycles,
             });
             input_at =
                 completion + if s + 1 < plan.stages().len() { plan.handoff_cycles()[s] } else { 0 };
@@ -2713,7 +2760,7 @@ mod tests {
                 let layers = 0..models[0].layers.len();
                 fleet.lanes[0]
                     .execute_stage(&models[0], layers, &members, fleet.weight_seed, warm)
-                    .service_cycles
+                    .cycles
             };
             assert!(price(true) < price(false), "warmth must be visible in the price");
             assert_eq!(first.completion - first.start, price(false), "recovered lane is cold");

@@ -27,7 +27,6 @@
 
 use crate::queue::RequestQueue;
 use crate::timewheel::TimerWheel;
-use crate::workload::Request;
 use s2ta_core::ArchKind;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -57,28 +56,10 @@ impl DeadlineHeap {
         Self::default()
     }
 
-    /// Records `model`'s new front request and its wait deadline.
-    pub(crate) fn arm(
-        &mut self,
-        model: usize,
-        front: &Request,
-        max_wait_cycles: u64,
-        queue: &RequestQueue,
-    ) {
-        let deadline = front.arrival.saturating_add(max_wait_cycles);
-        self.arm_at(deadline, model, front.id, queue);
-    }
-
-    /// Records `model`'s new front request by id with an explicit
-    /// deadline — used when the wait budget anchors to the re-queue
-    /// instant of a retried request rather than its original arrival.
-    pub(crate) fn arm_at(
-        &mut self,
-        deadline: u64,
-        model: usize,
-        front_id: u64,
-        queue: &RequestQueue,
-    ) {
+    /// Records `model`'s new front request by id with its wait
+    /// deadline: the front's arrival plus the wait budget, or the
+    /// re-queue instant plus the budget for a retried request.
+    pub(crate) fn arm(&mut self, deadline: u64, model: usize, front_id: u64, queue: &RequestQueue) {
         self.wheel.push(deadline, (model, front_id));
         self.maybe_compact(queue);
     }
@@ -310,7 +291,7 @@ pub(crate) fn affinity_lane(free_at: &[u64], ready: u64, predicted_service: &[u6
 mod tests {
     use super::*;
     use crate::policy::FixedPolicy;
-    use crate::workload::WorkloadSpec;
+    use crate::workload::{Request, WorkloadSpec};
     use crate::Fleet;
     use s2ta_models::{lenet5, ModelSpec};
 
@@ -446,7 +427,7 @@ mod tests {
             queue.pop_batch(m, 1);
             let next = req(models as u64 + round, m, 10 + round);
             queue.push(next);
-            heap.arm(m, &next, 100, &queue);
+            heap.arm(next.arrival + 100, m, next.id, &queue);
         }
         assert!(
             heap.len() <= 64.max(4 * models),

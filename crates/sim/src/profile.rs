@@ -29,10 +29,10 @@
 //! pure function of its matrix, a caller can build it once (e.g. bake
 //! the weight profile into a compiled layer plan, or memoize the
 //! activation profile per `(layer, act seed)`) and replay the
-//! events-only datapaths ([`crate::systolic::run_perf_profiled`],
-//! [`crate::tpe::run_wdbb_perf_profiled`],
-//! [`crate::tpe::run_aw_perf_profiled`],
-//! [`crate::smt::run_sampled_profiled`]) without ever re-materializing
+//! events-only datapaths ([`crate::systolic::run_perf_profiled_into`],
+//! [`crate::tpe::run_wdbb_perf_profiled_into`],
+//! [`crate::tpe::run_aw_perf_profiled_into`],
+//! [`crate::smt::run_sampled_profiled_into`]) without ever re-materializing
 //! the dense matrices. Weight values never reach those datapaths: they
 //! read a [`WeightDesc`] (shape, W-DBB configuration, storage size)
 //! next to the profile. [`WeightProfile::of_dbb`] and

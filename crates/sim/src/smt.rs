@@ -191,11 +191,13 @@ pub fn run_sampled(
     run_inner(geom, cfg, w, a, sample_tiles)
 }
 
-/// Events-only fast path for the SMT-SA: identical [`EventCounts`] to
-/// [`run_sampled`] (asserted by tests), with the non-timing counts
-/// taken from precompiled per-position profiles instead of the
-/// functional accumulation loop. `wp` must profile `w`, `ap` must
-/// profile `a`.
+/// Events-only fast path for the SMT-SA, accumulating into a
+/// caller-owned tally and simulating tile timing out of a caller-owned
+/// [`SmtScratch`] (allocation-free once warm): adds the identical
+/// [`EventCounts`] of [`run_sampled`] (asserted by tests), with the
+/// non-timing counts taken from precompiled per-position profiles
+/// instead of the functional accumulation loop. `wp` must profile `w`,
+/// `ap` must profile `a`.
 ///
 /// Unlike the DBB datapaths, the SMT FIFO *timing* is inherently
 /// position-dependent (backpressure follows the joint non-zero layout
@@ -208,37 +210,6 @@ pub fn run_sampled(
 ///
 /// Panics if `sample_tiles == 0`, the geometry is not scalar, dims
 /// disagree, or the profiles do not cover the operands.
-pub fn run_sampled_profiled(
-    geom: &ArrayGeometry,
-    cfg: SmtConfig,
-    w: &Matrix,
-    a: &Matrix,
-    sample_tiles: usize,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
-) -> EventCounts {
-    let mut events = EventCounts::new();
-    run_sampled_profiled_into(
-        geom,
-        cfg,
-        w,
-        a,
-        sample_tiles,
-        wp,
-        ap,
-        &mut events,
-        &mut SmtScratch::new(),
-    );
-    events
-}
-
-/// [`run_sampled_profiled`] accumulating into a caller-owned tally and
-/// simulating tile timing out of a caller-owned [`SmtScratch`] — the
-/// allocation-free form for hot loops.
-///
-/// # Panics
-///
-/// Same contract as [`run_sampled_profiled`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_sampled_profiled_into(
     geom: &ArrayGeometry,
@@ -472,7 +443,10 @@ mod tests {
             [(SmtConfig::t2q2(), 1), (SmtConfig::t2q2(), 3), (SmtConfig::t2q4(), usize::MAX)]
         {
             let full = run_inner(&g, cfg, &w, &a, sample).events;
-            let profiled = run_sampled_profiled(&g, cfg, &w, &a, sample, &wp, ap.tallies());
+            let mut profiled = EventCounts::new();
+            let scratch = &mut SmtScratch::new();
+            let ap = ap.tallies();
+            run_sampled_profiled_into(&g, cfg, &w, &a, sample, &wp, ap, &mut profiled, scratch);
             assert_eq!(full, profiled, "{cfg} sample={sample}");
         }
     }

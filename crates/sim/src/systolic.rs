@@ -84,38 +84,21 @@ pub fn run_perf(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> Eve
     check_inputs(geom, w, a);
     let wp = WeightProfile::new(w);
     let ap = ActivationProfile::new(a);
-    run_perf_profiled(geom, zvcg, &WeightDesc::dense(w), a.cols(), &wp, ap.tallies())
+    let (desc, mut events) = (WeightDesc::dense(w), EventCounts::new());
+    run_perf_profiled_into(geom, zvcg, &desc, a.cols(), &wp, ap.tallies(), &mut events);
+    events
 }
 
-/// Matrix-free event path: identical [`EventCounts`] to [`run`] and
-/// [`run_perf`], computed from **precompiled** per-position profiles
-/// plus the GEMM dimensions alone. `w` describes the `M x K` weight
-/// matrix and `wp` profiles it; `ap` profiles the `K x n_cols`
-/// activation matrix.
+/// Matrix-free event path, accumulating into a caller-owned tally:
+/// adds the identical [`EventCounts`] of [`run`] and [`run_perf`],
+/// computed from **precompiled** per-position profiles plus the GEMM
+/// dimensions alone. `w` describes the `M x K` weight matrix and `wp`
+/// profiles it; `ap` profiles the `K x n_cols` activation matrix.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is not scalar or a profile's length is not
 /// `K`.
-pub fn run_perf_profiled(
-    geom: &ArrayGeometry,
-    zvcg: bool,
-    w: &WeightDesc,
-    n_cols: usize,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
-) -> EventCounts {
-    let mut events = EventCounts::new();
-    run_perf_profiled_into(geom, zvcg, w, n_cols, wp, ap, &mut events);
-    events
-}
-
-/// [`run_perf_profiled`] accumulating into a caller-owned tally — the
-/// allocation-free form for hot loops.
-///
-/// # Panics
-///
-/// Same contract as [`run_perf_profiled`].
 pub fn run_perf_profiled_into(
     geom: &ArrayGeometry,
     zvcg: bool,

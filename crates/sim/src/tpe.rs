@@ -186,38 +186,23 @@ pub fn run_wdbb_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> EventCo
     // no `decompress()` scratch matrix in the perf path.
     let wp = WeightProfile::of_dbb(w);
     let ap = ActivationProfile::new(a);
-    run_wdbb_perf_profiled(geom, &WeightDesc::of_dbb(w), a.cols(), &wp, ap.tallies())
+    let (desc, mut events) = (WeightDesc::of_dbb(w), EventCounts::new());
+    run_wdbb_perf_profiled_into(geom, &desc, a.cols(), &wp, ap.tallies(), &mut events);
+    events
 }
 
-/// Matrix-free event path for `S2TA-W`: identical counts to
-/// [`run_wdbb`] / [`run_wdbb_perf`], computed from precompiled
-/// per-position profiles without touching either dense matrix. `w`
-/// describes the compressed weights and `wp` must profile their
-/// decompressed form, `ap` the dense `k x n_cols` activation.
+/// Matrix-free event path for `S2TA-W`, accumulating into a
+/// caller-owned tally (hot loops sum events across layers and requests
+/// without materializing intermediate counts): adds the identical
+/// counts of [`run_wdbb`] / [`run_wdbb_perf`], computed from
+/// precompiled per-position profiles without touching either dense
+/// matrix. `w` describes the compressed weights and `wp` must profile
+/// their decompressed form, `ap` the dense `k x n_cols` activation.
 ///
 /// # Panics
 ///
 /// Panics if the weight blocking does not match the geometry or a
 /// profile's length is not the weights' reduction length.
-pub fn run_wdbb_perf_profiled(
-    geom: &ArrayGeometry,
-    w: &WeightDesc,
-    n_cols: usize,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
-) -> EventCounts {
-    let mut events = EventCounts::new();
-    run_wdbb_perf_profiled_into(geom, w, n_cols, wp, ap, &mut events);
-    events
-}
-
-/// [`run_wdbb_perf_profiled`] accumulating into a caller-owned tally —
-/// the allocation-free form for hot loops that sum events across layers
-/// and requests without materializing intermediate counts.
-///
-/// # Panics
-///
-/// Same contract as [`run_wdbb_perf_profiled`].
 pub fn run_wdbb_perf_profiled_into(
     geom: &ArrayGeometry,
     w: &WeightDesc,
@@ -326,11 +311,15 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     // `decompress()` scratch matrices in the perf path.
     let wp = WeightProfile::of_dbb(w);
     let ap = ActivationProfile::of_dbb(a);
-    run_aw_perf_profiled(geom, &WeightDesc::of_dbb(w), a.shape().1, a.config(), &wp, ap.tallies())
+    let (desc, mut events) = (WeightDesc::of_dbb(w), EventCounts::new());
+    let n_cols = a.shape().1;
+    run_aw_perf_profiled_into(geom, &desc, n_cols, a.config(), &wp, ap.tallies(), &mut events);
+    events
 }
 
-/// Matrix-free event path for `S2TA-AW`: identical counts to [`run_aw`]
-/// / [`run_aw_perf`], computed without ever materializing (or
+/// Matrix-free event path for `S2TA-AW`, accumulating into a
+/// caller-owned tally: adds the identical counts of [`run_aw`] /
+/// [`run_aw_perf`], computed without ever materializing (or
 /// decompressing) the A-DBB activation matrix. The activation operand
 /// is described by its column count, its DBB configuration (which fixes
 /// the per-block serialization and the compressed storage footprint:
@@ -344,25 +333,6 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
 ///
 /// Panics if the blockings do not match the geometry or a profile's
 /// length is not the weights' reduction length.
-pub fn run_aw_perf_profiled(
-    geom: &ArrayGeometry,
-    w: &WeightDesc,
-    n_cols: usize,
-    a_config: DbbConfig,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
-) -> EventCounts {
-    let mut events = EventCounts::new();
-    run_aw_perf_profiled_into(geom, w, n_cols, a_config, wp, ap, &mut events);
-    events
-}
-
-/// [`run_aw_perf_profiled`] accumulating into a caller-owned tally —
-/// the allocation-free form for hot loops.
-///
-/// # Panics
-///
-/// Same contract as [`run_aw_perf_profiled`].
 pub fn run_aw_perf_profiled_into(
     geom: &ArrayGeometry,
     w: &WeightDesc,

@@ -9,7 +9,7 @@ use s2ta::energy::TechParams;
 use s2ta::models::{cifar10_convnet, lenet5, ModelSpec};
 use s2ta::serve::{
     AutoscalePolicy, Cluster, DiurnalSpec, FaultConfig, FaultSpec, FixedPolicy, Fleet, FleetSpec,
-    RateSegment, Request, RoutingPolicy, TraceConfig, TraceEventKind, WorkloadSpec,
+    RateSegment, Request, RoutingPolicy, ScaleEvent, TraceConfig, TraceEventKind, WorkloadSpec,
 };
 use std::collections::HashMap;
 
@@ -211,6 +211,41 @@ fn autoscaler_tracks_the_diurnal_load_curve() {
         report.shards.iter().flat_map(|s| s.outcomes.iter().map(|o| o.id())).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..620).collect::<Vec<u64>>());
+}
+
+/// Same-cycle tie-break of an autoscaler evaluation: it fires after a
+/// completion and before an arrival at its cycle. A lone request
+/// completes at `c`, a second arrives at `c`, and the evaluation at `c`
+/// must see a backlog of 0 — the first request gone, the second not yet
+/// in — and shed a lane. No evaluation fires past the last arrival.
+#[test]
+fn autoscale_evaluation_fires_between_completion_and_arrival() {
+    let models = models();
+    let fleet = || {
+        Fleet::new(ArchKind::S2taAw, 2)
+            .with_policy(FixedPolicy { max_batch: 1, max_wait_cycles: 1_000 })
+    };
+    let first = Request { id: 0, model: 0, arrival: 0, act_seed: 1 };
+    let c = Cluster::new(vec![fleet()]).serve(&models, &[first]).makespan_cycles();
+    assert!(c > 0);
+    let requests = [first, Request { id: 1, model: 0, arrival: c, act_seed: 2 }];
+    let policy = AutoscalePolicy {
+        eval_interval_cycles: c,
+        scale_up_depth: 2,
+        scale_down_depth: 0,
+        min_lanes: 1,
+    };
+    let want = [ScaleEvent { time: c, shard: 0, from_lanes: 2, to_lanes: 1, backlog: 0 }];
+    for routing in [RoutingPolicy::Random, RoutingPolicy::PowerOfTwo] {
+        let cluster = Cluster::new(vec![fleet()]).with_routing(routing).with_autoscale(policy);
+        for (driver, report) in [
+            ("serve", cluster.serve(&models, &requests)),
+            ("serve_serial", cluster.serve_serial(&models, &requests)),
+        ] {
+            assert_eq!(report.scale_events, want, "{routing:?} {driver}");
+            assert_eq!(report.served_count(), 2, "{routing:?} {driver}");
+        }
+    }
 }
 
 proptest::proptest! {
