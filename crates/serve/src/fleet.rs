@@ -608,24 +608,23 @@ impl Fleet {
     }
 }
 
-/// A monolithic batch bound to a lane: where it runs, what it
-/// measured, when it starts, and its effective service time (the
-/// measured cycles, inflated by any fault slowdown window).
+/// One execution of a contiguous layer range on a lane — a whole
+/// monolithic batch, a hedge copy, or one pipeline stage — priced by
+/// [`Engine::run_stage`] and committed by [`Engine::charge`]: where it
+/// runs, what it measured, when it starts, and its effective service
+/// time (the measured cycles, inflated by any fault slowdown window).
 #[derive(Debug, Clone, Copy)]
-struct Placed {
+struct StageRun {
     lane: usize,
     events: EventCounts,
     start: u64,
     service: u64,
 }
 
-/// One stage execution of a pipelined batch: where it ran and what it
-/// measured, kept so completions can feed the per-stage estimator.
-#[derive(Debug, Clone)]
-struct StageExec {
-    lane: usize,
-    layers: std::ops::Range<usize>,
-    service_cycles: u64,
+impl StageRun {
+    fn completion(&self) -> u64 {
+        self.start + self.service
+    }
 }
 
 /// A batch sealed and dispatched by the event-driven engine.
@@ -641,8 +640,6 @@ struct EngineBatch {
     /// end-to-end execution span when pipelined. Fault-mode batches
     /// store the **effective** service (slowdown factor applied).
     service_cycles: u64,
-    /// Per-stage executions (empty for monolithic placement).
-    stage_execs: Vec<StageExec>,
     /// Fault mode: the batch's lane crashed before it completed; its
     /// wheel entry is stale and its members were retried or failed.
     cancelled: bool,
@@ -841,7 +838,9 @@ pub(crate) struct Engine<'a> {
     /// Issuing client per request id (closed loop only).
     client_of: Vec<Option<usize>>,
     next_id: u64,
-    /// Lazily partitioned pipeline plans per model (pipelined mode).
+    /// Lazily partitioned pipeline plans per model (pipelined mode). A
+    /// dispatch burst moves its model's plan out and back, so batches
+    /// borrow it instead of copying it.
     pipelines: HashMap<usize, PipelinePlan>,
     /// Bounded inter-stage activation queues: `(model, boundary)` ->
     /// recent downstream-stage start times (at most the queue capacity
@@ -1223,27 +1222,17 @@ impl<'a> Engine<'a> {
             completion: t,
             max_latency_cycles,
         });
-        // The cost models learn from completed batches only — a lane's
-        // speed becomes evidence once its batch finishes. Pipelined
-        // batches feed the per-stage estimates; monolithic batches the
-        // whole-model estimate the affinity rule consumes.
-        if batch.stage_execs.is_empty() {
+        // The cost model learns from completed monolithic batches only —
+        // a lane's speed becomes evidence once its batch finishes. The
+        // affinity rule and hedging read it; a pipelined batch spans
+        // several lanes and feeds neither.
+        if self.fleet.placement != PlacementStrategy::Pipelined {
             self.estimator.record(
                 self.fleet.lanes[batch.lane].arch(),
                 batch.model,
                 n,
                 batch.service_cycles,
             );
-        } else {
-            for exec in &batch.stage_execs {
-                self.estimator.record_stage(
-                    self.fleet.lanes[exec.lane].arch(),
-                    batch.model,
-                    &exec.layers,
-                    n,
-                    exec.service_cycles,
-                );
-            }
         }
         for r in &batch.requests {
             self.release_client(r.id, t);
@@ -1683,14 +1672,10 @@ impl<'a> Engine<'a> {
 
     /// Executes and places a burst of batches sealed off one model
     /// lane at one event, all ready at `ready`, in seal order: each
-    /// batch picks its lane (the choice sees the earlier batches'
-    /// placements, never its own execution) and simulates once, on that
-    /// lane. Nothing about a batch's requests is recorded here: they
+    /// monolithic batch simulates once, on the lane it picks, and each
+    /// pipelined batch once per stage, on the model's pinned stage
+    /// lanes. Nothing about a batch's requests is recorded here: they
     /// resolve at its completion event ([`Engine::on_completion`]).
-    ///
-    /// With faults attached, the lane's slowdown factor inflates the
-    /// measured service time and an aged batch may be **hedged** onto a
-    /// second lane (see [`Engine::hedge`]).
     fn dispatch_burst(&mut self, model: usize, sealed: Vec<Vec<Request>>, ready: u64) {
         // Every sealed member moves from the queued half of the
         // backlog to the in-flight half (it stays outstanding until
@@ -1699,85 +1684,110 @@ impl<'a> Engine<'a> {
             self.queued -= members.len();
             self.in_flight_requests += members.len();
         }
-        if self.fleet.placement == PlacementStrategy::Pipelined {
-            for members in sealed {
-                self.dispatch_pipelined(model, members, ready);
-            }
-            return;
-        }
-        let fleet = self.fleet;
-        let spec = &self.models[model];
+        // The burst borrows the model's cached plan, moved out of the
+        // cache until the burst ends. A first-use partition runs under
+        // its own host span, before the execute span opens.
+        let plan = (self.fleet.placement == PlacementStrategy::Pipelined)
+            .then(|| self.take_pipeline_plan(model));
         let exec_started = self.trace.is_some().then(Instant::now);
         for members in sealed {
-            let lane = self.choose_lane(model, members.len(), ready);
-            let events = fleet.lanes[lane].execute_stage(
-                spec,
-                0..spec.layers.len(),
-                &members,
-                fleet.weight_seed,
-                false,
-            );
-            let start = self.free_at[lane].max(ready);
-            let mut placed = Placed { lane, events, start, service: events.cycles };
-            let mut loser = None;
-            if let Some(f) = self.faults.as_deref() {
-                placed.service =
-                    events.cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
-                loser = self.hedge(model, &members, ready, &mut placed);
+            match &plan {
+                Some(plan) => self.dispatch_pipelined(model, plan, members, ready),
+                None => self.dispatch_monolithic(model, members, ready),
             }
-            let Placed { lane, events, start, service } = placed;
-            let completion = start + service;
-            let batch_id = self.dispatched;
-            // Charge the losing copy's lane time as wasted capacity: its
-            // lane is busy racing a batch whose result is discarded.
-            if let Some(l) = loser {
-                self.lane_cum_idle[l.lane] += l.start - self.free_at[l.lane];
-                self.free_at[l.lane] = l.start + l.service;
-                self.total_events += l.events;
-                self.worker_stats[l.lane].busy_cycles += l.service;
-                self.worker_stats[l.lane].events += l.events;
-                self.faults.as_deref_mut().expect("hedges need faults").stats.hedges += 1;
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent {
-                        cycle: start,
-                        kind: TraceEventKind::RequestHedged,
-                        shard: 0,
-                        lane: lane as u32,
-                        model: model as u32,
-                        stage: 0,
-                        a: batch_id as u64,
-                        b: l.lane as u64,
-                    });
-                }
-            }
-            self.lane_cum_idle[lane] += start - self.free_at[lane];
-            self.free_at[lane] = completion;
-            self.total_events += events;
-            let stats = &mut self.worker_stats[lane];
-            stats.busy_cycles += service;
-            stats.batches += 1;
-            stats.requests += members.len();
-            stats.events += events;
-            if let Some(f) = self.faults.as_deref_mut() {
-                f.lane_active[lane].push(batch_id);
-            }
-            self.launch(
-                completion,
-                EngineBatch {
-                    model,
-                    requests: members,
-                    ready,
-                    start,
-                    lane,
-                    service_cycles: service,
-                    stage_execs: Vec::new(),
-                    cancelled: false,
-                },
-            );
         }
         if let (Some(t0), Some(tr)) = (exec_started, self.trace.as_mut()) {
             tr.host.add("batch-execute", t0.elapsed());
         }
+        if let Some(plan) = plan {
+            self.pipelines.insert(model, plan);
+        }
+    }
+
+    /// The one stage-execution step: simulates `members` through
+    /// `layers` of `model` on `lane` ([`Lane::execute_stage`]) and
+    /// prices the run. It starts at `max(free_at[lane], earliest)`, and
+    /// with faults attached the lane's slowdown factor at that start
+    /// inflates its service. Nothing is committed until
+    /// [`Engine::charge`]: hedging prices two copies before it keeps
+    /// one, and pipeline backpressure may delay a stage's start.
+    fn run_stage(
+        &self,
+        model: usize,
+        layers: std::ops::Range<usize>,
+        members: &[Request],
+        lane: usize,
+        earliest: u64,
+        warm: bool,
+    ) -> StageRun {
+        let (fleet, spec) = (self.fleet, &self.models[model]);
+        let events =
+            fleet.lanes[lane].execute_stage(spec, layers, members, fleet.weight_seed, warm);
+        let start = self.free_at[lane].max(earliest);
+        let slow = self.faults.as_deref().map_or(1, |f| f.timeline.slow_factor_at(lane, start));
+        StageRun { lane, events, start, service: events.cycles.saturating_mul(slow) }
+    }
+
+    /// Commits a priced run to its lane: the idle gap before it, the
+    /// lane's new free time, and its events and busy cycles. `requests`
+    /// is the batch size the lane tallies as one more batch; a hedge
+    /// loser, whose result is discarded, passes `None`.
+    fn charge(&mut self, run: &StageRun, requests: Option<usize>) {
+        self.lane_cum_idle[run.lane] += run.start - self.free_at[run.lane];
+        self.free_at[run.lane] = run.completion();
+        self.total_events += run.events;
+        let stats = &mut self.worker_stats[run.lane];
+        stats.busy_cycles += run.service;
+        stats.events += run.events;
+        if let Some(requests) = requests {
+            stats.batches += 1;
+            stats.requests += requests;
+        }
+    }
+
+    /// Runs one batch through the whole model on the lane it picks (the
+    /// choice sees the earlier batches' placements, never its own
+    /// execution). With faults attached, an aged batch may be
+    /// **hedged** onto a second lane (see [`Engine::hedge`]).
+    fn dispatch_monolithic(&mut self, model: usize, members: Vec<Request>, ready: u64) {
+        let lane = self.choose_lane(model, members.len(), ready);
+        let layers = 0..self.models[model].layers.len();
+        let mut run = self.run_stage(model, layers, &members, lane, ready, false);
+        let batch_id = self.dispatched;
+        // Charge the losing copy's lane time as wasted capacity: its
+        // lane is busy racing a batch whose result is discarded.
+        if let Some(loser) = self.hedge(model, &members, ready, &mut run) {
+            self.charge(&loser, None);
+            self.faults.as_deref_mut().expect("hedges need faults").stats.hedges += 1;
+            if let Some(tr) = self.trace.as_mut() {
+                tr.record(TraceEvent {
+                    cycle: run.start,
+                    kind: TraceEventKind::RequestHedged,
+                    shard: 0,
+                    lane: run.lane as u32,
+                    model: model as u32,
+                    stage: 0,
+                    a: batch_id as u64,
+                    b: loser.lane as u64,
+                });
+            }
+        }
+        self.charge(&run, Some(members.len()));
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.lane_active[run.lane].push(batch_id);
+        }
+        self.launch(
+            run.completion(),
+            EngineBatch {
+                model,
+                requests: members,
+                ready,
+                start: run.start,
+                lane: run.lane,
+                service_cycles: run.service,
+                cancelled: false,
+            },
+        );
     }
 
     /// Fault mode: when a batch already queued for longer than the
@@ -1790,8 +1800,8 @@ impl<'a> Engine<'a> {
         model: usize,
         members: &[Request],
         ready: u64,
-        primary: &mut Placed,
-    ) -> Option<Placed> {
+        primary: &mut StageRun,
+    ) -> Option<StageRun> {
         let f = self.faults.as_deref()?;
         let hedge = f.config.hedge?;
         let age = ready.saturating_sub(members.first().map_or(ready, |r| r.arrival));
@@ -1805,30 +1815,21 @@ impl<'a> Engine<'a> {
             .filter(|&l| l != primary.lane)
             .min_by_key(|&l| (self.free_at[l], l))
             .expect("two active lanes");
-        let (fleet, spec) = (self.fleet, &self.models[model]);
-        let events = fleet.lanes[lane].execute_stage(
-            spec,
-            0..spec.layers.len(),
-            members,
-            fleet.weight_seed,
-            false,
-        );
-        let start = self.free_at[lane].max(ready);
-        let service = events.cycles.saturating_mul(f.timeline.slow_factor_at(lane, start));
-        let alt = Placed { lane, events, start, service };
-        if (alt.start + alt.service, alt.lane) < (primary.start + primary.service, primary.lane) {
+        let layers = 0..self.models[model].layers.len();
+        let alt = self.run_stage(model, layers, members, lane, ready, false);
+        if (alt.completion(), alt.lane) < (primary.completion(), primary.lane) {
             Some(std::mem::replace(primary, alt))
         } else {
             Some(alt)
         }
     }
 
-    /// The model's pipeline plan, partitioned on first use (the
-    /// partition is deterministic, so lazy construction never leaks
-    /// host timing into results).
-    fn pipeline_plan(&mut self, model: usize) -> PipelinePlan {
-        if let Some(plan) = self.pipelines.get(&model) {
-            return plan.clone();
+    /// Takes the model's pipeline plan out of the engine's cache,
+    /// partitioning it on first use (the partition is deterministic,
+    /// so lazy construction never leaks host timing into results).
+    fn take_pipeline_plan(&mut self, model: usize) -> PipelinePlan {
+        if let Some(plan) = self.pipelines.remove(&model) {
+            return plan;
         }
         let t0 = self.trace.is_some().then(Instant::now);
         let plan = PipelinePlan::partition(
@@ -1837,12 +1838,10 @@ impl<'a> Engine<'a> {
             &self.models[model],
             self.fleet.pipeline_stages,
             self.fleet.weight_seed,
-            &mut self.estimator,
         );
         if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
             tr.host.add("pipeline-calibrate", t0.elapsed());
         }
-        self.pipelines.insert(model, plan.clone());
         plan
     }
 
@@ -1860,81 +1859,68 @@ impl<'a> Engine<'a> {
     /// weight DMA on memory-bound layers (this is where pinning layers
     /// to lanes beats monolithic rotation on FC/depthwise-heavy
     /// models).
-    fn dispatch_pipelined(&mut self, model: usize, members: Vec<Request>, ready: u64) {
-        let plan = self.pipeline_plan(model);
-        let fleet = self.fleet;
-        let spec = &self.models[model];
-        let queue_capacity = fleet.pipeline_queue_capacity;
+    fn dispatch_pipelined(
+        &mut self,
+        model: usize,
+        plan: &PipelinePlan,
+        members: Vec<Request>,
+        ready: u64,
+    ) {
+        let queue_capacity = self.fleet.pipeline_queue_capacity;
         let batch_id = self.dispatched;
-        let exec_started = self.trace.is_some().then(Instant::now);
-        let mut stage_execs: Vec<StageExec> = Vec::with_capacity(plan.stages().len());
-        let mut stage_starts: Vec<u64> = Vec::with_capacity(plan.stages().len());
+        let stages = plan.stages();
         // When the next stage's input becomes available (the batch's
         // `ready` for stage 0, completion + handoff afterwards).
         let mut input_at = ready;
         let mut first_start = ready;
         let mut completion = ready;
-        for (s, stage) in plan.stages().iter().enumerate() {
+        for (s, stage) in stages.iter().enumerate() {
             let lane = stage.lane;
             let warm = self.last_stage_on_lane[lane] == Some((model, s));
-            let events = fleet.lanes[lane].execute_stage(
-                spec,
-                stage.layers.clone(),
-                &members,
-                fleet.weight_seed,
-                warm,
-            );
-            let unconstrained = input_at.max(self.free_at[lane]);
-            let mut start = unconstrained;
+            let mut run =
+                self.run_stage(model, stage.layers.clone(), &members, lane, input_at, warm);
+            let unconstrained = run.start;
             // Backpressure: the boundary queue ahead holds at most
             // `queue_capacity` undelivered handoffs, so this stage may
             // not begin batch b before the next stage began batch
             // b - capacity.
-            if s + 1 < plan.stages().len() {
+            if s + 1 < stages.len() {
                 if let Some(history) = self.boundary_starts.get(&(model, s)) {
                     if history.len() == queue_capacity {
-                        start = start.max(*history.front().expect("non-empty at capacity"));
+                        run.start = run.start.max(*history.front().expect("non-empty at capacity"));
                     }
                 }
             }
-            completion = start + events.cycles;
             if let Some(tr) = self.trace.as_mut() {
-                if start > unconstrained {
+                if run.start > unconstrained {
                     tr.record(TraceEvent {
-                        cycle: start,
+                        cycle: run.start,
                         kind: TraceEventKind::StageStall,
                         shard: 0,
                         lane: lane as u32,
                         model: model as u32,
                         stage: s as u32,
                         a: batch_id as u64,
-                        b: start - unconstrained,
+                        b: run.start - unconstrained,
                     });
                 }
                 tr.record(TraceEvent {
-                    cycle: start,
+                    cycle: run.start,
                     kind: TraceEventKind::StageDispatch,
                     shard: 0,
                     lane: lane as u32,
                     model: model as u32,
                     stage: s as u32,
                     a: batch_id as u64,
-                    b: events.cycles,
+                    b: run.service,
                 });
             }
-            self.lane_cum_idle[lane] += start - self.free_at[lane];
-            self.free_at[lane] = completion;
-            self.last_stage_on_lane[lane] = Some((model, s));
-            self.total_events += events;
             // Per-lane occupancy: every stage execution counts on its
             // own lane (a pipelined batch touches one lane per stage,
             // so per-lane batch/request tallies sum to more than the
             // fleet totals — see [`WorkerStats::batches`]).
-            let lane_stats = &mut self.worker_stats[lane];
-            lane_stats.busy_cycles += events.cycles;
-            lane_stats.events += events;
-            lane_stats.batches += 1;
-            lane_stats.requests += members.len();
+            self.charge(&run, Some(members.len()));
+            self.last_stage_on_lane[lane] = Some((model, s));
             let handoff = if s == 0 { 0 } else { plan.handoff_cycles()[s - 1] };
             let stats = self.stage_stats.entry((model, s)).or_insert_with(|| StageStatsAccum {
                 layers: (stage.layers.start, stage.layers.end),
@@ -1943,7 +1929,7 @@ impl<'a> Engine<'a> {
             });
             stats.batches += 1;
             stats.requests += members.len();
-            stats.busy_cycles += events.cycles;
+            stats.busy_cycles += run.service;
             stats.handoff_cycles += handoff;
             // A stage's bubbles are the cycles its lane sat *idle*
             // between this stage's consecutive executions. On a lane
@@ -1957,30 +1943,19 @@ impl<'a> Engine<'a> {
             }
             stats.idle_seen = self.lane_cum_idle[lane];
             if s == 0 {
-                first_start = start;
+                first_start = run.start;
+            } else {
+                // This downstream start joins the boundary queue behind
+                // it, trimmed to capacity: only the capacity-th most
+                // recent start can ever gate a future batch.
+                let history = self.boundary_starts.entry((model, s - 1)).or_default();
+                history.push_back(run.start);
+                while history.len() > queue_capacity {
+                    history.pop_front();
+                }
             }
-            stage_starts.push(start);
-            stage_execs.push(StageExec {
-                lane,
-                layers: stage.layers.clone(),
-                service_cycles: events.cycles,
-            });
-            input_at =
-                completion + if s + 1 < plan.stages().len() { plan.handoff_cycles()[s] } else { 0 };
-        }
-        // Record this batch's downstream starts into the boundary
-        // queues (trimmed to capacity: only the capacity-th most
-        // recent start can ever gate a future batch).
-        for (s, &start) in stage_starts.iter().enumerate().skip(1) {
-            let history = self.boundary_starts.entry((model, s - 1)).or_default();
-            history.push_back(start);
-            while history.len() > queue_capacity {
-                history.pop_front();
-            }
-        }
-
-        if let (Some(t0), Some(tr)) = (exec_started, self.trace.as_mut()) {
-            tr.host.add("stage-execute", t0.elapsed());
+            completion = run.completion();
+            input_at = completion + if s + 1 < stages.len() { plan.handoff_cycles()[s] } else { 0 };
         }
         self.launch(
             completion,
@@ -1989,9 +1964,8 @@ impl<'a> Engine<'a> {
                 requests: members,
                 ready,
                 start: first_start,
-                lane: plan.stages().last().expect("a pipeline has stages").lane,
+                lane: stages.last().expect("a pipeline has stages").lane,
                 service_cycles: completion - first_start,
-                stage_execs,
                 cancelled: false,
             },
         );
@@ -2874,5 +2848,11 @@ mod tests {
         let busy = |r: &ServeReport| -> u64 { r.workers.iter().map(|w| w.busy_cycles).sum() };
         assert!(busy(&report) > busy(&plain), "losing copies must be charged as wasted lane time");
         assert_eq!(report, hedge(), "hedged serving must be deterministic");
+        // Golden: no preset, bench or perfbench workload hedges, so
+        // these pin the hedged path's exact pricing and charging.
+        assert_eq!(report.fault.hedges, 23);
+        assert_eq!(busy(&report), 386_107);
+        assert_eq!(report.makespan_cycles, 1_070_719);
+        assert_eq!(report.p99_cycles(), 45_643);
     }
 }

@@ -36,8 +36,9 @@
 //!   to lanes: arch-blind earliest-free (default), or affinity-aware
 //!   placement that minimizes predicted completion time from
 //!   per-`(arch, model)` service estimates bootstrapped out of the
-//!   run's own completed batches. Affinity collapses to earliest-free
-//!   on homogeneous fleets, byte-for-byte.
+//!   run's own completed monolithic batches (fault-mode hedging reads
+//!   the same estimates). Affinity collapses to earliest-free on
+//!   homogeneous fleets, byte-for-byte.
 //! * [`ServeReport`] — goodput, drop rate, p50/p95/p99 latency
 //!   (overall and per model), per-lane arch/busy/idle/energy breakdown
 //!   ([`ServeReport::lane_breakdown`]), aggregate

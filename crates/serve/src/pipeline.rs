@@ -14,10 +14,8 @@
 //! The partitioner works in two deterministic steps:
 //!
 //! 1. **Calibrate** — every distinct lane configuration simulates each
-//!    layer once at batch 1 (a pure probe: the cycle numbers feed the
-//!    cost model, nothing enters the serving report), and the
-//!    measurements seed the run's [`ServiceEstimator`] under per-stage
-//!    keys.
+//!    layer once at batch 1 (a pure probe: the cycle numbers are the
+//!    split's cost model, nothing enters the serving report).
 //! 2. **Split + place jointly** — an exact dynamic program over
 //!    `(layers covered, lanes consumed per scope)` cuts the layer list
 //!    into at most K contiguous ranges *and* picks each range's lane
@@ -40,7 +38,6 @@
 //! consumer.
 
 use crate::fleet::Lane;
-use crate::scheduler::ServiceEstimator;
 use s2ta_core::{pool, stage_handoff_bytes, WeightResidency};
 use s2ta_models::ModelSpec;
 use std::ops::Range;
@@ -67,10 +64,8 @@ pub struct PipelinePlan {
 
 impl PipelinePlan {
     /// Partitions `model` into at most `stages` stages over `lanes`,
-    /// balanced and assigned by calibrated per-stage service estimates
-    /// (see the module docs for the three steps). The calibration
-    /// measurements are recorded into `estimator` under per-stage keys,
-    /// so the run's own completions refine them later.
+    /// balanced and assigned by calibrated per-layer costs (see the
+    /// module docs for the two steps).
     ///
     /// The stage count is clamped to the lane count (stages occupy
     /// distinct lanes) and the layer count (a stage is never empty).
@@ -85,7 +80,6 @@ impl PipelinePlan {
         model: &ModelSpec,
         stages: usize,
         weight_seed: u64,
-        estimator: &mut ServiceEstimator,
     ) -> Self {
         assert!(stages > 0, "a pipeline needs at least one stage");
         assert!(!lanes.is_empty(), "a pipeline needs at least one lane");
@@ -93,7 +87,7 @@ impl PipelinePlan {
 
         // 1. Calibrate: one batch-1 probe of every layer per distinct
         // lane configuration. Probes are pure simulations; only their
-        // cycle counts survive, as estimator seeds. They run through
+        // cycle counts survive, as the split's costs. They run through
         // the allocation-free `run_stage_events` hot loop (arenas from
         // the fleet's scratch pool), so the probes also warm the
         // fleet's shared activation-profile cache for the calibration
@@ -134,7 +128,7 @@ impl PipelinePlan {
         });
         let probes: Vec<Vec<u64>> = cycles.chunks(n_layers).map(<[u64]>::to_vec).collect();
 
-        // 2+3. Split and place **jointly**: an exact DP over (layers
+        // 2. Split and place **jointly**: an exact DP over (layers
         // covered, lanes consumed per scope) that minimizes the
         // bottleneck stage — the steady-state pipeline period — with
         // total service and stage count as lexicographic tie-breaks.
@@ -145,15 +139,6 @@ impl PipelinePlan {
         // cross-arch pipeline (dense-leaning stages on SA lanes,
         // sparse-heavy stages on S2TA lanes) falls out.
         let (split, scope_of_stage) = joint_split(&probes, &scope_counts(lanes, &scope_reps), k);
-
-        // Seed the estimator with the calibrated per-stage costs.
-        for (scope, &rep) in scope_reps.iter().enumerate() {
-            let arch = lanes[rep].arch();
-            for range in &split {
-                let cycles: u64 = range.clone().map(|i| probes[scope][i]).sum();
-                estimator.record_stage(arch, model_index, range, 1, cycles);
-            }
-        }
 
         // Materialize scopes into concrete lanes, in lane-index order
         // within each scope (deterministic).
@@ -311,14 +296,26 @@ mod tests {
     use s2ta_core::ArchKind;
     use s2ta_models::{lenet5, mobilenet_v1};
 
-    fn partition(
-        fleet: &Fleet,
-        model: &ModelSpec,
-        stages: usize,
-    ) -> (PipelinePlan, ServiceEstimator) {
-        let mut estimator = ServiceEstimator::new();
-        let plan = PipelinePlan::partition(fleet.lanes(), 0, model, stages, 42, &mut estimator);
-        (plan, estimator)
+    fn partition(fleet: &Fleet, model: &ModelSpec, stages: usize) -> PipelinePlan {
+        PipelinePlan::partition(fleet.lanes(), 0, model, stages, 42)
+    }
+
+    /// A stage's batch-1 cost at resident weights on the fleet's first
+    /// `arch` lane: the price calibration gives each of its layers.
+    fn stage_cost(fleet: &Fleet, arch: ArchKind, model: &ModelSpec, layers: Range<usize>) -> u64 {
+        let lane = fleet.lanes().iter().find(|l| l.arch() == arch).expect("an arch lane");
+        let plan = lane.accelerator().plan_model(model, 42);
+        let mut scratch = lane.scratch().checkout();
+        let events = lane.accelerator().run_stage_events(
+            &plan,
+            model,
+            layers,
+            42,
+            WeightResidency::Resident,
+            &mut scratch,
+        );
+        lane.scratch().restore(scratch);
+        events.cycles
     }
 
     #[test]
@@ -327,7 +324,7 @@ mod tests {
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]));
         let model = mobilenet_v1();
         for stages in [1usize, 2, 4] {
-            let (plan, estimator) = partition(&fleet, &model, stages);
+            let plan = partition(&fleet, &model, stages);
             let k = plan.stages().len();
             assert!(
                 (1..=stages).contains(&k),
@@ -343,20 +340,19 @@ mod tests {
             lanes.sort_unstable();
             lanes.dedup();
             assert_eq!(lanes.len(), k, "stages must occupy distinct lanes");
-            // Calibration seeded per-stage estimates for both archs.
-            assert!(!estimator.is_empty());
+            // Every stage is a real, priceable layer range on both archs.
             for stage in plan.stages() {
                 for arch in [ArchKind::S2taAw, ArchKind::SaZvcg] {
                     assert!(
-                        estimator.predict_stage(arch, 0, &stage.layers, 1).is_some(),
-                        "calibration must seed {arch} for {:?}",
+                        stage_cost(&fleet, arch, &model, stage.layers.clone()) > 0,
+                        "{arch} must price {:?}",
                         stage.layers
                     );
                 }
             }
         }
         // One stage is always exactly one stage.
-        let (single, _) = partition(&fleet, &model, 1);
+        let single = partition(&fleet, &model, 1);
         assert_eq!(single.stages().len(), 1);
         assert_eq!(single.stages()[0].layers, 0..model.layers.len());
     }
@@ -364,10 +360,10 @@ mod tests {
     #[test]
     fn stage_count_clamps_to_lanes_and_layers() {
         let fleet = Fleet::new(ArchKind::S2taAw, 2);
-        let (plan, _) = partition(&fleet, &lenet5(), 8);
+        let plan = partition(&fleet, &lenet5(), 8);
         assert!(plan.stages().len() <= 2, "stages clamp to the lane count");
         let wide = Fleet::new(ArchKind::S2taAw, 16);
-        let (plan, _) = partition(&wide, &lenet5(), 16);
+        let plan = partition(&wide, &lenet5(), 16);
         assert!(plan.stages().len() <= 5, "stages clamp to the layer count");
         assert!(plan.stages().len() >= 2, "splitting strictly reduces the bottleneck here");
     }
@@ -377,8 +373,8 @@ mod tests {
         let mk =
             || Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]));
         let model = mobilenet_v1();
-        let (a, _) = partition(&mk(), &model, 4);
-        let (b, _) = partition(&mk(), &model, 4);
+        let a = partition(&mk(), &model, 4);
+        let b = partition(&mk(), &model, 4);
         assert_eq!(a, b);
     }
 
@@ -436,30 +432,27 @@ mod tests {
         let fleet =
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]));
         let model = mobilenet_v1();
-        let (plan, estimator) = partition(&fleet, &model, 4);
+        let plan = partition(&fleet, &model, 4);
         let arch_of = |lane: usize| fleet.lanes()[lane].arch();
         assert!(
             plan.stages().iter().any(|s| arch_of(s.lane) == ArchKind::S2taAw),
             "some stage must use the sparse lanes"
         );
         // Every stage runs within the bottleneck implied by its own
-        // assigned-arch estimate; the bottleneck stage itself runs on
+        // assigned-arch cost; the bottleneck stage itself runs on
         // the architecture that is fastest *for it* among lanes its
         // scope had free — with both archs available, the DP never
         // assigns the bottleneck stage an arch that a free faster lane
         // beats by construction (it would have lowered the optimum).
-        let cost = |s: &StageAssignment| {
-            estimator.predict_stage(arch_of(s.lane), 0, &s.layers, 1).expect("calibrated")
-        };
+        let cost =
+            |s: &StageAssignment| stage_cost(&fleet, arch_of(s.lane), &model, s.layers.clone());
         let bottleneck = plan.stages().iter().map(cost).max().expect("has stages");
         // Whole-model cost on the fastest arch = the monolithic
         // bottleneck (one batch occupies one lane for the full model).
         let whole: u64 = plan
             .stages()
             .iter()
-            .map(|s| {
-                estimator.predict_stage(ArchKind::S2taAw, 0, &s.layers, 1).expect("calibrated")
-            })
+            .map(|s| stage_cost(&fleet, ArchKind::S2taAw, &model, s.layers.clone()))
             .sum();
         assert!(
             bottleneck < whole,
@@ -471,7 +464,7 @@ mod tests {
     fn handoffs_price_the_boundary_activations() {
         let fleet = Fleet::new(ArchKind::S2taAw, 4);
         let model = lenet5();
-        let (plan, _) = partition(&fleet, &model, 3);
+        let plan = partition(&fleet, &model, 3);
         for (s, &cycles) in plan.handoff_cycles().iter().enumerate() {
             let boundary = plan.stages()[s + 1].layers.start;
             let bytes = s2ta_core::stage_handoff_bytes(&model, boundary);

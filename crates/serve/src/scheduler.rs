@@ -29,7 +29,6 @@ use crate::queue::RequestQueue;
 use crate::timewheel::TimerWheel;
 use s2ta_core::ArchKind;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Deadline-ordered min-heap over lane fronts.
 ///
@@ -146,28 +145,19 @@ pub enum PlacementStrategy {
     Pipelined,
 }
 
-/// The layer scope of a service estimate: a whole model, or one
-/// contiguous layer range of it (a pipeline stage).
-type StageKey = (usize, usize);
-
-/// Sentinel stage key for whole-model estimates.
-const WHOLE_MODEL: StageKey = (0, usize::MAX);
-
-/// Per-`(arch, model, stage)` service-cycle estimates, bootstrapped
-/// from the batches a serving run has executed. Whole-model estimates
-/// (the affinity cost model) and per-stage estimates (the pipeline
-/// partitioner and its lane assignment) live in one table, keyed apart
-/// by the stage's layer range.
+/// Per-`(arch, model)` whole-model service-cycle estimates,
+/// bootstrapped from the monolithic batches a serving run has
+/// completed: the cost model of affinity placement and of fault-mode
+/// hedging.
 ///
 /// The estimate is the running mean of observed service cycles *per
-/// request* on that architecture for that scope, scaled by the
+/// request* on that architecture for that model, scaled by the
 /// candidate batch size. Integer arithmetic keeps predictions exactly
 /// reproducible for a fixed observation sequence.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceEstimator {
-    /// `(arch, model, stage) -> (requests observed, service cycles
-    /// observed)`.
-    stats: HashMap<(ArchKind, usize, StageKey), (u64, u64)>,
+    /// `(arch, model) -> (requests observed, service cycles observed)`.
+    stats: HashMap<(ArchKind, usize), (u64, u64)>,
 }
 
 impl ServiceEstimator {
@@ -179,31 +169,7 @@ impl ServiceEstimator {
     /// Records one executed whole-model batch: `requests` requests of
     /// `model` took `service_cycles` on an `arch` lane.
     pub fn record(&mut self, arch: ArchKind, model: usize, requests: usize, service_cycles: u64) {
-        self.record_key(arch, model, WHOLE_MODEL, requests, service_cycles);
-    }
-
-    /// Records one executed **stage**: `requests` requests of `model`'s
-    /// layers `stage` took `service_cycles` on an `arch` lane.
-    pub fn record_stage(
-        &mut self,
-        arch: ArchKind,
-        model: usize,
-        stage: &Range<usize>,
-        requests: usize,
-        service_cycles: u64,
-    ) {
-        self.record_key(arch, model, (stage.start, stage.end), requests, service_cycles);
-    }
-
-    fn record_key(
-        &mut self,
-        arch: ArchKind,
-        model: usize,
-        stage: StageKey,
-        requests: usize,
-        service_cycles: u64,
-    ) {
-        let entry = self.stats.entry((arch, model, stage)).or_insert((0, 0));
+        let entry = self.stats.entry((arch, model)).or_insert((0, 0));
         entry.0 += requests as u64;
         entry.1 += service_cycles;
     }
@@ -212,38 +178,14 @@ impl ServiceEstimator {
     /// batch of `model` on an `arch` lane, or `None` before any batch
     /// of that `(arch, model)` pair has executed.
     pub fn predict(&self, arch: ArchKind, model: usize, batch_size: usize) -> Option<u64> {
-        self.predict_key(arch, model, WHOLE_MODEL, batch_size)
-    }
-
-    /// Predicted service cycles of a `batch_size`-request batch of
-    /// `model`'s layers `stage` on an `arch` lane, or `None` before any
-    /// execution of that exact `(arch, model, stage)` scope.
-    pub fn predict_stage(
-        &self,
-        arch: ArchKind,
-        model: usize,
-        stage: &Range<usize>,
-        batch_size: usize,
-    ) -> Option<u64> {
-        self.predict_key(arch, model, (stage.start, stage.end), batch_size)
-    }
-
-    fn predict_key(
-        &self,
-        arch: ArchKind,
-        model: usize,
-        stage: StageKey,
-        batch_size: usize,
-    ) -> Option<u64> {
-        let &(requests, cycles) = self.stats.get(&(arch, model, stage))?;
+        let &(requests, cycles) = self.stats.get(&(arch, model))?;
         if requests == 0 {
             return None;
         }
         Some((cycles as u128 * batch_size as u128 / requests as u128) as u64)
     }
 
-    /// Number of `(arch, model, stage)` scopes with at least one
-    /// observation.
+    /// Number of `(arch, model)` pairs with at least one observation.
     pub fn len(&self) -> usize {
         self.stats.len()
     }
@@ -573,24 +515,6 @@ mod tests {
         assert_eq!(e.predict(ArchKind::S2taAw, 1, 3), None, "models do not share estimates");
         assert_eq!(e.predict(ArchKind::SaZvcg, 0, 3), None, "archs do not share estimates");
         assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn estimator_keys_stages_apart_from_whole_models() {
-        let mut e = ServiceEstimator::new();
-        e.record(ArchKind::S2taAw, 0, 2, 2_000);
-        e.record_stage(ArchKind::S2taAw, 0, &(0..3), 2, 400);
-        e.record_stage(ArchKind::S2taAw, 0, &(3..5), 2, 1_600);
-        assert_eq!(e.len(), 3, "whole-model and stage scopes are distinct keys");
-        assert_eq!(e.predict(ArchKind::S2taAw, 0, 1), Some(1_000));
-        assert_eq!(e.predict_stage(ArchKind::S2taAw, 0, &(0..3), 1), Some(200));
-        assert_eq!(e.predict_stage(ArchKind::S2taAw, 0, &(3..5), 4), Some(3_200));
-        assert_eq!(
-            e.predict_stage(ArchKind::S2taAw, 0, &(0..5), 1),
-            None,
-            "an unobserved range has no estimate, even if sub-ranges do"
-        );
-        assert_eq!(e.predict_stage(ArchKind::SaZvcg, 0, &(0..3), 1), None);
     }
 
     #[test]

@@ -292,7 +292,7 @@ pub struct CacheSample {
 /// identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostSpan {
-    /// Span label (e.g. `"execute"`, `"pipeline-calibrate"`).
+    /// Span label (e.g. `"batch-execute"`, `"pipeline-calibrate"`).
     pub label: String,
     /// Times the span was entered.
     pub calls: u64,
