@@ -22,13 +22,13 @@
 //!   request's activation input, memoized the same way.
 //!
 //! Both caches are instances of the one generic [`MemoCache`]; this
-//! module supplies only their keys and compile recipes. Planned runs
-//! are bit-exact with the unplanned paths: `run_model` is itself
-//! routed through the cache.
+//! module supplies only their keys and compile recipes. Every layer
+//! run starts from a plan: `run_layer` plans its one layer, and
+//! `run_model` is routed through the cache.
 
 use crate::memo::MemoCache;
 use crate::scratch::{DapTallies, Scratch};
-use crate::{Accelerator, ArchConfig, ArchKind, LayerReport};
+use crate::{Accelerator, ArchConfig, ArchKind};
 use s2ta_dbb::dap::{dap_col_profile_into, DapEvents, LayerNnz};
 use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
@@ -42,8 +42,8 @@ use std::sync::Arc;
 /// form. [`Accelerator::compile_weights`] builds them, and a
 /// [`LayerPlan`] keeps their [`WeightDesc`] and [`WeightProfile`]; only
 /// the paths that multiply weight values hold them — the reference
-/// path (`run_layer_planned`), which compiles them per call, and the
-/// SA-SMT plans.
+/// path ([`crate::ExecPath::Reference`]), which compiles them per layer
+/// run, and the SA-SMT plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlannedWeights {
     /// Raw weights for the scalar-datapath architectures (SA, SA-ZVCG,
@@ -97,8 +97,8 @@ pub enum WeightResidency {
 ///
 /// The weight values are dropped after compilation, except on SA-SMT,
 /// whose sampled-tile FIFO timing reads them on every call. The
-/// reference path recompiles them per call from the layer index and
-/// weight seed the plan records.
+/// reference path ([`crate::ExecPath::Reference`]) recompiles them per
+/// layer run from the layer index and weight seed the plan records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     /// Shape, W-DBB configuration and storage size of the weights.
@@ -588,18 +588,6 @@ impl Accelerator {
     /// [`Accelerator::compile_weights`]) and a dense A-DBB decision.
     pub fn plan_layer(&self, layer: &LayerSpec, layer_index: usize, weight_seed: u64) -> LayerPlan {
         let weights = self.compile_weights(layer, layer_index, weight_seed);
-        self.plan_compiled(&weights, layer, layer_index, weight_seed)
-    }
-
-    /// The plan of `weights`, which [`Accelerator::compile_weights`]
-    /// compiled from `(layer, layer_index, weight_seed)`.
-    pub(crate) fn plan_compiled(
-        &self,
-        weights: &PlannedWeights,
-        layer: &LayerSpec,
-        layer_index: usize,
-        weight_seed: u64,
-    ) -> LayerPlan {
         let first_layer = layer_index == 0;
         let desc = weights.desc();
         let elements = desc.rows() * desc.k();
@@ -609,16 +597,14 @@ impl Accelerator {
         } else {
             elements as u64
         };
-        let smt_weights = match (self.config().kind, weights) {
-            (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => {
-                Some(w.clone())
-            }
-            _ => None,
-        };
         // Bake the profile of the *effective* weights (after any W-DBB
         // pruning) at compile time: it rides the plan cache, so the
         // events-only path replays it for free.
         let wprofile = weights.profile();
+        let smt_weights = match (self.config().kind, weights) {
+            (ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4, PlannedWeights::Dense(w)) => Some(w),
+            _ => None,
+        };
         let adbb = if first_layer { LayerNnz::Dense } else { layer.suggested_adbb() };
         LayerPlan { desc, smt_weights, adbb, dma_weight_bytes, wprofile, layer_index, weight_seed }
     }
@@ -646,46 +632,6 @@ impl Accelerator {
         self.plans().get_or_plan(self, model, weight_seed)
     }
 
-    /// Runs one layer from its compiled plan on a fresh activation
-    /// input drawn from `act_seed` — the reference path: it compiles
-    /// the layer's weights again with [`Accelerator::compile_weights`],
-    /// just as it regenerates the activations, and runs the datapath
-    /// on both matrices.
-    ///
-    /// With [`WeightResidency::Streamed`] this is bit-exact with
-    /// [`Accelerator::run_layer`] when `act_seed` equals the weight
-    /// seed the plan was compiled from.
-    pub fn run_layer_planned(
-        &self,
-        plan: &LayerPlan,
-        layer: &LayerSpec,
-        act_seed: u64,
-        residency: WeightResidency,
-    ) -> LayerReport {
-        let weights = self.compile_weights(layer, plan.layer_index, plan.weight_seed);
-        self.run_layer_compiled(plan, &weights, layer, act_seed, residency)
-    }
-
-    /// [`Accelerator::run_layer_planned`] on weights already compiled
-    /// for `plan`.
-    pub(crate) fn run_layer_compiled(
-        &self,
-        plan: &LayerPlan,
-        weights: &PlannedWeights,
-        layer: &LayerSpec,
-        act_seed: u64,
-        residency: WeightResidency,
-    ) -> LayerReport {
-        debug_assert_eq!(weights.desc(), plan.desc, "weights compiled for another plan");
-        let a = layer.gen_acts(act_seed);
-        let mut events = self.run_gemm_planned(weights, &a, plan.adbb);
-        if layer.is_memory_bound() {
-            events.cycles =
-                events.cycles.max(self.dma_clamp_cycles(plan, a.len() as u64, residency));
-        }
-        LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
-    }
-
     /// DMA cycles one streaming pass of a memory-bound layer's operands
     /// costs: weights (unless already resident) plus the `a_bytes`
     /// activation footprint, at the configured DMA rate. A sub-rate
@@ -711,13 +657,14 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArchKind, CacheStats, ModelReport};
+    use crate::{ArchKind, CacheStats, ExecPath, LayerReport, ModelReport};
     use s2ta_models::{lenet5, mobilenet_v1};
 
     #[test]
     fn planned_run_is_bit_exact_with_unplanned() {
         for kind in [ArchKind::SaZvcg, ArchKind::S2taW, ArchKind::S2taAw] {
             let acc = Accelerator::preset(kind);
+            let reference = Accelerator::preset(kind).with_exec_path(ExecPath::Reference);
             let m = lenet5();
             let plan = acc.plan_model(&m, 17);
             let planned: Vec<LayerReport> = m
@@ -725,7 +672,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, l)| {
-                    acc.run_layer_planned(&plan.layers[i], l, 17, WeightResidency::Streamed)
+                    reference.run_layer_planned(&plan.layers[i], l, 17, WeightResidency::Streamed)
                 })
                 .collect();
             let direct = acc.run_model(&m, 17);

@@ -2,7 +2,7 @@
 //! datapaths, with the DBB toolchain applied where configured.
 
 use crate::plan::{
-    plan_scope_fingerprint, ActProfileCache, LayerPlan, PlannedWeights, WeightPlanCache,
+    plan_scope_fingerprint, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights, WeightPlanCache,
     WeightResidency,
 };
 use crate::scratch::Scratch;
@@ -12,20 +12,24 @@ use s2ta_dbb::{prune, BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
 use s2ta_sim::{smt, systolic, tpe, EventCounts};
 use s2ta_tensor::Matrix;
+use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Which host-side execution path planned runs
-/// ([`Accelerator::run_stage`] and everything built on it) take.
+/// Which host-side execution path every layer run takes.
 ///
-/// Both paths produce **byte-identical** [`EventCounts`] (golden- and
-/// property-tested per architecture); they differ only in host work.
+/// Every entry point that runs a layer — [`Accelerator::run_layer`],
+/// [`Accelerator::run_layer_planned`], [`Accelerator::run_stage`],
+/// [`Accelerator::run_stage_events`] and everything built on them —
+/// reads this in one place, per layer. Both paths produce
+/// **byte-identical** [`EventCounts`] (golden- and property-tested per
+/// architecture); they differ only in host work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
     /// Materialize both operands per call — the layer's weights
     /// compiled by [`Accelerator::compile_weights`], the dense
     /// activations regenerated from their seed — and re-derive their
     /// sparsity structure (the original path, kept as the golden
-    /// reference and for one-off runs where caching cannot pay off).
+    /// reference and the host-throughput baseline).
     Reference,
     /// Replay precompiled per-position profiles — the weight profile
     /// baked into the [`LayerPlan`], the activation profile memoized in
@@ -130,13 +134,13 @@ impl Accelerator {
         self
     }
 
-    /// The host-side execution path planned runs take (default:
+    /// The host-side execution path layer runs take (default:
     /// [`ExecPath::Profiled`]).
     pub fn exec_path(&self) -> ExecPath {
         self.exec_path
     }
 
-    /// Selects the host-side execution path for planned runs. Simulated
+    /// Selects the host-side execution path for layer runs. Simulated
     /// results are byte-identical either way; [`ExecPath::Reference`]
     /// re-materializes operands per call and exists as the golden
     /// oracle (and baseline for host-throughput benchmarking).
@@ -206,36 +210,6 @@ impl Accelerator {
         }
     }
 
-    /// Runs one layer from its compiled plan on activation inputs drawn
-    /// from `act_seed`, **without materializing the activation matrix**
-    /// for the profile-factorizable datapaths: the weight profile comes
-    /// baked into the [`LayerPlan`], the activation profile from the
-    /// shared [`ActProfileCache`], and the layer's active MACs from one
-    /// `O(K)` profile dot product. Byte-identical to
-    /// [`Accelerator::run_layer_planned`] (golden- and property-tested
-    /// per architecture).
-    ///
-    /// The SMT architectures are the one exception: their FIFO
-    /// backpressure timing depends on the joint non-zero *positions* of
-    /// both operands, which no per-position count determines, so their
-    /// sampled tiles still regenerate the activation matrix — the
-    /// event counting is profile-driven regardless.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` was not compiled for this architecture.
-    pub fn run_layer_profiled(
-        &self,
-        plan: &LayerPlan,
-        layer: &LayerSpec,
-        act_seed: u64,
-        residency: WeightResidency,
-    ) -> LayerReport {
-        let events =
-            self.layer_events_profiled(plan, layer, act_seed, residency, &mut Scratch::new());
-        LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
-    }
-
     /// Prunes+compresses weights to the configured W-DBB bound, or
     /// compresses densely for the unpruned first layer.
     pub(crate) fn compress_weights(&self, w: &Matrix, first_layer: bool) -> DbbMatrix {
@@ -247,9 +221,10 @@ impl Accelerator {
         }
     }
 
-    /// Runs one layer: generates the profiled synthetic operands and
-    /// dispatches to the datapath. `layer_index` 0 selects the
-    /// unpruned-weights fall-back.
+    /// Runs one layer at batch 1: plans it with
+    /// [`Accelerator::plan_layer`] from `seed`, then runs the plan on
+    /// activations drawn from the same `seed` with streamed weights.
+    /// `layer_index` 0 selects the unpruned-weights fall-back.
     ///
     /// FC and depthwise layers are **memory bound** at batch 1 (paper
     /// Sec. 8.3): their weights stream from DRAM without reuse, so the
@@ -257,10 +232,26 @@ impl Accelerator {
     /// (possibly compressed) operands. DBB architectures still gain on
     /// these layers — from bandwidth compression, not compute.
     pub fn run_layer(&self, layer: &LayerSpec, layer_index: usize, seed: u64) -> LayerReport {
-        // One compile serves both the plan and the reference run.
-        let weights = self.compile_weights(layer, layer_index, seed);
-        let plan = self.plan_compiled(&weights, layer, layer_index, seed);
-        self.run_layer_compiled(&plan, &weights, layer, seed, WeightResidency::Streamed)
+        let plan = self.plan_layer(layer, layer_index, seed);
+        self.run_layer_planned(&plan, layer, seed, WeightResidency::Streamed)
+    }
+
+    /// Runs one layer from its compiled plan on a fresh activation
+    /// input drawn from `act_seed`, on this accelerator's
+    /// [`ExecPath`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was not compiled for this architecture.
+    pub fn run_layer_planned(
+        &self,
+        plan: &LayerPlan,
+        layer: &LayerSpec,
+        act_seed: u64,
+        residency: WeightResidency,
+    ) -> LayerReport {
+        let events = self.layer_events(plan, layer, act_seed, residency, &mut Scratch::new());
+        LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
     }
 
     /// Runs a whole model (all layers, including memory-bound FC and
@@ -283,7 +274,7 @@ impl Accelerator {
     /// Panics if `plan` was not compiled from this `model`.
     pub fn run_model_planned(
         &self,
-        plan: &crate::plan::ModelPlan,
+        plan: &ModelPlan,
         model: &ModelSpec,
         act_seed: u64,
     ) -> ModelReport {
@@ -319,30 +310,14 @@ impl Accelerator {
     /// range exceeds the model's layer list.
     pub fn run_stage(
         &self,
-        plan: &crate::plan::ModelPlan,
+        plan: &ModelPlan,
         model: &ModelSpec,
-        layers: std::ops::Range<usize>,
+        layers: Range<usize>,
         act_seed: u64,
         residency: WeightResidency,
     ) -> Vec<LayerReport> {
-        assert!(
-            plan.matches(model),
-            "plan was compiled for '{}', not for '{}' (or the model structure changed)",
-            plan.model(),
-            model.name
-        );
-        assert!(
-            layers.end <= model.layers.len(),
-            "stage {layers:?} exceeds the model's {} layers",
-            model.layers.len()
-        );
-        model.layers[layers.clone()]
-            .iter()
-            .zip(&plan.layers[layers])
-            .map(|(l, lp)| match self.exec_path {
-                ExecPath::Reference => self.run_layer_planned(lp, l, act_seed, residency),
-                ExecPath::Profiled => self.run_layer_profiled(lp, l, act_seed, residency),
-            })
+        stage_layers(plan, model, layers)
+            .map(|(l, lp)| self.run_layer_planned(lp, l, act_seed, residency))
             .collect()
     }
 
@@ -351,12 +326,12 @@ impl Accelerator {
     /// hot loop.
     ///
     /// Semantically `run_stage(..).iter().map(|l| l.events).sum()`
-    /// (byte-identical on the profiled path, which this always takes),
-    /// but without building the per-layer report vector or cloning
-    /// layer names, and with every transient buffer (the SMT path's
+    /// (byte-identical on either [`ExecPath`]), but without building
+    /// the per-layer report vector or cloning layer names, and on the
+    /// profiled path with every transient buffer (the SMT path's
     /// regenerated activation matrix, cold profile compiles, the DAP
     /// block masks) drawn from `scratch`. After the caches and the
-    /// arena are warm, a call allocates nothing.
+    /// arena are warm, a profiled call allocates nothing.
     ///
     /// # Panics
     ///
@@ -365,37 +340,27 @@ impl Accelerator {
     /// not match the architecture.
     pub fn run_stage_events(
         &self,
-        plan: &crate::plan::ModelPlan,
+        plan: &ModelPlan,
         model: &ModelSpec,
-        layers: std::ops::Range<usize>,
+        layers: Range<usize>,
         act_seed: u64,
         residency: WeightResidency,
         scratch: &mut Scratch,
     ) -> EventCounts {
-        assert!(
-            plan.matches(model),
-            "plan was compiled for '{}', not for '{}' (or the model structure changed)",
-            plan.model(),
-            model.name
-        );
-        assert!(
-            layers.end <= model.layers.len(),
-            "stage {layers:?} exceeds the model's {} layers",
-            model.layers.len()
-        );
         let mut total = EventCounts::default();
-        for (l, lp) in model.layers[layers.clone()].iter().zip(&plan.layers[layers]) {
-            total += self.layer_events_profiled(lp, l, act_seed, residency, scratch);
+        for (l, lp) in stage_layers(plan, model, layers) {
+            total += self.layer_events(lp, l, act_seed, residency, scratch);
         }
         total
     }
 
-    /// The profiled event derivation of one layer, shared by
-    /// [`Accelerator::run_stage_events`] and
-    /// [`Accelerator::run_layer_profiled`]: the `_into` datapath entry
-    /// points, with a cold profile compile and the SMT path's
-    /// regenerated activation matrix staged in `scratch`.
-    fn layer_events_profiled(
+    /// The events of one layer run — the one place [`ExecPath`] is
+    /// read. The reference arm compiles the layer's weights again with
+    /// [`Accelerator::compile_weights`], regenerates the activations
+    /// and runs the datapath on both matrices; the profiled arm replays
+    /// the plan's weight profile against the cached activation profile.
+    /// Either way a memory-bound layer is then clamped to its DMA time.
+    fn layer_events(
         &self,
         plan: &LayerPlan,
         layer: &LayerSpec,
@@ -403,9 +368,44 @@ impl Accelerator {
         residency: WeightResidency,
         scratch: &mut Scratch,
     ) -> EventCounts {
+        let mut events = match self.exec_path {
+            ExecPath::Reference => {
+                let weights = self.compile_weights(layer, plan.layer_index, plan.weight_seed);
+                debug_assert_eq!(weights.desc(), plan.desc, "weights compiled for another plan");
+                self.run_gemm_planned(&weights, &layer.gen_acts(act_seed), plan.adbb)
+            }
+            ExecPath::Profiled => self.datapath_events_profiled(plan, layer, act_seed, scratch),
+        };
+        if layer.is_memory_bound() {
+            let a_bytes = (layer.gemm.k * layer.gemm.n) as u64;
+            events.cycles = events.cycles.max(self.dma_clamp_cycles(plan, a_bytes, residency));
+        }
+        events
+    }
+
+    /// The profiled arm of [`Accelerator::layer_events`]: the layer's
+    /// datapath events **without materializing the activation matrix**
+    /// on the profile-factorizable datapaths — the weight profile comes
+    /// baked into the [`LayerPlan`], the activation profile from the
+    /// shared [`ActProfileCache`], and the layer's active MACs from one
+    /// `O(K)` profile dot product, through the `_into` datapath entry
+    /// points with a cold profile compile staged in `scratch`.
+    ///
+    /// The SMT architectures are the one exception: their FIFO
+    /// backpressure timing depends on the joint non-zero *positions* of
+    /// both operands, which no per-position count determines, so their
+    /// sampled tiles still regenerate the activation matrix (into
+    /// `scratch`) — the event counting is profile-driven regardless.
+    fn datapath_events_profiled(
+        &self,
+        plan: &LayerPlan,
+        layer: &LayerSpec,
+        act_seed: u64,
+        scratch: &mut Scratch,
+    ) -> EventCounts {
         let geom = &self.config.geometry;
         let kind = self.config.kind;
-        let (k, n) = (layer.gemm.k, layer.gemm.n);
+        let n = layer.gemm.n;
         let (bz, adbb) = (geom.bz, plan.adbb());
         let (w, wp) = (&plan.desc, plan.weight_profile());
         assert_eq!(
@@ -463,19 +463,16 @@ impl Accelerator {
                 events.dap_comparisons += prof.dap_events().comparisons;
             }
         }
-        if layer.is_memory_bound() {
-            let clamp = self.dma_clamp_cycles(plan, (k * n) as u64, residency);
-            events.cycles = events.cycles.max(clamp);
-        }
         events
     }
 
     /// Runs only the convolution layers (the paper's "Conv only" rows).
     ///
-    /// Plans per layer without touching the model cache: a cached
+    /// Each conv layer is one [`Accelerator::run_layer`], so it follows
+    /// this accelerator's [`ExecPath`] like every other layer run. It
+    /// plans per layer without touching the model cache: a cached
     /// full-model plan would compile the (often enormous) FC weights
-    /// this path deliberately skips. Each layer's weights compile once
-    /// (see [`Accelerator::run_layer`]).
+    /// this path deliberately skips.
     pub fn run_model_conv_only(&self, model: &ModelSpec, seed: u64) -> ModelReport {
         let layers = model
             .layers
@@ -490,6 +487,31 @@ impl Accelerator {
             layers,
         )
     }
+}
+
+/// The `(layer, plan)` pairs of a contiguous layer range of `plan`.
+///
+/// # Panics
+///
+/// Panics if `plan` was not compiled from `model`, or the range exceeds
+/// the model's layer list.
+fn stage_layers<'a>(
+    plan: &'a ModelPlan,
+    model: &'a ModelSpec,
+    layers: Range<usize>,
+) -> impl Iterator<Item = (&'a LayerSpec, &'a LayerPlan)> {
+    assert!(
+        plan.matches(model),
+        "plan was compiled for '{}', not for '{}' (or the model structure changed)",
+        plan.model(),
+        model.name
+    );
+    assert!(
+        layers.end <= model.layers.len(),
+        "stage {layers:?} exceeds the model's {} layers",
+        model.layers.len()
+    );
+    model.layers[layers.clone()].iter().zip(&plan.layers[layers])
 }
 
 #[cfg(test)]

@@ -107,8 +107,9 @@ impl Lane {
     }
 
     /// Simulates one batch through a contiguous layer range on this
-    /// lane, via [`s2ta_core`]'s `run_stage`: a monolithic batch runs
-    /// `0..layers`, a pipeline stage its own range.
+    /// lane, one [`Accelerator::run_stage_events`] call per request on
+    /// the lane's execution path: a monolithic batch runs `0..layers`,
+    /// a pipeline stage its own range.
     ///
     /// The first request streams the range's weights and every later
     /// request finds them resident — the batching amortization that
@@ -126,37 +127,21 @@ impl Lane {
         warm: bool,
     ) -> EventCounts {
         let plan = self.accelerator.plan_model(model, weight_seed);
+        let mut scratch = self.scratch.checkout();
         let mut events = EventCounts::default();
-        // The serving hot loop sums events straight from the operand
-        // profiles, its transient buffers from the shared arena pool —
-        // allocation-free once caches and arena are warm. The golden
-        // oracle / host-throughput baseline takes per-layer reports over
-        // materialized operands, with no arena.
-        let mut scratch = match self.accelerator.exec_path() {
-            ExecPath::Reference => None,
-            ExecPath::Profiled => Some(self.scratch.checkout()),
-        };
         for (i, request) in requests.iter().enumerate() {
             let residency =
                 if i == 0 && !warm { WeightResidency::Streamed } else { WeightResidency::Resident };
-            let (layers, seed) = (layers.clone(), request.act_seed);
-            match scratch.as_mut() {
-                Some(scratch) => {
-                    events += self
-                        .accelerator
-                        .run_stage_events(&plan, model, layers, seed, residency, scratch)
-                }
-                None => {
-                    for report in self.accelerator.run_stage(&plan, model, layers, seed, residency)
-                    {
-                        events += report.events;
-                    }
-                }
-            }
+            events += self.accelerator.run_stage_events(
+                &plan,
+                model,
+                layers.clone(),
+                request.act_seed,
+                residency,
+                &mut scratch,
+            );
         }
-        if let Some(scratch) = scratch {
-            self.scratch.restore(scratch);
-        }
+        self.scratch.restore(scratch);
         events
     }
 }

@@ -24,7 +24,8 @@ use s2ta::tensor::{GemmShape, LayerKind};
 /// profile-compiled path reproduces the reference path's per-layer
 /// [`s2ta::sim::EventCounts`] byte-for-byte on LeNet-5 and the 14-layer
 /// Deep-ConvNet, with the activation seed distinct from the weight seed
-/// (the serving case: one set of weights, many inputs).
+/// (the serving case: one set of weights, many inputs), and on the
+/// conv-only runs the paper's figures use.
 #[test]
 fn profiled_model_runs_match_reference_on_all_archs() {
     for model in [lenet5(), deep_convnet()] {
@@ -37,6 +38,11 @@ fn profiled_model_runs_match_reference_on_all_archs() {
             let r = reference.run_model_planned(&rplan, &model, act_seed);
             let p = profiled.run_model_planned(&pplan, &model, act_seed);
             assert_eq!(r, p, "{kind} on {}", model.name);
+            // The paper-figure entry point (Fig. 11, Tbl. 4) follows
+            // the same path choice.
+            let r = reference.run_model_conv_only(&model, weight_seed);
+            let p = profiled.run_model_conv_only(&model, weight_seed);
+            assert_eq!(r, p, "{kind} on {} (conv only)", model.name);
         }
     }
 }
@@ -53,7 +59,7 @@ fn profiled_residency_variants_match_reference() {
         for (i, layer) in model.layers.iter().enumerate() {
             for residency in [WeightResidency::Streamed, WeightResidency::Resident] {
                 let r = reference.run_layer_planned(&plan.layers()[i], layer, 9, residency);
-                let p = profiled.run_layer_profiled(&plan.layers()[i], layer, 9, residency);
+                let p = profiled.run_layer_planned(&plan.layers()[i], layer, 9, residency);
                 assert_eq!(r, p, "{kind} layer {i} {residency:?}");
             }
         }
@@ -73,7 +79,7 @@ fn dma_clamp_rounds_partial_transfers_up() {
     assert_eq!(reference.config().dma_bytes_per_cycle, 16);
     let plan = reference.plan_layer(&fc, 1, 3);
     let r = reference.run_layer_planned(&plan, &fc, 3, WeightResidency::Streamed);
-    let p = profiled.run_layer_profiled(&plan, &fc, 3, WeightResidency::Streamed);
+    let p = profiled.run_layer_planned(&plan, &fc, 3, WeightResidency::Streamed);
     assert_eq!(r.events, p.events);
     // DMA-bound: (32*101 + 101).div_ceil(16) = 209 > the ~195 compute
     // cycles of the single 32x64 output tile.
@@ -201,7 +207,7 @@ proptest! {
             let profiled = Accelerator::preset(kind);
             let plan = reference.plan_layer(&layer, layer_index, seed);
             let r = reference.run_layer_planned(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
-            let p = profiled.run_layer_profiled(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
+            let p = profiled.run_layer_planned(&plan, &layer, seed ^ 0xA5, WeightResidency::Streamed);
             prop_assert_eq!(r.events, p.events, "{} {}x{}x{}", kind, m, k, n);
             let weights = reference.compile_weights(&layer, layer_index, seed);
             if let Some(f) = functional_events(&reference, &weights, plan.adbb(), &a) {

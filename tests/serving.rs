@@ -5,7 +5,7 @@
 //! cached weight plans against the uncached path.
 
 use proptest::prelude::*;
-use s2ta::core::{Accelerator, ArchKind, ModelReport, WeightResidency};
+use s2ta::core::{Accelerator, ArchKind, ExecPath, ModelReport, WeightResidency};
 use s2ta::energy::TechParams;
 use s2ta::models::{cifar10_convnet, lenet5, LayerSpec, ModelSpec};
 use s2ta::serve::{
@@ -465,13 +465,14 @@ proptest! {
     #[test]
     fn prop_layer_major_composition_matches_run_model(seed in any::<u64>()) {
         let acc = Accelerator::preset(ArchKind::S2taAw);
+        let reference = Accelerator::preset(ArchKind::S2taAw).with_exec_path(ExecPath::Reference);
         let model = lenet5();
         let plan = acc.plan_model(&model, seed);
         let layers: Vec<_> = model
             .layers
             .iter()
             .zip(plan.layers())
-            .map(|(l, lp)| acc.run_layer_planned(lp, l, seed, WeightResidency::Streamed))
+            .map(|(l, lp)| reference.run_layer_planned(lp, l, seed, WeightResidency::Streamed))
             .collect();
         let composed = ModelReport::from_layers(model.name, "S2TA-AW", layers);
         prop_assert_eq!(composed, acc.run_model(&model, seed));
