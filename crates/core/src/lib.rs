@@ -46,4 +46,4 @@ pub use plan::{
 pub use report::{LayerReport, ModelReport};
 pub use ring::Ring;
 pub use runner::{Accelerator, ExecPath};
-pub use scratch::{Scratch, ScratchPool};
+pub use scratch::Scratch;

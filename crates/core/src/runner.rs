@@ -70,6 +70,15 @@ enum WeightsRef<'a> {
     Dbb(&'a DbbMatrix),
 }
 
+impl<'a> From<&'a PlannedWeights> for WeightsRef<'a> {
+    fn from(w: &'a PlannedWeights) -> Self {
+        match w {
+            PlannedWeights::Dense(m) => WeightsRef::Dense(m),
+            PlannedWeights::Dbb(d) => WeightsRef::Dbb(d),
+        }
+    }
+}
+
 impl PartialEq for Accelerator {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -166,22 +175,10 @@ impl Accelerator {
         first_layer: bool,
     ) -> EventCounts {
         if self.config.kind.uses_wdbb() {
-            let wdbb = self.compress_weights(w, first_layer);
-            self.run_gemm_planned(&PlannedWeights::Dbb(wdbb), a, adbb)
+            self.dispatch(WeightsRef::Dbb(&self.compress_weights(w, first_layer)), a, adbb)
         } else {
             self.dispatch(WeightsRef::Dense(w), a, adbb)
         }
-    }
-
-    /// Runs one GEMM with weights already compiled to the datapath
-    /// format (see [`crate::plan`]). This is the hot path the plan
-    /// cache amortizes: no pruning or compression happens here.
-    pub fn run_gemm_planned(&self, w: &PlannedWeights, a: &Matrix, adbb: LayerNnz) -> EventCounts {
-        let w = match w {
-            PlannedWeights::Dense(m) => WeightsRef::Dense(m),
-            PlannedWeights::Dbb(d) => WeightsRef::Dbb(d),
-        };
-        self.dispatch(w, a, adbb)
     }
 
     /// Dispatches compiled operands to the architecture's datapath.
@@ -372,7 +369,7 @@ impl Accelerator {
             ExecPath::Reference => {
                 let weights = self.compile_weights(layer, plan.layer_index, plan.weight_seed);
                 debug_assert_eq!(weights.desc(), plan.desc, "weights compiled for another plan");
-                self.run_gemm_planned(&weights, &layer.gen_acts(act_seed), plan.adbb)
+                self.dispatch((&weights).into(), &layer.gen_acts(act_seed), plan.adbb)
             }
             ExecPath::Profiled => self.datapath_events_profiled(plan, layer, act_seed, scratch),
         };
@@ -583,7 +580,7 @@ mod tests {
     #[test]
     fn stage_events_match_summed_reports_on_all_archs() {
         let m = lenet5();
-        let pool = crate::scratch::ScratchPool::new();
+        let mut scratch = Scratch::new();
         for kind in ArchKind::ALL {
             let acc = Accelerator::preset(kind);
             let plan = acc.plan_model(&m, 23);
@@ -593,10 +590,8 @@ mod tests {
                     let reports = acc.run_stage(&plan, &m, range.clone(), 7, residency);
                     let expected =
                         reports.iter().fold(EventCounts::default(), |acc, l| acc + l.events);
-                    let mut scratch = pool.checkout();
                     let got =
                         acc.run_stage_events(&plan, &m, range.clone(), 7, residency, &mut scratch);
-                    pool.restore(scratch);
                     assert_eq!(got, expected, "{kind} {residency:?} {range:?}");
                 }
             }

@@ -1,5 +1,5 @@
-//! Per-lane scratch arenas: reusable host-side buffers for the
-//! execution hot loop.
+//! Scratch arenas: reusable host-side buffers for the execution hot
+//! loop.
 //!
 //! The profiled (matrix-free) execution path is almost allocation-free
 //! by construction — events are derived from cached per-position
@@ -12,26 +12,23 @@
 //! a cold profile compile allocates only the cache entry and the one
 //! narrow tally buffer it holds.
 //!
-//! Scratch lifetime (one serving lane):
+//! Scratch lifetime (one serving engine):
 //!
 //! ```text
-//!   ScratchPool ── checkout ──> Scratch ──┐
-//!        ^                               batch: every layer reuses
-//!        │                               acts / smt capacity; a cold
-//!        │                               ActProfile generates into acts,
-//!        │                               tallies both sides in one pass
-//!        │                               into raw / postdap, narrows
-//!        └────────── restore <───────────┘
+//!   Engine ── owns ──> Scratch ── &mut ──> every batch and stage it runs:
+//!                                           each layer reuses acts / smt
+//!                                           capacity; a cold ActProfile
+//!                                           generates into acts, tallies
+//!                                           both sides in one pass into
+//!                                           raw / postdap, narrows
 //! ```
 //!
-//! A [`ScratchPool`] shares arenas across whatever executes batches —
-//! cluster shard threads, calibration probes — so the warm capacity
-//! survives between batches regardless of which worker runs the next
-//! one.
+//! A serving engine runs on one host thread, so it owns one arena for
+//! the whole run and lends it to every execution. Work that fans out
+//! over the host executor (pipeline calibration probes) gives each job
+//! its own fresh arena.
 
-use std::sync::{Arc, Mutex};
-
-/// Reusable host buffers for one in-flight batch execution.
+/// Reusable host buffers, lent to one batch execution at a time.
 ///
 /// All fields keep their *capacity* across uses; contents are
 /// overwritten per use and carry no information between requests (the
@@ -69,67 +66,5 @@ impl Scratch {
             + std::mem::size_of::<u16>()
                 * (self.tallies.raw.capacity() + self.tallies.postdap.capacity())
             + self.smt.retained_bytes()
-    }
-}
-
-/// A shared pool of [`Scratch`] arenas.
-///
-/// `checkout` hands out a warm arena when one is idle (LIFO, so the
-/// hottest capacity is reused first) and a fresh one otherwise;
-/// `restore` returns it. The pool never shrinks — arenas are small
-/// (one activation matrix, two tally vectors and the SMT FIFO buffers)
-/// and bounded by the number of concurrent batches ever in flight.
-#[derive(Debug, Clone, Default)]
-pub struct ScratchPool {
-    idle: Arc<Mutex<Vec<Scratch>>>,
-}
-
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes an idle arena, or creates a fresh one if none is idle.
-    pub fn checkout(&self) -> Scratch {
-        self.idle.lock().expect("scratch pool poisoned").pop().unwrap_or_default()
-    }
-
-    /// Returns an arena to the pool for the next checkout.
-    pub fn restore(&self, scratch: Scratch) {
-        self.idle.lock().expect("scratch pool poisoned").push(scratch);
-    }
-
-    /// Number of idle arenas currently pooled.
-    pub fn idle_len(&self) -> usize {
-        self.idle.lock().expect("scratch pool poisoned").len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn checkout_restore_recycles_capacity() {
-        let pool = ScratchPool::new();
-        let mut s = pool.checkout();
-        assert_eq!(s.retained_bytes(), 0);
-        s.acts.reserve(1024);
-        let cap = s.acts.capacity();
-        pool.restore(s);
-        assert_eq!(pool.idle_len(), 1);
-        let s2 = pool.checkout();
-        assert!(s2.acts.capacity() >= cap, "warm capacity survives the pool");
-        assert_eq!(pool.idle_len(), 0);
-    }
-
-    #[test]
-    fn empty_pool_hands_out_fresh_arenas() {
-        let pool = ScratchPool::new();
-        assert_eq!(pool.idle_len(), 0);
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert_eq!(a.retained_bytes() + b.retained_bytes(), 0);
     }
 }

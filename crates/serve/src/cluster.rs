@@ -621,7 +621,7 @@ impl Cluster {
             if failed_over {
                 engines[shard].note_failover(r);
             }
-            engines[shard].inject(*r, None);
+            engines[shard].inject(*r);
         }
         for engine in engines.iter_mut() {
             engine.drain();

@@ -31,38 +31,6 @@ use crate::timewheel::TimerWheel;
 use crate::workload::{Lcg, Request};
 use std::collections::HashMap;
 
-/// One typed fault, as named by the schedule. The expanded
-/// [`FaultPlan`] works in merged windows; this enum is the
-/// user-facing vocabulary of what a [`FaultSpec`] injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// A lane dies for `down_for` cycles: its in-flight batches are
-    /// cancelled (and retried under the [`RetryPolicy`]) and it
-    /// accepts no work until it recovers — **cold** on the simulated
-    /// clock: its weights are re-streamed over DMA, while the host's
-    /// plan and profile memo tables persist.
-    LaneCrash {
-        /// Cycles the lane stays down.
-        down_for: u64,
-    },
-    /// A lane runs degraded for `duration` cycles: every batch
-    /// started on it during the window pays `factor`× its service
-    /// cycles.
-    LaneSlowdown {
-        /// Effective-clock multiplier (≥ 2) applied to service cycles.
-        factor: u64,
-        /// Cycles the slowdown lasts.
-        duration: u64,
-    },
-    /// A whole shard goes dark for `down_for` cycles: every lane of
-    /// the shard crashes, and a health-aware router steers new
-    /// arrivals to surviving shards.
-    ShardOutage {
-        /// Cycles the shard stays out.
-        down_for: u64,
-    },
-}
-
 /// A seeded, deterministic fault schedule over one cluster run.
 ///
 /// The spec is pure data: expanding it with [`FaultSpec::schedule`]
@@ -568,31 +536,32 @@ impl RetryQueue {
 }
 
 /// Live per-engine fault state: the timeline cursor, the retry queue,
-/// per-request attempt counts, the per-lane health table and the
-/// accumulating [`FaultStats`]. Owned by the engine; every mutation
-/// happens at a simulated event, keeping serial and parallel drivers
-/// byte-identical.
+/// per-request attempt counts, the batches in flight on each lane, the
+/// number of lanes down and the accumulating [`FaultStats`]. Owned by
+/// the engine, which changes it only through the methods below and
+/// the plain `stats` counters; every mutation happens at a simulated
+/// event, keeping serial and parallel drivers byte-identical.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
-    pub(crate) config: FaultConfig,
-    pub(crate) timeline: FaultTimeline,
+    config: FaultConfig,
+    timeline: FaultTimeline,
     /// Next unconsumed index into `timeline.events()`.
-    pub(crate) cursor: usize,
-    pub(crate) retries: RetryQueue,
+    cursor: usize,
+    retries: RetryQueue,
     /// Dispatch attempts consumed by each request a crash has cancelled
     /// at least once, by request id, until it is served or fails: the
     /// table holds the retries in flight, not the stream.
-    pub(crate) attempts: HashMap<u64, u32>,
+    attempts: HashMap<u64, u32>,
     /// Batch ids dispatched and not yet completed/cancelled, per lane.
-    pub(crate) lane_active: Vec<Vec<usize>>,
+    lane_active: Vec<Vec<usize>>,
     /// Requests abandoned as `Failed`, per model.
-    pub(crate) failed_per_model: Vec<u64>,
-    /// Health table: whether each lane is currently inside a crash
-    /// window.
-    pub(crate) down: Vec<bool>,
-    pub(crate) down_count: usize,
+    failed_per_model: Vec<u64>,
+    /// Lanes currently inside a crash window (a lane's crash and
+    /// recovery edges alternate, so a count is the whole health table
+    /// degraded mode reads).
+    lanes_down: usize,
     /// When the current degraded interval opened, if degraded now.
-    pub(crate) degraded_since: Option<u64>,
+    degraded_since: Option<u64>,
     pub(crate) stats: FaultStats,
 }
 
@@ -612,8 +581,7 @@ impl FaultState {
             attempts: HashMap::new(),
             lane_active: vec![Vec::new(); lanes],
             failed_per_model: vec![0; models],
-            down: vec![false; lanes],
-            down_count: 0,
+            lanes_down: 0,
             degraded_since: None,
             stats,
         }
@@ -622,6 +590,99 @@ impl FaultState {
     /// The next unconsumed timeline edge's time, if any remain.
     pub(crate) fn next_fault_time(&self) -> Option<u64> {
         self.timeline.events().get(self.cursor).map(|e| e.time)
+    }
+
+    /// Consumes and returns the next timeline edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every edge is consumed.
+    pub(crate) fn next_edge(&mut self) -> TimelineEvent {
+        let edge = self.timeline.events()[self.cursor];
+        self.cursor += 1;
+        edge
+    }
+
+    /// The slowdown multiplier in effect on `lane` at `t`.
+    pub(crate) fn slow_factor_at(&self, lane: usize, t: u64) -> u64 {
+        self.timeline.slow_factor_at(lane, t)
+    }
+
+    /// The configured hedge policy, if hedging is on.
+    pub(crate) fn hedge(&self) -> Option<HedgePolicy> {
+        self.config.hedge
+    }
+
+    /// The earliest pending retry's time, if any.
+    pub(crate) fn next_retry_time(&self) -> Option<u64> {
+        self.retries.peek_time()
+    }
+
+    /// Removes the earliest pending retry as `(time, request, consumed
+    /// attempts)`.
+    pub(crate) fn pop_retry(&mut self) -> Option<(u64, Request, u32)> {
+        self.retries.pop()
+    }
+
+    /// Batch `id` went in flight on `lane`.
+    pub(crate) fn batch_dispatched(&mut self, lane: usize, id: usize) {
+        self.lane_active[lane].push(id);
+    }
+
+    /// Batch `id` completed on `lane`, serving `requests`: it leaves the
+    /// lane's in-flight list and its requests' attempt counts go.
+    pub(crate) fn batch_completed(&mut self, lane: usize, id: usize, requests: &[Request]) {
+        if let Some(pos) = self.lane_active[lane].iter().position(|&b| b == id) {
+            self.lane_active[lane].swap_remove(pos);
+        }
+        if !self.attempts.is_empty() {
+            for r in requests {
+                self.attempts.remove(&r.id);
+            }
+        }
+    }
+
+    /// A crash window opens on `lane`: the lane goes down and its
+    /// in-flight batch ids are handed back for cancellation.
+    pub(crate) fn crash(&mut self, lane: usize) -> Vec<usize> {
+        self.stats.lane_crashes += 1;
+        self.lanes_down += 1;
+        std::mem::take(&mut self.lane_active[lane])
+    }
+
+    /// A crash window of `duration` cycles closes on `lane`: the lane
+    /// is up again and the window counts as its downtime.
+    pub(crate) fn recover(&mut self, lane: usize, duration: u64) {
+        self.stats.lane_recoveries += 1;
+        self.stats.lane_recovery_counts[lane] += 1;
+        self.stats.lane_downtime_cycles[lane] += duration;
+        self.lanes_down -= 1;
+    }
+
+    /// A crash at `now` cancelled `request`, consuming one more
+    /// dispatch attempt. Schedules its retry under the
+    /// [`RetryPolicy`] and returns `None`, or returns the attempts it
+    /// consumed when the policy refuses it: the caller then fails it
+    /// ([`FaultState::fail`]).
+    pub(crate) fn retry_or_fail(&mut self, request: Request, now: u64) -> Option<u32> {
+        let attempts = self.attempts.entry(request.id).or_insert(0);
+        *attempts += 1;
+        let attempts = *attempts;
+        match self.config.retry.next_retry(now, request.arrival, attempts) {
+            Some(at) => {
+                self.retries.schedule(at, request, attempts);
+                None
+            }
+            None => Some(attempts),
+        }
+    }
+
+    /// `request` is abandoned as failed: its attempt count goes and it
+    /// counts against its model.
+    pub(crate) fn fail(&mut self, request: &Request) {
+        self.attempts.remove(&request.id);
+        self.stats.failed += 1;
+        self.failed_per_model[request.model] += 1;
     }
 
     /// Whether a best-effort `model` should be shed at admission right
@@ -638,7 +699,7 @@ impl FaultState {
         let Some(degraded) = &self.config.degraded else {
             return;
         };
-        let active = self.down_count > 0 && backlog >= degraded.backlog_threshold;
+        let active = self.lanes_down > 0 && backlog >= degraded.backlog_threshold;
         match (self.degraded_since, active) {
             (None, true) => self.degraded_since = Some(now),
             (Some(since), false) => {
@@ -650,12 +711,13 @@ impl FaultState {
     }
 
     /// Closes any open degraded interval at `end` and returns the
-    /// finished stats (called once, at report assembly).
-    pub(crate) fn finish(mut self, end: u64) -> FaultStats {
+    /// finished stats with the failed requests per model (called once,
+    /// at report assembly).
+    pub(crate) fn finish(mut self, end: u64) -> (FaultStats, Vec<u64>) {
         if let Some(since) = self.degraded_since.take() {
             self.stats.degraded_cycles += end.saturating_sub(since);
         }
-        self.stats
+        (self.stats, self.failed_per_model)
     }
 }
 
@@ -809,6 +871,52 @@ mod tests {
         assert_eq!(d.next_retry(450, 0, 1), None, "retry would land past the deadline");
         let off = RetryPolicy { max_attempts: 0, backoff_base_cycles: 1, deadline_cycles: 0 };
         assert_eq!(off.next_retry(0, 0, 1), None, "max_attempts 0 disables retries");
+    }
+
+    /// The engine's fault bookkeeping, one method at a time: a crash
+    /// downs its lane and hands back exactly that lane's batches in
+    /// flight, retry-or-fail counts attempts until the retry policy
+    /// refuses, and a recovery ups the lane and books its downtime.
+    #[test]
+    fn fault_state_books_crashes_retries_and_recoveries() {
+        let config = FaultConfig {
+            retry: RetryPolicy { max_attempts: 2, backoff_base_cycles: 100, deadline_cycles: 0 },
+            degraded: Some(DegradedMode { backlog_threshold: 0, best_effort: vec![1] }),
+            ..FaultConfig::protected(FaultSpec::quiet(1))
+        };
+        let mut f = FaultState::new(config, FaultTimeline::quiet(2), 2);
+        let r = |id| Request { id, model: 0, arrival: 0, act_seed: 0 };
+        for (lane, batch) in [(0, 7), (1, 8), (0, 9)] {
+            f.batch_dispatched(lane, batch);
+        }
+        f.batch_completed(0, 7, &[r(1)]);
+        assert_eq!(f.crash(0), vec![9], "a crash takes its own lane's batches in flight");
+        assert_eq!(f.lane_active, vec![vec![], vec![8]]);
+        assert_eq!((f.stats.lane_crashes, f.lanes_down), (1, 1));
+        f.update_degraded(100, 0);
+        assert!(f.sheds(1) && !f.sheds(0), "a lane down opens degraded mode");
+
+        assert_eq!(f.retry_or_fail(r(3), 100), None, "the first attempt retries");
+        assert_eq!(f.next_retry_time(), Some(200));
+        assert_eq!(f.pop_retry().map(|(t, req, a)| (t, req.id, a)), Some((200, 3, 1)));
+        assert_eq!(f.retry_or_fail(r(3), 300), Some(2), "two attempts exhaust the policy");
+        f.fail(&r(3));
+        assert!(f.attempts.is_empty(), "a failed request's count goes");
+        assert_eq!(f.stats.failed, 1);
+        assert_eq!(f.retry_or_fail(r(4), 300), None);
+        f.batch_completed(1, 8, &[r(4)]);
+        assert!(f.attempts.is_empty(), "a served request's count goes");
+        assert_eq!(f.lane_active, vec![Vec::<usize>::new(); 2]);
+
+        f.recover(0, 500);
+        assert_eq!(f.lanes_down, 0);
+        assert_eq!(f.stats.lane_recoveries, 1);
+        assert_eq!(f.stats.lane_recovery_counts, vec![1, 0]);
+        assert_eq!(f.stats.lane_downtime_cycles, vec![500, 0]);
+        f.update_degraded(600, 0);
+        assert!(!f.sheds(1), "recovery closes degraded mode");
+        let (stats, failed) = f.finish(700);
+        assert_eq!((stats.degraded_cycles, failed), (500, vec![1, 0]));
     }
 
     #[test]

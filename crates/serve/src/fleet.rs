@@ -67,7 +67,7 @@ use crate::timewheel::TimerWheel;
 use crate::trace::{TraceCell, TraceConfig, TraceEvent, TraceEventKind, TraceState};
 use crate::workload::{ClosedLoopClient, ClosedLoopSpec, Request};
 use s2ta_core::{
-    Accelerator, ActProfileCache, ArchKind, CacheStats, ExecPath, ScratchPool, WeightPlanCache,
+    Accelerator, ActProfileCache, ArchKind, CacheStats, ExecPath, Scratch, WeightPlanCache,
     WeightResidency,
 };
 use s2ta_models::ModelSpec;
@@ -79,15 +79,13 @@ use std::time::Instant;
 /// One serving lane: a simulated accelerator instance with its own
 /// architecture, executing one batch at a time in simulated time.
 ///
-/// Every lane carries a handle to the fleet-shared [`ScratchPool`]:
-/// batch execution checks out a per-execution [`s2ta_core::Scratch`]
-/// arena, so whichever host worker runs the batch reuses warm buffer
-/// capacity instead of allocating (see
-/// [`Accelerator::run_stage_events`]).
+/// A lane holds no host buffers: the engine serving the fleet owns one
+/// [`Scratch`] arena for its whole run and lends it to every batch it
+/// executes, on whichever lane, so warm buffer capacity is reused
+/// instead of allocated (see [`Accelerator::run_stage_events`]).
 #[derive(Debug, Clone)]
 pub struct Lane {
     accelerator: Accelerator,
-    scratch: ScratchPool,
 }
 
 impl Lane {
@@ -99,11 +97,6 @@ impl Lane {
     /// The lane's accelerator.
     pub fn accelerator(&self) -> &Accelerator {
         &self.accelerator
-    }
-
-    /// The fleet-shared scratch-arena pool this lane draws from.
-    pub(crate) fn scratch(&self) -> &ScratchPool {
-        &self.scratch
     }
 
     /// Simulates one batch through a contiguous layer range on this
@@ -118,6 +111,7 @@ impl Lane {
     /// **same** stage of the same model, so its weights are still in
     /// the weight SRAM and even the first request skips the weight DMA
     /// — the pinned-stage reuse that layer pipelining exists to harvest.
+    /// Host buffers come from the caller's `scratch` arena.
     fn execute_stage(
         &self,
         model: &ModelSpec,
@@ -125,9 +119,9 @@ impl Lane {
         requests: &[Request],
         weight_seed: u64,
         warm: bool,
+        scratch: &mut Scratch,
     ) -> EventCounts {
         let plan = self.accelerator.plan_model(model, weight_seed);
-        let mut scratch = self.scratch.checkout();
         let mut events = EventCounts::default();
         for (i, request) in requests.iter().enumerate() {
             let residency =
@@ -138,10 +132,9 @@ impl Lane {
                 layers.clone(),
                 request.act_seed,
                 residency,
-                &mut scratch,
+                scratch,
             );
         }
-        self.scratch.restore(scratch);
         events
     }
 }
@@ -278,12 +271,7 @@ impl Fleet {
     /// Panics if `workers` is zero.
     pub fn with_accelerator(accelerator: Accelerator, workers: usize) -> Self {
         assert!(workers > 0, "a fleet needs at least one worker");
-        let scratch = ScratchPool::new();
-        Self::from_lanes(
-            (0..workers)
-                .map(|_| Lane { accelerator: accelerator.clone(), scratch: scratch.clone() })
-                .collect(),
-        )
+        Self::from_lanes((0..workers).map(|_| Lane { accelerator: accelerator.clone() }).collect())
     }
 
     /// Builds the fleet a spec describes. Every lane's accelerator is
@@ -302,7 +290,6 @@ impl Fleet {
         assert!(!spec.is_empty(), "a fleet needs at least one lane");
         let plans = WeightPlanCache::new();
         let act_profiles = ActProfileCache::new();
-        let scratch = ScratchPool::new();
         Self::from_lanes(
             spec.accelerators
                 .into_iter()
@@ -310,7 +297,6 @@ impl Fleet {
                     accelerator: acc
                         .sharing_plans(plans.clone())
                         .sharing_act_profiles(act_profiles.clone()),
-                    scratch: scratch.clone(),
                 })
                 .collect(),
         )
@@ -370,7 +356,6 @@ impl Fleet {
                     .accelerator
                     .sharing_plans(plans.clone())
                     .sharing_act_profiles(acts.clone()),
-                scratch: l.scratch,
             })
             .collect();
         self
@@ -446,11 +431,6 @@ impl Fleet {
         config.validate();
         self.trace = Some(config);
         self
-    }
-
-    /// The attached trace configuration, if tracing is enabled.
-    pub fn trace_config(&self) -> Option<TraceConfig> {
-        self.trace
     }
 
     /// Attaches a deterministic fault schedule (plus its recovery
@@ -646,6 +626,8 @@ pub(crate) enum ArrivalSource<'a> {
         /// Staged arrivals ordered by `(arrival, client)` so
         /// simultaneous issues resolve deterministically.
         horizon: BinaryHeap<Reverse<(u64, usize)>>,
+        /// Issuing client per delivered request, by its dense id.
+        client_of: Vec<usize>,
         issued: usize,
         budget: usize,
     },
@@ -673,7 +655,7 @@ impl<'a> ArrivalSource<'a> {
             staged[c] = Some(r);
             issued += 1;
         }
-        Self::Closed { clients, staged, horizon, issued, budget }
+        Self::Closed { clients, staged, horizon, client_of: Vec::new(), issued, budget }
     }
 
     /// Requests the source has yet to deliver.
@@ -694,35 +676,36 @@ impl<'a> ArrivalSource<'a> {
 
     /// Takes the next request. Open-loop requests keep their caller
     /// ids; closed-loop requests are assigned the dense arrival-order
-    /// id `next_id`. Returns the request and, for closed-loop sources,
-    /// the issuing client.
-    fn pop(&mut self, next_id: u64) -> (Request, Option<usize>) {
+    /// id `next_id`.
+    fn pop(&mut self, next_id: u64) -> Request {
         match self {
             Self::Open { stream, next } => {
                 let r = stream[*next];
                 *next += 1;
-                (r, None)
+                r
             }
-            Self::Closed { staged, horizon, .. } => {
+            Self::Closed { staged, horizon, client_of, .. } => {
                 let Reverse((_, c)) = horizon.pop().expect("pop follows peek");
                 let mut r = staged[c].take().expect("staged request for heap entry");
+                debug_assert_eq!(client_of.len() as u64, next_id);
                 r.id = next_id;
-                (r, Some(c))
+                client_of.push(c);
+                r
             }
         }
     }
 
-    /// Notifies a closed-loop client that its request finished (served
-    /// or dropped) at `now`, staging its next issue if budget remains.
-    /// No-op for open-loop sources.
-    fn request_finished(&mut self, client: Option<usize>, now: u64) {
-        let Some(c) = client else { return };
-        let Self::Closed { clients, staged, horizon, issued, budget } = self else {
+    /// Notifies the closed-loop client that issued request `id` that it
+    /// finished (served, dropped or failed) at `now`, staging its next
+    /// issue if budget remains. No-op for open-loop sources.
+    fn request_finished(&mut self, id: u64, now: u64) {
+        let Self::Closed { clients, staged, horizon, client_of, issued, budget } = self else {
             return;
         };
         if *issued == *budget {
             return;
         }
+        let c = client_of[id as usize];
         let r = clients[c].issue(now, 0);
         horizon.push(Reverse((r.arrival, c)));
         staged[c] = Some(r);
@@ -820,8 +803,6 @@ pub(crate) struct Engine<'a> {
     makespan: u64,
     /// Per-`(arch, model)` service estimates, fed by completions.
     estimator: ServiceEstimator,
-    /// Issuing client per request id (closed loop only).
-    client_of: Vec<Option<usize>>,
     next_id: u64,
     /// Lazily partitioned pipeline plans per model (pipelined mode). A
     /// dispatch burst moves its model's plan out and back, so batches
@@ -836,12 +817,9 @@ pub(crate) struct Engine<'a> {
     last_stage_on_lane: Vec<Option<(usize, usize)>>,
     /// Per-`(model, stage)` occupancy accumulators (pipelined mode).
     stage_stats: BTreeMap<(usize, usize), StageStatsAccum>,
-    /// Plan-cache counters at engine start, so a trace carries this
-    /// run's delta.
-    cache_before: CacheStats,
-    /// Activation-profile-cache counters at engine start, for the same
-    /// trace delta.
-    act_cache_before: CacheStats,
+    /// Plan- and activation-profile-cache counters at engine start, so
+    /// a trace carries this run's delta ([`Engine::cache_delta`]).
+    caches_before: (CacheStats, CacheStats),
     /// Requests tail-dropped per model index.
     dropped_per_model: Vec<u64>,
     /// Requests dispatched in timeout-sealed batches per model index.
@@ -850,15 +828,18 @@ pub(crate) struct Engine<'a> {
     /// [`Fleet::with_trace`]; `None` compiles every hook down to a
     /// branch). Boxed to keep the untraced engine's footprint flat.
     trace: Option<Box<TraceState>>,
-    /// Fault-injection state (attached via [`Fleet::with_faults`]):
-    /// the timeline cursor, retry queue, per-lane health table and
-    /// accumulating [`FaultStats`]. `None` keeps every fault hook a
-    /// single branch on the fault-free path.
+    /// Fault-injection state (attached via [`Fleet::with_faults`]),
+    /// changed only through its own methods and its plain
+    /// [`FaultStats`] counters. `None` keeps every fault hook a single
+    /// branch on the fault-free path.
     faults: Option<Box<FaultState>>,
     /// Lane autoscaling (cluster shards with an [`AutoscalePolicy`],
     /// attached via [`Engine::with_autoscale`]); `None` keeps its event
     /// a single branch.
     autoscale: Option<Autoscaler>,
+    /// The host buffers every stage execution of this run borrows (an
+    /// engine runs on one host thread, so one arena serves it all).
+    scratch: Scratch,
 }
 
 /// Accumulator behind one [`PipelineStageStats`] row.
@@ -911,14 +892,15 @@ impl<'a> Engine<'a> {
             total_events: EventCounts::default(),
             makespan: 0,
             estimator: ServiceEstimator::new(),
-            client_of: Vec::new(),
             next_id: 0,
             pipelines: HashMap::new(),
             boundary_starts: HashMap::new(),
             last_stage_on_lane: vec![None; fleet.lanes.len()],
             stage_stats: BTreeMap::new(),
-            cache_before: fleet.accelerator().plans().stats(),
-            act_cache_before: fleet.accelerator().act_profiles().stats(),
+            caches_before: (
+                fleet.accelerator().plans().stats(),
+                fleet.accelerator().act_profiles().stats(),
+            ),
             dropped_per_model: vec![0u64; models.len()],
             missed_per_model: vec![0u64; models.len()],
             trace: fleet.trace.map(|cfg| Box::new(TraceState::new(cfg, models.len()))),
@@ -926,6 +908,7 @@ impl<'a> Engine<'a> {
                 Box::new(FaultState::new(config.clone(), timeline.clone(), models.len()))
             }),
             autoscale: None,
+            scratch: Scratch::new(),
         }
     }
 
@@ -951,12 +934,51 @@ impl<'a> Engine<'a> {
         if !self.trace.as_ref().is_some_and(|tr| tr.flush_due(now)) {
             return;
         }
-        let weights = self.fleet.accelerator().plans().stats().since(self.cache_before);
-        let acts = self.fleet.accelerator().act_profiles().stats().since(self.act_cache_before);
+        let caches = self.cache_delta();
         let (queued, in_flight) = (self.queued as u32, self.in_flight_requests as u32);
         let active = self.active_lanes as u32;
         if let Some(tr) = self.trace.as_mut() {
-            tr.flush(now, queued, in_flight, active, Some((weights, acts)));
+            tr.flush(now, queued, in_flight, active, Some(caches));
+        }
+    }
+
+    /// The plan- and activation-profile-cache counters this run moved.
+    fn cache_delta(&self) -> (CacheStats, CacheStats) {
+        let (plans, acts) = self.caches_before;
+        let accelerator = self.fleet.accelerator();
+        (accelerator.plans().stats().since(plans), accelerator.act_profiles().stats().since(acts))
+    }
+
+    /// Records `event` when a flight recorder is attached: the one
+    /// path every engine trace event takes.
+    fn trace_event(&mut self, event: TraceEvent) {
+        if let Some(tr) = self.trace.as_mut() {
+            tr.record(event);
+        }
+    }
+
+    /// Runs `f`, adding its host wall time to the trace's `label` span
+    /// when a recorder is attached.
+    fn host_span<R>(&mut self, label: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        let t0 = self.trace.is_some().then(Instant::now);
+        let out = f(self);
+        if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
+            tr.add_host_span(label, t0.elapsed());
+        }
+        out
+    }
+
+    /// The fault state, which every fault-mode event finds attached.
+    fn fault_state(&mut self) -> &mut FaultState {
+        self.faults.as_deref_mut().expect("fault mode")
+    }
+
+    /// Re-evaluates degraded mode at `now` against the current backlog
+    /// (a no-op without faults attached).
+    fn update_degraded(&mut self, now: u64) {
+        let backlog = self.queued + self.in_flight_requests;
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.update_degraded(now, backlog);
         }
     }
 
@@ -972,8 +994,8 @@ impl<'a> Engine<'a> {
                 break;
             };
             if kind == ARRIVAL_KIND {
-                let (r, client) = self.arrivals.pop(self.next_id);
-                self.inject(r, client);
+                let r = self.arrivals.pop(self.next_id);
+                self.inject(r);
             } else {
                 self.step_internal(kind);
             }
@@ -992,9 +1014,9 @@ impl<'a> Engine<'a> {
             self.autoscale.as_ref().and_then(Autoscaler::next).map(|t| (t, AUTOSCALE_KIND));
         let deadline = self.deadlines.peek_live(&self.queue).map(|(t, _)| (t, DEADLINE_KIND));
         let retry =
-            self.faults.as_deref().and_then(|f| f.retries.peek_time()).map(|t| (t, RETRY_KIND));
+            self.faults.as_deref().and_then(FaultState::next_retry_time).map(|t| (t, RETRY_KIND));
         let fault =
-            self.faults.as_deref().and_then(|f| f.next_fault_time()).map(|t| (t, FAULT_KIND));
+            self.faults.as_deref().and_then(FaultState::next_fault_time).map(|t| (t, FAULT_KIND));
         [completion, autoscale, deadline, retry, fault].into_iter().flatten().min()
     }
 
@@ -1013,11 +1035,11 @@ impl<'a> Engine<'a> {
     /// Injects one externally-routed arrival (the cluster router's
     /// entry point), assigning it the next dense engine id and running
     /// the full admission/batching path.
-    pub(crate) fn inject(&mut self, request: Request, client: Option<usize>) {
+    pub(crate) fn inject(&mut self, request: Request) {
         self.next_id += 1;
         assert!(request.arrival >= self.last_arrival, "arrival stream must be sorted");
         self.last_arrival = request.arrival;
-        self.on_arrival(request, client);
+        self.on_arrival(request);
     }
 
     /// Advances simulated time through every internal event that
@@ -1031,28 +1053,24 @@ impl<'a> Engine<'a> {
         // while the prerouted driver advances a shard only to its own,
         // so any simulated-time hook at this boundary would make the
         // trace driver-dependent. Flushes live in the event handlers.
-        let t0 = self.trace.is_some().then(Instant::now);
-        while let Some((et, kind)) = self.next_internal_event() {
-            if (et, kind) >= (t, ARRIVAL_KIND) {
-                break;
+        self.host_span("shard-advance", |engine| {
+            while let Some((et, kind)) = engine.next_internal_event() {
+                if (et, kind) >= (t, ARRIVAL_KIND) {
+                    break;
+                }
+                engine.step_internal(kind);
             }
-            self.step_internal(kind);
-        }
-        if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
-            tr.host.add("shard-advance", t0.elapsed());
-        }
+        });
     }
 
     /// Drains every remaining internal event (end of the arrival
     /// stream).
     pub(crate) fn drain(&mut self) {
-        let t0 = self.trace.is_some().then(Instant::now);
-        while let Some((_, kind)) = self.next_internal_event() {
-            self.step_internal(kind);
-        }
-        if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
-            tr.host.add("shard-advance", t0.elapsed());
-        }
+        self.host_span("shard-advance", |engine| {
+            while let Some((_, kind)) = engine.next_internal_event() {
+                engine.step_internal(kind);
+            }
+        });
     }
 
     /// The engine's **backlog**: requests injected but not yet
@@ -1071,11 +1089,6 @@ impl<'a> Engine<'a> {
     /// the queue lanes and the in-flight wheel).
     pub(crate) fn backlog(&self) -> usize {
         debug_assert_eq!(
-            self.queued,
-            (0..self.models.len()).map(|m| self.queue.pending(m)).sum::<usize>(),
-            "queued counter diverged from the request queue"
-        );
-        debug_assert_eq!(
             self.in_flight_requests,
             self.in_flight
                 .iter()
@@ -1085,7 +1098,7 @@ impl<'a> Engine<'a> {
                 .sum::<usize>(),
             "in-flight counter diverged from the timer wheel"
         );
-        self.queued + self.in_flight_requests
+        self.queued_depth() + self.in_flight_requests
     }
 
     /// Requests queued for batching but not yet sealed into a batch —
@@ -1127,7 +1140,7 @@ impl<'a> Engine<'a> {
             return true;
         }
         if let Some(f) = self.faults.as_deref() {
-            if f.retries.peek_time().is_some_and(|rt| rt < t) {
+            if f.next_retry_time().is_some_and(|rt| rt < t) {
                 return true;
             }
             if f.next_fault_time().is_some_and(|ft| ft < t) {
@@ -1160,28 +1173,23 @@ impl<'a> Engine<'a> {
             return;
         }
         let n = batch.requests.len();
-        if self.faults.is_some() {
-            let backlog = self.queued + self.in_flight_requests;
-            let f = self.faults.as_deref_mut().expect("checked");
-            f.update_degraded(t, backlog);
-            if let Some(pos) = f.lane_active[batch.lane].iter().position(|&b| b == index) {
-                f.lane_active[batch.lane].swap_remove(pos);
-            }
-            if !f.attempts.is_empty() {
-                for r in &batch.requests {
-                    f.attempts.remove(&r.id);
-                }
-            }
+        self.update_degraded(t);
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.batch_completed(batch.lane, index, &batch.requests);
         }
         self.makespan = self.makespan.max(t);
+        // The batch's whole lifecycle is recorded here, so a cancelled
+        // batch records none (the export's stable sort puts each event
+        // at its own cycle).
+        let (lane, model, a, b) = (batch.lane as u32, batch.model as u32, index as u64, n as u64);
+        for (cycle, kind) in [
+            (batch.ready, TraceEventKind::BatchSealed),
+            (batch.start, TraceEventKind::BatchStarted),
+            (t, TraceEventKind::BatchCompleted),
+        ] {
+            self.trace_event(TraceEvent { lane, model, a, b, ..TraceEvent::new(cycle, kind) });
+        }
         if let Some(tr) = self.trace.as_mut() {
-            tr.record_batch(
-                (batch.ready, batch.start, t),
-                batch.lane as u32,
-                batch.model as u32,
-                index as u64,
-                n as u64,
-            );
             for r in &batch.requests {
                 tr.observe_latency(batch.model, t - r.arrival);
             }
@@ -1220,7 +1228,7 @@ impl<'a> Engine<'a> {
             );
         }
         for r in &batch.requests {
-            self.release_client(r.id, t);
+            self.arrivals.request_finished(r.id, t);
         }
     }
 
@@ -1254,38 +1262,24 @@ impl<'a> Engine<'a> {
         }
         self.active_lanes = to_lanes;
         auto.events.push(ScaleEvent { time, shard: 0, from_lanes, to_lanes, backlog });
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: time,
-                kind: TraceEventKind::AutoscaleDecision,
-                shard: 0,
-                lane: from_lanes as u32,
-                model: 0,
-                stage: to_lanes as u32,
-                a: backlog as u64,
-                b: 0,
-            });
-        }
+        self.trace_event(TraceEvent {
+            lane: from_lanes as u32,
+            stage: to_lanes as u32,
+            a: backlog as u64,
+            ..TraceEvent::new(time, TraceEventKind::AutoscaleDecision)
+        });
     }
 
-    fn on_arrival(&mut self, request: Request, client: Option<usize>) {
+    fn on_arrival(&mut self, request: Request) {
         self.trace_flush(request.arrival);
-        if client.is_some() {
-            debug_assert_eq!(self.client_of.len() as u64, request.id);
-            self.client_of.push(client);
-        }
-        if self.faults.is_some() {
-            let backlog = self.queued + self.in_flight_requests;
-            let f = self.faults.as_deref_mut().expect("checked");
-            f.update_degraded(request.arrival, backlog);
-            // Degraded mode: with a lane down and the backlog past the
-            // threshold, best-effort models are shed at admission so
-            // the strict classes keep their latency.
-            if f.sheds(request.model) {
-                f.stats.shed += 1;
-                self.drop_request(request);
-                return;
-            }
+        self.update_degraded(request.arrival);
+        // Degraded mode: with a lane down and the backlog past the
+        // threshold, best-effort models are shed at admission so the
+        // strict classes keep their latency.
+        if self.faults.as_deref().is_some_and(|f| f.sheds(request.model)) {
+            self.fault_state().stats.shed += 1;
+            self.drop_request(request);
+            return;
         }
         self.admit(request, request.arrival, None);
     }
@@ -1294,10 +1288,7 @@ impl<'a> Engine<'a> {
         let (deadline, lane) =
             self.deadlines.peek_live(&self.queue).expect("peeked before dispatch");
         self.trace_flush(deadline);
-        if self.faults.is_some() {
-            let backlog = self.queued + self.in_flight_requests;
-            self.faults.as_deref_mut().expect("checked").update_degraded(deadline, backlog);
-        }
+        self.update_degraded(deadline);
         self.deadlines.pop();
         let limits = self.policy.limits_for(lane);
         let members = self.queue.pop_batch(lane, limits.max_batch.max(1));
@@ -1305,18 +1296,11 @@ impl<'a> Engine<'a> {
         // Every member of a timeout-sealed batch waited out the full
         // `max_wait` — the per-model deadline-miss unit.
         self.missed_per_model[lane] += members.len() as u64;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: deadline,
-                kind: TraceEventKind::DeadlineMiss,
-                shard: 0,
-                lane: 0,
-                model: lane as u32,
-                stage: 0,
-                a: members.len() as u64,
-                b: 0,
-            });
-        }
+        self.trace_event(TraceEvent {
+            model: lane as u32,
+            a: members.len() as u64,
+            ..TraceEvent::new(deadline, TraceEventKind::DeadlineMiss)
+        });
         // An adaptive shrink can leave a lane's re-armed deadline in
         // the past relative to later members; a batch is never ready
         // before its newest member arrived.
@@ -1331,27 +1315,16 @@ impl<'a> Engine<'a> {
     /// A crash-cancelled request's backoff expired: re-admit it
     /// through the normal batching path.
     fn on_retry(&mut self) {
-        let (t, request, attempts) =
-            self.faults.as_deref_mut().expect("retry event").retries.pop().expect("peeked");
+        let (t, request, attempts) = self.fault_state().pop_retry().expect("peeked");
         self.trace_flush(t);
-        {
-            let backlog = self.queued + self.in_flight_requests;
-            let f = self.faults.as_deref_mut().expect("retry event");
-            f.update_degraded(t, backlog);
-            f.stats.retries += 1;
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: t,
-                kind: TraceEventKind::RequestRetried,
-                shard: 0,
-                lane: 0,
-                model: request.model as u32,
-                stage: 0,
-                a: request.id,
-                b: attempts as u64,
-            });
-        }
+        self.update_degraded(t);
+        self.fault_state().stats.retries += 1;
+        self.trace_event(TraceEvent {
+            model: request.model as u32,
+            a: request.id,
+            b: attempts as u64,
+            ..TraceEvent::new(t, TraceEventKind::RequestRetried)
+        });
         self.admit(request, t, Some(attempts));
     }
 
@@ -1406,18 +1379,12 @@ impl<'a> Engine<'a> {
     /// best-effort model shed in degraded mode).
     fn drop_request(&mut self, request: Request) {
         self.dropped_per_model[request.model] += 1;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: request.arrival,
-                kind: TraceEventKind::RequestDropped,
-                shard: 0,
-                lane: 0,
-                model: request.model as u32,
-                stage: 0,
-                a: request.id,
-                b: self.queued as u64,
-            });
-        }
+        self.trace_event(TraceEvent {
+            model: request.model as u32,
+            a: request.id,
+            b: self.queued as u64,
+            ..TraceEvent::new(request.arrival, TraceEventKind::RequestDropped)
+        });
         self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
             id: request.id,
             model: self.models[request.model].name,
@@ -1425,87 +1392,51 @@ impl<'a> Engine<'a> {
         }));
         // A drop completes the client's outstanding request
         // immediately; it thinks and retries from the drop time.
-        self.release_client(request.id, request.arrival);
+        self.arrivals.request_finished(request.id, request.arrival);
     }
 
     /// Abandons `request` as [`RequestOutcome::Failed`] at `now` after
     /// `attempts` consumed dispatch attempts.
     fn fail_request(&mut self, request: Request, attempts: u32, now: u64) {
-        {
-            let f = self.faults.as_deref_mut().expect("fault mode");
-            f.attempts.remove(&request.id);
-            f.stats.failed += 1;
-            f.failed_per_model[request.model] += 1;
-        }
+        self.fault_state().fail(&request);
         self.push_outcome(RequestOutcome::Failed(FailedRequest {
             id: request.id,
             model: self.models[request.model].name,
             arrival: request.arrival,
             attempts,
         }));
-        self.release_client(request.id, now);
-    }
-
-    /// Tells the closed-loop client that issued request `id` (if any)
-    /// that it resolved at `now`, so it issues its next request. The
-    /// client map is only populated in closed-loop mode, where
-    /// engine-assigned ids are dense; open-loop lookups miss and no-op.
-    fn release_client(&mut self, id: u64, now: u64) {
-        let client = self.client_of.get(id as usize).copied().flatten();
-        self.arrivals.request_finished(client, now);
+        self.arrivals.request_finished(request.id, now);
     }
 
     /// Processes the next fault-timeline edge: a crash or slowdown
     /// window opening or closing on one lane.
     fn on_fault(&mut self) {
-        let ev = {
-            let f = self.faults.as_deref_mut().expect("fault event");
-            let ev = f.timeline.events()[f.cursor];
-            f.cursor += 1;
-            ev
-        };
+        let ev = self.fault_state().next_edge();
         let t = ev.time;
         self.trace_flush(t);
-        let backlog = self.queued + self.in_flight_requests;
-        self.faults.as_deref_mut().expect("fault event").update_degraded(t, backlog);
+        self.update_degraded(t);
         match ev.edge {
             WindowEdge::CrashStart => self.on_lane_crash(t, ev),
             WindowEdge::CrashEnd => self.on_lane_recovery(t, ev),
-            WindowEdge::SlowStart => {
-                self.faults.as_deref_mut().expect("fault event").stats.slowdowns += 1;
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent {
-                        cycle: t,
-                        kind: TraceEventKind::LaneFailed,
-                        shard: 0,
-                        lane: ev.lane as u32,
-                        model: 0,
-                        stage: 0,
-                        a: ev.duration,
-                        b: ev.factor,
-                    });
-                }
-            }
-            WindowEdge::SlowEnd => {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent {
-                        cycle: t,
-                        kind: TraceEventKind::LaneRecovered,
-                        shard: 0,
-                        lane: ev.lane as u32,
-                        model: 0,
-                        stage: 0,
-                        a: ev.duration,
-                        b: ev.factor,
-                    });
-                }
+            WindowEdge::SlowStart | WindowEdge::SlowEnd => {
+                let kind = if ev.edge == WindowEdge::SlowStart {
+                    self.fault_state().stats.slowdowns += 1;
+                    TraceEventKind::LaneFailed
+                } else {
+                    TraceEventKind::LaneRecovered
+                };
+                self.trace_event(TraceEvent {
+                    lane: ev.lane as u32,
+                    a: ev.duration,
+                    b: ev.factor,
+                    ..TraceEvent::new(t, kind)
+                });
             }
         }
         // Re-evaluate degraded mode against the post-edge health
         // table: a crash (or recovery) at `t` flips the lane-down
         // condition at `t` itself, not at the next event.
-        let backlog = self.queued + self.in_flight_requests;
-        self.faults.as_deref_mut().expect("fault event").update_degraded(t, backlog);
+        self.update_degraded(t);
     }
 
     /// A crash window opens on `lane` at `t`: every in-flight batch on
@@ -1516,25 +1447,12 @@ impl<'a> Engine<'a> {
     /// jumps to the recovery time, so placement routes around it).
     fn on_lane_crash(&mut self, t: u64, ev: TimelineEvent) {
         let lane = ev.lane;
-        let cancelled = {
-            let f = self.faults.as_deref_mut().expect("crash event");
-            f.stats.lane_crashes += 1;
-            f.down[lane] = true;
-            f.down_count += 1;
-            std::mem::take(&mut f.lane_active[lane])
-        };
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: t,
-                kind: TraceEventKind::LaneFailed,
-                shard: 0,
-                lane: lane as u32,
-                model: 0,
-                stage: 0,
-                a: ev.duration,
-                b: 0,
-            });
-        }
+        let cancelled = self.fault_state().crash(lane);
+        self.trace_event(TraceEvent {
+            lane: lane as u32,
+            a: ev.duration,
+            ..TraceEvent::new(t, TraceEventKind::LaneFailed)
+        });
         // The lane is unusable until the window closes; everything it
         // was running is void, so it frees exactly at recovery.
         self.free_at[lane] = t + ev.duration;
@@ -1549,20 +1467,8 @@ impl<'a> Engine<'a> {
             self.worker_stats[lane].busy_cycles -= refund;
             self.in_flight_requests -= members.len();
             for r in members {
-                let (attempts, retry_at) = {
-                    let f = self.faults.as_deref_mut().expect("crash event");
-                    let attempts = f.attempts.entry(r.id).or_insert(0);
-                    *attempts += 1;
-                    (*attempts, f.config.retry.next_retry(t, r.arrival, *attempts))
-                };
-                match retry_at {
-                    Some(rt) => self
-                        .faults
-                        .as_deref_mut()
-                        .expect("crash event")
-                        .retries
-                        .schedule(rt, r, attempts),
-                    None => self.fail_request(r, attempts, t),
+                if let Some(attempts) = self.fault_state().retry_or_fail(r, t) {
+                    self.fail_request(r, attempts, t);
                 }
             }
         }
@@ -1577,26 +1483,12 @@ impl<'a> Engine<'a> {
     /// restart neither invalidates nor needs to recompile.
     fn on_lane_recovery(&mut self, t: u64, ev: TimelineEvent) {
         let lane = ev.lane;
-        {
-            let f = self.faults.as_deref_mut().expect("recovery event");
-            f.stats.lane_recoveries += 1;
-            f.stats.lane_recovery_counts[lane] += 1;
-            f.stats.lane_downtime_cycles[lane] += ev.duration;
-            f.down[lane] = false;
-            f.down_count -= 1;
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: t,
-                kind: TraceEventKind::LaneRecovered,
-                shard: 0,
-                lane: lane as u32,
-                model: 0,
-                stage: 0,
-                a: ev.duration,
-                b: 0,
-            });
-        }
+        self.fault_state().recover(lane, ev.duration);
+        self.trace_event(TraceEvent {
+            lane: lane as u32,
+            a: ev.duration,
+            ..TraceEvent::new(t, TraceEventKind::LaneRecovered)
+        });
         // The restarted lane's weight SRAM is empty: its next stage
         // re-streams weights whatever ran there before the crash.
         self.last_stage_on_lane[lane] = None;
@@ -1608,18 +1500,11 @@ impl<'a> Engine<'a> {
         if let Some(f) = self.faults.as_deref_mut() {
             f.stats.failovers += 1;
         }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent {
-                cycle: request.arrival,
-                kind: TraceEventKind::ShardFailedOver,
-                shard: 0,
-                lane: 0,
-                model: request.model as u32,
-                stage: 0,
-                a: request.id,
-                b: 0,
-            });
-        }
+        self.trace_event(TraceEvent {
+            model: request.model as u32,
+            a: request.id,
+            ..TraceEvent::new(request.arrival, TraceEventKind::ShardFailedOver)
+        });
     }
 
     /// Picks the lane a `members`-request batch of `model`, ready at
@@ -1674,16 +1559,14 @@ impl<'a> Engine<'a> {
         // its own host span, before the execute span opens.
         let plan = (self.fleet.placement == PlacementStrategy::Pipelined)
             .then(|| self.take_pipeline_plan(model));
-        let exec_started = self.trace.is_some().then(Instant::now);
-        for members in sealed {
-            match &plan {
-                Some(plan) => self.dispatch_pipelined(model, plan, members, ready),
-                None => self.dispatch_monolithic(model, members, ready),
+        self.host_span("batch-execute", |engine| {
+            for members in sealed {
+                match &plan {
+                    Some(plan) => engine.dispatch_pipelined(model, plan, members, ready),
+                    None => engine.dispatch_monolithic(model, members, ready),
+                }
             }
-        }
-        if let (Some(t0), Some(tr)) = (exec_started, self.trace.as_mut()) {
-            tr.host.add("batch-execute", t0.elapsed());
-        }
+        });
         if let Some(plan) = plan {
             self.pipelines.insert(model, plan);
         }
@@ -1697,7 +1580,7 @@ impl<'a> Engine<'a> {
     /// [`Engine::charge`]: hedging prices two copies before it keeps
     /// one, and pipeline backpressure may delay a stage's start.
     fn run_stage(
-        &self,
+        &mut self,
         model: usize,
         layers: std::ops::Range<usize>,
         members: &[Request],
@@ -1706,10 +1589,17 @@ impl<'a> Engine<'a> {
         warm: bool,
     ) -> StageRun {
         let (fleet, spec) = (self.fleet, &self.models[model]);
-        let events =
-            fleet.lanes[lane].execute_stage(spec, layers, members, fleet.weight_seed, warm);
+        let scratch = &mut self.scratch;
+        let events = fleet.lanes[lane].execute_stage(
+            spec,
+            layers,
+            members,
+            fleet.weight_seed,
+            warm,
+            scratch,
+        );
         let start = self.free_at[lane].max(earliest);
-        let slow = self.faults.as_deref().map_or(1, |f| f.timeline.slow_factor_at(lane, start));
+        let slow = self.faults.as_deref().map_or(1, |f| f.slow_factor_at(lane, start));
         StageRun { lane, events, start, service: events.cycles.saturating_mul(slow) }
     }
 
@@ -1743,23 +1633,18 @@ impl<'a> Engine<'a> {
         // lane is busy racing a batch whose result is discarded.
         if let Some(loser) = self.hedge(model, &members, ready, &mut run) {
             self.charge(&loser, None);
-            self.faults.as_deref_mut().expect("hedges need faults").stats.hedges += 1;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent {
-                    cycle: run.start,
-                    kind: TraceEventKind::RequestHedged,
-                    shard: 0,
-                    lane: run.lane as u32,
-                    model: model as u32,
-                    stage: 0,
-                    a: batch_id as u64,
-                    b: loser.lane as u64,
-                });
-            }
+            self.fault_state().stats.hedges += 1;
+            self.trace_event(TraceEvent {
+                lane: run.lane as u32,
+                model: model as u32,
+                a: batch_id as u64,
+                b: loser.lane as u64,
+                ..TraceEvent::new(run.start, TraceEventKind::RequestHedged)
+            });
         }
         self.charge(&run, Some(members.len()));
         if let Some(f) = self.faults.as_deref_mut() {
-            f.lane_active[run.lane].push(batch_id);
+            f.batch_dispatched(run.lane, batch_id);
         }
         self.launch(
             run.completion(),
@@ -1781,14 +1666,13 @@ impl<'a> Engine<'a> {
     /// copy becomes `primary` (lane index breaks exact ties) and the
     /// other is returned as the loser, whose lane time is wasted.
     fn hedge(
-        &self,
+        &mut self,
         model: usize,
         members: &[Request],
         ready: u64,
         primary: &mut StageRun,
     ) -> Option<StageRun> {
-        let f = self.faults.as_deref()?;
-        let hedge = f.config.hedge?;
+        let hedge = self.faults.as_deref()?.hedge()?;
         let age = ready.saturating_sub(members.first().map_or(ready, |r| r.arrival));
         let arch = self.fleet.lanes[primary.lane].arch();
         let predicted = self.estimator.predict(arch, model, members.len());
@@ -1816,18 +1700,16 @@ impl<'a> Engine<'a> {
         if let Some(plan) = self.pipelines.remove(&model) {
             return plan;
         }
-        let t0 = self.trace.is_some().then(Instant::now);
-        let plan = PipelinePlan::partition(
-            &self.fleet.lanes,
-            model,
-            &self.models[model],
-            self.fleet.pipeline_stages,
-            self.fleet.weight_seed,
-        );
-        if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
-            tr.host.add("pipeline-calibrate", t0.elapsed());
-        }
-        plan
+        let (fleet, spec) = (self.fleet, &self.models[model]);
+        self.host_span("pipeline-calibrate", |_| {
+            PipelinePlan::partition(
+                &fleet.lanes,
+                model,
+                spec,
+                fleet.pipeline_stages,
+                fleet.weight_seed,
+            )
+        })
     }
 
     /// Executes one sealed batch through its model's layer pipeline:
@@ -1876,30 +1758,21 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            if let Some(tr) = self.trace.as_mut() {
-                if run.start > unconstrained {
-                    tr.record(TraceEvent {
-                        cycle: run.start,
-                        kind: TraceEventKind::StageStall,
-                        shard: 0,
-                        lane: lane as u32,
-                        model: model as u32,
-                        stage: s as u32,
-                        a: batch_id as u64,
-                        b: run.start - unconstrained,
-                    });
-                }
-                tr.record(TraceEvent {
-                    cycle: run.start,
-                    kind: TraceEventKind::StageDispatch,
-                    shard: 0,
-                    lane: lane as u32,
-                    model: model as u32,
-                    stage: s as u32,
-                    a: batch_id as u64,
-                    b: run.service,
-                });
+            let stage_event = |kind, b| TraceEvent {
+                lane: lane as u32,
+                model: model as u32,
+                stage: s as u32,
+                a: batch_id as u64,
+                b,
+                ..TraceEvent::new(run.start, kind)
+            };
+            if run.start > unconstrained {
+                self.trace_event(stage_event(
+                    TraceEventKind::StageStall,
+                    run.start - unconstrained,
+                ));
             }
+            self.trace_event(stage_event(TraceEventKind::StageDispatch, run.service));
             // Per-lane occupancy: every stage execution counts on its
             // own lane (a pipelined batch touches one lane per stage,
             // so per-lane batch/request tallies sum to more than the
@@ -1989,7 +1862,8 @@ impl<'a> Engine<'a> {
         // Ids are unique, so the unstable sort gives the stable order
         // without the stable sort's merge buffer.
         self.outcomes.sort_unstable_by_key(RequestOutcome::id);
-        let fault_state = self.faults.take();
+        let (fault, failed_per_model) =
+            self.faults.take().map(|f| f.finish(self.makespan)).unwrap_or_default();
         let per_model = self
             .models
             .iter()
@@ -1998,19 +1872,16 @@ impl<'a> Engine<'a> {
                 model: m.name.to_string(),
                 dropped: self.dropped_per_model[i],
                 deadline_misses: self.missed_per_model[i],
-                failed: fault_state.as_ref().map_or(0, |f| f.failed_per_model[i]),
+                failed: failed_per_model.get(i).copied().unwrap_or(0),
             })
             .collect();
-        let fault = fault_state.map(|f| f.finish(self.makespan)).unwrap_or_default();
         let latency_hist = LatencyHistogram::collect(
             self.outcomes.iter().filter_map(RequestOutcome::latency_cycles),
         );
         let trace = TraceCell::default();
         if let Some(tr) = self.trace.take() {
-            let weights = self.fleet.accelerator().plans().stats().since(self.cache_before);
-            let acts = self.fleet.accelerator().act_profiles().stats().since(self.act_cache_before);
             let names = self.models.iter().map(|m| m.name.to_string()).collect();
-            trace.set(tr.finish(self.makespan, Some((weights, acts)), names));
+            trace.set(tr.finish(self.makespan, Some(self.cache_delta()), names));
         }
         let pipeline_stages = self
             .stage_stats
@@ -2716,9 +2587,9 @@ mod tests {
                 .map(|o| reqs[o.id as usize])
                 .collect();
             let price = |warm| {
-                let layers = 0..models[0].layers.len();
+                let (layers, scratch) = (0..models[0].layers.len(), &mut Scratch::new());
                 fleet.lanes[0]
-                    .execute_stage(&models[0], layers, &members, fleet.weight_seed, warm)
+                    .execute_stage(&models[0], layers, &members, fleet.weight_seed, warm, scratch)
                     .cycles
             };
             assert!(price(true) < price(false), "warmth must be visible in the price");
@@ -2784,7 +2655,7 @@ mod tests {
             let mut most = 0;
             for &r in &reqs {
                 engine.advance_to_arrival(r.arrival);
-                engine.inject(r, None);
+                engine.inject(r);
                 assert_eq!(engine.batches.len(), engine.in_flight.iter().count());
                 most = most.max(engine.batches.len());
             }

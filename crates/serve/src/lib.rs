@@ -94,8 +94,8 @@ pub use cluster::{
     AutoscalePolicy, Cluster, ClusterReport, RoutingPolicy, ScaleEvent, ShardSummary,
 };
 pub use fault::{
-    DegradedMode, FaultConfig, FaultEvent, FaultPlan, FaultSpec, FaultTimeline, HedgePolicy,
-    RetryPolicy, RetryQueue, TimelineEvent, WindowEdge,
+    DegradedMode, FaultConfig, FaultPlan, FaultSpec, FaultTimeline, HedgePolicy, RetryPolicy,
+    RetryQueue, TimelineEvent, WindowEdge,
 };
 pub use fleet::{Fleet, FleetSpec, Lane};
 pub use pipeline::{PipelinePlan, StageAssignment};

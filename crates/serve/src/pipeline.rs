@@ -38,7 +38,7 @@
 //! consumer.
 
 use crate::fleet::Lane;
-use s2ta_core::{pool, stage_handoff_bytes, WeightResidency};
+use s2ta_core::{pool, stage_handoff_bytes, Scratch, WeightResidency};
 use s2ta_models::ModelSpec;
 use std::ops::Range;
 
@@ -88,11 +88,10 @@ impl PipelinePlan {
         // 1. Calibrate: one batch-1 probe of every layer per distinct
         // lane configuration. Probes are pure simulations; only their
         // cycle counts survive, as the split's costs. They run through
-        // the allocation-free `run_stage_events` hot loop (arenas from
-        // the fleet's scratch pool), so the probes also warm the
-        // fleet's shared activation-profile cache for the calibration
-        // seed, and the `(scope, layer)` grid fans out over the host
-        // executor. Layers are probed at
+        // `run_stage_events`, each with its own fresh arena, so the
+        // probes also warm the fleet's shared activation-profile cache
+        // for the calibration seed, and the `(scope, layer)` grid fans
+        // out over the host executor. Layers are probed at
         // **resident** weight residency — the pipeline's steady state:
         // a pinned stage lane streams its weights once and then keeps
         // them in SRAM across the whole run, so pricing memory-bound
@@ -113,17 +112,14 @@ impl PipelinePlan {
         let jobs: Vec<usize> = (0..scope_reps.len() * n_layers).collect();
         let cycles = pool::Executor::global().map(&jobs, |&j| {
             let (s, i) = (j / n_layers, j % n_layers);
-            let lane = &lanes[scope_reps[s]];
-            let mut scratch = lane.scratch().checkout();
-            let events = lane.accelerator().run_stage_events(
+            let events = lanes[scope_reps[s]].accelerator().run_stage_events(
                 &plans[s],
                 model,
                 i..i + 1,
                 weight_seed,
                 WeightResidency::Resident,
-                &mut scratch,
+                &mut Scratch::new(),
             );
-            lane.scratch().restore(scratch);
             events.cycles
         });
         let probes: Vec<Vec<u64>> = cycles.chunks(n_layers).map(<[u64]>::to_vec).collect();
@@ -305,16 +301,14 @@ mod tests {
     fn stage_cost(fleet: &Fleet, arch: ArchKind, model: &ModelSpec, layers: Range<usize>) -> u64 {
         let lane = fleet.lanes().iter().find(|l| l.arch() == arch).expect("an arch lane");
         let plan = lane.accelerator().plan_model(model, 42);
-        let mut scratch = lane.scratch().checkout();
         let events = lane.accelerator().run_stage_events(
             &plan,
             model,
             layers,
             42,
             WeightResidency::Resident,
-            &mut scratch,
+            &mut Scratch::new(),
         );
-        lane.scratch().restore(scratch);
         events.cycles
     }
 

@@ -138,11 +138,6 @@ impl ServedRequest {
     pub fn latency_cycles(&self) -> u64 {
         self.completion - self.arrival
     }
-
-    /// Cycles spent waiting before execution started.
-    pub fn wait_cycles(&self) -> u64 {
-        self.start - self.arrival
-    }
 }
 
 impl RequestOutcome {

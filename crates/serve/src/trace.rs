@@ -172,6 +172,14 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
+impl TraceEvent {
+    /// A `kind` event at `cycle` on shard 0, with lane, model, stage
+    /// and payload zeroed; the cluster merge stamps the real shard.
+    pub(crate) fn new(cycle: u64, kind: TraceEventKind) -> Self {
+        Self { cycle, kind, shard: 0, lane: 0, model: 0, stage: 0, a: 0, b: 0 }
+    }
+}
+
 /// The preallocated drop-oldest event ring.
 ///
 /// Constructed once per run at [`TraceConfig::event_capacity`];
@@ -722,7 +730,7 @@ impl Eq for TraceCell {}
 #[derive(Debug, Clone)]
 pub(crate) struct TraceState {
     cfg: TraceConfig,
-    pub(crate) recorder: FlightRecorder,
+    recorder: FlightRecorder,
     metrics: Vec<MetricsSample>,
     next_boundary: u64,
     /// Per-model latency windows for the rolling p99 (reused across
@@ -730,7 +738,7 @@ pub(crate) struct TraceState {
     windows: Vec<Vec<u64>>,
     points: Vec<Vec<MetricPoint>>,
     cache_samples: Vec<CacheSample>,
-    pub(crate) host: HostSpans,
+    host: HostSpans,
 }
 
 impl TraceState {
@@ -759,35 +767,9 @@ impl TraceState {
         self.next_boundary <= now
     }
 
-    /// Records a completed batch's full lifecycle — sealed at `ready`,
-    /// started at `start`, completed at `completion` — as three events,
-    /// all emitted at its completion event, so a crash-cancelled batch
-    /// records none (the export's stable sort puts each event at its
-    /// own cycle).
-    pub(crate) fn record_batch(
-        &mut self,
-        (ready, start, completion): (u64, u64, u64),
-        lane: u32,
-        model: u32,
-        batch_id: u64,
-        requests: u64,
-    ) {
-        for (cycle, kind) in [
-            (ready, TraceEventKind::BatchSealed),
-            (start, TraceEventKind::BatchStarted),
-            (completion, TraceEventKind::BatchCompleted),
-        ] {
-            self.record(TraceEvent {
-                cycle,
-                kind,
-                shard: 0,
-                lane,
-                model,
-                stage: 0,
-                a: batch_id,
-                b: requests,
-            });
-        }
+    /// Adds `elapsed` host wall time to the `label` span.
+    pub(crate) fn add_host_span(&mut self, label: &'static str, elapsed: Duration) {
+        self.host.add(label, elapsed);
     }
 
     /// Closes every metrics boundary `<= now`. Call at the **top** of
