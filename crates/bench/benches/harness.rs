@@ -28,7 +28,7 @@ use s2ta_bench::{
 use s2ta_core::pool::Executor;
 use s2ta_core::ExecPath;
 use s2ta_models::ModelSpec;
-use s2ta_serve::{Fleet, Request, ServeReport};
+use s2ta_serve::{Fleet, PlacementStrategy, Request, ServeReport};
 use std::time::Instant;
 
 /// One measured cell: a fleet serving the scenario's traffic `reps`
@@ -118,7 +118,10 @@ fn main() {
         |path| {
             Fleet::from_spec(pipeline_scenario::fleet_spec().with_exec_path(path))
                 .with_policy(pipeline_scenario::policy())
-                .with_pipeline(pipeline_scenario::STAGES)
+                .with_placement(PlacementStrategy::Pipelined {
+                    stages: pipeline_scenario::STAGES,
+                    queue_capacity: 2,
+                })
         },
         &pipe_models,
         &pipe_requests,

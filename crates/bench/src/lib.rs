@@ -65,7 +65,7 @@ pub mod hetero_scenario {
 pub mod pipeline_scenario {
     use s2ta_core::ArchKind;
     use s2ta_models::{deep_convnet, ModelSpec};
-    use s2ta_serve::{FixedPolicy, Fleet, FleetSpec, WorkloadSpec};
+    use s2ta_serve::{FixedPolicy, Fleet, FleetSpec, PlacementStrategy, WorkloadSpec};
 
     /// The served model: the deep serving convnet (14 layers).
     pub fn models() -> Vec<ModelSpec> {
@@ -99,7 +99,8 @@ pub mod pipeline_scenario {
 
     /// The pipelined fleet under test.
     pub fn pipelined_fleet() -> Fleet {
-        monolithic_fleet().with_pipeline(STAGES)
+        monolithic_fleet()
+            .with_placement(PlacementStrategy::Pipelined { stages: STAGES, queue_capacity: 2 })
     }
 }
 

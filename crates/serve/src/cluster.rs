@@ -86,11 +86,10 @@
 //! outcomes, percentiles, routing tallies, scale events. Host-side
 //! cache counters are not part of any report: shards racing on the
 //! shared plan caches can interleave lookups differently, but cached
-//! values are pure, so simulated results never change. (The cache
-//! samples a trace's metrics carry read those shared counters, so they
-//! follow the host order in which shards ran.) A caller that wants a
-//! run's cache activity diffs [`s2ta_core::WeightPlanCache::stats`]
-//! around the call.
+//! values are pure, so simulated results never change. Traces carry
+//! no cache counters either. A caller that wants a run's cache
+//! activity diffs [`s2ta_core::WeightPlanCache::stats`] around the
+//! call.
 //!
 //! An optional [`AutoscalePolicy`] adds per-shard **lane autoscaling**:
 //! at a fixed simulated cadence each shard's backlog is compared

@@ -30,14 +30,17 @@
 //! batch's trace record and the makespan, so a lane crash can still
 //! cancel a batch in flight.
 //!
-//! **Placement** is governed by [`PlacementStrategy`]: the default
-//! earliest-free rule is arch-blind, while
+//! **Placement** is governed by one knob, [`Fleet::with_placement`]:
+//! the default earliest-free rule is arch-blind, while
 //! [`PlacementStrategy::Affinity`] routes each batch to the lane
 //! minimizing its predicted completion time using per-`(arch, model)`
-//! service estimates ([`crate::ServiceEstimator`]) bootstrapped from
-//! the run's own completed batches. On a homogeneous fleet the affinity
-//! rule collapses to earliest-free exactly, so enabling it can never
-//! change a clone-fleet's results.
+//! service estimates bootstrapped from the run's own completed
+//! batches. On a homogeneous fleet the affinity rule collapses to
+//! earliest-free exactly, so enabling it can never change a
+//! clone-fleet's results. `PlacementStrategy::Pipelined { stages,
+//! queue_capacity }` runs every batch through its model's pinned stage
+//! lanes instead; only an engine serving such a fleet carries the
+//! pipeline's state (plans, boundary queues, warm stages, stage stats).
 //!
 //! All three modes honor the fleet's admission bound
 //! ([`Fleet::with_queue_capacity`]): a request arriving while its model
@@ -53,27 +56,24 @@
 
 use crate::cluster::{AutoscalePolicy, ScaleEvent};
 use crate::fault::{FaultConfig, FaultState, FaultTimeline, TimelineEvent, WindowEdge};
-use crate::pipeline::PipelinePlan;
+use crate::pipeline::{PipelinePlan, PipelineState};
+use crate::placement::{affinity_lane, earliest_free_lane, PlacementStrategy, ServiceEstimator};
 use crate::policy::{BatchObservation, BatchPolicy, FixedPolicy};
-use crate::queue::RequestQueue;
+use crate::queue::{DeadlineHeap, RequestQueue};
 use crate::report::{
-    DroppedRequest, FailedRequest, LatencyHistogram, ModelServeStats, PipelineStageStats,
-    RequestOutcome, ServeReport, ServedRequest, WorkerStats,
-};
-use crate::scheduler::{
-    affinity_lane, earliest_free_lane, DeadlineHeap, PlacementStrategy, ServiceEstimator,
+    DroppedRequest, FailedRequest, LatencyHistogram, ModelServeStats, RequestOutcome, ServeReport,
+    ServedRequest, WorkerStats,
 };
 use crate::timewheel::TimerWheel;
 use crate::trace::{TraceCell, TraceConfig, TraceEvent, TraceEventKind, TraceState};
 use crate::workload::{ClosedLoopClient, ClosedLoopSpec, Request};
 use s2ta_core::{
-    Accelerator, ActProfileCache, ArchKind, CacheStats, ExecPath, Scratch, WeightPlanCache,
-    WeightResidency,
+    Accelerator, ActProfileCache, ArchKind, ExecPath, Scratch, WeightPlanCache, WeightResidency,
 };
 use s2ta_models::ModelSpec;
 use s2ta_sim::EventCounts;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 /// One serving lane: a simulated accelerator instance with its own
@@ -235,12 +235,6 @@ pub struct Fleet {
     weight_seed: u64,
     queue_capacity: Option<usize>,
     placement: PlacementStrategy,
-    /// Stage count for [`PlacementStrategy::Pipelined`] (clamped to
-    /// the lane and layer counts at partition time).
-    pipeline_stages: usize,
-    /// Bounded inter-stage activation queue depth (per pipeline
-    /// boundary).
-    pipeline_queue_capacity: usize,
     /// When set, serving runs attach a flight recorder + metrics
     /// registry and the report carries a [`crate::Trace`].
     trace: Option<TraceConfig>,
@@ -309,8 +303,6 @@ impl Fleet {
             weight_seed: 42,
             queue_capacity: None,
             placement: PlacementStrategy::default(),
-            pipeline_stages: 2,
-            pipeline_queue_capacity: 2,
             trace: None,
             fault: None,
         }
@@ -368,53 +360,23 @@ impl Fleet {
     }
 
     /// Replaces the placement strategy (default: earliest-free).
+    /// [`PlacementStrategy::Pipelined`] partitions every model into at
+    /// most `stages` contiguous layer ranges, each pinned to a distinct
+    /// lane, with `queue_capacity` pending handoffs per stage boundary
+    /// (see [`crate::PipelinePlan`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pipelined placement has zero `stages` or zero
+    /// `queue_capacity` (a zero-slot boundary could never hand anything
+    /// forward).
     pub fn with_placement(mut self, placement: PlacementStrategy) -> Self {
+        if let PlacementStrategy::Pipelined { stages, queue_capacity } = placement {
+            assert!(stages > 0, "a pipeline needs at least one stage");
+            assert!(queue_capacity > 0, "an inter-stage queue needs at least one slot");
+        }
         self.placement = placement;
         self
-    }
-
-    /// Enables layer-pipelined execution
-    /// ([`PlacementStrategy::Pipelined`]) with `stages` pipeline stages
-    /// per model: every model is partitioned into at most `stages`
-    /// contiguous layer ranges, each pinned to a distinct lane, and
-    /// batches flow through the stage lanes so stage `s` of batch `b`
-    /// overlaps stage `s+1` of batch `b-1` (see [`crate::PipelinePlan`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is zero.
-    pub fn with_pipeline(mut self, stages: usize) -> Self {
-        assert!(stages > 0, "a pipeline needs at least one stage");
-        self.pipeline_stages = stages;
-        self.placement = PlacementStrategy::Pipelined;
-        self
-    }
-
-    /// Bounds every inter-stage activation queue to `capacity` pending
-    /// handoffs (default 2 — double buffering): stage `s` may not begin
-    /// batch `b` before stage `s+1` started draining batch
-    /// `b - capacity`, so a fast upstream stage stalls instead of
-    /// running unboundedly ahead of a slow consumer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a zero-slot boundary could never
-    /// hand anything forward).
-    pub fn with_pipeline_queue_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "an inter-stage queue needs at least one slot");
-        self.pipeline_queue_capacity = capacity;
-        self
-    }
-
-    /// The configured pipeline stage count (meaningful under
-    /// [`PlacementStrategy::Pipelined`]).
-    pub fn pipeline_stages(&self) -> usize {
-        self.pipeline_stages
-    }
-
-    /// The bounded inter-stage activation queue depth.
-    pub fn pipeline_queue_capacity(&self) -> usize {
-        self.pipeline_queue_capacity
     }
 
     /// Attaches an observability trace to every subsequent serving run:
@@ -579,11 +541,11 @@ impl Fleet {
 /// runs, what it measured, when it starts, and its effective service
 /// time (the measured cycles, inflated by any fault slowdown window).
 #[derive(Debug, Clone, Copy)]
-struct StageRun {
+pub(crate) struct StageRun {
     lane: usize,
     events: EventCounts,
-    start: u64,
-    service: u64,
+    pub(crate) start: u64,
+    pub(crate) service: u64,
 }
 
 impl StageRun {
@@ -782,10 +744,6 @@ pub(crate) struct Engine<'a> {
     /// [`Engine::on_autoscale`] shrinks/grows this against the backlog
     /// (in-flight work on a deactivated lane drains naturally).
     active_lanes: usize,
-    /// Cumulative idle cycles per lane (gaps between consecutive
-    /// executions on that lane), so pipeline stage stats can attribute
-    /// true lane idle — not another model's busy time — as bubbles.
-    lane_cum_idle: Vec<u64>,
     /// Latest injected arrival time, to enforce sorted arrival order.
     last_arrival: u64,
     /// Requests sitting in `queue` awaiting batch formation —
@@ -804,22 +762,11 @@ pub(crate) struct Engine<'a> {
     /// Per-`(arch, model)` service estimates, fed by completions.
     estimator: ServiceEstimator,
     next_id: u64,
-    /// Lazily partitioned pipeline plans per model (pipelined mode). A
-    /// dispatch burst moves its model's plan out and back, so batches
-    /// borrow it instead of copying it.
-    pipelines: HashMap<usize, PipelinePlan>,
-    /// Bounded inter-stage activation queues: `(model, boundary)` ->
-    /// recent downstream-stage start times (at most the queue capacity
-    /// retained).
-    boundary_starts: HashMap<(usize, usize), VecDeque<u64>>,
-    /// The `(model, stage)` each lane last executed, for warm-weight
-    /// residency on pinned stage lanes.
-    last_stage_on_lane: Vec<Option<(usize, usize)>>,
-    /// Per-`(model, stage)` occupancy accumulators (pipelined mode).
-    stage_stats: BTreeMap<(usize, usize), StageStatsAccum>,
-    /// Plan- and activation-profile-cache counters at engine start, so
-    /// a trace carries this run's delta ([`Engine::cache_delta`]).
-    caches_before: (CacheStats, CacheStats),
+    /// Layer-pipelining state, built only when the fleet's placement is
+    /// [`PlacementStrategy::Pipelined`] and changed only through its
+    /// own methods. `None` (every monolithic run) makes the pipelined
+    /// path a single branch per burst.
+    pipeline: Option<Box<PipelineState>>,
     /// Requests tail-dropped per model index.
     dropped_per_model: Vec<u64>,
     /// Requests dispatched in timeout-sealed batches per model index.
@@ -842,24 +789,6 @@ pub(crate) struct Engine<'a> {
     scratch: Scratch,
 }
 
-/// Accumulator behind one [`PipelineStageStats`] row.
-#[derive(Debug, Clone, Default)]
-struct StageStatsAccum {
-    layers: (usize, usize),
-    lane: usize,
-    batches: usize,
-    requests: usize,
-    busy_cycles: u64,
-    bubble_cycles: u64,
-    handoff_cycles: u64,
-    /// The stage's lane's cumulative idle at the end of this stage's
-    /// latest execution: the baseline the next execution's bubble delta
-    /// is measured from. Counting lane *idle* (not wall time since this
-    /// stage's last completion) keeps a shared lane's time on another
-    /// model's stage out of this stage's bubbles.
-    idle_seen: u64,
-}
-
 impl<'a> Engine<'a> {
     pub(crate) fn new(
         fleet: &'a Fleet,
@@ -867,8 +796,14 @@ impl<'a> Engine<'a> {
         arrivals: ArrivalSource<'a>,
         policy: &'a mut dyn BatchPolicy,
     ) -> Self {
+        let pipeline = match fleet.placement {
+            PlacementStrategy::Pipelined { stages, queue_capacity } => {
+                Some(Box::new(PipelineState::new(stages, queue_capacity, fleet.lanes.len())))
+            }
+            _ => None,
+        };
         assert!(
-            fleet.fault.is_none() || fleet.placement != PlacementStrategy::Pipelined,
+            fleet.fault.is_none() || pipeline.is_none(),
             "fault injection models monolithic lane execution; pipelined placement is unsupported"
         );
         Self {
@@ -883,7 +818,6 @@ impl<'a> Engine<'a> {
             dispatched: 0,
             free_at: vec![0u64; fleet.lanes.len()],
             active_lanes: fleet.lanes.len(),
-            lane_cum_idle: vec![0u64; fleet.lanes.len()],
             last_arrival: 0,
             queued: 0,
             in_flight_requests: 0,
@@ -893,14 +827,7 @@ impl<'a> Engine<'a> {
             makespan: 0,
             estimator: ServiceEstimator::new(),
             next_id: 0,
-            pipelines: HashMap::new(),
-            boundary_starts: HashMap::new(),
-            last_stage_on_lane: vec![None; fleet.lanes.len()],
-            stage_stats: BTreeMap::new(),
-            caches_before: (
-                fleet.accelerator().plans().stats(),
-                fleet.accelerator().act_profiles().stats(),
-            ),
+            pipeline,
             dropped_per_model: vec![0u64; models.len()],
             missed_per_model: vec![0u64; models.len()],
             trace: fleet.trace.map(|cfg| Box::new(TraceState::new(cfg, models.len()))),
@@ -931,22 +858,11 @@ impl<'a> Engine<'a> {
     /// with `time < b`, independent of which driver (pre-routed on any
     /// executor size, or barrier) delivers the events.
     fn trace_flush(&mut self, now: u64) {
-        if !self.trace.as_ref().is_some_and(|tr| tr.flush_due(now)) {
-            return;
-        }
-        let caches = self.cache_delta();
         let (queued, in_flight) = (self.queued as u32, self.in_flight_requests as u32);
         let active = self.active_lanes as u32;
         if let Some(tr) = self.trace.as_mut() {
-            tr.flush(now, queued, in_flight, active, Some(caches));
+            tr.flush(now, queued, in_flight, active);
         }
-    }
-
-    /// The plan- and activation-profile-cache counters this run moved.
-    fn cache_delta(&self) -> (CacheStats, CacheStats) {
-        let (plans, acts) = self.caches_before;
-        let accelerator = self.fleet.accelerator();
-        (accelerator.plans().stats().since(plans), accelerator.act_profiles().stats().since(acts))
     }
 
     /// Records `event` when a flight recorder is attached: the one
@@ -1219,7 +1135,7 @@ impl<'a> Engine<'a> {
         // a lane's speed becomes evidence once its batch finishes. The
         // affinity rule and hedging read it; a pipelined batch spans
         // several lanes and feeds neither.
-        if self.fleet.placement != PlacementStrategy::Pipelined {
+        if self.pipeline.is_none() {
             self.estimator.record(
                 self.fleet.lanes[batch.lane].arch(),
                 batch.model,
@@ -1489,9 +1405,6 @@ impl<'a> Engine<'a> {
             a: ev.duration,
             ..TraceEvent::new(t, TraceEventKind::LaneRecovered)
         });
-        // The restarted lane's weight SRAM is empty: its next stage
-        // re-streams weights whatever ran there before the crash.
-        self.last_stage_on_lane[lane] = None;
     }
 
     /// Records a router failover landing `request` on this shard
@@ -1534,7 +1447,7 @@ impl<'a> Engine<'a> {
             // Pipelined batches never choose a single lane: their
             // stages are pinned by the model's PipelinePlan and
             // dispatch_burst routes them before reaching here.
-            PlacementStrategy::Pipelined => {
+            PlacementStrategy::Pipelined { .. } => {
                 unreachable!("pipelined dispatch bypasses single-lane choice")
             }
         }
@@ -1557,8 +1470,7 @@ impl<'a> Engine<'a> {
         // The burst borrows the model's cached plan, moved out of the
         // cache until the burst ends. A first-use partition runs under
         // its own host span, before the execute span opens.
-        let plan = (self.fleet.placement == PlacementStrategy::Pipelined)
-            .then(|| self.take_pipeline_plan(model));
+        let plan = self.pipeline.is_some().then(|| self.take_pipeline_plan(model));
         self.host_span("batch-execute", |engine| {
             for members in sealed {
                 match &plan {
@@ -1568,7 +1480,7 @@ impl<'a> Engine<'a> {
             }
         });
         if let Some(plan) = plan {
-            self.pipelines.insert(model, plan);
+            self.pipeline_state().put_plan(plan);
         }
     }
 
@@ -1603,12 +1515,11 @@ impl<'a> Engine<'a> {
         StageRun { lane, events, start, service: events.cycles.saturating_mul(slow) }
     }
 
-    /// Commits a priced run to its lane: the idle gap before it, the
-    /// lane's new free time, and its events and busy cycles. `requests`
-    /// is the batch size the lane tallies as one more batch; a hedge
-    /// loser, whose result is discarded, passes `None`.
+    /// Commits a priced run to its lane: the lane's new free time, and
+    /// its events and busy cycles. `requests` is the batch size the
+    /// lane tallies as one more batch; a hedge loser, whose result is
+    /// discarded, passes `None`.
     fn charge(&mut self, run: &StageRun, requests: Option<usize>) {
-        self.lane_cum_idle[run.lane] += run.start - self.free_at[run.lane];
         self.free_at[run.lane] = run.completion();
         self.total_events += run.events;
         let stats = &mut self.worker_stats[run.lane];
@@ -1693,22 +1604,24 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Takes the model's pipeline plan out of the engine's cache,
+    /// The pipeline state, which every pipelined dispatch finds
+    /// attached.
+    fn pipeline_state(&mut self) -> &mut PipelineState {
+        self.pipeline.as_deref_mut().expect("pipelined placement")
+    }
+
+    /// Takes the model's pipeline plan out of the pipeline state,
     /// partitioning it on first use (the partition is deterministic,
     /// so lazy construction never leaks host timing into results).
     fn take_pipeline_plan(&mut self, model: usize) -> PipelinePlan {
-        if let Some(plan) = self.pipelines.remove(&model) {
+        let pipeline = self.pipeline_state();
+        if let Some(plan) = pipeline.take_plan(model) {
             return plan;
         }
+        let stages = pipeline.stages();
         let (fleet, spec) = (self.fleet, &self.models[model]);
         self.host_span("pipeline-calibrate", |_| {
-            PipelinePlan::partition(
-                &fleet.lanes,
-                model,
-                spec,
-                fleet.pipeline_stages,
-                fleet.weight_seed,
-            )
+            PipelinePlan::partition(&fleet.lanes, model, spec, stages, fleet.weight_seed)
         })
     }
 
@@ -1733,7 +1646,6 @@ impl<'a> Engine<'a> {
         members: Vec<Request>,
         ready: u64,
     ) {
-        let queue_capacity = self.fleet.pipeline_queue_capacity;
         let batch_id = self.dispatched;
         let stages = plan.stages();
         // When the next stage's input becomes available (the batch's
@@ -1743,7 +1655,7 @@ impl<'a> Engine<'a> {
         let mut completion = ready;
         for (s, stage) in stages.iter().enumerate() {
             let lane = stage.lane;
-            let warm = self.last_stage_on_lane[lane] == Some((model, s));
+            let warm = self.pipeline_state().is_warm(lane, model, s);
             let mut run =
                 self.run_stage(model, stage.layers.clone(), &members, lane, input_at, warm);
             let unconstrained = run.start;
@@ -1751,12 +1663,8 @@ impl<'a> Engine<'a> {
             // `queue_capacity` undelivered handoffs, so this stage may
             // not begin batch b before the next stage began batch
             // b - capacity.
-            if s + 1 < stages.len() {
-                if let Some(history) = self.boundary_starts.get(&(model, s)) {
-                    if history.len() == queue_capacity {
-                        run.start = run.start.max(*history.front().expect("non-empty at capacity"));
-                    }
-                }
+            if let Some(floor) = self.pipeline_state().queue_floor(model, s) {
+                run.start = run.start.max(floor);
             }
             let stage_event = |kind, b| TraceEvent {
                 lane: lane as u32,
@@ -1773,44 +1681,15 @@ impl<'a> Engine<'a> {
                 ));
             }
             self.trace_event(stage_event(TraceEventKind::StageDispatch, run.service));
+            let idle = run.start - self.free_at[lane];
             // Per-lane occupancy: every stage execution counts on its
             // own lane (a pipelined batch touches one lane per stage,
             // so per-lane batch/request tallies sum to more than the
             // fleet totals — see [`WorkerStats::batches`]).
             self.charge(&run, Some(members.len()));
-            self.last_stage_on_lane[lane] = Some((model, s));
-            let handoff = if s == 0 { 0 } else { plan.handoff_cycles()[s - 1] };
-            let stats = self.stage_stats.entry((model, s)).or_insert_with(|| StageStatsAccum {
-                layers: (stage.layers.start, stage.layers.end),
-                lane,
-                ..StageStatsAccum::default()
-            });
-            stats.batches += 1;
-            stats.requests += members.len();
-            stats.busy_cycles += run.service;
-            stats.handoff_cycles += handoff;
-            // A stage's bubbles are the cycles its lane sat *idle*
-            // between this stage's consecutive executions. On a lane
-            // shared with another model's stage, wall time since this
-            // stage's last completion would wrongly charge the other
-            // stage's busy cycles here; the per-lane idle accumulator
-            // excludes them by construction. (On a single-model
-            // pipeline the two accountings coincide exactly.)
-            if stats.batches > 1 {
-                stats.bubble_cycles += self.lane_cum_idle[lane] - stats.idle_seen;
-            }
-            stats.idle_seen = self.lane_cum_idle[lane];
+            self.pipeline_state().record_stage(plan, s, &run, idle, members.len());
             if s == 0 {
                 first_start = run.start;
-            } else {
-                // This downstream start joins the boundary queue behind
-                // it, trimmed to capacity: only the capacity-th most
-                // recent start can ever gate a future batch.
-                let history = self.boundary_starts.entry((model, s - 1)).or_default();
-                history.push_back(run.start);
-                while history.len() > queue_capacity {
-                    history.pop_front();
-                }
             }
             completion = run.completion();
             input_at = completion + if s + 1 < stages.len() { plan.handoff_cycles()[s] } else { 0 };
@@ -1881,24 +1760,13 @@ impl<'a> Engine<'a> {
         let trace = TraceCell::default();
         if let Some(tr) = self.trace.take() {
             let names = self.models.iter().map(|m| m.name.to_string()).collect();
-            trace.set(tr.finish(self.makespan, Some(self.cache_delta()), names));
+            trace.set(tr.finish(self.makespan, names));
         }
         let pipeline_stages = self
-            .stage_stats
-            .into_iter()
-            .map(|((model, stage), acc)| PipelineStageStats {
-                model: self.models[model].name.to_string(),
-                stage,
-                layers: acc.layers,
-                lane: acc.lane,
-                arch: self.fleet.lanes[acc.lane].arch(),
-                batches: acc.batches,
-                requests: acc.requests,
-                busy_cycles: acc.busy_cycles,
-                bubble_cycles: acc.bubble_cycles,
-                handoff_cycles: acc.handoff_cycles,
-            })
-            .collect();
+            .pipeline
+            .take()
+            .map(|p| p.stage_stats(self.models, &self.fleet.lanes))
+            .unwrap_or_default();
         ServeReport {
             arch: self.fleet.arch_label(),
             policy: self.policy.name().to_string(),
@@ -1920,6 +1788,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::policy::{BatchLimits, SloAwarePolicy};
+    use crate::report::PipelineStageStats;
     use crate::workload::WorkloadSpec;
     use s2ta_models::lenet5;
 
@@ -2179,7 +2048,7 @@ mod tests {
         for stages in [2usize, 3, 4] {
             let pipe = Fleet::new(ArchKind::S2taAw, 4)
                 .with_policy(policy)
-                .with_pipeline(stages)
+                .with_placement(PlacementStrategy::Pipelined { stages, queue_capacity: 2 })
                 .serve(&models, &reqs);
             assert_eq!(pipe.batches, 1);
             assert_eq!(
@@ -2204,7 +2073,7 @@ mod tests {
         let mono = Fleet::new(ArchKind::S2taAw, 4).with_policy(policy).serve(&models, &reqs);
         let pipe = Fleet::new(ArchKind::S2taAw, 4)
             .with_policy(policy)
-            .with_pipeline(4)
+            .with_placement(PlacementStrategy::Pipelined { stages: 4, queue_capacity: 2 })
             .serve(&models, &reqs);
         assert_eq!(
             pipe.total_events.macs_active, mono.total_events.macs_active,
@@ -2225,7 +2094,7 @@ mod tests {
         let mk = || {
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]))
                 .with_policy(FixedPolicy { max_batch: 4, max_wait_cycles: 20_000 })
-                .with_pipeline(4)
+                .with_placement(PlacementStrategy::Pipelined { stages: 4, queue_capacity: 2 })
         };
         let a = mk().serve(&models, &reqs);
         let b = mk().serve(&models, &reqs);
@@ -2285,8 +2154,7 @@ mod tests {
         let mk = |cap: usize| {
             Fleet::new(ArchKind::S2taAw, 4)
                 .with_policy(policy)
-                .with_pipeline(4)
-                .with_pipeline_queue_capacity(cap)
+                .with_placement(PlacementStrategy::Pipelined { stages: 4, queue_capacity: cap })
                 .serve(&models, &reqs)
         };
         let tight = mk(1);
@@ -2302,6 +2170,20 @@ mod tests {
         }
         assert!(tight.makespan_cycles >= deep.makespan_cycles);
         assert_eq!(tight.total_events, deep.total_events, "buffers change time, not work");
+    }
+
+    #[test]
+    #[should_panic(expected = "a pipeline needs at least one stage")]
+    fn pipelined_placement_rejects_zero_stages() {
+        let _ = Fleet::new(ArchKind::S2taAw, 2)
+            .with_placement(PlacementStrategy::Pipelined { stages: 0, queue_capacity: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "an inter-stage queue needs at least one slot")]
+    fn pipelined_placement_rejects_a_zero_slot_queue() {
+        let _ = Fleet::new(ArchKind::S2taAw, 2)
+            .with_placement(PlacementStrategy::Pipelined { stages: 2, queue_capacity: 0 });
     }
 
     /// Regression test for the bubble-attribution skew: on a lane
@@ -2322,7 +2204,7 @@ mod tests {
         let reqs = WorkloadSpec::mixed(13, 48, 3_000.0, vec![1.0, 1.0]).generate();
         let report = Fleet::new(ArchKind::S2taAw, 2)
             .with_policy(FixedPolicy { max_batch: 4, max_wait_cycles: 8_000 })
-            .with_pipeline(2)
+            .with_placement(PlacementStrategy::Pipelined { stages: 2, queue_capacity: 2 })
             .serve(&models, &reqs);
         assert_eq!(report.served_count(), 48);
         let mut by_lane: HashMap<usize, Vec<&PipelineStageStats>> = HashMap::new();
@@ -2551,12 +2433,9 @@ mod tests {
     /// memo tables survive the restart, so a run with mid-stream
     /// recoveries compiles exactly the plans the fault-free run
     /// compiles, while the first batch a recovered lane runs streams
-    /// its weights again. Fault mode runs monolithic batches, which are
-    /// always priced cold, so the stage residency a recovery forgets is
-    /// checked on the engine itself.
+    /// its weights again.
     #[test]
     fn recovery_is_cold_on_the_simulated_clock_only() {
-        use crate::fault::{TimelineEvent, WindowEdge};
         let models = vec![lenet5()];
         let reqs = WorkloadSpec::uniform(11, 60, 2_000.0, 1).generate();
         let base_fleet = Fleet::new(ArchKind::S2taAw, 1);
@@ -2595,24 +2474,6 @@ mod tests {
             assert!(price(true) < price(false), "warmth must be visible in the price");
             assert_eq!(first.completion - first.start, price(false), "recovered lane is cold");
         }
-
-        let mut policy = fleet.fixed_policy();
-        let mut engine = Engine::new(&fleet, &models, ArrivalSource::open(&[]), &mut policy);
-        engine.last_stage_on_lane[0] = Some((0, 0));
-        let (start, end) = windows[0];
-        let crash = TimelineEvent {
-            time: start,
-            lane: 0,
-            edge: WindowEdge::CrashStart,
-            duration: end - start,
-            factor: 0,
-        };
-        engine.on_lane_crash(start, crash);
-        engine.on_lane_recovery(
-            end,
-            TimelineEvent { time: end, edge: WindowEdge::CrashEnd, ..crash },
-        );
-        assert_eq!(engine.last_stage_on_lane[0], None, "recovery forgets resident stage weights");
     }
 
     /// Per-lane MTTR accounting: downtime and recovery counts line up

@@ -15,8 +15,6 @@
 //! * [`ClosedLoopSpec`] / [`ClosedLoopClient`] — closed-loop client
 //!   populations: each client issues its next request only after the
 //!   previous one completes, so offered load adapts to capacity.
-//! * [`RequestQueue`] — per-model FIFO lanes, optionally bounded for
-//!   admission control (tail drop).
 //! * [`BatchPolicy`] — the closure-rule trait: [`FixedPolicy`] (static
 //!   bounds) or [`SloAwarePolicy`] (shrinks/grows `max_wait`/
 //!   `max_batch` against an observed-p99 target — one global class, or
@@ -24,21 +22,26 @@
 //! * [`FleetSpec`] / [`Lane`] / [`Fleet`] — a fleet built from an
 //!   ordered list of lanes of any [`s2ta_core::ArchKind`] (e.g.
 //!   `FleetSpec::mixed(&[(S2taAw, 2), (SaZvcg, 2)])`), served by one
-//!   event-driven engine that groups compatible requests into batches
-//!   (size- or timeout-closed) and places them on the lanes. Batch
+//!   event-driven engine that queues requests in per-model FIFO lanes
+//!   (optionally bounded for admission control: tail drop), groups
+//!   them into batches (size- or timeout-closed) and places the
+//!   batches on the lanes. Batch
 //!   formation under a fixed policy is fleet-size independent, so
 //!   aggregate results are identical for every lane count on a
 //!   homogeneous fleet. Batches run layer-major so memory-bound layers
 //!   pay their weight DMA once per batch. Open-loop ([`Fleet::serve`]),
 //!   adaptive ([`Fleet::serve_adaptive`]) and closed-loop
 //!   ([`Fleet::serve_closed_loop`]) client modes.
-//! * [`PlacementStrategy`] / [`ServiceEstimator`] — how batches route
-//!   to lanes: arch-blind earliest-free (default), or affinity-aware
-//!   placement that minimizes predicted completion time from
-//!   per-`(arch, model)` service estimates bootstrapped out of the
-//!   run's own completed monolithic batches (fault-mode hedging reads
-//!   the same estimates). Affinity collapses to earliest-free on
-//!   homogeneous fleets, byte-for-byte.
+//! * [`PlacementStrategy`] — how batches route to lanes, the one knob
+//!   set through [`Fleet::with_placement`]: arch-blind earliest-free
+//!   (default); affinity-aware placement that minimizes predicted
+//!   completion time from per-`(arch, model)` service estimates
+//!   bootstrapped out of the run's own completed monolithic batches
+//!   (fault-mode hedging reads the same estimates), which collapses to
+//!   earliest-free on homogeneous fleets, byte-for-byte; or
+//!   `Pipelined { stages, queue_capacity }`, which splits every model
+//!   into layer stages pinned to distinct lanes ([`PipelinePlan`]) and
+//!   reports per-stage occupancy ([`PipelineStageStats`]).
 //! * [`ServeReport`] — goodput, drop rate, p50/p95/p99 latency
 //!   (overall and per model), per-lane arch/busy/idle/energy breakdown
 //!   ([`ServeReport::lane_breakdown`]), aggregate
@@ -82,10 +85,10 @@ mod cluster;
 mod fault;
 mod fleet;
 mod pipeline;
+mod placement;
 mod policy;
 mod queue;
 mod report;
-mod scheduler;
 mod timewheel;
 mod trace;
 mod workload;
@@ -99,19 +102,17 @@ pub use fault::{
 };
 pub use fleet::{Fleet, FleetSpec, Lane};
 pub use pipeline::{PipelinePlan, StageAssignment};
+pub use placement::PlacementStrategy;
 pub use policy::{
     BatchLimits, BatchObservation, BatchPolicy, FixedPolicy, SloAwarePolicy, SloClass,
 };
-pub use queue::RequestQueue;
 pub use report::{
     DroppedRequest, FailedRequest, FaultStats, LatencyHistogram, ModelServeStats,
     PipelineStageStats, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
 };
-pub use scheduler::{PlacementStrategy, ServiceEstimator};
-pub use timewheel::TimerWheel;
 pub use trace::{
-    CacheSample, FlightRecorder, HostSpan, HostSpans, MetricPoint, MetricsSample, ModelSeries,
-    Trace, TraceCell, TraceConfig, TraceEvent, TraceEventKind,
+    FlightRecorder, HostSpan, HostSpans, MetricPoint, MetricsSample, ModelSeries, Trace, TraceCell,
+    TraceConfig, TraceEvent, TraceEventKind,
 };
 pub use workload::{
     ClosedLoopClient, ClosedLoopSpec, DiurnalSpec, RateSegment, Request, WorkloadSpec,

@@ -32,14 +32,22 @@
 //! Stage boundaries also carry a cost: the receiving layer's `K x N`
 //! activation matrix must move between lanes, priced at the receiving
 //! lane's DMA rate ([`PipelinePlan::handoff_cycles`]). The serving
-//! engine bounds the activations queued at each boundary
-//! ([`crate::Fleet::with_pipeline_queue_capacity`]), so an upstream
-//! stage stalls instead of running unboundedly ahead of a slow
-//! consumer.
+//! engine bounds the activations queued at each boundary (the
+//! `queue_capacity` of [`crate::PlacementStrategy::Pipelined`]), so an
+//! upstream stage stalls instead of running unboundedly ahead of a
+//! slow consumer.
+//!
+//! Everything a pipelined serving run keeps beyond the lanes' own
+//! clocks lives in one `PipelineState`, which only an engine serving a
+//! pipelined fleet carries: the partitioned plans, the boundary queues,
+//! each lane's warm stage, and the per-stage occupancy the report
+//! shows.
 
-use crate::fleet::Lane;
+use crate::fleet::{Lane, StageRun};
+use crate::report::PipelineStageStats;
 use s2ta_core::{pool, stage_handoff_bytes, Scratch, WeightResidency};
 use s2ta_models::ModelSpec;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 
 /// One pipeline stage: a contiguous layer range pinned to a lane.
@@ -189,6 +197,171 @@ impl PipelinePlan {
     /// `s+1`'s lane (`len == stages - 1`).
     pub fn handoff_cycles(&self) -> &[u64] {
         &self.handoff_cycles
+    }
+}
+
+/// The serving state of layer-pipelined placement, owned by the engine
+/// of a pipelined fleet and changed only through its own methods. On
+/// such a fleet every lane execution is a stage run recorded here, so
+/// the lane idle it tracks is the lanes' whole idle.
+#[derive(Debug)]
+pub(crate) struct PipelineState {
+    /// Stage count requested per model (clamped at partition time).
+    stages: usize,
+    /// Pending handoffs each inter-stage queue holds.
+    queue_capacity: usize,
+    /// Lazily partitioned plans per model. A dispatch burst moves its
+    /// model's plan out and back, so batches borrow it instead of
+    /// copying it.
+    plans: HashMap<usize, PipelinePlan>,
+    /// Bounded inter-stage activation queues: `(model, boundary)` ->
+    /// recent downstream-stage start times (at most `queue_capacity`
+    /// retained: only the capacity-th most recent start can ever gate
+    /// a future batch).
+    boundary_starts: HashMap<(usize, usize), VecDeque<u64>>,
+    /// The `(model, stage)` each lane last executed, for warm-weight
+    /// residency on pinned stage lanes.
+    last_stage_on_lane: Vec<Option<(usize, usize)>>,
+    /// Cumulative idle cycles per lane (gaps between consecutive
+    /// executions on that lane), so stage stats can attribute true lane
+    /// idle — not another model's busy time — as bubbles.
+    lane_idle: Vec<u64>,
+    /// Per-`(model, stage)` occupancy accumulators.
+    stage_stats: BTreeMap<(usize, usize), StageStatsAccum>,
+}
+
+/// Accumulator behind one [`PipelineStageStats`] row.
+#[derive(Debug, Clone, Default)]
+struct StageStatsAccum {
+    layers: (usize, usize),
+    lane: usize,
+    batches: usize,
+    requests: usize,
+    busy_cycles: u64,
+    bubble_cycles: u64,
+    handoff_cycles: u64,
+    /// The stage's lane's cumulative idle at the end of this stage's
+    /// latest execution: the baseline the next execution's bubble delta
+    /// is measured from. Counting lane *idle* (not wall time since this
+    /// stage's last completion) keeps a shared lane's time on another
+    /// model's stage out of this stage's bubbles.
+    idle_seen: u64,
+}
+
+impl PipelineState {
+    /// Empty state for a fleet of `lanes` lanes pipelined into `stages`
+    /// stages per model behind `queue_capacity`-slot boundaries.
+    pub(crate) fn new(stages: usize, queue_capacity: usize, lanes: usize) -> Self {
+        Self {
+            stages,
+            queue_capacity,
+            plans: HashMap::new(),
+            boundary_starts: HashMap::new(),
+            last_stage_on_lane: vec![None; lanes],
+            lane_idle: vec![0; lanes],
+            stage_stats: BTreeMap::new(),
+        }
+    }
+
+    /// The stage count requested per model.
+    pub(crate) fn stages(&self) -> usize {
+        self.stages
+    }
+
+    /// Moves `model`'s plan out, if it was partitioned already.
+    pub(crate) fn take_plan(&mut self, model: usize) -> Option<PipelinePlan> {
+        self.plans.remove(&model)
+    }
+
+    /// Returns a plan taken with [`PipelineState::take_plan`] (or
+    /// freshly partitioned) for later bursts.
+    pub(crate) fn put_plan(&mut self, plan: PipelinePlan) {
+        self.plans.insert(plan.model(), plan);
+    }
+
+    /// Whether `lane`'s last execution was stage `stage` of `model`:
+    /// its stage weights are then still resident.
+    pub(crate) fn is_warm(&self, lane: usize, model: usize, stage: usize) -> bool {
+        self.last_stage_on_lane[lane] == Some((model, stage))
+    }
+
+    /// Backpressure: the earliest start the bounded queue ahead of stage
+    /// `stage` of `model` allows. With the queue full, the stage may
+    /// not begin its next batch before the downstream stage began the
+    /// batch `queue_capacity` back. The last stage has no queue
+    /// ahead of it, so it never gets a floor.
+    pub(crate) fn queue_floor(&self, model: usize, stage: usize) -> Option<u64> {
+        let history = self.boundary_starts.get(&(model, stage))?;
+        (history.len() == self.queue_capacity).then(|| history[0])
+    }
+
+    /// Records stage `s` of `plan` as committed to its lane after
+    /// `idle` idle cycles, for a batch of `requests`: the lane now holds
+    /// the stage's weights, the run joins the stage's stats, and a
+    /// downstream start joins the boundary queue ahead of it.
+    pub(crate) fn record_stage(
+        &mut self,
+        plan: &PipelinePlan,
+        s: usize,
+        run: &StageRun,
+        idle: u64,
+        requests: usize,
+    ) {
+        let (model, stage) = (plan.model(), &plan.stages()[s]);
+        let lane = stage.lane;
+        self.lane_idle[lane] += idle;
+        self.last_stage_on_lane[lane] = Some((model, s));
+        let stats = self.stage_stats.entry((model, s)).or_insert_with(|| StageStatsAccum {
+            layers: (stage.layers.start, stage.layers.end),
+            lane,
+            ..StageStatsAccum::default()
+        });
+        stats.batches += 1;
+        stats.requests += requests;
+        stats.busy_cycles += run.service;
+        // A stage's bubbles are the cycles its lane sat *idle* between
+        // this stage's consecutive executions. On a lane shared with
+        // another model's stage, wall time since this stage's last
+        // completion would wrongly charge the other stage's busy cycles
+        // here; the per-lane idle accumulator excludes them by
+        // construction. (On a single-model pipeline the two accountings
+        // coincide exactly.)
+        if stats.batches > 1 {
+            stats.bubble_cycles += self.lane_idle[lane] - stats.idle_seen;
+        }
+        stats.idle_seen = self.lane_idle[lane];
+        if s > 0 {
+            stats.handoff_cycles += plan.handoff_cycles()[s - 1];
+            let history = self.boundary_starts.entry((model, s - 1)).or_default();
+            history.push_back(run.start);
+            if history.len() > self.queue_capacity {
+                history.pop_front();
+            }
+        }
+    }
+
+    /// The per-stage occupancy rows of the run, in `(model, stage)`
+    /// order.
+    pub(crate) fn stage_stats(
+        self,
+        models: &[ModelSpec],
+        lanes: &[Lane],
+    ) -> Vec<PipelineStageStats> {
+        self.stage_stats
+            .into_iter()
+            .map(|((model, stage), acc)| PipelineStageStats {
+                model: models[model].name.to_string(),
+                stage,
+                layers: acc.layers,
+                lane: acc.lane,
+                arch: lanes[acc.lane].arch(),
+                batches: acc.batches,
+                requests: acc.requests,
+                busy_cycles: acc.busy_cycles,
+                bubble_cycles: acc.bubble_cycles,
+                handoff_cycles: acc.handoff_cycles,
+            })
+            .collect()
     }
 }
 

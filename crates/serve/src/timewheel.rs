@@ -39,7 +39,7 @@ const LEVELS: usize = 11;
 /// ascending `(time, key)` order — a drop-in, order-exact replacement
 /// for `BinaryHeap<Reverse<(u64, K)>>` in the event engine.
 #[derive(Debug, Clone)]
-pub struct TimerWheel<K: Ord + Copy> {
+pub(crate) struct TimerWheel<K: Ord + Copy> {
     /// `slots[level][slot]`: pending entries, unordered within a slot.
     slots: Vec<Vec<Vec<(u64, K)>>>,
     /// Per-level occupancy bitmap: bit `s` set iff `slots[level][s]`
@@ -62,7 +62,7 @@ impl<K: Ord + Copy> Default for TimerWheel<K> {
 
 impl<K: Ord + Copy> TimerWheel<K> {
     /// An empty wheel with its cursor at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             slots: vec![vec![Vec::new(); SLOTS]; LEVELS],
             occupied: [0; LEVELS],
@@ -73,18 +73,18 @@ impl<K: Ord + Copy> TimerWheel<K> {
     }
 
     /// Number of pending entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no entries are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Schedules `key` at `time`. Times at or before the latest popped
     /// time are allowed and pop next in exact `(time, key)` order.
-    pub fn push(&mut self, time: u64, key: K) {
+    pub(crate) fn push(&mut self, time: u64, key: K) {
         self.len += 1;
         if time <= self.cursor {
             self.due.push(Reverse((time, key)));
@@ -96,13 +96,13 @@ impl<K: Ord + Copy> TimerWheel<K> {
     }
 
     /// The earliest pending `(time, key)`, without removing it.
-    pub fn peek(&mut self) -> Option<(u64, K)> {
+    pub(crate) fn peek(&mut self) -> Option<(u64, K)> {
         self.make_due();
         self.due.peek().map(|Reverse(entry)| *entry)
     }
 
     /// Removes and returns the earliest pending `(time, key)`.
-    pub fn pop(&mut self) -> Option<(u64, K)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, K)> {
         self.make_due();
         let Reverse(entry) = self.due.pop()?;
         self.len -= 1;
@@ -121,7 +121,7 @@ impl<K: Ord + Copy> TimerWheel<K> {
     /// slot ahead of the cursor holds the nearest times, and within
     /// that first slot the minimum entry time is the answer (at level
     /// 0 all entries in a slot share one time).
-    pub fn peek_next_event_cycle(&self) -> Option<u64> {
+    pub(crate) fn peek_next_event_cycle(&self) -> Option<u64> {
         if let Some(Reverse((time, _))) = self.due.peek() {
             return Some(*time);
         }
@@ -144,7 +144,7 @@ impl<K: Ord + Copy> TimerWheel<K> {
     /// All pending `(time, key)` entries in unspecified order — a
     /// diagnostics iterator for debug cross-checks (e.g. recomputing
     /// the engine's in-flight request counter).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, K)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, K)> + '_ {
         self.due
             .iter()
             .map(|Reverse(entry)| *entry)

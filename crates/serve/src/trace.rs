@@ -11,13 +11,14 @@
 //!   functions of the simulated run — the serial and shard-parallel
 //!   cluster drivers produce byte-identical traces, and running the
 //!   same scenario twice reproduces the trace exactly.
-//! * **Host-side** (excluded from [`Trace`] equality): shared-cache
-//!   counter samples ([`CacheSample`] — shards race on the
-//!   cluster-wide plan caches, so deltas depend on host interleaving,
-//!   and under shared caches each shard's delta also counts the other
-//!   shards' lookups) and wall-clock
-//!   [`HostSpan`] accumulators around plan compilation / pipeline
+//! * **Host-side** (excluded from [`Trace`] equality): wall-clock
+//!   [`HostSpan`] accumulators around batch execution / pipeline
 //!   calibration / engine advance.
+//!
+//! A trace carries no cache counters: the plan and profile caches can
+//! be shared by every shard of a cluster, so their counters follow the
+//! host order in which shards ran. A caller that wants a run's cache
+//! activity diffs the caches' `stats()` around the call.
 //!
 //! Recording is allocation-free in the steady state: the event ring is
 //! preallocated at [`TraceConfig::event_capacity`] and overwrites its
@@ -35,7 +36,7 @@
 //! [`Trace::metrics_json`].
 
 use crate::report::nearest_rank;
-use s2ta_core::{CacheStats, Ring};
+use s2ta_core::Ring;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -278,22 +279,6 @@ pub struct ModelSeries {
     pub points: Vec<MetricPoint>,
 }
 
-/// A host-side snapshot of the two compile-cache counter deltas at a
-/// metrics boundary. **Excluded from [`Trace`] equality**: with
-/// cluster-shared caches, parallel shards race on the tables, so the
-/// deltas visible at a boundary depend on host interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheSample {
-    /// The metrics boundary the snapshot was taken at.
-    pub cycle: u64,
-    /// Cluster shard (0 until stamped by the merge).
-    pub shard: u32,
-    /// Weight-plan-cache delta since the run started.
-    pub weights: CacheStats,
-    /// Activation-profile-cache delta since the run started.
-    pub acts: CacheStats,
-}
-
 /// One accumulated wall-clock span: how much host time `label` cost
 /// over the run, and how often it ran. **Excluded from [`Trace`]
 /// equality** — wall-clock is never part of a run's simulated
@@ -354,7 +339,7 @@ impl HostSpans {
 ///
 /// `PartialEq` covers only the **deterministic** halves — config,
 /// events, overflow tally, metrics samples, per-model series and model
-/// names. Host-side cache samples and wall-clock spans are excluded,
+/// names. Host-side wall-clock spans are excluded,
 /// so trace equality is a statement about the simulated run.
 #[derive(Debug, Clone)]
 pub struct Trace {
@@ -364,7 +349,6 @@ pub struct Trace {
     pub(crate) model_names: Vec<String>,
     pub(crate) metrics: Vec<MetricsSample>,
     pub(crate) model_series: Vec<ModelSeries>,
-    pub(crate) cache_samples: Vec<CacheSample>,
     pub(crate) host_spans: HostSpans,
 }
 
@@ -409,11 +393,6 @@ impl Trace {
     /// The per-model rolling-p99 series.
     pub fn model_series(&self) -> &[ModelSeries] {
         &self.model_series
-    }
-
-    /// Host-side cache counter snapshots (excluded from equality).
-    pub fn cache_samples(&self) -> &[CacheSample] {
-        &self.cache_samples
     }
 
     /// Host-side wall-clock spans (excluded from equality).
@@ -548,8 +527,7 @@ impl Trace {
     }
 
     /// Renders the compact metrics JSON: config, event tallies, the
-    /// fixed-interval samples, per-model p99 series, cache snapshots
-    /// and host spans.
+    /// fixed-interval samples, per-model p99 series and host spans.
     pub fn metrics_json(&self) -> String {
         let samples: Vec<String> = self
             .metrics
@@ -575,19 +553,6 @@ impl Trace {
                 )
             })
             .collect();
-        let cache: Vec<String> = self
-            .cache_samples
-            .iter()
-            .map(|c| {
-                format!(
-                    r#"{{"cycle":{},"shard":{},"weights":{},"acts":{}}}"#,
-                    c.cycle,
-                    c.shard,
-                    cache_stats_json(&c.weights),
-                    cache_stats_json(&c.acts)
-                )
-            })
-            .collect();
         let spans: Vec<String> = self
             .host_spans
             .spans()
@@ -606,7 +571,7 @@ impl Trace {
                 "{{\"config\":{{\"event_capacity\":{},\"metrics_interval_cycles\":{}}},\n",
                 "\"events_recorded\":{},\"events_overwritten\":{},\n",
                 "\"completed_requests\":{},\"dropped_requests\":{},\n",
-                "\"samples\":[{}],\n\"model_p99\":[{}],\n\"cache\":[{}],\n\"host_spans\":[{}]}}\n"
+                "\"samples\":[{}],\n\"model_p99\":[{}],\n\"host_spans\":[{}]}}\n"
             ),
             self.config.event_capacity,
             self.config.metrics_interval_cycles,
@@ -616,14 +581,13 @@ impl Trace {
             self.dropped_requests(),
             samples.join(","),
             series.join(","),
-            cache.join(","),
             spans.join(",")
         )
     }
 
     /// Merges per-shard traces into one cluster trace: every entry is
-    /// stamped with its shard index, then the event stream, metrics
-    /// samples and cache snapshots are **stably** sorted by
+    /// stamped with its shard index, then the event stream and metrics
+    /// samples are **stably** sorted by
     /// `(cycle, shard)` — the same merge discipline the cluster uses
     /// for its scale events, so the serial and shard-parallel drivers
     /// produce byte-identical merged traces. Returns `None` for an
@@ -641,9 +605,6 @@ impl Trace {
             for s in &mut t.model_series {
                 s.shard = shard;
             }
-            for c in &mut t.cache_samples {
-                c.shard = shard;
-            }
         };
         stamp(&mut merged, 0);
         for (s, mut t) in iter {
@@ -652,26 +613,13 @@ impl Trace {
             merged.dropped_events += t.dropped_events;
             merged.metrics.extend(t.metrics);
             merged.model_series.extend(t.model_series);
-            merged.cache_samples.extend(t.cache_samples);
             merged.host_spans.merge(&t.host_spans);
         }
         // Stable sorts: within a shard the emission order survives.
         merged.events.sort_by_key(|e| (e.cycle, e.shard));
         merged.metrics.sort_by_key(|m| (m.cycle, m.shard));
-        merged.cache_samples.sort_by_key(|c| (c.cycle, c.shard));
         Some(merged)
     }
-}
-
-fn cache_stats_json(s: &CacheStats) -> String {
-    format!(
-        r#"{{"hits":{},"misses":{},"bypasses":{},"evictions":{},"hit_rate":{:.4}}}"#,
-        s.hits,
-        s.misses,
-        s.bypasses,
-        s.evictions,
-        s.hit_rate()
-    )
 }
 
 fn escape(s: &str) -> String {
@@ -737,7 +685,6 @@ pub(crate) struct TraceState {
     /// intervals: cleared, never reallocated, once warm).
     windows: Vec<Vec<u64>>,
     points: Vec<Vec<MetricPoint>>,
-    cache_samples: Vec<CacheSample>,
     host: HostSpans,
 }
 
@@ -751,20 +698,12 @@ impl TraceState {
             next_boundary: cfg.metrics_interval_cycles,
             windows: vec![Vec::new(); model_count],
             points: vec![Vec::new(); model_count],
-            cache_samples: Vec::new(),
             host: HostSpans::default(),
         }
     }
 
     pub(crate) fn record(&mut self, event: TraceEvent) {
         self.recorder.record(event);
-    }
-
-    /// Whether advancing to `now` crosses a metrics boundary — lets
-    /// the engine skip the cache-counter reads on the (overwhelmingly
-    /// common) events that close no interval.
-    pub(crate) fn flush_due(&self, now: u64) -> bool {
-        self.next_boundary <= now
     }
 
     /// Adds `elapsed` host wall time to the `label` span.
@@ -776,14 +715,7 @@ impl TraceState {
     /// each simulated-event handler, before the event mutates engine
     /// state: the engine counters passed in then reflect exactly the
     /// events with time `< boundary`, whichever driver runs the shard.
-    pub(crate) fn flush(
-        &mut self,
-        now: u64,
-        queued: u32,
-        in_flight: u32,
-        active_lanes: u32,
-        cache: Option<(CacheStats, CacheStats)>,
-    ) {
+    pub(crate) fn flush(&mut self, now: u64, queued: u32, in_flight: u32, active_lanes: u32) {
         while self.next_boundary <= now {
             let cycle = self.next_boundary;
             self.metrics.push(MetricsSample {
@@ -795,15 +727,6 @@ impl TraceState {
                 active_lanes,
             });
             self.close_windows(cycle);
-            if let Some((weights, acts)) = cache {
-                let changed = self
-                    .cache_samples
-                    .last()
-                    .is_none_or(|last| last.weights != weights || last.acts != acts);
-                if changed {
-                    self.cache_samples.push(CacheSample { cycle, shard: 0, weights, acts });
-                }
-            }
             self.next_boundary += self.cfg.metrics_interval_cycles;
         }
     }
@@ -831,15 +754,10 @@ impl TraceState {
     /// Final flush through the run's makespan, then assembly into the
     /// immutable [`Trace`]. Windows still holding completions at the
     /// makespan itself close at `makespan`.
-    pub(crate) fn finish(
-        mut self,
-        makespan: u64,
-        cache: Option<(CacheStats, CacheStats)>,
-        model_names: Vec<String>,
-    ) -> Trace {
+    pub(crate) fn finish(mut self, makespan: u64, model_names: Vec<String>) -> Trace {
         // The run is over: queues and in-flight work are empty by
         // construction (the engine drains before reporting).
-        self.flush(makespan, 0, 0, 0, cache);
+        self.flush(makespan, 0, 0, 0);
         self.close_windows(makespan);
         let cfg = self.cfg;
         let (events, dropped_events) = self.recorder.into_events();
@@ -856,7 +774,6 @@ impl TraceState {
             model_names,
             metrics: self.metrics,
             model_series,
-            cache_samples: self.cache_samples,
             host_spans: self.host,
         }
     }
@@ -886,12 +803,12 @@ mod tests {
     fn flush_emits_every_boundary_up_to_now() {
         let mut tr =
             TraceState::new(TraceConfig { event_capacity: 8, metrics_interval_cycles: 100 }, 1);
-        tr.flush(250, 3, 2, 1, None);
+        tr.flush(250, 3, 2, 1);
         let cycles: Vec<u64> = tr.metrics.iter().map(|s| s.cycle).collect();
         assert_eq!(cycles, vec![100, 200]);
         assert!(tr.metrics.iter().all(|s| s.backlog == 5));
         // Flushing the same horizon again is a no-op.
-        tr.flush(250, 9, 9, 9, None);
+        tr.flush(250, 9, 9, 9);
         assert_eq!(tr.metrics.len(), 2);
     }
 
@@ -899,11 +816,11 @@ mod tests {
     fn windows_close_at_the_first_boundary_after_the_completions() {
         let mut tr =
             TraceState::new(TraceConfig { event_capacity: 8, metrics_interval_cycles: 100 }, 2);
-        tr.flush(40, 0, 1, 1, None);
+        tr.flush(40, 0, 1, 1);
         tr.observe_latency(0, 10);
         tr.observe_latency(0, 30);
         tr.observe_latency(1, 7);
-        let trace = tr.finish(150, None, vec!["a".into(), "b".into()]);
+        let trace = tr.finish(150, vec!["a".into(), "b".into()]);
         assert_eq!(trace.model_series().len(), 2);
         let a = &trace.model_series()[0];
         assert_eq!((a.model.as_str(), a.points[0].cycle, a.points[0].p99_cycles), ("a", 100, 30));
@@ -917,7 +834,7 @@ mod tests {
         tr.record(ev(500, TraceEventKind::BatchSealed));
         tr.record(ev(700, TraceEventKind::BatchStarted));
         tr.record(ev(900, TraceEventKind::BatchCompleted));
-        let trace = tr.finish(1_000, None, vec!["m".into()]);
+        let trace = tr.finish(1_000, vec!["m".into()]);
         let json = trace.chrome_trace_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"B\""));
@@ -933,7 +850,7 @@ mod tests {
             let mut tr = TraceState::new(TraceConfig::default(), 1);
             tr.record(ev(10, TraceEventKind::BatchSealed));
             tr.host.add("execute", Duration::from_nanos(nanos));
-            tr.finish(100, None, vec!["m".into()])
+            tr.finish(100, vec!["m".into()])
         };
         let a = build(5);
         let b = build(50_000);

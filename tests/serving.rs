@@ -398,7 +398,7 @@ fn pipelined_events_match_monolithic_for_every_partition() {
     for stages in 1..=4 {
         let pipe = Fleet::new(ArchKind::S2taAw, 4)
             .with_policy(policy)
-            .with_pipeline(stages)
+            .with_placement(PlacementStrategy::Pipelined { stages, queue_capacity: 2 })
             .serve(&models, &requests);
         assert_eq!(pipe.total_events, mono.total_events, "{stages} stages");
         assert_eq!(pipe.served_count(), mono.served_count());
