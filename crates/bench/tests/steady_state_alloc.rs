@@ -30,8 +30,8 @@ use s2ta_core::{pool::Executor, Accelerator, ActProfileCache, ArchKind, Scratch,
 use s2ta_dbb::dap::LayerNnz;
 use s2ta_models::{cifar10_convnet, lenet5};
 use s2ta_serve::{
-    ClusterReport, FaultSpec, FlightRecorder, Request, RequestOutcome, RetryQueue, RoutingPolicy,
-    TraceEvent, TraceEventKind,
+    ClusterReport, FaultSpec, FlightRecorder, Request, RequestOutcome, RoutingPolicy, TraceEvent,
+    TraceEventKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -262,13 +262,12 @@ fn flight_recorder_records_without_allocating() {
 }
 
 /// The fault-injection bookkeeping's half of the same claim: once the
-/// retry queue's slab/free-list/wheel have grown to their high-water
-/// mark and the fault plan is expanded, steady-state fault handling —
-/// scheduling and draining retries, probing lane health and slowdown
-/// factors, probing shard outage windows — performs **zero** heap
-/// allocations per event. This is what lets the engine react to
-/// crashes on its hot handlers without perturbing the allocation-free
-/// serving loop.
+/// fault plan is expanded, steady-state fault handling — probing lane
+/// health and slowdown factors, probing shard outage windows —
+/// performs **zero** heap allocations per event. This is what lets the
+/// engine react to crashes on its hot handlers without perturbing the
+/// allocation-free serving loop. (The retry slab's reuse is pinned by
+/// `FaultState`'s own unit test.)
 #[test]
 fn fault_bookkeeping_steady_state_allocates_nothing() {
     let spec = FaultSpec {
@@ -284,25 +283,10 @@ fn fault_bookkeeping_steady_state_allocates_nothing() {
     // Plan expansion allocates (it is run setup, not an event).
     let plan = spec.schedule(&[2, 2]);
     let timeline = plan.shard_timeline(0);
-    let mut retries = RetryQueue::new();
-    let req = |id: u64| Request { id, model: 0, arrival: id * 10, act_seed: id };
-
-    // Warm: two full schedule/drain rounds grow the slab, the free
-    // list, and the wheel's due-heap to their steady-state capacity.
-    for round in 0..2u32 {
-        for i in 0..32u64 {
-            retries.schedule(i, req(i), round + 1);
-        }
-        while retries.pop().is_some() {}
-    }
 
     let before = allocs_here();
-    for round in 2..6u32 {
-        for i in 0..32u64 {
-            retries.schedule(i, req(i), round + 1);
-        }
-        while let Some((t, r, attempts)) = retries.pop() {
-            std::hint::black_box((t, r.id, attempts));
+    for _ in 0..4 {
+        for t in 0..32u64 {
             // The health probes the engine makes per fault-mode event.
             std::hint::black_box(timeline.is_lane_down(0, t));
             std::hint::black_box(timeline.next_up_time(0, t));
@@ -310,7 +294,6 @@ fn fault_bookkeeping_steady_state_allocates_nothing() {
             std::hint::black_box(plan.is_shard_up(1, t));
             std::hint::black_box(plan.any_shard_down(t));
         }
-        assert!(retries.is_empty());
     }
     let grew = allocs_here() - before;
     assert_eq!(grew, 0, "steady-state fault bookkeeping performed {grew} heap allocations");

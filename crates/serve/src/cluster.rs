@@ -44,8 +44,8 @@
 //! the synchronization barrier**: between two router decisions no
 //! shard can affect another. Both drivers run one loop
 //! (`Cluster::drive`): before each arrival, every engine with an
-//! internal event before it advances to its time (a non-mutating
-//! timer-wheel peek skips the rest); then the arrival is routed, a
+//! event before it advances to its time (a peek at each engine's next
+//! event skips the rest); then the arrival is routed, a
 //! failover diversion noted, and the arrival injected; after the last
 //! arrival every engine drains. [`Cluster::serve`] picks the driver by
 //! routing policy, and the drivers differ only in where the routing

@@ -27,7 +27,6 @@
 //! [`crate::Fleet::with_faults`] or [`crate::Cluster::with_faults`].
 
 use crate::report::FaultStats;
-use crate::timewheel::TimerWheel;
 use crate::workload::{Lcg, Request};
 use std::collections::HashMap;
 
@@ -229,8 +228,8 @@ pub struct TimelineEvent {
 }
 
 /// One shard's fault schedule: merged per-lane crash and slowdown
-/// windows, plus the flattened edge-event stream the engine steps
-/// through with a cursor. Immutable once built; all queries are
+/// windows, plus the flattened edge-event stream the engine schedules
+/// on its event calendar. Immutable once built; all queries are
 /// allocation-free binary searches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultTimeline {
@@ -249,7 +248,10 @@ impl FaultTimeline {
         Self::build(lanes.max(1), vec![Vec::new(); lanes.max(1)], vec![Vec::new(); lanes.max(1)])
     }
 
-    fn build(
+    /// A timeline over `lanes` lanes from raw per-lane crash windows
+    /// `[start, end)` and slowdown windows `(start, end, factor)`,
+    /// merged per lane.
+    pub(crate) fn build(
         lanes: usize,
         mut crash: Vec<Vec<(u64, u64)>>,
         raw_slow: Vec<Vec<(u64, u64, u64)>>,
@@ -469,85 +471,25 @@ impl FaultConfig {
     }
 }
 
-/// The engine's pending-retry queue: crash-cancelled requests waiting
-/// out their backoff, popping in `(retry time, insertion slot)` order.
-///
-/// Entries live in a slab with a free list, so steady-state churn
-/// (schedule → pop → schedule) allocates nothing once the slab has
-/// grown to the high-water mark — pinned by the counting-allocator
-/// test alongside the rest of the fault bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct RetryQueue {
-    wheel: TimerWheel<usize>,
-    slab: Vec<(Request, u32)>,
-    free: Vec<usize>,
-}
-
-impl RetryQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pending retries.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether no retries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
-    /// Slab slots currently allocated (the high-water mark).
-    pub fn capacity(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Schedules `request` for another dispatch attempt at `time`,
-    /// with `attempts` dispatch attempts already consumed.
-    pub fn schedule(&mut self, time: u64, request: Request, attempts: u32) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = (request, attempts);
-                slot
-            }
-            None => {
-                self.slab.push((request, attempts));
-                self.slab.len() - 1
-            }
-        };
-        self.wheel.push(time, slot);
-    }
-
-    /// The earliest pending retry time, without mutating the queue.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.wheel.peek_next_event_cycle()
-    }
-
-    /// Removes and returns the earliest pending retry as
-    /// `(time, request, consumed attempts)`.
-    pub fn pop(&mut self) -> Option<(u64, Request, u32)> {
-        let (time, slot) = self.wheel.pop()?;
-        let (request, attempts) = self.slab[slot];
-        self.free.push(slot);
-        Some((time, request, attempts))
-    }
-}
-
-/// Live per-engine fault state: the timeline cursor, the retry queue,
-/// per-request attempt counts, the batches in flight on each lane, the
-/// number of lanes down and the accumulating [`FaultStats`]. Owned by
-/// the engine, which changes it only through the methods below and
-/// the plain `stats` counters; every mutation happens at a simulated
-/// event, keeping serial and parallel drivers byte-identical.
+/// Live per-engine fault state: the pending retries, per-request
+/// attempt counts, the batches in flight on each lane, the number of
+/// lanes down and the accumulating [`FaultStats`]. Owned by the engine,
+/// which changes it only through the methods below and the plain
+/// `stats` counters; every mutation happens at a simulated event,
+/// keeping serial and parallel drivers byte-identical. *When* a retry
+/// or a timeline edge fires is the engine's event calendar's business:
+/// it keys a retry by its slab slot and an edge by its timeline index.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     config: FaultConfig,
     timeline: FaultTimeline,
-    /// Next unconsumed index into `timeline.events()`.
-    cursor: usize,
-    retries: RetryQueue,
+    /// Crash-cancelled requests waiting out their backoff, with the
+    /// dispatch attempts each has consumed, by slot. Freed slots are
+    /// reused, so steady-state churn allocates nothing once the slab
+    /// has grown to its high-water mark.
+    retries: Vec<(Request, u32)>,
+    /// Free slots of `retries`.
+    free: Vec<usize>,
     /// Dispatch attempts consumed by each request a crash has cancelled
     /// at least once, by request id, until it is served or fails: the
     /// table holds the retries in flight, not the stream.
@@ -576,8 +518,8 @@ impl FaultState {
         Self {
             config,
             timeline,
-            cursor: 0,
-            retries: RetryQueue::new(),
+            retries: Vec::new(),
+            free: Vec::new(),
             attempts: HashMap::new(),
             lane_active: vec![Vec::new(); lanes],
             failed_per_model: vec![0; models],
@@ -587,20 +529,9 @@ impl FaultState {
         }
     }
 
-    /// The next unconsumed timeline edge's time, if any remain.
-    pub(crate) fn next_fault_time(&self) -> Option<u64> {
-        self.timeline.events().get(self.cursor).map(|e| e.time)
-    }
-
-    /// Consumes and returns the next timeline edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every edge is consumed.
-    pub(crate) fn next_edge(&mut self) -> TimelineEvent {
-        let edge = self.timeline.events()[self.cursor];
-        self.cursor += 1;
-        edge
+    /// The timeline edge at `index` in `(time, lane, edge)` order.
+    pub(crate) fn edge(&self, index: usize) -> TimelineEvent {
+        self.timeline.events()[index]
     }
 
     /// The slowdown multiplier in effect on `lane` at `t`.
@@ -613,15 +544,11 @@ impl FaultState {
         self.config.hedge
     }
 
-    /// The earliest pending retry's time, if any.
-    pub(crate) fn next_retry_time(&self) -> Option<u64> {
-        self.retries.peek_time()
-    }
-
-    /// Removes the earliest pending retry as `(time, request, consumed
-    /// attempts)`.
-    pub(crate) fn pop_retry(&mut self) -> Option<(u64, Request, u32)> {
-        self.retries.pop()
+    /// Takes the retry in `slot` as `(request, consumed attempts)`,
+    /// freeing the slot.
+    pub(crate) fn take_retry(&mut self, slot: usize) -> (Request, u32) {
+        self.free.push(slot);
+        self.retries[slot]
     }
 
     /// Batch `id` went in flight on `lane`.
@@ -660,21 +587,30 @@ impl FaultState {
     }
 
     /// A crash at `now` cancelled `request`, consuming one more
-    /// dispatch attempt. Schedules its retry under the
-    /// [`RetryPolicy`] and returns `None`, or returns the attempts it
-    /// consumed when the policy refuses it: the caller then fails it
+    /// dispatch attempt. Under the [`RetryPolicy`] it either takes a
+    /// retry slot and returns `Ok((retry time, slot))`, or returns
+    /// `Err` with the attempts it consumed: the caller then fails it
     /// ([`FaultState::fail`]).
-    pub(crate) fn retry_or_fail(&mut self, request: Request, now: u64) -> Option<u32> {
+    pub(crate) fn retry_or_fail(
+        &mut self,
+        request: Request,
+        now: u64,
+    ) -> Result<(u64, usize), u32> {
         let attempts = self.attempts.entry(request.id).or_insert(0);
         *attempts += 1;
         let attempts = *attempts;
-        match self.config.retry.next_retry(now, request.arrival, attempts) {
-            Some(at) => {
-                self.retries.schedule(at, request, attempts);
-                None
+        let at = self.config.retry.next_retry(now, request.arrival, attempts).ok_or(attempts)?;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.retries[slot] = (request, attempts);
+                slot
             }
-            None => Some(attempts),
-        }
+            None => {
+                self.retries.push((request, attempts));
+                self.retries.len() - 1
+            }
+        };
+        Ok((at, slot))
     }
 
     /// `request` is abandoned as failed: its attempt count goes and it
@@ -724,6 +660,11 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A taken retry as `(request id, consumed attempts)`.
+    fn id_attempts((request, attempts): (Request, u32)) -> (u64, u32) {
+        (request.id, attempts)
+    }
 
     fn spec(seed: u64) -> FaultSpec {
         FaultSpec {
@@ -896,14 +837,13 @@ mod tests {
         f.update_degraded(100, 0);
         assert!(f.sheds(1) && !f.sheds(0), "a lane down opens degraded mode");
 
-        assert_eq!(f.retry_or_fail(r(3), 100), None, "the first attempt retries");
-        assert_eq!(f.next_retry_time(), Some(200));
-        assert_eq!(f.pop_retry().map(|(t, req, a)| (t, req.id, a)), Some((200, 3, 1)));
-        assert_eq!(f.retry_or_fail(r(3), 300), Some(2), "two attempts exhaust the policy");
+        assert_eq!(f.retry_or_fail(r(3), 100), Ok((200, 0)), "the first attempt retries");
+        assert_eq!(id_attempts(f.take_retry(0)), (3, 1));
+        assert_eq!(f.retry_or_fail(r(3), 300), Err(2), "two attempts exhaust the policy");
         f.fail(&r(3));
         assert!(f.attempts.is_empty(), "a failed request's count goes");
         assert_eq!(f.stats.failed, 1);
-        assert_eq!(f.retry_or_fail(r(4), 300), None);
+        assert_eq!(f.retry_or_fail(r(4), 300), Ok((400, 0)), "the freed slot is reused");
         f.batch_completed(1, 8, &[r(4)]);
         assert!(f.attempts.is_empty(), "a served request's count goes");
         assert_eq!(f.lane_active, vec![Vec::<usize>::new(); 2]);
@@ -919,22 +859,42 @@ mod tests {
         assert_eq!((stats.degraded_cycles, failed), (500, vec![1, 0]));
     }
 
+    /// The retry slab: a freed slot is the next one taken, so the slab
+    /// grows only to the most retries pending at once, and once two
+    /// rounds of schedule-then-take churn have grown the slab and its
+    /// free list, four more rounds change neither's capacity.
     #[test]
-    fn retry_queue_pops_in_time_order_and_reuses_slots() {
-        let mut q = RetryQueue::new();
-        let r = |id| Request { id, model: 0, arrival: 0, act_seed: 0 };
-        q.schedule(300, r(3), 1);
-        q.schedule(100, r(1), 1);
-        q.schedule(200, r(2), 2);
-        assert_eq!(q.peek_time(), Some(100));
-        assert_eq!(q.pop().map(|(t, req, a)| (t, req.id, a)), Some((100, 1, 1)));
-        let high_water = q.capacity();
-        q.schedule(50, r(4), 3);
-        assert_eq!(q.capacity(), high_water, "freed slot is reused, no slab growth");
-        assert_eq!(q.pop().map(|(t, req, _)| (t, req.id)), Some((50, 4)));
-        assert_eq!(q.pop().map(|(t, req, _)| (t, req.id)), Some((200, 2)));
-        assert_eq!(q.pop().map(|(t, req, _)| (t, req.id)), Some((300, 3)));
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+    fn fault_state_reuses_retry_slots() {
+        let config = FaultConfig {
+            retry: RetryPolicy { max_attempts: 8, backoff_base_cycles: 100, deadline_cycles: 0 },
+            ..FaultConfig::protected(FaultSpec::quiet(1))
+        };
+        let mut f = FaultState::new(config, FaultTimeline::quiet(1), 1);
+        let r = |id| Request { id, model: 0, arrival: id * 10, act_seed: id };
+        let slot = |f: &mut FaultState, id, now| f.retry_or_fail(r(id), now).expect("retries").1;
+        assert_eq!([slot(&mut f, 1, 0), slot(&mut f, 2, 0), slot(&mut f, 3, 0)], [0, 1, 2]);
+        assert_eq!(id_attempts(f.take_retry(1)), (2, 1));
+        assert_eq!(slot(&mut f, 4, 0), 1, "the freed slot is taken first");
+        assert_eq!(f.retries.len(), 3, "no slab growth while a slot is free");
+        for taken in [0, 1, 2] {
+            f.take_retry(taken);
+        }
+
+        let round = |f: &mut FaultState, now| {
+            let slots: [usize; 32] = std::array::from_fn(|i| slot(f, 100 + i as u64, now));
+            for s in slots {
+                f.take_retry(s);
+            }
+        };
+        for now in 0..2 {
+            round(&mut f, now);
+        }
+        let capacities = |f: &FaultState| (f.retries.capacity(), f.free.capacity());
+        let warm = capacities(&f);
+        for now in 2..6 {
+            round(&mut f, now);
+            assert_eq!(capacities(&f), warm, "round {now} grew the retry slab");
+        }
+        assert_eq!(f.retries.len(), 32);
     }
 }

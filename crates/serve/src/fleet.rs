@@ -20,8 +20,12 @@
 //!   only after the previous one completes; arrivals are iterated
 //!   per-request in simulated time as a fixed point of the placement.
 //!
-//! The engine advances simulated time through batch completions,
-//! arrivals and batch wait deadlines in `(time, kind)` order. Fresh
+//! The engine keeps one event calendar. Batch completions, autoscaler
+//! evaluations, retry re-admissions and fault-window edges wait in one
+//! timer wheel, and each model lane's open-batch deadline in that
+//! lane's slot of the request queue. Arrivals come from the arrival
+//! source, and every event fires in `(time, Event)` order, whose
+//! derived kind order is the one tie-break rule at equal times. Fresh
 //! arrivals and fault-mode retries join their model's queue through one
 //! admission routine. Each sealed batch picks its lane and simulates
 //! once, on that lane (monolithic), or once per stage on its pinned
@@ -59,7 +63,7 @@ use crate::fault::{FaultConfig, FaultState, FaultTimeline, TimelineEvent, Window
 use crate::pipeline::{PipelinePlan, PipelineState};
 use crate::placement::{affinity_lane, earliest_free_lane, PlacementStrategy, ServiceEstimator};
 use crate::policy::{BatchObservation, BatchPolicy, FixedPolicy};
-use crate::queue::{DeadlineHeap, RequestQueue};
+use crate::queue::RequestQueue;
 use crate::report::{
     DroppedRequest, FailedRequest, LatencyHistogram, ModelServeStats, RequestOutcome, ServeReport,
     ServedRequest, WorkerStats,
@@ -675,20 +679,33 @@ impl<'a> ArrivalSource<'a> {
     }
 }
 
-/// Event-kind tie-breakers: at equal times, completions fire before
-/// autoscaler evaluations, evaluations before arrivals, arrivals
-/// before deadlines, deadlines before retry re-admissions, and
-/// fault-window edges last — so an evaluation sees a same-cycle
-/// completion already out of the backlog and a same-cycle arrival not
-/// yet in it, a batch completing exactly when its lane crashes has
-/// completed, and an arrival at a crash instant can still dispatch
-/// (and be cancelled by the crash).
-const COMPLETION_KIND: u8 = 0;
-const AUTOSCALE_KIND: u8 = 1;
-const ARRIVAL_KIND: u8 = 2;
-const DEADLINE_KIND: u8 = 3;
-const RETRY_KIND: u8 = 4;
-const FAULT_KIND: u8 = 5;
+/// One timed event of the engine. The derived order is the tie-break
+/// rule at equal times: completions fire before autoscaler
+/// evaluations, evaluations before arrivals, arrivals before
+/// deadlines, deadlines before retry re-admissions, and fault-window
+/// edges last. So an evaluation sees a same-cycle completion already
+/// out of the backlog and a same-cycle arrival not yet in it, a batch
+/// completing exactly when its lane crashes has completed, and an
+/// arrival at a crash instant can still dispatch (and be cancelled by
+/// the crash). Within a kind, the payload orders same-time events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// The batch with this id completes.
+    Completion(usize),
+    /// The lane autoscaler evaluates.
+    Autoscale,
+    /// The arrival source's next request arrives (arrivals never enter
+    /// the calendar; injected arrivals compare against this variant).
+    Arrival,
+    /// This model lane's open batch times out. Deadlines live in the
+    /// request queue's per-lane slots, not in the wheel.
+    Deadline(usize),
+    /// The retry in this slot of the fault state's slab re-enters.
+    Retry(usize),
+    /// The fault-timeline edge at this index fires (edges are indexed
+    /// in `(time, lane, edge)` order).
+    Fault(usize),
+}
 
 /// A cluster shard's lane autoscaler: one evaluation every
 /// `policy.eval_interval_cycles`, through `horizon` (the last arrival
@@ -696,26 +713,28 @@ const FAULT_KIND: u8 = 5;
 struct Autoscaler {
     policy: AutoscalePolicy,
     horizon: u64,
-    next_eval: u64,
     /// Applied decisions, in time order (shard index 0; the cluster
     /// stamps its own).
     events: Vec<ScaleEvent>,
 }
 
 impl Autoscaler {
-    /// The time of the next evaluation, if one remains.
-    fn next(&self) -> Option<u64> {
-        (self.next_eval <= self.horizon).then_some(self.next_eval)
+    /// The evaluation after the one at `time`, if it is within the
+    /// horizon.
+    fn after(&self, time: u64) -> Option<u64> {
+        let next = time + self.policy.eval_interval_cycles;
+        (next <= self.horizon).then_some(next)
     }
 }
 
 /// The event-driven serving engine: advances simulated time through
 /// batch completions, request arrivals, batch wait-deadline expiries
 /// and, when attached, autoscaler evaluations, retry re-admissions and
-/// fault-window edges — processed in `(time, kind)` order (see the
-/// kind constants: a batch closes only when its deadline is strictly
-/// before the current time, so an arrival exactly at a deadline still
-/// joins the batch).
+/// fault-window edges, processed in `(time, Event)` order (see
+/// [`Event`]: a batch closes only when its deadline is strictly before
+/// the current time, so an arrival exactly at a deadline still joins
+/// the batch). Every timed event but a deadline waits on one calendar,
+/// `calendar`; each lane's deadline waits in its request-queue slot.
 ///
 /// The engine owns its arrival source and borrows its batching policy
 /// for the whole run, so every event handler reaches both through
@@ -725,12 +744,13 @@ pub(crate) struct Engine<'a> {
     models: &'a [ModelSpec],
     arrivals: ArrivalSource<'a>,
     policy: &'a mut dyn BatchPolicy,
+    /// The per-model request lanes, each with its open batch's deadline.
     queue: RequestQueue,
-    deadlines: DeadlineHeap,
-    /// In-flight batches ordered by `(completion, batch index)` — a
-    /// hierarchical timer wheel, so a million pending completions cost
-    /// O(1) amortized per event instead of a heap rebalance.
-    in_flight: TimerWheel<usize>,
+    /// The event calendar: every pending completion, autoscaler
+    /// evaluation, retry and fault edge, ordered by `(time, Event)` in
+    /// a hierarchical timer wheel, so a million pending completions
+    /// cost O(1) amortized per event instead of a heap rebalance.
+    calendar: TimerWheel<Event>,
     /// The records of the batches in flight, by batch id: inserted at
     /// dispatch, removed when the batch's completion pops (for a
     /// crash-cancelled batch, when its stale wheel entry does). The
@@ -806,14 +826,19 @@ impl<'a> Engine<'a> {
             fleet.fault.is_none() || pipeline.is_none(),
             "fault injection models monolithic lane execution; pipelined placement is unsupported"
         );
+        let mut calendar = TimerWheel::new();
+        if let Some((_, timeline)) = &fleet.fault {
+            for (index, edge) in timeline.events().iter().enumerate() {
+                calendar.push(edge.time, Event::Fault(index));
+            }
+        }
         Self {
             fleet,
             models,
             arrivals,
             policy,
             queue: fleet.queue(models.len()),
-            deadlines: DeadlineHeap::new(),
-            in_flight: TimerWheel::new(),
+            calendar,
             batches: HashMap::new(),
             dispatched: 0,
             free_at: vec![0u64; fleet.lanes.len()],
@@ -842,12 +867,10 @@ impl<'a> Engine<'a> {
     /// Attaches lane autoscaling under `policy`, evaluated every
     /// interval through `horizon` (no evaluation fires past it).
     pub(crate) fn with_autoscale(mut self, policy: Option<AutoscalePolicy>, horizon: u64) -> Self {
-        self.autoscale = policy.map(|policy| Autoscaler {
-            policy,
-            horizon,
-            next_eval: policy.eval_interval_cycles,
-            events: Vec::new(),
-        });
+        self.autoscale = policy.map(|policy| Autoscaler { policy, horizon, events: Vec::new() });
+        if let Some(first) = self.autoscale.as_ref().and_then(|auto| auto.after(0)) {
+            self.calendar.push(first, Event::Autoscale);
+        }
         self
     }
 
@@ -901,50 +924,40 @@ impl<'a> Engine<'a> {
     fn run(mut self) -> ServeReport {
         self.reserve_outcomes(self.arrivals.remaining());
         loop {
-            // The next event is the earliest of the internal events
-            // and the next arrival; kind breaks ties so same-cycle
-            // events fire in a fixed order.
-            let internal = self.next_internal_event();
-            let arrival = self.arrivals.peek_time().map(|t| (t, ARRIVAL_KIND));
-            let Some((_, kind)) = [internal, arrival].into_iter().flatten().min() else {
+            let arrival = self.arrivals.peek_time().map(|t| (t, Event::Arrival));
+            let Some(next) = [self.next_event(), arrival].into_iter().flatten().min() else {
                 break;
             };
-            if kind == ARRIVAL_KIND {
-                let r = self.arrivals.pop(self.next_id);
-                self.inject(r);
-            } else {
-                self.step_internal(kind);
-            }
+            self.step(next);
         }
         self.into_report()
     }
 
-    /// The earliest pending internal event as `(time, kind)`:
-    /// completions, autoscaler evaluations, live batch deadlines,
-    /// pending retry re-admissions and fault-timeline edges, with
-    /// arrivals slotting between evaluations and deadlines at equal
-    /// times.
-    fn next_internal_event(&mut self) -> Option<(u64, u8)> {
-        let completion = self.in_flight.peek().map(|(t, _)| (t, COMPLETION_KIND));
-        let autoscale =
-            self.autoscale.as_ref().and_then(Autoscaler::next).map(|t| (t, AUTOSCALE_KIND));
-        let deadline = self.deadlines.peek_live(&self.queue).map(|(t, _)| (t, DEADLINE_KIND));
-        let retry =
-            self.faults.as_deref().and_then(FaultState::next_retry_time).map(|t| (t, RETRY_KIND));
-        let fault =
-            self.faults.as_deref().and_then(FaultState::next_fault_time).map(|t| (t, FAULT_KIND));
-        [completion, autoscale, deadline, retry, fault].into_iter().flatten().min()
+    /// The earliest pending event other than an arrival: the
+    /// calendar's head or the earliest lane deadline, whichever sorts
+    /// first.
+    fn next_event(&mut self) -> Option<(u64, Event)> {
+        let deadline = self.queue.next_deadline().map(|(t, model)| (t, Event::Deadline(model)));
+        [self.calendar.peek(), deadline].into_iter().flatten().min()
     }
 
-    /// Processes one internal event previously returned by
-    /// [`Engine::next_internal_event`].
-    fn step_internal(&mut self, kind: u8) {
-        match kind {
-            COMPLETION_KIND => self.on_completion(),
-            AUTOSCALE_KIND => self.on_autoscale(),
-            DEADLINE_KIND => self.on_deadline(),
-            RETRY_KIND => self.on_retry(),
-            _ => self.on_fault(),
+    /// Processes the earliest pending event: the next arrival, a lane
+    /// deadline or the calendar's head, which leaves the calendar here.
+    fn step(&mut self, (time, event): (u64, Event)) {
+        if !matches!(event, Event::Arrival | Event::Deadline(_)) {
+            let head = self.calendar.pop();
+            debug_assert_eq!(head, Some((time, event)), "only the calendar's head steps");
+        }
+        match event {
+            Event::Completion(batch) => self.on_completion(time, batch),
+            Event::Autoscale => self.on_autoscale(time),
+            Event::Arrival => {
+                let request = self.arrivals.pop(self.next_id);
+                self.inject(request);
+            }
+            Event::Deadline(model) => self.on_deadline(time, model),
+            Event::Retry(slot) => self.on_retry(time, slot),
+            Event::Fault(edge) => self.on_fault(edge),
         }
     }
 
@@ -958,11 +971,12 @@ impl<'a> Engine<'a> {
         self.on_arrival(request);
     }
 
-    /// Advances simulated time through every internal event that
-    /// precedes an arrival at `t` in `(time, kind)` order: completions
-    /// with time <= `t` and deadlines strictly before `t`. After this,
-    /// the engine's queue depths are exactly what an arrival at `t`
-    /// would observe — the router's probe point.
+    /// Advances simulated time through every event that precedes an
+    /// arrival at `t` in `(time, Event)` order: completions and
+    /// evaluations at or before `t`, deadlines, retries and fault edges
+    /// strictly before it. After this, the engine's queue depths are
+    /// exactly what an arrival at `t` would observe — the router's
+    /// probe point.
     pub(crate) fn advance_to_arrival(&mut self, t: u64) {
         // Host-side wall-clock span only — no metrics flush here: the
         // barrier driver advances shards to every arrival barrier
@@ -970,21 +984,20 @@ impl<'a> Engine<'a> {
         // so any simulated-time hook at this boundary would make the
         // trace driver-dependent. Flushes live in the event handlers.
         self.host_span("shard-advance", |engine| {
-            while let Some((et, kind)) = engine.next_internal_event() {
-                if (et, kind) >= (t, ARRIVAL_KIND) {
+            while let Some(next) = engine.next_event() {
+                if next >= (t, Event::Arrival) {
                     break;
                 }
-                engine.step_internal(kind);
+                engine.step(next);
             }
         });
     }
 
-    /// Drains every remaining internal event (end of the arrival
-    /// stream).
+    /// Drains every remaining event (end of the arrival stream).
     pub(crate) fn drain(&mut self) {
         self.host_span("shard-advance", |engine| {
-            while let Some((_, kind)) = engine.next_internal_event() {
-                engine.step_internal(kind);
+            while let Some(next) = engine.next_event() {
+                engine.step(next);
             }
         });
     }
@@ -1002,17 +1015,20 @@ impl<'a> Engine<'a> {
     ///
     /// O(1): both halves are incrementally maintained counters (a
     /// debug assertion cross-checks them against a full recompute from
-    /// the queue lanes and the in-flight wheel).
+    /// the queue lanes and the calendar's completions).
     pub(crate) fn backlog(&self) -> usize {
         debug_assert_eq!(
             self.in_flight_requests,
-            self.in_flight
+            self.calendar
                 .iter()
-                .map(|(_, b)| &self.batches[&b])
+                .filter_map(|(_, event)| match event {
+                    Event::Completion(id) => Some(&self.batches[&id]),
+                    _ => None,
+                })
                 .filter(|b| !b.cancelled)
                 .map(|b| b.requests.len())
                 .sum::<usize>(),
-            "in-flight counter diverged from the timer wheel"
+            "in-flight counter diverged from the calendar"
         );
         self.queued_depth() + self.in_flight_requests
     }
@@ -1038,32 +1054,14 @@ impl<'a> Engine<'a> {
         self.queued
     }
 
-    /// Whether any internal event (see
-    /// [`Engine::next_internal_event`]) fires strictly before an
-    /// arrival at `t` in `(time, kind)` order — the cluster driver's
-    /// fast path: a shard answering `false` needs no
-    /// [`Engine::advance_to_arrival`] dispatch at all. Non-mutating on
-    /// the completion wheel; stale deadline entries may be discarded,
-    /// which never changes simulated state.
+    /// Whether any event (see [`Engine::next_event`]) fires strictly
+    /// before an arrival at `t` in `(time, Event)` order — the cluster
+    /// driver's fast path: a shard answering `false` needs no
+    /// [`Engine::advance_to_arrival`] dispatch at all. Peeking may
+    /// cascade the calendar's wheel, which never changes simulated
+    /// state.
     pub(crate) fn has_event_before(&mut self, t: u64) -> bool {
-        // Completions and evaluations sort before arrivals, so each
-        // fires first iff its time is <= t; deadline, retry and fault
-        // events sort after, so each fires first iff its time is < t.
-        if self.in_flight.peek_next_event_cycle().is_some_and(|ct| ct <= t) {
-            return true;
-        }
-        if self.autoscale.as_ref().and_then(Autoscaler::next).is_some_and(|et| et <= t) {
-            return true;
-        }
-        if let Some(f) = self.faults.as_deref() {
-            if f.next_retry_time().is_some_and(|rt| rt < t) {
-                return true;
-            }
-            if f.next_fault_time().is_some_and(|ft| ft < t) {
-                return true;
-            }
-        }
-        self.deadlines.peek_live(&self.queue).is_some_and(|(dt, _)| dt < t)
+        self.next_event().is_some_and(|next| next < (t, Event::Arrival))
     }
 
     /// The autoscaler decisions applied so far, each stamped with
@@ -1077,10 +1075,9 @@ impl<'a> Engine<'a> {
     /// alike — with its trace record and the makespan. Resolving here
     /// rather than at dispatch lets a lane crash cancel a batch before
     /// anything about it is recorded.
-    fn on_completion(&mut self) {
-        let (t, index) = self.in_flight.pop().expect("peeked");
+    fn on_completion(&mut self, t: u64, index: usize) {
         // Metrics boundaries close before this completion mutates any
-        // counter (popping the wheel changes no sampled state).
+        // counter (popping the calendar changes no sampled state).
         self.trace_flush(t);
         let batch = self.batches.remove(&index).expect("a wheel entry has an in-flight record");
         // A crash-cancelled batch's wheel entry is stale: its members
@@ -1155,8 +1152,7 @@ impl<'a> Engine<'a> {
     /// normally; the lane just stops receiving new batches. Unlike the
     /// other handlers it never updates degraded mode: an extra update
     /// can move degraded intervals.
-    fn on_autoscale(&mut self) {
-        let time = self.autoscale.as_ref().expect("autoscale event").next_eval;
+    fn on_autoscale(&mut self, time: u64) {
         // Metrics boundaries `<= time` close before the decision can
         // resize the active-lane set, so their samples see the
         // pre-decision lane count.
@@ -1164,7 +1160,9 @@ impl<'a> Engine<'a> {
         let (backlog, from_lanes, lanes) =
             (self.backlog(), self.active_lanes, self.fleet.lanes.len());
         let auto = self.autoscale.as_mut().expect("autoscale event");
-        auto.next_eval += auto.policy.eval_interval_cycles;
+        if let Some(next) = auto.after(time) {
+            self.calendar.push(next, Event::Autoscale);
+        }
         let p = auto.policy;
         let to_lanes = if backlog >= p.scale_up_depth {
             (from_lanes + 1).min(lanes)
@@ -1200,12 +1198,9 @@ impl<'a> Engine<'a> {
         self.admit(request, request.arrival, None);
     }
 
-    fn on_deadline(&mut self) {
-        let (deadline, lane) =
-            self.deadlines.peek_live(&self.queue).expect("peeked before dispatch");
+    fn on_deadline(&mut self, deadline: u64, lane: usize) {
         self.trace_flush(deadline);
         self.update_degraded(deadline);
-        self.deadlines.pop();
         let limits = self.policy.limits_for(lane);
         let members = self.queue.pop_batch(lane, limits.max_batch.max(1));
         debug_assert!(!members.is_empty());
@@ -1222,16 +1217,16 @@ impl<'a> Engine<'a> {
         // before its newest member arrived.
         let ready = deadline.max(members.last().map_or(0, |r| r.arrival));
         if let Some(front) = self.queue.front(lane) {
-            let (next, front_id) = (front.arrival.saturating_add(limits.max_wait_cycles), front.id);
-            self.deadlines.arm(next, lane, front_id, &self.queue);
+            let next = front.arrival.saturating_add(limits.max_wait_cycles);
+            self.queue.arm(lane, next);
         }
         self.dispatch_burst(lane, vec![members], ready);
     }
 
     /// A crash-cancelled request's backoff expired: re-admit it
     /// through the normal batching path.
-    fn on_retry(&mut self) {
-        let (t, request, attempts) = self.fault_state().pop_retry().expect("peeked");
+    fn on_retry(&mut self, t: u64, slot: usize) {
+        let (request, attempts) = self.fault_state().take_retry(slot);
         self.trace_flush(t);
         self.update_degraded(t);
         self.fault_state().stats.retries += 1;
@@ -1270,12 +1265,7 @@ impl<'a> Engine<'a> {
         let max_wait = limits.max_wait_cycles;
         let wait_from = |front: &Request| retry.map_or(front.arrival, |_| now);
         if was_empty {
-            self.deadlines.arm(
-                wait_from(&request).saturating_add(max_wait),
-                lane,
-                request.id,
-                &self.queue,
-            );
+            self.queue.arm(lane, wait_from(&request).saturating_add(max_wait));
         }
         // Several batches may seal back-to-back here when an adaptive
         // policy shrank `max_batch` below the lane's backlog; they
@@ -1285,8 +1275,8 @@ impl<'a> Engine<'a> {
             return;
         }
         if let Some(front) = self.queue.front(lane) {
-            let (deadline, front_id) = (wait_from(front).saturating_add(max_wait), front.id);
-            self.deadlines.arm(deadline, lane, front_id, &self.queue);
+            let deadline = wait_from(front).saturating_add(max_wait);
+            self.queue.arm(lane, deadline);
         }
         self.dispatch_burst(lane, sealed, now);
     }
@@ -1324,10 +1314,10 @@ impl<'a> Engine<'a> {
         self.arrivals.request_finished(request.id, now);
     }
 
-    /// Processes the next fault-timeline edge: a crash or slowdown
-    /// window opening or closing on one lane.
-    fn on_fault(&mut self) {
-        let ev = self.fault_state().next_edge();
+    /// Processes the fault-timeline edge at `index`: a crash or
+    /// slowdown window opening or closing on one lane.
+    fn on_fault(&mut self, index: usize) {
+        let ev = self.fault_state().edge(index);
         let t = ev.time;
         self.trace_flush(t);
         self.update_degraded(t);
@@ -1383,8 +1373,9 @@ impl<'a> Engine<'a> {
             self.worker_stats[lane].busy_cycles -= refund;
             self.in_flight_requests -= members.len();
             for r in members {
-                if let Some(attempts) = self.fault_state().retry_or_fail(r, t) {
-                    self.fail_request(r, attempts, t);
+                match self.fault_state().retry_or_fail(r, t) {
+                    Ok((at, slot)) => self.calendar.push(at, Event::Retry(slot)),
+                    Err(attempts) => self.fail_request(r, attempts, t),
                 }
             }
         }
@@ -1712,7 +1703,7 @@ impl<'a> Engine<'a> {
     fn launch(&mut self, completion: u64, batch: EngineBatch) {
         let id = self.dispatched;
         self.dispatched += 1;
-        self.in_flight.push(completion, id);
+        self.calendar.push(completion, Event::Completion(id));
         self.batches.insert(id, batch);
     }
 
@@ -2295,7 +2286,7 @@ mod tests {
         assert_eq!(summed, report.total_events);
     }
 
-    use crate::fault::{FaultConfig, FaultSpec, RetryPolicy};
+    use crate::fault::{FaultConfig, FaultSpec, FaultTimeline, RetryPolicy};
 
     fn crash_spec(seed: u64, crashes: usize, horizon: u64, mean_down: u64) -> FaultSpec {
         FaultSpec {
@@ -2517,7 +2508,12 @@ mod tests {
             for &r in &reqs {
                 engine.advance_to_arrival(r.arrival);
                 engine.inject(r);
-                assert_eq!(engine.batches.len(), engine.in_flight.iter().count());
+                let completions = engine
+                    .calendar
+                    .iter()
+                    .filter(|(_, event)| matches!(event, Event::Completion(_)))
+                    .count();
+                assert_eq!(engine.batches.len(), completions);
                 most = most.max(engine.batches.len());
             }
             engine.drain();
@@ -2533,6 +2529,99 @@ mod tests {
                 assert!(ids.iter().all(|&b| b < report.batches));
             }
         }
+    }
+
+    /// An S2TA-AW fleet under `policy`, one lane per entry of `down`,
+    /// whose lane `l` crashes in exactly the `[start, end)` windows
+    /// `down[l]`, retrying under `retry`.
+    fn crashing(policy: FixedPolicy, retry: RetryPolicy, down: Vec<Vec<(u64, u64)>>) -> Fleet {
+        let lanes = down.len();
+        let timeline = FaultTimeline::build(lanes, down, vec![Vec::new(); lanes]);
+        let config = FaultConfig { retry, ..FaultConfig::protected(FaultSpec::quiet(0)) };
+        Fleet::new(ArchKind::S2taAw, lanes)
+            .with_policy(policy)
+            .with_fault_timeline(config, timeline)
+    }
+
+    /// The calendar's tie-break at equal cycles, event by event: a
+    /// completion fires before a crash on its lane, an arrival before a
+    /// crash, and an autoscale evaluation after a completion but
+    /// before an arrival.
+    #[test]
+    fn same_cycle_events_fire_in_calendar_order() {
+        let models = vec![lenet5()];
+        let policy = FixedPolicy { max_batch: 1, max_wait_cycles: 1_000 };
+        let at = |id, arrival| Request { id, model: 0, arrival, act_seed: 1 };
+        let c = Fleet::new(ArchKind::S2taAw, 1)
+            .with_policy(policy)
+            .serve(&models, &[at(0, 0)])
+            .makespan_cycles;
+        assert!(c > 0);
+        let retry = RetryPolicy::default();
+
+        // A batch completing at its lane's crash start has completed.
+        let report = crashing(policy, retry, vec![vec![(c, c + 100)]]).serve(&models, &[at(0, 0)]);
+        let served: Vec<_> = report.served_outcomes().map(|o| (o.start, o.completion)).collect();
+        assert_eq!(served, vec![(0, c)], "the batch completes at the crash instant");
+        assert_eq!((report.fault.lane_crashes, report.fault.retries), (1, 0));
+
+        // An arrival at a crash instant dispatches, then the crash
+        // cancels it and it retries after its backoff.
+        let report = crashing(policy, retry, vec![vec![(c, c + 100)]]).serve(&models, &[at(0, c)]);
+        assert_eq!((report.fault.lane_crashes, report.fault.retries), (1, 1));
+        let retried_at = c + retry.backoff_base_cycles;
+        let served: Vec<u64> = report.served_outcomes().map(|o| o.start).collect();
+        assert_eq!(served, vec![retried_at], "the retry serves once the backoff ends");
+
+        // An evaluation at `c` sees the completion at `c` gone and the
+        // arrival at `c` not yet in: a backlog of 0 sheds a lane.
+        let fleet = Fleet::new(ArchKind::S2taAw, 2).with_policy(policy);
+        let autoscale = AutoscalePolicy {
+            eval_interval_cycles: c,
+            scale_up_depth: 2,
+            scale_down_depth: 0,
+            min_lanes: 1,
+        };
+        let mut fixed = fleet.fixed_policy();
+        let mut engine = Engine::new(&fleet, &models, ArrivalSource::open(&[]), &mut fixed)
+            .with_autoscale(Some(autoscale), c);
+        for r in [at(0, 0), at(1, c)] {
+            engine.advance_to_arrival(r.arrival);
+            engine.inject(r);
+        }
+        engine.drain();
+        let want = ScaleEvent { time: c, shard: 0, from_lanes: 2, to_lanes: 1, backlog: 0 };
+        assert_eq!(engine.take_scale_events(), vec![want]);
+        assert_eq!(engine.into_report().served_count(), 2);
+    }
+
+    /// A retried request re-admitted into an empty model lane waits
+    /// `max_wait` from its retry instant, not from its original
+    /// arrival — even when it was its lane's front once before and
+    /// another lane's earlier deadline kept that first deadline from
+    /// ever being discarded as stale (the one case a lazily
+    /// invalidated deadline heap fired early).
+    #[test]
+    fn retry_into_an_empty_lane_waits_from_the_retry_instant() {
+        let models = vec![lenet5(), lenet5()];
+        let wait = 10_000;
+        let policy = FixedPolicy { max_batch: 2, max_wait_cycles: wait };
+        let retry = RetryPolicy { max_attempts: 2, backoff_base_cycles: 100, deadline_cycles: 0 };
+        // `z` times out alone at 10_000 on lane 0, whose crash at
+        // 10_001 cancels it. `q` (model 1) waits from 10_050 to its
+        // deadline 20_050; `r` enters the empty model-0 lane at 10_051
+        // (first deadline 20_051). `z`'s retry at 10_101 fills the
+        // batch, which runs on lane 1, and lane 1's crash at 10_102
+        // cancels both: `z` has used its two attempts and fails, and
+        // `r` retries at 10_202 into the empty lane.
+        let at = |id, model, arrival| Request { id, model, arrival, act_seed: id };
+        let (z, q, r) = (at(0, 0, 0), at(1, 1, 10_050), at(2, 0, 10_051));
+        let down = vec![vec![(10_001, 10_011)], vec![(10_102, 10_112)]];
+        let report = crashing(policy, retry, down).serve(&models, &[z, q, r]);
+        assert_eq!(report.fault.retries, 2);
+        assert!(matches!(&report.outcomes[0], RequestOutcome::Failed(f) if f.attempts == 2));
+        let served: Vec<(u64, u64)> = report.served_outcomes().map(|o| (o.id, o.start)).collect();
+        assert_eq!(served, vec![(1, 20_050), (2, 10_202 + wait)], "r not at 20_051");
     }
 
     /// Hedged dispatch duplicates aged batches onto a second lane:

@@ -22,7 +22,8 @@
 //! * [`FleetSpec`] / [`Lane`] / [`Fleet`] — a fleet built from an
 //!   ordered list of lanes of any [`s2ta_core::ArchKind`] (e.g.
 //!   `FleetSpec::mixed(&[(S2taAw, 2), (SaZvcg, 2)])`), served by one
-//!   event-driven engine that queues requests in per-model FIFO lanes
+//!   event-driven engine, whose one event calendar orders every timed
+//!   event and which queues requests in per-model FIFO lanes
 //!   (optionally bounded for admission control: tail drop), groups
 //!   them into batches (size- or timeout-closed) and places the
 //!   batches on the lanes. Batch
@@ -98,7 +99,7 @@ pub use cluster::{
 };
 pub use fault::{
     DegradedMode, FaultConfig, FaultPlan, FaultSpec, FaultTimeline, HedgePolicy, RetryPolicy,
-    RetryQueue, TimelineEvent, WindowEdge,
+    TimelineEvent, WindowEdge,
 };
 pub use fleet::{Fleet, FleetSpec, Lane};
 pub use pipeline::{PipelinePlan, StageAssignment};

@@ -1,6 +1,6 @@
 //! The request queue: per-model FIFO lanes with optional per-lane
-//! admission bounds, and the deadline heap that closes their batches on
-//! timeout.
+//! admission bounds, and the one deadline slot per lane that closes
+//! its batch on timeout.
 //!
 //! Batches form inside the event-driven engine ([`crate::Fleet::serve`]):
 //! a model's open batch closes when it reaches
@@ -10,11 +10,11 @@
 //! availability — so the batch set (and on a homogeneous fleet every
 //! simulated event count) is identical for every fleet size.
 //!
-//! Timeout closure is tracked with a deadline-ordered min-heap
-//! ([`DeadlineHeap`]) instead of scanning every model lane per arrival:
-//! each lane's *front* request defines its deadline, entries are pushed
-//! when a lane front changes and invalidated lazily on pop, so an
-//! arrival costs O(log models) amortized instead of O(models).
+//! A lane has at most one open batch, so it has at most one deadline:
+//! its front request's. Each lane keeps that deadline in one slot,
+//! which the engine arms whenever the lane gains a new front and every
+//! pop clears. The next timeout is a min over the model lanes' slots,
+//! and no slot can outlive the front it was armed for.
 //!
 //! **Deadline boundary semantics:** a batch closes only when its
 //! deadline is *strictly* before the current time (`deadline < now`).
@@ -22,7 +22,6 @@
 //! still joins that batch; the batch closes (at `ready == deadline`)
 //! the moment any strictly later event is processed.
 
-use crate::timewheel::TimerWheel;
 use crate::workload::Request;
 use std::collections::VecDeque;
 
@@ -42,13 +41,20 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RequestQueue {
     lanes: Vec<VecDeque<Request>>,
+    /// Per lane, the wait deadline of its front request: armed by the
+    /// engine ([`RequestQueue::arm`]), cleared by every pop.
+    deadlines: Vec<Option<u64>>,
     capacity: Option<usize>,
 }
 
 impl RequestQueue {
     /// An empty unbounded queue with one FIFO lane per model.
     pub(crate) fn new(models: usize) -> Self {
-        Self { lanes: (0..models).map(|_| VecDeque::new()).collect(), capacity: None }
+        Self {
+            lanes: (0..models).map(|_| VecDeque::new()).collect(),
+            deadlines: vec![None; models],
+            capacity: None,
+        }
     }
 
     /// An empty queue admitting at most `capacity` pending requests per
@@ -98,8 +104,10 @@ impl RequestQueue {
     }
 
     /// Dequeues up to `max` requests from `model`'s lane, preserving
-    /// arrival order.
+    /// arrival order. The lane's deadline goes with its front: the
+    /// caller arms the next front's, if one remains.
     pub(crate) fn pop_batch(&mut self, model: usize, max: usize) -> Vec<Request> {
+        self.deadlines[model] = None;
         let lane = &mut self.lanes[model];
         let take = max.min(lane.len());
         lane.drain(..take).collect()
@@ -130,96 +138,27 @@ impl RequestQueue {
     }
 
     /// Number of model lanes.
+    #[cfg(test)]
     pub(crate) fn models(&self) -> usize {
         self.lanes.len()
     }
-}
 
-/// Deadline-ordered min-heap over lane fronts.
-///
-/// An entry `(deadline, model, front_id)` is pushed whenever a lane
-/// gains a new front request. Entries are invalidated lazily: a popped
-/// entry whose `front_id` no longer matches the lane's current front is
-/// stale (the front already left in an earlier batch) and is discarded.
-/// At most one entry per lane is live at any time, and each request
-/// pushes at most one entry over its lifetime, so the heap stays
-/// O(pending) with O(log models) amortized cost per arrival.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DeadlineHeap {
-    /// Deadline-ordered timer wheel keyed by `(model, front_id)` — the
-    /// same `(deadline, model, front_id)` pop order as the binary heap
-    /// it replaced, at O(1) amortized per event.
-    wheel: TimerWheel<(usize, u64)>,
-    /// Compaction staging buffer; persistent so steady-state compaction
-    /// allocates nothing once grown to its high-water mark.
-    scratch: Vec<(u64, (usize, u64))>,
-}
-
-impl DeadlineHeap {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// Sets the wait deadline of `model`'s current front request: the
+    /// front's arrival plus the wait budget, or the re-queue instant
+    /// plus the budget for a retried request.
+    pub(crate) fn arm(&mut self, model: usize, deadline: u64) {
+        debug_assert!(!self.lanes[model].is_empty(), "only a lane front has a deadline");
+        self.deadlines[model] = Some(deadline);
     }
 
-    /// Records `model`'s new front request by id with its wait
-    /// deadline: the front's arrival plus the wait budget, or the
-    /// re-queue instant plus the budget for a retried request.
-    pub(crate) fn arm(&mut self, deadline: u64, model: usize, front_id: u64, queue: &RequestQueue) {
-        self.wheel.push(deadline, (model, front_id));
-        self.maybe_compact(queue);
-    }
-
-    /// Rebuilds the wheel from its live entries once stale ones
-    /// dominate. Lazy invalidation keeps the wheel O(pending) only
-    /// while each request arms at most once; retry and timeout churn
-    /// re-arms the same lane's front repeatedly, which would otherwise
-    /// grow the wheel O(events processed). At most one entry per lane
-    /// is live (matches the lane's current front), so live ≤ models and
-    /// a `4 × models` bound means stale entries outnumber live at least
-    /// 3:1 before a rebuild. The wheel pops in exact `(deadline, key)`
-    /// order even for past deadlines, so popping everything and
-    /// re-pushing the surviving subset preserves the exact pop order —
-    /// compaction is behaviourally invisible.
-    fn maybe_compact(&mut self, queue: &RequestQueue) {
-        let live_bound = queue.models().max(1);
-        if self.wheel.len() < 64 || self.wheel.len() <= 4 * live_bound {
-            return;
-        }
-        self.scratch.clear();
-        while let Some((deadline, key)) = self.wheel.pop() {
-            let (model, front_id) = key;
-            if queue.front(model).is_some_and(|front| front.id == front_id) {
-                self.scratch.push((deadline, key));
-            }
-        }
-        for &(deadline, key) in &self.scratch {
-            self.wheel.push(deadline, key);
-        }
-    }
-
-    /// Number of entries (live + stale) currently held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// The earliest live `(deadline, model)` pair, discarding stale
-    /// entries against the queue's current lane fronts.
-    pub(crate) fn peek_live(&mut self, queue: &RequestQueue) -> Option<(u64, usize)> {
-        while let Some((deadline, (model, front_id))) = self.wheel.peek() {
-            match queue.front(model) {
-                Some(front) if front.id == front_id => return Some((deadline, model)),
-                _ => {
-                    self.wheel.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// Drops the current top entry (after a `peek_live` hit was acted
-    /// on).
-    pub(crate) fn pop(&mut self) {
-        self.wheel.pop();
+    /// The earliest armed `(deadline, model)`, lower model first at
+    /// equal deadlines.
+    pub(crate) fn next_deadline(&self) -> Option<(u64, usize)> {
+        debug_assert!(
+            self.lanes.iter().zip(&self.deadlines).all(|(l, d)| l.is_empty() == d.is_none()),
+            "every non-empty lane, and no empty one, has its front's deadline armed"
+        );
+        self.deadlines.iter().enumerate().filter_map(|(model, d)| d.map(|t| (t, model))).min()
     }
 }
 
@@ -429,9 +368,9 @@ mod tests {
         (batches.into_iter().map(|b| b.expect("batch ids are dense")).collect(), dropped)
     }
 
-    /// The O(models)-scan batch former that predates [`DeadlineHeap`],
-    /// kept as the reference the engine's heap-driven formation must
-    /// match byte-for-byte.
+    /// The O(models)-scan batch former that predates the engine's
+    /// deadline heap (now one deadline slot per lane), kept as the
+    /// reference the engine's formation must match byte-for-byte.
     fn form_batches_reference(
         policy: FixedPolicy,
         requests: &[Request],
@@ -486,42 +425,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// A retry/timeout storm re-arms the same lane's front thousands of
-    /// times; lazy invalidation alone would let the wheel grow
-    /// O(events). Compaction must pin it O(live) — bounded by a small
-    /// constant times the model count — without changing what
-    /// `peek_live` reports.
-    #[test]
-    fn deadline_heap_compacts_under_rearm_churn() {
-        let models = 3;
-        let mut queue = RequestQueue::new(models);
-        let mut heap = DeadlineHeap::new();
-        for m in 0..models {
-            queue.push(req(m as u64, m, 10));
-        }
-        for round in 0..10_000u64 {
-            let m = (round % models as u64) as usize;
-            // Retire the lane's current front and replace it: each
-            // replacement arms a fresh entry while the retired front's
-            // entry goes stale only lazily — exactly the churn a retry
-            // storm produces.
-            queue.pop_batch(m, 1);
-            let next = req(models as u64 + round, m, 10 + round);
-            queue.push(next);
-            heap.arm(next.arrival + 100, m, next.id, &queue);
-        }
-        assert!(
-            heap.len() <= 64.max(4 * models),
-            "wheel grew to {} entries across the storm; compaction must \
-             keep it O(live)",
-            heap.len()
-        );
-        // The storm must not have disturbed liveness: every lane's
-        // current front is still discoverable in deadline order.
-        let (_, model) = heap.peek_live(&queue).expect("live fronts remain");
-        assert!(model < models);
     }
 
     #[test]

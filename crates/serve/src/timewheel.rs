@@ -17,13 +17,14 @@
 //!
 //! * A slot drains through a small **due heap**, so same-time entries
 //!   leave in key order even when they were inserted out of order.
-//! * Insertions at or before the cursor (an adaptive policy arming a
-//!   deadline in the past, or a zero-latency completion) bypass the
-//!   wheel and go straight to the due heap, which keeps them ordered
-//!   against the already-due entries instead of clamping them forward.
+//! * Insertions at or before the cursor (a completion due before the
+//!   entry a peek already made due, or a zero-latency completion)
+//!   bypass the wheel and go straight to the due heap, which keeps
+//!   them ordered against the already-due entries instead of clamping
+//!   them forward.
 //!
-//! The cursor only ever advances to the time of an entry actually
-//! popped, so the wheel never "skips" simulated time on its own.
+//! The cursor only ever advances to the time of a pending entry, so
+//! the wheel never "skips" simulated time on its own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,7 +52,6 @@ pub(crate) struct TimerWheel<K: Ord + Copy> {
     /// The wheel's notion of "now": every wheel entry is strictly
     /// after it, every due entry at or before it.
     cursor: u64,
-    len: usize,
 }
 
 impl<K: Ord + Copy> Default for TimerWheel<K> {
@@ -68,24 +68,24 @@ impl<K: Ord + Copy> TimerWheel<K> {
             occupied: [0; LEVELS],
             due: BinaryHeap::new(),
             cursor: 0,
-            len: 0,
         }
     }
 
     /// Number of pending entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.iter().count()
     }
 
     /// Whether no entries are pending.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Schedules `key` at `time`. Times at or before the latest popped
     /// time are allowed and pop next in exact `(time, key)` order.
     pub(crate) fn push(&mut self, time: u64, key: K) {
-        self.len += 1;
         if time <= self.cursor {
             self.due.push(Reverse((time, key)));
         } else {
@@ -104,41 +104,7 @@ impl<K: Ord + Copy> TimerWheel<K> {
     /// Removes and returns the earliest pending `(time, key)`.
     pub(crate) fn pop(&mut self) -> Option<(u64, K)> {
         self.make_due();
-        let Reverse(entry) = self.due.pop()?;
-        self.len -= 1;
-        Some(entry)
-    }
-
-    /// The earliest pending time, **without mutating the wheel**: the
-    /// cheap probe behind the cluster barrier's fast path, where most
-    /// shards have no event before the next arrival and must be
-    /// skippable without cascading any slots.
-    ///
-    /// Exactness: every due entry is at or before the cursor and every
-    /// wheel entry strictly after it, so a non-empty due heap already
-    /// holds the global minimum. Otherwise the scan mirrors
-    /// `TimerWheel::make_due` — the lowest level with an occupied
-    /// slot ahead of the cursor holds the nearest times, and within
-    /// that first slot the minimum entry time is the answer (at level
-    /// 0 all entries in a slot share one time).
-    pub(crate) fn peek_next_event_cycle(&self) -> Option<u64> {
-        if let Some(Reverse((time, _))) = self.due.peek() {
-            return Some(*time);
-        }
-        for level in 0..LEVELS {
-            let pos = (self.cursor >> (SLOT_BITS * level as u32)) as usize & (SLOTS - 1);
-            let ahead = self.occupied[level] & !((1u64 << pos) | ((1u64 << pos) - 1));
-            if ahead != 0 {
-                let slot = ahead.trailing_zeros() as usize;
-                let min = self.slots[level][slot]
-                    .iter()
-                    .map(|&(time, _)| time)
-                    .min()
-                    .expect("occupancy bit set on an empty slot");
-                return Some(min);
-            }
-        }
-        None
+        self.due.pop().map(|Reverse(entry)| entry)
     }
 
     /// All pending `(time, key)` entries in unspecified order — a
@@ -336,7 +302,7 @@ mod tests {
         let mut wheel = TimerWheel::new();
         wheel.push(1_000, 1usize);
         assert_eq!(wheel.pop(), Some((1_000, 1)));
-        // The cursor sits at 1_000 now; a stale deadline armed earlier
+        // The cursor sits at 1_000 now; an entry pushed behind it
         // must still pop before a later one.
         wheel.push(500, 2);
         wheel.push(1_500, 3);
@@ -348,7 +314,7 @@ mod tests {
 
     #[test]
     fn tuple_keys_break_ties_lexicographically() {
-        // The deadline heap's (model, front id) payload.
+        // Compound keys order like the tuple they are.
         let mut wheel: TimerWheel<(usize, u64)> = TimerWheel::new();
         wheel.push(70, (1, 9));
         wheel.push(70, (0, 12));
