@@ -37,12 +37,12 @@ impl ArchKind {
     ];
 
     /// Whether this architecture consumes DBB-compressed weights.
-    pub fn uses_wdbb(&self) -> bool {
+    pub(crate) fn uses_wdbb(&self) -> bool {
         matches!(self, ArchKind::S2taW | ArchKind::S2taAw)
     }
 
     /// Whether this architecture applies DAP to activations.
-    pub fn uses_adbb(&self) -> bool {
+    pub(crate) fn uses_adbb(&self) -> bool {
         matches!(self, ArchKind::S2taAw)
     }
 }
@@ -105,7 +105,7 @@ impl ArchConfig {
     }
 
     /// Physical MAC count of the configuration.
-    pub fn macs(&self) -> usize {
+    pub(crate) fn macs(&self) -> usize {
         match self.kind {
             ArchKind::S2taW => self.geometry.macs_dot_product(),
             _ => self.geometry.macs_scalar(),

@@ -8,7 +8,7 @@
 //! are W-DBB pruned (except layer 1), activations pass through DAP with
 //! the per-layer density tuning, the simulated mux/serialization logic
 //! computes every accumulator, and the MCU model requantizes between
-//! layers. [`Pipeline::run_reference`] computes the same semantics with
+//! layers. A test-only reference path computes the same semantics with
 //! the golden kernels; the two are asserted bit-identical by tests —
 //! layer by layer, logits included.
 
@@ -17,7 +17,7 @@ use s2ta_dbb::dap::{choose_layer_nnz, dap_matrix, LayerNnz};
 use s2ta_dbb::{prune, BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_sim::{smt, systolic, tpe, EventCounts};
 use s2ta_tensor::postproc::{maxpool2x2, relu_requant, requant, Requant};
-use s2ta_tensor::{gemm_ref, im2col, AccMatrix, ConvShape, Matrix, Tensor4};
+use s2ta_tensor::{im2col, AccMatrix, ConvShape, Matrix, Tensor4};
 
 /// The operation a pipeline layer performs.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,13 +100,6 @@ pub struct InferenceRun {
     pub events: EventCounts,
 }
 
-/// The operands a layer actually executed with (post-pruning), so the
-/// reference path can replay identical semantics.
-struct EffectiveOperands {
-    w: Matrix,
-    a: Matrix,
-}
-
 impl Pipeline {
     /// Validates inter-layer shape compatibility.
     ///
@@ -149,10 +142,11 @@ impl Pipeline {
     /// Runs the pipeline with golden kernels under the same DBB
     /// semantics `kind` would apply (pruning, DAP) — the bit-exact
     /// reference for [`Pipeline::run`].
-    pub fn run_reference(&self, kind: ArchKind, input: &Feature) -> InferenceRun {
+    #[cfg(test)]
+    fn run_reference(&self, kind: ArchKind, input: &Feature) -> InferenceRun {
         self.execute(input, |idx, layer, a| {
-            let eff = self.effective_operands(kind, idx, layer, a);
-            (gemm_ref(&eff.w, &eff.a), EventCounts::default())
+            let (w, a) = self.effective_operands(kind, idx, layer, a);
+            (s2ta_tensor::gemm_ref(&w, &a), EventCounts::default())
         })
     }
 
@@ -192,14 +186,17 @@ impl Pipeline {
         InferenceRun { features, logits, prediction, events }
     }
 
-    /// The pruned/DAP'd operands layer `idx` executes with on `kind`.
+    /// The pruned/DAP'd `(weights, activations)` layer `idx` executes
+    /// with on `kind`, so the reference path replays identical
+    /// semantics.
+    #[cfg(test)]
     fn effective_operands(
         &self,
         kind: ArchKind,
         idx: usize,
         layer: &PipelineLayer,
         a: &Matrix,
-    ) -> EffectiveOperands {
+    ) -> (Matrix, Matrix) {
         let w = if kind.uses_wdbb() && idx != 0 {
             prune::prune_matrix(&layer.weights, BlockAxis::Rows, DbbConfig::w_default())
         } else {
@@ -211,7 +208,7 @@ impl Pipeline {
         } else {
             a.clone()
         };
-        EffectiveOperands { w, a: a_eff }
+        (w, a_eff)
     }
 
     /// Per-layer A-DBB tuning: layer 0 (image) runs dense; others keep
@@ -274,41 +271,42 @@ impl Pipeline {
     }
 }
 
-/// Builds a LeNet-5-shaped pipeline with random INT8 weights, plus a
-/// random 32x32 single-channel input — the standard smoke-test network.
-pub fn random_lenet(seed: u64) -> (Pipeline, Feature) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use s2ta_tensor::sparsity::SparseSpec;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let conv = |name: &str, shape: ConvShape, pool: bool, rng: &mut StdRng| PipelineLayer {
-        name: name.into(),
-        weights: SparseSpec::random(0.2).matrix(shape.k, shape.c * shape.r * shape.s, rng),
-        op: LayerOp::Conv(shape),
-        relu: true,
-        pool,
-    };
-    let c1 = conv("conv1", ConvShape::new(6, 1, 32, 32, 5, 5, 1, 0), true, &mut rng);
-    let c2 = conv("conv2", ConvShape::new(16, 6, 14, 14, 5, 5, 1, 0), true, &mut rng);
-    let fc = |name: &str, inf: usize, outf: usize, relu: bool, rng: &mut StdRng| PipelineLayer {
-        name: name.into(),
-        weights: SparseSpec::random(0.2).matrix(outf, inf, rng),
-        op: LayerOp::Fc { in_features: inf, out_features: outf },
-        relu,
-        pool: false,
-    };
-    let f3 = fc("fc3", 16 * 5 * 5, 120, true, &mut rng);
-    let f4 = fc("fc4", 120, 84, true, &mut rng);
-    let f5 = fc("fc5", 84, 10, false, &mut rng);
-    let pipeline = Pipeline { layers: vec![c1, c2, f3, f4, f5] };
-    let input = Feature::new(SparseSpec::random(0.1).matrix(1, 32 * 32, &mut rng), 32, 32);
-    (pipeline, input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds a LeNet-5-shaped pipeline with random INT8 weights, plus a
+    /// random 32x32 single-channel input — the standard smoke-test network.
+    fn random_lenet(seed: u64) -> (Pipeline, Feature) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use s2ta_tensor::sparsity::SparseSpec;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let conv = |name: &str, shape: ConvShape, pool: bool, rng: &mut StdRng| PipelineLayer {
+            name: name.into(),
+            weights: SparseSpec::random(0.2).matrix(shape.k, shape.c * shape.r * shape.s, rng),
+            op: LayerOp::Conv(shape),
+            relu: true,
+            pool,
+        };
+        let c1 = conv("conv1", ConvShape::new(6, 1, 32, 32, 5, 5, 1, 0), true, &mut rng);
+        let c2 = conv("conv2", ConvShape::new(16, 6, 14, 14, 5, 5, 1, 0), true, &mut rng);
+        let fc =
+            |name: &str, inf: usize, outf: usize, relu: bool, rng: &mut StdRng| PipelineLayer {
+                name: name.into(),
+                weights: SparseSpec::random(0.2).matrix(outf, inf, rng),
+                op: LayerOp::Fc { in_features: inf, out_features: outf },
+                relu,
+                pool: false,
+            };
+        let f3 = fc("fc3", 16 * 5 * 5, 120, true, &mut rng);
+        let f4 = fc("fc4", 120, 84, true, &mut rng);
+        let f5 = fc("fc5", 84, 10, false, &mut rng);
+        let pipeline = Pipeline { layers: vec![c1, c2, f3, f4, f5] };
+        let input = Feature::new(SparseSpec::random(0.1).matrix(1, 32 * 32, &mut rng), 32, 32);
+        (pipeline, input)
+    }
 
     #[test]
     fn lenet_shapes_flow() {

@@ -27,13 +27,13 @@ mod runner;
 
 pub mod buffers;
 pub mod infer;
-pub mod memo;
+mod memo;
 pub mod memory;
 pub mod microbench;
-pub mod plan;
+mod plan;
 pub mod pool;
-pub mod ring;
-pub mod scratch;
+mod ring;
+mod scratch;
 pub mod summary;
 pub mod sweep;
 

@@ -75,7 +75,7 @@ impl CacheStats {
     }
 
     /// Total lookups (hits + misses + bypasses).
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.hits + self.misses + self.bypasses
     }
 
@@ -181,7 +181,7 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
     /// use and accounting `bytes` of the result against the budget.
     /// A first use counts as a bypass when `bypass` is set, as a miss
     /// otherwise.
-    pub fn get_or_compile(
+    pub(crate) fn get_or_compile(
         &self,
         key: K,
         bypass: bool,
@@ -275,11 +275,6 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
         self.lock().resident_bytes
     }
 
-    /// The LRU byte budget (`None` = unbounded).
-    pub fn byte_budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.lock().map.len()
@@ -291,7 +286,8 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
     }
 
     /// Drops every cached entry (not counted as evictions).
-    pub fn clear(&self) {
+    #[cfg(test)]
+    fn clear(&self) {
         let mut table = self.lock();
         table.map.clear();
         table.resident_bytes = 0;

@@ -98,7 +98,7 @@ fn compression(config: &ArchConfig, layer_index: usize, layer: &LayerSpec) -> (f
 }
 
 /// Analyzes one layer's residency on `config` under `mem`.
-pub fn analyze_layer(
+pub(crate) fn analyze_layer(
     config: &ArchConfig,
     mem: &MemoryConfig,
     layer: &LayerSpec,

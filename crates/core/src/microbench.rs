@@ -17,7 +17,7 @@ use s2ta_tensor::{GemmShape, Matrix};
 /// a mid-network 3x3 conv (256 output channels, 128 input channels,
 /// 16x16 output — output pixels chosen tile-aligned so speedup ratios
 /// are not polluted by edge-tile quantization).
-pub fn typical_conv() -> GemmShape {
+pub(crate) fn typical_conv() -> GemmShape {
     GemmShape::new(256, 128 * 9, 16 * 16)
 }
 
@@ -28,7 +28,7 @@ pub fn typical_conv() -> GemmShape {
 /// # Panics
 ///
 /// Panics if `nnz_per_block` is 0 or exceeds 8.
-pub fn dbb_structured_matrix(
+pub(crate) fn dbb_structured_matrix(
     rows: usize,
     cols: usize,
     nnz_per_block: usize,

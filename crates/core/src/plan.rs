@@ -34,7 +34,6 @@ use s2ta_dbb::{DbbConfig, DbbMatrix};
 use s2ta_models::{LayerSpec, ModelSpec};
 use s2ta_sim::{ActTallies, ActivationProfile, WeightDesc, WeightProfile};
 use s2ta_tensor::Matrix;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Weights compiled for a specific architecture: dense architectures
@@ -56,7 +55,7 @@ pub enum PlannedWeights {
 
 impl PlannedWeights {
     /// The shape and storage format the profiled datapaths read.
-    pub fn desc(&self) -> WeightDesc {
+    pub(crate) fn desc(&self) -> WeightDesc {
         match self {
             PlannedWeights::Dense(m) => WeightDesc::dense(m),
             PlannedWeights::Dbb(d) => WeightDesc::of_dbb(d),
@@ -65,7 +64,7 @@ impl PlannedWeights {
 
     /// The per-position non-zero profile of the effective (post-pruning)
     /// weights.
-    pub fn profile(&self) -> WeightProfile {
+    pub(crate) fn profile(&self) -> WeightProfile {
         match self {
             PlannedWeights::Dense(m) => WeightProfile::new(m),
             // Straight off the compressed masks — no decompressed copy.
@@ -132,11 +131,6 @@ impl LayerPlan {
         self.adbb
     }
 
-    /// DRAM bytes one streamed weight transfer costs.
-    pub fn dma_weight_bytes(&self) -> u64 {
-        self.dma_weight_bytes
-    }
-
     /// The compiled weights' per-position non-zero profile.
     pub fn weight_profile(&self) -> &WeightProfile {
         &self.wprofile
@@ -155,13 +149,8 @@ pub struct ModelPlan {
 
 impl ModelPlan {
     /// Name of the planned model.
-    pub fn model(&self) -> &str {
+    pub(crate) fn model(&self) -> &str {
         &self.model
-    }
-
-    /// The weight seed the plan was compiled from.
-    pub fn weight_seed(&self) -> u64 {
-        self.weight_seed
     }
 
     /// Per-layer plans, in execution order.
@@ -171,7 +160,7 @@ impl ModelPlan {
 
     /// `true` if this plan was compiled from `model` (same name and
     /// structural fingerprint).
-    pub fn matches(&self, model: &ModelSpec) -> bool {
+    pub(crate) fn matches(&self, model: &ModelSpec) -> bool {
         self.model == model.name && self.fingerprint == model_fingerprint(model)
     }
 
@@ -181,7 +170,7 @@ impl ModelPlan {
     /// is the unit [`WeightPlanCache`] byte budgets are accounted in — a
     /// pure function of the compiled shapes, so budget accounting can
     /// never vary with host timing.
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         self.layers
             .iter()
             .map(|l| {
@@ -191,67 +180,6 @@ impl ModelPlan {
                     + values) as u64
             })
             .sum()
-    }
-
-    /// Splits the plan's layer list into at most `stages` contiguous,
-    /// non-empty ranges that **minimize the maximum per-stage cost**,
-    /// where `layer_cost(i)` prices layer `i` (cycles, MACs — any
-    /// additive cost). The ranges cover every layer in order, so
-    /// executing them back-to-back with [`Accelerator::run_stage`]
-    /// recomposes [`Accelerator::run_model_planned`] exactly.
-    ///
-    /// The split is deterministic: exact dynamic programming over
-    /// prefix sums, ties resolved toward the earliest cut. When the
-    /// plan has fewer layers than `stages`, every layer becomes its own
-    /// stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is zero or the plan has no layers.
-    pub fn stage_split(
-        &self,
-        stages: usize,
-        layer_cost: impl Fn(usize) -> u64,
-    ) -> Vec<Range<usize>> {
-        let n = self.layers.len();
-        assert!(stages > 0, "a pipeline needs at least one stage");
-        assert!(n > 0, "cannot stage-split an empty plan");
-        let k = stages.min(n);
-        // Prefix sums: cost of layers [a, b) = prefix[b] - prefix[a].
-        let mut prefix = vec![0u64; n + 1];
-        for i in 0..n {
-            prefix[i + 1] = prefix[i].saturating_add(layer_cost(i));
-        }
-        let span = |a: usize, b: usize| prefix[b] - prefix[a];
-        // dp[s][i]: minimum possible max-stage-cost covering the first
-        // `i` layers with exactly `s` stages; cut[s][i] the first cut
-        // achieving it (earliest optimal cut for determinism).
-        let mut dp = vec![vec![u64::MAX; n + 1]; k + 1];
-        let mut cut = vec![vec![0usize; n + 1]; k + 1];
-        for (i, slot) in dp[1].iter_mut().enumerate().skip(1) {
-            *slot = span(0, i);
-        }
-        for s in 2..=k {
-            for i in s..=n {
-                for j in (s - 1)..i {
-                    let cost = dp[s - 1][j].max(span(j, i));
-                    if cost < dp[s][i] {
-                        dp[s][i] = cost;
-                        cut[s][i] = j;
-                    }
-                }
-            }
-        }
-        // Walk the cuts back into ranges.
-        let mut bounds = vec![n];
-        let mut i = n;
-        for s in (2..=k).rev() {
-            i = cut[s][i];
-            bounds.push(i);
-        }
-        bounds.push(0);
-        bounds.reverse();
-        bounds.windows(2).map(|w| w[0]..w[1]).collect()
     }
 }
 
@@ -338,7 +266,7 @@ type PlanKey = (ArchKind, u64, u64, u64);
 /// and every lane of a serving fleet — compile each
 /// `(arch, model, seed)` triple's layers exactly once (ever when
 /// unbounded, per residency when a byte budget evicts). Budgets are
-/// accounted in [`ModelPlan::approx_bytes`]; see [`MemoCache`] for the
+/// accounted in `ModelPlan::approx_bytes`; see [`MemoCache`] for the
 /// locking and eviction rules.
 pub type WeightPlanCache = MemoCache<PlanKey, ModelPlan>;
 
@@ -355,7 +283,7 @@ impl WeightPlanCache {
     /// pressure) for an allocation-free hot loop.
     /// Dense compiles count as `bypasses`, DBB compiles as `misses`;
     /// hits are counted uniformly.
-    pub fn get_or_plan(
+    pub(crate) fn get_or_plan(
         &self,
         acc: &Accelerator,
         model: &ModelSpec,
@@ -455,7 +383,7 @@ impl ActProfile {
     /// [`ActProfileCache`] byte budgets are accounted in — a pure
     /// function of the profiled counts, so budget accounting can never
     /// vary with host timing.
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         self.tallies.tally_bytes() as u64
     }
 
@@ -497,7 +425,7 @@ impl ActProfile {
 /// architecture kind with the same block size share entries, each
 /// reading its own side. Each entry stores its tallies narrow — a
 /// batch-1 FC layer's in one bit per position — and byte budgets are
-/// accounted in those narrow bytes ([`ActProfile::approx_bytes`]).
+/// accounted in those narrow bytes (`ActProfile::approx_bytes`).
 pub type ActProfileCache = MemoCache<ActKey, ActProfile>;
 
 impl ActProfileCache {
@@ -798,50 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_split_balances_and_covers() {
-        let acc = Accelerator::preset(ArchKind::S2taAw);
-        let m = mobilenet_v1();
-        let plan = acc.plan_model(&m, 3);
-        let macs: Vec<u64> = m.layers.iter().map(|l| l.macs()).collect();
-        for stages in [1usize, 2, 3, 4, 7] {
-            let split = plan.stage_split(stages, |i| macs[i]);
-            assert_eq!(split.len(), stages.min(m.layers.len()));
-            // Contiguous cover in order, every stage non-empty.
-            assert_eq!(split[0].start, 0);
-            assert_eq!(split.last().unwrap().end, m.layers.len());
-            for pair in split.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "stages must tile the layer list");
-            }
-            assert!(split.iter().all(|r| !r.is_empty()));
-        }
-        // The DP is optimal: for uniform costs the 4-way split of 28
-        // layers is exactly balanced (max stage = 7 layers).
-        let even = plan.stage_split(4, |_| 1);
-        assert!(even.iter().all(|r| r.len() == 7), "{even:?}");
-        // And it actually balances skewed costs better than a naive
-        // equal-count split would: one huge layer gets its own stage.
-        let skew = plan.stage_split(2, |i| if i == 0 { 1_000 } else { 1 });
-        assert_eq!(skew[0], 0..1, "the expensive head layer must sit alone: {skew:?}");
-    }
-
-    #[test]
-    fn more_stages_never_worsen_the_bottleneck() {
-        let acc = Accelerator::preset(ArchKind::S2taAw);
-        let m = mobilenet_v1();
-        let plan = acc.plan_model(&m, 3);
-        let macs: Vec<u64> = m.layers.iter().map(|l| l.macs()).collect();
-        let bottleneck = |split: &[std::ops::Range<usize>]| {
-            split.iter().map(|r| r.clone().map(|i| macs[i]).sum::<u64>()).max().unwrap()
-        };
-        let mut prev = u64::MAX;
-        for stages in 1..=8 {
-            let b = bottleneck(&plan.stage_split(stages, |i| macs[i]));
-            assert!(b <= prev, "stage {stages} bottleneck {b} worse than {prev}");
-            prev = b;
-        }
-    }
-
-    #[test]
     fn handoff_bytes_price_the_receiving_activation() {
         let m = lenet5();
         for boundary in 1..m.layers.len() {
@@ -983,8 +867,6 @@ mod tests {
         acc.plan_model(&m, 2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 1, "the older plan paid for the new one");
-        assert_eq!(cache.byte_budget(), Some(0));
-        assert_eq!(WeightPlanCache::new().byte_budget(), None);
     }
 
     #[test]

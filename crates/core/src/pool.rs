@@ -20,7 +20,7 @@ use std::thread;
 
 /// The number of workers to use when the caller has no preference: the
 /// machine's available parallelism (1 if it cannot be queried).
-pub fn default_workers() -> usize {
+pub(crate) fn default_workers() -> usize {
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -37,7 +37,7 @@ impl Executor {
         Self { workers: workers.max(1) }
     }
 
-    /// The process-wide executor, sized to [`default_workers`].
+    /// The process-wide executor, sized to `default_workers`.
     pub fn global() -> &'static Executor {
         static GLOBAL: OnceLock<Executor> = OnceLock::new();
         GLOBAL.get_or_init(|| Executor::new(default_workers()))

@@ -22,7 +22,7 @@ impl LayerReport {
     }
 
     /// Effective throughput in (dense-equivalent) MACs per cycle.
-    pub fn macs_per_cycle(&self) -> f64 {
+    pub(crate) fn macs_per_cycle(&self) -> f64 {
         if self.events.cycles == 0 {
             0.0
         } else {
@@ -77,7 +77,7 @@ impl ModelReport {
     }
 
     /// Total dense MACs of the model run.
-    pub fn total_macs(&self) -> u64 {
+    pub(crate) fn total_macs(&self) -> u64 {
         self.layers.iter().map(|l| l.macs).sum()
     }
 
@@ -99,11 +99,6 @@ impl ModelReport {
     /// Inferences per joule under `tech`.
     pub fn inferences_per_joule(&self, tech: &TechParams) -> f64 {
         1.0 / (self.energy(tech).total_pj() * 1e-12)
-    }
-
-    /// Effective TOPS: dense-equivalent ops per second of this run.
-    pub fn effective_tops(&self, tech: &TechParams) -> f64 {
-        self.total_macs() as f64 * 2.0 / self.seconds(tech) / 1e12
     }
 
     /// Effective TOPS per watt under `tech`.
@@ -163,8 +158,6 @@ mod tests {
         let tech = TechParams::tsmc16();
         assert!((r.seconds(&tech) - 1e-6).abs() < 1e-15);
         assert!((r.inferences_per_second(&tech) - 1e6).abs() < 1.0);
-        // 2 MMAC * 2 ops / 1us = 4 TOPS.
-        assert!((r.effective_tops(&tech) - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl<T> Ring<T> {
         self.buf.is_empty()
     }
 
-    /// The fixed capacity chosen at construction.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// How many pushed elements have been dropped to make room (or
     /// dropped outright, for a zero-capacity ring).
     pub fn overwritten(&self) -> u64 {
@@ -131,7 +126,7 @@ mod tests {
         assert_eq!(contents(&r), vec![0, 1, 2, 3]);
         assert_eq!(r.overwritten(), 0);
         assert_eq!(r.len(), 4);
-        assert_eq!(r.capacity(), 4);
+        assert_eq!(r.capacity, 4);
     }
 
     #[test]

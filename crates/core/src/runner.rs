@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 /// Which host-side execution path every layer run takes.
 ///
 /// Every entry point that runs a layer — [`Accelerator::run_layer`],
-/// [`Accelerator::run_layer_planned`], [`Accelerator::run_stage`],
+/// [`Accelerator::run_layer_planned`], `Accelerator::run_stage`,
 /// [`Accelerator::run_stage_events`] and everything built on them —
 /// reads this in one place, per layer. Both paths produce
 /// **byte-identical** [`EventCounts`] (golden- and property-tested per
@@ -87,7 +87,7 @@ impl PartialEq for Accelerator {
 
 impl Accelerator {
     /// Creates an accelerator from an explicit configuration.
-    pub fn new(config: ArchConfig) -> Self {
+    pub(crate) fn new(config: ArchConfig) -> Self {
         Self {
             config,
             plan_scope: OnceLock::new(),
@@ -141,12 +141,6 @@ impl Accelerator {
     pub fn sharing_act_profiles(mut self, act_profiles: ActProfileCache) -> Self {
         self.act_profiles = act_profiles;
         self
-    }
-
-    /// The host-side execution path layer runs take (default:
-    /// [`ExecPath::Profiled`]).
-    pub fn exec_path(&self) -> ExecPath {
-        self.exec_path
     }
 
     /// Selects the host-side execution path for layer runs. Simulated
@@ -305,7 +299,7 @@ impl Accelerator {
     ///
     /// Panics if `plan` was not compiled from this `model`, or the
     /// range exceeds the model's layer list.
-    pub fn run_stage(
+    pub(crate) fn run_stage(
         &self,
         plan: &ModelPlan,
         model: &ModelSpec,

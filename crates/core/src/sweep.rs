@@ -26,7 +26,7 @@ pub struct DesignPoint {
 impl DesignPoint {
     /// `true` if `other` is at least as good on both axes and better on
     /// one (Pareto dominance).
-    pub fn dominated_by(&self, other: &DesignPoint) -> bool {
+    pub(crate) fn dominated_by(&self, other: &DesignPoint) -> bool {
         other.area_mm2 <= self.area_mm2
             && other.power_mw <= self.power_mw
             && (other.area_mm2 < self.area_mm2 || other.power_mw < self.power_mw)
@@ -36,7 +36,7 @@ impl DesignPoint {
 /// Enumerates time-unrolled S2TA-AW geometries with exactly 2048 MACs
 /// (`a*c*m*n = 2048`, `b = 4`, BZ = 8) over power-of-two dims, with the
 /// TPE dimensions capped at realistic wiring limits (`a, c <= 16`).
-pub fn enumerate_aw_geometries() -> Vec<ArrayGeometry> {
+pub(crate) fn enumerate_aw_geometries() -> Vec<ArrayGeometry> {
     let mut out = Vec::new();
     let pows = [1usize, 2, 4, 8, 16];
     for &a in &pows {
@@ -63,7 +63,7 @@ pub fn enumerate_aw_geometries() -> Vec<ArrayGeometry> {
 /// Evaluates one AW geometry on the calibration workload (the typical
 /// conv at 50% weight / 50% activation sparsity, paper Sec. 7) and
 /// returns its design point.
-pub fn evaluate_aw(geometry: ArrayGeometry, seed: u64) -> DesignPoint {
+pub(crate) fn evaluate_aw(geometry: ArrayGeometry, seed: u64) -> DesignPoint {
     let config = ArchConfig {
         kind: ArchKind::S2taAw,
         geometry,
@@ -107,7 +107,7 @@ pub fn evaluate_aw(geometry: ArrayGeometry, seed: u64) -> DesignPoint {
 ///
 /// Candidate evaluation is spread over the machine's cores; results are
 /// identical to the serial path for any worker count (see
-/// [`sweep_aw_with_workers`]).
+/// `sweep_aw_with_workers`).
 pub fn sweep_aw(seed: u64) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
     sweep_aw_with_workers(seed, crate::pool::default_workers())
 }
@@ -118,7 +118,10 @@ pub fn sweep_aw(seed: u64) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
 /// [`crate::pool::Executor`] of `workers` threads, which preserves
 /// input order, so `all_points` and the derived Pareto frontier are
 /// byte-identical for every worker count.
-pub fn sweep_aw_with_workers(seed: u64, workers: usize) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
+pub(crate) fn sweep_aw_with_workers(
+    seed: u64,
+    workers: usize,
+) -> (Vec<DesignPoint>, Vec<DesignPoint>) {
     let geometries = enumerate_aw_geometries();
     let all = crate::pool::Executor::new(workers).map(&geometries, |&g| evaluate_aw(g, seed));
     let mut frontier: Vec<DesignPoint> =

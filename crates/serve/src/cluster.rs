@@ -63,10 +63,11 @@
 //!    over every shard's engine on the caller's thread, and the router
 //!    probes their depths at each arrival. Typically only one or two
 //!    shards have work per inter-arrival gap. That is too little work to
-//!    fan out per arrival: on the canonical 1M-request day on a 2-vCPU
-//!    host, fanning the advance out over 2 workers made jsq and p2c
-//!    take 13.6-15.0 and 12.6-14.4 host-s; inline they take 7.4-7.5 and
-//!    7.2 s.
+//!    fan out per arrival. When this inline loop replaced a fanned-out
+//!    advance, the canonical 1M-request day on a 2-vCPU host took
+//!    13.6-15.0 (jsq) and 12.6-14.4 (p2c) host-s fanned out over 2
+//!    workers, against 7.4-7.5 and 7.2 s inline. Those are that
+//!    change's measurements, not current timings; the reason holds.
 //!
 //! Either way each shard runs one serving engine that owns its (empty)
 //! arrival source and a borrow of its own copy of the shard's
@@ -417,11 +418,6 @@ impl Cluster {
         &self.shards
     }
 
-    /// The active routing policy.
-    pub fn routing(&self) -> RoutingPolicy {
-        self.routing
-    }
-
     /// Serves an open-loop request stream across the shards and rolls
     /// the per-shard reports up into a [`ClusterReport`].
     ///
@@ -651,7 +647,7 @@ impl Cluster {
 
 /// A compact per-shard row of a cluster run, for tables and artifacts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardSummary {
+pub(crate) struct ShardSummary {
     /// Shard index (routing order).
     pub shard: usize,
     /// The shard fleet's composition label.
@@ -742,19 +738,6 @@ impl ClusterReport {
             return 0.0;
         }
         self.dropped_count() as f64 / total as f64
-    }
-
-    /// The merged served-latency histogram over every shard — the
-    /// population global percentiles are taken over. Built on each call
-    /// by linear merges of the per-shard histograms (never a re-sort);
-    /// the report keeps no merged copy, and the percentile queries
-    /// below never build one.
-    pub fn latency_histogram(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::default();
-        for shard in &self.shards {
-            merged.merge(shard.latency_histogram());
-        }
-        merged
     }
 
     /// Global `pct`-th percentile latency in cycles over the merged
@@ -848,7 +831,7 @@ impl ClusterReport {
     }
 
     /// One compact row per shard.
-    pub fn shard_summaries(&self) -> Vec<ShardSummary> {
+    pub(crate) fn shard_summaries(&self) -> Vec<ShardSummary> {
         self.shards
             .iter()
             .enumerate()

@@ -64,7 +64,8 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// A spec that injects nothing (useful as a protected-run baseline
     /// carrier for retry/hedge/degraded settings alone).
-    pub fn quiet(seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn quiet(seed: u64) -> Self {
         Self {
             seed,
             lane_crashes: 0,
@@ -162,7 +163,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Number of shards the plan covers.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.timelines.len()
     }
 
@@ -170,11 +171,6 @@ impl FaultPlan {
     /// the shard engine that consumes it).
     pub fn shard_timeline(&self, shard: usize) -> FaultTimeline {
         self.timelines[shard].clone()
-    }
-
-    /// The merged `[start, end)` outage windows of one shard.
-    pub fn outage_windows(&self, shard: usize) -> &[(u64, u64)] {
-        &self.outages[shard]
     }
 
     /// Whether `shard` is outside all of its outage windows at `t`.
@@ -200,7 +196,7 @@ fn inside(windows: &[(u64, u64)], t: u64) -> bool {
 
 /// Which edge of a fault window a [`TimelineEvent`] marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WindowEdge {
+pub(crate) enum WindowEdge {
     /// A crash window opens: the lane dies, in-flight work cancels.
     CrashStart,
     /// A crash window closes: the lane returns, **cold** on the
@@ -214,7 +210,7 @@ pub enum WindowEdge {
 
 /// One edge of a fault window on one lane, in engine-consumable form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineEvent {
+pub(crate) struct TimelineEvent {
     /// Simulated cycle the edge fires at.
     pub time: u64,
     /// The lane the window belongs to.
@@ -244,7 +240,8 @@ pub struct FaultTimeline {
 
 impl FaultTimeline {
     /// A timeline with no faults at all, for `lanes` lanes.
-    pub fn quiet(lanes: usize) -> Self {
+    #[cfg(test)]
+    fn quiet(lanes: usize) -> Self {
         Self::build(lanes.max(1), vec![Vec::new(); lanes.max(1)], vec![Vec::new(); lanes.max(1)])
     }
 
@@ -321,12 +318,12 @@ impl FaultTimeline {
     }
 
     /// Lane count the timeline was built for.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
     /// The full edge-event stream, sorted by `(time, lane, edge)`.
-    pub fn events(&self) -> &[TimelineEvent] {
+    pub(crate) fn events(&self) -> &[TimelineEvent] {
         &self.events
     }
 
@@ -335,22 +332,6 @@ impl FaultTimeline {
     /// check that no served batch overlapped a down window.
     pub fn lane_down_windows(&self, lane: usize) -> &[(u64, u64)] {
         &self.down[lane]
-    }
-
-    /// Whether `lane` is inside a crash window at `t`.
-    pub fn is_lane_down(&self, lane: usize, t: u64) -> bool {
-        inside(&self.down[lane], t)
-    }
-
-    /// The earliest cycle `>= t` at which `lane` is up: `t` itself
-    /// outside every crash window, else the end of the window
-    /// containing `t` (windows are merged, so the end is up).
-    pub fn next_up_time(&self, lane: usize, t: u64) -> u64 {
-        match self.down[lane].partition_point(|&(s, _)| s <= t) {
-            0 => t,
-            i if t < self.down[lane][i - 1].1 => self.down[lane][i - 1].1,
-            _ => t,
-        }
     }
 
     /// The slowdown multiplier in effect on `lane` at `t` (1 outside
@@ -396,7 +377,7 @@ impl RetryPolicy {
     /// Decides the fate of a request whose batch was cancelled at
     /// `now` after `attempts` consumed dispatch attempts: `Some(t)`
     /// schedules the retry at `t`, `None` abandons the request.
-    pub fn next_retry(&self, now: u64, arrival: u64, attempts: u32) -> Option<u64> {
+    pub(crate) fn next_retry(&self, now: u64, arrival: u64, attempts: u32) -> Option<u64> {
         if attempts >= self.max_attempts {
             return None;
         }
@@ -721,21 +702,38 @@ mod tests {
         }
     }
 
+    /// The `[start, end)` windows `lane`'s crash edges open and close,
+    /// in time order, checking that each edge pair carries its window's
+    /// length.
+    fn crash_edge_windows(tl: &FaultTimeline, lane: usize) -> Vec<(u64, u64)> {
+        let edges: Vec<&TimelineEvent> = tl
+            .events()
+            .iter()
+            .filter(|e| {
+                e.lane == lane && matches!(e.edge, WindowEdge::CrashStart | WindowEdge::CrashEnd)
+            })
+            .collect();
+        edges
+            .chunks(2)
+            .map(|pair| {
+                let [open, close] = pair else { panic!("a crash window opens without closing") };
+                assert_eq!((open.edge, close.edge), (WindowEdge::CrashStart, WindowEdge::CrashEnd));
+                assert_eq!(open.duration, close.time - open.time);
+                assert_eq!(close.duration, open.duration);
+                (open.time, close.time)
+            })
+            .collect()
+    }
+
+    /// The edge stream the engine schedules opens and closes exactly the
+    /// merged crash windows the chaos property test replays.
     #[test]
-    fn down_queries_match_windows() {
+    fn crash_edges_match_down_windows() {
         let plan = spec(11).schedule(&[3]);
         let tl = plan.shard_timeline(0);
+        assert!((0..tl.lanes()).any(|lane| !tl.lane_down_windows(lane).is_empty()));
         for lane in 0..tl.lanes() {
-            for &(s, e) in tl.lane_down_windows(lane) {
-                assert!(tl.is_lane_down(lane, s));
-                assert!(tl.is_lane_down(lane, e - 1));
-                assert!(!tl.is_lane_down(lane, e));
-                assert_eq!(tl.next_up_time(lane, s), e);
-                assert_eq!(tl.next_up_time(lane, e), e);
-                if s > 0 {
-                    assert_eq!(tl.next_up_time(lane, s - 1), s - 1);
-                }
-            }
+            assert_eq!(crash_edge_windows(&tl, lane), tl.lane_down_windows(lane), "lane {lane}");
         }
     }
 
@@ -746,14 +744,14 @@ mod tests {
         s.lane_slowdowns = 0;
         s.shard_outages = 1;
         let plan = s.schedule(&[2, 2]);
-        let hit: Vec<usize> = (0..2).filter(|&sh| !plan.outage_windows(sh).is_empty()).collect();
+        let hit: Vec<usize> = (0..2).filter(|&sh| !plan.outages[sh].is_empty()).collect();
         assert_eq!(hit.len(), 1, "exactly one shard drew the outage");
         let shard = hit[0];
-        let (start, end) = plan.outage_windows(shard)[0];
+        let (start, end) = plan.outages[shard][0];
         let tl = plan.shard_timeline(shard);
         for lane in 0..tl.lanes() {
-            assert!(tl.is_lane_down(lane, start));
-            assert!(!tl.is_lane_down(lane, end));
+            assert_eq!(crash_edge_windows(&tl, lane), [(start, end)], "lane {lane}");
+            assert_eq!(tl.lane_down_windows(lane), [(start, end)], "lane {lane}");
         }
         assert!(!plan.is_shard_up(shard, start));
         assert!(plan.is_shard_up(shard, end));
@@ -773,8 +771,7 @@ mod tests {
         let a = short.schedule(&[2, 2]);
         let b = long.schedule(&[2, 2]);
         for shard in 0..2 {
-            let wa = a.outage_windows(shard);
-            let wb = b.outage_windows(shard);
+            let (wa, wb) = (&a.outages[shard], &b.outages[shard]);
             assert_eq!(wa.len(), wb.len(), "outage placement must not move");
             for (&(sa, ea), &(sb, eb)) in wa.iter().zip(wb) {
                 assert_eq!(sa, sb, "outage start times share the draw sequence");

@@ -88,7 +88,7 @@ pub struct Lane {
 
 impl Lane {
     /// The architecture this lane simulates.
-    pub fn arch(&self) -> ArchKind {
+    pub(crate) fn arch(&self) -> ArchKind {
         self.accelerator.config().kind
     }
 
@@ -148,7 +148,7 @@ pub struct FleetSpec {
 impl FleetSpec {
     /// An empty spec; add lanes with [`FleetSpec::lane`] /
     /// [`FleetSpec::lane_with`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -170,12 +170,12 @@ impl FleetSpec {
     }
 
     /// Appends one preset lane of `kind`.
-    pub fn lane(self, kind: ArchKind) -> Self {
+    pub(crate) fn lane(self, kind: ArchKind) -> Self {
         self.lane_with(Accelerator::preset(kind))
     }
 
     /// Appends one lane with an explicit accelerator configuration.
-    pub fn lane_with(mut self, accelerator: Accelerator) -> Self {
+    pub(crate) fn lane_with(mut self, accelerator: Accelerator) -> Self {
         self.accelerators.push(accelerator);
         self
     }
@@ -196,7 +196,7 @@ impl FleetSpec {
     }
 
     /// `true` if the spec has no lanes yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.accelerators.is_empty()
     }
 
@@ -360,8 +360,7 @@ impl Fleet {
     /// Replaces the placement strategy (default: earliest-free).
     /// [`PlacementStrategy::Pipelined`] partitions every model into at
     /// most `stages` contiguous layer ranges, each pinned to a distinct
-    /// lane, with `queue_capacity` pending handoffs per stage boundary
-    /// (see [`crate::PipelinePlan`]).
+    /// lane, with `queue_capacity` pending handoffs per stage boundary.
     ///
     /// # Panics
     ///
@@ -436,18 +435,8 @@ impl Fleet {
     }
 
     /// Number of simulated lanes.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// The placement strategy batches are routed with.
-    pub fn placement(&self) -> PlacementStrategy {
-        self.placement
-    }
-
-    /// The per-lane admission bound, if any.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
     }
 
     /// The configured fixed batching policy (a fresh copy — the
@@ -457,7 +446,7 @@ impl Fleet {
     }
 
     /// The fleet's composition label (see [`FleetSpec::label`]).
-    pub fn arch_label(&self) -> String {
+    pub(crate) fn arch_label(&self) -> String {
         arch_label(self.lanes.iter().map(Lane::arch))
     }
 

@@ -1219,7 +1219,6 @@ mod tests {
         assert_eq!(report.fault.lane_recovery_counts[0] as usize, windows.len());
         let downtime: u64 = windows.iter().map(|&(start, end)| end - start).sum();
         assert_eq!(report.fault.lane_downtime_cycles[0], downtime);
-        assert_eq!(report.fault.lane_mttr_cycles(0), Some(downtime / windows.len() as u64));
     }
 
     /// The batch table follows the work in flight: while serving it

@@ -12,7 +12,7 @@
 //! * [`WorkloadSpec`] / [`Request`] — deterministic seeded open-loop
 //!   request generation over the `s2ta-models` zoo (no wall clock, no
 //!   OS randomness: a seed fully determines the stream).
-//! * [`ClosedLoopSpec`] / [`ClosedLoopClient`] — closed-loop client
+//! * [`ClosedLoopSpec`] — closed-loop client
 //!   populations: each client issues its next request only after the
 //!   previous one completes, so offered load adapts to capacity.
 //! * [`BatchPolicy`] — the closure-rule trait: [`FixedPolicy`] (static
@@ -41,8 +41,8 @@
 //!   (fault-mode hedging reads the same estimates), which collapses to
 //!   earliest-free on homogeneous fleets, byte-for-byte; or
 //!   `Pipelined { stages, queue_capacity }`, which splits every model
-//!   into layer stages pinned to distinct lanes ([`PipelinePlan`]) and
-//!   reports per-stage occupancy ([`PipelineStageStats`]).
+//!   into layer stages pinned to distinct lanes and reports per-stage
+//!   occupancy ([`PipelineStageStats`]).
 //! * [`ServeReport`] — goodput, drop rate, p50/p95/p99 latency
 //!   (overall and per model), per-lane arch/busy/idle/energy breakdown
 //!   ([`ServeReport::lane_breakdown`]), aggregate
@@ -94,27 +94,21 @@ mod timewheel;
 mod trace;
 mod workload;
 
-pub use cluster::{
-    AutoscalePolicy, Cluster, ClusterReport, RoutingPolicy, ScaleEvent, ShardSummary,
-};
+pub use cluster::{AutoscalePolicy, Cluster, ClusterReport, RoutingPolicy, ScaleEvent};
 pub use fault::{
     DegradedMode, FaultConfig, FaultPlan, FaultSpec, FaultTimeline, HedgePolicy, RetryPolicy,
-    TimelineEvent, WindowEdge,
 };
 pub use fleet::{Fleet, FleetSpec, Lane};
-pub use pipeline::{PipelinePlan, StageAssignment};
 pub use placement::PlacementStrategy;
 pub use policy::{
     BatchLimits, BatchObservation, BatchPolicy, FixedPolicy, SloAwarePolicy, SloClass,
 };
 pub use report::{
-    DroppedRequest, FailedRequest, FaultStats, LatencyHistogram, ModelServeStats,
-    PipelineStageStats, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
+    DroppedRequest, FailedRequest, FaultStats, ModelServeStats, PipelineStageStats, RequestOutcome,
+    ServeReport, ServedRequest, WorkerStats,
 };
 pub use trace::{
-    FlightRecorder, HostSpan, HostSpans, MetricPoint, MetricsSample, ModelSeries, Trace, TraceCell,
-    TraceConfig, TraceEvent, TraceEventKind,
+    FlightRecorder, HostSpan, HostSpans, MetricsSample, Trace, TraceConfig, TraceEvent,
+    TraceEventKind,
 };
-pub use workload::{
-    ClosedLoopClient, ClosedLoopSpec, DiurnalSpec, RateSegment, Request, WorkloadSpec,
-};
+pub use workload::{ClosedLoopSpec, DiurnalSpec, RateSegment, Request, WorkloadSpec};

@@ -52,7 +52,7 @@ use std::ops::Range;
 
 /// One pipeline stage: a contiguous layer range pinned to a lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageAssignment {
+pub(crate) struct StageAssignment {
     /// The layers this stage executes, in order.
     pub layers: Range<usize>,
     /// The fleet lane the stage is pinned to.
@@ -62,7 +62,7 @@ pub struct StageAssignment {
 /// A model's layer-pipeline: K contiguous stages, each pinned to a
 /// distinct lane, plus the inter-stage activation handoff costs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelinePlan {
+pub(crate) struct PipelinePlan {
     model: usize,
     stages: Vec<StageAssignment>,
     /// `handoff_cycles[s]`: DMA cycles to move stage `s`'s output
@@ -183,19 +183,19 @@ impl PipelinePlan {
 
     /// The model index (into the fleet's model list) this plan
     /// partitions.
-    pub fn model(&self) -> usize {
+    pub(crate) fn model(&self) -> usize {
         self.model
     }
 
     /// The stages, in execution order. Every stage holds a distinct
     /// lane, and the layer ranges tile `0..layers` in order.
-    pub fn stages(&self) -> &[StageAssignment] {
+    pub(crate) fn stages(&self) -> &[StageAssignment] {
         &self.stages
     }
 
     /// DMA cycles to hand stage `s`'s output activations to stage
     /// `s+1`'s lane (`len == stages - 1`).
-    pub fn handoff_cycles(&self) -> &[u64] {
+    pub(crate) fn handoff_cycles(&self) -> &[u64] {
         &self.handoff_cycles
     }
 }

@@ -32,8 +32,8 @@ pub enum PlacementStrategy {
     /// lane predicts the same service.
     Affinity,
     /// Layer-pipelined execution (SCNN-style stage dataflow): every
-    /// model is partitioned into contiguous layer **stages** by a
-    /// [`crate::PipelinePlan`], each stage is pinned to a distinct
+    /// model is partitioned into contiguous layer **stages** by its
+    /// pipeline plan, each stage is pinned to a distinct
     /// lane, and a batch flows through the stage lanes in order — so
     /// stage `s` of batch `b` overlaps stage `s+1` of batch `b-1`, and
     /// a deep model no longer serializes a whole lane per batch.

@@ -38,7 +38,7 @@ pub struct BatchLimits {
 impl BatchLimits {
     /// Batch-of-one: every request dispatches immediately (the paper's
     /// batch-1 mobile setting).
-    pub fn unbatched() -> Self {
+    pub(crate) fn unbatched() -> Self {
         Self { max_batch: 1, max_wait_cycles: 0 }
     }
 }
@@ -249,7 +249,7 @@ impl ClassState {
 /// before the policy has evidence, then keeps a sliding window of the
 /// most recent observed request latencies (each batch contributes its
 /// worst member). After every observation, once the window holds
-/// [`SloAwarePolicy::WARMUP`] samples, the windowed p99 is compared
+/// `SloAwarePolicy::WARMUP` samples, the windowed p99 is compared
 /// against the class target:
 ///
 /// * **tail pressure** (`p99 > 4/5 · target`, i.e. the tail
@@ -280,9 +280,9 @@ pub struct SloAwarePolicy {
 
 impl SloAwarePolicy {
     /// Observations kept in each class's sliding latency window.
-    pub const WINDOW: usize = 64;
+    pub(crate) const WINDOW: usize = 64;
     /// Observations required in a class before its first adjustment.
-    pub const WARMUP: usize = 4;
+    pub(crate) const WARMUP: usize = 4;
 
     /// A policy steering every model toward one global
     /// `target_p99_cycles`, allowed to batch up to `ceiling`.
@@ -312,14 +312,9 @@ impl SloAwarePolicy {
     }
 
     /// The global latency target (for per-model policies, the first
-    /// class's target; see [`SloAwarePolicy::class_target`]).
+    /// class's target).
     pub fn target_p99_cycles(&self) -> u64 {
         self.classes[0].class.target_p99_cycles
-    }
-
-    /// The latency target steering `model`'s lane.
-    pub fn class_target(&self, model: usize) -> u64 {
-        self.classes[self.class_index(model)].class.target_p99_cycles
     }
 
     fn class_index(&self, model: usize) -> usize {
@@ -536,8 +531,8 @@ mod tests {
         ];
         let mut p = SloAwarePolicy::per_model(classes);
         assert_eq!(p.name(), "slo-aware-per-model");
-        assert_eq!(p.class_target(0), 10_000);
-        assert_eq!(p.class_target(1), 500_000);
+        let targets: Vec<u64> = p.classes.iter().map(|c| c.class.target_p99_cycles).collect();
+        assert_eq!(targets, [10_000, 500_000]);
         let start0 = p.limits_for(0);
         let start1 = p.limits_for(1);
         // Hammer model 0 with pressure, model 1 with slack.

@@ -159,15 +159,6 @@ impl RequestOutcome {
         }
     }
 
-    /// Arrival cycle.
-    pub fn arrival(&self) -> u64 {
-        match self {
-            Self::Served(s) => s.arrival,
-            Self::Dropped(d) => d.arrival,
-            Self::Failed(f) => f.arrival,
-        }
-    }
-
     /// `true` if the request was served.
     pub fn is_served(&self) -> bool {
         matches!(self, Self::Served(_))
@@ -183,7 +174,7 @@ impl RequestOutcome {
     }
 
     /// End-to-end latency, `None` for dropped requests.
-    pub fn latency_cycles(&self) -> Option<u64> {
+    pub(crate) fn latency_cycles(&self) -> Option<u64> {
         self.served().map(ServedRequest::latency_cycles)
     }
 }
@@ -227,7 +218,7 @@ pub(crate) fn nearest_rank(sorted_latencies: &[u64], pct: f64) -> u64 {
 /// global percentiles over its shards' histograms by binary search,
 /// without merging or re-sorting the million-sample population.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     /// Every sample, ascending.
     sorted: Vec<u64>,
 }
@@ -235,7 +226,7 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     /// Builds the histogram of `samples` (one sort of the sample set —
     /// the last sort percentile queries ever need).
-    pub fn collect(samples: impl IntoIterator<Item = u64>) -> Self {
+    pub(crate) fn collect(samples: impl IntoIterator<Item = u64>) -> Self {
         let mut sorted: Vec<u64> = samples.into_iter().collect();
         sorted.shrink_to_fit();
         sorted.sort_unstable();
@@ -243,26 +234,8 @@ impl LatencyHistogram {
     }
 
     /// Total number of samples.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.sorted.len() as u64
-    }
-
-    /// Whether the histogram holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Folds `other` into `self` (one linear merge of the two sorted
-    /// sample sets).
-    pub fn merge(&mut self, other: &Self) {
-        let mine = std::mem::take(&mut self.sorted);
-        let mut merged = Vec::with_capacity(mine.len() + other.sorted.len());
-        let (mut a, mut b) = (mine.iter().peekable(), other.sorted.iter().peekable());
-        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
-            merged.push(if x <= y { a.next() } else { b.next() }.copied().expect("peeked"));
-        }
-        merged.extend(a.chain(b));
-        self.sorted = merged;
     }
 
     /// The `pct`-th percentile sample (nearest-rank, an observed
@@ -271,7 +244,7 @@ impl LatencyHistogram {
     /// # Panics
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
-    pub fn percentile(&self, pct: f64) -> u64 {
+    pub(crate) fn percentile(&self, pct: f64) -> u64 {
         let target = nearest_rank_position(self.total().max(1), pct);
         self.sorted.get(target as usize - 1).copied().unwrap_or(0)
     }
@@ -327,12 +300,12 @@ pub struct WorkerStats {
 
 impl WorkerStats {
     /// A fresh (all-zero) record for a lane of `arch`.
-    pub fn new(arch: ArchKind) -> Self {
+    pub(crate) fn new(arch: ArchKind) -> Self {
         Self { arch, busy_cycles: 0, batches: 0, requests: 0, events: EventCounts::default() }
     }
 
     /// Busy fraction of the fleet makespan.
-    pub fn utilization(&self, makespan_cycles: u64) -> f64 {
+    pub(crate) fn utilization(&self, makespan_cycles: u64) -> f64 {
         if makespan_cycles == 0 {
             0.0
         } else {
@@ -341,12 +314,12 @@ impl WorkerStats {
     }
 
     /// Cycles the lane sat idle over the fleet makespan.
-    pub fn idle_cycles(&self, makespan_cycles: u64) -> u64 {
+    pub(crate) fn idle_cycles(&self, makespan_cycles: u64) -> u64 {
         makespan_cycles.saturating_sub(self.busy_cycles)
     }
 
     /// Energy this lane's batches consumed under `tech`.
-    pub fn energy(&self, tech: &TechParams) -> EnergyBreakdown {
+    pub(crate) fn energy(&self, tech: &TechParams) -> EnergyBreakdown {
         EnergyBreakdown::of(&self.events, tech)
     }
 }
@@ -384,7 +357,7 @@ pub struct PipelineStageStats {
 impl PipelineStageStats {
     /// Busy fraction of the stage's own active span (first dispatch to
     /// last completion); 0 before the stage ever ran.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         let span = self.busy_cycles + self.bubble_cycles;
         if span == 0 {
             0.0
@@ -456,24 +429,13 @@ pub struct FaultStats {
 impl FaultStats {
     /// `true` when the run saw no fault activity at all (the
     /// fault-free default).
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// Mean time to recovery for `lane` in cycles — observed downtime
-    /// over completed recoveries — or `None` when the lane never
-    /// recovered during the run.
-    pub fn lane_mttr_cycles(&self, lane: usize) -> Option<u64> {
-        let recoveries = *self.lane_recovery_counts.get(lane)?;
-        if recoveries == 0 {
-            return None;
-        }
-        Some(self.lane_downtime_cycles.get(lane).copied().unwrap_or(0) / recoveries)
     }
 
     /// Folds `other` into `self` (lane vectors concatenate: cluster
     /// aggregation keeps shard lanes distinct, in shard order).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.lane_crashes += other.lane_crashes;
         self.lane_recoveries += other.lane_recoveries;
         self.slowdowns += other.slowdowns;
@@ -503,8 +465,8 @@ impl FaultStats {
 /// batch bounds (adaptive) both react to completions, which depend on
 /// how many lanes are serving.
 ///
-/// Latency statistics ([`ServeReport::latency_percentile_cycles`],
-/// [`ServeReport::mean_latency_cycles`]) are computed over **served**
+/// Latency statistics ([`ServeReport::p50_cycles`] and its siblings,
+/// the mean latency) are computed over **served**
 /// requests only; dropped requests are reported through
 /// [`ServeReport::dropped_count`] / [`ServeReport::drop_rate`] and
 /// excluded from percentiles (a drop has no latency). Throughput of
@@ -512,7 +474,7 @@ impl FaultStats {
 /// [`ServeReport::throughput_ips`] is its alias kept for the open-loop
 /// no-drop setting where the two coincide.
 ///
-/// Equality covers every field except the trace (see [`TraceCell`]).
+/// Equality covers every field except the trace ([`ServeReport::trace`]).
 /// The report carries no host-side cache counters: a caller that wants
 /// a run's cache activity diffs the fleet caches'
 /// [`stats`](s2ta_core::MemoCache::stats) around the call.
@@ -573,7 +535,7 @@ impl ServeReport {
 
     /// Requests abandoned by fault handling (see
     /// [`RequestOutcome::Failed`]).
-    pub fn failed_count(&self) -> usize {
+    pub(crate) fn failed_count(&self) -> usize {
         self.outcomes.iter().filter(|o| matches!(o, RequestOutcome::Failed(_))).count()
     }
 
@@ -581,7 +543,7 @@ impl ServeReport {
     /// `1 - failed/issued` (1.0 for an empty or fault-free run).
     /// Admission drops are a load-shedding decision, not
     /// unavailability, so they do not lower this number.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.outcomes.is_empty() {
             return 1.0;
         }
@@ -616,7 +578,7 @@ impl ServeReport {
     /// # Panics
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
-    pub fn latency_percentile_cycles(&self, pct: f64) -> u64 {
+    pub(crate) fn latency_percentile_cycles(&self, pct: f64) -> u64 {
         self.latency_histogram().percentile(pct)
     }
 
@@ -624,7 +586,7 @@ impl ServeReport {
     /// assembled and shared by every percentile query (p50/p95/p99 on
     /// a million-request report used to re-sort the samples three
     /// times). Cluster shards merge through exactly this view.
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
+    pub(crate) fn latency_histogram(&self) -> &LatencyHistogram {
         &self.latency_hist
     }
 
@@ -667,7 +629,7 @@ impl ServeReport {
     }
 
     /// Mean served latency in cycles (0 when nothing was served).
-    pub fn mean_latency_cycles(&self) -> f64 {
+    pub(crate) fn mean_latency_cycles(&self) -> f64 {
         let served = self.served_count();
         if served == 0 {
             return 0.0;
@@ -1056,7 +1018,6 @@ mod tests {
     fn histogram_edge_cases() {
         // Empty: every valid percentile is calm.
         let empty = LatencyHistogram::collect(std::iter::empty());
-        assert!(empty.is_empty());
         assert_eq!(empty.total(), 0);
         for pct in [0.001, 50.0, 100.0] {
             assert_eq!(empty.percentile(pct), 0, "pct {pct}");
@@ -1086,29 +1047,11 @@ mod tests {
         LatencyHistogram::collect([1]).percentile(100.5);
     }
 
-    #[test]
-    fn histogram_merge_equals_concatenation() {
-        let a = [5u64, 1, 9, 5, 5];
-        let b = [2u64, 9, 9, 40];
-        let mut merged = LatencyHistogram::collect(a);
-        merged.merge(&LatencyHistogram::collect(b));
-        let whole = LatencyHistogram::collect(a.iter().chain(b.iter()).copied());
-        assert_eq!(merged, whole);
-        assert_eq!(merged.total(), 9);
-        // Merging an empty histogram either way is the identity.
-        let mut id = whole.clone();
-        id.merge(&LatencyHistogram::default());
-        assert_eq!(id, whole);
-        let mut from_empty = LatencyHistogram::default();
-        from_empty.merge(&whole);
-        assert_eq!(from_empty, whole);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
         /// The histogram percentile is byte-identical to the
         /// [`nearest_rank`] sorted-slice path it replaced, on random
-        /// sample sets and random split points (exercising merge).
+        /// sample sets, whole and split at random points.
         #[test]
         fn prop_histogram_matches_nearest_rank(
             samples in proptest::collection::vec(0u64..500, 1..300),
@@ -1119,11 +1062,10 @@ mod tests {
             let mut sorted = samples.clone();
             sorted.sort_unstable();
             let split = split as usize % (samples.len() + 1);
-            let mut hist = LatencyHistogram::collect(samples[..split].iter().copied());
-            hist.merge(&LatencyHistogram::collect(samples[split..].iter().copied()));
+            let hist = LatencyHistogram::collect(samples.iter().copied());
             proptest::prop_assert_eq!(hist.percentile(pct), nearest_rank(&sorted, pct));
             proptest::prop_assert_eq!(hist.total(), sorted.len() as u64);
-            // Without the merge: the same answer over the parts.
+            // The same answer over the parts.
             let parts = [
                 LatencyHistogram::collect(samples[..split].iter().copied()),
                 LatencyHistogram::collect(samples[split..].iter().copied()),

@@ -124,27 +124,6 @@ pub enum TraceEventKind {
     ShardFailedOver,
 }
 
-impl TraceEventKind {
-    /// Stable lowercase label, used in artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::BatchSealed => "batch_sealed",
-            Self::BatchStarted => "batch_started",
-            Self::BatchCompleted => "batch_completed",
-            Self::RequestDropped => "request_dropped",
-            Self::DeadlineMiss => "deadline_miss",
-            Self::StageDispatch => "stage_dispatch",
-            Self::StageStall => "stage_stall",
-            Self::AutoscaleDecision => "autoscale",
-            Self::LaneFailed => "lane_failed",
-            Self::LaneRecovered => "lane_recovered",
-            Self::RequestRetried => "request_retried",
-            Self::RequestHedged => "request_hedged",
-            Self::ShardFailedOver => "shard_failed_over",
-        }
-    }
-}
-
 /// One recorded engine event, stamped with simulated time and
 /// `(shard, lane, model, stage)` identity. `Copy` and fixed-size so
 /// recording is a single ring-slot write.
@@ -214,11 +193,6 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// The fixed ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Events dropped (overwritten) to stay within capacity.
     pub fn overwritten(&self) -> u64 {
         self.ring.overwritten()
@@ -259,7 +233,7 @@ pub struct MetricsSample {
 
 /// One point of a per-model rolling-percentile series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricPoint {
+pub(crate) struct MetricPoint {
     /// The boundary the window was closed at.
     pub cycle: u64,
     /// Nearest-rank p99 latency (cycles) over the completions in the
@@ -270,7 +244,7 @@ pub struct MetricPoint {
 /// A per-model windowed-p99 time-series: one point per metrics
 /// interval in which at least one request of the model completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelSeries {
+pub(crate) struct ModelSeries {
     /// Model name.
     pub model: String,
     /// Cluster shard (0 until stamped by the merge).
@@ -301,7 +275,7 @@ pub struct HostSpans {
 
 impl HostSpans {
     /// Folds one timed call into the span named `label`.
-    pub fn add(&mut self, label: &str, elapsed: Duration) {
+    pub(crate) fn add(&mut self, label: &str, elapsed: Duration) {
         match self.spans.iter_mut().find(|s| s.label == label) {
             Some(span) => {
                 span.calls += 1;
@@ -316,7 +290,7 @@ impl HostSpans {
     }
 
     /// Folds every span of `other` into `self` (label-wise).
-    pub fn merge(&mut self, other: &HostSpans) {
+    pub(crate) fn merge(&mut self, other: &HostSpans) {
         for span in &other.spans {
             match self.spans.iter_mut().find(|s| s.label == span.label) {
                 Some(mine) => {
@@ -329,7 +303,7 @@ impl HostSpans {
     }
 
     /// The accumulated spans, in first-use order.
-    pub fn spans(&self) -> &[HostSpan] {
+    pub(crate) fn spans(&self) -> &[HostSpan] {
         &self.spans
     }
 }
@@ -364,11 +338,6 @@ impl PartialEq for Trace {
 }
 
 impl Trace {
-    /// The configuration the trace was recorded under.
-    pub fn config(&self) -> TraceConfig {
-        self.config
-    }
-
     /// The retained events, in recording order (oldest → newest; for a
     /// merged cluster trace, `(cycle, shard)` order).
     pub fn events(&self) -> &[TraceEvent] {
@@ -380,19 +349,9 @@ impl Trace {
         self.dropped_events
     }
 
-    /// Model names, indexed by [`TraceEvent::model`].
-    pub fn model_names(&self) -> &[String] {
-        &self.model_names
-    }
-
     /// The fixed-interval engine samples, in cycle order.
     pub fn metrics(&self) -> &[MetricsSample] {
         &self.metrics
-    }
-
-    /// The per-model rolling-p99 series.
-    pub fn model_series(&self) -> &[ModelSeries] {
-        &self.model_series
     }
 
     /// Host-side wall-clock spans (excluded from equality).
@@ -640,11 +599,11 @@ fn escape(s: &str) -> String {
 /// traced-vs-untraced guarantees in the test suite rest on it). Clones
 /// start empty: a trace describes one concrete run.
 #[derive(Debug, Default)]
-pub struct TraceCell(OnceLock<Trace>);
+pub(crate) struct TraceCell(OnceLock<Trace>);
 
 impl TraceCell {
     /// The recorded trace, if this run had a recorder attached.
-    pub fn get(&self) -> Option<&Trace> {
+    pub(crate) fn get(&self) -> Option<&Trace> {
         self.0.get()
     }
 
@@ -821,10 +780,10 @@ mod tests {
         tr.observe_latency(0, 30);
         tr.observe_latency(1, 7);
         let trace = tr.finish(150, vec!["a".into(), "b".into()]);
-        assert_eq!(trace.model_series().len(), 2);
-        let a = &trace.model_series()[0];
+        assert_eq!(trace.model_series.len(), 2);
+        let a = &trace.model_series[0];
         assert_eq!((a.model.as_str(), a.points[0].cycle, a.points[0].p99_cycles), ("a", 100, 30));
-        let b = &trace.model_series()[1];
+        let b = &trace.model_series[1];
         assert_eq!((b.model.as_str(), b.points[0].cycle, b.points[0].p99_cycles), ("b", 100, 7));
     }
 

@@ -358,7 +358,7 @@ impl ClosedLoopSpec {
     ///
     /// Panics if the spec has no clients, an invalid mix, or a negative
     /// think time.
-    pub fn spawn_clients(&self) -> Vec<ClosedLoopClient> {
+    pub(crate) fn spawn_clients(&self) -> Vec<ClosedLoopClient> {
         assert!(self.clients > 0, "a closed-loop population needs at least one client");
         let mix = Mix::validate(&self.mix);
         (0..self.clients as u64)
@@ -391,7 +391,7 @@ impl fmt::Display for ClosedLoopSpec {
 /// serving engine advances each time the client's previous request
 /// finishes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClosedLoopClient {
+pub(crate) struct ClosedLoopClient {
     rng: Lcg,
     gaps: GapSampler,
     mix: Mix,
@@ -401,7 +401,7 @@ impl ClosedLoopClient {
     /// Issues the client's next request: called by the engine with the
     /// completion (or drop) time of the previous request and the dense
     /// id to assign. The request arrives one think gap later.
-    pub fn issue(&mut self, previous_done: u64, id: u64) -> Request {
+    pub(crate) fn issue(&mut self, previous_done: u64, id: u64) -> Request {
         let arrival = previous_done.saturating_add(self.gaps.next_gap(&mut self.rng));
         let model = self.mix.sample(&mut self.rng);
         Request { id, model, arrival, act_seed: self.rng.next_u64() }
