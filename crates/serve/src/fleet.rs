@@ -57,6 +57,10 @@
 //! in the returned [`ServeReport`] is sorted by request id (it is
 //! assembled in resolution order internally), so `outcomes[i].id() ==
 //! i` always holds for a dense arrival stream.
+//!
+//! This module holds the lanes, specs and builders; the engine's event
+//! loop and handlers live in `engine`, and its batch placement and
+//! execute-and-charge step in `engine::dispatch`.
 
 mod engine;
 

@@ -23,11 +23,10 @@
 //!    pipeline period). Sizing each stage to the speed of the lane
 //!    that will run it is what makes the **cross-arch** pipeline fall
 //!    out: dense-leaning early convs land on the SA-ZVCG lanes while
-//!    the sparse-heavy tail lands on S2TA-AW. (Splitting first and
-//!    placing after — e.g. with the single-cost-vector
-//!    [`s2ta_core::ModelPlan::stage_split`], the right tool on a
-//!    homogeneous fleet — plants balanced stages on slow lanes and
-//!    the bottleneck blows up.)
+//!    the sparse-heavy tail lands on S2TA-AW. (Splitting first by one
+//!    cost vector and placing after — the right tool on a homogeneous
+//!    fleet — plants balanced stages on slow lanes and the bottleneck
+//!    blows up.)
 //!
 //! Stage boundaries also carry a cost: the receiving layer's `K x N`
 //! activation matrix must move between lanes, priced at the receiving

@@ -8,7 +8,7 @@
 //! service estimate bootstrapped from the run's own completed batches.
 //! Under [`PlacementStrategy::Pipelined`] no single lane is chosen: the
 //! batch flows through its model's pinned stage lanes (see
-//! [`crate::PipelinePlan`]).
+//! [`crate::pipeline::PipelinePlan`]).
 
 use s2ta_core::ArchKind;
 use std::collections::HashMap;
