@@ -127,7 +127,7 @@ pub mod cluster_scenario {
     pub const SHARDS: usize = 4;
 
     /// Requests in the canonical stream (the "~1M requests is routine"
-    /// scale target of the timer-wheel engine).
+    /// scale target of the serving engine).
     pub const REQUESTS: usize = 1_000_000;
 
     /// Distinct activation seeds in the stream (bounds the

@@ -32,7 +32,6 @@ pub mod memory;
 pub mod microbench;
 mod plan;
 pub mod pool;
-mod ring;
 mod scratch;
 pub mod summary;
 pub mod sweep;
@@ -44,6 +43,5 @@ pub use plan::{
     WeightPlanCache, WeightResidency,
 };
 pub use report::{LayerReport, ModelReport};
-pub use ring::Ring;
 pub use runner::{Accelerator, ExecPath};
 pub use scratch::Scratch;

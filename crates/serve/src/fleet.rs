@@ -22,7 +22,7 @@
 //!
 //! The engine keeps one event calendar. Batch completions, autoscaler
 //! evaluations, retry re-admissions and fault-window edges wait in one
-//! timer wheel, and each model lane's open-batch deadline in that
+//! binary heap, and each model lane's open-batch deadline in that
 //! lane's slot of the request queue. Arrivals come from the arrival
 //! source, and every event fires in `(time, Event)` order, whose
 //! derived kind order is the one tie-break rule at equal times. Fresh

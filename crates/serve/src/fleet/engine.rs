@@ -16,7 +16,6 @@ use crate::report::{
     DroppedRequest, FailedRequest, LatencyHistogram, ModelServeStats, RequestOutcome, ServeReport,
     ServedRequest, WorkerStats,
 };
-use crate::timewheel::TimerWheel;
 use crate::trace::{TraceCell, TraceEvent, TraceEventKind, TraceState};
 use crate::workload::{ClosedLoopClient, ClosedLoopSpec, Request};
 pub(crate) use dispatch::StageRun;
@@ -41,7 +40,7 @@ struct EngineBatch {
     /// store the **effective** service (slowdown factor applied).
     service_cycles: u64,
     /// Fault mode: the batch's lane crashed before it completed; its
-    /// wheel entry is stale and its members were retried or failed.
+    /// calendar entry is stale and its members were retried or failed.
     cancelled: bool,
 }
 
@@ -167,7 +166,7 @@ enum Event {
     /// the calendar; injected arrivals compare against this variant).
     Arrival,
     /// This model lane's open batch times out. Deadlines live in the
-    /// request queue's per-lane slots, not in the wheel.
+    /// request queue's per-lane slots, not in the calendar.
     Deadline(usize),
     /// The retry in this slot of the fault state's slab re-enters.
     Retry(usize),
@@ -216,13 +215,13 @@ pub(crate) struct Engine<'a> {
     /// The per-model request lanes, each with its open batch's deadline.
     queue: RequestQueue,
     /// The event calendar: every pending completion, autoscaler
-    /// evaluation, retry and fault edge, ordered by `(time, Event)` in
-    /// a hierarchical timer wheel, so a million pending completions
-    /// cost O(1) amortized per event instead of a heap rebalance.
-    calendar: TimerWheel<Event>,
+    /// evaluation, retry and fault edge, popped in `(time, Event)`
+    /// order. It holds at most a few hundred entries on any measured
+    /// run, so a binary heap is all it needs.
+    calendar: BinaryHeap<Reverse<(u64, Event)>>,
     /// The records of the batches in flight, by batch id: inserted at
     /// dispatch, removed when the batch's completion pops (for a
-    /// crash-cancelled batch, when its stale wheel entry does). The
+    /// crash-cancelled batch, when its stale calendar entry does). The
     /// table follows the work in flight, never the run's history.
     batches: HashMap<usize, EngineBatch>,
     /// Batches dispatched so far: the next batch id (ids are dense in
@@ -295,10 +294,10 @@ impl<'a> Engine<'a> {
             fleet.fault.is_none() || pipeline.is_none(),
             "fault injection models monolithic lane execution; pipelined placement is unsupported"
         );
-        let mut calendar = TimerWheel::new();
+        let mut calendar = BinaryHeap::new();
         if let Some((_, timeline)) = &fleet.fault {
             for (index, edge) in timeline.events().iter().enumerate() {
-                calendar.push(edge.time, Event::Fault(index));
+                calendar.push(Reverse((edge.time, Event::Fault(index))));
             }
         }
         Self {
@@ -338,7 +337,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn with_autoscale(mut self, policy: Option<AutoscalePolicy>, horizon: u64) -> Self {
         self.autoscale = policy.map(|policy| Autoscaler { policy, horizon, events: Vec::new() });
         if let Some(first) = self.autoscale.as_ref().and_then(|auto| auto.after(0)) {
-            self.calendar.push(first, Event::Autoscale);
+            self.calendar.push(Reverse((first, Event::Autoscale)));
         }
         self
     }
@@ -405,9 +404,10 @@ impl<'a> Engine<'a> {
     /// The earliest pending event other than an arrival: the
     /// calendar's head or the earliest lane deadline, whichever sorts
     /// first.
-    fn next_event(&mut self) -> Option<(u64, Event)> {
+    fn next_event(&self) -> Option<(u64, Event)> {
         let deadline = self.queue.next_deadline().map(|(t, model)| (t, Event::Deadline(model)));
-        [self.calendar.peek(), deadline].into_iter().flatten().min()
+        let head = self.calendar.peek().map(|&Reverse(head)| head);
+        [head, deadline].into_iter().flatten().min()
     }
 
     /// Processes the earliest pending event: the next arrival, a lane
@@ -415,7 +415,7 @@ impl<'a> Engine<'a> {
     fn step(&mut self, (time, event): (u64, Event)) {
         if !matches!(event, Event::Arrival | Event::Deadline(_)) {
             let head = self.calendar.pop();
-            debug_assert_eq!(head, Some((time, event)), "only the calendar's head steps");
+            debug_assert_eq!(head, Some(Reverse((time, event))), "only the calendar's head steps");
         }
         match event {
             Event::Completion(batch) => self.on_completion(time, batch),
@@ -490,8 +490,8 @@ impl<'a> Engine<'a> {
             self.in_flight_requests,
             self.calendar
                 .iter()
-                .filter_map(|(_, event)| match event {
-                    Event::Completion(id) => Some(&self.batches[&id]),
+                .filter_map(|Reverse((_, event))| match event {
+                    Event::Completion(id) => Some(&self.batches[id]),
                     _ => None,
                 })
                 .filter(|b| !b.cancelled)
@@ -526,10 +526,8 @@ impl<'a> Engine<'a> {
     /// Whether any event (see [`Engine::next_event`]) fires strictly
     /// before an arrival at `t` in `(time, Event)` order — the cluster
     /// driver's fast path: a shard answering `false` needs no
-    /// [`Engine::advance_to_arrival`] dispatch at all. Peeking may
-    /// cascade the calendar's wheel, which never changes simulated
-    /// state.
-    pub(crate) fn has_event_before(&mut self, t: u64) -> bool {
+    /// [`Engine::advance_to_arrival`] dispatch at all.
+    pub(crate) fn has_event_before(&self, t: u64) -> bool {
         self.next_event().is_some_and(|next| next < (t, Event::Arrival))
     }
 
@@ -548,8 +546,8 @@ impl<'a> Engine<'a> {
         // Metrics boundaries close before this completion mutates any
         // counter (popping the calendar changes no sampled state).
         self.trace_flush(t);
-        let batch = self.batches.remove(&index).expect("a wheel entry has an in-flight record");
-        // A crash-cancelled batch's wheel entry is stale: its members
+        let batch = self.batches.remove(&index).expect("a calendar entry has an in-flight record");
+        // A crash-cancelled batch's calendar entry is stale: its members
         // were already retried or failed at the crash. Nothing fires.
         if batch.cancelled {
             return;
@@ -630,7 +628,7 @@ impl<'a> Engine<'a> {
             (self.backlog(), self.active_lanes, self.fleet.lanes.len());
         let auto = self.autoscale.as_mut().expect("autoscale event");
         if let Some(next) = auto.after(time) {
-            self.calendar.push(next, Event::Autoscale);
+            self.calendar.push(Reverse((next, Event::Autoscale)));
         }
         let p = auto.policy;
         let to_lanes = if backlog >= p.scale_up_depth {
@@ -832,7 +830,7 @@ impl<'a> Engine<'a> {
         // was running is void, so it frees exactly at recovery.
         self.free_at[lane] = t + ev.duration;
         for index in cancelled {
-            // The record stays, flagged, until its stale wheel entry
+            // The record stays, flagged, until its stale calendar entry
             // pops; its members leave it now.
             let batch = self.batches.get_mut(&index).expect("a crashed batch is in flight");
             batch.cancelled = true;
@@ -843,7 +841,7 @@ impl<'a> Engine<'a> {
             self.in_flight_requests -= members.len();
             for r in members {
                 match self.fault_state().retry_or_fail(r, t) {
-                    Ok((at, slot)) => self.calendar.push(at, Event::Retry(slot)),
+                    Ok((at, slot)) => self.calendar.push(Reverse((at, Event::Retry(slot)))),
                     Err(attempts) => self.fail_request(r, attempts, t),
                 }
             }
@@ -1222,7 +1220,7 @@ mod tests {
     }
 
     /// The batch table follows the work in flight: while serving it
-    /// holds exactly the completion wheel's entries (a crash-cancelled
+    /// holds exactly the calendar's completion entries (a crash-cancelled
     /// record until its stale entry pops), a drained engine holds none,
     /// and the batch ids in the report stay dense from 0.
     #[test]
@@ -1243,7 +1241,7 @@ mod tests {
                 let completions = engine
                     .calendar
                     .iter()
-                    .filter(|(_, event)| matches!(event, Event::Completion(_)))
+                    .filter(|Reverse((_, event))| matches!(event, Event::Completion(_)))
                     .count();
                 assert_eq!(engine.batches.len(), completions);
                 most = most.max(engine.batches.len());

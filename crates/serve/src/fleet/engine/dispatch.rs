@@ -8,6 +8,7 @@ use crate::placement::{affinity_lane, earliest_free_lane, PlacementStrategy};
 use crate::trace::{TraceEvent, TraceEventKind};
 use crate::workload::Request;
 use s2ta_sim::EventCounts;
+use std::cmp::Reverse;
 
 /// One execution of a contiguous layer range on a lane — a whole
 /// monolithic batch, a hedge copy, or one pipeline stage — priced by
@@ -321,7 +322,7 @@ impl<'a> Engine<'a> {
     fn launch(&mut self, completion: u64, batch: EngineBatch) {
         let id = self.dispatched;
         self.dispatched += 1;
-        self.calendar.push(completion, Event::Completion(id));
+        self.calendar.push(Reverse((completion, Event::Completion(id))));
         self.batches.insert(id, batch);
     }
 }

@@ -90,7 +90,6 @@ mod placement;
 mod policy;
 mod queue;
 mod report;
-mod timewheel;
 mod trace;
 mod workload;
 

@@ -113,8 +113,9 @@ pub(crate) fn earliest_free_lane(free_at: &[u64]) -> usize {
         .0
 }
 
-/// The affinity choice: minimum predicted completion `max(free, ready)
-/// + predicted_service[lane]`, ties broken by `free_at` then index.
+/// The affinity choice: minimum predicted completion
+/// `max(free, ready) + predicted_service[lane]`, ties broken by
+/// `free_at` then index.
 ///
 /// The tie-break order matters: when every lane predicts the same
 /// service (a homogeneous fleet, or no estimates yet), the choice

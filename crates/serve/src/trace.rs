@@ -36,7 +36,7 @@
 //! [`Trace::metrics_json`].
 
 use crate::report::nearest_rank;
-use s2ta_core::Ring;
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -163,50 +163,61 @@ impl TraceEvent {
 /// The preallocated drop-oldest event ring.
 ///
 /// Constructed once per run at [`TraceConfig::event_capacity`];
-/// [`FlightRecorder::record`] never allocates — under overflow the
-/// oldest event is overwritten in place and counted in
-/// [`FlightRecorder::overwritten`].
+/// [`FlightRecorder::record`] never allocates — when full it drops the
+/// oldest event before appending, counting it in
+/// [`FlightRecorder::overwritten`]. A zero-capacity recorder drops and
+/// counts every event. Equality compares the retained events oldest →
+/// newest, the capacity and the drop count, never the ring's rotation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
-    ring: Ring<TraceEvent>,
+    events: VecDeque<TraceEvent>,
+    capacity: usize,
+    overwritten: u64,
 }
 
 impl FlightRecorder {
     /// A recorder holding at most `capacity` events, fully allocated
     /// up front.
     pub fn new(capacity: usize) -> Self {
-        Self { ring: Ring::new(capacity) }
+        Self { events: VecDeque::with_capacity(capacity), capacity, overwritten: 0 }
     }
 
     /// Records one event (allocation-free; drop-oldest on overflow).
     pub fn record(&mut self, event: TraceEvent) {
-        self.ring.push(event);
+        if self.capacity == 0 {
+            self.overwritten += 1;
+            return;
+        }
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.overwritten += 1;
+        }
+        self.events.push_back(event);
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.events.len()
     }
 
     /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.events.is_empty()
     }
 
     /// Events dropped (overwritten) to stay within capacity.
     pub fn overwritten(&self) -> u64 {
-        self.ring.overwritten()
+        self.overwritten
     }
 
     /// Retained events, oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
+        self.events.iter()
     }
 
     /// Drains into `(events oldest → newest, overwritten count)`.
     pub(crate) fn into_events(self) -> (Vec<TraceEvent>, u64) {
-        let overwritten = self.ring.overwritten();
-        (self.ring.iter().copied().collect(), overwritten)
+        (self.events.into_iter().collect(), self.overwritten)
     }
 }
 
@@ -746,16 +757,62 @@ mod tests {
         TraceEvent { cycle, kind, shard: 0, lane: 0, model: 0, stage: 0, a: 1, b: 2 }
     }
 
+    /// A recorder of `capacity` after recording cycles `0..pushes`.
+    fn recorded(capacity: usize, pushes: u64) -> FlightRecorder {
+        let mut rec = FlightRecorder::new(capacity);
+        for cycle in 0..pushes {
+            rec.record(ev(cycle, TraceEventKind::BatchSealed));
+        }
+        rec
+    }
+
+    /// Drop-oldest overflow, one `(capacity, pushes)` case per row,
+    /// each with the cycles it keeps and the count it drops: zero
+    /// capacity drops everything, capacity 1 keeps only the newest, an
+    /// exact fit keeps every event in order, and overflow drops the
+    /// oldest first. The backing store never grows past construction,
+    /// and equality compares the retained events, the capacity and the
+    /// drop count, never where the ring's head has rotated to.
     #[test]
     fn recorder_drop_oldest_overflow() {
-        let mut rec = FlightRecorder::new(2);
-        rec.record(ev(1, TraceEventKind::BatchSealed));
-        rec.record(ev(2, TraceEventKind::BatchStarted));
-        rec.record(ev(3, TraceEventKind::BatchCompleted));
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.overwritten(), 1);
-        let cycles: Vec<u64> = rec.iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 3]);
+        let cases: [(usize, u64, &[u64], u64); 6] = [
+            (0, 5, &[], 5),
+            (1, 1, &[0], 0),
+            (1, 3, &[2], 2),
+            (2, 3, &[1, 2], 1),
+            (4, 4, &[0, 1, 2, 3], 0),
+            (3, 7, &[4, 5, 6], 4),
+        ];
+        for (capacity, pushes, kept, dropped) in cases {
+            let rec = recorded(capacity, pushes);
+            let cycles: Vec<u64> = rec.iter().map(|e| e.cycle).collect();
+            assert_eq!(cycles, kept, "capacity {capacity}, {pushes} pushes");
+            assert_eq!((rec.len(), rec.is_empty()), (kept.len(), kept.is_empty()));
+            assert_eq!(rec.overwritten(), dropped);
+        }
+        let allocated = FlightRecorder::new(8).events.capacity();
+        let grown = recorded(8, 1_000).events.capacity();
+        assert_eq!(grown, allocated, "the backing store must never grow");
+
+        let mut rotated = recorded(3, 9);
+        assert_eq!(rotated, recorded(3, 9));
+        rotated.record(ev(9, TraceEventKind::BatchSealed));
+        assert_ne!(rotated, recorded(3, 9));
+        // The same three events, recorded once without wrapping and
+        // once after the head has moved past the slot they started in.
+        let mut wrapped = recorded(3, 3);
+        wrapped.record(ev(3, TraceEventKind::BatchSealed));
+        let mut fresh = FlightRecorder::new(3);
+        for cycle in 1..4 {
+            fresh.record(ev(cycle, TraceEventKind::BatchSealed));
+        }
+        fresh.overwritten = 1;
+        assert_eq!(wrapped, fresh);
+        // A different capacity is a different recorder even when the
+        // retained events match.
+        let (small, large) = (recorded(3, 3), recorded(5, 3));
+        assert!(small.iter().eq(large.iter()));
+        assert_ne!(small, large);
     }
 
     #[test]

@@ -101,30 +101,31 @@ impl Mix {
 
 /// Exponential interarrival sampler that carries the fractional part of
 /// every gap forward instead of flooring it, so the realized mean gap
-/// tracks the spec even when the mean is well below one cycle.
-#[derive(Debug, Clone, PartialEq)]
+/// tracks the spec even when the mean is well below one cycle. The mean
+/// comes with each draw, so fixed-rate, diurnal and closed-loop streams
+/// share it.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct GapSampler {
-    mean: f64,
     carry: f64,
 }
 
 impl GapSampler {
-    fn new(mean: f64) -> Self {
-        assert!(mean >= 0.0 && mean.is_finite(), "mean gap must be finite and non-negative");
-        Self { mean, carry: 0.0 }
-    }
-
-    /// The next whole-cycle gap. Exponentially distributed with the
-    /// configured mean; the sub-cycle remainder accumulates into the
-    /// next draw rather than being truncated away.
-    fn next_gap(&mut self, rng: &mut Lcg) -> u64 {
+    /// The next whole-cycle gap, exponentially distributed with mean
+    /// `mean`; the sub-cycle remainder accumulates into the next draw
+    /// rather than being truncated away.
+    fn next_gap(&mut self, mean: f64, rng: &mut Lcg) -> u64 {
         // Exponential gap: -mean * ln(1 - U). U < 1 so the log argument
         // is in (0, 1].
-        let gap = -self.mean * (1.0 - rng.next_f64()).ln() + self.carry;
+        let gap = -mean * (1.0 - rng.next_f64()).ln() + self.carry;
         let whole = gap.floor();
         self.carry = gap - whole;
         whole as u64
     }
+}
+
+/// Rejects a mean gap no exponential draw can use.
+fn assert_mean_gap(mean: f64) {
+    assert!(mean >= 0.0 && mean.is_finite(), "mean gap must be finite and non-negative");
 }
 
 /// Specification of an open-loop request stream.
@@ -169,12 +170,13 @@ impl WorkloadSpec {
     /// sums to zero, or if `mean_interarrival_cycles` is negative.
     pub fn generate(&self) -> Vec<Request> {
         let mix = Mix::validate(&self.mix);
-        let mut gaps = GapSampler::new(self.mean_interarrival_cycles);
+        assert_mean_gap(self.mean_interarrival_cycles);
+        let mut gaps = GapSampler::default();
         let mut rng = Lcg::new(self.seed);
         let mut now = 0u64;
         (0..self.requests as u64)
             .map(|id| {
-                now = now.saturating_add(gaps.next_gap(&mut rng));
+                now = now.saturating_add(gaps.next_gap(self.mean_interarrival_cycles, &mut rng));
                 let model = mix.sample(&mut rng);
                 Request { id, model, arrival: now, act_seed: rng.next_u64() }
             })
@@ -267,10 +269,7 @@ impl DiurnalSpec {
         assert!(!self.segments.is_empty(), "a diurnal profile needs at least one segment");
         for s in &self.segments {
             assert!(s.duration_cycles > 0, "segment durations must be positive");
-            assert!(
-                s.mean_interarrival_cycles.is_finite() && s.mean_interarrival_cycles >= 0.0,
-                "segment mean gaps must be finite and non-negative"
-            );
+            assert_mean_gap(s.mean_interarrival_cycles);
         }
         let mix = Mix::validate(&self.mix);
         let period = self.period_cycles();
@@ -280,16 +279,12 @@ impl DiurnalSpec {
             let mut sub = Lcg::new(self.seed ^ 0x517c_c1b7_2722_0a95);
             (0..self.act_seed_pool).map(|_| sub.next_u64()).collect()
         };
+        let mut gaps = GapSampler::default();
         let mut rng = Lcg::new(self.seed);
         let mut now = 0u64;
-        let mut carry = 0.0f64;
         (0..self.requests as u64)
             .map(|id| {
-                let mean = self.mean_at(now, period);
-                let gap = -mean * (1.0 - rng.next_f64()).ln() + carry;
-                let whole = gap.floor();
-                carry = gap - whole;
-                now = now.saturating_add(whole as u64);
+                now = now.saturating_add(gaps.next_gap(self.mean_at(now, period), &mut rng));
                 let model = mix.sample(&mut rng);
                 let draw = rng.next_u64();
                 let act_seed =
@@ -361,12 +356,14 @@ impl ClosedLoopSpec {
     pub(crate) fn spawn_clients(&self) -> Vec<ClosedLoopClient> {
         assert!(self.clients > 0, "a closed-loop population needs at least one client");
         let mix = Mix::validate(&self.mix);
+        assert_mean_gap(self.mean_think_cycles);
         (0..self.clients as u64)
             .map(|c| ClosedLoopClient {
                 // Splitmix-style spacing keeps sibling streams
                 // decorrelated even for adjacent client indices.
                 rng: Lcg::new(self.seed ^ c.wrapping_mul(0xa076_1d64_78bd_642f)),
-                gaps: GapSampler::new(self.mean_think_cycles),
+                think: self.mean_think_cycles,
+                gaps: GapSampler::default(),
                 mix: mix.clone(),
             })
             .collect()
@@ -393,6 +390,8 @@ impl fmt::Display for ClosedLoopSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClosedLoopClient {
     rng: Lcg,
+    /// Mean think time between a completion and the next request.
+    think: f64,
     gaps: GapSampler,
     mix: Mix,
 }
@@ -402,7 +401,7 @@ impl ClosedLoopClient {
     /// completion (or drop) time of the previous request and the dense
     /// id to assign. The request arrives one think gap later.
     pub(crate) fn issue(&mut self, previous_done: u64, id: u64) -> Request {
-        let arrival = previous_done.saturating_add(self.gaps.next_gap(&mut self.rng));
+        let arrival = previous_done.saturating_add(self.gaps.next_gap(self.think, &mut self.rng));
         let model = self.mix.sample(&mut self.rng);
         Request { id, model, arrival, act_seed: self.rng.next_u64() }
     }
