@@ -10,12 +10,13 @@
 //! counting allocator — warm the caches with two batches, then assert
 //! the third, including its warm [`Accelerator::plan_model`] lookup
 //! (a lane looks its plan up once per batch), performs **zero** heap
-//! allocations on every architecture.
+//! allocations on every architecture; so does a batch of a single-use
+//! input, whose profiles are tallied in the arena and never cached.
 //!
 //! The same allocator also tracks this thread's live heap and its
 //! peak, which pins the host memory a run holds: compiled weight plans
 //! at about their weight-profile bytes, and a served stream at a fixed
-//! ceiling of bytes per request.
+//! ceiling of bytes per request, fresh inputs included.
 //!
 //! The counters are thread-local, so worker threads of other tests in
 //! this binary cannot perturb them, and they only exist in debug builds
@@ -30,8 +31,8 @@ use s2ta_core::{pool::Executor, Accelerator, ActProfileCache, ArchKind, Scratch,
 use s2ta_dbb::dap::LayerNnz;
 use s2ta_models::{cifar10_convnet, lenet5};
 use s2ta_serve::{
-    ClusterReport, FaultSpec, FlightRecorder, Request, RequestOutcome, RoutingPolicy, TraceEvent,
-    TraceEventKind,
+    Cluster, ClusterReport, FaultSpec, FlightRecorder, Request, RequestOutcome, RoutingPolicy,
+    TraceEvent, TraceEventKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -124,6 +125,7 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
             full.clone(),
             SEED,
             WeightResidency::Resident,
+            true,
             &mut scratch,
         );
         acc.run_stage_events(
@@ -132,6 +134,7 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
             full.clone(),
             SEED,
             WeightResidency::Resident,
+            true,
             &mut scratch,
         );
 
@@ -143,11 +146,29 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
             full.clone(),
             SEED,
             WeightResidency::Resident,
+            true,
             &mut scratch,
         );
         let grew = allocs_here() - before;
         assert_eq!(events, warm, "{kind:?}: steady-state events drifted from warmup");
         assert_eq!(grew, 0, "{kind:?}: steady-state batch performed {grew} heap allocations");
+
+        // A single-use input misses the profile table: it is tallied
+        // into the warm arena and read in place, allocating nothing.
+        let (before, entries) = (allocs_here(), acc.act_profiles().len());
+        let plan = acc.plan_model(&model, SEED);
+        acc.run_stage_events(
+            &plan,
+            &model,
+            full.clone(),
+            SEED + 1,
+            WeightResidency::Resident,
+            false,
+            &mut scratch,
+        );
+        let grew = allocs_here() - before;
+        assert_eq!(acc.act_profiles().len(), entries, "{kind:?}: a single-use input is not kept");
+        assert_eq!(grew, 0, "{kind:?}: single-use batch performed {grew} heap allocations");
     }
 }
 
@@ -205,6 +226,7 @@ fn act_profiles_hold_their_narrow_bytes_per_seed() {
             layers,
             SEED,
             WeightResidency::Resident,
+            true,
             &mut Scratch::new(),
         );
         let cache = acc.act_profiles();
@@ -372,6 +394,57 @@ fn served_stream_costs_at_most_100_bytes_per_request() {
     let horizon = stream.last().map_or(1, |r| r.arrival);
     let chaos = chaos_scenario::cluster().with_faults(chaos_scenario::protected(horizon));
     assert_heap_per_request("protected chaos", &stream, |s| chaos.serve_on(&inline, &models, s));
+}
+
+/// Fresh-input serving keeps no activation profiles: a stream whose
+/// every request names a new input (`act_seed_pool = 0`), served on a
+/// freshly built cluster with warm plans by each driver, grows the live
+/// heap, and its peak, by at most the same 100 B per request as warm
+/// serving, and leaves the shared profile table empty: each input is
+/// profiled in place, in its engine's arena. Keeping those profiles
+/// grew the heap by about 1.8 KB per request.
+#[test]
+fn fresh_input_serving_keeps_no_activation_profiles() {
+    let mut spec = cluster_scenario::workload();
+    spec.requests = 2 * FRESH_HALF;
+    spec.act_seed_pool = 0;
+    let stream = spec.generate();
+    let horizon = stream.last().map_or(1, |r| r.arrival);
+    let chaos = || chaos_scenario::cluster().with_faults(chaos_scenario::protected(horizon));
+    assert_fresh_heap("pre-routed", &stream, || cluster_scenario::cluster(RoutingPolicy::Random));
+    assert_fresh_heap("barrier", &stream, || cluster_scenario::cluster(RoutingPolicy::PowerOfTwo));
+    assert_fresh_heap("protected chaos", &stream, chaos);
+}
+
+/// Requests in the first, shorter fresh-input run.
+const FRESH_HALF: usize = 50;
+
+fn assert_fresh_heap(driver: &str, stream: &[Request], build: impl Fn() -> Cluster) {
+    let models = cluster_scenario::models();
+    let inline = Executor::new(1);
+    let grown = |requests: &[Request]| {
+        let cluster = build();
+        // Every lane compiles every model's plan (with the fleets'
+        // default weight seed) before the measured run.
+        for lane in cluster.shards().iter().flat_map(|f| f.lanes()) {
+            for model in &models {
+                lane.accelerator().plan_model(model, 42);
+            }
+        }
+        let base = reset_peak();
+        let report = cluster.serve_on(&inline, &models, requests);
+        let grown = (live_bytes() - base, peak_bytes() - base);
+        assert_eq!(report.total_requests(), requests.len());
+        let acts = cluster.shards()[0].accelerator().act_profiles();
+        assert_eq!(acts.len(), 0, "{driver}: a fresh-input stream leaves no profile behind");
+        assert!(acts.stats().misses > 0, "{driver}: every input is profiled");
+        grown
+    };
+    let (half, whole) = (grown(&stream[..FRESH_HALF]), grown(stream));
+    let per_request = |half: i64, whole: i64| (whole - half) as f64 / FRESH_HALF as f64;
+    let (live, peak) = (per_request(half.0, whole.0), per_request(half.1, whole.1));
+    assert!(live <= 100.0, "{driver}: {live:.1} B of live heap per request, above 100 B");
+    assert!(peak <= 100.0, "{driver}: {peak:.1} B of peak heap per request, above 100 B");
 }
 
 /// Requests in the first, shorter measured run.

@@ -8,9 +8,13 @@
 //! are W-DBB pruned (except layer 1), activations pass through DAP with
 //! the per-layer density tuning, the simulated mux/serialization logic
 //! computes every accumulator, and the MCU model requantizes between
-//! layers. A test-only reference path computes the same semantics with
-//! the golden kernels; the two are asserted bit-identical by tests —
-//! layer by layer, logits included.
+//! layers. A reference path computes the same semantics with the
+//! golden kernels; the two are asserted bit-identical — layer by layer,
+//! logits included.
+//!
+//! The module is compiled for tests only: it is a bit-exact
+//! cross-check of the functional datapaths, and nothing outside its
+//! own tests runs a pipeline.
 
 use crate::{Accelerator, ArchKind};
 use s2ta_dbb::dap::{choose_layer_nnz, dap_matrix, LayerNnz};
@@ -142,7 +146,6 @@ impl Pipeline {
     /// Runs the pipeline with golden kernels under the same DBB
     /// semantics `kind` would apply (pruning, DAP) — the bit-exact
     /// reference for [`Pipeline::run`].
-    #[cfg(test)]
     fn run_reference(&self, kind: ArchKind, input: &Feature) -> InferenceRun {
         self.execute(input, |idx, layer, a| {
             let (w, a) = self.effective_operands(kind, idx, layer, a);
@@ -189,7 +192,6 @@ impl Pipeline {
     /// The pruned/DAP'd `(weights, activations)` layer `idx` executes
     /// with on `kind`, so the reference path replays identical
     /// semantics.
-    #[cfg(test)]
     fn effective_operands(
         &self,
         kind: ArchKind,

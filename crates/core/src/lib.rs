@@ -26,7 +26,8 @@ mod report;
 mod runner;
 
 pub mod buffers;
-pub mod infer;
+#[cfg(test)]
+mod infer;
 mod memo;
 pub mod memory;
 pub mod microbench;

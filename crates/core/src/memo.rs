@@ -25,14 +25,16 @@ struct Counters {
 /// A point-in-time snapshot of a [`MemoCache`]'s lookup counters.
 ///
 /// * `hits` — lookups answered from the table.
-/// * `misses` — lookups that compiled a new value.
+/// * `misses` — lookups that compiled a new value, into the table or,
+///   for a value used once (`get_or_miss`), outside it: the count of
+///   compiles either way.
 /// * `bypasses` — lookups that compiled a new value the caller flagged
 ///   as a bypass. The weight-plan cache flags **dense** (non-W-DBB)
 ///   plans: they are memoized like any other since the allocation-free
 ///   refactor (regenerating raw weights per batch was the dominant host
 ///   cost of dense lanes), and the separate counter keeps DBB compile
 ///   counts comparable across versions. The activation-profile cache
-///   never bypasses.
+///   never bypasses: a profile used once counts as a miss.
 /// * `evictions` / `bytes_evicted` — entries (and their estimated
 ///   bytes) an LRU byte budget pushed out; always zero on unbounded
 ///   caches.
@@ -123,11 +125,14 @@ struct Table<K, V> {
 /// optionally bounded by an LRU byte budget.
 ///
 /// Every clone shares the table and its counters. On an **unbounded**
-/// cache each key compiles exactly once however host threads
-/// interleave: the entry is created inside the lock, the value compiles
-/// outside it, and concurrent first users of the key wait for that
-/// compile (counted as hits) instead of compiling again — so counter
-/// assertions in tests and examples can be exact.
+/// cache, `get_or_compile` compiles each key into the table exactly
+/// once however host threads interleave: the entry is created inside
+/// the lock, the value compiles outside it, and concurrent first users
+/// of the key wait for that compile (counted as hits) instead of
+/// compiling again — so counter assertions in tests and examples can
+/// be exact. `get_or_miss` reads the table without inserting, for a
+/// caller that compiles a value it uses once: such a key compiles on
+/// every missing lookup and is never resident.
 ///
 /// [`MemoCache::with_byte_budget`] bounds the table: once a compiled
 /// value's bytes are accounted and the estimated resident bytes exceed
@@ -190,23 +195,22 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
     ) -> Arc<V> {
         let (slot, compiled_here) = {
             let mut table = self.lock();
-            table.tick += 1;
-            let tick = table.tick;
-            if let Some(entry) = table.map.get_mut(&key) {
-                entry.last_used = tick;
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                match &entry.slot {
-                    Slot::Ready(value) => return Arc::clone(value),
-                    Slot::Compiling(slot) => (Arc::clone(slot), false),
+            match self.touch(&mut table, &key) {
+                Some(Slot::Ready(value)) => return Arc::clone(value),
+                Some(Slot::Compiling(slot)) => (Arc::clone(slot), false),
+                None => {
+                    let counter =
+                        if bypass { &self.counters.bypasses } else { &self.counters.misses };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    let slot = Arc::new(OnceLock::new());
+                    let entry = Entry {
+                        slot: Slot::Compiling(Arc::clone(&slot)),
+                        bytes: 0,
+                        last_used: table.tick,
+                    };
+                    table.map.insert(key, entry);
+                    (slot, true)
                 }
-            } else {
-                let counter = if bypass { &self.counters.bypasses } else { &self.counters.misses };
-                counter.fetch_add(1, Ordering::Relaxed);
-                let slot = Arc::new(OnceLock::new());
-                let entry =
-                    Entry { slot: Slot::Compiling(Arc::clone(&slot)), bytes: 0, last_used: tick };
-                table.map.insert(key, entry);
-                (slot, true)
             }
         };
         // Compile outside the lock: compiles are the expensive part, so
@@ -234,6 +238,37 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
             self.evict_locked(&mut table, budget, &key);
         }
         value
+    }
+
+    /// Returns the value cached under `key` without ever inserting it: a
+    /// resident value (or one a racing lookup is compiling, waited for)
+    /// counts as a hit. A missing key counts as a miss and returns
+    /// `None`, leaving the table as it was: the caller compiles a value
+    /// the table never holds, so `misses` still counts every compile.
+    pub(crate) fn get_or_miss(&self, key: K) -> Option<Arc<V>> {
+        let slot = {
+            let mut table = self.lock();
+            match self.touch(&mut table, &key) {
+                Some(Slot::Ready(value)) => return Some(Arc::clone(value)),
+                Some(Slot::Compiling(slot)) => Arc::clone(slot),
+                None => {
+                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                }
+            }
+        };
+        Some(Arc::clone(slot.wait()))
+    }
+
+    /// Bumps the LRU clock under the lock and, when `key` is resident,
+    /// its recency and the hit counter, returning its slot.
+    fn touch<'t>(&self, table: &'t mut Table<K, V>, key: &K) -> Option<&'t Slot<V>> {
+        table.tick += 1;
+        let tick = table.tick;
+        let entry = table.map.get_mut(key)?;
+        entry.last_used = tick;
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        Some(&entry.slot)
     }
 
     /// Evicts least-recently-used entries (never `keep`, the one just

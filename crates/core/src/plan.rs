@@ -19,7 +19,8 @@
 //!   workers (`s2ta-serve`).
 //! * [`ActProfile`] / [`ActProfileCache`] — the activation-side
 //!   counterpart: the compiled per-position non-zero profiles of one
-//!   request's activation input, memoized the same way.
+//!   request's activation input, memoized the same way when the input
+//!   is simulated again, and profiled in place when it is used once.
 //!
 //! Both caches are instances of the one generic [`MemoCache`]; this
 //! module supplies only their keys and compile recipes. Every layer
@@ -338,10 +339,44 @@ fn dap_scope(bz: usize, adbb: LayerNnz) -> u64 {
     half(bz) << 32 | bound
 }
 
+/// One activation input of one layer run: the `(layer, act seed)` its
+/// matrix is drawn from and the `(bz, adbb)` scope DAP prunes it under
+/// — what an [`ActProfile`] is keyed by and compiled from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActInput<'a> {
+    pub(crate) layer: &'a LayerSpec,
+    pub(crate) seed: u64,
+    pub(crate) bz: usize,
+    pub(crate) adbb: LayerNnz,
+}
+
+impl ActInput<'_> {
+    fn key(&self) -> ActKey {
+        (layer_act_fingerprint(self.layer), self.seed, dap_scope(self.bz, self.adbb))
+    }
+
+    /// The one profile compile recipe: one pass of the fused raw + DAP
+    /// tally kernel into `scratch`'s `u16` tally buffers, over `acts` —
+    /// the caller's already-generated copy of the matrix — or, without
+    /// one, over the matrix generated into `scratch`'s recycled buffer
+    /// (handed back afterwards). Returns the pass's DAP events and
+    /// compression configuration.
+    fn tally(&self, acts: Option<&Matrix>, scratch: &mut Scratch) -> (DapEvents, DbbConfig) {
+        let DapTallies { raw, postdap } = &mut scratch.tallies;
+        let Some(acts) = acts else {
+            let acts = self.layer.gen_acts_into(self.seed, std::mem::take(&mut scratch.acts));
+            let dap = dap_col_profile_into(&acts, self.bz, self.adbb, raw, postdap);
+            scratch.acts = acts.into_data();
+            return dap;
+        };
+        dap_col_profile_into(acts, self.bz, self.adbb, raw, postdap)
+    }
+}
+
 /// The compiled activation-side operand state for one `(layer, act
-/// seed)` under one `(bz, adbb)` scope: everything the matrix-free
-/// event paths need, with the dense `K x N` matrix itself discarded
-/// after profiling.
+/// seed)` under one `(bz, adbb)` scope, as the activation-profile table
+/// keeps it: everything the matrix-free event paths need, with the
+/// dense `K x N` matrix itself discarded after profiling.
 ///
 /// Both sides come from one pass of the fused `dap_col_profile` kernel
 /// over one generated activation matrix: the raw-activation profile
@@ -366,12 +401,10 @@ pub struct ActProfile {
 }
 
 impl ActProfile {
-    /// Profiles `acts` under the `(bz, adbb)` DAP scope: one pass of the
-    /// fused raw + DAP tally kernel into `tallies`, then one narrowing
-    /// pass over the stored counts into the entry's single allocation.
-    fn new(acts: &Matrix, bz: usize, adbb: LayerNnz, tallies: &mut DapTallies) -> Self {
+    /// Narrows the `u16` tallies one [`ActInput::tally`] pass counted
+    /// into `tallies` into the entry's single allocation.
+    fn narrow((dap_events, dap_config): (DapEvents, DbbConfig), tallies: &DapTallies) -> Self {
         let DapTallies { raw, postdap } = tallies;
-        let (dap_events, dap_config) = dap_col_profile_into(acts, bz, adbb, raw, postdap);
         let sides: &[&[u16]] = if dap_config.is_dense() { &[raw] } else { &[raw, postdap] };
         Self { tallies: ActivationProfile::from_sides(sides), dap_config, dap_events }
     }
@@ -398,15 +431,48 @@ impl ActProfile {
     pub fn postdap(&self) -> ActTallies<'_> {
         self.tallies.side(usize::from(!self.dap_config.is_dense()))
     }
+}
 
-    /// The DBB configuration DAP compresses the activation under.
-    pub(crate) fn dap_config(&self) -> DbbConfig {
-        self.dap_config
-    }
+/// What one layer run reads of its activation input: the raw and
+/// post-DAP tallies plus the DAP pass's configuration and events.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActView<'a> {
+    pub(crate) dense: ActTallies<'a>,
+    pub(crate) postdap: ActTallies<'a>,
+    pub(crate) dap_config: DbbConfig,
+    pub(crate) dap_events: DapEvents,
+}
 
-    /// DAP hardware events of the pruning pass.
-    pub(crate) fn dap_events(&self) -> DapEvents {
-        self.dap_events
+/// Where a layer run's [`ActView`] comes from (see
+/// [`ActProfileCache::source`]).
+#[derive(Debug)]
+pub(crate) enum ActSource {
+    /// A table entry.
+    Entry(Arc<ActProfile>),
+    /// A single-use input's DAP pass, whose `u16` tallies sit in the
+    /// arena's [`DapTallies`].
+    Tallied(DapEvents, DbbConfig),
+}
+
+impl ActSource {
+    /// The view, reading a [`ActSource::Tallied`] source's tallies in
+    /// place from `tallies` (both sides are filled even when DAP is
+    /// bypassed).
+    pub(crate) fn view<'a>(&'a self, tallies: &'a DapTallies) -> ActView<'a> {
+        match self {
+            Self::Entry(p) => ActView {
+                dense: p.dense(),
+                postdap: p.postdap(),
+                dap_config: p.dap_config,
+                dap_events: p.dap_events,
+            },
+            &Self::Tallied(dap_events, dap_config) => ActView {
+                dense: ActTallies::from_counts(&tallies.raw),
+                postdap: ActTallies::from_counts(&tallies.postdap),
+                dap_config,
+                dap_events,
+            },
+        }
     }
 }
 
@@ -415,27 +481,31 @@ impl ActProfile {
 ///
 /// Activations are a pure function of `(layer, act seed)`, and their
 /// profiles additionally of the `(bz, adbb)` DAP scope — all
-/// host-knowable, so each entry's two sides (raw and post-DAP) are
-/// compiled **once**, together, and every re-simulation of the same
-/// request (hedged duplicates on a second lane, pipeline calibration
-/// probes, warm/cold residency variants that differ only in DMA
-/// accounting) replays them without regenerating, pruning or profiling
-/// the dense matrix. Shared fleet-wide like the weight-plan cache: the
-/// profiles do not depend on tile shapes, so lanes of every
-/// architecture kind with the same block size share entries, each
-/// reading its own side. Each entry stores its tallies narrow — a
-/// batch-1 FC layer's in one bit per position — and byte budgets are
-/// accounted in those narrow bytes (`ActProfile::approx_bytes`).
+/// host-knowable, so an entry's two sides (raw and post-DAP) are
+/// compiled together, and every re-simulation of the same request
+/// (hedged duplicates on a second lane, pipeline calibration probes,
+/// warm/cold residency variants that differ only in DMA accounting)
+/// replays them without regenerating, pruning or profiling the dense
+/// matrix. Shared fleet-wide like the weight-plan cache: the profiles
+/// do not depend on tile shapes, so lanes of every architecture kind
+/// with the same block size share entries, each reading its own side.
+/// Each entry stores its tallies narrow — a batch-1 FC layer's in one
+/// bit per position — and byte budgets are accounted in those narrow
+/// bytes (`ActProfile::approx_bytes`).
+///
+/// Only inputs that are simulated again belong in the table. An A-DBB
+/// activation is pruned once, at run time, so a serving run whose
+/// stream names an input once profiles it in place, and the table
+/// never holds it: on fresh-input traffic the table stays empty.
 pub type ActProfileCache = MemoCache<ActKey, ActProfile>;
 
 impl ActProfileCache {
     /// Returns the cached profile for `(layer, act_seed)` under the
-    /// `(bz, adbb)` scope. A miss generates the activation matrix into
-    /// `scratch`'s recycled buffer (handed back afterwards) and
-    /// profiles it into the arena's tally buffers, so with a warm arena
-    /// a miss allocates only the entry and its one narrow tally buffer,
-    /// and a hit nothing. Every lookup is memoized, so `bypasses` stays
-    /// zero.
+    /// `(bz, adbb)` scope, compiling it into the table on a miss. A
+    /// miss generates the activation matrix into `scratch`'s recycled
+    /// buffer and profiles it into the arena's tally buffers, so with a
+    /// warm arena a miss allocates only the entry and its one narrow
+    /// tally buffer, and a hit nothing.
     ///
     /// # Panics
     ///
@@ -450,41 +520,47 @@ impl ActProfileCache {
         adbb: LayerNnz,
         scratch: &mut Scratch,
     ) -> Arc<ActProfile> {
-        self.lookup(layer, act_seed, bz, adbb, || {
-            let acts = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
-            let profile = ActProfile::new(&acts, bz, adbb, &mut scratch.tallies);
-            scratch.acts = acts.into_data();
-            profile
-        })
+        self.entry(ActInput { layer, seed: act_seed, bz, adbb }, None, scratch)
     }
 
-    /// Like [`ActProfileCache::get_or_profile`], but a miss profiles
-    /// `acts` — the caller's already-materialized copy of this entry's
-    /// activation matrix — instead of regenerating it. Used by the SMT
-    /// path, which needs the matrix for its sampled FIFO timing anyway.
-    pub(crate) fn get_or_profile_from(
+    /// Where one layer run reads `input`'s profiles. A resident entry is
+    /// a hit. A miss compiles with the one recipe ([`ActInput::tally`])
+    /// and counts a miss: into a new entry when `retain` is set, as
+    /// [`ActProfileCache::get_or_profile`] does, and otherwise only into
+    /// `scratch`'s `u16` tally buffers, which the run reads in place —
+    /// no entry, no narrowing pass, no allocation on a warm arena.
+    /// `acts` is the caller's already-generated copy of the matrix, if
+    /// it has one.
+    pub(crate) fn source(
         &self,
-        layer: &LayerSpec,
-        act_seed: u64,
-        bz: usize,
-        adbb: LayerNnz,
-        acts: &Matrix,
-        tallies: &mut DapTallies,
-    ) -> Arc<ActProfile> {
-        debug_assert_eq!((acts.rows(), acts.cols()), (layer.gemm.k, layer.gemm.n));
-        self.lookup(layer, act_seed, bz, adbb, || ActProfile::new(acts, bz, adbb, tallies))
+        input: ActInput<'_>,
+        retain: bool,
+        acts: Option<&Matrix>,
+        scratch: &mut Scratch,
+    ) -> ActSource {
+        if retain {
+            return ActSource::Entry(self.entry(input, acts, scratch));
+        }
+        match self.get_or_miss(input.key()) {
+            Some(profile) => ActSource::Entry(profile),
+            None => {
+                let (dap_events, dap_config) = input.tally(acts, scratch);
+                ActSource::Tallied(dap_events, dap_config)
+            }
+        }
     }
 
-    fn lookup(
+    fn entry(
         &self,
-        layer: &LayerSpec,
-        act_seed: u64,
-        bz: usize,
-        adbb: LayerNnz,
-        compile: impl FnOnce() -> ActProfile,
+        input: ActInput<'_>,
+        acts: Option<&Matrix>,
+        scratch: &mut Scratch,
     ) -> Arc<ActProfile> {
-        let key = (layer_act_fingerprint(layer), act_seed, dap_scope(bz, adbb));
-        self.get_or_compile(key, false, compile, ActProfile::approx_bytes)
+        let compile = || {
+            let dap = input.tally(acts, scratch);
+            ActProfile::narrow(dap, &scratch.tallies)
+        };
+        self.get_or_compile(input.key(), false, compile, ActProfile::approx_bytes)
     }
 }
 

@@ -2,8 +2,8 @@
 //! datapaths, with the DBB toolchain applied where configured.
 
 use crate::plan::{
-    plan_scope_fingerprint, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights, WeightPlanCache,
-    WeightResidency,
+    plan_scope_fingerprint, ActInput, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights,
+    WeightPlanCache, WeightResidency,
 };
 use crate::scratch::Scratch;
 use crate::{ArchConfig, ArchKind, LayerReport, ModelReport};
@@ -241,7 +241,7 @@ impl Accelerator {
         act_seed: u64,
         residency: WeightResidency,
     ) -> LayerReport {
-        let events = self.layer_events(plan, layer, act_seed, residency, &mut Scratch::new());
+        let events = self.layer_events(plan, layer, act_seed, residency, true, &mut Scratch::new());
         LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
     }
 
@@ -324,11 +324,21 @@ impl Accelerator {
     /// block masks) drawn from `scratch`. After the caches and the
     /// arena are warm, a profiled call allocates nothing.
     ///
+    /// `retain` says whether the caller will simulate this activation
+    /// input again. Set, a missing activation profile compiles into the
+    /// shared [`ActProfileCache`], as every other layer run does. Unset
+    /// (a serving stream names the input once), a resident profile is
+    /// still read, but a missing one is tallied into `scratch` and read
+    /// there in place: the table never holds it, and with a warm arena
+    /// the call allocates nothing. Simulated results are the same
+    /// either way.
+    ///
     /// # Panics
     ///
     /// Panics if `plan` was not compiled from this `model`, the range
     /// exceeds the model's layer list, or the plan's weight format does
     /// not match the architecture.
+    #[allow(clippy::too_many_arguments)] // one stage: plan, range, input, residency, arena
     pub fn run_stage_events(
         &self,
         plan: &ModelPlan,
@@ -336,11 +346,12 @@ impl Accelerator {
         layers: Range<usize>,
         act_seed: u64,
         residency: WeightResidency,
+        retain: bool,
         scratch: &mut Scratch,
     ) -> EventCounts {
         let mut total = EventCounts::default();
         for (l, lp) in stage_layers(plan, model, layers) {
-            total += self.layer_events(lp, l, act_seed, residency, scratch);
+            total += self.layer_events(lp, l, act_seed, residency, retain, scratch);
         }
         total
     }
@@ -349,14 +360,17 @@ impl Accelerator {
     /// read. The reference arm compiles the layer's weights again with
     /// [`Accelerator::compile_weights`], regenerates the activations
     /// and runs the datapath on both matrices; the profiled arm replays
-    /// the plan's weight profile against the cached activation profile.
-    /// Either way a memory-bound layer is then clamped to its DMA time.
+    /// the plan's weight profile against the activation profile, which
+    /// `retain` keeps in the shared cache (see
+    /// [`Accelerator::run_stage_events`]). Either way a memory-bound
+    /// layer is then clamped to its DMA time.
     fn layer_events(
         &self,
         plan: &LayerPlan,
         layer: &LayerSpec,
         act_seed: u64,
         residency: WeightResidency,
+        retain: bool,
         scratch: &mut Scratch,
     ) -> EventCounts {
         let mut events = match self.exec_path {
@@ -365,7 +379,9 @@ impl Accelerator {
                 debug_assert_eq!(weights.desc(), plan.desc, "weights compiled for another plan");
                 self.dispatch((&weights).into(), &layer.gen_acts(act_seed), plan.adbb)
             }
-            ExecPath::Profiled => self.datapath_events_profiled(plan, layer, act_seed, scratch),
+            ExecPath::Profiled => {
+                self.datapath_events_profiled(plan, layer, act_seed, retain, scratch)
+            }
         };
         if layer.is_memory_bound() {
             let a_bytes = (layer.gemm.k * layer.gemm.n) as u64;
@@ -378,81 +394,79 @@ impl Accelerator {
     /// datapath events **without materializing the activation matrix**
     /// on the profile-factorizable datapaths — the weight profile comes
     /// baked into the [`LayerPlan`], the activation profile from the
-    /// shared [`ActProfileCache`], and the layer's active MACs from one
-    /// `O(K)` profile dot product, through the `_into` datapath entry
-    /// points with a cold profile compile staged in `scratch`.
+    /// shared [`ActProfileCache`] (or, for a single-use input the table
+    /// does not hold, from the `u16` tallies counted into `scratch`),
+    /// and the layer's active MACs from one `O(K)` profile dot product,
+    /// through the `_into` datapath entry points with a cold profile
+    /// compile staged in `scratch`.
     ///
     /// The SMT architectures are the one exception: their FIFO
     /// backpressure timing depends on the joint non-zero *positions* of
     /// both operands, which no per-position count determines, so their
     /// sampled tiles still regenerate the activation matrix (into
-    /// `scratch`) — the event counting is profile-driven regardless.
+    /// `scratch`), and a cold profile compiles from that copy — the
+    /// event counting is profile-driven regardless.
     fn datapath_events_profiled(
         &self,
         plan: &LayerPlan,
         layer: &LayerSpec,
         act_seed: u64,
+        retain: bool,
         scratch: &mut Scratch,
     ) -> EventCounts {
         let geom = &self.config.geometry;
         let kind = self.config.kind;
         let n = layer.gemm.n;
-        let (bz, adbb) = (geom.bz, plan.adbb());
         let (w, wp) = (&plan.desc, plan.weight_profile());
         assert_eq!(
             w.config().is_some(),
             kind.uses_wdbb(),
             "weight plan format does not match architecture {kind}"
         );
+        let smt = matches!(kind, ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4);
+        let acts = smt.then(|| layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts)));
+        let input = ActInput { layer, seed: act_seed, bz: geom.bz, adbb: plan.adbb };
+        let source = self.act_profiles.source(input, retain, acts.as_ref(), scratch);
+        let act = source.view(&scratch.tallies);
         let mut events = EventCounts::default();
         match kind {
             ArchKind::Sa | ArchKind::SaZvcg => {
-                let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
                 let zvcg = kind == ArchKind::SaZvcg;
-                systolic::run_perf_profiled_into(geom, zvcg, w, n, wp, prof.dense(), &mut events);
+                systolic::run_perf_profiled_into(geom, zvcg, w, n, wp, act.dense, &mut events);
             }
             ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4 => {
                 let w = plan.smt_weights.as_ref().expect("SA-SMT plans keep their weight values");
-                let a = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
-                let prof = self.act_profiles.get_or_profile_from(
-                    layer,
-                    act_seed,
-                    bz,
-                    adbb,
-                    &a,
-                    &mut scratch.tallies,
-                );
                 smt::run_sampled_profiled_into(
                     geom,
                     self.config.smt,
                     w,
-                    &a,
+                    acts.as_ref().expect("the SMT path generates its activations"),
                     self.config.smt_sample_tiles,
                     wp,
-                    prof.dense(),
+                    act.dense,
                     &mut events,
                     &mut scratch.smt,
                 );
-                scratch.acts = a.into_data();
             }
             ArchKind::S2taW => {
-                let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
-                tpe::run_wdbb_perf_profiled_into(geom, w, n, wp, prof.dense(), &mut events);
+                tpe::run_wdbb_perf_profiled_into(geom, w, n, wp, act.dense, &mut events);
             }
             ArchKind::S2taAw => {
-                let prof = self.act_profiles.get_or_profile(layer, act_seed, bz, adbb, scratch);
                 tpe::run_aw_perf_profiled_into(
                     geom,
                     w,
                     n,
-                    prof.dap_config(),
+                    act.dap_config,
                     wp,
-                    prof.postdap(),
+                    act.postdap,
                     &mut events,
                 );
-                events.dap_stages += prof.dap_events().stages;
-                events.dap_comparisons += prof.dap_events().comparisons;
+                events.dap_stages += act.dap_events.stages;
+                events.dap_comparisons += act.dap_events.comparisons;
             }
+        }
+        if let Some(acts) = acts {
+            scratch.acts = acts.into_data();
         }
         events
     }
@@ -570,13 +584,16 @@ mod tests {
 
     /// The allocation-free summed-events hot loop is byte-identical to
     /// summing the per-layer report path, on every architecture, for
-    /// both residencies, cold and warm arenas alike.
+    /// both residencies, cold and warm arenas alike — and so is its
+    /// in-place path, which profiles a single-use input into the arena
+    /// and leaves its accelerator's profile table empty.
     #[test]
     fn stage_events_match_summed_reports_on_all_archs() {
         let m = lenet5();
         let mut scratch = Scratch::new();
         for kind in ArchKind::ALL {
             let acc = Accelerator::preset(kind);
+            let once = Accelerator::preset(kind).sharing_plans(acc.plans().clone());
             let plan = acc.plan_model(&m, 23);
             let n = m.layers.len();
             for residency in [WeightResidency::Streamed, WeightResidency::Resident] {
@@ -584,11 +601,30 @@ mod tests {
                     let reports = acc.run_stage(&plan, &m, range.clone(), 7, residency);
                     let expected =
                         reports.iter().fold(EventCounts::default(), |acc, l| acc + l.events);
-                    let got =
-                        acc.run_stage_events(&plan, &m, range.clone(), 7, residency, &mut scratch);
-                    assert_eq!(got, expected, "{kind} {residency:?} {range:?}");
+                    let stage = |acc: &Accelerator, retain, scratch: &mut Scratch| {
+                        acc.run_stage_events(
+                            &plan,
+                            &m,
+                            range.clone(),
+                            7,
+                            residency,
+                            retain,
+                            scratch,
+                        )
+                    };
+                    let what = format!("{kind} {residency:?} {range:?}");
+                    assert_eq!(stage(&acc, true, &mut scratch), expected, "cached: {what}");
+                    assert_eq!(stage(&once, false, &mut scratch), expected, "in place: {what}");
                 }
             }
+            assert!(once.act_profiles().is_empty(), "{kind}: in-place runs leave no entry");
+            // Each residency runs n + 2 + 1 layers, each a fresh compile.
+            let s = once.act_profiles().stats();
+            assert_eq!(
+                (s.hits, s.misses),
+                (0, 2 * (n as u64 + 3)),
+                "{kind}: a compile per layer run"
+            );
         }
     }
 

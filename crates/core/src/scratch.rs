@@ -8,9 +8,10 @@
 //! compile), the SMT FIFO-timing buffers, and the per-layer report
 //! vector. A [`Scratch`] arena owns recycled backing storage for the
 //! buffers; after the first batch warms them (and the fleet's
-//! plan/profile caches), a steady-state request allocates nothing, and
-//! a cold profile compile allocates only the cache entry and the one
-//! narrow tally buffer it holds.
+//! plan/profile caches), a steady-state request allocates nothing, a
+//! cold profile compile allocates only the cache entry and the one
+//! narrow tally buffer it holds, and a single-use input's profile,
+//! read in place from the arena's tallies, allocates nothing at all.
 //!
 //! Scratch lifetime (one serving engine):
 //!
@@ -20,13 +21,16 @@
 //!                                           capacity; a cold ActProfile
 //!                                           generates into acts, tallies
 //!                                           both sides in one pass into
-//!                                           raw / postdap, narrows
+//!                                           raw / postdap, and narrows
+//!                                           them into a cache entry, or,
+//!                                           used once, is read there
 //! ```
 //!
 //! A serving engine runs on one host thread, so it owns one arena for
-//! the whole run and lends it to every execution. Work that fans out
-//! over the host executor (pipeline calibration probes) gives each job
-//! its own fresh arena.
+//! the whole run and lends it to every execution; a cluster driver
+//! that steps several engines on one thread lends them one arena in
+//! turn. Work that fans out over the host executor (pipeline
+//! calibration probes) gives each job its own fresh arena.
 
 /// Reusable host buffers, lent to one batch execution at a time.
 ///
@@ -42,7 +46,8 @@ pub struct Scratch {
     /// SMT FIFO-timing buffers (`smt::run_sampled_profiled_into`).
     pub(crate) smt: s2ta_sim::smt::SmtScratch,
     /// The `u16` tallies a cold activation-profile compile counts into
-    /// before narrowing them into the cache entry.
+    /// before narrowing them into the cache entry, or that a single-use
+    /// input's layer run reads in place.
     pub(crate) tallies: DapTallies,
 }
 

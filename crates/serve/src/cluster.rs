@@ -116,7 +116,7 @@
 //! yet its requests are fully present in the true global tail).
 
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::fleet::{ArrivalSource, Engine, Fleet};
+use crate::fleet::{ArrivalSource, Engine, Fleet, Recurring};
 use crate::policy::FixedPolicy;
 use crate::report::{
     render_table, Col, FaultStats, LatencyHistogram, ModelServeStats, ServeReport,
@@ -124,6 +124,7 @@ use crate::report::{
 use crate::trace::{Trace, TraceConfig};
 use crate::workload::{Lcg, Request};
 use s2ta_core::pool::Executor;
+use s2ta_core::Scratch;
 use s2ta_energy::{EnergyBreakdown, TechParams};
 use s2ta_models::ModelSpec;
 use s2ta_sim::EventCounts;
@@ -343,10 +344,11 @@ impl Cluster {
 
     /// Re-points every shard's lanes at one **cluster-wide** shared
     /// [`s2ta_core::WeightPlanCache`] and
-    /// [`s2ta_core::ActProfileCache`]: each weight plan is compiled
-    /// and each activation profiled once for the whole cluster instead
-    /// of once per shard. Cached values are pure, so this changes host
-    /// time and cache counters — never simulated results.
+    /// [`s2ta_core::ActProfileCache`]: each weight plan is compiled,
+    /// and each recurring activation input profiled, once for the whole
+    /// cluster instead of once per shard. Cached values are pure, so
+    /// this changes host time and cache counters — never simulated
+    /// results.
     pub fn with_shared_caches(mut self) -> Self {
         let plans = s2ta_core::WeightPlanCache::new();
         let acts = s2ta_core::ActProfileCache::new();
@@ -427,7 +429,10 @@ impl Cluster {
     /// entirely inside that shard: admission, batching, placement and
     /// execution are the shard fleet's own. Requests keep their global
     /// stream ids, so the union of per-shard outcomes covers the input
-    /// stream exactly once.
+    /// stream exactly once. The whole stream's `(model, act_seed)`
+    /// pairs are counted once, before routing, and only inputs it names
+    /// at least twice keep their activation profiles in the shards'
+    /// caches, as in [`Fleet::serve`].
     ///
     /// Runs the pre-routed driver on the process-wide [`Executor`] or
     /// the arrival-barrier driver on the caller's thread (see the
@@ -510,6 +515,7 @@ impl Cluster {
             "the pre-routed driver indexes streams of at most {FAILED_OVER} requests, got {}",
             requests.len()
         );
+        let recurring = Recurring::count(requests);
         let mut rng = Lcg::new(self.router_seed);
         // Pre-draw the full routing sequence as per-shard indices into
         // the caller's stream, each carrying its request's failover flag
@@ -528,7 +534,7 @@ impl Cluster {
         let results = executor.map(&shard_ids, |&s| {
             let own = &per_shard[s];
             let mut policy = self.shards[s].fixed_policy();
-            let mut engine = self.engine(s, models, requests, &mut policy);
+            let mut engine = self.engine(s, models, requests, &recurring, &mut policy);
             // Every routed request resolves exactly once on this shard.
             engine.reserve_outcomes(own.len());
             let arrivals =
@@ -549,12 +555,13 @@ impl Cluster {
     /// each probing decision reads depths exact at its arrival.
     fn serve_barrier(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
         let n = self.shards.len();
+        let recurring = Recurring::count(requests);
         let mut policies: Vec<FixedPolicy> = self.shards.iter().map(Fleet::fixed_policy).collect();
         let mut engines: Vec<Engine> = policies
             .iter_mut()
             .enumerate()
             .map(|(s, policy)| {
-                let mut engine = self.engine(s, models, requests, policy);
+                let mut engine = self.engine(s, models, requests, &recurring, policy);
                 // A shard's share of the stream is unknown until routed;
                 // its even share sizes the outcome log up front.
                 engine.reserve_outcomes(requests.len() / n);
@@ -582,17 +589,20 @@ impl Cluster {
 
     /// Shard `shard`'s serving engine over an (empty) open source,
     /// autoscaled under the cluster's policy, if any, through the last
-    /// arrival of the whole `stream`.
+    /// arrival of the whole `stream`, and keeping the activation
+    /// profiles of the inputs `recurring` counted in that whole stream.
     fn engine<'a>(
         &'a self,
         shard: usize,
         models: &'a [ModelSpec],
         stream: &[Request],
+        recurring: &'a Recurring,
         policy: &'a mut FixedPolicy,
     ) -> Engine<'a> {
         let horizon = stream.last().map_or(0, |r| r.arrival);
         Engine::new(&self.shards[shard], models, ArrivalSource::open(&[]), policy)
             .with_autoscale(self.autoscale, horizon)
+            .retaining(recurring)
     }
 
     /// The serving loop of both drivers. Before each arrival, every
@@ -600,26 +610,28 @@ impl Cluster {
     /// included) advances to its time; then `route` picks the engine
     /// from their state and the arrival's pre-drawn `choice`, flagging
     /// a failover diversion, which is recorded before the arrival is
-    /// injected. Every engine drains after the last arrival.
+    /// injected. Every engine drains after the last arrival. The
+    /// engines step one at a time, so they share one scratch arena.
     fn drive<'r, C>(
         engines: &mut [Engine],
         arrivals: impl Iterator<Item = (&'r Request, C)>,
         mut route: impl FnMut(&[Engine], &Request, C) -> (usize, bool),
     ) {
+        let mut arena = Scratch::new();
         for (r, choice) in arrivals {
             for engine in engines.iter_mut() {
                 if engine.has_event_before(r.arrival) {
-                    engine.advance_to_arrival(r.arrival);
+                    engine.lent(&mut arena, |e| e.advance_to_arrival(r.arrival));
                 }
             }
             let (shard, failed_over) = route(engines, r, choice);
             if failed_over {
                 engines[shard].note_failover(r);
             }
-            engines[shard].inject(*r);
+            engines[shard].lent(&mut arena, |e| e.inject(*r));
         }
         for engine in engines.iter_mut() {
-            engine.drain();
+            engine.lent(&mut arena, Engine::drain);
         }
     }
 

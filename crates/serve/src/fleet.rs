@@ -77,6 +77,7 @@ use s2ta_core::{
 };
 use s2ta_models::ModelSpec;
 use s2ta_sim::EventCounts;
+use std::collections::{HashMap, HashSet};
 
 /// One serving lane: a simulated accelerator instance with its own
 /// architecture, executing one batch at a time in simulated time.
@@ -104,7 +105,10 @@ impl Lane {
     /// Simulates one batch through a contiguous layer range on this
     /// lane, one [`Accelerator::run_stage_events`] call per request on
     /// the lane's execution path: a monolithic batch runs `0..layers`,
-    /// a pipeline stage its own range.
+    /// a pipeline stage its own range. `inputs` gives each request's
+    /// act seed and whether its stream simulates that input again, the
+    /// flag that decides if a missing activation profile enters the
+    /// shared table (see [`Recurring`]).
     ///
     /// The first request streams the range's weights and every later
     /// request finds them resident — the batching amortization that
@@ -118,26 +122,58 @@ impl Lane {
         &self,
         model: &ModelSpec,
         layers: std::ops::Range<usize>,
-        requests: &[Request],
+        inputs: impl Iterator<Item = (u64, bool)>,
         weight_seed: u64,
         warm: bool,
         scratch: &mut Scratch,
     ) -> EventCounts {
         let plan = self.accelerator.plan_model(model, weight_seed);
         let mut events = EventCounts::default();
-        for (i, request) in requests.iter().enumerate() {
+        for (i, (act_seed, retain)) in inputs.enumerate() {
             let residency =
                 if i == 0 && !warm { WeightResidency::Streamed } else { WeightResidency::Resident };
             events += self.accelerator.run_stage_events(
                 &plan,
                 model,
                 layers.clone(),
-                request.act_seed,
+                act_seed,
                 residency,
+                retain,
                 scratch,
             );
         }
         events
+    }
+}
+
+/// The `(model, act_seed)` pairs an open-loop stream names at least
+/// twice: the only requests whose activation profiles a serve keeps in
+/// the fleet's shared table.
+///
+/// An A-DBB activation is pruned once, at run time (paper Sec. 5-6), so
+/// a request whose input the stream names once profiles it in place,
+/// in the engine's scratch arena, and the table never grows with it.
+/// Every open-loop serve counts its stream once, before the clock
+/// starts, in a map sized by the stream's distinct pairs; closed-loop
+/// serves, whose inputs are drawn as they run, keep every profile.
+/// Retention changes host time and memory only: a profile is a pure
+/// function of its input, so the simulated results are the same.
+#[derive(Debug)]
+pub(crate) struct Recurring(HashSet<(usize, u64)>);
+
+impl Recurring {
+    /// Counts `stream`'s `(model, act_seed)` pairs.
+    pub(crate) fn count(stream: &[Request]) -> Self {
+        let mut again: HashMap<(usize, u64), bool> = HashMap::new();
+        for r in stream {
+            again.entry((r.model, r.act_seed)).and_modify(|a| *a = true).or_insert(false);
+        }
+        Self(again.into_iter().filter_map(|(pair, again)| again.then_some(pair)).collect())
+    }
+
+    /// Whether `request`'s stream names its input again.
+    pub(crate) fn contains(&self, request: &Request) -> bool {
+        self.0.contains(&(request.model, request.act_seed))
     }
 }
 
@@ -274,10 +310,10 @@ impl Fleet {
     /// re-pointed at one fresh **shared** [`WeightPlanCache`] — keyed
     /// by `(arch, model, seed)`, so mixed-architecture lanes coexist in
     /// one memo table and each arch compiles each model exactly once —
-    /// and one fresh shared [`ActProfileCache`], so a request's
-    /// activation profiles compile once fleet-wide and every
-    /// re-simulation (hedged copies, pipeline stages, residency
-    /// variants) replays them.
+    /// and one fresh shared [`ActProfileCache`], so the activation
+    /// profiles of an input an open-loop stream names more than once
+    /// compile once fleet-wide and every later request for it replays
+    /// them.
     ///
     /// # Panics
     ///
@@ -491,6 +527,11 @@ impl Fleet {
     /// tail latency as the run progresses. The run is deterministic for
     /// a fixed `(stream, policy, fleet spec, placement)`.
     ///
+    /// Before the clock starts, the stream's `(model, act_seed)` pairs
+    /// are counted once: only inputs it names at least twice keep their
+    /// activation profiles in the fleet's shared cache, and the others
+    /// are profiled in place (host time and memory only).
+    ///
     /// # Panics
     ///
     /// Panics if a request names a model index outside `models`, or if
@@ -501,7 +542,8 @@ impl Fleet {
         requests: &[Request],
         policy: &mut dyn BatchPolicy,
     ) -> ServeReport {
-        Engine::new(self, models, ArrivalSource::open(requests), policy).run()
+        let recurring = Recurring::count(requests);
+        Engine::new(self, models, ArrivalSource::open(requests), policy).retaining(&recurring).run()
     }
 
     /// Serves a closed-loop client population: each of the spec's C
@@ -684,7 +726,8 @@ mod tests {
     /// A run's cache activity is the diff of the fleet caches' counters
     /// around the call: on a mixed fleet each DBB arch compiles each
     /// model once (misses), every later execution hits, and dense
-    /// lanes compile as bypasses.
+    /// lanes compile as bypasses. Activation profiles enter the shared
+    /// table only for inputs the stream names again.
     #[test]
     fn serve_drives_both_fleet_caches() {
         let models = vec![lenet5()];
@@ -695,30 +738,53 @@ mod tests {
             Fleet::from_spec(FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)]))
                 .with_policy(FixedPolicy::unbatched());
         let (plans, acts) = (fleet.accelerator().plans(), fleet.accelerator().act_profiles());
-        let serve = || {
+        let serve = |reqs: &[Request]| {
             let before = (plans.stats(), acts.stats());
-            fleet.serve(&models, &reqs);
+            fleet.serve(&models, reqs);
             (plans.stats().since(before.0), acts.stats().since(before.1))
         };
-        let (w, a) = serve();
+        let (w, cold) = serve(&reqs);
         assert_eq!(w.misses, 1, "one DBB arch, one model, one compile");
         assert!(w.hits > 0, "per-batch executions must hit the memo");
         assert!(w.bypasses > 0, "dense lanes compile as bypasses");
         assert!(w.hit_rate() > 0.5);
         // The activation-profile cache: every batch simulates once, on
         // its own lane, and every request carries a fresh act seed, so
-        // a cold run profiles each (layer, act seed) exactly once — miss
-        // only. The cache never bypasses.
-        assert!(a.misses > 0, "cold run must compile profiles");
-        assert_eq!(a.hits, 0, "a cold run never re-profiles an input");
-        assert_eq!(a.bypasses, 0, "every act lookup is memoized");
-        // A second run on the same fleet: plans and profiles are
-        // already warm, so no new compiles on either cache and the act
-        // side goes hits-only (steady state).
-        let (w, a) = serve();
+        // each (layer, act seed) is profiled exactly once — miss only —
+        // in place, and none enters the table. The cache never bypasses.
+        assert!(cold.misses > 0, "cold run must compile profiles");
+        assert_eq!(cold.hits, 0, "a cold run never re-profiles an input");
+        assert_eq!(cold.bypasses, 0, "a single-use profile counts as a miss");
+        assert!(acts.is_empty(), "single-use inputs leave no profile behind");
+        // A second run on the same fleet: plans are warm, so no new
+        // compiles on the plan cache, while the fresh inputs, used
+        // once per serve, compile again and still leave no entry.
+        let (w, a) = serve(&reqs);
         assert_eq!((w.misses, w.bypasses), (0, 0), "warm cache: the delta has no compiles");
         assert!(w.hits > 0);
+        assert_eq!((a.misses, a.hits), (cold.misses, 0), "fresh inputs recompile per serve");
+        assert!(acts.is_empty());
+        // The same requests over four recurring inputs: the first serve
+        // keeps their profiles, and a second serve replays them —
+        // hits only (steady state).
+        let recurring: Vec<Request> =
+            reqs.iter().map(|r| Request { act_seed: r.id % 4, ..*r }).collect();
+        let (_, first) = serve(&recurring);
+        assert!(first.misses > 0 && !acts.is_empty(), "recurring inputs are kept");
+        let (_, a) = serve(&recurring);
         assert_eq!(a.misses, 0, "warm act cache: no new profiles");
-        assert!(a.hits > a.misses);
+        assert!(a.hits > 0);
+    }
+
+    /// Counting keeps exactly the `(model, act_seed)` pairs a stream
+    /// names at least twice.
+    #[test]
+    fn recurring_keeps_pairs_named_twice() {
+        let r = |id, model, act_seed| Request { id, model, arrival: id, act_seed };
+        let stream = [r(0, 0, 5), r(1, 1, 5), r(2, 0, 5), r(3, 0, 6), r(4, 1, 7), r(5, 1, 7)];
+        let recurring = Recurring::count(&stream);
+        let kept: Vec<bool> = stream.iter().map(|q| recurring.contains(q)).collect();
+        assert_eq!(kept, [true, false, true, false, true, true]);
+        assert!(!Recurring::count(&[]).contains(&stream[0]));
     }
 }

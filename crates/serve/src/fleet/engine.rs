@@ -5,7 +5,7 @@
 
 mod dispatch;
 
-use super::Fleet;
+use super::{Fleet, Recurring};
 use crate::cluster::{AutoscalePolicy, ScaleEvent};
 use crate::fault::{FaultState, TimelineEvent, WindowEdge};
 use crate::pipeline::PipelineState;
@@ -273,8 +273,14 @@ pub(crate) struct Engine<'a> {
     /// a single branch.
     autoscale: Option<Autoscaler>,
     /// The host buffers every stage execution of this run borrows (an
-    /// engine runs on one host thread, so one arena serves it all).
+    /// engine runs on one host thread, so one arena serves it all; a
+    /// cluster driver lends its own in for each step, see
+    /// [`Engine::lent`]).
     scratch: Scratch,
+    /// The open-loop stream's recurring inputs, attached via
+    /// [`Engine::retaining`]: only their activation profiles enter the
+    /// shared table. `None` (closed loop) keeps every profile.
+    recurring: Option<&'a Recurring>,
 }
 
 impl<'a> Engine<'a> {
@@ -329,7 +335,16 @@ impl<'a> Engine<'a> {
             }),
             autoscale: None,
             scratch: Scratch::new(),
+            recurring: None,
         }
+    }
+
+    /// Keeps in the shared activation-profile table only the profiles
+    /// of the inputs `recurring` names: the whole open-loop stream's,
+    /// counted before the clock starts.
+    pub(crate) fn retaining(mut self, recurring: &'a Recurring) -> Self {
+        self.recurring = Some(recurring);
+        self
     }
 
     /// Attaches lane autoscaling under `policy`, evaluated every
@@ -469,6 +484,15 @@ impl<'a> Engine<'a> {
                 engine.step(next);
             }
         });
+    }
+
+    /// Runs `step` on this engine with `arena` as its scratch arena,
+    /// then hands the arena back: a driver that steps several engines
+    /// on one thread holds one arena and lends it to whichever steps.
+    pub(crate) fn lent(&mut self, arena: &mut Scratch, step: impl FnOnce(&mut Self)) {
+        std::mem::swap(&mut self.scratch, arena);
+        step(self);
+        std::mem::swap(&mut self.scratch, arena);
     }
 
     /// The engine's **backlog**: requests injected but not yet
@@ -1189,8 +1213,9 @@ mod tests {
                 .collect();
             let price = |warm| {
                 let (layers, scratch) = (0..models[0].layers.len(), &mut Scratch::new());
+                let inputs = members.iter().map(|r| (r.act_seed, true));
                 fleet.lanes[0]
-                    .execute_stage(&models[0], layers, &members, fleet.weight_seed, warm, scratch)
+                    .execute_stage(&models[0], layers, inputs, fleet.weight_seed, warm, scratch)
                     .cycles
             };
             assert!(price(true) < price(false), "warmth must be visible in the price");

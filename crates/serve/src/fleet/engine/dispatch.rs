@@ -110,15 +110,16 @@ impl<'a> Engine<'a> {
         earliest: u64,
         warm: bool,
     ) -> StageRun {
-        let (fleet, spec) = (self.fleet, &self.models[model]);
-        let scratch = &mut self.scratch;
+        let (fleet, spec, recurring) = (self.fleet, &self.models[model], self.recurring);
+        let inputs =
+            members.iter().map(|r| (r.act_seed, recurring.is_none_or(|set| set.contains(r))));
         let events = fleet.lanes[lane].execute_stage(
             spec,
             layers,
-            members,
+            inputs,
             fleet.weight_seed,
             warm,
-            scratch,
+            &mut self.scratch,
         );
         let start = self.free_at[lane].max(earliest);
         let slow = self.faults.as_deref().map_or(1, |f| f.slow_factor_at(lane, start));

@@ -125,6 +125,7 @@ impl PipelinePlan {
                 i..i + 1,
                 weight_seed,
                 WeightResidency::Resident,
+                true,
                 &mut Scratch::new(),
             );
             events.cycles
@@ -479,6 +480,7 @@ mod tests {
             layers,
             42,
             WeightResidency::Resident,
+            true,
             &mut Scratch::new(),
         );
         events.cycles

@@ -23,7 +23,9 @@
 //! input, so their width is what a profile cache holds. Constructors
 //! reject activations wider than `u16::MAX` columns rather than wrap.
 //! The datapaths read activation tallies through the borrowed
-//! [`ActTallies`] view, which dispatches on the width once per layer.
+//! [`ActTallies`] view, which dispatches on the width once per layer;
+//! [`ActTallies::from_counts`] views unnarrowed `u16` counts, for a
+//! profile read once in place and never stored.
 //!
 //! The profile types are **public operands**: because a profile is a
 //! pure function of its matrix, a caller can build it once (e.g. bake
@@ -300,6 +302,12 @@ enum Tallies<'a> {
 }
 
 impl<'a> ActTallies<'a> {
+    /// Views `u16` tallies as counted, without narrowing them: the
+    /// read of a profile that is used once and never stored.
+    pub fn from_counts(counts: &'a [u16]) -> Self {
+        Self(Tallies::U16(counts))
+    }
+
     /// Positions covered: the reduction length `K`.
     pub fn len(self) -> usize {
         match self.0 {
@@ -576,6 +584,10 @@ mod tests {
             let pair = ActivationProfile::from_sides(&[&counts, &halved]);
             prop_assert_eq!(active_macs(&w, pair.side(0)), wide_dot(&w.counts, &counts));
             prop_assert_eq!(active_macs(&w, pair.side(1)), wide_dot(&w.counts, &halved));
+            let wide = ActTallies::from_counts(&counts);
+            prop_assert_eq!(wide.width_bits(), 16);
+            prop_assert_eq!(wide, ap.tallies());
+            prop_assert_eq!(active_macs(&w, wide), wide_dot(&w.counts, &counts));
         }
 
         /// Profiling a matrix, its compressed blocks or its counts gives

@@ -2,9 +2,9 @@
 //! MCU cluster (Sec. 6.3): requantization of `i32` accumulators back to
 //! `i8`, activation functions, and pooling.
 //!
-//! These run between accelerator layers in the functional inference
-//! pipeline (`s2ta_core::infer`), so the whole multi-layer forward pass
-//! is bit-exactly defined.
+//! These run between accelerator layers in `s2ta_core`'s test-only
+//! functional inference pipeline (its `infer` module), so the whole
+//! multi-layer forward pass is bit-exactly defined.
 
 use crate::{AccMatrix, Matrix};
 

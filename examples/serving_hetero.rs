@@ -108,22 +108,25 @@ fn main() {
         assert!(cache.hits > cache.misses, "{name}: the memo must be doing real work");
         assert!(cache.bypasses > 0, "{name}: cold dense-lane plans compile as bypasses");
         assert!(acts.misses > 0, "{name}: cold run compiles act profiles");
-        assert_eq!(acts.bypasses, 0, "{name}: every act lookup is memoized");
+        assert_eq!(acts.bypasses, 0, "{name}: a single-use act profile counts as a miss");
         // Every batch simulates once, on the lane it was placed on,
         // and every request carries a fresh input: a cold run profiles
-        // each (layer, act seed) once, so it is miss-only on activation
-        // profiles under either placement. Reuse shows up in the
-        // steady-state re-serve below.
+        // each (layer, act seed) once, in place, so it is miss-only on
+        // activation profiles under either placement.
         assert_eq!(acts.hits, 0, "{name}: a cold run never re-profiles");
     }
     println!("fleet-wide weight-plan cache is effective: OK");
 
     // Steady state: re-serving the same traffic on the same fleet hits
-    // both caches on every lookup — zero compiles, hits > misses, and
-    // the bypass counter has stopped moving: the dense plans compiled
-    // on the first batch are warm, so every dense lookup is now a hit.
+    // the plan cache on every lookup — zero compiles, hits > misses,
+    // and the bypass counter has stopped moving: the dense plans
+    // compiled on the first batch are warm, so every dense lookup is
+    // now a hit. The stream names each input once, so the first serve
+    // read its activation profiles in place and kept none: the
+    // re-serve profiles every input again, with as many misses as the
+    // first serve, and the profile table stays empty.
     let warm_fleet = mk();
-    let (_, cold, _) = serve(&warm_fleet, &models, &requests);
+    let (_, cold, cold_acts) = serve(&warm_fleet, &models, &requests);
     assert!(cold.bypasses > 0, "cold serve compiles the dense plans");
     let (_, cache, acts) = serve(&warm_fleet, &models, &requests);
     println!(
@@ -133,9 +136,22 @@ fn main() {
     );
     assert_eq!(cache.misses, 0, "steady: no new weight-plan compiles");
     assert_eq!(cache.bypasses, 0, "steady: dense lookups are cache hits, not recompiles");
-    assert_eq!(acts.misses, 0, "steady: no new act-profile compiles");
-    assert!(acts.hits > acts.misses, "steady: act cache is all hits");
     assert!(cache.hits > cache.misses, "steady: plan cache is all hits");
+    assert_eq!(
+        (acts.misses, acts.hits),
+        (cold_acts.misses, 0),
+        "steady: single-use inputs are profiled again, never replayed"
+    );
+    let act_table = warm_fleet.accelerator().act_profiles();
+    assert!(act_table.is_empty(), "steady: single-use inputs leave no act profile");
+    // The same requests over a recurring pool of 16 inputs: the first
+    // serve keeps their profiles, and a second serve replays them.
+    let recurring: Vec<Request> =
+        requests.iter().map(|r| Request { act_seed: r.id % 16, ..*r }).collect();
+    serve(&warm_fleet, &models, &recurring);
+    let (_, _, acts) = serve(&warm_fleet, &models, &recurring);
+    assert_eq!(acts.misses, 0, "steady: recurring inputs compile no new act profile");
+    assert!(acts.hits > 0, "steady: recurring inputs replay their act profiles");
     println!("fleet-wide plan + activation-profile caches are effective: OK");
 
     // Bounded caches: serving under byte budgets smaller than the
