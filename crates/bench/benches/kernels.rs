@@ -86,6 +86,15 @@ fn bench_dap_col_profile(c: &mut Criterion) {
     });
 }
 
+/// The DAP-bypass arm: a dense A-DBB scope only counts each row's
+/// non-zeros (the single-use raw tally of every lane but S2TA-AW).
+fn bench_dap_col_profile_dense(c: &mut Criterion) {
+    let a = conv2_acts(0.5).gen_acts(7);
+    c.bench_function("dap_col_profile 288x256 dense", |b| {
+        b.iter(|| black_box(dap_col_profile(black_box(&a), 8, LayerNnz::Dense)))
+    });
+}
+
 /// A batch-1 FC activation (`N = 1`): LeNet-5's first FC layer, 400
 /// reduction positions in one column.
 fn bench_dap_col_profile_single_column(c: &mut Criterion) {
@@ -132,6 +141,7 @@ criterion_group!(
         bench_dap_matrix,
         bench_gen_acts,
         bench_dap_col_profile,
+        bench_dap_col_profile_dense,
         bench_dap_col_profile_single_column,
         bench_systolic_perf,
         bench_aw_perf,

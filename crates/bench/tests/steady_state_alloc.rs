@@ -373,8 +373,10 @@ fn lean_plans_hold_about_their_weight_profile_bytes() {
 /// of the whole stream and a run of its first half (so the per-run
 /// constants — lane arenas, engine tables — drop out). What grows is
 /// the outcome log (one 72 B record per request, reserved exactly on
-/// the pre-routed driver and grown by eighths on the barrier driver),
-/// the 8 B latency sample and the pre-routed driver's 4 B stream index;
+/// the pre-routed driver and once, at the even share plus an eighth, on
+/// the barrier driver), the latency histogram (a 16 B run per distinct
+/// latency, about 60% of them at this size, and while it is built an
+/// 8 B sample per request) and the pre-routed driver's 4 B stream index;
 /// batch records live only while their batch is in flight, and a
 /// faulted shard keeps attempt counts only for the requests a crash
 /// has cancelled.

@@ -449,7 +449,7 @@ pub(crate) struct ActView<'a> {
 pub(crate) enum ActSource {
     /// A table entry.
     Entry(Arc<ActProfile>),
-    /// A single-use input's DAP pass, whose `u16` tallies sit in the
+    /// A single-use input's tally pass, whose `u16` tallies sit in the
     /// arena's [`DapTallies`].
     Tallied(DapEvents, DbbConfig),
 }
@@ -529,12 +529,17 @@ impl ActProfileCache {
     /// [`ActProfileCache::get_or_profile`] does, and otherwise only into
     /// `scratch`'s `u16` tally buffers, which the run reads in place —
     /// no entry, no narrowing pass, no allocation on a warm arena.
+    /// Unless the run reads the post-DAP side (`postdap`), that in-place
+    /// tally bypasses DAP: it counts under the dense scope, whose raw
+    /// side is the same, and skips the ranking pass no reader needs;
+    /// the lookup keeps `input`'s scope, so hits and misses count alike.
     /// `acts` is the caller's already-generated copy of the matrix, if
     /// it has one.
     pub(crate) fn source(
         &self,
         input: ActInput<'_>,
         retain: bool,
+        postdap: bool,
         acts: Option<&Matrix>,
         scratch: &mut Scratch,
     ) -> ActSource {
@@ -544,7 +549,9 @@ impl ActProfileCache {
         match self.get_or_miss(input.key()) {
             Some(profile) => ActSource::Entry(profile),
             None => {
-                let (dap_events, dap_config) = input.tally(acts, scratch);
+                let scope =
+                    if postdap { input } else { ActInput { adbb: LayerNnz::Dense, ..input } };
+                let (dap_events, dap_config) = scope.tally(acts, scratch);
                 ActSource::Tallied(dap_events, dap_config)
             }
         }

@@ -426,7 +426,8 @@ impl Accelerator {
         let smt = matches!(kind, ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4);
         let acts = smt.then(|| layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts)));
         let input = ActInput { layer, seed: act_seed, bz: geom.bz, adbb: plan.adbb };
-        let source = self.act_profiles.source(input, retain, acts.as_ref(), scratch);
+        let source =
+            self.act_profiles.source(input, retain, kind.uses_adbb(), acts.as_ref(), scratch);
         let act = source.view(&scratch.tallies);
         let mut events = EventCounts::default();
         match kind {

@@ -282,6 +282,15 @@ pub fn check_tally_width(cols: usize) {
     );
 }
 
+/// The non-zeros of `row`, a `u16` tally (the caller's width check
+/// bounds it). Each chunk of 255 counts in one `u8` lane, which no
+/// chunk can overflow, so the count vectorizes at full byte width.
+fn nonzeros(row: &[i8]) -> u16 {
+    row.chunks(usize::from(u8::MAX))
+        .map(|chunk| u16::from(chunk.iter().map(|&v| u8::from(v != 0)).sum::<u8>()))
+        .sum()
+}
+
 /// Blocks one pass of the rank kernel covers: one `u8` lane each, so a
 /// row of a pass fills one 128-bit vector register.
 const RANK_LANES: usize = 16;
@@ -369,7 +378,7 @@ pub fn dap_col_profile_into(
         // profiles are the raw matrix's.
         _ => {
             raw.clear();
-            raw.extend((0..k).map(|p| m.row(p).iter().filter(|&&v| v != 0).count() as u16));
+            raw.extend((0..k).map(|p| nonzeros(m.row(p))));
             counts.clear();
             counts.extend_from_slice(raw);
             return (DapEvents::default(), DbbConfig::dense(bz));

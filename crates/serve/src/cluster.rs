@@ -116,7 +116,7 @@
 //! yet its requests are fully present in the true global tail).
 
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::fleet::{ArrivalSource, Engine, Fleet, Recurring};
+use crate::fleet::{outcome_slack, ArrivalSource, Engine, Fleet, Recurring};
 use crate::policy::FixedPolicy;
 use crate::report::{
     render_table, Col, FaultStats, LatencyHistogram, ModelServeStats, ServeReport,
@@ -563,8 +563,10 @@ impl Cluster {
             .map(|(s, policy)| {
                 let mut engine = self.engine(s, models, requests, &recurring, policy);
                 // A shard's share of the stream is unknown until routed;
-                // its even share sizes the outcome log up front.
-                engine.reserve_outcomes(requests.len() / n);
+                // its even share plus slack, which the busiest shard of
+                // the canonical day stays within, sizes the log once.
+                let even = requests.len() / n;
+                engine.reserve_outcomes(even + outcome_slack(even));
                 engine
             })
             .collect();

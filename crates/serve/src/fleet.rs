@@ -71,7 +71,7 @@ use crate::queue::RequestQueue;
 use crate::report::ServeReport;
 use crate::trace::TraceConfig;
 use crate::workload::{ClosedLoopSpec, Request};
-pub(crate) use engine::{ArrivalSource, Engine, StageRun};
+pub(crate) use engine::{outcome_slack, ArrivalSource, Engine, StageRun};
 use s2ta_core::{
     Accelerator, ActProfileCache, ArchKind, ExecPath, Scratch, WeightPlanCache, WeightResidency,
 };

@@ -912,13 +912,14 @@ impl<'a> Engine<'a> {
     /// its batch's completion. Every injected request resolves exactly
     /// once, so a log reserved to its known length (a stream, a
     /// closed-loop budget, a pre-routed shard) never grows. A barrier
-    /// shard's log is reserved at its even share of the stream and,
-    /// past that, grows by an eighth at a time: its spare capacity
-    /// stays under an eighth of its records, not up to the whole log
-    /// that doubling leaves.
+    /// shard's length is known only once routed: its log is reserved at
+    /// its even share plus [`outcome_slack`], and grows by that slack
+    /// again only if routing overruns it. A growth copies the whole log
+    /// and leaves the old block resident in the process, so what it
+    /// costs is peak memory, however little spare capacity it leaves.
     fn push_outcome(&mut self, outcome: RequestOutcome) {
         if self.outcomes.len() == self.outcomes.capacity() {
-            self.outcomes.reserve_exact(self.outcomes.len() / 8 + 64);
+            self.outcomes.reserve_exact(outcome_slack(self.outcomes.len()));
         }
         self.outcomes.push(outcome);
     }
@@ -968,6 +969,15 @@ impl<'a> Engine<'a> {
             trace,
         }
     }
+}
+
+/// The spare records an outcome log of `len` records is given when
+/// its final length is not known ahead: an eighth of it, plus 64.
+/// Backlog-probing routing gives its busiest shard about a tenth more
+/// than an even share on the canonical day, so a barrier shard's log
+/// reserved at its even share plus this slack is never copied there.
+pub(crate) fn outcome_slack(len: usize) -> usize {
+    len / 8 + 64
 }
 
 #[cfg(test)]
