@@ -15,7 +15,7 @@
 #![cfg(debug_assertions)]
 
 use s2ta_bench::cluster_scenario;
-use s2ta_serve::{RequestOutcome, RoutingPolicy};
+use s2ta_serve::{OutcomeLog, RoutingPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -39,7 +39,7 @@ unsafe impl GlobalAlloc for ReallocRecorder {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if layout.size().is_multiple_of(size_of::<RequestOutcome>()) {
+        if layout.size().is_multiple_of(OutcomeLog::ROW_BYTES) {
             let _ = LARGEST_LOG_REALLOC.try_with(|c| c.set(c.get().max(layout.size())));
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -66,7 +66,7 @@ fn barrier_outcome_logs_are_never_regrown() {
     assert_eq!(report.total_requests(), REQUESTS);
     let busiest = report.routed.iter().max().copied().unwrap_or(0);
     assert!(
-        largest < even_share * size_of::<RequestOutcome>(),
+        largest < even_share * OutcomeLog::ROW_BYTES,
         "a {largest} B block of outcome records was regrown: a shard's log is reserved short \
          of its share (busiest shard {busiest} requests, even share {even_share})"
     );

@@ -119,7 +119,8 @@ use crate::fault::{FaultConfig, FaultPlan};
 use crate::fleet::{outcome_slack, ArrivalSource, Engine, Fleet, Recurring};
 use crate::policy::FixedPolicy;
 use crate::report::{
-    render_table, Col, FaultStats, LatencyHistogram, ModelServeStats, ServeReport,
+    assert_model_count, render_table, Col, FaultStats, LatencyHistogram, ModelServeStats,
+    ServeReport,
 };
 use crate::trace::{Trace, TraceConfig};
 use crate::workload::{Lcg, Request};
@@ -443,8 +444,9 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if a request names a model index outside `models`, if
-    /// arrivals are unsorted, or if the pre-routed driver is given more
-    /// than 2^31 requests (it routes by 31-bit stream index).
+    /// arrivals are unsorted, if `models` holds more than 256 models, or
+    /// if the pre-routed driver is given more than 2^31 requests (it
+    /// routes by 31-bit stream index).
     pub fn serve(&self, models: &[ModelSpec], requests: &[Request]) -> ClusterReport {
         self.serve_on(Executor::global(), models, requests)
     }
@@ -510,6 +512,7 @@ impl Cluster {
         requests: &[Request],
     ) -> ClusterReport {
         let n = self.shards.len();
+        assert_model_count(models.len());
         assert!(
             requests.len() <= FAILED_OVER as usize,
             "the pre-routed driver indexes streams of at most {FAILED_OVER} requests, got {}",

@@ -53,10 +53,10 @@
 //!
 //! Simulated results never depend on host thread timing: batch events
 //! are a pure function of the batch and the executing lane's
-//! architecture, and the engine is deterministic. The `outcomes` list
+//! architecture, and the engine is deterministic. The `outcomes` log
 //! in the returned [`ServeReport`] is sorted by request id (it is
-//! assembled in resolution order internally), so `outcomes[i].id() ==
-//! i` always holds for a dense arrival stream.
+//! assembled in resolution order internally), so `outcomes.get(i)`
+//! holds request `i` for a dense arrival stream.
 //!
 //! This module holds the lanes, specs and builders; the engine's event
 //! loop and handlers live in `engine`, and its batch placement and
@@ -68,7 +68,7 @@ use crate::fault::{FaultConfig, FaultTimeline};
 use crate::placement::PlacementStrategy;
 use crate::policy::{BatchPolicy, FixedPolicy};
 use crate::queue::RequestQueue;
-use crate::report::ServeReport;
+use crate::report::{assert_lane_count, ServeReport};
 use crate::trace::TraceConfig;
 use crate::workload::{ClosedLoopSpec, Request};
 pub(crate) use engine::{outcome_slack, ArrivalSource, Engine, StageRun};
@@ -199,7 +199,12 @@ impl FleetSpec {
 
     /// A mixed fleet from `(kind, lanes)` groups, in order: e.g.
     /// `FleetSpec::mixed(&[(ArchKind::S2taAw, 2), (ArchKind::SaZvcg, 2)])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the groups add up to more than 65,536 lanes.
     pub fn mixed(groups: &[(ArchKind, usize)]) -> Self {
+        assert_lane_count(groups.iter().map(|&(_, lanes)| lanes).fold(0, usize::saturating_add));
         let mut spec = Self::new();
         for &(kind, lanes) in groups {
             for _ in 0..lanes {
@@ -287,7 +292,7 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero.
+    /// Panics if `workers` is zero or above 65,536.
     pub fn new(kind: ArchKind, workers: usize) -> Self {
         Self::from_spec(FleetSpec::homogeneous(kind, workers))
     }
@@ -300,9 +305,10 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero.
+    /// Panics if `workers` is zero or above 65,536.
     pub fn with_accelerator(accelerator: Accelerator, workers: usize) -> Self {
         assert!(workers > 0, "a fleet needs at least one worker");
+        assert_lane_count(workers);
         Self::from_lanes((0..workers).map(|_| Lane { accelerator: accelerator.clone() }).collect())
     }
 
@@ -510,8 +516,8 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a request names a model index outside `models`, or if
-    /// arrivals are unsorted.
+    /// Panics if a request names a model index outside `models`, if
+    /// arrivals are unsorted, or if `models` holds more than 256 models.
     pub fn serve(&self, models: &[ModelSpec], requests: &[Request]) -> ServeReport {
         let mut policy = self.policy;
         self.serve_adaptive(models, requests, &mut policy)
@@ -534,8 +540,8 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a request names a model index outside `models`, or if
-    /// arrivals are unsorted.
+    /// Panics if a request names a model index outside `models`, if
+    /// arrivals are unsorted, or if `models` holds more than 256 models.
     pub fn serve_adaptive(
         &self,
         models: &[ModelSpec],
@@ -555,8 +561,9 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's mix length differs from `models`, or the
-    /// spec is invalid (no clients, bad mix, negative think time).
+    /// Panics if the spec's mix length differs from `models`, the spec
+    /// is invalid (no clients, bad mix, negative think time), or
+    /// `models` holds more than 256 models.
     pub fn serve_closed_loop(
         &self,
         models: &[ModelSpec],
@@ -721,6 +728,36 @@ mod tests {
     fn pipelined_placement_rejects_a_zero_slot_queue() {
         let _ = Fleet::new(ArchKind::S2taAw, 2)
             .with_placement(PlacementStrategy::Pipelined { stages: 2, queue_capacity: 0 });
+    }
+
+    /// An outcome row keeps its model index in a byte: a serve over
+    /// 256 models records the last one's requests under its own name,
+    /// and one model more is refused before anything is served.
+    #[test]
+    fn serve_takes_at_most_256_models() {
+        let head = |name| ModelSpec { name, layers: lenet5().layers[..1].to_vec() };
+        let mut models = vec![head("head"); 255];
+        models.push(head("last"));
+        let requests = [Request { id: 0, model: 255, arrival: 0, act_seed: 0 }];
+        let fleet = Fleet::new(ArchKind::S2taAw, 1);
+        let report = fleet.serve(&models, &requests);
+        assert_eq!(report.served_outcomes().map(|o| o.model).collect::<Vec<_>>(), ["last"]);
+        models.push(head("one too many"));
+        let refused = std::panic::catch_unwind(|| fleet.serve(&models, &requests));
+        let message =
+            *refused.expect_err("257 models must be refused").downcast::<String>().unwrap();
+        assert_eq!(
+            message,
+            "a serve takes at most 256 models (outcome rows index them in a byte), got 257"
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a fleet has at most 65536 lanes (outcome rows index them in 16 bits), got 65537"
+    )]
+    fn fleet_has_at_most_65536_lanes() {
+        let _ = Fleet::new(ArchKind::S2taAw, 65_537);
     }
 
     /// A run's cache activity is the diff of the fleet caches' counters

@@ -13,8 +13,7 @@ use crate::placement::{PlacementStrategy, ServiceEstimator};
 use crate::policy::{BatchObservation, BatchPolicy};
 use crate::queue::RequestQueue;
 use crate::report::{
-    DroppedRequest, FailedRequest, LatencyHistogram, ModelServeStats, RequestOutcome, ServeReport,
-    ServedRequest, WorkerStats,
+    LatencyHistogram, ModelServeStats, OutcomeLog, OutcomeRow, ServeReport, WorkerStats,
 };
 use crate::trace::{TraceCell, TraceEvent, TraceEventKind, TraceState};
 use crate::workload::{ClosedLoopClient, ClosedLoopSpec, Request};
@@ -241,9 +240,9 @@ pub(crate) struct Engine<'a> {
     /// Requests riding not-yet-completed batches — the in-flight half
     /// of the backlog, maintained at dispatch and completion.
     in_flight_requests: usize,
-    /// One record per resolved request; see [`Engine::push_outcome`]
-    /// for how it grows.
-    outcomes: Vec<RequestOutcome>,
+    /// One row per resolved request; see [`Engine::push_outcome`] for
+    /// how it grows.
+    outcomes: OutcomeLog,
     worker_stats: Vec<WorkerStats>,
     total_events: EventCounts,
     makespan: u64,
@@ -320,7 +319,7 @@ impl<'a> Engine<'a> {
             last_arrival: 0,
             queued: 0,
             in_flight_requests: 0,
-            outcomes: Vec::new(),
+            outcomes: OutcomeLog::new(models.iter().map(|m| m.name).collect()),
             worker_stats: fleet.lanes.iter().map(|l| WorkerStats::new(l.arch())).collect(),
             total_events: EventCounts::default(),
             makespan: 0,
@@ -599,15 +598,7 @@ impl<'a> Engine<'a> {
             }
         }
         for r in &batch.requests {
-            self.push_outcome(RequestOutcome::Served(ServedRequest {
-                id: r.id,
-                model: self.models[batch.model].name,
-                arrival: r.arrival,
-                start: batch.start,
-                completion: t,
-                batch: index,
-                worker: batch.lane,
-            }));
+            self.push_outcome(OutcomeRow::served(r, batch.start, t, index, batch.lane));
         }
         self.in_flight_requests -= n;
         let max_latency_cycles = batch.requests.iter().map(|r| t - r.arrival).max().unwrap_or(0);
@@ -782,26 +773,17 @@ impl<'a> Engine<'a> {
             b: self.queued as u64,
             ..TraceEvent::new(request.arrival, TraceEventKind::RequestDropped)
         });
-        self.push_outcome(RequestOutcome::Dropped(DroppedRequest {
-            id: request.id,
-            model: self.models[request.model].name,
-            arrival: request.arrival,
-        }));
+        self.push_outcome(OutcomeRow::dropped(&request));
         // A drop completes the client's outstanding request
         // immediately; it thinks and retries from the drop time.
         self.arrivals.request_finished(request.id, request.arrival);
     }
 
-    /// Abandons `request` as [`RequestOutcome::Failed`] at `now` after
+    /// Abandons `request` as [`crate::RequestOutcome::Failed`] at `now` after
     /// `attempts` consumed dispatch attempts.
     fn fail_request(&mut self, request: Request, attempts: u32, now: u64) {
         self.fault_state().fail(&request);
-        self.push_outcome(RequestOutcome::Failed(FailedRequest {
-            id: request.id,
-            model: self.models[request.model].name,
-            arrival: request.arrival,
-            attempts,
-        }));
+        self.push_outcome(OutcomeRow::failed(&request, attempts));
         self.arrivals.request_finished(request.id, now);
     }
 
@@ -917,17 +899,15 @@ impl<'a> Engine<'a> {
     /// again only if routing overruns it. A growth copies the whole log
     /// and leaves the old block resident in the process, so what it
     /// costs is peak memory, however little spare capacity it leaves.
-    fn push_outcome(&mut self, outcome: RequestOutcome) {
+    fn push_outcome(&mut self, row: OutcomeRow) {
         if self.outcomes.len() == self.outcomes.capacity() {
             self.outcomes.reserve_exact(outcome_slack(self.outcomes.len()));
         }
-        self.outcomes.push(outcome);
+        self.outcomes.push_row(row);
     }
 
     pub(crate) fn into_report(mut self) -> ServeReport {
-        // Ids are unique, so the unstable sort gives the stable order
-        // without the stable sort's merge buffer.
-        self.outcomes.sort_unstable_by_key(RequestOutcome::id);
+        self.outcomes.sort_by_id();
         let (fault, failed_per_model) =
             self.faults.take().map(|f| f.finish(self.makespan)).unwrap_or_default();
         let per_model = self
@@ -941,9 +921,7 @@ impl<'a> Engine<'a> {
                 failed: failed_per_model.get(i).copied().unwrap_or(0),
             })
             .collect();
-        let latency_hist = LatencyHistogram::collect(
-            self.outcomes.iter().filter_map(RequestOutcome::latency_cycles),
-        );
+        let latency_hist = LatencyHistogram::collect(self.outcomes.latencies());
         let trace = TraceCell::default();
         if let Some(tr) = self.trace.take() {
             let names = self.models.iter().map(|m| m.name.to_string()).collect();
@@ -986,6 +964,7 @@ mod tests {
     use crate::fault::{FaultConfig, FaultSpec, FaultTimeline, RetryPolicy};
     use crate::fleet::tests::tiny_workload;
     use crate::policy::{BatchLimits, FixedPolicy, SloAwarePolicy};
+    use crate::report::RequestOutcome;
     use crate::workload::WorkloadSpec;
     use s2ta_core::ArchKind;
     use s2ta_models::lenet5;
@@ -1384,7 +1363,9 @@ mod tests {
         let down = vec![vec![(10_001, 10_011)], vec![(10_102, 10_112)]];
         let report = crashing(policy, retry, down).serve(&models, &[z, q, r]);
         assert_eq!(report.fault.retries, 2);
-        assert!(matches!(&report.outcomes[0], RequestOutcome::Failed(f) if f.attempts == 2));
+        assert!(
+            matches!(report.outcomes.get(0), Some(RequestOutcome::Failed(f)) if f.attempts == 2)
+        );
         let served: Vec<(u64, u64)> = report.served_outcomes().map(|o| (o.id, o.start)).collect();
         assert_eq!(served, vec![(1, 20_050), (2, 10_202 + wait)], "r not at 20_051");
     }

@@ -103,8 +103,8 @@ pub use policy::{
     BatchLimits, BatchObservation, BatchPolicy, FixedPolicy, SloAwarePolicy, SloClass,
 };
 pub use report::{
-    DroppedRequest, FailedRequest, FaultStats, ModelServeStats, PipelineStageStats, RequestOutcome,
-    ServeReport, ServedRequest, WorkerStats,
+    DroppedRequest, FailedRequest, FaultStats, ModelServeStats, OutcomeLog, Outcomes,
+    PipelineStageStats, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
 };
 pub use trace::{
     FlightRecorder, HostSpan, HostSpans, MetricsSample, Trace, TraceConfig, TraceEvent,
