@@ -55,7 +55,7 @@ fn bench_dap_matrix(c: &mut Criterion) {
     });
 }
 
-/// The cold activation-profile compile's two kernels at the shape of
+/// The activation tally pass's two kernels at the shape of
 /// CIFAR-10 conv2 (`K` 288 x `N` 256) at the given activation sparsity.
 fn conv2_acts(act_sparsity: f64) -> LayerSpec {
     let mut layer = cifar10_convnet().layers[1].clone();

@@ -109,7 +109,7 @@ pub mod pipeline_scenario {
 /// check: four narrow heterogeneous fleet shards (each 1×S2TA-AW +
 /// 1×SA-ZVCG) behind the router tier, serving a diurnal ~1M-request
 /// stream whose activation seeds are drawn from a bounded pool (so the
-/// fleet-wide activation-profile cache stays hit-dominated at cluster
+/// fleet-wide activation-counter table stays hit-dominated at cluster
 /// scale). On it, power-of-two-choices routing must beat random
 /// routing on **global p99** (merged per-request samples) by at least
 /// [`cluster_scenario::GATE_P99_SPEEDUP`] at equal goodput: queues are
@@ -131,7 +131,7 @@ pub mod cluster_scenario {
     pub const REQUESTS: usize = 1_000_000;
 
     /// Distinct activation seeds in the stream (bounds the
-    /// activation-profile cache's working set: production traffic
+    /// activation-counter table's working set: production traffic
     /// re-sees the same inputs, it does not invent a new tensor per
     /// request).
     pub const ACT_SEED_POOL: usize = 512;

@@ -2,16 +2,16 @@
 //! allocation-free in steady state.
 //!
 //! [`Accelerator::run_stage_events`] is documented to allocate nothing
-//! once the plan cache, activation-profile cache, and the caller's
-//! [`Scratch`] arena are warm: per-position profiles are plain cached
-//! tally buffers, the SMT path regenerates activations into the
-//! arena's recycled buffer, and events are summed without building
-//! per-layer report vectors. This test pins that claim with a global
-//! counting allocator — warm the caches with two batches, then assert
-//! the third, including its warm [`Accelerator::plan_model`] lookup
-//! (a lane looks its plan up once per batch), performs **zero** heap
+//! once the plan cache, activation-counter table, and the caller's
+//! [`Scratch`] arena are warm: a warm input's counters are copied out
+//! of the table, the SMT path regenerates activations into the arena's
+//! recycled buffer, and events are summed without building per-layer
+//! report vectors. This test pins that claim with a global counting
+//! allocator — warm the caches with two batches, then assert the
+//! third, including its warm [`Accelerator::plan_model`] lookup (a
+//! lane looks its plan up once per batch), performs **zero** heap
 //! allocations on every architecture; so does a batch of a single-use
-//! input, whose profiles are tallied in the arena and never cached.
+//! input, which is tallied in the arena and never kept.
 //!
 //! The same allocator also tracks this thread's live heap and its
 //! peak, which pins the host memory a run holds: compiled weight plans
@@ -28,7 +28,6 @@
 
 use s2ta_bench::{chaos_scenario, cluster_scenario, SEED};
 use s2ta_core::{pool::Executor, Accelerator, ActProfileCache, ArchKind, Scratch, WeightResidency};
-use s2ta_dbb::dap::LayerNnz;
 use s2ta_models::{cifar10_convnet, lenet5};
 use s2ta_serve::{
     Cluster, ClusterReport, FaultSpec, FlightRecorder, OutcomeLog, Request, RoutingPolicy,
@@ -117,7 +116,7 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
         let mut scratch = Scratch::new();
         let full = 0..model.layers.len();
 
-        // Warmup: first batch compiles profiles and grows the arena;
+        // Warmup: first batch tallies the input and grows the arena;
         // second proves the buffers settled before we start counting.
         let warm = acc.run_stage_events(
             &plan,
@@ -138,7 +137,8 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
             &mut scratch,
         );
 
-        let before = allocs_here();
+        let (before, base) = (allocs_here(), reset_peak());
+        let hits = acc.act_profiles().stats().hits;
         let plan = acc.plan_model(&model, SEED);
         let events = acc.run_stage_events(
             &plan,
@@ -149,9 +149,11 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
             true,
             &mut scratch,
         );
-        let grew = allocs_here() - before;
+        let (grew, bytes) = (allocs_here() - before, peak_bytes() - base);
         assert_eq!(events, warm, "{kind:?}: steady-state events drifted from warmup");
+        assert_eq!(acc.act_profiles().stats().hits, hits + 1, "{kind:?}: a warm counters hit");
         assert_eq!(grew, 0, "{kind:?}: steady-state batch performed {grew} heap allocations");
+        assert_eq!(bytes, 0, "{kind:?}: steady-state batch allocated {bytes} heap bytes");
 
         // A single-use input misses the profile table: it is tallied
         // into the warm arena and read in place, allocating nothing.
@@ -172,80 +174,76 @@ fn steady_state_batch_allocates_nothing_on_every_arch() {
     }
 }
 
-/// One compile per activation profile: with a warm arena, a cold
-/// [`ActProfileCache`] lookup generates the matrix into the arena,
-/// tallies both sides in one pass into the arena's `u16` buffers and
-/// narrows them together, so it allocates exactly the memo entry's
-/// compile slot, the entry's one narrow tally buffer (raw and post-DAP
-/// sides back to back) and the shared value; the next lookup of the key
-/// allocates nothing, both sides included — no second generation.
+/// One tally per layer fills every plan that reads the table: on a
+/// fleet-like pair of S2TA-AW and SA-ZVCG lanes sharing their caches, a
+/// cold input missed on one lane is generated and tallied once per
+/// layer, its counters enter the table for both plans, and the other
+/// lane's first lookup of it is a hit that allocates nothing.
 #[test]
-fn cold_profile_compiles_both_sides_at_once() {
+fn cold_counters_tally_once_for_every_plan() {
     let model = cifar10_convnet();
-    let layer = &model.layers[1];
-    let (bz, adbb) = (8, LayerNnz::Prune(4));
-    let cache = ActProfileCache::new();
+    let aw = Accelerator::preset(ArchKind::S2taAw);
+    let (plans, table) = (aw.plans().clone(), ActProfileCache::new());
+    let aw = aw.sharing_act_profiles(table.clone());
+    let zv = Accelerator::preset(ArchKind::SaZvcg)
+        .sharing_plans(plans.clone())
+        .sharing_act_profiles(table.clone());
+    let (aw_plan, zv_plan) = (aw.plan_model(&model, SEED), zv.plan_model(&model, SEED));
+    let all = 0..model.layers.len();
     let mut scratch = Scratch::new();
-    // Warm the arena (and the table's first allocation) on another
-    // entry of the same shape.
-    cache.get_or_profile(layer, SEED, bz, adbb, &mut scratch);
-
-    let before = allocs_here();
-    let cold = cache.get_or_profile(layer, SEED + 1, bz, adbb, &mut scratch);
-    let compile = allocs_here() - before;
-    let before = allocs_here();
-    let warm = cache.get_or_profile(layer, SEED + 1, bz, adbb, &mut scratch);
-    std::hint::black_box((warm.dense(), warm.postdap()));
-    let second_lookup = allocs_here() - before;
-    assert_eq!(cold.dense().len(), layer.gemm.k, "one tally per reduction position");
-    assert_eq!(cold.postdap().len(), layer.gemm.k, "one tally per reduction position");
-    assert_eq!(compile, 3, "slot, one tally buffer and the shared value");
-    assert_eq!(second_lookup, 0, "both sides come from the one compile");
+    let mut run = |acc: &Accelerator, plan, seed| {
+        let r = WeightResidency::Resident;
+        acc.run_stage_events(plan, &model, all.clone(), seed, r, true, &mut scratch)
+    };
+    // Warm the arena and the table's first allocation on another seed.
+    run(&aw, &aw_plan, SEED);
+    let (passes, entries) = (table.tally_passes(), table.len());
+    run(&aw, &aw_plan, SEED + 1);
+    assert_eq!(table.tally_passes() - passes, model.layers.len() as u64, "a tally per layer");
+    assert_eq!(table.len() - entries, 2, "one entry per plan");
+    let (before, hits) = (allocs_here(), table.stats().hits);
+    run(&zv, &zv_plan, SEED + 1);
+    let grew = allocs_here() - before;
+    assert_eq!(table.stats().hits, hits + 1, "the sibling lane hits the filled entry");
+    assert_eq!(table.tally_passes() - passes, model.layers.len() as u64, "and tallies nothing");
+    assert_eq!(grew, 0, "a counters hit allocates nothing");
 }
 
-/// The activation-profile cache holds each input's tallies at the
-/// width its largest count needs: one seed of each served model
-/// profiles every layer into at most the bytes below (526, 1,462 and
-/// 9,434 B today), where `u16` tallies took 3,116, 6,508 and 22,772 B.
-/// Batch-1 FC layers (`N = 1`) hold one bit per position and side, and
-/// the first layer, which bypasses DAP, holds one side for both.
+/// The counter table holds a fixed 72 B per plan and seed, however
+/// large the model: serving one seed of each served model on a
+/// S2TA-AW lane that shares its table with an SA-ZVCG lane keeps one
+/// entry per plan, where the narrowest activation profiles of the
+/// same seed took 526, 1,462 and 9,434 B.
 #[test]
-fn act_profiles_hold_their_narrow_bytes_per_seed() {
-    const BOUNDS: [(&str, u64); 3] =
-        [("LeNet-5", 550), ("CIFAR10-ConvNet", 1_500), ("Deep-ConvNet", 9_460)];
-    let models = cluster_scenario::models();
-    assert_eq!(models.len(), BOUNDS.len());
-    for (model, (name, bound)) in models.iter().zip(BOUNDS) {
-        assert_eq!(model.name, name);
-        let acc = Accelerator::preset(ArchKind::S2taAw);
-        let plan = acc.plan_model(model, SEED);
+fn act_counters_hold_one_entry_per_plan_and_seed() {
+    for model in cluster_scenario::models() {
+        let table = ActProfileCache::new();
+        let aw = Accelerator::preset(ArchKind::S2taAw).sharing_act_profiles(table.clone());
+        let _zv = Accelerator::preset(ArchKind::SaZvcg).sharing_act_profiles(table.clone());
+        let plan = aw.plan_model(&model, SEED);
         let layers = 0..model.layers.len();
-        acc.run_stage_events(
-            &plan,
-            model,
-            layers,
-            SEED,
-            WeightResidency::Resident,
-            true,
-            &mut Scratch::new(),
-        );
-        let cache = acc.act_profiles();
-        assert_eq!(cache.len(), model.layers.len(), "{name}: one entry per layer");
-        let bytes = cache.resident_bytes();
-        assert!(bytes <= bound, "{name}: {bytes} B of activation profiles per seed, above {bound}");
+        let r = WeightResidency::Resident;
+        aw.run_stage_events(&plan, &model, layers, SEED, r, true, &mut Scratch::new());
+        let name = model.name;
+        assert_eq!(table.len(), 2, "{name}: one entry per plan");
+        assert_eq!(ActProfileCache::ENTRY_BYTES, 72, "a 48 B key and 24 B of counters");
+        assert_eq!(table.resident_bytes(), 2 * 72, "{name}: fixed bytes per entry");
     }
 }
 
 /// The activation generator and the tally kernel size their buffers
-/// exactly: a cold compile into a fresh arena retains one `K x N`
+/// exactly: an in-place tally into a fresh arena retains one `K x N`
 /// matrix and two `K`-long `u16` tally vectors and no slack, so
 /// recycled arenas never regrow past the largest layer.
 #[test]
 fn cold_compile_retains_exactly_one_activation_matrix() {
     let model = cifar10_convnet();
     let layer = &model.layers[1]; // conv2: K 288 x N 256
+    let acc = Accelerator::preset(ArchKind::S2taAw);
+    let plan = acc.plan_model(&model, SEED);
     let mut scratch = Scratch::new();
-    ActProfileCache::new().get_or_profile(layer, SEED, 8, LayerNnz::Prune(4), &mut scratch);
+    let r = WeightResidency::Resident;
+    acc.run_stage_events(&plan, &model, 1..2, SEED, r, false, &mut scratch);
     let tallies = 2 * std::mem::size_of::<u16>() * layer.gemm.k;
     assert_eq!(scratch.retained_bytes(), layer.gemm.k * layer.gemm.n + tallies);
 }
@@ -467,7 +465,7 @@ fn assert_heap_per_request(
     stream: &[Request],
     serve: impl Fn(&[Request]) -> ClusterReport,
 ) {
-    // The first run compiles the plans and activation profiles the
+    // The first run compiles the plans and activation counters the
     // stream needs; the measured runs serve on warm caches.
     let warm = serve(stream);
     let peak_above_baseline = |requests: &[Request]| {

@@ -40,8 +40,8 @@ pub mod sweep;
 pub use arch::{ArchConfig, ArchKind};
 pub use memo::{CacheStats, MemoCache};
 pub use plan::{
-    stage_handoff_bytes, ActProfile, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights,
-    WeightPlanCache, WeightResidency,
+    stage_handoff_bytes, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights, WeightPlanCache,
+    WeightResidency,
 };
 pub use report::{LayerReport, ModelReport};
 pub use runner::{Accelerator, ExecPath};

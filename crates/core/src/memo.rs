@@ -1,10 +1,10 @@
 //! One thread-safe memo table for every host-side compile cache.
 //!
-//! A compiled weight plan ([`crate::WeightPlanCache`]) and a compiled
-//! activation profile ([`crate::ActProfileCache`]) are both pure
-//! functions of a key, so both are instances of [`MemoCache`]: each
-//! alias contributes only its key type and compile recipe, and the
-//! table owns the locking, the LRU byte budget and the lookup counters.
+//! A compiled weight plan ([`crate::WeightPlanCache`]) and an input's
+//! activation counters ([`crate::ActProfileCache`]) are both pure
+//! functions of a key, so both are kept in a [`MemoCache`]: each
+//! contributes only its key type and compile recipe, and the table
+//! owns the locking, the LRU byte budget and the lookup counters.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -26,15 +26,15 @@ struct Counters {
 ///
 /// * `hits` — lookups answered from the table.
 /// * `misses` — lookups that compiled a new value, into the table or,
-///   for a value used once (`get_or_miss`), outside it: the count of
-///   compiles either way.
+///   for a value used once (`MemoCache::miss`), outside it: the count
+///   of compiles either way.
 /// * `bypasses` — lookups that compiled a new value the caller flagged
 ///   as a bypass. The weight-plan cache flags **dense** (non-W-DBB)
 ///   plans: they are memoized like any other since the allocation-free
 ///   refactor (regenerating raw weights per batch was the dominant host
 ///   cost of dense lanes), and the separate counter keeps DBB compile
-///   counts comparable across versions. The activation-profile cache
-///   never bypasses: a profile used once counts as a miss.
+///   counts comparable across versions. The activation-counter table
+///   never bypasses: counters used once count as a miss.
 /// * `evictions` / `bytes_evicted` — entries (and their estimated
 ///   bytes) an LRU byte budget pushed out; always zero on unbounded
 ///   caches.
@@ -98,8 +98,8 @@ impl CacheStats {
 /// entry).
 #[derive(Debug)]
 enum Slot<V> {
-    Compiling(Arc<OnceLock<Arc<V>>>),
-    Ready(Arc<V>),
+    Compiling(Arc<OnceLock<V>>),
+    Ready(V),
 }
 
 /// One resident value plus its LRU bookkeeping.
@@ -121,18 +121,20 @@ struct Table<K, V> {
     resident_bytes: u64,
 }
 
-/// A thread-safe memo table from `K` to shared compiled values `V`,
-/// optionally bounded by an LRU byte budget.
+/// A thread-safe memo table from `K` to compiled values `V`, handed
+/// out by clone (an `Arc` for a shared plan, a copy for `Copy`
+/// counters), optionally bounded by an LRU byte budget.
 ///
 /// Every clone shares the table and its counters. On an **unbounded**
 /// cache, `get_or_compile` compiles each key into the table exactly
-/// once however host threads interleave: the entry is created inside
-/// the lock, the value compiles outside it, and concurrent first users
-/// of the key wait for that compile (counted as hits) instead of
+/// once however host threads interleave: the entries are created inside
+/// the lock, the values compile outside it, and concurrent first users
+/// of a key wait for that compile (counted as hits) instead of
 /// compiling again — so counter assertions in tests and examples can
-/// be exact. `get_or_miss` reads the table without inserting, for a
-/// caller that compiles a value it uses once: such a key compiles on
-/// every missing lookup and is never resident.
+/// be exact. One compile may fill several keys at once. `get` reads the
+/// table without inserting, for a caller that on a miss either compiles
+/// the key with `get_or_compile` or, for a value it uses once, compiles
+/// it outside the table and counts that with `miss`.
 ///
 /// [`MemoCache::with_byte_budget`] bounds the table: once a compiled
 /// value's bytes are accounted and the estimated resident bytes exceed
@@ -143,30 +145,34 @@ struct Table<K, V> {
 /// never simulated results.
 #[derive(Debug)]
 pub struct MemoCache<K, V> {
-    inner: Arc<Mutex<Table<K, V>>>,
-    counters: Arc<Counters>,
+    shared: Arc<Shared<K, V>>,
     /// LRU byte budget; `None` = unbounded.
     budget: Option<u64>,
 }
 
+/// The table and its lookup counters, shared by every clone of a
+/// [`MemoCache`] in one allocation.
+#[derive(Debug)]
+struct Shared<K, V> {
+    table: Mutex<Table<K, V>>,
+    counters: Counters,
+}
+
 impl<K, V> Clone for MemoCache<K, V> {
     fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-            counters: Arc::clone(&self.counters),
-            budget: self.budget,
-        }
+        Self { shared: Arc::clone(&self.shared), budget: self.budget }
     }
 }
 
 impl<K, V> Default for MemoCache<K, V> {
     fn default() -> Self {
         let table = Table { map: HashMap::new(), tick: 0, resident_bytes: 0 };
-        Self { inner: Arc::new(Mutex::new(table)), counters: Arc::default(), budget: None }
+        let shared = Shared { table: Mutex::new(table), counters: Counters::default() };
+        Self { shared: Arc::new(shared), budget: None }
     }
 }
 
-impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
+impl<K: Copy + Eq + Hash, V: Clone> MemoCache<K, V> {
     /// An empty unbounded cache.
     pub fn new() -> Self {
         Self::default()
@@ -179,85 +185,118 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
     }
 
     fn lock(&self) -> MutexGuard<'_, Table<K, V>> {
-        self.inner.lock().expect("memo cache poisoned")
+        self.shared.table.lock().expect("memo cache poisoned")
     }
 
-    /// Returns the value cached under `key`, running `compile` on first
-    /// use and accounting `bytes` of the result against the budget.
-    /// A first use counts as a bypass when `bypass` is set, as a miss
-    /// otherwise.
+    /// Returns the value cached under `keys[0]`, compiling it on first
+    /// use: `compile` yields one value per key of `keys`, in order, and
+    /// each key no entry holds yet takes its value, accounted at
+    /// `bytes` against the budget (a resident key, or one another
+    /// lookup is compiling, keeps its own). A first use counts as a
+    /// bypass when `bypass` is set, as a miss otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compile` yields fewer values than `keys`.
     pub(crate) fn get_or_compile(
         &self,
-        key: K,
+        keys: &[K],
         bypass: bool,
-        compile: impl FnOnce() -> V,
-        bytes: impl FnOnce(&V) -> u64,
-    ) -> Arc<V> {
-        let (slot, compiled_here) = {
+        compile: impl FnOnce() -> Vec<V>,
+        bytes: impl Fn(&V) -> u64,
+    ) -> V {
+        let claimed: Vec<Option<Arc<OnceLock<V>>>> = {
             let mut table = self.lock();
-            match self.touch(&mut table, &key) {
-                Some(Slot::Ready(value)) => return Arc::clone(value),
-                Some(Slot::Compiling(slot)) => (Arc::clone(slot), false),
-                None => {
-                    let counter =
-                        if bypass { &self.counters.bypasses } else { &self.counters.misses };
-                    counter.fetch_add(1, Ordering::Relaxed);
+            match self.touch(&mut table, &keys[0]) {
+                Some(Slot::Ready(value)) => return value.clone(),
+                Some(Slot::Compiling(slot)) => {
+                    let slot = Arc::clone(slot);
+                    drop(table);
+                    return slot.wait().clone();
+                }
+                None => {}
+            }
+            let counter =
+                if bypass { &self.shared.counters.bypasses } else { &self.shared.counters.misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+            // Each key gets a recency of its own, `keys[0]` the newest,
+            // so the LRU victim is never a tie the map's order decides.
+            let newest = table.tick + keys.len() as u64 - 1;
+            table.tick = newest;
+            (0..)
+                .zip(keys)
+                .map(|(i, key)| {
+                    if table.map.contains_key(key) {
+                        return None;
+                    }
                     let slot = Arc::new(OnceLock::new());
                     let entry = Entry {
                         slot: Slot::Compiling(Arc::clone(&slot)),
                         bytes: 0,
-                        last_used: table.tick,
+                        last_used: newest - i,
                     };
-                    table.map.insert(key, entry);
-                    (slot, true)
-                }
-            }
+                    table.map.insert(*key, entry);
+                    Some(slot)
+                })
+                .collect()
         };
         // Compile outside the lock: compiles are the expensive part, so
-        // lookups of other keys proceed while a racing lookup of this
-        // one blocks here instead of compiling it a second time.
-        let value = Arc::clone(slot.get_or_init(|| Arc::new(compile())));
-        if !compiled_here {
-            return value;
-        }
+        // lookups of other keys proceed while racing lookups of these
+        // block on their slots instead of compiling them a second time.
+        let mut values = compile();
+        assert!(values.len() >= keys.len(), "a compile yields a value per key");
         let mut table = self.lock();
-        // Account the bytes unless the entry was evicted or cleared
-        // while it compiled.
-        let Some(entry) = table
-            .map
-            .get_mut(&key)
-            .filter(|e| matches!(&e.slot, Slot::Compiling(s) if Arc::ptr_eq(s, &slot)))
-        else {
-            return value;
-        };
-        let value_bytes = bytes(&value);
-        entry.slot = Slot::Ready(Arc::clone(&value));
-        entry.bytes = value_bytes;
-        table.resident_bytes += value_bytes;
-        if let Some(budget) = self.budget {
-            self.evict_locked(&mut table, budget, &key);
+        for ((key, slot), value) in keys.iter().zip(&claimed).zip(&values) {
+            let Some(slot) = slot else { continue };
+            let _ = slot.set(value.clone());
+            // Account the bytes unless the entry was evicted or cleared
+            // while it compiled.
+            let Some(entry) = table
+                .map
+                .get_mut(key)
+                .filter(|e| matches!(&e.slot, Slot::Compiling(s) if Arc::ptr_eq(s, slot)))
+            else {
+                continue;
+            };
+            let value_bytes = bytes(value);
+            entry.slot = Slot::Ready(value.clone());
+            entry.bytes = value_bytes;
+            table.resident_bytes += value_bytes;
         }
-        value
+        if let Some(budget) = self.budget {
+            self.evict_locked(&mut table, budget, &keys[0]);
+        }
+        values.swap_remove(0)
     }
 
-    /// Returns the value cached under `key` without ever inserting it: a
-    /// resident value (or one a racing lookup is compiling, waited for)
-    /// counts as a hit. A missing key counts as a miss and returns
-    /// `None`, leaving the table as it was: the caller compiles a value
-    /// the table never holds, so `misses` still counts every compile.
-    pub(crate) fn get_or_miss(&self, key: K) -> Option<Arc<V>> {
+    /// Returns the value cached under `key`, if any: a resident value
+    /// (or one a racing lookup is compiling, waited for) counts as a
+    /// hit. A missing key changes nothing.
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         let slot = {
             let mut table = self.lock();
-            match self.touch(&mut table, &key) {
-                Some(Slot::Ready(value)) => return Some(Arc::clone(value)),
-                Some(Slot::Compiling(slot)) => Arc::clone(slot),
-                None => {
-                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
+            match self.touch(&mut table, key)? {
+                Slot::Ready(value) => return Some(value.clone()),
+                Slot::Compiling(slot) => Arc::clone(slot),
             }
         };
-        Some(Arc::clone(slot.wait()))
+        Some(slot.wait().clone())
+    }
+
+    /// Returns the value resident under `key`, if it is ready, without
+    /// counting a lookup or touching its recency.
+    pub(crate) fn peek(&self, key: &K) -> Option<V> {
+        match &self.lock().map.get(key)?.slot {
+            Slot::Ready(value) => Some(value.clone()),
+            Slot::Compiling(_) => None,
+        }
+    }
+
+    /// Counts a compile of a value the table never holds, after a
+    /// [`MemoCache::get`] that missed: `misses` still counts every
+    /// compile.
+    pub(crate) fn miss(&self) {
+        self.shared.counters.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bumps the LRU clock under the lock and, when `key` is resident,
@@ -267,7 +306,7 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
         let tick = table.tick;
         let entry = table.map.get_mut(key)?;
         entry.last_used = tick;
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.hits.fetch_add(1, Ordering::Relaxed);
         Some(&entry.slot)
     }
 
@@ -286,8 +325,8 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
             let Some(k) = victim else { break };
             let e = table.map.remove(&k).expect("victim is resident");
             table.resident_bytes -= e.bytes;
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            self.counters.bytes_evicted.fetch_add(e.bytes, Ordering::Relaxed);
+            self.shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.bytes_evicted.fetch_add(e.bytes, Ordering::Relaxed);
         }
     }
 
@@ -295,7 +334,7 @@ impl<K: Copy + Eq + Hash, V> MemoCache<K, V> {
     /// monotone; diff two snapshots with [`CacheStats::since`] to scope
     /// them to one run.
     pub fn stats(&self) -> CacheStats {
-        let c = &self.counters;
+        let c = &self.shared.counters;
         CacheStats {
             hits: c.hits.load(Ordering::Relaxed),
             misses: c.misses.load(Ordering::Relaxed),
@@ -341,19 +380,47 @@ mod tests {
     fn entry_cleared_while_compiling_is_not_overwritten() {
         let cache: MemoCache<u64, u64> = MemoCache::new();
         let outer = cache.get_or_compile(
-            7,
+            &[7],
             false,
             || {
                 cache.clear();
-                assert_eq!(*cache.get_or_compile(7, false, || 2, |_| 50), 2);
-                1
+                assert_eq!(cache.get_or_compile(&[7], false, || vec![2], |_| 50), 2);
+                vec![1]
             },
             |_| 50,
         );
-        assert_eq!(*outer, 1, "the outer lookup returns the value it compiled");
+        assert_eq!(outer, 1, "the outer lookup returns the value it compiled");
         assert_eq!(cache.resident_bytes(), 50, "only the inner entry is accounted");
-        assert_eq!(*cache.get_or_compile(7, false, || 3, |_| 50), 2, "the inner value stays");
+        assert_eq!(
+            cache.get_or_compile(&[7], false, || vec![3], |_| 50),
+            2,
+            "the inner value stays"
+        );
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.lookups()), (1, 2, 3));
+    }
+
+    /// One compile fills every key it is given that no entry holds: a
+    /// resident key keeps its own value, and the others hit afterwards.
+    #[test]
+    fn one_compile_fills_every_absent_key() {
+        let cache: MemoCache<u64, u64> = MemoCache::new();
+        cache.get_or_compile(&[2], false, || vec![20], |_| 8);
+        assert_eq!(cache.get_or_compile(&[1, 2, 3], false, || vec![10, 99, 30], |_| 8), 10);
+        assert_eq!((cache.get(&2), cache.get(&3), cache.len()), (Some(20), Some(30), 3));
+        assert_eq!(cache.resident_bytes(), 24, "each filled key is accounted once");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
+    }
+
+    /// The keys one compile fills take distinct recencies, the looked-up
+    /// key the newest and the rest in order, so a budget evicts the
+    /// same one on every run whatever the map's iteration order.
+    #[test]
+    fn one_compile_orders_its_keys_for_eviction() {
+        let cache: MemoCache<u64, u64> = MemoCache::with_byte_budget(16);
+        cache.get_or_compile(&[1, 2, 3], false, || vec![10, 20, 30], |_| 8);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!((cache.peek(&1), cache.peek(&2), cache.peek(&3)), (Some(10), Some(20), None));
     }
 }

@@ -17,25 +17,29 @@
 //! * [`WeightPlanCache`] — the memo table of [`ModelPlan`]s, shared by
 //!   every clone of an [`Accelerator`] and by the serving fleet's
 //!   workers (`s2ta-serve`).
-//! * [`ActProfile`] / [`ActProfileCache`] — the activation-side
-//!   counterpart: the compiled per-position non-zero profiles of one
-//!   request's activation input, memoized the same way when the input
-//!   is simulated again, and profiled in place when it is used once.
+//! * `ActCounters` / [`ActProfileCache`] — the activation-side
+//!   counterpart: what one request's activation input adds to a plan's
+//!   layer-range events, memoized the same way when the input is
+//!   simulated again, and tallied in place when it is used once.
 //!
-//! Both caches are instances of the one generic [`MemoCache`]; this
-//! module supplies only their keys and compile recipes. Every layer
-//! run starts from a plan: `run_layer` plans its one layer, and
+//! Both caches keep their entries in the one generic [`MemoCache`];
+//! this module supplies only their keys and compile recipes. Every
+//! layer run starts from a plan: `run_layer` plans its one layer, and
 //! `run_model` is routed through the cache.
 
 use crate::memo::MemoCache;
-use crate::scratch::{DapTallies, Scratch};
-use crate::{Accelerator, ArchConfig, ArchKind};
+use crate::runner::stage_layers;
+use crate::scratch::Scratch;
+use crate::{Accelerator, ArchConfig, ArchKind, CacheStats};
 use s2ta_dbb::dap::{dap_col_profile_into, DapEvents, LayerNnz};
-use s2ta_dbb::{DbbConfig, DbbMatrix};
+use s2ta_dbb::DbbMatrix;
 use s2ta_models::{LayerSpec, ModelSpec};
-use s2ta_sim::{ActTallies, ActivationProfile, WeightDesc, WeightProfile};
+use s2ta_sim::profile::active_macs;
+use s2ta_sim::{ActTallies, EventCounts, WeightDesc, WeightProfile};
 use s2ta_tensor::Matrix;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Weights compiled for a specific architecture: dense architectures
 /// keep the raw matrix, DBB architectures store the pruned + compressed
@@ -143,8 +147,10 @@ impl LayerPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelPlan {
     pub(crate) model: String,
-    pub(crate) fingerprint: u64,
-    pub(crate) weight_seed: u64,
+    /// The [`WeightPlanCache`] key the plan was compiled under: its
+    /// architecture and scope, the model's structure and the weight
+    /// seed.
+    pub(crate) key: PlanKey,
     pub(crate) layers: Vec<LayerPlan>,
 }
 
@@ -162,7 +168,7 @@ impl ModelPlan {
     /// `true` if this plan was compiled from `model` (same name and
     /// structural fingerprint).
     pub(crate) fn matches(&self, model: &ModelSpec) -> bool {
-        self.model == model.name && self.fingerprint == model_fingerprint(model)
+        self.model == model.name && self.key.2 == model_fingerprint(model)
     }
 
     /// A deterministic estimate of the plan's resident bytes: per
@@ -253,7 +259,7 @@ pub(crate) fn plan_scope_fingerprint(config: &ArchConfig) -> u64 {
 // fingerprint already mixes it in (see [`model_fingerprint`]) — so key
 // construction is `Copy`-only and a steady-state lookup allocates
 // nothing.
-type PlanKey = (ArchKind, u64, u64, u64);
+pub(crate) type PlanKey = (ArchKind, u64, u64, u64);
 
 /// A thread-safe memo table of compiled [`ModelPlan`]s.
 ///
@@ -269,7 +275,7 @@ type PlanKey = (ArchKind, u64, u64, u64);
 /// unbounded, per residency when a byte budget evicts). Budgets are
 /// accounted in `ModelPlan::approx_bytes`; see [`MemoCache`] for the
 /// locking and eviction rules.
-pub type WeightPlanCache = MemoCache<PlanKey, ModelPlan>;
+pub type WeightPlanCache = MemoCache<PlanKey, Arc<ModelPlan>>;
 
 impl WeightPlanCache {
     /// Returns the cached plan for `(model, weight_seed)`, compiling it
@@ -293,281 +299,262 @@ impl WeightPlanCache {
         let kind = acc.config().kind;
         let key = (kind, acc.plan_scope(), model_fingerprint(model), weight_seed);
         self.get_or_compile(
-            key,
+            &[key],
             !kind.uses_wdbb(),
-            || acc.plan_model_uncached(model, weight_seed),
-            ModelPlan::approx_bytes,
+            || vec![Arc::new(acc.plan_model_uncached(key, model))],
+            |plan| plan.approx_bytes(),
         )
     }
 }
 
-/// A stable fingerprint of everything a layer's synthetic activation
-/// matrix depends on (`LayerSpec::gen_acts` reads the layer name, the
-/// `K x N` shape and the activation sparsity), so cached activation
-/// profiles can never be served for a different layer.
-fn layer_act_fingerprint(layer: &LayerSpec) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in layer.name.bytes() {
-        mix(b as u64);
-    }
-    mix(layer.gemm.k as u64);
-    mix(layer.gemm.n as u64);
-    mix(layer.act_sparsity.to_bits());
-    h
-}
+/// (plan key, first and end layer of the range, act seed): 48 bytes,
+/// and no pointer.
+type CounterKey = (PlanKey, (u32, u32), u64);
 
-/// (layer activation fingerprint, act seed, [`dap_scope`] of the DBB
-/// block size and A-DBB decision): 24 bytes per hash bucket.
-type ActKey = (u64, u64, u64);
-
-/// Packs a `(bz, adbb)` DAP scope into one key word: the block size in
-/// the high half, the A-DBB bound plus one in the low half (zero for
-/// dense), so distinct scopes never collide.
+/// What one activation input adds to a layer range's shape events on
+/// one compiled plan, summed over the range's layers: the MACs whose
+/// operands are both non-zero and, on S2TA-AW, the events of the DAP
+/// pass that pruned it.
 ///
-/// # Panics
-///
-/// Panics if `bz` or the bound does not fit 32 bits.
-fn dap_scope(bz: usize, adbb: LayerNnz) -> u64 {
-    let half = |v: usize| u64::from(u32::try_from(v).expect("DAP scope exceeds 32 bits"));
-    let bound = match adbb {
-        LayerNnz::Dense => 0,
-        LayerNnz::Prune(n) => half(n.saturating_add(1)),
-    };
-    half(bz) << 32 | bound
+/// The data moves nothing else: a DBB bound fixes each block's timing,
+/// and the activations only decide which MACs fire (paper Sec. 5-6).
+/// Each active MAC is one the datapath would otherwise have gated (or,
+/// on the ungated SA, idled), and it updates an accumulator on the
+/// datapaths that update one per active MAC. SA-SMT's cycles depend on
+/// the operands' joint non-zero positions, so its runs regenerate the
+/// matrix for timing and read only the active MACs from here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ActCounters {
+    /// MACs with both operands non-zero.
+    pub(crate) macs_active: u64,
+    /// DAP magnitude-maxpool stages (S2TA-AW only).
+    pub(crate) dap_stages: u64,
+    /// DAP comparator operations (S2TA-AW only).
+    pub(crate) dap_comparisons: u64,
 }
 
-/// One activation input of one layer run: the `(layer, act seed)` its
-/// matrix is drawn from and the `(bz, adbb)` scope DAP prunes it under
-/// — what an [`ActProfile`] is keyed by and compiled from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ActInput<'a> {
-    pub(crate) layer: &'a LayerSpec,
-    pub(crate) seed: u64,
-    pub(crate) bz: usize,
-    pub(crate) adbb: LayerNnz,
-}
-
-impl ActInput<'_> {
-    fn key(&self) -> ActKey {
-        (layer_act_fingerprint(self.layer), self.seed, dap_scope(self.bz, self.adbb))
-    }
-
-    /// The one profile compile recipe: one pass of the fused raw + DAP
-    /// tally kernel into `scratch`'s `u16` tally buffers, over `acts` —
-    /// the caller's already-generated copy of the matrix — or, without
-    /// one, over the matrix generated into `scratch`'s recycled buffer
-    /// (handed back afterwards). Returns the pass's DAP events and
-    /// compression configuration.
-    fn tally(&self, acts: Option<&Matrix>, scratch: &mut Scratch) -> (DapEvents, DbbConfig) {
-        let DapTallies { raw, postdap } = &mut scratch.tallies;
-        let Some(acts) = acts else {
-            let acts = self.layer.gen_acts_into(self.seed, std::mem::take(&mut scratch.acts));
-            let dap = dap_col_profile_into(&acts, self.bz, self.adbb, raw, postdap);
-            scratch.acts = acts.into_data();
-            return dap;
-        };
-        dap_col_profile_into(acts, self.bz, self.adbb, raw, postdap)
-    }
-}
-
-/// The compiled activation-side operand state for one `(layer, act
-/// seed)` under one `(bz, adbb)` scope, as the activation-profile table
-/// keeps it: everything the matrix-free event paths need, with the
-/// dense `K x N` matrix itself discarded after profiling.
-///
-/// Both sides come from one pass of the fused `dap_col_profile` kernel
-/// over one generated activation matrix: the raw-activation profile
-/// (read by the dense-activation datapaths: SA, SA-ZVCG, SA-SMT,
-/// S2TA-W) and the post-DAP profile (read by the A-DBB datapath,
-/// S2TA-AW). The kernel counts in `u16`; the entry keeps both sides in
-/// one allocation at the narrowest width that holds its largest tally
-/// (bits, bytes or `u16`, see `s2ta_sim::profile`). When DAP is
-/// bypassed (a dense A-DBB decision, or a bound at or above `bz`) the
-/// two sides are equal, and the entry stores one. Neither side
-/// depends on the array's tiling, so lanes of every geometry that
-/// share a `(bz, adbb)` scope share the entry, each reading its side.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ActProfile {
-    /// Side 0: the raw activation; side 1: the DAP-pruned one, unless
-    /// DAP was bypassed and side 0 serves as both.
-    tallies: ActivationProfile,
-    /// The DBB configuration DAP compresses under at this `(bz, adbb)`.
-    dap_config: DbbConfig,
-    /// DAP hardware events of the pruning pass.
-    dap_events: DapEvents,
-}
-
-impl ActProfile {
-    /// Narrows the `u16` tallies one [`ActInput::tally`] pass counted
-    /// into `tallies` into the entry's single allocation.
-    fn narrow((dap_events, dap_config): (DapEvents, DbbConfig), tallies: &DapTallies) -> Self {
-        let DapTallies { raw, postdap } = tallies;
-        let sides: &[&[u16]] = if dap_config.is_dense() { &[raw] } else { &[raw, postdap] };
-        Self { tallies: ActivationProfile::from_sides(sides), dap_config, dap_events }
-    }
-
-    /// The entry's resident tally bytes: each stored side at the
-    /// stored width — one bit per reduction position and side when
-    /// every tally is 0 or 1, a byte when the largest fits a `u8`, two
-    /// otherwise (bit sides round up to whole 64-bit words). The unit
-    /// [`ActProfileCache`] byte budgets are accounted in — a pure
-    /// function of the profiled counts, so budget accounting can never
-    /// vary with host timing.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        self.tallies.tally_bytes() as u64
-    }
-
-    /// Per-position profile of the raw activation.
-    pub fn dense(&self) -> ActTallies<'_> {
-        self.tallies.side(0)
-    }
-
-    /// Per-position profile of the DAP-pruned activation, derived
-    /// without materializing the pruned matrix: the raw profile when
-    /// DAP was bypassed.
-    pub fn postdap(&self) -> ActTallies<'_> {
-        self.tallies.side(usize::from(!self.dap_config.is_dense()))
-    }
-}
-
-/// What one layer run reads of its activation input: the raw and
-/// post-DAP tallies plus the DAP pass's configuration and events.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ActView<'a> {
-    pub(crate) dense: ActTallies<'a>,
-    pub(crate) postdap: ActTallies<'a>,
-    pub(crate) dap_config: DbbConfig,
-    pub(crate) dap_events: DapEvents,
-}
-
-/// Where a layer run's [`ActView`] comes from (see
-/// [`ActProfileCache::source`]).
-#[derive(Debug)]
-pub(crate) enum ActSource {
-    /// A table entry.
-    Entry(Arc<ActProfile>),
-    /// A single-use input's tally pass, whose `u16` tallies sit in the
-    /// arena's [`DapTallies`].
-    Tallied(DapEvents, DbbConfig),
-}
-
-impl ActSource {
-    /// The view, reading a [`ActSource::Tallied`] source's tallies in
-    /// place from `tallies` (both sides are filled even when DAP is
-    /// bypassed).
-    pub(crate) fn view<'a>(&'a self, tallies: &'a DapTallies) -> ActView<'a> {
-        match self {
-            Self::Entry(p) => ActView {
-                dense: p.dense(),
-                postdap: p.postdap(),
-                dap_config: p.dap_config,
-                dap_events: p.dap_events,
-            },
-            &Self::Tallied(dap_events, dap_config) => ActView {
-                dense: ActTallies::from_counts(&tallies.raw),
-                postdap: ActTallies::from_counts(&tallies.postdap),
-                dap_config,
-                dap_events,
-            },
+impl ActCounters {
+    /// Adds the counters to `events`: the shape events of the same
+    /// range on a `kind` datapath, run with no active MAC.
+    pub(crate) fn credit(self, kind: ArchKind, events: &mut EventCounts) {
+        let active = self.macs_active;
+        events.macs_active += active;
+        match kind {
+            ArchKind::Sa => events.macs_idle -= active,
+            ArchKind::S2taW => events.macs_gated -= active,
+            ArchKind::SaZvcg | ArchKind::S2taAw => {
+                events.macs_gated -= active;
+                events.acc_updates += active;
+            }
+            ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4 => {
+                events.acc_updates += active;
+                events.fifo_bytes += 4 * active;
+            }
         }
+        events.dap_stages += self.dap_stages;
+        events.dap_comparisons += self.dap_comparisons;
     }
 }
 
-/// A thread-safe memo table of [`ActProfile`]s — the activation-side
-/// analog of [`WeightPlanCache`].
+/// A thread-safe memo table of the `ActCounters` of recurring
+/// inputs, one entry per `(plan, layer range, act seed)`: the
+/// activation-side analog of [`WeightPlanCache`], shared the same way
+/// by every lane of a fleet.
 ///
-/// Activations are a pure function of `(layer, act seed)`, and their
-/// profiles additionally of the `(bz, adbb)` DAP scope — all
-/// host-knowable, so an entry's two sides (raw and post-DAP) are
-/// compiled together, and every re-simulation of the same request
-/// (hedged duplicates on a second lane, pipeline calibration probes,
-/// warm/cold residency variants that differ only in DMA accounting)
-/// replays them without regenerating, pruning or profiling the dense
-/// matrix. Shared fleet-wide like the weight-plan cache: the profiles
-/// do not depend on tile shapes, so lanes of every architecture kind
-/// with the same block size share entries, each reading its own side.
-/// Each entry stores its tallies narrow — a batch-1 FC layer's in one
-/// bit per position — and byte budgets are accounted in those narrow
-/// bytes (`ActProfile::approx_bytes`).
+/// An entry is 24 bytes of counters under a 48-byte key, and a warm
+/// lookup copies them out: no shared refcount, no per-layer dot
+/// product. A miss generates each layer's activation matrix once,
+/// tallies it with one pass of the fused raw + DAP kernel into the
+/// arena's `u16` buffers, and fills the counters of every plan the
+/// table's readers hold for the model, not only the plan looked up:
+/// every accelerator that shares the table
+/// ([`Accelerator::sharing_act_profiles`]) is a reader, so each input
+/// is generated once fleet-wide (a reader's plan that is not resident
+/// compiles then, and one that is counts no plan lookup). Byte budgets
+/// are accounted at [`ActProfileCache::ENTRY_BYTES`] per entry.
 ///
 /// Only inputs that are simulated again belong in the table. An A-DBB
 /// activation is pruned once, at run time, so a serving run whose
-/// stream names an input once profiles it in place, and the table
-/// never holds it: on fresh-input traffic the table stays empty.
-pub type ActProfileCache = MemoCache<ActKey, ActProfile>;
+/// stream names an input once tallies it in place, for its own plan
+/// only, and the table never holds it: on fresh-input traffic the
+/// table stays empty.
+#[derive(Debug, Clone, Default)]
+pub struct ActProfileCache {
+    table: MemoCache<CounterKey, ActCounters>,
+    readers: Arc<Readers>,
+}
+
+/// What every clone of an [`ActProfileCache`] shares besides its
+/// entries.
+#[derive(Debug, Default)]
+struct Readers {
+    /// The configuration of every accelerator sharing the table.
+    configs: Mutex<Vec<ArchConfig>>,
+    /// Tally passes run for the table's readers, in it or in place.
+    passes: AtomicU64,
+}
 
 impl ActProfileCache {
-    /// Returns the cached profile for `(layer, act_seed)` under the
-    /// `(bz, adbb)` scope, compiling it into the table on a miss. A
-    /// miss generates the activation matrix into `scratch`'s recycled
-    /// buffer and profiles it into the arena's tally buffers, so with a
-    /// warm arena a miss allocates only the entry and its one narrow
-    /// tally buffer, and a hit nothing.
+    /// Resident bytes accounted per entry: its key and counters.
+    pub const ENTRY_BYTES: u64 = std::mem::size_of::<(CounterKey, ActCounters)>() as u64;
+
+    /// An empty unbounded table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty table that evicts least-recently-used entries whenever
+    /// the resident bytes exceed `budget`.
+    pub fn with_byte_budget(budget: u64) -> Self {
+        Self { table: MemoCache::with_byte_budget(budget), ..Self::default() }
+    }
+
+    /// A snapshot of the table's lookup counters: one lookup per
+    /// request and layer range.
+    pub fn stats(&self) -> CacheStats {
+        self.table.stats()
+    }
+
+    /// Estimated bytes of the resident entries.
+    pub fn resident_bytes(&self) -> u64 {
+        self.table.resident_bytes()
+    }
+
+    /// Number of resident entries.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// `true` if nothing has been kept yet.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Activation tally passes run so far: one per layer of each miss,
+    /// however many plans its counters fill.
+    pub fn tally_passes(&self) -> u64 {
+        self.readers.passes.load(Ordering::Relaxed)
+    }
+
+    /// Adds `config` to the table's readers.
+    pub(crate) fn register(&self, config: ArchConfig) {
+        let mut configs = self.readers.configs.lock().expect("reader list poisoned");
+        if !configs.contains(&config) {
+            configs.push(config);
+        }
+    }
+
+    /// The counters of `act_seed`'s input over `layers` on `acc`'s
+    /// `plan`. A resident entry is a hit. A miss tallies each layer
+    /// once and counts a miss: into new entries for every reader's plan
+    /// when `retain` is set, and otherwise only into `scratch`, for
+    /// `plan` alone, allocating nothing on a warm arena.
     ///
     /// # Panics
     ///
-    /// Panics if `bz` is zero, `bz` or the A-DBB bound does not fit
-    /// 32 bits, or the layer's activation has more than `u16::MAX`
-    /// columns.
-    pub fn get_or_profile(
+    /// Panics if `plan` was compiled for another configuration.
+    #[allow(clippy::too_many_arguments)] // one stage: plan, range, input, retention, arena
+    pub(crate) fn counters(
+        &self,
+        acc: &Accelerator,
+        plan: &ModelPlan,
+        model: &ModelSpec,
+        layers: Range<usize>,
+        act_seed: u64,
+        retain: bool,
+        scratch: &mut Scratch,
+    ) -> ActCounters {
+        let scope = (acc.config().kind, acc.plan_scope());
+        assert_eq!((plan.key.0, plan.key.1), scope, "plan compiled for another configuration");
+        let end = |l: usize| u32::try_from(l).expect("layer index exceeds 32 bits");
+        let key = (plan.key, (end(layers.start), end(layers.end)), act_seed);
+        if let Some(counters) = self.table.get(&key) {
+            return counters;
+        }
+        if !retain {
+            self.table.miss();
+            let mut own = [ActCounters::default()];
+            for (layer, lp) in stage_layers(plan, model, layers) {
+                self.tally(layer, act_seed, &[(acc.config(), lp)], &mut own, scratch);
+            }
+            return own[0];
+        }
+        // A resident plan is read without counting a lookup: the
+        // counters of a reader's plan, not the plan, are the subject.
+        let seed = plan.key.3; // the weight seed
+        let configs = self.readers.configs.lock().expect("reader list poisoned").clone();
+        let siblings: Vec<(ArchConfig, Arc<ModelPlan>)> = configs
+            .into_iter()
+            .filter(|c| c != acc.config())
+            .map(|c| {
+                let key = (c.kind, plan_scope_fingerprint(&c), plan.key.2, seed);
+                let sibling = || Accelerator::new(c).sharing_plans(acc.plans().clone());
+                let resident = acc.plans().peek(&key);
+                (c, resident.unwrap_or_else(|| sibling().plan_model(model, seed)))
+            })
+            .collect();
+        let keys: Vec<CounterKey> = std::iter::once(key)
+            .chain(siblings.iter().map(|(_, p)| (p.key, key.1, act_seed)))
+            .collect();
+        let compile = || {
+            let mut out = vec![ActCounters::default(); keys.len()];
+            let mut readers = Vec::with_capacity(keys.len());
+            for (i, (layer, lp)) in layers.clone().zip(stage_layers(plan, model, layers.clone())) {
+                readers.clear();
+                readers.push((acc.config(), lp));
+                readers.extend(siblings.iter().map(|(c, p)| (c, &p.layers[i])));
+                self.tally(layer, act_seed, &readers, &mut out, scratch);
+            }
+            out
+        };
+        self.table.get_or_compile(&keys, false, compile, |_| Self::ENTRY_BYTES)
+    }
+
+    /// One tally of `seed`'s activation input to `layer`, credited to
+    /// each reader's counters in `out`: a reader of the post-DAP side
+    /// (S2TA-AW) gets the active MACs against it and the DAP events,
+    /// any other reader the active MACs against the raw side. The
+    /// matrix is generated once into `scratch`, and one pass of the
+    /// fused raw + DAP kernel counts into the arena's `u16` buffers,
+    /// under the first post-DAP reader's `(bz, adbb)` scope, or with DAP
+    /// bypassed when no reader prunes; a reader pruning under another
+    /// block size takes a pass of its own.
+    pub(crate) fn tally(
         &self,
         layer: &LayerSpec,
-        act_seed: u64,
-        bz: usize,
-        adbb: LayerNnz,
+        seed: u64,
+        readers: &[(&ArchConfig, &LayerPlan)],
+        out: &mut [ActCounters],
         scratch: &mut Scratch,
-    ) -> Arc<ActProfile> {
-        self.entry(ActInput { layer, seed: act_seed, bz, adbb }, None, scratch)
-    }
-
-    /// Where one layer run reads `input`'s profiles. A resident entry is
-    /// a hit. A miss compiles with the one recipe ([`ActInput::tally`])
-    /// and counts a miss: into a new entry when `retain` is set, as
-    /// [`ActProfileCache::get_or_profile`] does, and otherwise only into
-    /// `scratch`'s `u16` tally buffers, which the run reads in place —
-    /// no entry, no narrowing pass, no allocation on a warm arena.
-    /// Unless the run reads the post-DAP side (`postdap`), that in-place
-    /// tally bypasses DAP: it counts under the dense scope, whose raw
-    /// side is the same, and skips the ranking pass no reader needs;
-    /// the lookup keeps `input`'s scope, so hits and misses count alike.
-    /// `acts` is the caller's already-generated copy of the matrix, if
-    /// it has one.
-    pub(crate) fn source(
-        &self,
-        input: ActInput<'_>,
-        retain: bool,
-        postdap: bool,
-        acts: Option<&Matrix>,
-        scratch: &mut Scratch,
-    ) -> ActSource {
-        if retain {
-            return ActSource::Entry(self.entry(input, acts, scratch));
-        }
-        match self.get_or_miss(input.key()) {
-            Some(profile) => ActSource::Entry(profile),
-            None => {
-                let scope =
-                    if postdap { input } else { ActInput { adbb: LayerNnz::Dense, ..input } };
-                let (dap_events, dap_config) = scope.tally(acts, scratch);
-                ActSource::Tallied(dap_events, dap_config)
+    ) {
+        let scope = |(c, lp): &(&ArchConfig, &LayerPlan)| {
+            c.kind.uses_adbb().then_some((c.geometry.bz, lp.adbb))
+        };
+        let bypass = (readers[0].0.geometry.bz, LayerNnz::Dense);
+        let lead = readers.iter().find_map(scope).unwrap_or(bypass);
+        let acts = layer.gen_acts_into(seed, std::mem::take(&mut scratch.acts));
+        let (raw, postdap) = (&mut scratch.raw, &mut scratch.postdap);
+        let mut pass: Option<((usize, LayerNnz), DapEvents)> = None;
+        for (reader, counters) in readers.iter().zip(out) {
+            let pruned = scope(reader);
+            let want = pruned.or(pass.map(|(held, _)| held)).unwrap_or(lead);
+            let dap = match pass {
+                Some((held, dap)) if held == want => dap,
+                _ => {
+                    let (dap, _) = dap_col_profile_into(&acts, want.0, want.1, raw, postdap);
+                    self.readers.passes.fetch_add(1, Ordering::Relaxed);
+                    pass = Some((want, dap));
+                    dap
+                }
+            };
+            let side = if pruned.is_some() { &*postdap } else { &*raw };
+            counters.macs_active += active_macs(&reader.1.wprofile, ActTallies::from_counts(side));
+            if pruned.is_some() {
+                counters.dap_stages += dap.stages;
+                counters.dap_comparisons += dap.comparisons;
             }
         }
-    }
-
-    fn entry(
-        &self,
-        input: ActInput<'_>,
-        acts: Option<&Matrix>,
-        scratch: &mut Scratch,
-    ) -> Arc<ActProfile> {
-        let compile = || {
-            let dap = input.tally(acts, scratch);
-            ActProfile::narrow(dap, &scratch.tallies)
-        };
-        self.get_or_compile(input.key(), false, compile, ActProfile::approx_bytes)
+        scratch.acts = acts.into_data();
     }
 }
 
@@ -620,21 +607,12 @@ impl Accelerator {
         LayerPlan { desc, smt_weights, adbb, dma_weight_bytes, wprofile, layer_index, weight_seed }
     }
 
-    /// Compiles every layer of `model` (no cache). Prefer
-    /// [`Accelerator::plan_model`], which memoizes.
-    pub(crate) fn plan_model_uncached(&self, model: &ModelSpec, weight_seed: u64) -> ModelPlan {
-        let layers = model
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| self.plan_layer(l, i, weight_seed))
-            .collect();
-        ModelPlan {
-            model: model.name.to_string(),
-            fingerprint: model_fingerprint(model),
-            weight_seed,
-            layers,
-        }
+    /// Compiles every layer of `model` (no cache) under its plan-cache
+    /// `key`. Prefer [`Accelerator::plan_model`], which memoizes.
+    fn plan_model_uncached(&self, key: PlanKey, model: &ModelSpec) -> ModelPlan {
+        let layers =
+            model.layers.iter().enumerate().map(|(i, l)| self.plan_layer(l, i, key.3)).collect();
+        ModelPlan { model: model.name.to_string(), key, layers }
     }
 
     /// Returns this accelerator's compiled plan for `(model,
@@ -952,36 +930,31 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1, "the older plan paid for the new one");
     }
 
-    #[test]
-    fn dap_scopes_pack_without_collisions() {
-        let mut keys = std::collections::HashSet::new();
-        let mut scopes = 0;
-        for bz in 1..=16 {
-            for adbb in std::iter::once(LayerNnz::Dense).chain((0..=bz + 1).map(LayerNnz::Prune)) {
-                keys.insert(dap_scope(bz, adbb));
-                scopes += 1;
-            }
-        }
-        assert_eq!(keys.len(), scopes, "every (bz, adbb) scope keys apart");
-        assert_eq!(std::mem::size_of::<ActKey>(), 24);
-    }
-
+    /// The counter table's budget is accounted per entry: with room
+    /// for two, a third seed evicts the least recently used one, which
+    /// then misses again and recounts the same events.
     #[test]
     fn act_cache_byte_budget_evicts_lru_and_recounts() {
         let m = lenet5();
-        let layer = &m.layers[0];
-        let mut scratch = Scratch::new();
-        let probe = ActProfileCache::new();
-        let b = probe.get_or_profile(layer, 1, 8, LayerNnz::Dense, &mut scratch).approx_bytes();
-        // conv1's 784 columns push its tallies past the `u8` range, and
-        // a dense A-DBB decision bypasses DAP: one side serves as both.
-        assert_eq!(b, 2 * layer.gemm.k as u64, "one u16 tally per position");
-        // Same layer and scope, tallies past 255 at every seed: every
-        // entry costs exactly `b`, so a two-entry budget is exact.
+        let b = ActProfileCache::ENTRY_BYTES;
+        assert_eq!(b, 72, "a 48-byte key and 24 bytes of counters");
         let cache = ActProfileCache::with_byte_budget(2 * b);
-        for seed in [1u64, 2, 1, 3] {
-            cache.get_or_profile(layer, seed, 8, LayerNnz::Dense, &mut scratch);
-        }
+        let acc = Accelerator::preset(ArchKind::S2taAw).sharing_act_profiles(cache.clone());
+        let plan = acc.plan_model(&m, 1);
+        let mut scratch = Scratch::new();
+        let mut serve = |seed| {
+            let all = 0..m.layers.len();
+            acc.run_stage_events(
+                &plan,
+                &m,
+                all,
+                seed,
+                WeightResidency::Resident,
+                true,
+                &mut scratch,
+            )
+        };
+        let first: Vec<EventCounts> = [1u64, 2, 1, 3].into_iter().map(&mut serve).collect();
         let s = cache.stats();
         assert_eq!(cache.len(), 2);
         assert_eq!((s.hits, s.misses, s.evictions, s.bytes_evicted), (1, 3, 1, b));
@@ -989,12 +962,12 @@ mod tests {
         // Seed 2 was least recent and got evicted: 1 and 3 hit, 2
         // re-misses (and evicts the next LRU in turn).
         let before = cache.stats();
-        cache.get_or_profile(layer, 1, 8, LayerNnz::Dense, &mut scratch);
-        cache.get_or_profile(layer, 3, 8, LayerNnz::Dense, &mut scratch);
+        serve(1);
+        serve(3);
         let d = cache.stats().since(before);
         assert_eq!((d.hits, d.misses), (2, 0));
         let before = cache.stats();
-        cache.get_or_profile(layer, 2, 8, LayerNnz::Dense, &mut scratch);
+        assert_eq!(serve(2), first[1], "a recount is byte-identical");
         let d = cache.stats().since(before);
         assert_eq!((d.hits, d.misses, d.evictions), (0, 1, 1));
     }

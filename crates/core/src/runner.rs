@@ -2,7 +2,7 @@
 //! datapaths, with the DBB toolchain applied where configured.
 
 use crate::plan::{
-    plan_scope_fingerprint, ActInput, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights,
+    plan_scope_fingerprint, ActCounters, ActProfileCache, LayerPlan, ModelPlan, PlannedWeights,
     WeightPlanCache, WeightResidency,
 };
 use crate::scratch::Scratch;
@@ -31,11 +31,12 @@ pub enum ExecPath {
     /// sparsity structure (the original path, kept as the golden
     /// reference and the host-throughput baseline).
     Reference,
-    /// Replay precompiled per-position profiles — the weight profile
-    /// baked into the [`LayerPlan`], the activation profile memoized in
-    /// the shared [`ActProfileCache`] — so a repeated `(layer, act
-    /// seed)` simulation is one `O(K)` profile dot product per layer
-    /// with no matrix materialization (the serving hot loop).
+    /// Price each layer's shape from the plan's weight descriptor and
+    /// credit the input's activation counters, memoized per layer range
+    /// in the shared [`ActProfileCache`] — so a repeated `(range, act
+    /// seed)` simulation copies three counters out of the table, with
+    /// no matrix materialization and no per-layer dot product (the
+    /// serving hot loop).
     #[default]
     Profiled,
 }
@@ -47,7 +48,7 @@ pub enum ExecPath {
 /// additionally carries a shared [`WeightPlanCache`] (so repeated model
 /// runs compile each model's weights — W-DBB pruning + compression —
 /// exactly once) and a shared [`ActProfileCache`] (so repeated
-/// simulations of one `(layer, act seed)` reuse its profiles);
+/// simulations of one `(layer range, act seed)` reuse its counters);
 /// clones share both caches. Equality compares the configuration only.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
@@ -127,18 +128,19 @@ impl Accelerator {
         self
     }
 
-    /// The shared activation-profile cache.
+    /// The shared activation-counter table.
     pub fn act_profiles(&self) -> &ActProfileCache {
         &self.act_profiles
     }
 
-    /// Replaces this accelerator's activation-profile cache, so a set
-    /// of accelerators (e.g. a fleet's lanes) share one memo table.
-    /// Entries are keyed by `(layer, act seed, bz, adbb)` and hold no
-    /// tile-shaped state, so sharing across architecture kinds can
-    /// never serve a mismatched profile — kinds with the same block
-    /// size simply reuse each other's work.
+    /// Replaces this accelerator's activation-counter table, so a set
+    /// of accelerators (e.g. a fleet's lanes) share one memo table,
+    /// and makes this accelerator one of its readers: entries are keyed
+    /// by plan, so sharing across architecture kinds can never serve a
+    /// mismatched count, and a miss on any reader tallies the input
+    /// once and fills every reader's plan.
     pub fn sharing_act_profiles(mut self, act_profiles: ActProfileCache) -> Self {
+        act_profiles.register(self.config);
         self.act_profiles = act_profiles;
         self
     }
@@ -241,7 +243,14 @@ impl Accelerator {
         act_seed: u64,
         residency: WeightResidency,
     ) -> LayerReport {
-        let events = self.layer_events(plan, layer, act_seed, residency, true, &mut Scratch::new());
+        let mut scratch = Scratch::new();
+        let mut events = self.layer_events(plan, layer, act_seed, residency, &mut scratch);
+        if self.exec_path == ExecPath::Profiled {
+            let mut counters = [ActCounters::default()];
+            let reader = [(&self.config, plan)];
+            self.act_profiles.tally(layer, act_seed, &reader, &mut counters, &mut scratch);
+            counters[0].credit(self.config.kind, &mut events);
+        }
         LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
     }
 
@@ -307,8 +316,21 @@ impl Accelerator {
         act_seed: u64,
         residency: WeightResidency,
     ) -> Vec<LayerReport> {
-        stage_layers(plan, model, layers)
-            .map(|(l, lp)| self.run_layer_planned(lp, l, act_seed, residency))
+        let mut scratch = Scratch::new();
+        layers
+            .map(|i| {
+                let events = self.run_stage_events(
+                    plan,
+                    model,
+                    i..i + 1,
+                    act_seed,
+                    residency,
+                    true,
+                    &mut scratch,
+                );
+                let layer = &model.layers[i];
+                LayerReport { name: layer.name.clone(), macs: layer.macs(), events }
+            })
             .collect()
     }
 
@@ -318,20 +340,21 @@ impl Accelerator {
     ///
     /// Semantically `run_stage(..).iter().map(|l| l.events).sum()`
     /// (byte-identical on either [`ExecPath`]), but without building
-    /// the per-layer report vector or cloning layer names, and on the
-    /// profiled path with every transient buffer (the SMT path's
-    /// regenerated activation matrix, cold profile compiles, the DAP
-    /// block masks) drawn from `scratch`. After the caches and the
-    /// arena are warm, a profiled call allocates nothing.
+    /// the per-layer report vector or cloning layer names. On the
+    /// profiled path each layer costs its shape events, and the range
+    /// one lookup of the input's `ActCounters` in the shared
+    /// [`ActProfileCache`]; every transient buffer (the SMT path's
+    /// regenerated activation matrix, the tally pass of a miss) is
+    /// drawn from `scratch`. After the caches and the arena are warm, a
+    /// profiled call allocates nothing.
     ///
     /// `retain` says whether the caller will simulate this activation
-    /// input again. Set, a missing activation profile compiles into the
-    /// shared [`ActProfileCache`], as every other layer run does. Unset
-    /// (a serving stream names the input once), a resident profile is
-    /// still read, but a missing one is tallied into `scratch` and read
-    /// there in place: the table never holds it, and with a warm arena
-    /// the call allocates nothing. Simulated results are the same
-    /// either way.
+    /// input again. Set, a miss fills the counters of the range into the
+    /// shared table, for every plan its readers hold. Unset (a serving
+    /// stream names the input once), resident counters are still read,
+    /// but a miss is tallied in `scratch` for this plan alone: the
+    /// table never holds it, and with a warm arena the call allocates
+    /// nothing. Simulated results are the same either way.
     ///
     /// # Panics
     ///
@@ -350,27 +373,30 @@ impl Accelerator {
         scratch: &mut Scratch,
     ) -> EventCounts {
         let mut total = EventCounts::default();
-        for (l, lp) in stage_layers(plan, model, layers) {
-            total += self.layer_events(lp, l, act_seed, residency, retain, scratch);
+        for (l, lp) in stage_layers(plan, model, layers.clone()) {
+            total += self.layer_events(lp, l, act_seed, residency, scratch);
+        }
+        if self.exec_path == ExecPath::Profiled {
+            let act = &self.act_profiles;
+            let counters = act.counters(self, plan, model, layers, act_seed, retain, scratch);
+            counters.credit(self.config.kind, &mut total);
         }
         total
     }
 
-    /// The events of one layer run — the one place [`ExecPath`] is
-    /// read. The reference arm compiles the layer's weights again with
-    /// [`Accelerator::compile_weights`], regenerates the activations
-    /// and runs the datapath on both matrices; the profiled arm replays
-    /// the plan's weight profile against the activation profile, which
-    /// `retain` keeps in the shared cache (see
-    /// [`Accelerator::run_stage_events`]). Either way a memory-bound
-    /// layer is then clamped to its DMA time.
+    /// The events of one layer run, the one place [`ExecPath`] picks a
+    /// datapath. The reference arm compiles the layer's weights again
+    /// with [`Accelerator::compile_weights`], regenerates the
+    /// activations and runs the datapath on both matrices: the whole
+    /// layer. The profiled arm prices only its shape, with no active
+    /// MAC, which the caller credits with the input's [`ActCounters`].
+    /// Either way a memory-bound layer is then clamped to its DMA time.
     fn layer_events(
         &self,
         plan: &LayerPlan,
         layer: &LayerSpec,
         act_seed: u64,
         residency: WeightResidency,
-        retain: bool,
         scratch: &mut Scratch,
     ) -> EventCounts {
         let mut events = match self.exec_path {
@@ -379,9 +405,7 @@ impl Accelerator {
                 debug_assert_eq!(weights.desc(), plan.desc, "weights compiled for another plan");
                 self.dispatch((&weights).into(), &layer.gen_acts(act_seed), plan.adbb)
             }
-            ExecPath::Profiled => {
-                self.datapath_events_profiled(plan, layer, act_seed, retain, scratch)
-            }
+            ExecPath::Profiled => self.shape_events(plan, layer, act_seed, scratch),
         };
         if layer.is_memory_bound() {
             let a_bytes = (layer.gemm.k * layer.gemm.n) as u64;
@@ -391,83 +415,47 @@ impl Accelerator {
     }
 
     /// The profiled arm of [`Accelerator::layer_events`]: the layer's
-    /// datapath events **without materializing the activation matrix**
-    /// on the profile-factorizable datapaths — the weight profile comes
-    /// baked into the [`LayerPlan`], the activation profile from the
-    /// shared [`ActProfileCache`] (or, for a single-use input the table
-    /// does not hold, from the `u16` tallies counted into `scratch`),
-    /// and the layer's active MACs from one `O(K)` profile dot product,
-    /// through the `_into` datapath entry points with a cold profile
-    /// compile staged in `scratch`.
-    ///
-    /// The SMT architectures are the one exception: their FIFO
-    /// backpressure timing depends on the joint non-zero *positions* of
-    /// both operands, which no per-position count determines, so their
-    /// sampled tiles still regenerate the activation matrix (into
-    /// `scratch`), and a cold profile compiles from that copy — the
-    /// event counting is profile-driven regardless.
-    fn datapath_events_profiled(
+    /// datapath events with no active MAC, from the plan's weight
+    /// descriptor and the GEMM shape through the `_into` datapath entry
+    /// points, **without materializing the activation matrix** — except
+    /// on SA-SMT, whose FIFO backpressure timing depends on the joint
+    /// non-zero *positions* of both operands, which no count
+    /// determines: its sampled tiles still regenerate the matrix, into
+    /// `scratch`.
+    fn shape_events(
         &self,
         plan: &LayerPlan,
         layer: &LayerSpec,
         act_seed: u64,
-        retain: bool,
         scratch: &mut Scratch,
     ) -> EventCounts {
         let geom = &self.config.geometry;
         let kind = self.config.kind;
-        let n = layer.gemm.n;
-        let (w, wp) = (&plan.desc, plan.weight_profile());
+        let (w, n) = (&plan.desc, layer.gemm.n);
         assert_eq!(
             w.config().is_some(),
             kind.uses_wdbb(),
             "weight plan format does not match architecture {kind}"
         );
-        let smt = matches!(kind, ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4);
-        let acts = smt.then(|| layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts)));
-        let input = ActInput { layer, seed: act_seed, bz: geom.bz, adbb: plan.adbb };
-        let source =
-            self.act_profiles.source(input, retain, kind.uses_adbb(), acts.as_ref(), scratch);
-        let act = source.view(&scratch.tallies);
         let mut events = EventCounts::default();
         match kind {
             ArchKind::Sa | ArchKind::SaZvcg => {
                 let zvcg = kind == ArchKind::SaZvcg;
-                systolic::run_perf_profiled_into(geom, zvcg, w, n, wp, act.dense, &mut events);
+                systolic::run_perf_profiled_into(geom, zvcg, w, n, 0, &mut events);
             }
             ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4 => {
                 let w = plan.smt_weights.as_ref().expect("SA-SMT plans keep their weight values");
-                smt::run_sampled_profiled_into(
-                    geom,
-                    self.config.smt,
-                    w,
-                    acts.as_ref().expect("the SMT path generates its activations"),
-                    self.config.smt_sample_tiles,
-                    wp,
-                    act.dense,
-                    &mut events,
-                    &mut scratch.smt,
-                );
+                let acts = layer.gen_acts_into(act_seed, std::mem::take(&mut scratch.acts));
+                let (cfg, sample) = (self.config.smt, self.config.smt_sample_tiles);
+                let smt = &mut scratch.smt;
+                smt::run_sampled_profiled_into(geom, cfg, w, &acts, sample, 0, &mut events, smt);
+                scratch.acts = acts.into_data();
             }
-            ArchKind::S2taW => {
-                tpe::run_wdbb_perf_profiled_into(geom, w, n, wp, act.dense, &mut events);
-            }
+            ArchKind::S2taW => tpe::run_wdbb_perf_profiled_into(geom, w, n, 0, &mut events),
             ArchKind::S2taAw => {
-                tpe::run_aw_perf_profiled_into(
-                    geom,
-                    w,
-                    n,
-                    act.dap_config,
-                    wp,
-                    act.postdap,
-                    &mut events,
-                );
-                events.dap_stages += act.dap_events.stages;
-                events.dap_comparisons += act.dap_events.comparisons;
+                let a_config = plan.adbb.config(geom.bz);
+                tpe::run_aw_perf_profiled_into(geom, w, n, a_config, 0, &mut events);
             }
-        }
-        if let Some(acts) = acts {
-            scratch.acts = acts.into_data();
         }
         events
     }
@@ -501,7 +489,7 @@ impl Accelerator {
 ///
 /// Panics if `plan` was not compiled from `model`, or the range exceeds
 /// the model's layer list.
-fn stage_layers<'a>(
+pub(crate) fn stage_layers<'a>(
     plan: &'a ModelPlan,
     model: &'a ModelSpec,
     layers: Range<usize>,
@@ -523,9 +511,12 @@ fn stage_layers<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use s2ta_models::lenet5;
+    use s2ta_models::{deep_convnet, lenet5};
+    use s2ta_sim::profile::active_macs;
+    use s2ta_sim::ActivationProfile;
     use s2ta_tensor::sparsity::SparseSpec;
 
     fn typical_operands(seed: u64, wsp: f64, asp: f64) -> (Matrix, Matrix) {
@@ -586,8 +577,8 @@ mod tests {
     /// The allocation-free summed-events hot loop is byte-identical to
     /// summing the per-layer report path, on every architecture, for
     /// both residencies, cold and warm arenas alike — and so is its
-    /// in-place path, which profiles a single-use input into the arena
-    /// and leaves its accelerator's profile table empty.
+    /// in-place path, which tallies a single-use input in the arena
+    /// and leaves its accelerator's counter table empty.
     #[test]
     fn stage_events_match_summed_reports_on_all_archs() {
         let m = lenet5();
@@ -618,14 +609,13 @@ mod tests {
                     assert_eq!(stage(&once, false, &mut scratch), expected, "in place: {what}");
                 }
             }
-            assert!(once.act_profiles().is_empty(), "{kind}: in-place runs leave no entry");
-            // Each residency runs n + 2 + 1 layers, each a fresh compile.
-            let s = once.act_profiles().stats();
-            assert_eq!(
-                (s.hits, s.misses),
-                (0, 2 * (n as u64 + 3)),
-                "{kind}: a compile per layer run"
-            );
+            let table = once.act_profiles();
+            assert!(table.is_empty(), "{kind}: in-place runs leave no entry");
+            // Each residency runs 3 ranges of n + 2 + 1 layers, each
+            // range a lookup that misses, each layer a fresh tally.
+            let s = table.stats();
+            assert_eq!((s.hits, s.misses), (0, 6), "{kind}: a miss per range run");
+            assert_eq!(table.tally_passes(), 2 * (n as u64 + 3), "{kind}: a tally per layer run");
         }
     }
 
@@ -638,5 +628,58 @@ mod tests {
         let first = acc.run_gemm(&w, &a, LayerNnz::Dense, true);
         let pruned = acc.run_gemm(&w, &a, LayerNnz::Dense, false);
         assert!(first.cycles > pruned.cycles);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The profiled path's split is exact: on every non-SMT
+        /// architecture, a layer range's shape events plus the input's
+        /// counters equal the reference path's events, for any range,
+        /// residency and activation seed. On SA-SMT, whose timing still
+        /// reads the regenerated matrix, the counters' active MACs
+        /// equal the per-layer dot products of the weight and
+        /// activation profiles.
+        #[test]
+        fn prop_shape_events_plus_counters_equal_the_reference(
+            start in 0usize..14,
+            len in 1usize..14,
+            streamed in any::<bool>(),
+            act_seed in any::<u64>(),
+        ) {
+            let m = deep_convnet();
+            let n = m.layers.len();
+            let range = start.min(n - 1)..(start + len).min(n);
+            let residency =
+                if streamed { WeightResidency::Streamed } else { WeightResidency::Resident };
+            let mut scratch = Scratch::new();
+            for kind in ArchKind::ALL {
+                let acc = Accelerator::preset(kind);
+                let plan = acc.plan_model(&m, 42);
+                let counters = acc.act_profiles().counters(
+                    &acc, &plan, &m, range.clone(), act_seed, true, &mut scratch,
+                );
+                if matches!(kind, ArchKind::SaSmtT2Q2 | ArchKind::SaSmtT2Q4) {
+                    let dots: u64 = stage_layers(&plan, &m, range.clone())
+                        .map(|(l, lp)| {
+                            let ap = ActivationProfile::new(&l.gen_acts(act_seed));
+                            active_macs(lp.weight_profile(), ap.tallies())
+                        })
+                        .sum();
+                    prop_assert_eq!(counters.macs_active, dots, "{} {:?}", kind, range);
+                    continue;
+                }
+                let mut events = EventCounts::default();
+                for (l, lp) in stage_layers(&plan, &m, range.clone()) {
+                    events += acc.layer_events(lp, l, act_seed, residency, &mut scratch);
+                }
+                counters.credit(kind, &mut events);
+                let reference = Accelerator::preset(kind).with_exec_path(ExecPath::Reference);
+                let oracle = reference.run_stage_events(
+                    &plan, &m, range.clone(), act_seed, residency, false, &mut scratch,
+                );
+                prop_assert_eq!(events, oracle, "{} {:?} {:?}", kind, range, residency);
+            }
+        }
     }
 }

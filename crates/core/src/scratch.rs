@@ -2,28 +2,27 @@
 //! loop.
 //!
 //! The profiled (matrix-free) execution path is almost allocation-free
-//! by construction — events are derived from cached per-position
-//! profiles — but host costs remained per request: regenerating
-//! activation matrices (the SMT sampled path and every cold profile
-//! compile), the SMT FIFO-timing buffers, and the per-layer report
+//! by construction — events are derived from the layer shapes and an
+//! input's cached counters — but host costs remained per request:
+//! regenerating activation matrices (the SMT sampled path and every
+//! tally pass), the SMT FIFO-timing buffers, and the per-layer report
 //! vector. A [`Scratch`] arena owns recycled backing storage for the
-//! buffers; after the first batch warms them (and the fleet's
-//! plan/profile caches), a steady-state request allocates nothing, a
-//! cold profile compile allocates only the cache entry and the one
-//! narrow tally buffer it holds, and a single-use input's profile,
-//! read in place from the arena's tallies, allocates nothing at all.
+//! buffers; after the first batch warms them (and the fleet's plan and
+//! counter caches), a steady-state request allocates nothing, and a
+//! single-use input, tallied in place in the arena, allocates nothing
+//! at all.
 //!
 //! Scratch lifetime (one serving engine):
 //!
 //! ```text
 //!   Engine ── owns ──> Scratch ── &mut ──> every batch and stage it runs:
 //!                                           each layer reuses acts / smt
-//!                                           capacity; a cold ActProfile
-//!                                           generates into acts, tallies
-//!                                           both sides in one pass into
-//!                                           raw / postdap, and narrows
-//!                                           them into a cache entry, or,
-//!                                           used once, is read there
+//!                                           capacity; a tally pass
+//!                                           generates into acts and
+//!                                           counts both sides in one
+//!                                           pass into raw / postdap,
+//!                                           which each reader's counters
+//!                                           are read off
 //! ```
 //!
 //! A serving engine runs on one host thread, so it owns one arena for
@@ -45,16 +44,9 @@ pub struct Scratch {
     pub(crate) acts: Vec<i8>,
     /// SMT FIFO-timing buffers (`smt::run_sampled_profiled_into`).
     pub(crate) smt: s2ta_sim::smt::SmtScratch,
-    /// The `u16` tallies a cold activation-profile compile counts into
-    /// before narrowing them into the cache entry, or that a single-use
-    /// input's layer run reads in place.
-    pub(crate) tallies: DapTallies,
-}
-
-/// The raw and post-DAP `u16` tally buffers of
-/// `s2ta_dbb::dap::dap_col_profile_into`.
-#[derive(Debug, Default)]
-pub(crate) struct DapTallies {
+    /// The raw and post-DAP `u16` tallies a tally pass
+    /// (`s2ta_dbb::dap::dap_col_profile_into`) counts into, which each
+    /// reader's counters are read off in place.
     pub(crate) raw: Vec<u16>,
     pub(crate) postdap: Vec<u16>,
 }
@@ -68,8 +60,7 @@ impl Scratch {
     /// Total capacity currently retained, in bytes — diagnostic only.
     pub fn retained_bytes(&self) -> usize {
         self.acts.capacity()
-            + std::mem::size_of::<u16>()
-                * (self.tallies.raw.capacity() + self.tallies.postdap.capacity())
+            + std::mem::size_of::<u16>() * (self.raw.capacity() + self.postdap.capacity())
             + self.smt.retained_bytes()
     }
 }

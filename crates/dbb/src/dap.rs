@@ -150,6 +150,17 @@ impl LayerNnz {
             LayerNnz::Dense => bz,
         }
     }
+
+    /// The DBB configuration DAP compresses a `bz`-blocked activation
+    /// under: this bound, or dense when DAP is bypassed (a dense
+    /// decision, or a bound at or above `bz`). It depends on the
+    /// decision alone, never on the activation data.
+    pub fn config(&self, bz: usize) -> DbbConfig {
+        match *self {
+            LayerNnz::Prune(n) if n < bz => DbbConfig::new(n, bz),
+            _ => DbbConfig::dense(bz),
+        }
+    }
 }
 
 /// Chooses the per-layer activation NNZ: the smallest `nnz <= 5` whose
@@ -208,36 +219,33 @@ fn retained_magnitude(m: &Matrix, bz: usize, nnz: usize) -> f64 {
 pub fn dap_matrix(m: &Matrix, bz: usize, nnz: LayerNnz) -> (DbbMatrix, DapEvents) {
     let mut out = m.clone();
     let mut events = DapEvents::default();
-    let config = match nnz {
-        LayerNnz::Dense => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) if n >= bz => DbbConfig::dense(bz),
-        LayerNnz::Prune(n) => {
-            let unit = (n <= MAX_DAP_STAGES).then(|| DapUnit::new(bz));
-            let mut block = vec![0i8; bz];
-            for c in 0..out.cols() {
-                let mut r = 0;
-                while r < out.rows() {
-                    let end = (r + bz).min(out.rows());
-                    block.fill(0);
-                    for (bi, row) in (r..end).enumerate() {
-                        block[bi] = out.get(row, c);
-                    }
-                    if let Some(unit) = &unit {
-                        let (_, ev) = unit.prune(&mut block, n);
-                        events.stages += ev.stages;
-                        events.comparisons += ev.comparisons;
-                    } else {
-                        dap_block(&mut block, n);
-                    }
-                    for (bi, row) in (r..end).enumerate() {
-                        out.set(row, c, block[bi]);
-                    }
-                    r = end;
+    let config = nnz.config(bz);
+    if !config.is_dense() {
+        let n = config.nnz();
+        let unit = (n <= MAX_DAP_STAGES).then(|| DapUnit::new(bz));
+        let mut block = vec![0i8; bz];
+        for c in 0..out.cols() {
+            let mut r = 0;
+            while r < out.rows() {
+                let end = (r + bz).min(out.rows());
+                block.fill(0);
+                for (bi, row) in (r..end).enumerate() {
+                    block[bi] = out.get(row, c);
                 }
+                if let Some(unit) = &unit {
+                    let (_, ev) = unit.prune(&mut block, n);
+                    events.stages += ev.stages;
+                    events.comparisons += ev.comparisons;
+                } else {
+                    dap_block(&mut block, n);
+                }
+                for (bi, row) in (r..end).enumerate() {
+                    out.set(row, c, block[bi]);
+                }
+                r = end;
             }
-            DbbConfig::new(n, bz)
         }
-    };
+    }
     let compressed = DbbMatrix::compress(&out, BlockAxis::Cols, config)
         .expect("DAP output satisfies its own bound");
     (compressed, events)
@@ -372,19 +380,17 @@ pub fn dap_col_profile_into(
 ) -> (DapEvents, DbbConfig) {
     let (k, cols) = (m.rows(), m.cols());
     check_tally_width(cols);
-    let n = match nnz {
-        LayerNnz::Prune(n) if n < bz => n,
+    let config = nnz.config(bz);
+    if config.is_dense() {
         // Dense (or a bound at/above BZ): nothing is pruned, both
         // profiles are the raw matrix's.
-        _ => {
-            raw.clear();
-            raw.extend((0..k).map(|p| nonzeros(m.row(p))));
-            counts.clear();
-            counts.extend_from_slice(raw);
-            return (DapEvents::default(), DbbConfig::dense(bz));
-        }
-    };
-    assert!(bz <= MAX_BZ, "unsupported block size {bz}");
+        raw.clear();
+        raw.extend((0..k).map(|p| nonzeros(m.row(p))));
+        counts.clear();
+        counts.extend_from_slice(raw);
+        return (DapEvents::default(), config);
+    }
+    let n = config.nnz();
     for tallies in [&mut *raw, &mut *counts] {
         tallies.clear();
         tallies.resize(k, 0);
@@ -431,7 +437,7 @@ pub fn dap_col_profile_into(
     } else {
         DapEvents::default()
     };
-    (events, DbbConfig::new(n, bz))
+    (events, config)
 }
 
 /// The pruning tallies of [`dap_col_profile_into`] for a single

@@ -345,11 +345,13 @@ impl Cluster {
 
     /// Re-points every shard's lanes at one **cluster-wide** shared
     /// [`s2ta_core::WeightPlanCache`] and
-    /// [`s2ta_core::ActProfileCache`]: each weight plan is compiled,
-    /// and each recurring activation input profiled, once for the whole
-    /// cluster instead of once per shard. Cached values are pure, so
-    /// this changes host time and cache counters — never simulated
-    /// results.
+    /// [`s2ta_core::ActProfileCache`]: each weight plan is compiled
+    /// once for the whole cluster instead of once per shard, and each
+    /// recurring activation input is generated and tallied once, its
+    /// counters filled for every plan the shards' lanes hold (one
+    /// S2TA-AW and one SA-ZVCG plan per model on the canonical
+    /// shards). Cached values are pure, so this changes host time and
+    /// cache counters — never simulated results.
     pub fn with_shared_caches(mut self) -> Self {
         let plans = s2ta_core::WeightPlanCache::new();
         let acts = s2ta_core::ActProfileCache::new();
@@ -432,7 +434,7 @@ impl Cluster {
     /// stream ids, so the union of per-shard outcomes covers the input
     /// stream exactly once. The whole stream's `(model, act_seed)`
     /// pairs are counted once, before routing, and only inputs it names
-    /// at least twice keep their activation profiles in the shards'
+    /// at least twice keep their activation counters in the shards'
     /// caches, as in [`Fleet::serve`].
     ///
     /// Runs the pre-routed driver on the process-wide [`Executor`] or
@@ -595,7 +597,7 @@ impl Cluster {
     /// Shard `shard`'s serving engine over an (empty) open source,
     /// autoscaled under the cluster's policy, if any, through the last
     /// arrival of the whole `stream`, and keeping the activation
-    /// profiles of the inputs `recurring` counted in that whole stream.
+    /// counters of the inputs `recurring` counted in that whole stream.
     fn engine<'a>(
         &'a self,
         shard: usize,

@@ -107,7 +107,7 @@ impl Lane {
     /// the lane's execution path: a monolithic batch runs `0..layers`,
     /// a pipeline stage its own range. `inputs` gives each request's
     /// act seed and whether its stream simulates that input again, the
-    /// flag that decides if a missing activation profile enters the
+    /// flag that decides if missing activation counters enter the
     /// shared table (see [`Recurring`]).
     ///
     /// The first request streams the range's weights and every later
@@ -147,17 +147,18 @@ impl Lane {
 }
 
 /// The `(model, act_seed)` pairs an open-loop stream names at least
-/// twice: the only requests whose activation profiles a serve keeps in
+/// twice: the only requests whose activation counters a serve keeps in
 /// the fleet's shared table.
 ///
 /// An A-DBB activation is pruned once, at run time (paper Sec. 5-6), so
-/// a request whose input the stream names once profiles it in place,
-/// in the engine's scratch arena, and the table never grows with it.
+/// a request whose input the stream names once is tallied in place, in
+/// the engine's scratch arena, and the table never grows with it.
 /// Every open-loop serve counts its stream once, before the clock
 /// starts, in a map sized by the stream's distinct pairs; closed-loop
-/// serves, whose inputs are drawn as they run, keep every profile.
-/// Retention changes host time and memory only: a profile is a pure
-/// function of its input, so the simulated results are the same.
+/// serves, whose inputs are drawn as they run, keep every input's
+/// counters. Retention changes host time and memory only: counters are
+/// a pure function of their input, so the simulated results are the
+/// same.
 #[derive(Debug)]
 pub(crate) struct Recurring(HashSet<(usize, u64)>);
 
@@ -316,10 +317,10 @@ impl Fleet {
     /// re-pointed at one fresh **shared** [`WeightPlanCache`] — keyed
     /// by `(arch, model, seed)`, so mixed-architecture lanes coexist in
     /// one memo table and each arch compiles each model exactly once —
-    /// and one fresh shared [`ActProfileCache`], so the activation
-    /// profiles of an input an open-loop stream names more than once
-    /// compile once fleet-wide and every later request for it replays
-    /// them.
+    /// and one fresh shared [`ActProfileCache`], so an input an
+    /// open-loop stream names more than once is tallied once fleet-wide,
+    /// its counters filled for every lane's plan, and every later
+    /// request for it replays them.
     ///
     /// # Panics
     ///
@@ -535,8 +536,8 @@ impl Fleet {
     ///
     /// Before the clock starts, the stream's `(model, act_seed)` pairs
     /// are counted once: only inputs it names at least twice keep their
-    /// activation profiles in the fleet's shared cache, and the others
-    /// are profiled in place (host time and memory only).
+    /// activation counters in the fleet's shared cache, and the others
+    /// are tallied in place (host time and memory only).
     ///
     /// # Panics
     ///
@@ -763,7 +764,7 @@ mod tests {
     /// A run's cache activity is the diff of the fleet caches' counters
     /// around the call: on a mixed fleet each DBB arch compiles each
     /// model once (misses), every later execution hits, and dense
-    /// lanes compile as bypasses. Activation profiles enter the shared
+    /// lanes compile as bypasses. Activation counters enter the shared
     /// table only for inputs the stream names again.
     #[test]
     fn serve_drives_both_fleet_caches() {
@@ -785,12 +786,12 @@ mod tests {
         assert!(w.hits > 0, "per-batch executions must hit the memo");
         assert!(w.bypasses > 0, "dense lanes compile as bypasses");
         assert!(w.hit_rate() > 0.5);
-        // The activation-profile cache: every batch simulates once, on
+        // The activation-counter table: every batch simulates once, on
         // its own lane, and every request carries a fresh act seed, so
         // each (layer, act seed) is profiled exactly once — miss only —
         // in place, and none enters the table. The cache never bypasses.
-        assert!(cold.misses > 0, "cold run must compile profiles");
-        assert_eq!(cold.hits, 0, "a cold run never re-profiles an input");
+        assert!(cold.misses > 0, "cold run must tally its inputs");
+        assert_eq!(cold.hits, 0, "a cold run never re-tallies an input");
         assert_eq!(cold.bypasses, 0, "a single-use profile counts as a miss");
         assert!(acts.is_empty(), "single-use inputs leave no profile behind");
         // A second run on the same fleet: plans are warm, so no new
@@ -802,14 +803,14 @@ mod tests {
         assert_eq!((a.misses, a.hits), (cold.misses, 0), "fresh inputs recompile per serve");
         assert!(acts.is_empty());
         // The same requests over four recurring inputs: the first serve
-        // keeps their profiles, and a second serve replays them —
+        // keeps their counters, and a second serve replays them —
         // hits only (steady state).
         let recurring: Vec<Request> =
             reqs.iter().map(|r| Request { act_seed: r.id % 4, ..*r }).collect();
         let (_, first) = serve(&recurring);
         assert!(first.misses > 0 && !acts.is_empty(), "recurring inputs are kept");
         let (_, a) = serve(&recurring);
-        assert_eq!(a.misses, 0, "warm act cache: no new profiles");
+        assert_eq!(a.misses, 0, "warm act cache: no new counters");
         assert!(a.hits > 0);
     }
 

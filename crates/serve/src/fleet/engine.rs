@@ -277,8 +277,8 @@ pub(crate) struct Engine<'a> {
     /// [`Engine::lent`]).
     scratch: Scratch,
     /// The open-loop stream's recurring inputs, attached via
-    /// [`Engine::retaining`]: only their activation profiles enter the
-    /// shared table. `None` (closed loop) keeps every profile.
+    /// [`Engine::retaining`]: only their activation counters enter the
+    /// shared table. `None` (closed loop) keeps every input's.
     recurring: Option<&'a Recurring>,
 }
 
@@ -338,7 +338,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Keeps in the shared activation-profile table only the profiles
+    /// Keeps in the shared activation-counter table only the counters
     /// of the inputs `recurring` names: the whole open-loop stream's,
     /// counted before the clock starts.
     pub(crate) fn retaining(mut self, recurring: &'a Recurring) -> Self {
@@ -859,7 +859,7 @@ impl<'a> Engine<'a> {
     /// stage it runs streams its compressed weights over DMA again
     /// (`warm == false`, [`s2ta_core::WeightResidency::Streamed`]). W-DBB
     /// compression happens once, before serving, so the host's weight
-    /// plans and activation profiles are pure memo tables that a
+    /// plans and activation counters are pure memo tables that a
     /// restart neither invalidates nor needs to recompile.
     fn on_lane_recovery(&mut self, t: u64, ev: TimelineEvent) {
         let lane = ev.lane;

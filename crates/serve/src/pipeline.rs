@@ -96,7 +96,7 @@ impl PipelinePlan {
         // lane configuration. Probes are pure simulations; only their
         // cycle counts survive, as the split's costs. They run through
         // `run_stage_events`, each with its own fresh arena, so the
-        // probes also warm the fleet's shared activation-profile cache
+        // probes also warm the fleet's shared activation-counter table
         // for the calibration seed, and the `(scope, layer)` grid fans
         // out over the host executor. Layers are probed at
         // **resident** weight residency — the pipeline's steady state:

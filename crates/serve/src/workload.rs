@@ -221,10 +221,10 @@ pub struct RateSegment {
 /// `act_seed_pool` optionally bounds the distinct activation seeds:
 /// with a pool of `k`, every request draws its input from `k` fixed
 /// seeds instead of a fresh one, so a multi-million request run
-/// replays each input's profiles from the
-/// [`s2ta_core::ActProfileCache`] instead of profiling every request —
+/// replays each input's counters from the
+/// [`s2ta_core::ActProfileCache`] instead of tallying every request —
 /// production traffic re-sees the same inputs, it does not invent a
-/// new tensor per request. (A fresh seed per request is profiled once,
+/// new tensor per request. (A fresh seed per request is tallied once,
 /// in place, and never kept.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalSpec {

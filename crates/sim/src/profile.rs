@@ -19,9 +19,8 @@
 //! *stored* at the narrowest width that holds the largest one: one bit
 //! per position when every tally is 0 or 1 (every batch-1 FC layer has
 //! `N = 1`), a byte when the largest fits a `u8`, and a `u16`
-//! otherwise. The activation profiles are the ones cached per request
-//! input, so their width is what a profile cache holds. Constructors
-//! reject activations wider than `u16::MAX` columns rather than wrap.
+//! otherwise. Constructors reject activations wider than `u16::MAX`
+//! columns rather than wrap.
 //! The datapaths read activation tallies through the borrowed
 //! [`ActTallies`] view, which dispatches on the width once per layer;
 //! [`ActTallies::from_counts`] views unnarrowed `u16` counts, for a
@@ -29,18 +28,18 @@
 //!
 //! The profile types are **public operands**: because a profile is a
 //! pure function of its matrix, a caller can build it once (e.g. bake
-//! the weight profile into a compiled layer plan, or memoize the
-//! activation profile per `(layer, act seed)`) and replay the
-//! events-only datapaths ([`crate::systolic::run_perf_profiled_into`],
+//! the weight profile into a compiled layer plan), price a layer's
+//! active MACs with [`active_macs`], and replay the events-only
+//! datapaths ([`crate::systolic::run_perf_profiled_into`],
 //! [`crate::tpe::run_wdbb_perf_profiled_into`],
 //! [`crate::tpe::run_aw_perf_profiled_into`],
-//! [`crate::smt::run_sampled_profiled_into`]) without ever re-materializing
-//! the dense matrices. Weight values never reach those datapaths: they
-//! read a [`WeightDesc`] (shape, W-DBB configuration, storage size)
-//! next to the profile. [`WeightProfile::of_dbb`] and
-//! [`ActivationProfile::of_dbb`] profile compressed matrices straight
-//! from their block masks, so even the *profiling* step materializes
-//! nothing.
+//! [`crate::smt::run_sampled_profiled_into`]) on that count without
+//! ever re-materializing the dense matrices. Weight values never reach
+//! those datapaths: they read a [`WeightDesc`] (shape, W-DBB
+//! configuration, storage size) next to the count.
+//! [`WeightProfile::of_dbb`] and [`ActivationProfile::of_dbb`] profile
+//! compressed matrices straight from their block masks, so even the
+//! *profiling* step materializes nothing.
 
 use s2ta_dbb::dap::check_tally_width;
 use s2ta_dbb::{BlockAxis, DbbConfig, DbbMatrix};
@@ -142,12 +141,8 @@ impl WeightDesc {
 /// `nnzA[p]`: the non-zero activations in row `p` of a `K x N`
 /// activation matrix (columns are output pixels), over all `N` columns.
 ///
-/// A profile holds one or more equal-length sides — the
-/// activation-profile cache keeps an input's raw and post-DAP tallies
-/// together — in one allocation, at the narrowest width that holds the
-/// largest tally of any side (see the module docs). Read a side through
-/// [`ActivationProfile::side`]; single-sided profiles (every
-/// constructor but [`ActivationProfile::from_sides`]) through
+/// The tallies sit in one allocation, at the narrowest width that
+/// holds the largest one (see the module docs); read them through
 /// [`ActivationProfile::tallies`]. The width is a pure function of the
 /// counts, so equal counts compare equal whichever constructor made
 /// them.
@@ -158,11 +153,10 @@ pub struct ActivationProfile {
     store: Store,
 }
 
-/// The sides' tallies back to back at one width.
+/// The tallies at one width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Store {
-    /// Every tally is 0 or 1: bit `p % 64` of word `p / 64`, each side
-    /// starting on a fresh word.
+    /// Every tally is 0 or 1: bit `p % 64` of word `p / 64`.
     Bits(Box<[u64]>),
     U8(Box<[u8]>),
     U16(Box<[u16]>),
@@ -204,37 +198,23 @@ impl ActivationProfile {
     /// (e.g. `s2ta_dbb::dap::dap_col_profile`) that derive the counts
     /// without materializing the profiled matrix.
     pub fn from_counts(counts: &[u16]) -> Self {
-        Self::from_sides(&[counts])
-    }
-
-    /// Narrows several equal-length tally vectors into one profile: one
-    /// allocation at the width the largest tally of any side needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sides differ in length.
-    pub fn from_sides(sides: &[&[u16]]) -> Self {
-        let len = sides.first().map_or(0, |s| s.len());
-        assert!(sides.iter().all(|s| s.len() == len), "profile sides differ in length");
-        let max = sides.iter().flat_map(|s| s.iter().copied()).max().unwrap_or(0);
+        let len = counts.len();
+        let max = counts.iter().copied().max().unwrap_or(0);
         let store = if max <= 1 {
-            let words = len.div_ceil(64);
-            let mut bits = vec![0u64; words * sides.len()];
-            for (s, side) in sides.iter().enumerate() {
-                for (p, &c) in side.iter().enumerate() {
-                    bits[s * words + p / 64] |= u64::from(c) << (p % 64);
-                }
+            let mut bits = vec![0u64; len.div_ceil(64)];
+            for (p, &c) in counts.iter().enumerate() {
+                bits[p / 64] |= u64::from(c) << (p % 64);
             }
             Store::Bits(bits.into_boxed_slice())
         } else if max <= u16::from(u8::MAX) {
-            Store::U8(concat(sides, |c| c as u8))
+            Store::U8(counts.iter().map(|&c| c as u8).collect())
         } else {
-            Store::U16(concat(sides, |c| c))
+            Store::U16(counts.into())
         };
         Self { len, store }
     }
 
-    /// Positions per side: the reduction length `K`.
+    /// Positions covered: the reduction length `K`.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -244,53 +224,22 @@ impl ActivationProfile {
         self.len == 0
     }
 
-    /// Side `i`'s tallies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile has no side `i` (a zero-length profile
-    /// has every side, all empty).
-    pub fn side(&self, i: usize) -> ActTallies<'_> {
+    /// The tallies.
+    pub fn tallies(&self) -> ActTallies<'_> {
         let len = self.len;
-        let side = |unit: usize| i * unit..(i + 1) * unit;
         ActTallies(match &self.store {
-            Store::Bits(words) => Tallies::Bits { words: &words[side(len.div_ceil(64))], len },
-            Store::U8(c) => Tallies::U8(&c[side(len)]),
-            Store::U16(c) => Tallies::U16(&c[side(len)]),
+            Store::Bits(words) => Tallies::Bits { words, len },
+            Store::U8(c) => Tallies::U8(c),
+            Store::U16(c) => Tallies::U16(c),
         })
     }
-
-    /// The first side's tallies: the whole profile of a single-sided
-    /// one.
-    pub fn tallies(&self) -> ActTallies<'_> {
-        self.side(0)
-    }
-
-    /// Heap bytes the stored tallies occupy, every side included.
-    pub fn tally_bytes(&self) -> usize {
-        match &self.store {
-            Store::Bits(w) => std::mem::size_of_val(&**w),
-            Store::U8(c) => c.len(),
-            Store::U16(c) => std::mem::size_of_val(&**c),
-        }
-    }
 }
 
-/// The sides back to back, each tally converted by `narrow`, in one
-/// exactly sized allocation.
-fn concat<T>(sides: &[&[u16]], narrow: impl Fn(u16) -> T) -> Box<[T]> {
-    let mut out = Vec::with_capacity(sides.iter().map(|s| s.len()).sum());
-    for side in sides {
-        out.extend(side.iter().map(|&c| narrow(c)));
-    }
-    out.into_boxed_slice()
-}
-
-/// One side of an [`ActivationProfile`], borrowed at its storage width.
+/// The tallies of an [`ActivationProfile`], borrowed at their storage
+/// width, or of `u16` counts viewed as counted.
 ///
-/// Equality compares the tallies, not the width: a side of a two-sided
-/// profile stored in bytes equals a single-sided profile of the same
-/// counts stored in bits.
+/// Equality compares the tallies, not the width: `u16` counts viewed
+/// in place equal a profile of the same counts stored in bits.
 #[derive(Debug, Clone, Copy)]
 pub struct ActTallies<'a>(Tallies<'a>);
 
@@ -303,7 +252,7 @@ enum Tallies<'a> {
 
 impl<'a> ActTallies<'a> {
     /// Views `u16` tallies as counted, without narrowing them: the
-    /// read of a profile that is used once and never stored.
+    /// read of a tally pass that is used once and never stored.
     pub fn from_counts(counts: &'a [u16]) -> Self {
         Self(Tallies::U16(counts))
     }
@@ -533,40 +482,14 @@ mod tests {
                 let ap = ActivationProfile::from_counts(&counts);
                 assert_eq!(ap.tallies().width_bits(), bits, "top {top}, k {k}");
                 assert_eq!((ap.len(), tallies(&ap)), (k, counts.clone()), "top {top}, k {k}");
-                let bytes = if bits == 1 { k.div_ceil(64) * 8 } else { k * bits as usize / 8 };
-                assert_eq!(ap.tally_bytes(), bytes, "top {top}, k {k}");
             }
         }
     }
 
-    #[test]
-    fn sides_share_one_width_and_read_back_apart() {
-        // The raw side needs a byte; the post-DAP side alone would fit
-        // bits, but shares the entry's width.
-        let (raw, kept) = ([3u16, 0, 1, 2, 0], [1u16, 0, 1, 0, 0]);
-        let pair = ActivationProfile::from_sides(&[&raw, &kept]);
-        assert_eq!((pair.side(0).width_bits(), pair.side(1).width_bits()), (8, 8));
-        assert_eq!(pair.tally_bytes(), 10);
-        assert_eq!(pair.side(0), ActivationProfile::from_counts(&raw).tallies());
-        let alone = ActivationProfile::from_counts(&kept);
-        assert_eq!(alone.tallies().width_bits(), 1);
-        assert_eq!(pair.side(1), alone.tallies(), "equality compares tallies, not widths");
-        // Bit sides start on fresh words.
-        let bits = ActivationProfile::from_sides(&[&[1; 65], &[0; 65]]);
-        assert_eq!(bits.tally_bytes(), 32);
-        assert!(bits.side(1).iter().all(|c| c == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "profile sides differ in length")]
-    fn sides_must_agree_in_length() {
-        let _ = ActivationProfile::from_sides(&[&[1, 2], &[1]]);
-    }
-
     proptest! {
         /// `active_macs` over narrowed tallies equals the wide `u16`
-        /// dot product at every width, on either side of a two-sided
-        /// profile, for reduction lengths on and off the 64-bit word.
+        /// dot product at every width, for reduction lengths on and off
+        /// the 64-bit word.
         #[test]
         fn prop_narrow_active_macs_equal_the_wide_dot_product(
             k in 1usize..300,
@@ -580,10 +503,6 @@ mod tests {
             let ap = ActivationProfile::from_counts(&counts);
             prop_assert_eq!(ap.tallies().width_bits(), bits);
             prop_assert_eq!(active_macs(&w, ap.tallies()), wide_dot(&w.counts, &counts));
-            let halved: Vec<u16> = counts.iter().map(|&c| c / 2).collect();
-            let pair = ActivationProfile::from_sides(&[&counts, &halved]);
-            prop_assert_eq!(active_macs(&w, pair.side(0)), wide_dot(&w.counts, &counts));
-            prop_assert_eq!(active_macs(&w, pair.side(1)), wide_dot(&w.counts, &halved));
             let wide = ActTallies::from_counts(&counts);
             prop_assert_eq!(wide.width_bits(), 16);
             prop_assert_eq!(wide, ap.tallies());

@@ -13,7 +13,6 @@
 //! (`fifo_bytes`) makes SMT *less* energy-efficient than `SA-ZVCG`
 //! (paper Fig. 3, Fig. 10).
 
-use crate::profile::{active_macs, ActTallies, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -195,9 +194,9 @@ pub fn run_sampled(
 /// caller-owned tally and simulating tile timing out of a caller-owned
 /// [`SmtScratch`] (allocation-free once warm): adds the identical
 /// [`EventCounts`] of [`run_sampled`] (asserted by tests), with the
-/// non-timing counts taken from precompiled per-position profiles
-/// instead of the functional accumulation loop. `wp` must profile `w`,
-/// `ap` must profile `a`.
+/// non-timing counts taken from the shapes and the layer's `active`
+/// MACs (`profile::active_macs` of `w`'s and `a`'s profiles) instead of
+/// the functional accumulation loop.
 ///
 /// Unlike the DBB datapaths, the SMT FIFO *timing* is inherently
 /// position-dependent (backpressure follows the joint non-zero layout
@@ -208,8 +207,8 @@ pub fn run_sampled(
 ///
 /// # Panics
 ///
-/// Panics if `sample_tiles == 0`, the geometry is not scalar, dims
-/// disagree, or the profiles do not cover the operands.
+/// Panics if `sample_tiles == 0`, the geometry is not scalar, or dims
+/// disagree.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sampled_profiled_into(
     geom: &ArrayGeometry,
@@ -217,8 +216,7 @@ pub fn run_sampled_profiled_into(
     w: &Matrix,
     a: &Matrix,
     sample_tiles: usize,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
+    active: u64,
     events: &mut EventCounts,
     scratch: &mut SmtScratch,
 ) {
@@ -226,8 +224,6 @@ pub fn run_sampled_profiled_into(
     assert_eq!((geom.a, geom.b, geom.c), (1, 1, 1), "SMT runner is scalar only");
     assert_eq!(w.cols(), a.rows(), "GEMM inner dims mismatch");
     let k = w.cols();
-    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
     let walk = geom.tile_walk(w.rows(), a.cols());
     let outputs = (w.rows() * a.cols()) as u64;
     *events += EventCounts {
@@ -240,7 +236,6 @@ pub fn run_sampled_profiled_into(
 
     // Only the sampled tiles' timing needs the operands themselves;
     // every queued pair is an active MAC, priced once for the layer.
-    let active = active_macs(wp, ap);
     events.macs_active += active;
     events.acc_updates += active;
     events.fifo_bytes += 4 * active;
@@ -354,7 +349,7 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::ActivationProfile;
+    use crate::profile::{active_macs, ActivationProfile, WeightProfile};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use s2ta_tensor::gemm_ref;
@@ -445,8 +440,8 @@ mod tests {
             let full = run_inner(&g, cfg, &w, &a, sample).events;
             let mut profiled = EventCounts::new();
             let scratch = &mut SmtScratch::new();
-            let ap = ap.tallies();
-            run_sampled_profiled_into(&g, cfg, &w, &a, sample, &wp, ap, &mut profiled, scratch);
+            let active = active_macs(&wp, ap.tallies());
+            run_sampled_profiled_into(&g, cfg, &w, &a, sample, active, &mut profiled, scratch);
             assert_eq!(full, profiled, "{cfg} sample={sample}");
         }
     }

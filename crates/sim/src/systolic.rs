@@ -6,7 +6,7 @@
 //! full loop; [`run_perf`] produces identical events from one `O(K)`
 //! dot product of per-position non-zero profiles, for full-model sweeps.
 
-use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightDesc, WeightProfile};
+use crate::profile::{active_macs, ActivationProfile, WeightDesc, WeightProfile};
 use crate::{cycle_exact, ArrayGeometry, EventCounts, GemmRun};
 use s2ta_tensor::{AccMatrix, Matrix};
 
@@ -82,36 +82,34 @@ pub fn run(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> GemmRun 
 /// Panics if the geometry is not scalar or the dims mismatch.
 pub fn run_perf(geom: &ArrayGeometry, zvcg: bool, w: &Matrix, a: &Matrix) -> EventCounts {
     check_inputs(geom, w, a);
-    let wp = WeightProfile::new(w);
-    let ap = ActivationProfile::new(a);
+    let active = active_macs(&WeightProfile::new(w), ActivationProfile::new(a).tallies());
     let (desc, mut events) = (WeightDesc::dense(w), EventCounts::new());
-    run_perf_profiled_into(geom, zvcg, &desc, a.cols(), &wp, ap.tallies(), &mut events);
+    run_perf_profiled_into(geom, zvcg, &desc, a.cols(), active, &mut events);
     events
 }
 
 /// Matrix-free event path, accumulating into a caller-owned tally:
 /// adds the identical [`EventCounts`] of [`run`] and [`run_perf`],
-/// computed from **precompiled** per-position profiles plus the GEMM
-/// dimensions alone. `w` describes the `M x K` weight matrix and `wp`
-/// profiles it; `ap` profiles the `K x n_cols` activation matrix.
+/// computed from the GEMM dimensions and the layer's `active` MACs
+/// alone (`profile::active_macs` of the two operands' profiles). `w`
+/// describes the `M x K` weight matrix, `n_cols` the activation width.
+/// Every count but the active MACs and the gated (or idle) and
+/// accumulator counts they move is fixed by the shape.
 ///
 /// # Panics
 ///
-/// Panics if the geometry is not scalar or a profile's length is not
-/// `K`.
+/// Panics if the geometry is not scalar, or if `active` exceeds the
+/// MACs the layer issues.
 pub fn run_perf_profiled_into(
     geom: &ArrayGeometry,
     zvcg: bool,
     w: &WeightDesc,
     n_cols: usize,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
+    active: u64,
     events: &mut EventCounts,
 ) {
     assert_eq!((geom.a, geom.b, geom.c), (1, 1, 1), "systolic runner is scalar only");
     let (m_rows, k) = (w.rows(), w.k());
-    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
     *events += sram_events(geom, m_rows, k, n_cols);
 
     // Every tile issues one MAC per (row, position, column) it covers.
@@ -120,7 +118,6 @@ pub fn run_perf_profiled_into(
         cycles += cycle_exact::closed_form_cycles(k, geom.m, geom.n);
         issued += (rows.len() * k * cols.len()) as u64;
     }
-    let active = active_macs(wp, ap);
     events.cycles += cycles;
     events.macs_active += active;
     if zvcg {

@@ -17,7 +17,7 @@
 //!   the layer's activation NNZ — variable density at constant
 //!   utilization (Sec. 5.2).
 
-use crate::profile::{active_macs, ActTallies, ActivationProfile, WeightDesc, WeightProfile};
+use crate::profile::{active_macs, ActivationProfile, WeightDesc, WeightProfile};
 use crate::{ArrayGeometry, EventCounts, GemmRun};
 use s2ta_dbb::{BlockAxis, DbbConfig, DbbMatrix};
 use s2ta_tensor::{AccMatrix, Matrix};
@@ -184,39 +184,36 @@ pub fn run_wdbb(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> GemmRun {
 pub fn run_wdbb_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &Matrix) -> EventCounts {
     // Profile the compressed weights straight from their block masks —
     // no `decompress()` scratch matrix in the perf path.
-    let wp = WeightProfile::of_dbb(w);
-    let ap = ActivationProfile::new(a);
+    let active = active_macs(&WeightProfile::of_dbb(w), ActivationProfile::new(a).tallies());
     let (desc, mut events) = (WeightDesc::of_dbb(w), EventCounts::new());
-    run_wdbb_perf_profiled_into(geom, &desc, a.cols(), &wp, ap.tallies(), &mut events);
+    run_wdbb_perf_profiled_into(geom, &desc, a.cols(), active, &mut events);
     events
 }
 
 /// Matrix-free event path for `S2TA-W`, accumulating into a
 /// caller-owned tally (hot loops sum events across layers and requests
 /// without materializing intermediate counts): adds the identical
-/// counts of [`run_wdbb`] / [`run_wdbb_perf`], computed from
-/// precompiled per-position profiles without touching either dense
-/// matrix. `w` describes the compressed weights and `wp` must profile
-/// their decompressed form, `ap` the dense `k x n_cols` activation.
+/// counts of [`run_wdbb`] / [`run_wdbb_perf`], computed without
+/// touching either dense matrix from the shapes and the layer's
+/// `active` MACs (`profile::active_macs` of the decompressed weights'
+/// profile and the dense `k x n_cols` activation's). `w` describes the
+/// compressed weights.
 ///
 /// # Panics
 ///
-/// Panics if the weight blocking does not match the geometry or a
-/// profile's length is not the weights' reduction length.
+/// Panics if the weight blocking does not match the geometry, or if
+/// `active` exceeds the MACs the layer issues.
 pub fn run_wdbb_perf_profiled_into(
     geom: &ArrayGeometry,
     w: &WeightDesc,
     n_cols: usize,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
+    active: u64,
     events: &mut EventCounts,
 ) {
     let config = check_wdbb(geom, w);
     let (m_rows, k) = (w.rows(), w.k());
     let blocks_k = k.div_ceil(geom.bz);
     let cpb = wdbb_cycles_per_block(geom, config);
-    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
 
     *events += sram_events(geom, m_rows, n_cols, w.storage_bytes(), k * n_cols, 1.0);
     // Each output issues `b` MAC slots (one adder-tree update) per
@@ -231,7 +228,6 @@ pub fn run_wdbb_perf_profiled_into(
         reg_bytes += operand_reg_bytes(geom, re, ce, w_tile_bytes, a_tile_bytes);
     }
     let issued = updates * geom.b as u64;
-    let active = active_macs(wp, ap);
     events.cycles += cycles;
     events.macs_active += active;
     events.macs_gated += issued - active;
@@ -309,11 +305,9 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
     check_aw(geom, w, a);
     // Both operands are profiled straight from their block masks — no
     // `decompress()` scratch matrices in the perf path.
-    let wp = WeightProfile::of_dbb(w);
-    let ap = ActivationProfile::of_dbb(a);
+    let active = active_macs(&WeightProfile::of_dbb(w), ActivationProfile::of_dbb(a).tallies());
     let (desc, mut events) = (WeightDesc::of_dbb(w), EventCounts::new());
-    let n_cols = a.shape().1;
-    run_aw_perf_profiled_into(geom, &desc, n_cols, a.config(), &wp, ap.tallies(), &mut events);
+    run_aw_perf_profiled_into(geom, &desc, a.shape().1, a.config(), active, &mut events);
     events
 }
 
@@ -324,22 +318,22 @@ pub fn run_aw_perf(geom: &ArrayGeometry, w: &DbbMatrix, a: &DbbMatrix) -> EventC
 /// is described by its column count, its DBB configuration (which fixes
 /// the per-block serialization and the compressed storage footprint:
 /// every column carries `ceil(k / bz)` blocks of
-/// `config.block_bytes()`), and the post-DAP per-position profile `ap`
+/// `config.block_bytes()`). `w` describes the compressed weights, and
+/// `active` is the layer's active MACs: `profile::active_macs` of the
+/// decompressed weights' profile and the post-DAP activation's
 /// (derivable straight from the dense activation via
-/// `s2ta_dbb::dap::dap_col_profile`). `w` describes the compressed
-/// weights and `wp` must profile their decompressed form.
+/// `s2ta_dbb::dap::dap_col_profile`).
 ///
 /// # Panics
 ///
-/// Panics if the blockings do not match the geometry or a profile's
-/// length is not the weights' reduction length.
+/// Panics if the blockings do not match the geometry, or if `active`
+/// exceeds the MACs the layer issues.
 pub fn run_aw_perf_profiled_into(
     geom: &ArrayGeometry,
     w: &WeightDesc,
     n_cols: usize,
     a_config: DbbConfig,
-    wp: &WeightProfile,
-    ap: ActTallies<'_>,
+    active: u64,
     events: &mut EventCounts,
 ) {
     let config = check_wdbb(geom, w);
@@ -347,8 +341,6 @@ pub fn run_aw_perf_profiled_into(
     let (m_rows, k) = (w.rows(), w.k());
     let blocks_k = k.div_ceil(geom.bz);
     let serial = a_config.nnz() as u64 * wdbb_cycles_per_block(geom, config);
-    assert_eq!(wp.counts().len(), k, "weight profile reduction length mismatch");
-    assert_eq!(ap.len(), k, "activation profile reduction length mismatch");
 
     let a_storage_bytes = n_cols * blocks_k * a_config.block_bytes();
     let write_ratio = a_config.block_bytes() as f64 / a_config.bz() as f64;
@@ -361,7 +353,7 @@ pub fn run_aw_perf_profiled_into(
         serial,
         config.block_bytes(),
         a_config.block_bytes(),
-        active_macs(wp, ap),
+        active,
         events,
     );
 }

@@ -24,7 +24,7 @@ use s2ta_bench::hetero_scenario;
 
 /// Serves `requests` on `fleet`, diffing the fleet's shared caches
 /// around the call: the report plus the run's weight-plan and
-/// activation-profile counter deltas.
+/// activation-counter lookup deltas.
 fn serve(
     fleet: &Fleet,
     models: &[ModelSpec],
@@ -90,8 +90,9 @@ fn main() {
     // shared memo, and the dense SA-ZVCG lanes are memoized too —
     // their compiles count as bypasses (no DBB pruning pipeline ran)
     // and their warm lookups as hits, so the bypass counter freezes
-    // once the fleet is warm. The activation-profile cache (the
-    // matrix-free event path's operand memo) rides alongside.
+    // once the fleet is warm. The activation-counter table (the
+    // matrix-free event path's per-input memo, one lookup per request
+    // and layer range) rides alongside.
     let runs = [("earliest-free", ef_plans, ef_acts), ("affinity", af_plans, af_acts)];
     for (name, cache, acts) in runs {
         println!(
@@ -107,13 +108,13 @@ fn main() {
         assert_eq!(cache.misses, 2, "{name}: one compile per (DBB arch, model)");
         assert!(cache.hits > cache.misses, "{name}: the memo must be doing real work");
         assert!(cache.bypasses > 0, "{name}: cold dense-lane plans compile as bypasses");
-        assert!(acts.misses > 0, "{name}: cold run compiles act profiles");
-        assert_eq!(acts.bypasses, 0, "{name}: a single-use act profile counts as a miss");
+        assert!(acts.misses > 0, "{name}: cold run tallies act counters");
+        assert_eq!(acts.bypasses, 0, "{name}: single-use act counters count as a miss");
         // Every batch simulates once, on the lane it was placed on,
-        // and every request carries a fresh input: a cold run profiles
-        // each (layer, act seed) once, in place, so it is miss-only on
-        // activation profiles under either placement.
-        assert_eq!(acts.hits, 0, "{name}: a cold run never re-profiles");
+        // and every request carries a fresh input: a cold run tallies
+        // each input once, in place, so it is miss-only on activation
+        // counters under either placement.
+        assert_eq!(acts.hits, 0, "{name}: a cold run never re-tallies");
     }
     println!("fleet-wide weight-plan cache is effective: OK");
 
@@ -122,9 +123,9 @@ fn main() {
     // and the bypass counter has stopped moving: the dense plans
     // compiled on the first batch are warm, so every dense lookup is
     // now a hit. The stream names each input once, so the first serve
-    // read its activation profiles in place and kept none: the
-    // re-serve profiles every input again, with as many misses as the
-    // first serve, and the profile table stays empty.
+    // tallied its inputs in place and kept no counters: the re-serve
+    // tallies every input again, with as many misses as the first
+    // serve, and the counter table stays empty.
     let warm_fleet = mk();
     let (_, cold, cold_acts) = serve(&warm_fleet, &models, &requests);
     assert!(cold.bypasses > 0, "cold serve compiles the dense plans");
@@ -140,29 +141,30 @@ fn main() {
     assert_eq!(
         (acts.misses, acts.hits),
         (cold_acts.misses, 0),
-        "steady: single-use inputs are profiled again, never replayed"
+        "steady: single-use inputs are tallied again, never replayed"
     );
     let act_table = warm_fleet.accelerator().act_profiles();
-    assert!(act_table.is_empty(), "steady: single-use inputs leave no act profile");
+    assert!(act_table.is_empty(), "steady: single-use inputs leave no act counters");
     // The same requests over a recurring pool of 16 inputs: the first
-    // serve keeps their profiles, and a second serve replays them.
+    // serve keeps their counters, and a second serve replays them.
     let recurring: Vec<Request> =
         requests.iter().map(|r| Request { act_seed: r.id % 16, ..*r }).collect();
     serve(&warm_fleet, &models, &recurring);
     let (_, _, acts) = serve(&warm_fleet, &models, &recurring);
-    assert_eq!(acts.misses, 0, "steady: recurring inputs compile no new act profile");
-    assert!(acts.hits > 0, "steady: recurring inputs replay their act profiles");
+    assert_eq!(acts.misses, 0, "steady: recurring inputs tally no new act counters");
+    assert!(acts.hits > 0, "steady: recurring inputs replay their act counters");
     println!("fleet-wide plan + activation-profile caches are effective: OK");
 
     // Bounded caches: serving under byte budgets smaller than the
     // zoo's cached footprint, so both LRUs must evict. The traffic
     // here is production-shaped — a bounded pool of recurring inputs
-    // with an 8:1 model skew — so LeNet's act profiles stay hot and
+    // with an 8:1 model skew — so LeNet's act counters stay hot and
     // resident while the rare CIFAR visits cycle through the leftover
     // budget. Since dense plans are memoized too, the plan budget is
     // half the zoo's four plans (both arch scopes): it holds the hot
     // model's two plans, so LeNet's plans keep hitting while the CIFAR
-    // visits force recompiles and evictions.
+    // visits force recompiles and evictions (a CIFAR counter miss
+    // fills both lanes' plans, so it brings both CIFAR plans in).
     // Evicted entries recompile byte-identically on next use: a
     // budget changes host time and the cache counters, never
     // simulated results (the report carries no cache counters, so
@@ -180,7 +182,7 @@ fn main() {
     let unbounded_fleet = Fleet::from_spec(fleet_spec.clone()).with_policy(policy);
     let unbounded = unbounded_fleet.serve(&models, &zoo_requests);
     // Both budgets are half the zoo's unbounded footprint, so they stay
-    // below it whatever a plan or a profile costs per entry.
+    // below it whatever a plan or a counter entry costs.
     let plan_footprint = unbounded_fleet.accelerator().plans().resident_bytes();
     let act_footprint = unbounded_fleet.accelerator().act_profiles().resident_bytes();
     let bounded_fleet = Fleet::from_spec(fleet_spec.clone())
@@ -207,9 +209,9 @@ fn main() {
     );
     assert!(cache.evictions > 0, "a plan budget below the two-plan zoo must evict");
     assert!(cache.hits > 0, "runs of same-model batches still reuse the resident plan");
-    assert!(acts.evictions > 0, "an act budget below the zoo must evict act profiles");
+    assert!(acts.evictions > 0, "an act budget below the zoo must evict act counters");
     assert!(acts.bytes_evicted > 0, "evictions must release bytes");
-    assert!(acts.hits > acts.misses, "hot-model act profiles must stay resident");
+    assert!(acts.hits > acts.misses, "hot-model act counters must stay resident");
     assert!(
         cache.hits + acts.hits > cache.misses + acts.misses,
         "bounded steady state: hits must dominate misses across the caches"

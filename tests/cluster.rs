@@ -11,6 +11,7 @@ use s2ta::serve::{
     AutoscalePolicy, Cluster, DiurnalSpec, FaultConfig, FaultSpec, FixedPolicy, Fleet, FleetSpec,
     RateSegment, Request, RoutingPolicy, ScaleEvent, TraceConfig, TraceEventKind, WorkloadSpec,
 };
+use s2ta_bench::cluster_scenario;
 use std::collections::HashMap;
 
 fn models() -> Vec<ModelSpec> {
@@ -357,6 +358,52 @@ fn shared_cache_chaos_compiles_each_plan_once() {
     let recovered = report.shards.iter().filter(|s| s.fault.lane_recoveries > 0).count();
     assert!(recovered >= 2, "recoveries must land on several shards, got {recovered}");
     assert_eq!(compiles(&chaos), compiles(&clean), "recoveries must not recompile plans");
+}
+
+/// A recurring input is tallied once per cluster, however many plans
+/// read it. On a cut of the canonical pooled day with cluster-wide
+/// caches, served on two executor workers, a `(model, act_seed)` pair
+/// the stream names again costs one tally pass per layer for the whole
+/// cluster and a single-use one a pass per layer of its one run. The
+/// table ends with one entry per recurring pair for each of the two
+/// plans (S2TA-AW and SA-ZVCG) the shards hold, and each single-use
+/// request is one miss that leaves none.
+///
+/// A table of activation profiles, keyed per layer rather than per
+/// plan, ran 4,672 passes on this cut where the counters run 4,685: two
+/// models whose layers draw identical activations (same name, shape and
+/// sparsity: CIFAR-10's and Deep-ConvNet's `conv1`) could share a
+/// layer's pass when the stream named both with one seed, while the
+/// counters of each model's range are tallied from its own layers.
+#[test]
+fn recurring_input_tallies_once_per_cluster() {
+    let models = cluster_scenario::models();
+    let mut spec = cluster_scenario::workload();
+    spec.requests = 4_000;
+    let stream = spec.generate();
+    let cluster = cluster_scenario::cluster(RoutingPolicy::Random);
+    cluster.serve_on(&Executor::new(2), &models, &stream);
+    let mut named: HashMap<(usize, u64), u64> = HashMap::new();
+    for r in &stream {
+        *named.entry((r.model, r.act_seed)).or_default() += 1;
+    }
+    let (mut pairs, mut single_use, mut passes) = (0, 0, 0);
+    for (&(model, _), &times) in &named {
+        passes += models[model].layers.len() as u64;
+        if times > 1 {
+            pairs += 1;
+        } else {
+            single_use += 1;
+        }
+    }
+    assert!(pairs > 100 && single_use > 100, "{pairs} recurring, {single_use} single-use");
+    let table = cluster.shards()[0].accelerator().act_profiles();
+    assert_eq!(table.tally_passes(), passes, "one pass per layer of each distinct input");
+    assert_eq!(passes, 4_685);
+    assert_eq!(table.len(), 2 * pairs as usize, "one entry per recurring pair and plan");
+    let s = table.stats();
+    assert_eq!(s.misses, pairs + single_use, "one miss per distinct input");
+    assert_eq!(s.hits + s.misses, stream.len() as u64, "one lookup per request");
 }
 
 proptest::proptest! {

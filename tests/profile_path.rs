@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s2ta::core::{
-    Accelerator, ActProfileCache, ArchKind, ExecPath, PlannedWeights, Scratch, WeightResidency,
+    Accelerator, ActProfileCache, ArchKind, ExecPath, PlannedWeights, WeightResidency,
 };
 use s2ta::dbb::dap::{dap_col_profile, dap_matrix, LayerNnz};
 use s2ta::models::{deep_convnet, lenet5, LayerSpec};
@@ -87,9 +87,10 @@ fn dma_clamp_rounds_partial_transfers_up() {
     assert_eq!(r.events.cycles, 209, "ceil, not the truncated 208");
 }
 
-/// The fleet-shared activation-profile cache compiles each
-/// `(layer, act seed)` scope once and serves every re-simulation, on
-/// every geometry: the profiles hold no tile-shaped state.
+/// The fleet-shared activation-counter table tallies each
+/// `(layer, act seed)` once and serves every re-simulation, on every
+/// architecture that reads it: a miss fills the counters of every
+/// reader's plan.
 #[test]
 fn act_profile_cache_compiles_once_and_is_shared() {
     let cache = ActProfileCache::new();
@@ -101,43 +102,52 @@ fn act_profile_cache_compiles_once_and_is_shared() {
     assert!(cache.is_empty());
     aw.run_model_planned(&aw_plan, &model, 5);
     let cold = cache.stats();
-    assert_eq!(cold.misses as usize, model.layers.len(), "one profile per layer");
+    assert_eq!(cold.misses as usize, model.layers.len(), "one miss per layer");
     assert_eq!((cold.hits, cold.bypasses), (0, 0));
-    // SA-ZVCG shares bz with S2TA-AW: same keys, all hits.
+    // The S2TA-AW misses filled SA-ZVCG's counters too: all hits.
     zv.run_model_planned(&zv_plan, &model, 5);
     let shared = cache.stats().since(cold);
     assert_eq!(shared.misses, 0, "cross-arch reuse: no recompiles");
     assert_eq!(shared.hits as usize, model.layers.len());
-    // S2TA-W tiles 32 columns, not 64, and still shares every entry.
+    // S2TA-W tiles 32 columns, not 64, and its counters were filled
+    // by the same misses.
     assert_ne!(w.config().geometry.tile_cols(), aw.config().geometry.tile_cols());
     let before = cache.stats();
     w.run_model_planned(&w.plan_model(&model, 42), &model, 5);
     let narrow = cache.stats().since(before);
-    assert_eq!(narrow.misses, 0, "tile width is not part of the key");
+    assert_eq!(narrow.misses, 0, "every reader's plan is filled at once");
     assert_eq!(narrow.hits as usize, model.layers.len());
-    // A different activation seed is a different operand.
+    // A different activation seed is a different operand. Each seed
+    // keeps one entry per layer for each of the three plans that read
+    // the table: a miss fills them all.
     aw.run_model_planned(&aw_plan, &model, 6);
-    assert_eq!(cache.len(), 2 * model.layers.len());
+    assert_eq!(cache.len(), 3 * 2 * model.layers.len());
 }
 
-/// The widest activation a `u16` tally holds profiles exactly through
-/// the cache; one column more is rejected at profile construction,
-/// never wrapped.
+/// The widest activation a `u16` tally holds counts exactly on the
+/// profiled path; one column more is rejected at the tally, never
+/// wrapped.
 #[test]
 fn act_profile_holds_exactly_u16_max_columns() {
     let layer = random_layer(1, 1, usize::from(u16::MAX), 0.0, 0.3, 1);
-    let acts = layer.gen_acts(9);
-    let profile = ActProfileCache::new().get_or_profile(
-        &layer,
-        9,
-        8,
-        LayerNnz::Prune(2),
-        &mut Scratch::new(),
-    );
-    assert_eq!(profile.dense(), ActivationProfile::new(&acts).tallies());
-    assert_eq!(profile.postdap(), ActivationProfile::new(&acts).tallies(), "one row never prunes");
-    assert!(profile.dense().get(0) > 255, "the tally leaves the u8 range");
-    assert_eq!(profile.dense().width_bits(), 16, "stored at the width it needs");
+    let nonzeros = layer.gen_acts(9).data().iter().filter(|&&v| v != 0).count() as u64;
+    assert!(nonzeros > 255, "the tally leaves the u8 range");
+    for kind in [ArchKind::S2taAw, ArchKind::SaZvcg] {
+        let reference = Accelerator::preset(kind).with_exec_path(ExecPath::Reference);
+        let plan = reference.plan_layer(&layer, 1, 9);
+        let r = reference.run_layer_planned(&plan, &layer, 9, WeightResidency::Streamed);
+        let p = Accelerator::preset(kind).run_layer_planned(
+            &plan,
+            &layer,
+            9,
+            WeightResidency::Streamed,
+        );
+        assert_eq!(r, p, "{kind}");
+        // One weight and one activation row, which never prunes: every
+        // non-zero activation meets the weight.
+        let weight = u64::from(plan.weight_profile().counts()[0]);
+        assert_eq!(p.events.macs_active, nonzeros * weight, "{kind}");
+    }
 }
 
 #[test]
@@ -146,7 +156,7 @@ fn act_profile_holds_exactly_u16_max_columns() {
 )]
 fn act_profile_rejects_activations_wider_than_u16() {
     let layer = random_layer(1, 1, usize::from(u16::MAX) + 1, 0.0, 0.3, 1);
-    ActProfileCache::new().get_or_profile(&layer, 9, 8, LayerNnz::Prune(2), &mut Scratch::new());
+    Accelerator::preset(ArchKind::S2taAw).run_layer(&layer, 1, 9);
 }
 
 /// The events of the functional (MAC-by-MAC, tile-by-tile) datapath
