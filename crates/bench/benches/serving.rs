@@ -35,7 +35,7 @@ fn json_report(label: &str, r: &ServeReport, tech: &TechParams) -> String {
         r.dropped_count(),
         r.batches,
         r.workers.len(),
-        json_num(r.throughput_ips(tech)),
+        json_num(r.goodput_ips(tech)),
         json_num(ServeReport::cycles_to_ms(tech, r.p50_cycles())),
         json_num(ServeReport::cycles_to_ms(tech, r.p95_cycles())),
         json_num(ServeReport::cycles_to_ms(tech, r.p99_cycles())),
@@ -74,7 +74,7 @@ fn main() {
         println!(
             "{:<12} {:>12.0} {:>10.4} {:>10.4} {:>10.2} {:>10.1}",
             kind.to_string(),
-            report.throughput_ips(&tech),
+            report.goodput_ips(&tech),
             ServeReport::cycles_to_ms(&tech, report.p50_cycles()),
             ServeReport::cycles_to_ms(&tech, report.p99_cycles()),
             report.uj_per_inference(&tech),
@@ -90,7 +90,7 @@ fn main() {
     println!();
     println!(
         "S2TA-AW vs SA-ZVCG: {:.2}x serving throughput, {:.2}x lower p99, {:.2}x less energy/inf",
-        aw.throughput_ips(&tech) / zvcg.throughput_ips(&tech),
+        aw.goodput_ips(&tech) / zvcg.goodput_ips(&tech),
         zvcg.p99_cycles() as f64 / aw.p99_cycles() as f64,
         zvcg.uj_per_inference(&tech) / aw.uj_per_inference(&tech)
     );
@@ -168,7 +168,7 @@ fn main() {
         println!(
             "{:<26} {:>10.0} {:>10.4} {:>10.4} {:>10.2}",
             name,
-            r.throughput_ips(&tech),
+            r.goodput_ips(&tech),
             ServeReport::cycles_to_ms(&tech, r.p50_cycles()),
             ServeReport::cycles_to_ms(&tech, r.p99_cycles()),
             r.mean_batch_size(),
@@ -177,11 +177,11 @@ fn main() {
     println!(
         "SLO-aware: {:.2}x lower p99 at {:.2}x throughput",
         fixed_default.p99_cycles() as f64 / adaptive.p99_cycles() as f64,
-        adaptive.throughput_ips(&tech) / fixed_default.throughput_ips(&tech),
+        adaptive.goodput_ips(&tech) / fixed_default.goodput_ips(&tech),
     );
     assert!(
         adaptive.p99_cycles() < fixed_default.p99_cycles()
-            && adaptive.throughput_ips(&tech) >= fixed_default.throughput_ips(&tech),
+            && adaptive.goodput_ips(&tech) >= fixed_default.goodput_ips(&tech),
         "SLO-aware policy must beat the default fixed policy's p99 at >= throughput"
     );
     records.push(json_report("policy/fixed-default", &fixed_default, &tech));
@@ -211,7 +211,7 @@ fn main() {
         println!(
             "{:<26} {:>10.0} {:>10.4} {:>10.4} {:>10.2}",
             name,
-            r.throughput_ips(&tech),
+            r.goodput_ips(&tech),
             ServeReport::cycles_to_ms(&tech, r.p50_cycles()),
             ServeReport::cycles_to_ms(&tech, r.p99_cycles()),
             r.uj_per_inference(&tech),
@@ -255,7 +255,7 @@ fn main() {
         println!(
             "{:<26} {:>10.0} {:>10.4} {:>10.4} {:>10.2}",
             name,
-            r.throughput_ips(&tech),
+            r.goodput_ips(&tech),
             ServeReport::cycles_to_ms(&tech, r.p50_cycles()),
             ServeReport::cycles_to_ms(&tech, r.p99_cycles()),
             r.uj_per_inference(&tech),
@@ -266,7 +266,7 @@ fn main() {
     println!(
         "pipelined: {:.2}x lower p99 at {:.2}x throughput on the deep-model mixed fleet",
         p99_win,
-        pipelined.throughput_ips(&tech) / monolithic.throughput_ips(&tech),
+        pipelined.goodput_ips(&tech) / monolithic.goodput_ips(&tech),
     );
     assert!(
         p99_win >= 1.1 && pipelined.makespan_cycles <= monolithic.makespan_cycles,
@@ -289,7 +289,7 @@ fn print_mode_row(name: &str, r: &ServeReport, tech: &TechParams) {
     println!(
         "{:<26} {:>10.0} {:>10.4} {:>10.4} {:>10.1}",
         name,
-        r.throughput_ips(tech),
+        r.goodput_ips(tech),
         ServeReport::cycles_to_ms(tech, r.p50_cycles()),
         ServeReport::cycles_to_ms(tech, r.p99_cycles()),
         r.mean_utilization() * 100.0,

@@ -107,9 +107,10 @@
 //! events by `(time, shard)`.
 //!
 //! [`ClusterReport`] rolls the per-shard [`ServeReport`]s up into
-//! cluster-global metrics. Global latency percentiles are the
-//! nearest-rank percentiles of **the union of the per-shard exact
-//! latency histograms** — byte-identical to pooling every per-request
+//! cluster-global metrics by addition: counts, events and fault stats
+//! add, makespan takes the max. Global latency percentiles are the
+//! nearest-rank percentiles of **the union of every shard's per-model
+//! latency runs** — byte-identical to pooling every per-request
 //! sample — never averaging per-shard percentiles, which is
 //! statistically meaningless for tail quantiles (a shard with 1% of
 //! traffic and a terrible p99 would be diluted 4× in a 4-shard average,
@@ -117,10 +118,11 @@
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::fleet::{outcome_slack, ArrivalSource, Engine, Fleet, Recurring};
+use crate::outcome::assert_model_count;
 use crate::policy::FixedPolicy;
 use crate::report::{
-    assert_model_count, render_table, Col, FaultStats, LatencyHistogram, ModelServeStats,
-    ServeReport,
+    availability_of, fraction_of, goodput_ips_of, render_table, Col, FaultStats, LatencyHistogram,
+    ModelServeStats, ServeReport,
 };
 use crate::trace::{Trace, TraceConfig};
 use crate::workload::{Lcg, Request};
@@ -664,33 +666,15 @@ impl Cluster {
     }
 }
 
-/// A compact per-shard row of a cluster run, for tables and artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ShardSummary {
-    /// Shard index (routing order).
-    pub shard: usize,
-    /// The shard fleet's composition label.
-    pub arch: String,
-    /// Requests the router sent to this shard.
-    pub routed: usize,
-    /// Requests the shard served.
-    pub served: usize,
-    /// Requests the shard tail-dropped at admission.
-    pub dropped: usize,
-    /// The shard's own p99 latency in cycles.
-    pub p99_cycles: u64,
-    /// The shard's makespan in cycles.
-    pub makespan_cycles: u64,
-}
-
 /// Everything a cluster run produced: the per-shard [`ServeReport`]s
 /// plus the routing/autoscaling decisions, rolled up into global
 /// metrics.
 ///
-/// Global latency percentiles merge the **per-request samples** of
-/// every shard before taking the nearest-rank quantile — they are the
-/// percentiles of the cluster's request population, not an average of
-/// per-shard percentiles.
+/// Every global rollup is a sum, max or union of the shards' own
+/// values. Global latency percentiles are taken over the union of
+/// every shard's counted latency runs — they are the percentiles of
+/// the cluster's request population, not an average of per-shard
+/// percentiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Routing policy label (see [`RoutingPolicy::label`]).
@@ -733,11 +717,7 @@ impl ClusterReport {
     /// failed/total` (1.0 for an empty run). Drops are an admission
     /// decision, not a failure, and do not reduce availability.
     pub fn availability(&self) -> f64 {
-        let total = self.total_requests();
-        if total == 0 {
-            return 1.0;
-        }
-        1.0 - self.failed_count() as f64 / total as f64
+        availability_of(self.failed_count(), self.total_requests())
     }
 
     /// Requests served across all shards.
@@ -752,23 +732,18 @@ impl ClusterReport {
 
     /// Dropped fraction of the whole stream (0 for an empty run).
     pub fn drop_rate(&self) -> f64 {
-        let total = self.total_requests();
-        if total == 0 {
-            return 0.0;
-        }
-        self.dropped_count() as f64 / total as f64
+        fraction_of(self.dropped_count(), self.total_requests())
     }
 
-    /// Global `pct`-th percentile latency in cycles over the merged
-    /// per-request samples of every shard (0 when nothing was served).
+    /// Global `pct`-th percentile latency in cycles over the union of
+    /// every shard's latency runs (0 when nothing was served).
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
     pub fn latency_percentile_cycles(&self, pct: f64) -> u64 {
-        let hists: Vec<&LatencyHistogram> =
-            self.shards.iter().map(ServeReport::latency_histogram).collect();
-        LatencyHistogram::percentile_of_union(&hists, pct)
+        let runs: Vec<&LatencyHistogram> = self.shards.iter().flat_map(|s| &s.latency).collect();
+        LatencyHistogram::percentile_of_union(&runs, pct)
     }
 
     /// Global median latency in cycles.
@@ -794,11 +769,7 @@ impl ClusterReport {
     /// Cluster goodput: served inferences per second at `tech`'s clock
     /// over the cluster makespan.
     pub fn goodput_ips(&self, tech: &TechParams) -> f64 {
-        let makespan = self.makespan_cycles();
-        if makespan == 0 {
-            return 0.0;
-        }
-        self.served_count() as f64 / (makespan as f64 / tech.clock_hz)
+        goodput_ips_of(self.served_count(), self.makespan_cycles(), tech)
     }
 
     /// Aggregate simulated events over every shard.
@@ -815,26 +786,22 @@ impl ClusterReport {
         EnergyBreakdown::of(&self.total_events(), tech)
     }
 
-    /// Per-model drop and deadline-miss counts aggregated over every
-    /// shard (model order follows the shards' shared models list).
+    /// Per-model drop, deadline-miss and failure counts summed over
+    /// every shard (model order follows the shards' shared models
+    /// list).
     pub fn per_model(&self) -> Vec<ModelServeStats> {
-        let mut agg: Vec<ModelServeStats> = Vec::new();
-        for shard in &self.shards {
-            for (i, m) in shard.per_model.iter().enumerate() {
-                if agg.len() <= i {
-                    agg.push(ModelServeStats {
-                        model: m.model.clone(),
-                        dropped: 0,
-                        deadline_misses: 0,
-                        failed: 0,
-                    });
-                }
-                agg[i].dropped += m.dropped;
-                agg[i].deadline_misses += m.deadline_misses;
-                agg[i].failed += m.failed;
+        let Some((first, rest)) = self.shards.split_first() else {
+            return Vec::new();
+        };
+        let mut sum = first.per_model.clone();
+        for shard in rest {
+            for (total, m) in sum.iter_mut().zip(&shard.per_model) {
+                total.dropped += m.dropped;
+                total.deadline_misses += m.deadline_misses;
+                total.failed += m.failed;
             }
         }
-        agg
+        sum
     }
 
     /// The cluster-wide trace, merged from the per-shard traces by
@@ -847,23 +814,6 @@ impl ClusterReport {
         let traces: Vec<Trace> =
             self.shards.iter().map(|s| s.trace().cloned()).collect::<Option<_>>()?;
         Trace::merge_shards(traces)
-    }
-
-    /// One compact row per shard.
-    pub(crate) fn shard_summaries(&self) -> Vec<ShardSummary> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardSummary {
-                shard: i,
-                arch: s.arch.clone(),
-                routed: self.routed[i],
-                served: s.served_count(),
-                dropped: s.dropped_count(),
-                p99_cycles: s.p99_cycles(),
-                makespan_cycles: s.makespan_cycles,
-            })
-            .collect()
     }
 
     /// A multi-line human-readable cluster summary under `tech`:
@@ -912,17 +862,19 @@ impl ClusterReport {
             Col::right("makespan", 12),
         ];
         let rows: Vec<Vec<String>> = self
-            .shard_summaries()
-            .into_iter()
-            .map(|row| {
+            .shards
+            .iter()
+            .zip(&self.routed)
+            .enumerate()
+            .map(|(i, (shard, routed))| {
                 vec![
-                    format!("S{}", row.shard),
-                    row.arch,
-                    row.routed.to_string(),
-                    row.served.to_string(),
-                    row.dropped.to_string(),
-                    row.p99_cycles.to_string(),
-                    row.makespan_cycles.to_string(),
+                    format!("S{i}"),
+                    shard.arch.clone(),
+                    routed.to_string(),
+                    shard.served_count().to_string(),
+                    shard.dropped_count().to_string(),
+                    shard.p99_cycles().to_string(),
+                    shard.makespan_cycles.to_string(),
                 ]
             })
             .collect();

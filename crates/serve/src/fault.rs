@@ -477,8 +477,6 @@ pub(crate) struct FaultState {
     attempts: HashMap<u64, u32>,
     /// Batch ids dispatched and not yet completed/cancelled, per lane.
     lane_active: Vec<Vec<usize>>,
-    /// Requests abandoned as `Failed`, per model.
-    failed_per_model: Vec<u64>,
     /// Lanes currently inside a crash window (a lane's crash and
     /// recovery edges alternate, so a count is the whole health table
     /// degraded mode reads).
@@ -489,7 +487,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(config: FaultConfig, timeline: FaultTimeline, models: usize) -> Self {
+    pub(crate) fn new(config: FaultConfig, timeline: FaultTimeline) -> Self {
         let lanes = timeline.lanes();
         let stats = FaultStats {
             lane_downtime_cycles: vec![0; lanes],
@@ -503,7 +501,6 @@ impl FaultState {
             free: Vec::new(),
             attempts: HashMap::new(),
             lane_active: vec![Vec::new(); lanes],
-            failed_per_model: vec![0; models],
             lanes_down: 0,
             degraded_since: None,
             stats,
@@ -595,11 +592,10 @@ impl FaultState {
     }
 
     /// `request` is abandoned as failed: its attempt count goes and it
-    /// counts against its model.
+    /// counts as failed.
     pub(crate) fn fail(&mut self, request: &Request) {
         self.attempts.remove(&request.id);
         self.stats.failed += 1;
-        self.failed_per_model[request.model] += 1;
     }
 
     /// Whether a best-effort `model` should be shed at admission right
@@ -628,13 +624,12 @@ impl FaultState {
     }
 
     /// Closes any open degraded interval at `end` and returns the
-    /// finished stats with the failed requests per model (called once,
-    /// at report assembly).
-    pub(crate) fn finish(mut self, end: u64) -> (FaultStats, Vec<u64>) {
+    /// finished stats (called once, at report assembly).
+    pub(crate) fn finish(mut self, end: u64) -> FaultStats {
         if let Some(since) = self.degraded_since.take() {
             self.stats.degraded_cycles += end.saturating_sub(since);
         }
-        (self.stats, self.failed_per_model)
+        self.stats
     }
 }
 
@@ -822,7 +817,7 @@ mod tests {
             degraded: Some(DegradedMode { backlog_threshold: 0, best_effort: vec![1] }),
             ..FaultConfig::protected(FaultSpec::quiet(1))
         };
-        let mut f = FaultState::new(config, FaultTimeline::quiet(2), 2);
+        let mut f = FaultState::new(config, FaultTimeline::quiet(2));
         let r = |id| Request { id, model: 0, arrival: 0, act_seed: 0 };
         for (lane, batch) in [(0, 7), (1, 8), (0, 9)] {
             f.batch_dispatched(lane, batch);
@@ -852,8 +847,7 @@ mod tests {
         assert_eq!(f.stats.lane_downtime_cycles, vec![500, 0]);
         f.update_degraded(600, 0);
         assert!(!f.sheds(1), "recovery closes degraded mode");
-        let (stats, failed) = f.finish(700);
-        assert_eq!((stats.degraded_cycles, failed), (500, vec![1, 0]));
+        assert_eq!(f.finish(700).degraded_cycles, 500);
     }
 
     /// The retry slab: a freed slot is the next one taken, so the slab
@@ -866,7 +860,7 @@ mod tests {
             retry: RetryPolicy { max_attempts: 8, backoff_base_cycles: 100, deadline_cycles: 0 },
             ..FaultConfig::protected(FaultSpec::quiet(1))
         };
-        let mut f = FaultState::new(config, FaultTimeline::quiet(1), 1);
+        let mut f = FaultState::new(config, FaultTimeline::quiet(1));
         let r = |id| Request { id, model: 0, arrival: id * 10, act_seed: id };
         let slot = |f: &mut FaultState, id, now| f.retry_or_fail(r(id), now).expect("retries").1;
         assert_eq!([slot(&mut f, 1, 0), slot(&mut f, 2, 0), slot(&mut f, 3, 0)], [0, 1, 2]);

@@ -65,10 +65,11 @@
 mod engine;
 
 use crate::fault::{FaultConfig, FaultTimeline};
+use crate::outcome::assert_lane_count;
 use crate::placement::PlacementStrategy;
 use crate::policy::{BatchPolicy, FixedPolicy};
 use crate::queue::RequestQueue;
-use crate::report::{assert_lane_count, ServeReport};
+use crate::report::ServeReport;
 use crate::trace::TraceConfig;
 use crate::workload::{ClosedLoopSpec, Request};
 pub(crate) use engine::{outcome_slack, ArrivalSource, Engine, StageRun};

@@ -8,13 +8,12 @@ mod dispatch;
 use super::{Fleet, Recurring};
 use crate::cluster::{AutoscalePolicy, ScaleEvent};
 use crate::fault::{FaultState, TimelineEvent, WindowEdge};
+use crate::outcome::{OutcomeLog, OutcomeRow};
 use crate::pipeline::PipelineState;
 use crate::placement::{PlacementStrategy, ServiceEstimator};
 use crate::policy::{BatchObservation, BatchPolicy};
 use crate::queue::RequestQueue;
-use crate::report::{
-    LatencyHistogram, ModelServeStats, OutcomeLog, OutcomeRow, ServeReport, WorkerStats,
-};
+use crate::report::{LatencyHistogram, ModelServeStats, ServeReport, WorkerStats};
 use crate::trace::{TraceCell, TraceEvent, TraceEventKind, TraceState};
 use crate::workload::{ClosedLoopClient, ClosedLoopSpec, Request};
 pub(crate) use dispatch::StageRun;
@@ -254,10 +253,9 @@ pub(crate) struct Engine<'a> {
     /// own methods. `None` (every monolithic run) makes the pipelined
     /// path a single branch per burst.
     pipeline: Option<Box<PipelineState>>,
-    /// Requests tail-dropped per model index.
-    dropped_per_model: Vec<u64>,
-    /// Requests dispatched in timeout-sealed batches per model index.
-    missed_per_model: Vec<u64>,
+    /// Drops, deadline misses and failures per model index, each
+    /// counted where its outcome resolves.
+    per_model: Vec<ModelServeStats>,
     /// Flight recorder + metrics registry (attached via
     /// [`Fleet::with_trace`]; `None` compiles every hook down to a
     /// branch). Boxed to keep the untraced engine's footprint flat.
@@ -326,11 +324,10 @@ impl<'a> Engine<'a> {
             estimator: ServiceEstimator::new(),
             next_id: 0,
             pipeline,
-            dropped_per_model: vec![0u64; models.len()],
-            missed_per_model: vec![0u64; models.len()],
+            per_model: models.iter().map(|m| ModelServeStats::new(m.name)).collect(),
             trace: fleet.trace.map(|cfg| Box::new(TraceState::new(cfg, models.len()))),
             faults: fleet.fault.as_ref().map(|(config, timeline)| {
-                Box::new(FaultState::new(config.clone(), timeline.clone(), models.len()))
+                Box::new(FaultState::new(config.clone(), timeline.clone()))
             }),
             autoscale: None,
             scratch: Scratch::new(),
@@ -688,7 +685,7 @@ impl<'a> Engine<'a> {
         debug_assert!(!members.is_empty());
         // Every member of a timeout-sealed batch waited out the full
         // `max_wait` — the per-model deadline-miss unit.
-        self.missed_per_model[lane] += members.len() as u64;
+        self.per_model[lane].deadline_misses += members.len() as u64;
         self.trace_event(TraceEvent {
             model: lane as u32,
             a: members.len() as u64,
@@ -766,7 +763,7 @@ impl<'a> Engine<'a> {
     /// Tail-drops `request` at its arrival (a full model lane, or a
     /// best-effort model shed in degraded mode).
     fn drop_request(&mut self, request: Request) {
-        self.dropped_per_model[request.model] += 1;
+        self.per_model[request.model].dropped += 1;
         self.trace_event(TraceEvent {
             model: request.model as u32,
             a: request.id,
@@ -783,6 +780,7 @@ impl<'a> Engine<'a> {
     /// `attempts` consumed dispatch attempts.
     fn fail_request(&mut self, request: Request, attempts: u32, now: u64) {
         self.fault_state().fail(&request);
+        self.per_model[request.model].failed += 1;
         self.push_outcome(OutcomeRow::failed(&request, attempts));
         self.arrivals.request_finished(request.id, now);
     }
@@ -908,20 +906,8 @@ impl<'a> Engine<'a> {
 
     pub(crate) fn into_report(mut self) -> ServeReport {
         self.outcomes.sort_by_id();
-        let (fault, failed_per_model) =
-            self.faults.take().map(|f| f.finish(self.makespan)).unwrap_or_default();
-        let per_model = self
-            .models
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ModelServeStats {
-                model: m.name.to_string(),
-                dropped: self.dropped_per_model[i],
-                deadline_misses: self.missed_per_model[i],
-                failed: failed_per_model.get(i).copied().unwrap_or(0),
-            })
-            .collect();
-        let latency_hist = LatencyHistogram::collect(self.outcomes.latencies());
+        let fault = self.faults.take().map(|f| f.finish(self.makespan)).unwrap_or_default();
+        let latency = LatencyHistogram::per_model(&self.outcomes);
         let trace = TraceCell::default();
         if let Some(tr) = self.trace.take() {
             let names = self.models.iter().map(|m| m.name.to_string()).collect();
@@ -932,7 +918,7 @@ impl<'a> Engine<'a> {
             .take()
             .map(|p| p.stage_stats(self.models, &self.fleet.lanes))
             .unwrap_or_default();
-        ServeReport {
+        let report = ServeReport {
             arch: self.fleet.arch_label(),
             policy: self.policy.name().to_string(),
             outcomes: self.outcomes,
@@ -941,11 +927,17 @@ impl<'a> Engine<'a> {
             total_events: self.total_events,
             makespan_cycles: self.makespan,
             pipeline_stages,
-            per_model,
+            per_model: self.per_model,
             fault,
-            latency_hist,
+            latency,
             trace,
-        }
+        };
+        debug_assert_eq!(
+            report.served_count() + report.dropped_count() + report.failed_count(),
+            report.outcomes.len(),
+            "every resolved request is counted once"
+        );
+        report
     }
 }
 
@@ -963,8 +955,8 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultSpec, FaultTimeline, RetryPolicy};
     use crate::fleet::tests::tiny_workload;
+    use crate::outcome::RequestOutcome;
     use crate::policy::{BatchLimits, FixedPolicy, SloAwarePolicy};
-    use crate::report::RequestOutcome;
     use crate::workload::WorkloadSpec;
     use s2ta_core::ArchKind;
     use s2ta_models::lenet5;

@@ -52,8 +52,8 @@
 //!   spray, join-shortest-queue, or power-of-two-choices over shard
 //!   backlogs), with per-shard lane autoscaling against a diurnal day
 //!   curve ([`AutoscalePolicy`], [`DiurnalSpec`], [`ScaleEvent`]) and
-//!   global percentiles merged from per-request samples — never
-//!   averaged per-shard percentiles.
+//!   global percentiles taken over the union of every shard's counted
+//!   latency runs — never averaged per-shard percentiles.
 //! * [`FaultSpec`] / [`FaultConfig`] — deterministic seeded fault
 //!   injection (lane crashes, lane slowdowns, shard outages) with
 //!   bounded deadline-aware retries ([`RetryPolicy`]), hedged dispatch
@@ -77,7 +77,7 @@
 //! let fleet = Fleet::from_spec(spec).with_placement(PlacementStrategy::Affinity);
 //! let report = fleet.serve(&models, &requests);
 //! assert_eq!(report.outcomes.len(), 32);
-//! assert!(report.throughput_ips(&TechParams::tsmc16()) > 0.0);
+//! assert!(report.goodput_ips(&TechParams::tsmc16()) > 0.0);
 //! ```
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -85,6 +85,7 @@
 mod cluster;
 mod fault;
 mod fleet;
+mod outcome;
 mod pipeline;
 mod placement;
 mod policy;
@@ -98,14 +99,14 @@ pub use fault::{
     DegradedMode, FaultConfig, FaultPlan, FaultSpec, FaultTimeline, HedgePolicy, RetryPolicy,
 };
 pub use fleet::{Fleet, FleetSpec, Lane};
+pub use outcome::{
+    DroppedRequest, FailedRequest, OutcomeLog, Outcomes, RequestOutcome, ServedRequest,
+};
 pub use placement::PlacementStrategy;
 pub use policy::{
     BatchLimits, BatchObservation, BatchPolicy, FixedPolicy, SloAwarePolicy, SloClass,
 };
-pub use report::{
-    DroppedRequest, FailedRequest, FaultStats, ModelServeStats, OutcomeLog, Outcomes,
-    PipelineStageStats, RequestOutcome, ServeReport, ServedRequest, WorkerStats,
-};
+pub use report::{FaultStats, ModelServeStats, PipelineStageStats, ServeReport, WorkerStats};
 pub use trace::{
     FlightRecorder, HostSpan, HostSpans, MetricsSample, Trace, TraceConfig, TraceEvent,
     TraceEventKind,

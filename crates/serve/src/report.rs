@@ -1,7 +1,7 @@
 //! The serving report: per-request outcomes and fleet-level metrics.
 
+use crate::outcome::{OutcomeLog, ServedRequest};
 use crate::trace::{Trace, TraceCell};
-use crate::workload::Request;
 use s2ta_core::ArchKind;
 use s2ta_energy::{EnergyBreakdown, TechParams};
 use s2ta_sim::EventCounts;
@@ -63,407 +63,11 @@ fn push_table_row(s: &mut String, cols: &[Col], cells: &[String]) {
     s.push('\n');
 }
 
-/// The fate of one request: it was admitted, batched and executed
-/// ([`RequestOutcome::Served`]); admission control refused it because
-/// its model lane was at capacity or degraded-mode shedding turned it
-/// away ([`RequestOutcome::Dropped`]); or fault handling abandoned it
-/// after its batch was lost to a lane crash and the retry policy ran
-/// out of road ([`RequestOutcome::Failed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    /// The request was admitted and executed.
-    Served(ServedRequest),
-    /// The request was tail-dropped at admission; it never queued and
-    /// consumed no accelerator time.
-    Dropped(DroppedRequest),
-    /// The request was admitted but lost to a lane crash, and the
-    /// [`crate::RetryPolicy`] gave up on it — either the attempt
-    /// budget ran out or the next retry could no longer meet its
-    /// deadline.
-    Failed(FailedRequest),
-}
-
-/// A request that was admitted, batched, and executed.
-///
-/// This is the read-side view of one [`OutcomeLog`] row: the log
-/// stores 40 bytes per request and rebuilds the record (the model name
-/// borrowed from the `'static` [`s2ta_models::ModelSpec::name`]) when
-/// it is read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServedRequest {
-    /// Request id (dense, in arrival order).
-    pub id: u64,
-    /// Name of the model served.
-    pub model: &'static str,
-    /// Arrival cycle.
-    pub arrival: u64,
-    /// Cycle the request's batch started executing.
-    pub start: u64,
-    /// Cycle the request's batch completed.
-    pub completion: u64,
-    /// Batch the request rode in.
-    pub batch: usize,
-    /// Worker lane that served the batch.
-    pub worker: usize,
-}
-
-/// A request refused at admission (its model lane was full).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DroppedRequest {
-    /// Request id (dense, in arrival order).
-    pub id: u64,
-    /// Name of the model requested.
-    pub model: &'static str,
-    /// Arrival cycle (which is also the drop cycle: tail drop refuses
-    /// the request immediately).
-    pub arrival: u64,
-}
-
-/// A request abandoned by fault handling: its batch was cancelled by a
-/// lane crash and the retry policy could not place it again in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailedRequest {
-    /// Request id (dense, in arrival order).
-    pub id: u64,
-    /// Name of the model requested.
-    pub model: &'static str,
-    /// Arrival cycle.
-    pub arrival: u64,
-    /// Dispatch attempts the request consumed before giving up (its
-    /// initial dispatch plus every retry that reached a lane).
-    pub attempts: u32,
-}
-
-impl ServedRequest {
-    /// End-to-end latency in cycles (queueing + batching + service).
-    pub fn latency_cycles(&self) -> u64 {
-        self.completion - self.arrival
-    }
-}
-
-impl RequestOutcome {
-    /// The request id.
-    pub fn id(&self) -> u64 {
-        match self {
-            Self::Served(s) => s.id,
-            Self::Dropped(d) => d.id,
-            Self::Failed(f) => f.id,
-        }
-    }
-
-    /// The requested model's name.
-    pub fn model(&self) -> &'static str {
-        match self {
-            Self::Served(s) => s.model,
-            Self::Dropped(d) => d.model,
-            Self::Failed(f) => f.model,
-        }
-    }
-
-    /// `true` if the request was served.
-    pub fn is_served(&self) -> bool {
-        matches!(self, Self::Served(_))
-    }
-
-    /// The served record, if the request was neither dropped nor
-    /// failed.
-    pub fn served(&self) -> Option<&ServedRequest> {
-        match self {
-            Self::Served(s) => Some(s),
-            Self::Dropped(_) | Self::Failed(_) => None,
-        }
-    }
-}
-
-/// What became of the request a row records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum RowKind {
-    Served,
-    Dropped,
-    Failed,
-}
-
-/// One request's outcome as an [`OutcomeLog`] stores it: the fields of
-/// every [`RequestOutcome`] variant narrowed into 40 bytes. The model
-/// is an index into the log's name table, and one slot holds a served
-/// request's batch index or a failed one's attempt count. Dropped and
-/// failed rows leave the fields they do not have at zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct OutcomeRow {
-    id: u64,
-    arrival: u64,
-    start: u64,
-    completion: u64,
-    slot: u32,
-    lane: u16,
-    model: u8,
-    kind: RowKind,
-}
-
-impl OutcomeRow {
-    fn new(request: &Request, kind: RowKind) -> Self {
-        Self {
-            id: request.id,
-            arrival: request.arrival,
-            start: 0,
-            completion: 0,
-            slot: 0,
-            lane: 0,
-            model: u8::try_from(request.model).expect("a serve takes at most 256 models"),
-            kind,
-        }
-    }
-
-    /// `request` served on `lane` in batch `batch`, which ran from
-    /// `start` to `completion`.
-    pub(crate) fn served(
-        request: &Request,
-        start: u64,
-        completion: u64,
-        batch: usize,
-        lane: usize,
-    ) -> Self {
-        let slot = u32::try_from(batch).expect("a serve forms at most u32::MAX batches");
-        let lane = u16::try_from(lane).expect("a fleet has at most 65,536 lanes");
-        Self { start, completion, slot, lane, ..Self::new(request, RowKind::Served) }
-    }
-
-    /// `request` dropped at its arrival.
-    pub(crate) fn dropped(request: &Request) -> Self {
-        Self::new(request, RowKind::Dropped)
-    }
-
-    /// `request` abandoned after `attempts` dispatch attempts.
-    pub(crate) fn failed(request: &Request, attempts: u32) -> Self {
-        Self { slot: attempts, ..Self::new(request, RowKind::Failed) }
-    }
-
-    /// End-to-end latency, `None` unless the request was served.
-    fn latency_cycles(&self) -> Option<u64> {
-        (self.kind == RowKind::Served).then(|| self.completion - self.arrival)
-    }
-}
-
-/// Models one serve can name: a row keeps its model index in a byte.
-pub(crate) const MAX_MODELS: usize = 1 << 8;
-
-/// Lanes one fleet can have: a row keeps its lane index in 16 bits.
-pub(crate) const MAX_LANES: usize = 1 << 16;
-
-/// Refuses a serve over more models than an outcome row can index.
-///
-/// # Panics
-///
-/// Panics if `models` exceeds [`MAX_MODELS`].
-pub(crate) fn assert_model_count(models: usize) {
-    assert!(
-        models <= MAX_MODELS,
-        "a serve takes at most {MAX_MODELS} models (outcome rows index them in a byte), got {models}"
-    );
-}
-
-/// Refuses a fleet of more lanes than an outcome row can index.
-///
-/// # Panics
-///
-/// Panics if `lanes` exceeds [`MAX_LANES`].
-pub(crate) fn assert_lane_count(lanes: usize) {
-    assert!(
-        lanes <= MAX_LANES,
-        "a fleet has at most {MAX_LANES} lanes (outcome rows index them in 16 bits), got {lanes}"
-    );
-}
-
-/// The outcome log of a serving run: one [`OutcomeLog::ROW_BYTES`]-byte
-/// row per resolved request plus the table of model names its rows
-/// index. It is most of what a run's host memory grows by per request,
-/// so it stores a compact row and rebuilds the public
-/// [`RequestOutcome`] when one is read, much as a DBB block keeps its
-/// non-zeros and a position mask rather than the dense row.
-///
-/// Reading it looks like reading a `Vec<RequestOutcome>`: `&log`
-/// iterates the outcomes (by value) in id order, and [`OutcomeLog::len`],
-/// [`OutcomeLog::get`] and [`OutcomeLog::iter`] do what a slice's would.
-/// Equality and `Debug` are those of the outcomes, so two logs that
-/// hold the same outcomes compare equal whatever order their name
-/// tables list the models in.
-#[derive(Clone, Default)]
-pub struct OutcomeLog {
-    /// Model names, indexed by a row's `model`.
-    names: Vec<&'static str>,
-    rows: Vec<OutcomeRow>,
-}
-
-impl OutcomeLog {
-    /// Bytes one resolved request occupies in the log.
-    pub const ROW_BYTES: usize = std::mem::size_of::<OutcomeRow>();
-
-    /// An empty log whose rows name the models of `names` by position.
-    pub(crate) fn new(names: Vec<&'static str>) -> Self {
-        assert_model_count(names.len());
-        Self { names, rows: Vec::new() }
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if the log holds no outcome.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The `index`-th outcome (in id order once the run is reported),
-    /// or `None` past the end.
-    pub fn get(&self, index: usize) -> Option<RequestOutcome> {
-        self.rows.get(index).map(|row| view(&self.names, row))
-    }
-
-    /// Every outcome, in log order (id order once the run is reported).
-    pub fn iter(&self) -> Outcomes<'_> {
-        Outcomes { names: &self.names, rows: self.rows.iter() }
-    }
-
-    /// Rows the log holds room for without growing.
-    pub(crate) fn capacity(&self) -> usize {
-        self.rows.capacity()
-    }
-
-    /// Reserves room for exactly `additional` more rows.
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.rows.reserve_exact(additional);
-    }
-
-    /// Appends `row`, whose model indexes this log's name table.
-    pub(crate) fn push_row(&mut self, row: OutcomeRow) {
-        debug_assert!(usize::from(row.model) < self.names.len(), "model outside the name table");
-        self.rows.push(row);
-    }
-
-    /// Appends `outcome`, adding its model name to the table the first
-    /// time the log sees it.
-    fn push(&mut self, outcome: RequestOutcome) {
-        let name = outcome.model();
-        let model = self.names.iter().position(|&n| n == name).unwrap_or_else(|| {
-            assert_model_count(self.names.len() + 1);
-            self.names.push(name);
-            self.names.len() - 1
-        });
-        let request = |arrival| Request { id: outcome.id(), model, arrival, act_seed: 0 };
-        self.rows.push(match outcome {
-            RequestOutcome::Served(s) => {
-                OutcomeRow::served(&request(s.arrival), s.start, s.completion, s.batch, s.worker)
-            }
-            RequestOutcome::Dropped(d) => OutcomeRow::dropped(&request(d.arrival)),
-            RequestOutcome::Failed(f) => OutcomeRow::failed(&request(f.arrival), f.attempts),
-        });
-    }
-
-    /// Sorts the rows by request id (ids are unique, so the unstable
-    /// sort gives the stable order without the stable sort's merge
-    /// buffer).
-    pub(crate) fn sort_by_id(&mut self) {
-        self.rows.sort_unstable_by_key(|row| row.id);
-    }
-
-    /// The latency of every served request, in log order.
-    pub(crate) fn latencies(&self) -> impl Iterator<Item = u64> + Clone + '_ {
-        self.rows.iter().filter_map(OutcomeRow::latency_cycles)
-    }
-
-    /// Outcomes of `kind`.
-    fn count(&self, kind: RowKind) -> usize {
-        self.rows.iter().filter(|row| row.kind == kind).count()
-    }
-}
-
-/// The public record `row` stands for, its model named from `names`.
-fn view(names: &[&'static str], row: &OutcomeRow) -> RequestOutcome {
-    let (id, model, arrival) = (row.id, names[usize::from(row.model)], row.arrival);
-    match row.kind {
-        RowKind::Served => RequestOutcome::Served(ServedRequest {
-            id,
-            model,
-            arrival,
-            start: row.start,
-            completion: row.completion,
-            batch: row.slot as usize,
-            worker: usize::from(row.lane),
-        }),
-        RowKind::Dropped => RequestOutcome::Dropped(DroppedRequest { id, model, arrival }),
-        RowKind::Failed => {
-            RequestOutcome::Failed(FailedRequest { id, model, arrival, attempts: row.slot })
-        }
-    }
-}
-
-impl PartialEq for OutcomeLog {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for OutcomeLog {}
-
-impl fmt::Debug for OutcomeLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<RequestOutcome> for OutcomeLog {
-    /// A log of `outcomes`, in the order given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if they name more than 256 distinct models.
-    fn from_iter<I: IntoIterator<Item = RequestOutcome>>(outcomes: I) -> Self {
-        let mut log = Self::default();
-        for outcome in outcomes {
-            log.push(outcome);
-        }
-        log
-    }
-}
-
-impl<'a> IntoIterator for &'a OutcomeLog {
-    type Item = RequestOutcome;
-    type IntoIter = Outcomes<'a>;
-
-    fn into_iter(self) -> Outcomes<'a> {
-        self.iter()
-    }
-}
-
-/// The outcomes of an [`OutcomeLog`], rebuilt row by row (see
-/// [`OutcomeLog::iter`]).
-#[derive(Debug, Clone)]
-pub struct Outcomes<'a> {
-    names: &'a [&'static str],
-    rows: std::slice::Iter<'a, OutcomeRow>,
-}
-
-impl Iterator for Outcomes<'_> {
-    type Item = RequestOutcome;
-
-    fn next(&mut self) -> Option<RequestOutcome> {
-        self.rows.next().map(|row| view(self.names, row))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.rows.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Outcomes<'_> {}
-
 /// The 1-based nearest-rank of the `pct`-th percentile in a population
 /// of `count` samples: `ceil(pct/100 * count)`, clamped into
 /// `[1, count]`. The **single** clamp implementation behind every
-/// percentile view — the histogram walk, the sorted-slice helper, and
-/// through them all report-level percentiles.
+/// percentile view — the histogram union search, the sorted-slice
+/// helper, and through them all report-level percentiles.
 ///
 /// # Panics
 ///
@@ -496,9 +100,11 @@ pub(crate) fn nearest_rank(sorted_latencies: &[u64], pct: f64) -> u64 {
 /// This is the report tier's percentile engine. It is *exact* — a
 /// percentile query reads the same nearest-rank position
 /// `nearest_rank` would find, so every answer is an actually-observed
-/// latency — and it is *mergeable*: [`crate::ClusterReport`] takes
-/// global percentiles over its shards' histograms by binary search,
-/// without merging or re-sorting the million-sample population.
+/// latency — and it is *mergeable*: a report keeps one histogram per
+/// model, and its overall percentiles, like [`crate::ClusterReport`]'s
+/// global ones over every shard, are taken over the union of those
+/// histograms by binary search, without merging or re-sorting the
+/// samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct LatencyHistogram {
     /// One run per distinct sample, ascending: the sample and how many
@@ -507,18 +113,27 @@ pub(crate) struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Builds the histogram of `samples`: sorts them in one scratch
-    /// buffer of exactly their count (the last sort percentile queries
-    /// ever need) and keeps their runs in a buffer of exactly theirs.
-    /// Both buffers are sized by counting first, so neither is regrown.
-    pub(crate) fn collect<I>(samples: I) -> Self
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: Clone,
-    {
-        let samples = samples.into_iter();
-        let mut sorted = Vec::with_capacity(samples.clone().count());
-        sorted.extend(samples);
+    /// One histogram per model of `log`'s name table, by index. One
+    /// counting pass sizes each model's sample buffer exactly and one
+    /// filling pass fills it, so no buffer is regrown, and the buffers
+    /// together hold one `u64` per served request, as one overall
+    /// buffer would.
+    pub(crate) fn per_model(log: &OutcomeLog) -> Vec<Self> {
+        let mut counts = vec![0; log.names().len()];
+        for (model, _) in log.latencies() {
+            counts[model] += 1;
+        }
+        let mut samples: Vec<Vec<u64>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (model, latency) in log.latencies() {
+            samples[model].push(latency);
+        }
+        samples.into_iter().map(Self::of_samples).collect()
+    }
+
+    /// The histogram of `samples`: sorts them in place (the last sort
+    /// percentile queries ever need) and keeps their runs in a buffer
+    /// of exactly their count, sized by counting first.
+    fn of_samples(mut sorted: Vec<u64>) -> Self {
         sorted.sort_unstable();
         let mut runs = Vec::with_capacity(sorted.chunk_by(u64::eq).count());
         let mut at_most = 0;
@@ -527,6 +142,17 @@ impl LatencyHistogram {
             runs.push((run[0], at_most));
         }
         Self { runs }
+    }
+
+    /// The sum of every sample, exact: each run's latency times its
+    /// count.
+    pub(crate) fn sum(&self) -> u64 {
+        let (mut sum, mut below) = (0, 0);
+        for &(latency, at_most) in &self.runs {
+            sum += latency * (at_most - below);
+            below = at_most;
+        }
+        sum
     }
 
     /// Total number of samples.
@@ -540,23 +166,13 @@ impl LatencyHistogram {
         runs.checked_sub(1).map_or(0, |last| self.runs[last].1)
     }
 
-    /// The `pct`-th percentile sample (nearest-rank, an observed
-    /// value); 0 when the histogram is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < pct <= 100.0`.
-    pub(crate) fn percentile(&self, pct: f64) -> u64 {
-        let target = nearest_rank_position(self.total().max(1), pct);
-        self.runs.get(self.runs.partition_point(|&(_, n)| n < target)).map_or(0, |&(v, _)| v)
-    }
-
-    /// What [`LatencyHistogram::percentile`] returns on the merge of
-    /// `hists`, found without building the merge: the answer is the
-    /// smallest sample that at least the target rank of samples over
-    /// all `hists` do not exceed. Within one histogram that count grows
-    /// with the sample, so a binary search finds its smallest such
-    /// sample, and the least of those over the histograms is the answer.
+    /// The nearest-rank `pct`-th percentile of the merge of `hists` (an
+    /// observed sample; 0 when they hold none), found without building
+    /// the merge: the answer is the smallest sample that at least the
+    /// target rank of samples over all `hists` do not exceed. Within
+    /// one histogram that count grows with the sample, so a binary
+    /// search finds its smallest such sample, and the least of those
+    /// over the histograms is the answer.
     ///
     /// # Panics
     ///
@@ -682,8 +298,15 @@ pub struct ModelServeStats {
     /// batch filling, the deadline-miss unit an SLO audit counts.
     pub deadline_misses: u64,
     /// Requests of this model abandoned by fault handling (see
-    /// [`RequestOutcome::Failed`]).
+    /// [`crate::RequestOutcome::Failed`]).
     pub failed: u64,
+}
+
+impl ModelServeStats {
+    /// A zeroed record for `model`.
+    pub(crate) fn new(model: &str) -> Self {
+        Self { model: model.to_string(), dropped: 0, deadline_misses: 0, failed: 0 }
+    }
 }
 
 /// Fault-injection and recovery accounting for one serving run.
@@ -711,7 +334,7 @@ pub struct FaultStats {
     pub hedges: u64,
     /// Requests the router re-routed away from an out shard.
     pub failovers: u64,
-    /// Requests abandoned as [`RequestOutcome::Failed`].
+    /// Requests abandoned as [`crate::RequestOutcome::Failed`].
     pub failed: u64,
     /// Requests shed at admission by degraded mode (counted inside
     /// the regular dropped totals as well).
@@ -750,6 +373,33 @@ impl FaultStats {
     }
 }
 
+/// Fraction of `issued` requests that were **not** lost to faults:
+/// `1 - failed/issued`, 1.0 for an empty run. Admission drops are a
+/// load-shedding decision, not unavailability, so they do not lower
+/// it. The one formula behind both reports' `availability`.
+pub(crate) fn availability_of(failed: usize, issued: usize) -> f64 {
+    1.0 - fraction_of(failed, issued)
+}
+
+/// `part` as a fraction of `issued` requests, 0 for an empty run: the
+/// one formula behind both reports' `drop_rate`.
+pub(crate) fn fraction_of(part: usize, issued: usize) -> f64 {
+    if issued == 0 {
+        return 0.0;
+    }
+    part as f64 / issued as f64
+}
+
+/// `served` inferences per second of `makespan_cycles` at `tech`'s
+/// clock, 0 for a run that completed nothing. The one formula behind
+/// both reports' `goodput_ips`.
+pub(crate) fn goodput_ips_of(served: usize, makespan_cycles: u64, tech: &TechParams) -> f64 {
+    if makespan_cycles == 0 {
+        return 0.0;
+    }
+    served as f64 / (makespan_cycles as f64 / tech.clock_hz)
+}
+
 /// Everything a serving run produced.
 ///
 /// The per-request outcomes and the placement-derived numbers (latency
@@ -770,9 +420,12 @@ impl FaultStats {
 /// requests only; dropped requests are reported through
 /// [`ServeReport::dropped_count`] / [`ServeReport::drop_rate`] and
 /// excluded from percentiles (a drop has no latency). Throughput of
-/// successfully served requests is [`ServeReport::goodput_ips`];
-/// [`ServeReport::throughput_ips`] is its alias kept for the open-loop
-/// no-drop setting where the two coincide.
+/// successfully served requests is [`ServeReport::goodput_ips`].
+///
+/// Every rollup reads the report's counts and per-model latency runs,
+/// never the outcome log: the counts are sums over
+/// [`ServeReport::per_model`] and the runs, the mean latency is exact
+/// over the runs, and percentiles are taken over their union.
 ///
 /// Equality covers every field except the trace ([`ServeReport::trace`]).
 /// The report carries no host-side cache counters: a caller that wants
@@ -787,7 +440,7 @@ pub struct ServeReport {
     pub policy: String,
     /// Outcomes in request-id order (dense: served, dropped and failed
     /// together cover every issued request), stored as 40-byte rows
-    /// and read back as [`RequestOutcome`]s (see [`OutcomeLog`]).
+    /// and read back as [`crate::RequestOutcome`]s (see [`OutcomeLog`]).
     pub outcomes: OutcomeLog,
     /// Number of batches formed.
     pub batches: usize,
@@ -809,8 +462,10 @@ pub struct ServeReport {
     /// fault-free runs; **inside** report equality — see
     /// [`FaultStats`]).
     pub fault: FaultStats,
-    /// The served-latency histogram, built once at report assembly.
-    pub(crate) latency_hist: LatencyHistogram,
+    /// Served-latency runs per model, indexed like the outcome log's
+    /// name table, built once at report assembly (see
+    /// [`LatencyHistogram::per_model`]).
+    pub(crate) latency: Vec<LatencyHistogram>,
     /// The run's observability trace, when a recorder was attached
     /// (excluded from equality, empty on clones — see
     /// [`TraceCell`]).
@@ -825,30 +480,24 @@ impl ServeReport {
 
     /// Requests that were admitted and executed.
     pub fn served_count(&self) -> usize {
-        self.outcomes.count(RowKind::Served)
+        self.latency.iter().map(|h| h.total() as usize).sum()
     }
 
     /// Requests refused at admission (capacity tail drops plus
     /// degraded-mode shedding).
     pub fn dropped_count(&self) -> usize {
-        self.outcomes.count(RowKind::Dropped)
+        self.per_model.iter().map(|m| m.dropped as usize).sum()
     }
 
     /// Requests abandoned by fault handling (see
-    /// [`RequestOutcome::Failed`]).
+    /// [`crate::RequestOutcome::Failed`]).
     pub(crate) fn failed_count(&self) -> usize {
-        self.outcomes.count(RowKind::Failed)
+        self.per_model.iter().map(|m| m.failed as usize).sum()
     }
 
-    /// Fraction of issued requests that were **not** lost to faults:
-    /// `1 - failed/issued` (1.0 for an empty or fault-free run).
-    /// Admission drops are a load-shedding decision, not
-    /// unavailability, so they do not lower this number.
+    /// See [`availability_of`] (1.0 for an empty or fault-free run).
     pub(crate) fn availability(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 1.0;
-        }
-        1.0 - self.failed_count() as f64 / self.outcomes.len() as f64
+        availability_of(self.failed_count(), self.outcomes.len())
     }
 
     /// The run's observability trace, when the fleet had a recorder
@@ -866,10 +515,7 @@ impl ServeReport {
 
     /// Dropped fraction of all issued requests (0 for an empty run).
     pub fn drop_rate(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.dropped_count() as f64 / self.outcomes.len() as f64
+        fraction_of(self.dropped_count(), self.outcomes.len())
     }
 
     /// Latency of the `pct`-th percentile **served** request in cycles
@@ -880,36 +526,24 @@ impl ServeReport {
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
     pub(crate) fn latency_percentile_cycles(&self, pct: f64) -> u64 {
-        self.latency_histogram().percentile(pct)
-    }
-
-    /// The served-latency histogram, built once when the report is
-    /// assembled and shared by every percentile query (p50/p95/p99 on
-    /// a million-request report used to re-sort the samples three
-    /// times). Cluster shards merge through exactly this view.
-    pub(crate) fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.latency_hist
+        LatencyHistogram::percentile_of_union(&self.latency.iter().collect::<Vec<_>>(), pct)
     }
 
     /// Latency of the `pct`-th percentile **served** request of the
     /// named model (nearest-rank). Returns 0 when no request of that
-    /// model was served. Per-model [`crate::SloClass`] targets are
-    /// checked against exactly this number.
+    /// model was served. A serve may list one name at several model
+    /// indices; the percentile is then over all of them. Per-model
+    /// [`crate::SloClass`] targets are checked against exactly this
+    /// number.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 < pct <= 100.0`.
     pub fn latency_percentile_for_model(&self, model: &str, pct: f64) -> u64 {
-        self.percentile_where(pct, |o| o.model == model)
-    }
-
-    /// Nearest-rank percentile over the served requests `keep` admits
-    /// (0 when none match): a fresh filtered histogram per call —
-    /// per-model views are queried rarely and over small subsets, so
-    /// only the all-request histogram is kept on the report.
-    fn percentile_where(&self, pct: f64, keep: impl Fn(&ServedRequest) -> bool) -> u64 {
-        let served = self.served_outcomes().filter(|o| keep(o));
-        LatencyHistogram::collect(served.map(|o| o.latency_cycles())).percentile(pct)
+        let names = self.outcomes.names().iter();
+        let runs: Vec<&LatencyHistogram> =
+            names.zip(&self.latency).filter(|&(&name, _)| name == model).map(|(_, h)| h).collect();
+        LatencyHistogram::percentile_of_union(&runs, pct)
     }
 
     /// Median latency in cycles.
@@ -928,12 +562,12 @@ impl ServeReport {
     }
 
     /// Mean served latency in cycles (0 when nothing was served).
-    pub(crate) fn mean_latency_cycles(&self) -> f64 {
+    pub fn mean_latency_cycles(&self) -> f64 {
         let served = self.served_count();
         if served == 0 {
             return 0.0;
         }
-        let total: u64 = self.outcomes.latencies().sum();
+        let total: u64 = self.latency.iter().map(LatencyHistogram::sum).sum();
         total as f64 / served as f64
     }
 
@@ -945,17 +579,7 @@ impl ServeReport {
     /// Successfully served inferences per second at `tech`'s clock —
     /// the goodput. Dropped requests do not count.
     pub fn goodput_ips(&self, tech: &TechParams) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 0.0;
-        }
-        self.served_count() as f64 / (self.makespan_cycles as f64 / tech.clock_hz)
-    }
-
-    /// Completed inferences per second at `tech`'s clock. Alias of
-    /// [`ServeReport::goodput_ips`] (the two coincide because only
-    /// served requests complete).
-    pub fn throughput_ips(&self, tech: &TechParams) -> f64 {
-        self.goodput_ips(tech)
+        goodput_ips_of(self.served_count(), self.makespan_cycles, tech)
     }
 
     /// Aggregate energy of the run under `tech`.
@@ -1140,6 +764,8 @@ impl fmt::Display for ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::{DroppedRequest, OutcomeRow, RequestOutcome};
+    use crate::workload::Request;
 
     fn outcome(id: u64, arrival: u64, completion: u64) -> RequestOutcome {
         RequestOutcome::Served(ServedRequest {
@@ -1157,13 +783,50 @@ mod tests {
         RequestOutcome::Dropped(DroppedRequest { id, model: "m", arrival })
     }
 
-    fn report(latencies: &[u64]) -> ServeReport {
+    impl LatencyHistogram {
+        /// The histogram of `samples`, gathered into one buffer of
+        /// exactly their count.
+        fn collect<I>(samples: I) -> Self
+        where
+            I: IntoIterator<Item = u64>,
+            I::IntoIter: Clone,
+        {
+            let samples = samples.into_iter();
+            let mut sorted = Vec::with_capacity(samples.clone().count());
+            sorted.extend(samples);
+            Self::of_samples(sorted)
+        }
+
+        /// The `pct`-th percentile sample of one histogram
+        /// (nearest-rank; 0 when it is empty), read off its runs
+        /// directly: the view the union search must agree with.
+        fn percentile(&self, pct: f64) -> u64 {
+            let target = nearest_rank_position(self.total().max(1), pct);
+            self.runs.get(self.runs.partition_point(|&(_, n)| n < target)).map_or(0, |&(v, _)| v)
+        }
+    }
+
+    /// A 100-cycle run of one half-busy lane over `outcomes`: its
+    /// per-model counts are read off the log, and its latency runs are
+    /// built from it as report assembly builds them.
+    fn report_of(outcomes: OutcomeLog) -> ServeReport {
+        let names = outcomes.names();
+        let mut per_model: Vec<ModelServeStats> =
+            names.iter().map(|m| ModelServeStats::new(m)).collect();
+        for o in &outcomes {
+            let stats = &mut per_model[names.iter().position(|&n| n == o.model()).unwrap()];
+            match o {
+                RequestOutcome::Served(_) => {}
+                RequestOutcome::Dropped(_) => stats.dropped += 1,
+                RequestOutcome::Failed(_) => stats.failed += 1,
+            }
+        }
         ServeReport {
             arch: "TEST".into(),
             policy: "fixed".into(),
-            outcomes: latencies.iter().enumerate().map(|(i, &l)| outcome(i as u64, 0, l)).collect(),
-            latency_hist: LatencyHistogram::collect(latencies.iter().copied()),
-            batches: latencies.len(),
+            latency: LatencyHistogram::per_model(&outcomes),
+            batches: outcomes.len(),
+            outcomes,
             workers: vec![WorkerStats {
                 busy_cycles: 50,
                 batches: 1,
@@ -1174,10 +837,14 @@ mod tests {
             total_events: EventCounts { cycles: 100, ..Default::default() },
             makespan_cycles: 100,
             pipeline_stages: vec![],
-            per_model: vec![],
+            per_model,
             fault: FaultStats::default(),
             trace: TraceCell::default(),
         }
+    }
+
+    fn report(latencies: &[u64]) -> ServeReport {
+        report_of(latencies.iter().enumerate().map(|(i, &l)| outcome(i as u64, 0, l)).collect())
     }
 
     #[test]
@@ -1212,18 +879,11 @@ mod tests {
     #[test]
     fn drop_only_run_has_zero_latency_stats() {
         let r = ServeReport {
-            arch: "TEST".into(),
-            policy: "fixed".into(),
-            outcomes: (0..5).map(|i| dropped(i, i * 10)).collect(),
             batches: 0,
             workers: vec![WorkerStats::new(ArchKind::S2taAw)],
             total_events: EventCounts::default(),
             makespan_cycles: 0,
-            pipeline_stages: vec![],
-            per_model: vec![],
-            fault: FaultStats::default(),
-            latency_hist: LatencyHistogram::default(),
-            trace: TraceCell::default(),
+            ..report_of((0..5).map(|i| dropped(i, i * 10)).collect())
         };
         assert_eq!(r.served_count(), 0);
         assert_eq!(r.dropped_count(), 5);
@@ -1240,9 +900,8 @@ mod tests {
 
     #[test]
     fn mixed_outcomes_split_metrics() {
-        let mut r = report(&[10, 20, 30, 40]);
-        r.outcomes.push(dropped(4, 5));
-        r.outcomes.push(dropped(5, 6));
+        let served = [10, 20, 30, 40].into_iter().enumerate().map(|(i, l)| outcome(i as u64, 0, l));
+        let r = report_of(served.chain([dropped(4, 5), dropped(5, 6)]).collect());
         assert_eq!(r.served_count(), 4);
         assert_eq!(r.dropped_count(), 2);
         assert!((r.drop_rate() - 2.0 / 6.0).abs() < 1e-12);
@@ -1252,54 +911,61 @@ mod tests {
         // Goodput counts the 4 served requests over the makespan.
         let expect = 4.0 / (100.0 / tech.clock_hz);
         assert!((r.goodput_ips(&tech) - expect).abs() < 1e-3);
-        assert_eq!(r.goodput_ips(&tech), r.throughput_ips(&tech));
     }
 
     #[test]
     fn empty_report_is_calm() {
         let r = ServeReport {
-            arch: "TEST".into(),
-            policy: "fixed".into(),
-            outcomes: OutcomeLog::default(),
             batches: 0,
             workers: vec![],
             total_events: EventCounts::default(),
             makespan_cycles: 0,
-            pipeline_stages: vec![],
-            per_model: vec![],
-            fault: FaultStats::default(),
-            latency_hist: LatencyHistogram::default(),
-            trace: TraceCell::default(),
+            ..report_of(OutcomeLog::default())
         };
         assert_eq!(r.p50_cycles(), 0);
         assert_eq!(r.mean_utilization(), 0.0);
         assert_eq!(r.mean_batch_size(), 0.0);
         assert_eq!(r.drop_rate(), 0.0);
         let tech = TechParams::tsmc16();
-        assert_eq!(r.throughput_ips(&tech), 0.0);
+        assert_eq!(r.goodput_ips(&tech), 0.0);
         assert_eq!(r.uj_per_inference(&tech), 0.0);
     }
 
     #[test]
     fn per_model_percentiles_split_by_model_name() {
-        let mut r = report(&[10, 20, 30, 40]);
-        // Rename two outcomes to a second model with slower latencies.
-        r.outcomes = r
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                RequestOutcome::Served(s) if s.id >= 2 => {
-                    RequestOutcome::Served(ServedRequest { model: "heavy", ..s })
-                }
-                o => o,
-            })
-            .collect();
+        // Two outcomes go to a second model with slower latencies.
+        let r = report_of(
+            report(&[10, 20, 30, 40])
+                .outcomes
+                .iter()
+                .map(|o| match o {
+                    RequestOutcome::Served(s) if s.id >= 2 => {
+                        RequestOutcome::Served(ServedRequest { model: "heavy", ..s })
+                    }
+                    o => o,
+                })
+                .collect(),
+        );
         assert_eq!(r.latency_percentile_for_model("m", 100.0), 20);
         assert_eq!(r.latency_percentile_for_model("heavy", 100.0), 40);
         assert_eq!(r.latency_percentile_for_model("heavy", 50.0), 30);
         assert_eq!(r.latency_percentile_for_model("absent", 99.0), 0, "unknown model is calm");
         // The all-model percentile is unchanged by the split.
         assert_eq!(r.latency_percentile_cycles(100.0), 40);
+
+        // A serve may list one name at two model indices: that name's
+        // percentiles are over both indices' requests.
+        let mut log = OutcomeLog::new(vec!["m", "heavy", "m"]);
+        for (id, (model, latency)) in [(0, 10), (2, 20), (1, 30), (2, 40)].into_iter().enumerate() {
+            let request = Request { id: id as u64, model, arrival: 0, act_seed: 0 };
+            log.push_row(OutcomeRow::served(&request, 0, latency, id, 0));
+        }
+        let shared = report_of(log);
+        assert_eq!(shared.latency_percentile_for_model("m", 100.0), 40);
+        assert_eq!(shared.latency_percentile_for_model("m", 50.0), 20);
+        assert_eq!(shared.latency_percentile_for_model("m", 1.0), 10);
+        assert_eq!(shared.latency_percentile_for_model("heavy", 100.0), 30);
+        assert_eq!(shared.latency_percentile_cycles(50.0), 20);
     }
 
     #[test]
@@ -1429,111 +1095,6 @@ mod tests {
         }
     }
 
-    /// Model names the round-trip property draws from.
-    const NAMES: [&str; 4] = ["LeNet-5", "CIFAR-10", "AlexNet", "VGG-16"];
-
-    /// The outcome one draw stands for: request `id` of one of the
-    /// first `models` names, served, dropped or failed, with every
-    /// field taken from the draw's bits (lanes and batches reach the
-    /// top of their narrowed ranges).
-    fn drawn_outcome(id: u64, draw: u64, models: usize) -> RequestOutcome {
-        let model = NAMES[(draw >> 2) as usize % models];
-        let arrival = draw >> 40;
-        match draw % 3 {
-            0 => RequestOutcome::Served(ServedRequest {
-                id,
-                model,
-                arrival,
-                start: arrival + (draw >> 52),
-                completion: arrival + (draw >> 52) + (draw >> 56) + 1,
-                batch: (draw >> 8) as u32 as usize,
-                worker: (draw >> 24) as u16 as usize,
-            }),
-            1 => RequestOutcome::Dropped(DroppedRequest { id, model, arrival }),
-            _ => RequestOutcome::Failed(FailedRequest {
-                id,
-                model,
-                arrival,
-                attempts: (draw >> 8) as u32,
-            }),
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
-        /// Any mix of served, dropped and failed outcomes over 1-4
-        /// models comes back unchanged: pushed in a shuffled order and
-        /// sorted, the log's `iter`, `get` and `len` give exactly the
-        /// outcomes in id order. A log an engine fills, whose rows index
-        /// a name table in another order, compares equal to it, and
-        /// changing any one outcome makes them differ.
-        #[test]
-        fn prop_outcome_log_round_trips(
-            draws in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..80),
-            models in 1usize..=4,
-            shuffle in proptest::arbitrary::any::<u64>(),
-        ) {
-            let expect: Vec<RequestOutcome> = draws
-                .iter()
-                .enumerate()
-                .map(|(id, &draw)| drawn_outcome(id as u64, draw, models))
-                .collect();
-            // Resolution order: a deterministic shuffle of the ids.
-            let mut order: Vec<usize> = (0..expect.len()).collect();
-            let mut state = shuffle;
-            for i in (1..order.len()).rev() {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                order.swap(i, (state >> 33) as usize % (i + 1));
-            }
-            let mut log: OutcomeLog = order.iter().map(|&i| expect[i]).collect();
-            log.sort_by_id();
-            proptest::prop_assert_eq!(log.len(), expect.len());
-            proptest::prop_assert_eq!(log.is_empty(), expect.is_empty());
-            proptest::prop_assert_eq!(log.iter().collect::<Vec<_>>(), expect.clone());
-            proptest::prop_assert_eq!((&log).into_iter().len(), expect.len());
-            for (i, outcome) in expect.iter().enumerate() {
-                proptest::prop_assert_eq!(log.get(i), Some(*outcome));
-            }
-            proptest::prop_assert_eq!(log.get(expect.len()), None);
-            // The engine's path: rows naming models by their index in a
-            // reversed table, pushed in id order.
-            let table: Vec<&'static str> = NAMES[..models].iter().rev().copied().collect();
-            let mut engine = OutcomeLog::new(table.clone());
-            for outcome in &expect {
-                let model = table.iter().position(|&n| n == outcome.model()).unwrap();
-                let request = |arrival| Request { id: outcome.id(), model, arrival, act_seed: 0 };
-                engine.push_row(match *outcome {
-                    RequestOutcome::Served(s) => OutcomeRow::served(
-                        &request(s.arrival),
-                        s.start,
-                        s.completion,
-                        s.batch,
-                        s.worker,
-                    ),
-                    RequestOutcome::Dropped(d) => OutcomeRow::dropped(&request(d.arrival)),
-                    RequestOutcome::Failed(f) => OutcomeRow::failed(&request(f.arrival), f.attempts),
-                });
-            }
-            proptest::prop_assert_eq!(&engine, &log);
-            proptest::prop_assert_eq!(format!("{engine:?}"), format!("{expect:?}"));
-            if let Some(&last) = expect.last() {
-                let mut changed = expect.clone();
-                changed[expect.len() - 1] = match last {
-                    RequestOutcome::Served(s) => {
-                        RequestOutcome::Served(ServedRequest { worker: s.worker ^ 1, ..s })
-                    }
-                    RequestOutcome::Dropped(d) => {
-                        RequestOutcome::Dropped(DroppedRequest { arrival: d.arrival + 1, ..d })
-                    }
-                    RequestOutcome::Failed(f) => {
-                        RequestOutcome::Failed(FailedRequest { attempts: f.attempts ^ 1, ..f })
-                    }
-                };
-                proptest::prop_assert_ne!(changed.into_iter().collect::<OutcomeLog>(), log);
-            }
-        }
-    }
-
     #[test]
     fn utilization_and_throughput() {
         let r = report(&[100]);
@@ -1541,7 +1102,7 @@ mod tests {
         let tech = TechParams::tsmc16();
         // 1 request / (100 cycles / clock)
         let expect = tech.clock_hz / 100.0;
-        assert!((r.throughput_ips(&tech) - expect).abs() < 1e-3);
+        assert!((r.goodput_ips(&tech) - expect).abs() < 1e-3);
         assert!(r.summary(&tech).contains("goodput"));
     }
 }

@@ -76,7 +76,7 @@ fn main() {
     println!(
         "pipelined vs monolithic: {:.2}x lower p99, {:.2}x throughput, {:.2}x makespan",
         p99_win,
-        pipelined.throughput_ips(&tech) / monolithic.throughput_ips(&tech),
+        pipelined.goodput_ips(&tech) / monolithic.goodput_ips(&tech),
         pipelined.makespan_cycles as f64 / monolithic.makespan_cycles as f64,
     );
 

@@ -8,10 +8,11 @@ use s2ta::core::ArchKind;
 use s2ta::energy::TechParams;
 use s2ta::models::{cifar10_convnet, lenet5, ModelSpec};
 use s2ta::serve::{
-    AutoscalePolicy, Cluster, DiurnalSpec, FaultConfig, FaultSpec, FixedPolicy, Fleet, FleetSpec,
-    RateSegment, Request, RoutingPolicy, ScaleEvent, TraceConfig, TraceEventKind, WorkloadSpec,
+    AutoscalePolicy, Cluster, ClusterReport, DegradedMode, DiurnalSpec, FaultConfig, FaultSpec,
+    FixedPolicy, Fleet, FleetSpec, RateSegment, Request, RequestOutcome, RoutingPolicy, ScaleEvent,
+    TraceConfig, TraceEventKind, WorkloadSpec,
 };
-use s2ta_bench::cluster_scenario;
+use s2ta_bench::{chaos_scenario, cluster_scenario};
 use std::collections::HashMap;
 
 fn models() -> Vec<ModelSpec> {
@@ -135,7 +136,7 @@ fn cluster_runs_are_deterministic_in_the_router_seed() {
     assert_eq!(jsq(3), jsq(999));
 }
 
-/// Global percentiles are taken over the merged per-request samples:
+/// Global percentiles are those of the merged per-request population:
 /// the cluster p99 must be a latency some shard actually observed, and
 /// must sit within the range of per-shard extremes (an averaged
 /// percentile generally is neither).
@@ -159,6 +160,124 @@ fn global_percentiles_come_from_merged_samples() {
     assert!(report.p50_cycles() <= report.p95_cycles());
     assert!(report.p95_cycles() <= report.p99_cycles());
     assert!(report.goodput_ips(&TechParams::tsmc16()) > 0.0);
+}
+
+/// The nearest-rank `pct`-th percentile of `sorted` (0 when empty).
+fn nearest_rank(sorted: &[u64], pct: f64) -> u64 {
+    let rank = (pct / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, sorted.len().max(1)) - 1).copied().unwrap_or(0)
+}
+
+/// The served latencies among `outcomes`, sorted.
+fn sorted_latencies(outcomes: impl IntoIterator<Item = RequestOutcome>) -> Vec<u64> {
+    let mut latencies: Vec<u64> =
+        outcomes.into_iter().filter_map(|o| Some(o.served()?.latency_cycles())).collect();
+    latencies.sort_unstable();
+    latencies
+}
+
+/// `(served, dropped, failed)` among `outcomes`.
+fn kind_counts(outcomes: impl IntoIterator<Item = RequestOutcome>) -> (u64, u64, u64) {
+    outcomes.into_iter().fold((0, 0, 0), |(s, d, f), o| match o {
+        RequestOutcome::Served(_) => (s + 1, d, f),
+        RequestOutcome::Dropped(_) => (s, d + 1, f),
+        RequestOutcome::Failed(_) => (s, d, f + 1),
+    })
+}
+
+/// Checks every rollup of `report` against the reference recomputed
+/// from its shards' outcome logs and fields.
+fn assert_rollups_match_logs(run: &str, report: &ClusterReport, models: &[ModelSpec]) {
+    let outcomes: Vec<RequestOutcome> = report.shards.iter().flat_map(|s| &s.outcomes).collect();
+    let total = outcomes.len();
+    let (served, dropped, failed) = kind_counts(outcomes.iter().copied());
+    let (served, dropped, failed) = (served as usize, dropped as usize, failed as usize);
+    assert_eq!(report.total_requests(), total, "{run}");
+    assert_eq!(
+        (report.served_count(), report.dropped_count(), report.failed_count()),
+        (served, dropped, failed),
+        "{run}"
+    );
+    assert_eq!(report.drop_rate(), dropped as f64 / total as f64, "{run}");
+    assert_eq!(report.availability(), 1.0 - failed as f64 / total as f64, "{run}");
+    let makespan = report.shards.iter().map(|s| s.makespan_cycles).max().unwrap();
+    assert_eq!(report.makespan_cycles(), makespan, "{run}");
+    let tech = TechParams::tsmc16();
+    let goodput = served as f64 / (makespan as f64 / tech.clock_hz);
+    assert_eq!(report.goodput_ips(&tech), goodput, "{run}");
+
+    // Global percentiles, by nearest rank over every served latency.
+    let all = sorted_latencies(outcomes.iter().copied());
+    assert_eq!(report.p50_cycles(), nearest_rank(&all, 50.0), "{run} p50");
+    assert_eq!(report.p95_cycles(), nearest_rank(&all, 95.0), "{run} p95");
+    assert_eq!(report.p99_cycles(), nearest_rank(&all, 99.0), "{run} p99");
+
+    // Per shard: the mean latency, and per model its drops, failures
+    // and p99.
+    let mut misses = vec![0; models.len()];
+    for (s, shard) in report.shards.iter().enumerate() {
+        let latencies = sorted_latencies(&shard.outcomes);
+        let mean = match latencies.len() {
+            0 => 0.0,
+            n => latencies.iter().sum::<u64>() as f64 / n as f64,
+        };
+        assert_eq!(shard.mean_latency_cycles(), mean, "{run} shard {s} mean");
+        for (i, model) in models.iter().enumerate() {
+            let own = || shard.outcomes.iter().filter(|o| o.model() == model.name);
+            let (_, dropped, failed) = kind_counts(own());
+            let stats = &shard.per_model[i];
+            assert_eq!((stats.dropped, stats.failed), (dropped, failed), "{run} shard {s} {i}");
+            let p99 = nearest_rank(&sorted_latencies(own()), 99.0);
+            let name = model.name;
+            assert_eq!(shard.latency_percentile_for_model(name, 99.0), p99, "{run} shard {s} {i}");
+            misses[i] += stats.deadline_misses;
+        }
+    }
+
+    // Cluster-wide per model: drops and failures as the logs count
+    // them, deadline misses as the shards' fields sum them.
+    for (i, (model, stats)) in models.iter().zip(report.per_model()).enumerate() {
+        let (_, dropped, failed) =
+            kind_counts(outcomes.iter().copied().filter(|o| o.model() == model.name));
+        let got = (stats.dropped, stats.deadline_misses, stats.failed);
+        assert_eq!(got, (dropped, misses[i], failed), "{run} model {i}");
+    }
+}
+
+/// Every rollup the reports answer from their counts and latency runs
+/// equals the reference recomputed from the outcome logs: counts, drop
+/// rate, availability, goodput, p50/p95/p99, per-shard mean latency,
+/// per-model drop, miss and fail counts, and per-shard per-model p99.
+/// It holds on a cut of the canonical day on the pre-routed driver
+/// (`Random`), on the barrier driver (`PowerOfTwo`), and on the
+/// protected chaos cluster, which drops and fails requests.
+#[test]
+fn rollups_equal_the_outcome_log_reference() {
+    let models = cluster_scenario::models();
+    let mut spec = cluster_scenario::workload();
+    spec.requests = 2_000;
+    let stream = spec.generate();
+    // The chaos run's crashes fail requests; it sheds LeNet-5 as well
+    // as the best-effort model, at a shallower backlog, so that it also
+    // drops some.
+    let horizon = stream.last().map_or(1, |r| r.arrival);
+    let mut faults = chaos_scenario::protected(horizon);
+    faults.degraded = Some(DegradedMode { backlog_threshold: 8, best_effort: vec![0, 2] });
+    let chaos = chaos_scenario::cluster().with_faults(faults);
+    for (run, cluster) in [
+        ("random", cluster_scenario::cluster(RoutingPolicy::Random)),
+        ("p2c", cluster_scenario::cluster(RoutingPolicy::PowerOfTwo)),
+        ("chaos", chaos),
+    ] {
+        let report = cluster.serve(&models, &stream);
+        assert_rollups_match_logs(run, &report, &models);
+        if run == "chaos" {
+            assert!(
+                report.dropped_count() > 0 && report.failed_count() > 0,
+                "chaos must drop and fail"
+            );
+        }
+    }
 }
 
 /// On a diurnal profile the autoscaler must both grow lanes into the
